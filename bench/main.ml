@@ -339,6 +339,24 @@ let run_resurrection_bench () =
 let baseline_charge_barrier vm n =
   if Lp_runtime.Vm.charge_barriers vm then Lp_runtime.Vm.charge vm n
 
+let[@inline never] baseline_swap_in vm (src : Lp_heap.Heap_obj.t)
+    (tgt : Lp_heap.Heap_obj.t) =
+  let open Lp_heap in
+  let open Lp_runtime in
+  let cost = Vm.cost vm in
+  match Diskswap.retrieve (Vm.swap vm) (Vm.store vm) tgt with
+  | `Not_resident -> ()
+  | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
+  | `Corrupt reason ->
+    Vm.charge vm cost.Cost.disk_swap_in;
+    raise
+      (Lp_core.Errors.internal_error
+         ~cause:
+           (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
+              ~gc_count:(Vm.gc_count vm))
+         ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+         ~tgt_class:(Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id))
+
 (* Full replica, error branches included: truncating them to stubs makes
    the baseline a much smaller function than the real barrier ever was
    and skews code layout in its favour. *)
@@ -400,25 +418,11 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
       baseline_charge_barrier vm cost.Cost.barrier_cold;
       src.Heap_obj.fields.(i) <- Word.clear_untouched w;
       Lp_core.Controller.on_stale_use (Vm.controller vm) ~src ~tgt;
+      Lp_core.Controller.note_field_read (Vm.controller vm) ~src ~field:i;
       Heap_obj.set_stale tgt 0
     end;
-    (match Vm.disk vm with
-    | Some d -> (
-      match Diskswap.retrieve d (Vm.store vm) tgt with
-      | `Not_resident -> ()
-      | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
-      | `Corrupt reason ->
-        Vm.charge vm cost.Cost.disk_swap_in;
-        raise
-          (Lp_core.Errors.internal_error
-             ~cause:
-               (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id
-                  ~reason ~gc_count:(Vm.gc_count vm))
-             ~src_class:
-               (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-             ~tgt_class:
-               (Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id)))
-    | None -> ());
+    if Vm.offloading vm && Header.on_disk tgt.Heap_obj.header then
+      baseline_swap_in vm src tgt;
     Some tgt
   end
 

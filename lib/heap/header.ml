@@ -8,6 +8,7 @@ let finalizable_bit = 0b100000
 let finalizer_enqueued_bit = 0b1000000
 let statics_container_bit = 0b10000000
 let nursery_bit = 0b100000000
+let on_disk_bit = 0b1000000000
 
 let empty = 0
 
@@ -41,7 +42,12 @@ let in_nursery h = h land nursery_bit <> 0
 let set_in_nursery h = h lor nursery_bit
 let clear_in_nursery h = h land lnot nursery_bit
 
+let on_disk h = h land on_disk_bit <> 0
+let set_on_disk h = h lor on_disk_bit
+let clear_on_disk h = h land lnot on_disk_bit
+
 let pp ppf h =
-  Format.fprintf ppf "{mark=%b; stale_mark=%b; stale=%d%s}" (marked h)
+  Format.fprintf ppf "{mark=%b; stale_mark=%b; stale=%d%s%s}" (marked h)
     (stale_marked h) (stale_counter h)
     (if finalizable h then "; finalizable" else "")
+    (if on_disk h then "; on_disk" else "")

@@ -19,7 +19,13 @@
       never treats them as candidates: roots cannot be pruned.
     - bit 8: the object lives in the nursery (generational mode). Minor
       collections examine only nursery objects; survivors are promoted
-      by clearing the bit. *)
+      by clearing the bit.
+    - bit 9: the object's payload is resident on the offload disk. Set
+      when the swap store offloads the object and cleared when the read
+      barrier faults it back in, so the barrier's fast path tests this
+      bit instead of looking the object up in the residency table. While
+      the VM is between collections, the live objects carrying it are
+      exactly the disk-resident ones. *)
 
 type t = int
 
@@ -57,5 +63,9 @@ val set_statics_container : t -> t
 val in_nursery : t -> bool
 val set_in_nursery : t -> t
 val clear_in_nursery : t -> t
+
+val on_disk : t -> bool
+val set_on_disk : t -> t
+val clear_on_disk : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -237,8 +237,10 @@ let heap_check ?(strict = false) vm =
   let fail msg = if !error = None then error := Some msg in
   let bytes = ref 0 in
   let poisoned_words = ref 0 in
+  let on_disk = ref 0 in
   Store.iter_live store (fun obj ->
       bytes := !bytes + obj.Heap_obj.size_bytes;
+      if Header.on_disk obj.Heap_obj.header then incr on_disk;
       if Header.marked obj.Heap_obj.header then
         fail
           (Printf.sprintf "object %d carries a mark bit outside a collection"
@@ -301,7 +303,21 @@ let heap_check ?(strict = false) vm =
   Diskswap.iter_images swap (fun ~id ~image ->
       incr image_count;
       image_sum := !image_sum + Bytes.length image;
-      match Swap_image.decode image with
+      (* decoded and CRC-checked here, independently of the references
+         the store memoised when it wrote the image; strict mode then
+         holds the memo to what the bytes say *)
+      let decoded = Swap_image.decode image in
+      (if strict then
+         let from_bytes =
+           match decoded with
+           | Ok img -> Some (Swap_image.refs img)
+           | Error _ -> None
+         in
+         if from_bytes <> Diskswap.image_refs swap id then
+           fail
+             (Printf.sprintf
+                "swap image %d: memoised references differ from its bytes" id));
+      match decoded with
       | Ok img ->
         if img.Swap_image.object_id <> id then
           fail
@@ -342,12 +358,18 @@ let heap_check ?(strict = false) vm =
     && Lp_core.Controller.averted_error controller = None
   then fail "references were poisoned but no averted error was recorded";
   (* Disk residency: every disk-resident identifier must denote a live
-     object of the recorded size, and the totals must close. *)
-  (match Vm.disk vm with
-  | None -> ()
-  | Some d ->
+     object of the recorded size, and the totals must close. Strict mode
+     also holds the on-disk header bit to the residency table: the read
+     barrier trusts the bit alone, so a resident object without it would
+     be read from memory it no longer owns. *)
+  if strict && !on_disk <> Diskswap.resident_count swap then
+    fail
+      (Printf.sprintf
+         "%d live objects carry the on-disk bit but %d are disk-resident"
+         !on_disk (Diskswap.resident_count swap));
+  if Vm.offloading vm then begin
     let disk_total = ref 0 in
-    Diskswap.iter_resident d (fun ~id ~bytes ->
+    Diskswap.iter_resident swap (fun ~id ~bytes ->
         disk_total := !disk_total + bytes;
         match Store.get_opt store id with
         | None ->
@@ -357,17 +379,22 @@ let heap_check ?(strict = false) vm =
             fail
               (Printf.sprintf
                  "disk-resident object %d recorded as %d bytes but is %d" id
-                 bytes obj.Heap_obj.size_bytes));
-    if !disk_total <> Diskswap.resident_bytes d then
+                 bytes obj.Heap_obj.size_bytes);
+          if strict && not (Header.on_disk obj.Heap_obj.header) then
+            fail
+              (Printf.sprintf
+                 "disk-resident object %d lacks the on-disk header bit" id));
+    if !disk_total <> Diskswap.resident_bytes swap then
       fail
         (Printf.sprintf "disk accounting: entries sum to %d, disk reports %d"
-           !disk_total (Diskswap.resident_bytes d));
-    if Diskswap.resident_bytes d <> Store.swapped_out_bytes store then
+           !disk_total (Diskswap.resident_bytes swap));
+    if Diskswap.resident_bytes swap <> Store.swapped_out_bytes store then
       fail
         (Printf.sprintf
            "disk reports %d resident bytes but the store credits %d"
-           (Diskswap.resident_bytes d)
-           (Store.swapped_out_bytes store)));
+           (Diskswap.resident_bytes swap)
+           (Store.swapped_out_bytes store))
+  end;
   (* Remembered-set integrity: sources must be live with the recorded
      field in bounds (full collections clear the set; minor collections
      free only nursery objects, never a remset source, which is mature). *)

@@ -14,6 +14,21 @@ let default_config ~disk_limit_bytes =
    read back. *)
 type entry = { bytes : int; payload : bytes }
 
+(* A stored prune image: the bytes a later load will see, with the
+   targets of their non-null reference words decoded once when the
+   image is stored ([Swap_image.refs]), so retention follows memoised
+   references instead of re-parsing every image at every collection.
+   [Corrupt] marks bytes that did not decode: retention keeps such an
+   image when it is referenced but follows nothing through it. *)
+type image = Decoded of bytes * int array | Corrupt of bytes
+
+let image_data = function Decoded (data, _) | Corrupt data -> data
+
+let memoise data =
+  match Swap_image.decode data with
+  | Ok img -> Decoded (data, Swap_image.refs img)
+  | Error _ -> Corrupt data
+
 (* A shared disk shared by several swap stores (one per tenant). Byte
    accounting is kept by the stores themselves — every total update also
    moves [used_bytes] by the same delta — so the backend never needs to
@@ -40,7 +55,7 @@ let set_backend_capacity b capacity = b.capacity_bytes <- capacity
 type t = {
   config : config;
   resident : (int, entry) Hashtbl.t;  (* object id -> offloaded payload *)
-  images : (int, bytes) Hashtbl.t;  (* pruned object id -> swap image *)
+  images : (int, image) Hashtbl.t;  (* pruned object id -> swap image *)
   forwards : (int, int) Hashtbl.t;  (* pruned id -> resurrected id *)
   mutable resident_total : int;
   mutable image_total : int;
@@ -140,9 +155,9 @@ let out_of_disk t =
 let store_image t ~id image =
   let image = match t.image_fault with Some f -> f image | None -> image in
   (match Hashtbl.find_opt t.images id with
-  | Some old -> set_image_total t (t.image_total - Bytes.length old)
+  | Some old -> set_image_total t (t.image_total - Bytes.length (image_data old))
   | None -> ());
-  Hashtbl.replace t.images id image;
+  Hashtbl.replace t.images id (memoise image);
   set_image_total t (t.image_total + Bytes.length image);
   Lp_obs.Metrics.incr t.c_image_writes;
   match t.sink with
@@ -151,7 +166,15 @@ let store_image t ~id image =
       (Lp_obs.Event.Image_capture { id; bytes = Bytes.length image })
   | None -> ()
 
-let load_image t id = Hashtbl.find_opt t.images id
+let load_image t id =
+  match Hashtbl.find_opt t.images id with
+  | Some image -> Some (image_data image)
+  | None -> None
+
+let image_refs t id =
+  match Hashtbl.find_opt t.images id with
+  | Some (Decoded (_, refs)) -> Some refs
+  | Some (Corrupt _) | None -> None
 
 let has_image t id = Hashtbl.mem t.images id
 
@@ -160,7 +183,7 @@ let drop_image t id =
   | None -> ()
   | Some image ->
     Hashtbl.remove t.images id;
-    set_image_total t (t.image_total - Bytes.length image);
+    set_image_total t (t.image_total - Bytes.length (image_data image));
     Lp_obs.Metrics.incr t.c_image_drops;
     (match t.sink with
     | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Image_drop { id })
@@ -171,7 +194,8 @@ let retain_images t ~keep =
   Hashtbl.iter (fun id _ -> if not (keep id) then doomed := id :: !doomed) t.images;
   List.iter (drop_image t) !doomed
 
-let iter_images t f = Hashtbl.iter (fun id image -> f ~id ~image) t.images
+let iter_images t f =
+  Hashtbl.iter (fun id image -> f ~id ~image:(image_data image)) t.images
 
 let image_count t = Hashtbl.length t.images
 
@@ -218,6 +242,7 @@ let offload_one t store (obj : Heap_obj.t) =
   let payload = match t.image_fault with Some f -> f payload | None -> payload in
   Hashtbl.replace t.resident obj.Heap_obj.id
     { bytes = obj.Heap_obj.size_bytes; payload };
+  obj.Heap_obj.header <- Header.set_on_disk obj.Heap_obj.header;
   set_resident_total t (t.resident_total + obj.Heap_obj.size_bytes);
   Lp_obs.Metrics.incr t.c_swap_outs;
   match t.sink with
@@ -308,7 +333,7 @@ let recover t =
   let images_valid = ref 0 and images_corrupt = ref 0 in
   Hashtbl.iter
     (fun _ image ->
-      match Swap_image.decode image with
+      match Swap_image.decode (image_data image) with
       | Ok _ -> incr images_valid
       | Error _ -> incr images_corrupt)
     t.images;
@@ -336,15 +361,21 @@ let recover t =
    retention pass. *)
 let recover_warm t =
   let images_valid = ref 0 and images_corrupt = ref 0 in
-  let corrupt = ref [] in
+  let corrupt = ref [] and valid = ref [] in
   Hashtbl.iter
     (fun id image ->
-      match Swap_image.decode image with
-      | Ok _ -> incr images_valid
+      let data = image_data image in
+      match Swap_image.decode data with
+      | Ok img ->
+        incr images_valid;
+        valid := (id, Decoded (data, Swap_image.refs img)) :: !valid
       | Error _ ->
         incr images_corrupt;
         corrupt := id :: !corrupt)
     t.images;
+  (* the survivors' memoised references are re-derived from the audit's
+     decode, so the memo stays exactly what their bytes say *)
+  List.iter (fun (id, image) -> Hashtbl.replace t.images id image) !valid;
   let before = disk_bytes t in
   List.iter (drop_image t) !corrupt;
   let payloads_dropped = Hashtbl.length t.resident in
@@ -381,6 +412,7 @@ let retrieve t store (obj : Heap_obj.t) =
        lost. Removing before decoding keeps resident_total consistent
        even when the decode reports a fault. *)
     Hashtbl.remove t.resident obj.Heap_obj.id;
+    obj.Heap_obj.header <- Header.clear_on_disk obj.Heap_obj.header;
     set_resident_total t (t.resident_total - bytes);
     Store.set_swapped_out_bytes store t.resident_total;
     let emit_restore ok =

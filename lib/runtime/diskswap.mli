@@ -17,6 +17,9 @@
     the same write in every run. Offloaded bytes stop counting against
     the heap limit; a read-barrier access faults the payload back in
     (validating it — a corrupt payload means the disk copy is lost).
+    An offloaded object carries the {!Lp_heap.Header.on_disk} bit from
+    its offload until its swap-in, so the barrier only consults this
+    store for objects that are actually on disk.
 
     {b Prune images} (the resurrection subsystem). When a PRUNE
     collection poisons references, the VM serializes each doomed object
@@ -193,7 +196,8 @@ val retrieve :
   | `Swapped_in
   | `Corrupt of Lp_core.Errors.resurrection_failure ]
 (** Faults an offloaded object back in on program access, validating its
-    payload. [`Swapped_in] is a real disk fault (the VM charges the
+    payload, and clears the object's on-disk header bit. [`Swapped_in]
+    is a real disk fault (the VM charges the
     fault cost); [`Corrupt] means the payload failed validation — the
     disk copy is lost and the residency entry released either way, so
     accounting never goes negative even when the same object is
@@ -204,9 +208,17 @@ val retrieve :
 val store_image : t -> id:int -> bytes -> unit
 (** Writes a pruned object's swap image, passing it through the
     image-fault hook (see {!set_image_fault_hook}); replaces any
-    previous image for the same identifier. *)
+    previous image for the same identifier. The stored bytes are decoded
+    once, here, and the targets of their reference words are kept with
+    them (see {!image_refs}). *)
 
 val load_image : t -> int -> bytes option
+
+val image_refs : t -> int -> int array option
+(** The memoised reference targets of the image stored under this
+    identifier ({!Swap_image.refs} of its decoded bytes); [None] when no
+    image is stored or its bytes do not decode. Retention follows these
+    instead of decoding the image again. *)
 
 val has_image : t -> int -> bool
 

@@ -28,6 +28,26 @@ let[@inline never] emit_barrier_cold s (src : Heap_obj.t) i =
   Lp_obs.Sink.emit s
     (Lp_obs.Event.Barrier_cold { src_class = src.Heap_obj.class_id; field = i })
 
+(* Out-of-line disk fault: the target's on-disk header bit is set, so
+   its payload is read back (and validated) before the load returns. *)
+let[@inline never] swap_in vm (src : Heap_obj.t) (tgt : Heap_obj.t) =
+  let cost = Vm.cost vm in
+  match Diskswap.retrieve (Vm.swap vm) (Vm.store vm) tgt with
+  | `Not_resident -> ()
+  | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
+  | `Corrupt reason ->
+    (* the disk copy of an offloaded object failed validation: the
+       payload is lost; surface it with the same cause protocol as a
+       failed resurrection *)
+    Vm.charge vm cost.Cost.disk_swap_in;
+    raise
+      (Lp_core.Errors.internal_error
+         ~cause:
+           (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
+              ~gc_count:(Vm.gc_count vm))
+         ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+         ~tgt_class:(Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id))
+
 let read vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
   let cost = Vm.cost vm in
@@ -110,26 +130,10 @@ let read vm (src : Heap_obj.t) i =
       Lp_core.Controller.note_field_read (Vm.controller vm) ~src ~field:i;
       Heap_obj.set_stale tgt 0
     end;
-    (match Vm.disk vm with
-    | Some d -> (
-      match Diskswap.retrieve d (Vm.store vm) tgt with
-      | `Not_resident -> ()
-      | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
-      | `Corrupt reason ->
-        (* the disk copy of an offloaded object failed validation: the
-           payload is lost; surface it with the same cause protocol as a
-           failed resurrection *)
-        Vm.charge vm cost.Cost.disk_swap_in;
-        raise
-          (Lp_core.Errors.internal_error
-             ~cause:
-               (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id
-                  ~reason ~gc_count:(Vm.gc_count vm))
-             ~src_class:
-               (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-             ~tgt_class:
-               (Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id)))
-    | None -> ());
+    (* the VM's offload flag first, so a VM without the disk baseline
+       never loads the target's header here *)
+    if Vm.offloading vm && Header.on_disk tgt.Heap_obj.header then
+      swap_in vm src tgt;
     Some tgt
   end
 

@@ -21,19 +21,25 @@ let magic1 = 'P'
 (* CRC-32, IEEE 802.3 polynomial (reflected 0xEDB88320) — the same
    checksum a real swap file format would use, table-driven. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
+(* The range is checked once, so the byte loop reads unchecked: every
+   [i] lies in [pos, pos + len) and every table index is masked into
+   [0, 255]. *)
 let crc32 buf ~pos ~len =
-  let table = Lazy.force crc_table in
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Swap_image.crc32: range out of bounds";
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (Bytes.get buf i)) land 0xFF) lxor (!c lsr 8)
+    c :=
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 
@@ -131,6 +137,20 @@ let decode buf =
                     let off = header_bytes + 20 + (8 * i) in
                     { word = get off; referent_class = get (off + 4) });
             }
+
+let refs t =
+  let n = ref 0 in
+  Array.iter (fun f -> if not (Word.is_null f.word) then incr n) t.fields;
+  let out = Array.make !n 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun f ->
+      if not (Word.is_null f.word) then begin
+        out.(!k) <- Word.target f.word;
+        incr k
+      end)
+    t.fields;
+  out
 
 let tear buf ~keep =
   let keep = max 0 (min keep (Bytes.length buf - 1)) in

@@ -67,6 +67,11 @@ val decode : bytes -> (t, Lp_core.Errors.resurrection_failure) result
     Total: any byte string yields [Ok] or a structured failure, never an
     exception. *)
 
+val refs : t -> int array
+(** The targets of the image's non-null reference words (poisoned ones
+    included), in field order: the identifiers image retention follows
+    from this image. *)
+
 val tear : bytes -> keep:int -> bytes
 (** [tear img ~keep] models a torn write: the first [keep] bytes of the
     image, as if the process died mid-write. [keep] is clamped to
@@ -77,4 +82,6 @@ val corrupt : bytes -> pos:int -> bytes
     into the payload region), modelling at-rest bit rot. *)
 
 val crc32 : bytes -> pos:int -> len:int -> int
-(** CRC-32 (IEEE 802.3 polynomial) of a byte range, exposed for tests. *)
+(** CRC-32 (IEEE 802.3 polynomial) of a byte range, exposed for tests.
+    @raise Invalid_argument when the range does not lie inside the
+    buffer. *)

@@ -215,9 +215,9 @@ let registry t = t.registry
 let stats t = t.stats
 let controller t = t.controller
 let cost t = t.cost
-let disk t = if t.offload then Some t.swap else None
-
 let swap t = t.swap
+
+let[@inline] offloading t = t.offload
 
 let metrics t = t.metrics
 
@@ -451,21 +451,31 @@ let enqueue_ref t seen queue id =
   | Some final -> push final
   | None -> ()
 
-(* Runs between marking and the sweep, when liveness is decided but the
-   doomed objects are still intact: serialize a swap image of every
-   dying object reachable from a freshly pruned edge or from a live
-   poisoned word, so a later misprediction can be recovered. *)
-let capture_images t doomed =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (enqueue_ref t seen queue) doomed;
+(* The targets of every poisoned word in a marked object, in slot
+   order. Taken between marking and the sweep: the marked set is exactly
+   the heap the sweep leaves, and neither image capture nor the sweep
+   writes a survivor's fields, so one scan serves both the capture
+   before the sweep and the retention after it. *)
+let poisoned_targets t =
+  let acc = ref [] in
   Store.iter_live t.store (fun obj ->
       if Header.marked obj.Heap_obj.header then
         Array.iter
           (fun w ->
             if (not (Word.is_null w)) && Word.poisoned w then
-              enqueue_ref t seen queue (Word.target w))
+              acc := Word.target w :: !acc)
           obj.Heap_obj.fields);
+  List.rev !acc
+
+(* Runs between marking and the sweep, when liveness is decided but the
+   doomed objects are still intact: serialize a swap image of every
+   dying object reachable from a freshly pruned edge or from a live
+   poisoned word, so a later misprediction can be recovered. *)
+let capture_images t ~doomed ~poisoned =
+  let seen = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  List.iter (enqueue_ref t seen queue) doomed;
+  List.iter (enqueue_ref t seen queue) poisoned;
   let rec drain () =
     match Queue.take_opt queue with
     | None -> ()
@@ -487,34 +497,22 @@ let capture_images t doomed =
 
 (* Post-sweep retention: keep exactly the images still reachable from a
    live poisoned word, directly or through reference words recorded in
-   another retained image. Everything else is released disk space. *)
-let retain_images t =
+   another retained image. Each image's references were decoded once
+   when it was stored; a corrupt image that is still referenced is
+   retained without being followed, so the eventual access reports the
+   real failure instead of Image_missing. Everything else is released
+   disk space. *)
+let retain_images t ~poisoned =
   let keep = Hashtbl.create 64 in
   let queue = Queue.create () in
-  Store.iter_live t.store (fun obj ->
-      Array.iter
-        (fun w ->
-          if (not (Word.is_null w)) && Word.poisoned w then
-            enqueue_ref t keep queue (Word.target w))
-        obj.Heap_obj.fields);
+  List.iter (enqueue_ref t keep queue) poisoned;
   let rec drain () =
     match Queue.take_opt queue with
     | None -> ()
     | Some id ->
-      (match Diskswap.load_image t.swap id with
-      | None -> ()
-      | Some image -> (
-        match Swap_image.decode image with
-        | Ok img ->
-          Array.iter
-            (fun (f : Swap_image.field) ->
-              if not (Word.is_null f.Swap_image.word) then
-                enqueue_ref t keep queue (Word.target f.Swap_image.word))
-            img.Swap_image.fields
-        | Error _ ->
-          (* corrupt but referenced: retained, so the eventual access
-             reports the real failure instead of Image_missing *)
-          ()));
+      (match Diskswap.image_refs t.swap id with
+      | Some refs -> Array.iter (enqueue_ref t keep queue) refs
+      | None -> ());
       drain ()
   in
   drain ();
@@ -537,17 +535,28 @@ let collect_once t =
       (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Mark)
   | None -> ());
   let doomed = ref [] in
+  let poisoned = ref [] in
   let on_poison, before_sweep =
     if t.resurrection then
       ( Some
           (fun (e : Collector.edge) ->
             doomed := e.Collector.tgt.Heap_obj.id :: !doomed),
-        Some (fun () -> capture_images t !doomed) )
+        Some
+          (fun () ->
+            poisoned := poisoned_targets t;
+            capture_images t ~doomed:!doomed ~poisoned:!poisoned) )
     else (None, None)
   in
-  Lp_core.Controller.collect ~on_finalize:(run_finalizer t) ?on_poison
-    ?before_sweep t.controller t.store t.roots ~stats:t.stats;
-  if t.resurrection then retain_images t;
+  (* Only an object allocated with a finalizer can be pending
+     finalization, and it keeps its table entry until the finalizer
+     runs, so an empty table lets the collection skip the finalizer
+     pass (a whole-heap walk). *)
+  let on_finalize =
+    if Hashtbl.length t.finalizers = 0 then None else Some (run_finalizer t)
+  in
+  Lp_core.Controller.collect ?on_finalize ?on_poison ?before_sweep
+    t.controller t.store t.roots ~stats:t.stats;
+  if t.resurrection then retain_images t ~poisoned:!poisoned;
   if t.nursery_limit <> None then begin
     (* a full-heap collection empties the nursery: every survivor is
        mature afterwards *)

@@ -77,15 +77,16 @@ val registry : t -> Class_registry.t
 val stats : t -> Gc_stats.t
 val controller : t -> Lp_core.Controller.t
 val cost : t -> Cost.t
-val disk : t -> Diskswap.t option
-(** The swap store, exposed only when the disk-offload {e baseline} was
-    configured via [?disk] ([None] otherwise — use {!swap} for the
-    always-present store backing resurrection images). *)
-
 val swap : t -> Diskswap.t
 (** The VM's swap store. Always present: prune images live here even
     without the offload baseline (the store is then unbounded and only
     image retention limits it). *)
+
+val offloading : t -> bool
+(** Whether the disk-offload {e baseline} was configured via [?disk]:
+    only then does the store hold offload payloads, run the
+    post-collection disk phase and fault objects back in from the read
+    barrier. *)
 
 val resurrection_enabled : t -> bool
 

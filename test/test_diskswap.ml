@@ -36,7 +36,8 @@ let test_offload_extends_run () =
   let vm = make_vm () in
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:2 in
   leak_until_offload vm statics;
-  let d = Option.get (Vm.disk vm) in
+  Alcotest.(check bool) "offload baseline configured" true (Vm.offloading vm);
+  let d = Vm.swap vm in
   Alcotest.(check bool) "offloaded something" true (Diskswap.resident_bytes d > 0);
   Alcotest.(check bool) "heap used exceeds limit thanks to the disk credit" true
     (Store.used_bytes (Vm.store vm) > Store.limit_bytes (Vm.store vm)
@@ -46,7 +47,8 @@ let test_retrieval_on_access () =
   let vm = make_vm () in
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:2 in
   leak_until_offload vm statics;
-  let d = Option.get (Vm.disk vm) in
+  Alcotest.(check bool) "offload baseline configured" true (Vm.offloading vm);
+  let d = Vm.swap vm in
   let resident_before = Diskswap.resident_count d in
   (* walk the chain: accesses fault offloaded nodes back in *)
   let rec walk = function
@@ -57,6 +59,37 @@ let test_retrieval_on_access () =
   Alcotest.(check bool) "retrievals happened" true (Diskswap.total_swap_ins d > 0);
   Alcotest.(check bool) "fewer resident after walking" true
     (Diskswap.resident_count d < resident_before)
+
+(* The read barrier trusts the on-disk header bit alone, so the bit must
+   track residency exactly; the strict verifier holds it to that. *)
+let test_on_disk_bit_tracks_residency () =
+  let vm = make_vm () in
+  let statics = Vm.statics vm ~class_name:"S" ~n_fields:2 in
+  leak_until_offload vm statics;
+  let d = Vm.swap vm in
+  let resident = ref [] in
+  Store.iter_live (Vm.store vm) (fun obj ->
+      Alcotest.(check bool)
+        (Printf.sprintf "object %d: bit iff resident" obj.Heap_obj.id)
+        (Diskswap.is_resident d obj.Heap_obj.id)
+        (Header.on_disk obj.Heap_obj.header);
+      if Header.on_disk obj.Heap_obj.header then resident := obj :: !resident);
+  Alcotest.(check bool) "something is on disk" true (!resident <> []);
+  Alcotest.(check bool) "strict verifier passes" true
+    (Diagnostics.heap_check ~strict:true vm = Ok ());
+  let obj = List.hd !resident in
+  (match Diskswap.retrieve d (Vm.store vm) obj with
+  | `Swapped_in -> ()
+  | `Not_resident | `Corrupt _ -> Alcotest.fail "resident object must swap in");
+  Alcotest.(check bool) "swap-in clears the bit" false
+    (Header.on_disk obj.Heap_obj.header);
+  Alcotest.(check bool) "still consistent" true
+    (Diagnostics.heap_check ~strict:true vm = Ok ());
+  (* a resident object whose bit went missing is reported *)
+  let other = List.nth !resident 1 in
+  other.Heap_obj.header <- Header.clear_on_disk other.Heap_obj.header;
+  Alcotest.(check bool) "missing bit reported" true
+    (Result.is_error (Diagnostics.heap_check ~strict:true vm))
 
 let test_out_of_disk () =
   let vm = make_vm ~disk_limit:4_000 () in
@@ -141,7 +174,8 @@ let test_dead_objects_release_disk () =
   let vm = make_vm () in
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:2 in
   leak_until_offload vm statics;
-  let d = Option.get (Vm.disk vm) in
+  Alcotest.(check bool) "offload baseline configured" true (Vm.offloading vm);
+  let d = Vm.swap vm in
   let resident_before = Diskswap.resident_bytes d in
   Alcotest.(check bool) "precondition" true (resident_before > 0);
   (* drop the chain; offloaded objects die and must release disk space *)
@@ -353,6 +387,8 @@ let suite =
     [
       Alcotest.test_case "offload extends run" `Quick test_offload_extends_run;
       Alcotest.test_case "retrieval on access" `Quick test_retrieval_on_access;
+      Alcotest.test_case "on-disk bit tracks residency" `Quick
+        test_on_disk_bit_tracks_residency;
       Alcotest.test_case "out of disk" `Quick test_out_of_disk;
       Alcotest.test_case "direct out-of-disk payload" `Quick test_direct_out_of_disk_payload;
       Alcotest.test_case "reconcile releases swept objects" `Quick test_reconcile_releases_swept;

@@ -42,6 +42,19 @@ let test_statics_bit () =
   Alcotest.(check bool) "statics container" true (Header.statics_container h);
   Alcotest.(check bool) "independent of marks" false (Header.marked h)
 
+let test_on_disk_bit () =
+  let h = Header.with_stale_counter (Header.set_marked Header.empty) 4 in
+  Alcotest.(check bool) "fresh header is in memory" false (Header.on_disk h);
+  let h = Header.set_on_disk h in
+  Alcotest.(check bool) "on disk" true (Header.on_disk h);
+  Alcotest.(check bool) "mark preserved" true (Header.marked h);
+  Alcotest.(check int) "counter preserved" 4 (Header.stale_counter h);
+  Alcotest.(check bool) "survives gc-bit clear" true
+    (Header.on_disk (Header.clear_gc_bits h));
+  let h = Header.clear_on_disk h in
+  Alcotest.(check bool) "back in memory" false (Header.on_disk h);
+  Alcotest.(check int) "counter still preserved" 4 (Header.stale_counter h)
+
 let prop_counter_roundtrip =
   QCheck.Test.make ~name:"header: stale counter roundtrips under other bits"
     ~count:200
@@ -62,5 +75,6 @@ let suite =
       Alcotest.test_case "counter vs marks" `Quick test_counter_independent_of_marks;
       Alcotest.test_case "finalizer bits" `Quick test_finalizer_bits;
       Alcotest.test_case "statics bit" `Quick test_statics_bit;
+      Alcotest.test_case "on-disk bit" `Quick test_on_disk_bit;
       QCheck_alcotest.to_alcotest prop_counter_roundtrip;
     ] )

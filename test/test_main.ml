@@ -18,6 +18,7 @@ let () =
       Test_vm_mutator.suite;
       Test_diskswap.suite;
       Test_resurrection.suite;
+      Test_retention.suite;
       Test_fault.suite;
       Test_deque.suite;
       Test_parallel.suite;
