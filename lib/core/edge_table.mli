@@ -12,11 +12,20 @@
     - [bytesused]: bytes attributed to this edge type by the most recent
       SELECT-state collection.
 
-    The implementation matches the paper's: a fixed-size table of 16,384
-    slots with closed hashing, four words per slot (256 KB total), and no
-    deletion. Adding a new edge type is the only operation that would
-    need global synchronization in a multithreaded VM and is rare; data
-    updates tolerate races (Section 4.5). *)
+    The modelled table matches the paper's: a fixed-size table of 16,384
+    slots with closed hashing (linear probing), four words per slot
+    (256 KB, {!size_bytes}), and no deletion. Adding a new edge type is
+    the only operation that would need global synchronization in a
+    multithreaded VM and is rare; data updates tolerate races (Section
+    4.5).
+
+    The host representation costs what the table holds, not its
+    capacity: the four slot arrays are allocated at the first insert
+    ({!create} allocates none), and an ascending index of the occupied
+    slots lets {!select_max_bytes}, {!reset_bytes},
+    {!decay_max_stale_use} and {!iter} walk only the entries. Slot
+    placement, probing and {!Table_full} are exactly those of the
+    fixed-array table. Lookups allocate nothing. *)
 
 type t
 
@@ -31,6 +40,7 @@ val size_bytes : int
 (** Total footprint: [slots] × 4 words × 4 bytes = 262,144. *)
 
 val create : unit -> t
+(** An empty table; the slot arrays are allocated by the first insert. *)
 
 val record_stale_use :
   t -> src:Lp_heap.Class_registry.id -> tgt:Lp_heap.Class_registry.id -> stale:int -> unit
@@ -39,7 +49,8 @@ val record_stale_use :
     ("a value of 1 is not very stale"). Creates the entry if absent. *)
 
 val max_stale_use : t -> src:Lp_heap.Class_registry.id -> tgt:Lp_heap.Class_registry.id -> int
-(** 0 when the edge type has no entry. *)
+(** 0 when the edge type has no entry; an empty table answers without
+    probing. *)
 
 val protect :
   t ->
@@ -69,6 +80,7 @@ val add_bytes :
     [bytesused], creating the entry if absent. *)
 
 val bytes_used : t -> src:Lp_heap.Class_registry.id -> tgt:Lp_heap.Class_registry.id -> int
+(** 0 when the edge type has no entry, as for {!max_stale_use}. *)
 
 val select_max_bytes :
   t -> (Lp_heap.Class_registry.id * Lp_heap.Class_registry.id * int) option
@@ -100,5 +112,6 @@ val iter :
   bytes_used:int ->
   unit) ->
   unit
+(** Visits every entry in ascending slot order. *)
 
 val load_factor : t -> float

@@ -15,8 +15,9 @@
     - PRUNE collection: [mark] with a filter poisoning selected
       references, then finalizers and sweep.
 
-    The closures are iterative over an explicit {!Work_queue}, mirroring
-    the shared-pool structure of the paper's parallel collector while
+    The closures are iterative over an explicit {!Work_queue} the engine
+    owns and reuses (see {!Trace_common.buffers}), mirroring the
+    shared-pool structure of the paper's parallel collector while
     remaining deterministic. The edge vocabulary below is re-exported
     from {!Trace_common} (the types are equal), so filters written
     against either module interoperate. *)
@@ -76,6 +77,7 @@ val tick : Gc_stats.t -> int option -> Heap_obj.t -> unit
 val mark :
   ?edge_note:(edge -> (int * int * int) option) ->
   ?apply_note:(int * int * int -> unit) ->
+  buffers:Trace_common.buffers ->
   Store.t ->
   Roots.t ->
   stats:Gc_stats.t ->
@@ -92,10 +94,13 @@ val mark :
     against every live scanned edge and [apply_note] applied immediately
     for every [Some] note — the Individual_refs byte accounting, split
     so the same call shape works on engines (parallel) that must keep
-    the evaluation pure and apply at a merge point. *)
+    the evaluation pure and apply at a merge point. [buffers] is the
+    caller's scratch space, emptied on entry; an engine passes the one it
+    owns, so marking allocates nothing in proportion to the heap. *)
 
 val stale_closure :
   ?events:Lp_obs.Sink.t ->
+  buffers:Trace_common.buffers ->
   Store.t ->
   stats:Gc_stats.t ->
   set_untouched_bits:bool ->
@@ -106,7 +111,8 @@ val stale_closure :
     everything reachable from candidate [e] that no earlier closure
     claimed, and returns the number of bytes claimed — the size of the
     stale data structure rooted at [e.tgt]. Objects claimed here carry the
-    stale-mark diagnostic bit. *)
+    stale-mark diagnostic bit. [buffers] is emptied on entry, as in
+    {!mark}. *)
 
 val resurrect_finalizables :
   Store.t -> stats:Gc_stats.t -> on_finalize:(Heap_obj.t -> unit) -> unit
@@ -117,4 +123,6 @@ val resurrect_finalizables :
 
 val sweep : Store.t -> stats:Gc_stats.t -> unit
 (** Frees every unmarked object, clears the GC bits of survivors, and
-    records the surviving bytes in the store as its new live size. *)
+    records the surviving bytes in the store as its new live size: the
+    one-segment case of {!Trace_common.sliced_sweep}, freeing in
+    place in strictly descending slot order. *)

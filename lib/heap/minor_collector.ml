@@ -40,36 +40,29 @@ let collect ?events ?(number = 0) ?drain store roots ~remset =
   | Some f ->
     (* Parallel path: hand the marked seed set to the external drain
        (the [Lp_par] engine, in practice — this module cannot depend on
-       it) and let it run the closure with identical semantics. *)
+       it) and let it run the closure with identical semantics. The
+       seed lists the queue in pop order. *)
     let seed = Array.make (Work_queue.length queue) 0 in
-    let rec fill i =
-      match Work_queue.pop queue with
-      | None -> ()
-      | Some id ->
-        seed.(i) <- id;
-        fill (i + 1)
-    in
-    fill 0;
+    for i = 0 to Array.length seed - 1 do
+      seed.(i) <- Work_queue.pop queue
+    done;
     f ~queue:seed ~slots_scanned
   | None ->
-    let rec loop () =
-      match Work_queue.pop queue with
-      | None -> ()
-      | Some id ->
-        let obj = Store.get store id in
-        Array.iter
-          (fun w ->
-            incr slots_scanned;
-            if (not (Word.is_null w)) && not (Word.poisoned w) then
-              consider (Word.target w))
-          obj.Heap_obj.fields;
-        loop ()
-    in
-    loop ());
-  (* Sweep the nursery: promote survivors, free the rest. *)
-  let dead = ref [] in
+    while not (Work_queue.is_empty queue) do
+      let obj = Store.get store (Work_queue.pop queue) in
+      Array.iter
+        (fun w ->
+          incr slots_scanned;
+          if (not (Word.is_null w)) && not (Word.poisoned w) then
+            consider (Word.target w))
+        obj.Heap_obj.fields
+    done);
+  (* Sweep the nursery in place, in descending slot order: promote
+     survivors, free the rest as they are reached. *)
   let promoted_objects = ref 0 and promoted_bytes = ref 0 in
-  Store.iter_live store (fun obj ->
+  let freed_objects = ref 0 and freed_bytes = ref 0 in
+  Store.iter_live_range_desc store ~lo:0 ~hi:(Store.slot_count store)
+    (fun obj ->
       if Header.in_nursery obj.Heap_obj.header then
         if Header.marked obj.Heap_obj.header then begin
           obj.Heap_obj.header <- Header.clear_gc_bits obj.Heap_obj.header;
@@ -77,23 +70,22 @@ let collect ?events ?(number = 0) ?drain store roots ~remset =
           incr promoted_objects;
           promoted_bytes := !promoted_bytes + obj.Heap_obj.size_bytes
         end
-        else dead := obj :: !dead);
-  let freed_objects = List.length !dead in
-  let freed_bytes =
-    List.fold_left (fun acc (o : Heap_obj.t) -> acc + o.Heap_obj.size_bytes) 0 !dead
-  in
-  List.iter (Store.free store) !dead;
+        else begin
+          incr freed_objects;
+          freed_bytes := !freed_bytes + obj.Heap_obj.size_bytes;
+          Store.free store obj
+        end);
   Remset.clear remset;
   (match events with
   | Some sink ->
     Lp_obs.Sink.emit sink
       (Lp_obs.Event.Minor_end
-         { n = number; promoted = !promoted_objects; freed = freed_objects })
+         { n = number; promoted = !promoted_objects; freed = !freed_objects })
   | None -> ());
   {
     promoted_objects = !promoted_objects;
     promoted_bytes = !promoted_bytes;
-    freed_objects;
-    freed_bytes;
+    freed_objects = !freed_objects;
+    freed_bytes = !freed_bytes;
     slots_scanned = !slots_scanned;
   }

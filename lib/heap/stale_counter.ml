@@ -1,5 +1,5 @@
 let should_increment ~gc_number ~current =
-  current < Header.max_stale && gc_number mod (1 lsl current) = 0
+  current < Header.max_stale && gc_number land ((1 lsl current) - 1) = 0
 
 let tick_object ~gc_number obj =
   let current = Heap_obj.stale obj in

@@ -12,7 +12,8 @@
 
 val should_increment : gc_number:int -> current:int -> bool
 (** The divisibility rule above, with saturation. [gc_number] counts
-    full-heap collections from 1. *)
+    full-heap collections from 1. Divisibility by [2^k] is tested as a
+    mask of the low [k] bits, without a division. *)
 
 val tick_object : gc_number:int -> Heap_obj.t -> bool
 (** Applies the rule to one object; returns whether an increment

@@ -5,7 +5,11 @@ exception Dangling_reference of int
 type t = {
   mutable slots : Heap_obj.t option array;  (* index = id - 1 *)
   mutable next_id : int;
-  free_ids : int Queue.t;
+  mutable free_ids : int array;
+      (* ring buffer of recycled ids, FIFO: [free_len] ids from
+         [free_head], wrapping; grown by doubling, never shrunk *)
+  mutable free_head : int;
+  mutable free_len : int;
   mutable limit : int;
   mutable used : int;
   mutable live : int;
@@ -22,7 +26,9 @@ let create_at ~first_id ~limit_bytes =
   {
     slots = Array.make (max 1024 first_id) None;
     next_id = first_id;
-    free_ids = Queue.create ();
+    free_ids = Array.make 64 0;
+    free_head = 0;
+    free_len = 0;
     limit = limit_bytes;
     used = 0;
     live = 0;
@@ -66,14 +72,35 @@ let ensure_capacity t id =
     t.slots <- slots
   end
 
+let push_free_id t id =
+  let cap = Array.length t.free_ids in
+  if t.free_len = cap then begin
+    let ids = Array.make (2 * cap) 0 in
+    let first = cap - t.free_head in
+    Array.blit t.free_ids t.free_head ids 0 first;
+    Array.blit t.free_ids 0 ids first (cap - first);
+    t.free_ids <- ids;
+    t.free_head <- 0
+  end;
+  let tail = t.free_head + t.free_len in
+  let cap = Array.length t.free_ids in
+  t.free_ids.(if tail >= cap then tail - cap else tail) <- id;
+  t.free_len <- t.free_len + 1
+
 let fresh_id t =
-  match Queue.take_opt t.free_ids with
-  | Some id -> id
-  | None ->
+  if t.free_len > 0 then begin
+    let id = t.free_ids.(t.free_head) in
+    let head = t.free_head + 1 in
+    t.free_head <- (if head = Array.length t.free_ids then 0 else head);
+    t.free_len <- t.free_len - 1;
+    id
+  end
+  else begin
     let id = t.next_id in
     t.next_id <- id + 1;
     ensure_capacity t id;
     id
+  end
 
 let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
   let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
@@ -118,7 +145,7 @@ let free t (obj : Heap_obj.t) =
   match get_opt t obj.Heap_obj.id with
   | Some live when live == obj ->
     t.slots.(obj.Heap_obj.id - 1) <- None;
-    Queue.add obj.Heap_obj.id t.free_ids;
+    push_free_id t obj.Heap_obj.id;
     t.used <- t.used - obj.Heap_obj.size_bytes;
     if Header.in_nursery obj.Heap_obj.header then
       t.nursery <- t.nursery - obj.Heap_obj.size_bytes;
@@ -144,6 +171,11 @@ let slot_count t = t.next_id - 1
 
 let iter_live_range t ~lo ~hi f =
   for i = lo to hi - 1 do
+    match t.slots.(i) with Some obj -> f obj | None -> ()
+  done
+
+let iter_live_range_desc t ~lo ~hi f =
+  for i = hi - 1 downto lo do
     match t.slots.(i) with Some obj -> f obj | None -> ()
   done
 

@@ -8,11 +8,13 @@
     available heap memory".
 
     Identifiers of reclaimed objects are recycled (as addresses are in a
-    real heap). Dereferencing an identifier that is not currently live
-    raises {!Dangling_reference}; with a correct leak-pruning
-    implementation this can only indicate a bug in the collector itself,
-    because every program access to pruned memory is intercepted by the
-    poison check first. *)
+    real heap), first freed first reused; the queue of free identifiers
+    is a ring buffer, so freeing and reusing allocate nothing once it
+    has grown to the heap's working size. Dereferencing an identifier
+    that is not currently live raises {!Dangling_reference}; with a
+    correct leak-pruning implementation this can only indicate a bug in
+    the collector itself, because every program access to pruned memory
+    is intercepted by the poison check first. *)
 
 type t
 
@@ -123,6 +125,12 @@ val iter_live_range : t -> lo:int -> hi:int -> (Heap_obj.t -> unit) -> unit
 (** [iter_live_range t ~lo ~hi f] is {!iter_live} restricted to slot
     indices [lo <= i < hi]; disjoint ranges visit disjoint objects, which
     is what the parallel sweep segments rely on. *)
+
+val iter_live_range_desc :
+  t -> lo:int -> hi:int -> (Heap_obj.t -> unit) -> unit
+(** {!iter_live_range} in descending slot order. [f] may {!free} the
+    object it is given; the walk reads each slot once, before calling
+    [f] on it. *)
 
 val total_allocated_bytes : t -> int
 (** Cumulative bytes ever allocated; monotone, for statistics. *)

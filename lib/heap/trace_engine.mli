@@ -89,7 +89,8 @@ type t = {
 }
 
 val sequential : unit -> t
-(** The sequential engine: thin closures over {!Collector}. *)
+(** The sequential engine: thin closures over {!Collector}, sharing one
+    {!Trace_common.buffers} created with the engine. *)
 
 val note_mutation : t -> src:Heap_obj.t -> field:int -> unit
 (** Convenience dispatcher for the optional write hook. *)

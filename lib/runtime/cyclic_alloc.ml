@@ -7,6 +7,7 @@ type site = {
   n_fields : int;
   scalar_bytes : int;
   ring_holder : Heap_obj.t;  (* statics-rooted object whose fields are the ring *)
+  buffers : Trace_common.buffers;  (* the trial mark's scratch space *)
   mutable filled : int;
   mutable next : int;
   mutable recycled : int;
@@ -25,6 +26,7 @@ let site vm ~class_name ~m ~n_fields ~scalar_bytes =
     n_fields;
     scalar_bytes;
     ring_holder;
+    buffers = Trace_common.buffers ();
     filled = 0;
     next = 0;
     recycled = 0;
@@ -41,7 +43,7 @@ let program_reachable t (obj : Heap_obj.t) =
     if e.Collector.src == t.ring_holder then Collector.Defer else Collector.Trace
   in
   ignore
-    (Collector.mark store (Vm.roots t.vm) ~stats
+    (Collector.mark ~buffers:t.buffers store (Vm.roots t.vm) ~stats
        ~config:
          {
            Collector.set_untouched_bits = false;

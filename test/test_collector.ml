@@ -14,7 +14,7 @@ let link (src : Heap_obj.t) i (tgt : Heap_obj.t) =
 
 let collect_base store roots =
   let stats = Gc_stats.create () in
-  ignore (Collector.mark store roots ~stats ~config:Collector.base_config);
+  ignore (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats ~config:Collector.base_config);
   Collector.sweep store ~stats;
   stats
 
@@ -62,7 +62,7 @@ let test_untouched_bits_set () =
   link a 0 b;
   let stats = Gc_stats.create () in
   ignore
-    (Collector.mark store roots ~stats
+    (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
        ~config:{ Collector.set_untouched_bits = true; stale_tick_gc = None; edge_filter = None; on_poison = None; events = None });
   Collector.sweep store ~stats;
   Alcotest.(check bool) "bit set on scanned reference" true
@@ -84,7 +84,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
     else Collector.Trace
   in
   let deferred =
-    Collector.mark store roots ~stats
+    Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
       ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None }
   in
   Alcotest.(check int) "one candidate" 1 (List.length deferred);
@@ -92,7 +92,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
     (Header.marked b.Heap_obj.header);
   (* the stale closure claims b and c (two objects, 12 + 8... = their sizes) *)
   let bytes =
-    Collector.stale_closure store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
+    Collector.stale_closure ~buffers:(Trace_common.buffers ()) store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
       (List.hd deferred)
   in
   Alcotest.(check int) "claimed bytes"
@@ -116,11 +116,11 @@ let test_stale_closure_zero_for_marked_target () =
     if e.Collector.field = 0 then Collector.Defer else Collector.Trace
   in
   let deferred =
-    Collector.mark store roots ~stats
+    Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
       ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None }
   in
   let bytes =
-    Collector.stale_closure store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
+    Collector.stale_closure ~buffers:(Trace_common.buffers ()) store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
       (List.hd deferred)
   in
   Alcotest.(check int) "no bytes claimed for in-use target" 0 bytes;
@@ -141,7 +141,7 @@ let test_poison_reclaims_subtree () =
     else Collector.Trace
   in
   ignore
-    (Collector.mark store roots ~stats
+    (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
        ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None });
   Collector.sweep store ~stats;
   Alcotest.(check bool) "reference poisoned" true (Word.poisoned a.Heap_obj.fields.(0));
@@ -163,7 +163,7 @@ let test_finalizer_resurrection () =
   link a 0 b;
   (* both unreachable; a has a finalizer which may access b *)
   let stats = Gc_stats.create () in
-  ignore (Collector.mark store roots ~stats ~config:Collector.base_config);
+  ignore (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats ~config:Collector.base_config);
   Collector.resurrect_finalizables store ~stats ~on_finalize:(fun o ->
       finalized := o.Heap_obj.id :: !finalized);
   Collector.sweep store ~stats;

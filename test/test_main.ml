@@ -38,4 +38,5 @@ let () =
       Test_paper_example.suite;
       Test_workloads.suite;
       Test_liveness.suite;
+      Test_alloc_budget.suite;
     ]

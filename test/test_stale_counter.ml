@@ -39,6 +39,15 @@ let prop_divisibility =
       Stale_counter.should_increment ~gc_number:gc ~current:k
       = (k < Header.max_stale && gc mod (1 lsl k) = 0))
 
+let prop_mask_is_mod =
+  (* The rule is tested with a mask of the low [current] bits; it must
+     agree with the division it replaced everywhere in range. *)
+  QCheck.Test.make ~name:"staleness: mask test equals mod test" ~count:2000
+    QCheck.(pair (int_range 0 (1 lsl 20)) (int_range 0 Header.max_stale))
+    (fun (gc, k) ->
+      Stale_counter.should_increment ~gc_number:gc ~current:k
+      = (k < Header.max_stale && gc mod (1 lsl k) = 0))
+
 let test_tick_all_counts () =
   let store = Store.create ~limit_bytes:10_000 in
   for _i = 1 to 10 do
@@ -61,4 +70,5 @@ let suite =
       Alcotest.test_case "logarithmic growth" `Quick test_logarithmic_growth;
       Alcotest.test_case "tick_all counting" `Quick test_tick_all_counts;
       QCheck_alcotest.to_alcotest prop_divisibility;
+      QCheck_alcotest.to_alcotest prop_mask_is_mod;
     ] )

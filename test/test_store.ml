@@ -88,6 +88,55 @@ let prop_accounting_invariant =
       Store.used_bytes store = expected
       && Store.object_count store = List.length !live)
 
+let prop_free_ids_fifo =
+  (* The free-id ring buffer reuses ids first freed, first reused — the
+     order of a FIFO [Queue] of freed ids, kept here as the reference.
+     Long free runs make the ring wrap and grow. *)
+  QCheck.Test.make ~name:"store: alloc ids follow a FIFO free queue"
+    ~count:200
+    QCheck.(
+      list_of_size (Gen.int_range 0 60) (pair bool (int_range 0 150)))
+    (fun ops ->
+      let store = Store.create ~limit_bytes:max_int in
+      let free_ref = Queue.create () in
+      let next_ref = ref 1 in
+      let live = ref [] in
+      let alloc () =
+        let o =
+          Store.alloc store ~class_id:0 ~n_fields:0 ~scalar_bytes:8
+            ~finalizable:false
+        in
+        let expected =
+          match Queue.take_opt free_ref with
+          | Some id -> id
+          | None ->
+            incr next_ref;
+            !next_ref - 1
+        in
+        live := o :: !live;
+        o.Heap_obj.id = expected
+      in
+      (* frees every [k]-th live object, [k] drawn from the op *)
+      let free_some k =
+        let keep, doomed =
+          List.partition (fun (o : Heap_obj.t) -> o.Heap_obj.id mod (k + 2) <> 0) !live
+        in
+        List.iter
+          (fun (o : Heap_obj.t) ->
+            Store.free store o;
+            Queue.add o.Heap_obj.id free_ref)
+          doomed;
+        live := keep
+      in
+      List.for_all
+        (fun (is_alloc, n) ->
+          if is_alloc then List.for_all alloc (List.init n (fun _ -> ()))
+          else begin
+            free_some (n mod 5);
+            true
+          end)
+        ops)
+
 let suite =
   ( "store",
     [
@@ -98,4 +147,5 @@ let suite =
       Alcotest.test_case "swapped-out credit" `Quick test_swapped_out_credit;
       Alcotest.test_case "iter_live order" `Quick test_iter_live_order;
       QCheck_alcotest.to_alcotest prop_accounting_invariant;
+      QCheck_alcotest.to_alcotest prop_free_ids_fifo;
     ] )
