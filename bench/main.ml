@@ -856,12 +856,12 @@ let run_parallel_gc_bench () =
 let pause_slice_budget = 64
 let pause_gate_tolerance = 1.25
 
+(* (label, (gc_domains, gc_slice_budget)) *)
 let pause_engines =
   [
-    ("seq", Lp_core.Config.Sequential);
-    ("par2", Lp_core.Config.Parallel 2);
-    ( Printf.sprintf "inc%d" pause_slice_budget,
-      Lp_core.Config.Incremental );
+    ("seq", (1, None));
+    ("par2", (2, None));
+    (Printf.sprintf "inc%d" pause_slice_budget, (1, Some pause_slice_budget));
   ]
 
 let pause_workloads =
@@ -899,13 +899,11 @@ type pause_case = {
   pc_histogram : int array;
 }
 
-let run_pause_case w (name, engine) =
+let run_pause_case w (name, (gc_domains, gc_slice_budget)) =
   let captured = ref None in
   let r =
     Lp_harness.Driver.run
-      ~config:
-        (Lp_core.Config.make ~gc_engine:engine
-           ~gc_slice_budget:pause_slice_budget ())
+      ~config:(Lp_core.Config.make ~gc_domains ?gc_slice_budget ())
       ~max_iterations:5_000
       ~prepare_vm:(fun vm -> captured := Some vm)
       w
@@ -1038,7 +1036,8 @@ let run_pause_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Pause-SLO autopilot scenario: the same workloads under (a) the
-   static incremental engine at its default 256-object budget and (b)
+   static incremental engine at a 256-object budget — the budget the
+   autopilot starts from — and (b)
    the autopilot chasing a tight 50us p99 target, which pins the
    budget near the 32-object floor.  Three gates, each exit 1:
 
@@ -1053,6 +1052,7 @@ let run_pause_bench () =
 
 let slo_target_ns = 50_000
 let slo_iterations = 5_000
+let slo_static_budget = 256
 
 let slo_workloads =
   [ Lp_workloads.List_leak.workload; Lp_workloads.Swap_leak.workload ]
@@ -1083,7 +1083,7 @@ let run_slo_case ~autopilot w =
   let captured = ref None in
   let config =
     if autopilot then Lp_core.Config.make ~pause_slo_p99_ns:slo_target_ns ()
-    else Lp_core.Config.make ~gc_engine:Lp_core.Config.Incremental ()
+    else Lp_core.Config.make ~gc_slice_budget:slo_static_budget ()
   in
   let r =
     Lp_harness.Driver.run ~config ~max_iterations:slo_iterations

@@ -64,41 +64,25 @@ let policy_conv =
   in
   Arg.conv (parse, Lp_core.Policy.pp)
 
-(* Shared by run, trace and chaos: which tracing engine drives full
-   collections. All engines produce identical prune decisions, counters
-   and heap state by the determinism contract — only the pause profile
-   (and, for par, the wall-clock mark time) differs. *)
-let gc_engine_arg =
-  Arg.(value
-       & opt
-           (some
-              (enum [ ("seq", `Seq); ("par", `Par); ("inc", `Inc); ("bsp", `Bsp) ]))
-           None
-       & info [ "gc-engine" ] ~docv:"ENGINE"
-           ~doc:"Tracing engine for stop-the-world collections: $(b,seq) \
-                 (the sequential collector; the default), $(b,par) (the \
-                 deterministic parallel engine; size it with --gc-domains), \
-                 $(b,inc) (the pause-bounded incremental marker; bound it \
-                 with --gc-slice-budget), or $(b,bsp) (the sliced \
-                 bulk-synchronous parallel engine: par's domains, inc's \
-                 pause bound). Reclamation outcomes are identical across \
-                 engines.")
-
+(* Shared by run, trace and chaos: the two numbers that pick the
+   tracing engine behind full collections. Every engine produces
+   identical prune decisions, counters and heap state by the
+   determinism contract — only the pause profile (and, on several
+   domains, the wall-clock mark time) differs. *)
 let gc_domains_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (some int) None
        & info [ "gc-domains" ] ~docv:"N"
-           ~doc:"Collector domains for the parallel engine (2-64; implies \
-                 --gc-engine par). 1, the default, is neutral and leaves \
-                 the engine selection alone.")
+           ~doc:"Collector domains for full collections (1-64; default 1). \
+                 More than 1 runs the deterministic parallel engine.")
 
 let gc_slice_budget_arg =
   Arg.(value & opt (some int) None
        & info [ "gc-slice-budget" ] ~docv:"N"
-           ~doc:"Maximum objects one mark slice scans before yielding, and \
-                 the sweep segment size in slots (the sliced engines, \
-                 --gc-engine inc or bsp, only; default 256). With \
-                 --pause-slo-p99 this is just the initial budget — the \
-                 autopilot retunes it between collections.")
+           ~doc:"Bound every pause: one mark slice scans at most N objects \
+                 before yielding, and the sweep runs in N-slot segments. \
+                 Without it each collection is one pause. With \
+                 --pause-slo-p99 this is just the initial budget (default \
+                 256) — the autopilot retunes it between collections.")
 
 (* Shared by run, trace, chaos and serve: the parallel engines' packet
    granularity. Like the slice budget, a scheduling knob with no effect
@@ -106,8 +90,8 @@ let gc_slice_budget_arg =
 let gc_packet_size_arg =
   Arg.(value & opt (some int) None
        & info [ "gc-packet-size" ] ~docv:"N"
-           ~doc:"Frontier objects per work packet in the parallel engines \
-                 (--gc-engine par or bsp; default 32). Output-neutral: \
+           ~doc:"Frontier objects per work packet when --gc-domains is \
+                 above 1 (default 32). Output-neutral: \
                  packets are merged in index order, so boundaries only move \
                  wall time and steal granularity.")
 
@@ -115,8 +99,8 @@ let gc_steal_arg =
   Arg.(value
        & opt (some (enum [ ("on", true); ("off", false) ])) None
        & info [ "gc-steal" ] ~docv:"on|off"
-           ~doc:"Work-stealing packet scheduling in the parallel engines \
-                 (default $(b,on)): per-worker deques inside one pool \
+           ~doc:"Work-stealing packet scheduling when --gc-domains is \
+                 above 1 (default $(b,on)): per-worker deques inside one pool \
                  dispatch per mark closure. $(b,off) selects the legacy \
                  shared-counter claim with one pool dispatch per round. \
                  Output-neutral either way.")
@@ -153,10 +137,10 @@ let pause_slo_arg =
            ~doc:"Arm the pause-SLO autopilot with this p99 pause target \
                  (e.g. $(b,100us)): the slice budget is retuned from \
                  wall-clock pause feedback between collections, and the \
-                 engine may escalate to bsp for a collection when SELECT \
-                 predicts a large stale closure. Outcome-neutral: \
-                 reclamation stays bit-identical run to run. Needs a sliced \
-                 engine; with no --gc-engine it picks inc.")
+                 collector may escalate to a second domain for a collection \
+                 when SELECT predicts a large stale closure. \
+                 Outcome-neutral: reclamation stays bit-identical run to \
+                 run.")
 
 let slo_floor_arg =
   Arg.(value & opt (some int) None
@@ -182,80 +166,14 @@ let liveness_arg =
                  are vetoed however stale they get). Workloads without a \
                  bytecode model run unguided even under $(b,guide).")
 
-(* CLI-level reconciliation of the engine flag with the legacy
-   --gc-domains alias: par without an explicit domain count gets a
-   sensible default, seq/inc with a domain count is a contradiction. *)
-let resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-    gc_domains gc_slice_budget =
-  if gc_domains < 1 || gc_domains > 64 then begin
-    Printf.eprintf "leakpruner: --gc-domains must be in [1, 64]\n";
+(* Every subcommand rejects a bad configuration with Config.validate's
+   own message. *)
+let validated config =
+  match Lp_core.Config.validate config with
+  | Ok config -> config
+  | Error msg ->
+    Printf.eprintf "leakpruner: %s\n" msg;
     exit 2
-  end;
-  (match gc_slice_budget with
-  | Some b when b < 1 ->
-    Printf.eprintf "leakpruner: --gc-slice-budget must be >= 1\n";
-    exit 2
-  | _ -> ());
-  (match gc_packet_size with
-  | Some p when p < 1 ->
-    Printf.eprintf "leakpruner: --gc-packet-size must be >= 1\n";
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_slice_budget) with
-  | Some ((`Seq | `Par) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-slice-budget only applies to the sliced engines \
-       (--gc-engine inc or bsp): %s pauses for whole collections, so there \
-       is no slice to budget. Drop the flag, or pick a sliced engine.\n"
-      (match e with `Seq -> "seq" | `Par -> "par");
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_packet_size) with
-  | Some ((`Seq | `Inc) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-packet-size only applies to the parallel engines \
-       (--gc-engine par or bsp): %s traces on a single domain, so there are \
-       no work packets to size. Drop the flag, or pick a parallel engine.\n"
-      (match e with `Seq -> "seq" | `Inc -> "inc");
-    exit 2
-  | _ -> ());
-  (match (gc_engine, gc_steal) with
-  | Some ((`Seq | `Inc) as e), Some _ ->
-    Printf.eprintf
-      "leakpruner: --gc-steal only applies to the parallel engines \
-       (--gc-engine par or bsp): %s traces on a single domain, so there are \
-       no packets to steal. Drop the flag, or pick a parallel engine.\n"
-      (match e with `Seq -> "seq" | `Inc -> "inc");
-    exit 2
-  | _ -> ());
-  let resolved =
-    match (gc_engine, gc_domains) with
-    | None, 1 -> None
-    | None, n -> Some (Lp_core.Config.Parallel n)
-    | Some `Seq, 1 -> Some Lp_core.Config.Sequential
-    | Some `Inc, 1 -> Some Lp_core.Config.Incremental
-    | Some `Par, 1 -> Some (Lp_core.Config.Parallel 2)
-    | Some `Par, n -> Some (Lp_core.Config.Parallel n)
-    | Some `Bsp, 1 -> Some (Lp_core.Config.Sliced_bsp 2)
-    | Some `Bsp, n -> Some (Lp_core.Config.Sliced_bsp n)
-    | Some ((`Seq | `Inc) as e), n ->
-      Printf.eprintf
-        "leakpruner: --gc-engine %s conflicts with --gc-domains %d (the alias \
-         implies par)\n"
-        (match e with `Seq -> "seq" | `Inc -> "inc")
-        n;
-      exit 2
-  in
-  (match (pause_slo, resolved) with
-  | Some _, Some (Lp_core.Config.Sequential | Lp_core.Config.Parallel _) ->
-    Printf.eprintf
-      "leakpruner: --pause-slo-p99 needs a sliced engine: seq and par pause \
-       for whole collections, so no slice budget can meet a pause target. \
-       Use --gc-engine inc or bsp, or drop --gc-engine (the autopilot then \
-       picks inc).\n";
-    exit 2
-  | _ -> ());
-  resolved
 
 let run_cmd =
   let doc = "Run a workload under a leak-pruning configuration." in
@@ -282,12 +200,8 @@ let run_cmd =
          & info [ "prune-at-exhaustion" ]
              ~doc:"Use the paper's option (1): wait until the heap is 100% full before the first prune (Figure 11). Default is option (2), pruning right after a SELECT collection.")
   in
-  let run name policy heap cap trace exhaustion gc_engine gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo slo_floor liveness =
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-        gc_domains gc_slice_budget
-    in
+  let run name policy heap cap trace exhaustion gc_domains gc_slice_budget
+      gc_packet_size gc_steal pause_slo slo_floor liveness =
     match find_workload name with
     | None ->
       Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
@@ -295,13 +209,14 @@ let run_cmd =
     | Some w ->
       let report = if trace then Some (fun m -> Printf.printf "[vm] %s\n%!" m) else None in
       let config =
-        Lp_core.Config.make ~policy
-          ~prune_trigger:
-            (if exhaustion then Lp_core.Config.On_exhaustion
-             else Lp_core.Config.On_select_gc)
-          ?report ?gc_engine ?gc_slice_budget ?gc_packet_size ?gc_steal
-          ?pause_slo_p99_ns:pause_slo ?slo_budget_floor:slo_floor
-          ~liveness_mode:liveness ()
+        validated
+          (Lp_core.Config.make ~policy
+             ~prune_trigger:
+               (if exhaustion then Lp_core.Config.On_exhaustion
+                else Lp_core.Config.On_select_gc)
+             ?report ?gc_domains ?gc_slice_budget ?gc_packet_size ?gc_steal
+             ?pause_slo_p99_ns:pause_slo ?slo_budget_floor:slo_floor
+             ~liveness_mode:liveness ())
       in
       let r = Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap w in
       Printf.printf "workload:     %s\n" r.Lp_harness.Driver.workload;
@@ -328,8 +243,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg $ trace_arg
-          $ exhaustion_arg $ gc_engine_arg $ gc_domains_arg
-          $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
+          $ exhaustion_arg $ gc_domains_arg $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
           $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
 
 let interp_cmd =
@@ -433,21 +347,18 @@ let trace_cmd =
                    bundled workloads under their default caps drop nothing, \
                    which the prune audit cross-check relies on.")
   in
-  let run name policy heap cap format out buffer gc_engine gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo slo_floor liveness =
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine
-        gc_domains gc_slice_budget
-    in
+  let run name policy heap cap format out buffer gc_domains gc_slice_budget
+      gc_packet_size gc_steal pause_slo slo_floor liveness =
     match find_workload name with
     | None ->
       Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
       exit 1
     | Some w ->
       let config =
-        Lp_core.Config.make ~policy ?gc_engine ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
-          ?slo_budget_floor:slo_floor ~liveness_mode:liveness ()
+        validated
+          (Lp_core.Config.make ~policy ?gc_domains ?gc_slice_budget
+             ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
+             ?slo_budget_floor:slo_floor ~liveness_mode:liveness ())
       in
       let captured = ref None in
       let r =
@@ -574,7 +485,7 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg
-          $ format_arg $ out_arg $ buffer_arg $ gc_engine_arg $ gc_domains_arg
+          $ format_arg $ out_arg $ buffer_arg $ gc_domains_arg
           $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
           $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
 
@@ -615,11 +526,11 @@ let chaos_cmd =
      re-run traced, exported as a Chrome trace. Reruns are exact (the
      run is a deterministic function of seed and cap, and tracing never
      changes behaviour), so the trace shows the actual failure. *)
-  let write_failure_trace ~faults ~gc_engine ~gc_slice_budget ~gc_packet_size
+  let write_failure_trace ~faults ~gc_domains ~gc_slice_budget ~gc_packet_size
       ~gc_steal ~pause_slo ~liveness ~steps ~seed dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let r =
-      Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
+      Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
         ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness ~steps
         ~trace_capacity:65_536 ~seed ()
     in
@@ -657,21 +568,21 @@ let chaos_cmd =
       | Lp_harness.Chaos.Survived -> ""
       | o -> "  (" ^ Lp_harness.Chaos.outcome_to_string o ^ ")")
   in
-  let run seeds steps no_faults seed quiet trace_dir gc_engine_flag gc_domains
+  let run seeds steps no_faults seed quiet trace_dir gc_domains
       gc_slice_budget gc_packet_size gc_steal pause_slo liveness =
     if seeds < 0 || steps < 0 then begin
       Printf.eprintf "leakpruner: chaos: --seeds and --steps must be non-negative\n";
       exit 2
     end;
-    let gc_engine =
-      resolve_cli_engine ?pause_slo ?gc_packet_size ?gc_steal gc_engine_flag
-        gc_domains gc_slice_budget
-    in
+    ignore
+      (validated
+         (Lp_core.Config.make ?gc_domains ?gc_slice_budget ?gc_packet_size
+            ?gc_steal ?pause_slo_p99_ns:pause_slo ()));
     let faults = not no_faults in
     match seed with
     | Some seed ->
       let r =
-        Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
+        Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
           ~steps ~seed ()
       in
@@ -681,7 +592,7 @@ let chaos_cmd =
          budgets, but these runs are untraced and every scalar field is
          deterministic by the outcome-neutrality of budgets *)
       (match
-         Lp_harness.Chaos.run_one ~faults ?gc_engine ?gc_slice_budget
+         Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
            ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
            ~steps ~seed ()
        with
@@ -692,7 +603,7 @@ let chaos_cmd =
           (Lp_fault.Fault_plan.describe (Lp_fault.Fault_plan.random ~seed ()));
       if Lp_harness.Chaos.failed r then begin
         let shrunk =
-          Lp_harness.Chaos.shrink ~faults ?gc_engine ?gc_slice_budget
+          Lp_harness.Chaos.shrink ~faults ?gc_domains ?gc_slice_budget
             ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
             ~steps ~seed ()
         in
@@ -703,7 +614,7 @@ let chaos_cmd =
         | Some dir ->
           (* replays run under the failing engine selection, so the trace
              shows that engine's rounds when that is where it failed *)
-          write_failure_trace ~faults ~gc_engine ~gc_slice_budget
+          write_failure_trace ~faults ~gc_domains ~gc_slice_budget
             ~gc_packet_size ~gc_steal ~pause_slo ~liveness
             ~steps:(match shrunk with Some n -> n | None -> steps)
             ~seed dir
@@ -716,7 +627,7 @@ let chaos_cmd =
     | None ->
       let failures = ref 0 in
       let reports =
-        Lp_harness.Chaos.run_seeds ~faults ?gc_engine ?gc_slice_budget
+        Lp_harness.Chaos.run_seeds ~faults ?gc_domains ?gc_slice_budget
           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
           ~steps ~seeds
           ~progress:(fun r ->
@@ -744,7 +655,7 @@ let chaos_cmd =
           if Lp_harness.Chaos.failed r then begin
             let seed = r.Lp_harness.Chaos.seed in
             let shrunk =
-              Lp_harness.Chaos.shrink ~faults ?gc_engine ?gc_slice_budget
+              Lp_harness.Chaos.shrink ~faults ?gc_domains ?gc_slice_budget
                 ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
                 ~liveness ~steps ~seed ()
             in
@@ -754,7 +665,7 @@ let chaos_cmd =
             | None -> ());
             match trace_dir with
             | Some dir ->
-              write_failure_trace ~faults ~gc_engine ~gc_slice_budget
+              write_failure_trace ~faults ~gc_domains ~gc_slice_budget
                 ~gc_packet_size ~gc_steal ~pause_slo ~liveness
                 ~steps:(match shrunk with Some n -> n | None -> steps)
                 ~seed dir
@@ -765,7 +676,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seeds_arg $ steps_arg $ no_faults_arg $ seed_arg $ quiet_arg
-          $ trace_dir_arg $ gc_engine_arg $ gc_domains_arg $ gc_slice_budget_arg
+          $ trace_dir_arg $ gc_domains_arg $ gc_slice_budget_arg
           $ gc_packet_size_arg $ gc_steal_arg $ pause_slo_arg $ liveness_arg)
 
 let serve_cmd =
@@ -982,27 +893,18 @@ let serve_cmd =
         Printf.eprintf "unknown workload %S; see `leakpruner list`\n" workload;
         exit 1
     in
-    (match gc_packet_size with
-    | Some p when p < 1 ->
-      Printf.eprintf "leakpruner: serve: --gc-packet-size must be >= 1\n";
-      exit 2
-    | _ -> ());
     let admission =
-      Lp_core.Config.make ?gc_packet_size ~admission_retry_cap:retry_cap
-        ~admission_backoff_base:backoff_base
-        ~admission_backoff_ceiling:backoff_ceiling ~offload_deadline:deadline
-        ~quarantine_rounds:quarantine
-        ~extended_quarantine_rounds:extended_quarantine
-        ~checkpoint_rounds ~warm_restart_limit:warm_limit
-        ~cold_restart_limit:cold_limit ~retire_limit
-        ~storm_window_rounds:storm_window ~storm_trip_permille:storm_trip
-        ~storm_cooldown_rounds:storm_cooldown ()
+      validated
+        (Lp_core.Config.make ?gc_packet_size ~admission_retry_cap:retry_cap
+           ~admission_backoff_base:backoff_base
+           ~admission_backoff_ceiling:backoff_ceiling ~offload_deadline:deadline
+           ~quarantine_rounds:quarantine
+           ~extended_quarantine_rounds:extended_quarantine
+           ~checkpoint_rounds ~warm_restart_limit:warm_limit
+           ~cold_restart_limit:cold_limit ~retire_limit
+           ~storm_window_rounds:storm_window ~storm_trip_permille:storm_trip
+           ~storm_cooldown_rounds:storm_cooldown ())
     in
-    (match Lp_core.Config.validate admission with
-    | Ok _ -> ()
-    | Error msg ->
-      Printf.eprintf "leakpruner: serve: invalid admission config: %s\n" msg;
-      exit 2);
     let specs =
       List.init tenants (fun id ->
           {

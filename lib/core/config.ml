@@ -1,13 +1,5 @@
 type prune_trigger = On_select_gc | On_exhaustion
 
-type gc_engine = Sequential | Parallel of int | Incremental | Sliced_bsp of int
-
-let gc_engine_to_string = function
-  | Sequential -> "seq"
-  | Parallel n -> Printf.sprintf "par%d" n
-  | Incremental -> "inc"
-  | Sliced_bsp n -> Printf.sprintf "bsp%d" n
-
 (* Whether the static liveness oracle (lp_liveness) participates in
    SELECT. [Liveness_off] is bit-for-bit the pre-oracle behavior;
    [Liveness_guide] lets an installed oracle veto or boost candidates. *)
@@ -35,8 +27,8 @@ type t = {
   safe_mode_threshold : int option;
   safe_mode_collections : int;
   resurrection_alloc_attempts : int;
-  gc_engine : gc_engine;
-  gc_slice_budget : int;
+  gc_domains : int;
+  gc_slice_budget : int option;
   (* Parallel-engine scheduling knobs. Neither can change any
      reclamation outcome (the engine merges packets in index order, so
      packet boundaries and steal schedules are output-neutral) — they
@@ -61,8 +53,8 @@ type t = {
   liveness_boost : int;
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
      arms it: the slice budget is retuned between collections from
-     wall-clock pause feedback, and the engine may be switched per
-     collection between [Incremental] and [Sliced_bsp slo_domains].
+     wall-clock pause feedback, and each collection runs on 1 or
+     [slo_domains] domains.
      Budgets never drop below [slo_budget_floor] objects, so the
      deterministic count-based CI gates keep holding. *)
   pause_slo_p99_ns : int option;
@@ -90,8 +82,8 @@ let default =
     safe_mode_threshold = Some 4;
     safe_mode_collections = 8;
     resurrection_alloc_attempts = 4;
-    gc_engine = Sequential;
-    gc_slice_budget = 256;
+    gc_domains = 1;
+    gc_slice_budget = None;
     gc_packet_size = 32;
     gc_steal = true;
     admission_retry_cap = 3;
@@ -116,24 +108,6 @@ let default =
     slo_escalate_permille = 125;
   }
 
-(* [gc_domains] survives as an alias for the engine selection it used to
-   imply: 1 is the sequential engine, [n > 1] the parallel engine on
-   [n] domains. Passing both spellings is allowed only when they agree
-   ([gc_domains = 1] agrees with everything — it is the neutral
-   default). *)
-let resolve_engine ?gc_engine ?gc_domains () =
-  match (gc_engine, gc_domains) with
-  | None, None | None, Some 1 -> Ok default.gc_engine
-  | None, Some n -> Ok (Parallel n)
-  | Some e, None | Some e, Some 1 -> Ok e
-  | Some (Parallel m), Some n when m = n -> Ok (Parallel m)
-  | Some (Sliced_bsp m), Some n when m = n -> Ok (Sliced_bsp m)
-  | Some e, Some n ->
-    Error
-      (Printf.sprintf
-         "gc_engine %s conflicts with gc_domains %d (the alias implies par%d)"
-         (gc_engine_to_string e) n n)
-
 let make ?(policy = default.policy) ?(observe_threshold = default.observe_threshold)
     ?(nearly_full_threshold = default.nearly_full_threshold)
     ?(prune_trigger = default.prune_trigger)
@@ -148,7 +122,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?(safe_mode_collections = default.safe_mode_collections)
     ?(resurrection_alloc_attempts = default.resurrection_alloc_attempts)
-    ?gc_engine ?gc_domains ?(gc_slice_budget = default.gc_slice_budget)
+    ?(gc_domains = default.gc_domains) ?gc_slice_budget
     ?(gc_packet_size = default.gc_packet_size)
     ?(gc_steal = default.gc_steal)
     ?(admission_retry_cap = default.admission_retry_cap)
@@ -170,25 +144,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(slo_budget_floor = default.slo_budget_floor)
     ?(slo_domains = default.slo_domains)
     ?(slo_escalate_permille = default.slo_escalate_permille) () =
-  let explicit_engine = gc_engine <> None in
-  let resolved =
-    match resolve_engine ?gc_engine ?gc_domains () with
-    | Ok e -> e
-    | Error msg -> invalid_arg ("Config.make: " ^ msg)
-  in
-  (* An SLO without an explicit engine choice means "let the autopilot
-     drive": start from the incremental engine (already sliced, so the
-     very first collection respects the taxonomy the SLO gate checks).
-     An explicitly chosen monolithic engine survives to [validate],
-     which rejects the combination with an actionable message. *)
-  let gc_engine =
-    if
-      pause_slo_p99_ns <> None
-      && (not explicit_engine)
-      && (gc_domains = None || gc_domains = Some 1)
-    then Incremental
-    else resolved
-  in
   {
     policy;
     observe_threshold;
@@ -207,7 +162,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     safe_mode_threshold;
     safe_mode_collections;
     resurrection_alloc_attempts;
-    gc_engine;
+    gc_domains;
     gc_slice_budget;
     gc_packet_size;
     gc_steal;
@@ -233,11 +188,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     slo_escalate_permille;
   }
 
-let gc_domains t =
-  match t.gc_engine with
-  | Parallel n | Sliced_bsp n -> n
-  | Sequential | Incremental -> 1
-
 let validate t =
   if t.observe_threshold <= 0.0 || t.observe_threshold >= 1.0 then
     Error "observe_threshold must be in (0, 1)"
@@ -261,12 +211,10 @@ let validate t =
     Error "safe_mode_collections must be >= 1"
   else if t.resurrection_alloc_attempts < 0 then
     Error "resurrection_alloc_attempts must be >= 0"
-  else if
-    (match t.gc_engine with
-    | Parallel n | Sliced_bsp n -> n < 2 || n > 64
-    | Sequential | Incremental -> false)
-  then Error "gc_engine: parallel domain count must be in [2, 64]"
-  else if t.gc_slice_budget < 1 then Error "gc_slice_budget must be >= 1"
+  else if t.gc_domains < 1 || t.gc_domains > 64 then
+    Error "gc_domains must be in [1, 64]"
+  else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then
+    Error "gc_slice_budget must be >= 1"
   else if t.gc_packet_size < 1 then Error "gc_packet_size must be >= 1"
   else if t.admission_retry_cap < 0 then Error "admission_retry_cap must be >= 0"
   else if t.admission_backoff_base < 1 then
@@ -294,16 +242,6 @@ let validate t =
     Error "liveness_boost must be in [0, 6]"
   else if (match t.pause_slo_p99_ns with Some n -> n < 1 | None -> false) then
     Error "pause_slo_p99_ns must be >= 1"
-  else if
-    t.pause_slo_p99_ns <> None
-    && (match t.gc_engine with
-       | Sequential | Parallel _ -> true
-       | Incremental | Sliced_bsp _ -> false)
-  then
-    Error
-      "pause_slo_p99_ns requires a sliced engine (inc or bsp): the seq/par \
-       engines pause for whole collections, so no slice budget can hold the \
-       SLO"
   else if t.slo_budget_floor < 1 then Error "slo_budget_floor must be >= 1"
   else if t.slo_domains < 2 || t.slo_domains > 64 then
     Error "slo_domains must be in [2, 64]"

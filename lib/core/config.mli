@@ -9,27 +9,6 @@
 
 type prune_trigger = On_select_gc | On_exhaustion
 
-type gc_engine =
-  | Sequential
-      (** the original single-slice DFS collector, bit-for-bit *)
-  | Parallel of int
-      (** full collections route through the [Lp_par] engine on a pool
-          of that many domains (the calling domain included); range
-          [2, 64] *)
-  | Incremental
-      (** the pause-bounded marker: the in-use closure runs in slices of
-          at most [gc_slice_budget] objects. Reclamation outcomes are
-          identical to [Sequential] by construction *)
-  | Sliced_bsp of int
-      (** the par+inc composition: BSP parallel marking on that many
-          domains (range [2, 64]) with each round's packets merged in
-          bounded groups, so pause slices stay under [gc_slice_budget]
-          objects while the marking itself is parallel. Outcomes are
-          again identical to [Sequential] by construction *)
-
-val gc_engine_to_string : gc_engine -> string
-(** ["seq"], ["par<n>"], ["inc"], ["bsp<n>"]. *)
-
 type liveness_mode =
   | Liveness_off
       (** the static liveness oracle is ignored; behavior is bit-for-bit
@@ -41,13 +20,6 @@ type liveness_mode =
 
 val liveness_mode_to_string : liveness_mode -> string
 (** ["off"], ["guide"]. *)
-
-val resolve_engine :
-  ?gc_engine:gc_engine -> ?gc_domains:int -> unit -> (gc_engine, string) result
-(** Resolves the engine selection against the legacy [gc_domains] alias
-    (1 implies [Sequential], [n > 1] implies [Parallel n]). [Error]
-    when both are given and disagree; [gc_domains = 1] is neutral and
-    agrees with everything. *)
 
 type t = {
   policy : Policy.t;
@@ -101,25 +73,27 @@ type t = {
       (** collections the barrier-level resurrection path may trigger
           while re-allocating a pruned object's replacement before the
           recovery fails with [Reallocation_exhausted]; default 4 *)
-  gc_engine : gc_engine;
-      (** which tracing engine drives full-heap collections; default
-          [Sequential]. Reclamation outcomes are identical across
-          engines by construction — only scheduling (and therefore the
-          pause profile) differs. *)
-  gc_slice_budget : int;
-      (** maximum objects one mark slice may scan before yielding (the
-          [Incremental] and [Sliced_bsp] engines' pause bound, and
-          their sweep segment size in slots); ignored by the monolithic
-          engines. Default 256; must be [>= 1]. *)
+  gc_domains : int;
+      (** domains full-heap collections trace on, the calling domain
+          included; range [1, 64]; default 1. More than one runs the
+          [Lp_par] parallel engine. Reclamation outcomes are identical
+          at every domain count by construction — only scheduling (and
+          therefore wall time) differs. *)
+  gc_slice_budget : int option;
+      (** [Some b] bounds every pause: one mark slice scans at most [b]
+          objects before yielding, and the sweep runs in segments of
+          [b] slots ([>= 1]). [None] (the default) runs each
+          collection as one pause. Outcome-neutral like [gc_domains].
+          With the pause SLO armed this is only the starting budget
+          (256 when [None]); the autopilot retunes it. *)
   gc_packet_size : int;
-      (** frontier objects per work packet in the [Parallel] and
-          [Sliced_bsp] engines; ignored by [Sequential] and
-          [Incremental]. Packet boundaries are output-neutral (the
+      (** frontier objects per work packet when [gc_domains > 1];
+          ignored on one domain. Packet boundaries are output-neutral (the
           engine merges packets in index order), so this knob only
           trades steal granularity against per-packet overhead.
           Default 32; must be [>= 1]. *)
   gc_steal : bool;
-      (** [true] (the default) runs the parallel engines' rounds
+      (** [true] (the default) runs the parallel engine's rounds
           steal-driven: per-worker Chase–Lev deques inside one pool
           session per closure. [false] selects the legacy shared
           fetch-and-add packet claim with one pool dispatch per round —
@@ -184,11 +158,10 @@ type t = {
       (** the pause SLO: target 99th-percentile pause, in nanoseconds.
           [Some target] arms the [Lp_slo.Autopilot] — the VM retunes
           the slice budget between collections from wall-clock pause
-          feedback and may switch engines per collection. Requires a
-          sliced engine ([Incremental] or [Sliced_bsp]); when no engine
-          is chosen explicitly, {!make} defaults it to [Incremental].
-          Outcome-neutral by construction: budgets and engine choice
-          only move slice boundaries. Default [None] (autopilot off) *)
+          feedback and picks each collection's domain count (1 or
+          [slo_domains]). Outcome-neutral by construction: budgets and
+          domain counts only move slice boundaries. Default [None]
+          (autopilot off) *)
   slo_budget_floor : int;
       (** the deterministic object-count floor under the autopilot's
           nanosecond-denominated budget: a retuned slice budget never
@@ -196,13 +169,12 @@ type t = {
           stay meaningful however slow the host; must be [>= 1];
           default 32 *)
   slo_domains : int;
-      (** domains the autopilot's [Sliced_bsp] escalation engine runs
-          on when SELECT predicts a large stale closure; range
-          [2, 64]; default 2 *)
+      (** domains the autopilot escalates a collection to when SELECT
+          predicts a large stale closure; range [2, 64]; default 2 *)
   slo_escalate_permille : int;
-      (** escalate to [Sliced_bsp] when the last SELECT's predicted
+      (** escalate to [slo_domains] when the last SELECT's predicted
           stale-closure size exceeds this fraction (in per-mille) of
-          the heap limit — a deterministic signal, so engine switching
+          the heap limit — a deterministic signal, so domain switching
           is reproducible run to run; range [1, 1000]; default 125 *)
 }
 
@@ -226,7 +198,6 @@ val make :
   ?safe_mode_threshold:int option ->
   ?safe_mode_collections:int ->
   ?resurrection_alloc_attempts:int ->
-  ?gc_engine:gc_engine ->
   ?gc_domains:int ->
   ?gc_slice_budget:int ->
   ?gc_packet_size:int ->
@@ -253,13 +224,6 @@ val make :
   ?slo_escalate_permille:int ->
   unit ->
   t
-(** [gc_domains] is kept as a legacy alias for the engine selection
-    ({!resolve_engine}); passing it together with an inconsistent
-    [gc_engine] raises [Invalid_argument]. *)
-
-val gc_domains : t -> int
-(** The collector domain count the engine selection implies
-    ([Parallel n] and [Sliced_bsp n] give [n]; everything else 1). *)
-
 val validate : t -> (t, string) result
-(** Checks threshold ordering and ranges. *)
+(** Checks threshold ordering and ranges; the [Error] message names
+    the offending field. *)

@@ -47,7 +47,9 @@ let create ?metrics ?engine config registry =
       match metrics with Some m -> m | None -> Lp_obs.Metrics.create ()
     in
     let engine =
-      match engine with Some e -> e | None -> Trace_engine.sequential ()
+      match engine with
+      | Some e -> e
+      | None -> Inc_engine.engine (Inc_engine.create ())
     in
     {
       config;
@@ -313,7 +315,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   (* Every branch funnels its in-use closure through [mark] so the phase
      span and its work figure (fields scanned) are attributed uniformly.
      Every engine produces the same marked set, counters and deferred
-     edges as the sequential collector; [edge_note]/[apply_note] carry
+     edges as the single-domain one; [edge_note]/[apply_note] carry
      the Individual_refs byte accounting in the split form all engines
      accept (the parallel one needs the halves apart: pure worker
      evaluation, coordinator application). *)
@@ -402,8 +404,8 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
        parallel workers must not do, so it travels in split form for
        every engine: a pure qualifying predicate evaluated per edge
        ([edge_note]) and a table write the engine applies in canonical
-       scan order ([apply_note]). The sequential and incremental
-       engines apply each note at its scan point — exactly where the
+       scan order ([apply_note]). The single-domain engine applies
+       each note at its scan point — exactly where the
        old impure filter wrote — so totals and table are unchanged. *)
     let edge_note (edge : Collector.edge) =
       if Selection.stale_qualifies ?prior:t.prior t.config t.table edge then

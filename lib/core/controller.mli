@@ -35,8 +35,8 @@ val create :
     a private registry is created when omitted, so standalone
     controllers keep working unchanged. [engine] is the tracing engine
     every full-heap collection dispatches through
-    ({!Lp_heap.Trace_engine}); when omitted the controller runs
-    {!Lp_heap.Trace_engine.sequential}, the original collector
+    ({!Lp_heap.Trace_engine}); when omitted the controller runs an
+    {!Lp_heap.Inc_engine} with no slice budget, the original collector
     bit-for-bit. The marked set, the prune decisions, every [Gc_stats]
     counter and the reclaimed bytes are identical across engines by
     construction — only scheduling differs. *)

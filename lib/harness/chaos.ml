@@ -94,7 +94,7 @@ let liveness_field_map =
 
 let default_steps = 300
 
-let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
+let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
     ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
     ?(liveness = Lp_core.Config.Liveness_off) ?(steps = default_steps)
     ?trace_capacity ~seed () =
@@ -116,13 +116,11 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
   let resurrection = Random.State.int rng 4 > 0 in
   let plan = if faults then Some (Lp_fault.Fault_plan.random ~seed ()) else None in
   (* [Config.make ()] is [Config.default], so with no engine selection
-     this is the exact VM every chaos run always built. Both spellings
-     pass through so callers can use either; [Config.resolve_engine]
-     reconciles them (gc_domains = 1, the default here, is neutral). *)
+     this is the exact VM every chaos run always built. *)
   let vm =
     Lp_runtime.Vm.create
       ~config:
-        (Lp_core.Config.make ?gc_engine ~gc_domains ?gc_slice_budget
+        (Lp_core.Config.make ?gc_domains ?gc_slice_budget
            ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
            ~liveness_mode:liveness ())
       ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
@@ -388,11 +386,11 @@ let run_one ?(faults = true) ?gc_engine ?(gc_domains = 1) ?gc_slice_budget
       | None -> 0);
   }
 
-let shrink ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
+let shrink ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
     ?gc_steal ?pause_slo_p99_ns ?liveness ?(steps = default_steps) ~seed () =
   let failing m =
     failed
-      (run_one ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
+      (run_one ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
          ?gc_steal ?pause_slo_p99_ns ?liveness ~steps:m ~seed ())
   in
   if not (failing steps) then None
@@ -408,11 +406,11 @@ let shrink ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
     Some !hi
   end
 
-let run_seeds ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
+let run_seeds ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
     ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ?progress ~seeds () =
   List.init seeds (fun i ->
       let r =
-        run_one ?faults ?gc_engine ?gc_domains ?gc_slice_budget ?gc_packet_size
+        run_one ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
           ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ~seed:(i + 1) ()
       in
       (match progress with Some f -> f r | None -> ());

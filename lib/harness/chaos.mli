@@ -75,7 +75,6 @@ val outcome_to_string : outcome -> string
 
 val run_one :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
   ?gc_domains:int ->
   ?gc_slice_budget:int ->
   ?gc_packet_size:int ->
@@ -89,16 +88,14 @@ val run_one :
   report
 (** One deterministic chaos run. [faults] (default [true]) attaches the
     fault plan [Lp_fault.Fault_plan.random ~seed]; [false] runs the same
-    workload fault-free. [gc_engine] selects the tracing engine behind
-    the VM's full collections ([gc_domains] survives as the legacy
-    alias, reconciled by {!Lp_core.Config.resolve_engine};
-    [gc_slice_budget] bounds the incremental engine's slices;
-    [gc_packet_size] and [gc_steal] tune the parallel engines'
-    packet granularity and steal-vs-legacy round scheduling, both
-    output-neutral). Every
-    engine reproduces the sequential collector's decisions, counters,
-    heap state and clock exactly — so every scalar report field must be
-    independent of the engine selection, and the trace must match up to
+    workload fault-free. [gc_domains] and [gc_slice_budget] select the
+    tracing engine behind the VM's full collections
+    ({!Lp_core.Config.gc_domains}, {!Lp_core.Config.gc_slice_budget});
+    [gc_packet_size] and [gc_steal] tune the parallel engine's packet
+    granularity and steal-vs-legacy round scheduling, both
+    output-neutral. Every engine reproduces the same decisions,
+    counters, heap state and clock exactly — so every scalar report
+    field must be independent of the engine selection, and the trace must match up to
     the parallel engine's own worker events and the traversal-order
     interleaving of word-level mark events, which is exactly what the
     differential determinism test asserts. The engine is shut down
@@ -112,8 +109,8 @@ val run_one :
     ({!Lp_core.Config.pause_slo_p99_ns}): the slice budget is then
     retuned from wall-clock feedback between collections — which keeps
     every scalar report field bit-identical run to run all the same,
-    because budgets are outcome-neutral and the autopilot's engine
-    choice keys off a deterministic signal.
+    because budgets are outcome-neutral and the autopilot's domain
+    count keys off a deterministic signal.
     [liveness] (default [Liveness_off]) installs the static liveness
     oracle over a bytecode model of the chaos program before the first
     step; off mode leaves every report byte-identical to builds without
@@ -121,7 +118,6 @@ val run_one :
 
 val shrink :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
   ?gc_domains:int ->
   ?gc_slice_budget:int ->
   ?gc_packet_size:int ->
@@ -139,7 +135,6 @@ val shrink :
 
 val run_seeds :
   ?faults:bool ->
-  ?gc_engine:Lp_core.Config.gc_engine ->
   ?gc_domains:int ->
   ?gc_slice_budget:int ->
   ?gc_packet_size:int ->

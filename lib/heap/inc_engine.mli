@@ -1,48 +1,65 @@
-(** Pause-bounded incremental engine.
+(** The single-domain tracing engine, with or without a pause bound.
 
-    Runs the in-use closure in budgeted slices: the same DFS, work
-    queue and {!Trace_common.scan_object} as the sequential collector,
-    yielding every [slice_budget] scanned objects. The stale closure is
-    sliced the same way, and the sweep runs through
-    {!Trace_common.sliced_sweep} in segments of [slice_budget] slots —
+    The paper piggybacks leak pruning on MMTk's mark-sweep collector by
+    splitting the usual transitive closure into an {e in-use} closure
+    and a {e stale} closure (Section 4.2). This engine runs both as a
+    DFS over an engine-owned {!Work_queue} with the shared
+    {!Trace_common.scan_object}; the controller composes the phases per
+    collection mode through the {!Trace_engine} view:
+
+    - base/observe collection: mark with no filter, then
+      {!Collector.resurrect_finalizables}, then sweep;
+    - SELECT collection: mark with a filter deferring candidate
+      references, then the stale closure per candidate, then finalizers
+      and sweep;
+    - PRUNE collection: mark with a filter poisoning selected
+      references, then finalizers and sweep.
+
+    With no slice budget (named ["seq"]) every phase runs to completion
+    as one pause: {!Trace_engine.t.take_pauses} returns [[]], so the VM
+    accounts each collection as one [Monolithic] sample, and the engine
+    publishes no [note_mutation] hook.
+
+    With a budget (named ["inc<b>"]) the closures yield every
+    [slice_budget] scanned objects and the sweep runs through
+    {!Trace_common.sliced_sweep} in segments of [slice_budget] slots,
     so no phase of a collection pauses for longer than one budgeted
-    slice, and the monolithic sweep remainder that used to dominate
-    this engine's pause profile is gone. Marked set, deferred candidate
-    order, staleness ticks, free order and every {!Gc_stats} counter
-    are bit-identical to the {!Collector} phases by construction — only
-    the pause profile changes. Each slice lands as its own
-    phase-tagged pause sample in {!Trace_engine.t.take_pauses}
+    slice. Marked set, deferred candidate order, staleness ticks, free
+    order and every {!Gc_stats} counter are bit-identical with and
+    without a budget by construction — only the pause profile changes.
+    Each slice lands as its own phase-tagged pause sample
     ([Mark_slice] for mark and stale-closure slices, [Sweep_slice] per
     sweep segment), and no mark slice ever scans more than
-    [slice_budget] objects ({!Trace_engine.t.max_slice_work} proves it).
+    [slice_budget] objects ({!Trace_engine.t.max_slice_work} proves
+    it).
 
-    Mutations performed while a mark is in progress are reported through
-    the engine's [note_mutation] hook, logged in a deduplicated
-    {!Remset}, and replayed — the mutated slot re-scanned against the
-    current mark state — at the next slice boundary. Collections in
-    this VM are stop-the-world, so the log stays empty in real runs
-    (the differential oracle relies on that); the machinery is the
-    piece that would make genuinely concurrent slices sound, and tests
-    drive it directly via {!log_mutation}. *)
+    A budgeted engine also reports mutations performed while a mark is
+    in progress through its [note_mutation] hook, logs them in a
+    deduplicated {!Remset}, and replays them — the mutated slot
+    re-scanned against the current mark state — at the next slice
+    boundary. Collections in this VM are stop-the-world, so the log
+    stays empty in real runs (the differential oracle relies on that);
+    the machinery is the piece that would make genuinely concurrent
+    slices sound, and tests drive it directly via {!log_mutation}. *)
 
 type t
 
-val create : slice_budget:int -> unit -> t
+val create : ?slice_budget:int -> unit -> t
 (** [slice_budget] is the maximum number of objects one mark slice may
     scan, and the sweep segment size in slots ([>= 1];
-    [Invalid_argument] otherwise). *)
+    [Invalid_argument] otherwise). Without it each phase is one pause. *)
 
 val engine : t -> Trace_engine.t
-(** The {!Trace_engine} view: incremental mark, sliced stale closure
-    and sweep, write logging armed while marking. *)
+(** The {!Trace_engine} view. *)
 
-val slice_budget : t -> int
+val slice_budget : t -> int option
 
 val set_slice_budget : t -> int -> unit
 (** Retunes the budget between collections (the pause-SLO autopilot's
     actuator). Outcome-neutral by construction — the budget only moves
-    slice boundaries. [Invalid_argument] if the budget is [< 1] or a
-    mark phase is in progress. *)
+    slice boundaries. [Invalid_argument] if the budget is [< 1], the
+    engine was created without a budget, or a mark phase is in
+    progress. *)
 
 val slices : t -> int
 (** Mark slices run so far, across all collections. *)
@@ -53,4 +70,5 @@ val replays : t -> int
 val log_mutation : t -> src_id:int -> field:int -> unit
 (** Appends a slot to the mutation log directly (deduplicated), as the
     [note_mutation] hook does while marking; exposed so tests can
-    exercise the slice-boundary replay without a concurrent mutator. *)
+    exercise the slice-boundary replay without a concurrent mutator.
+    [Invalid_argument] on an engine created without a budget. *)

@@ -31,7 +31,7 @@ let tick stats gc obj =
    accumulated in a batch and applied only after the whole closure
    finishes: the edge filter reads target staleness, so ticking
    mid-traversal would make filter decisions depend on visit order
-   (sequential and incremental DFS, the parallel engine's BFS rounds).
+   (single-domain DFS, the parallel engine's BFS rounds).
    Deferral keeps every filter evaluation against the mark-start
    staleness; the final counters are unchanged because a tick depends
    only on the object's own counter and the collection number. This is
@@ -108,7 +108,7 @@ let quarantine ?(events = None) stats fields i =
    note hook and the edge filter, and dispatches the action. [on_trace]
    is called for unmarked [Trace] targets — the engine marks, queues and
    tick-defers there, which is the only part of the scan that differs
-   between the sequential and incremental engines. (The parallel
+   between the in-use and stale closures. (The parallel
    engine's packet scan mirrors this code field for field but records
    discoveries instead of marking; see [Lp_par.Par_engine].) *)
 let scan_field store stats ~(config : mark_config) ~note ~on_trace ~deferred
@@ -196,7 +196,7 @@ let canonical_candidates deferred =
    byte totals are per-object and order-independent, so every other
    outcome matches too. [on_segment] fires after each segment of
    [seg_slots] slots, where a sliced engine records one [Sweep_slice]
-   pause sample; [Collector.sweep] is the one-segment case. *)
+   pause sample; an engine without a budget sweeps in one segment. *)
 let sliced_sweep store ~stats ~seg_slots ~on_segment =
   let n_slots = Store.slot_count store in
   let seg = max 1 seg_slots in
@@ -224,7 +224,7 @@ let sliced_sweep store ~stats ~seg_slots ~on_segment =
 
 (* Combines the split Individual_refs byte-accounting pair into the
    per-edge note hook [scan_field] expects. Engines that evaluate and
-   apply at the same point (sequential, incremental) use this; the
+   apply at the same point (Inc_engine) use this; the
    parallel engine keeps the halves apart so workers stay pure. *)
 let note_fn ?edge_note ?apply_note () =
   match edge_note with

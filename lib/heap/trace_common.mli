@@ -4,9 +4,9 @@
     {e closure}, not over a particular engine. This module holds the
     engine-independent pieces — the edge vocabulary, the per-field scan,
     the end-of-phase staleness-tick batching, corrupt-word quarantine and
-    the canonical candidate order — so the sequential collector
-    ({!Collector}), the parallel engine ([Lp_par.Par_engine]) and the
-    incremental engine ({!Inc_engine}) cannot drift apart. *)
+    the canonical candidate order — so the single-domain engine
+    ({!Inc_engine}) and the parallel engine ([Lp_par.Par_engine])
+    cannot drift apart. *)
 
 type edge = { src : Heap_obj.t; field : int; tgt : Heap_obj.t }
 (** A heap reference under examination: [src.fields.(field)] refers to
@@ -133,8 +133,8 @@ val sliced_sweep :
     each dead object is freed as it is reached, which fixes the store's
     free-id recycling order. The walk is cut into segments of
     [seg_slots] slots with [on_segment] called after each — the points
-    where a sliced engine records one [Sweep_slice] pause sample.
-    {!Collector.sweep} is the one-segment case. *)
+    where a sliced engine records one [Sweep_slice] pause sample; an
+    engine without a budget sweeps in one segment. *)
 
 val note_fn :
   ?edge_note:(edge -> (int * int * int) option) ->
@@ -143,4 +143,4 @@ val note_fn :
   (edge -> unit) option
 (** Fuses the split pure-note/apply-note pair into the [note] hook of
     {!scan_field}, for engines that evaluate and apply at the same
-    program point (sequential, incremental). *)
+    program point ({!Inc_engine}). *)

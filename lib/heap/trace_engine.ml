@@ -41,27 +41,5 @@ type t = {
   shutdown : unit -> unit;
 }
 
-let sequential () =
-  let buffers = Trace_common.buffers () in
-  {
-    name = "seq";
-    mark =
-      (fun ~gc:_ ?edge_note ?apply_note store roots ~stats ~config ->
-        Collector.mark ?edge_note ?apply_note ~buffers store roots ~stats
-          ~config);
-    begin_stale = (fun () -> ());
-    stale_closure =
-      (fun ~gc:_ ?events store ~stats ~set_untouched_bits ~stale_tick_gc e ->
-        Collector.stale_closure ?events ~buffers store ~stats
-          ~set_untouched_bits ~stale_tick_gc e);
-    end_stale = (fun ~gc:_ ~events:_ -> ());
-    sweep = (fun ~gc:_ ?events:_ store ~stats -> Collector.sweep store ~stats);
-    minor_drain = None;
-    note_mutation = None;
-    take_pauses = (fun () -> []);
-    max_slice_work = (fun () -> 0);
-    shutdown = (fun () -> ());
-  }
-
 let note_mutation t ~src ~field =
   match t.note_mutation with None -> () | Some f -> f ~src ~field

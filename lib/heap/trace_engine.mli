@@ -7,13 +7,14 @@
     holds exactly one engine value and dispatches through these closures
     only; it never knows which engine is installed.
 
-    Three engines implement the contract:
+    Two engines implement the contract, each with or without a slice
+    budget:
 
-    - {!sequential} (here) — the single-slice DFS of {!Collector};
-    - [Lp_par.Par_engine.engine] — BSP packet-sharded parallel marking
-      on a domain pool;
-    - {!Inc_engine.engine} — the same DFS as the sequential engine, run
-      in budgeted slices so max pause shrinks.
+    - {!Inc_engine} — the single-domain DFS: ["seq"] without a budget,
+      ["inc<b>"] run in budgeted slices so max pause shrinks;
+    - [Lp_par.Par_engine] — BSP packet-sharded parallel marking on a
+      domain pool: ["par<n>"], or ["bsp<n>"] with its rounds merged in
+      budgeted groups.
 
     Every engine is deterministic by construction: marked set, prune
     decisions, counters and reclaimed totals are identical across
@@ -42,10 +43,18 @@ type t = {
     stats:Gc_stats.t ->
     config:Trace_common.mark_config ->
     Trace_common.edge list;
-      (** The in-use closure: same contract as {!Collector.mark}.
-          [edge_note] must be pure; an engine may evaluate it anywhere
-          but must invoke [apply_note] for the resulting notes in
-          canonical scan order. *)
+      (** The in-use closure from the roots. Marks every object reached
+          through [Trace] edges, applies [Poison] in place, and returns
+          the [Defer]red edges in discovery order (the candidate
+          queue). Poisoned references found in the heap are never
+          traced. A non-null, non-poisoned word whose target is not
+          live (a corrupt reference) is {e quarantined} — poisoned in
+          place and counted in [Gc_stats.words_quarantined] — rather
+          than crashing the collection; the other phases apply the
+          same rule. [edge_note] is evaluated against every live
+          scanned edge; it must be pure — an engine may evaluate it
+          anywhere but must invoke [apply_note] for the resulting
+          notes in canonical scan order. *)
   begin_stale : unit -> unit;
       (** Called once before a SELECT collection's stale-closure loop. *)
   stale_closure :
@@ -57,20 +66,27 @@ type t = {
     stale_tick_gc:int option ->
     Trace_common.edge ->
     int;
-      (** Same contract as {!Collector.stale_closure}. *)
+      (** Marks live everything reachable from the candidate edge's
+          target that no earlier closure claimed, and returns the
+          number of bytes claimed — the size of the stale data
+          structure rooted there. Claimed objects carry the stale-mark
+          diagnostic bit. *)
   end_stale : gc:int -> events:Lp_obs.Sink.t option -> unit;
       (** Called once after the stale-closure loop (worker-span flush in
           the parallel engine; no-op elsewhere). *)
   sweep : gc:int -> ?events:Lp_obs.Sink.t -> Store.t -> stats:Gc_stats.t -> unit;
-      (** Same contract as {!Collector.sweep}, including the descending
-          free order that keeps id recycling identical. *)
+      (** Frees every unmarked object, clears the GC bits of
+          survivors, and records the surviving bytes in the store as
+          its new live size, freeing in strictly descending slot order
+          so id recycling is identical across engines (see
+          {!Trace_common.sliced_sweep}). *)
   minor_drain :
     (Store.t -> queue:int array -> slots_scanned:int ref -> unit) option;
       (** When present, the minor collector hands its marked seed set to
           this drain instead of running its own loop. *)
   note_mutation : (src:Heap_obj.t -> field:int -> unit) option;
       (** When present, the mutator write barrier reports every
-          reference-slot store here. The incremental engine logs slots
+          reference-slot store here. A budgeted {!Inc_engine} logs slots
           mutated while a mark is in progress and replays them at slice
           boundaries; collections in this VM are stop-the-world, so the
           log stays empty in practice and the replay machinery is the
@@ -82,15 +98,11 @@ type t = {
           as one [Monolithic] pause. *)
   max_slice_work : unit -> int;
       (** Largest number of objects scanned in a single mark slice so
-          far (0 for non-incremental engines) — the deterministic
+          far (0 for engines without a slice budget) — the deterministic
           quantity the pause-bench budget gate checks. *)
   shutdown : unit -> unit;
       (** Releases engine resources (joins the domain pool); idempotent. *)
 }
-
-val sequential : unit -> t
-(** The sequential engine: thin closures over {!Collector}, sharing one
-    {!Trace_common.buffers} created with the engine. *)
 
 val note_mutation : t -> src:Heap_obj.t -> field:int -> unit
 (** Convenience dispatcher for the optional write hook. *)

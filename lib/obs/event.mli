@@ -125,7 +125,8 @@ type t =
           from wall-clock feedback *)
   | Engine_switch of { gc : int; from_engine : string; to_engine : string }
       (** the autopilot swapped tracing engines before collection [gc]
-          (engine names as in {!Lp_core.Config.gc_engine_to_string}).
+          because it changed the domain count (engine names as in
+          [Lp_heap.Trace_engine.t.name]: ["inc256"], ["bsp2"], ...).
           Deterministic: escalation keys off SELECT's predicted
           stale-closure size, not wall time *)
 

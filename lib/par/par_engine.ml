@@ -263,7 +263,7 @@ let packets_for t n =
 (* --- the in-use / stale closure scan ------------------------------- *)
 
 (* Scans one packet's slice of [frontier]. Mirrors
-   [Collector.scan_object] field for field, except that instead of
+   [Trace_common.scan_object] field for field, except that instead of
    marking and pushing discovered targets it records them (marking is
    the coordinator's job at the merge), and poison-word writes, events
    and note application are deferred to the merge too. The only heap
@@ -469,7 +469,7 @@ let merge_round t store ~gc ~(config : Collector.mark_config) ~apply_note
             obj.Heap_obj.header <-
               Header.set_stale_marked (Header.set_marked obj.Heap_obj.header);
             stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-            Collector.tick stats config.Collector.stale_tick_gc obj;
+            Trace_common.tick stats config.Collector.stale_tick_gc obj;
             stats.Gc_stats.stale_closure_objects <-
               stats.Gc_stats.stale_closure_objects + 1;
             bytes := !bytes + obj.Heap_obj.size_bytes);
@@ -664,7 +664,7 @@ let stale_closure t ~gc ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     tgt.Heap_obj.header <-
       Header.set_stale_marked (Header.set_marked tgt.Heap_obj.header);
     stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-    Collector.tick stats stale_tick_gc tgt;
+    Trace_common.tick stats stale_tick_gc tgt;
     stats.Gc_stats.stale_closure_objects <-
       stats.Gc_stats.stale_closure_objects + 1;
     bytes := !bytes + tgt.Heap_obj.size_bytes;
@@ -700,7 +700,8 @@ let sweep t ~gc ?events store ~stats =
   | None ->
   let n_slots = Store.slot_count store in
   let d = domains t in
-  if d = 1 || n_slots < t.inline_threshold then Collector.sweep store ~stats
+  if d = 1 || n_slots < t.inline_threshold then
+    Trace_common.sliced_sweep store ~stats ~seg_slots:n_slots ~on_segment:ignore
   else begin
     Array.fill t.work_shards 0 (Array.length t.work_shards) 0;
     let n_segs = d * 4 in

@@ -1,6 +1,6 @@
 (** Deterministic parallel tracing engine.
 
-    The engine drives the same three phases as {!Lp_heap.Collector} —
+    The engine drives the same three phases as {!Lp_heap.Inc_engine} —
     in-use closure, stale closure, sweep — over a {!Domain_pool},
     mirroring MMTk's shared-pool parallel collector (the substrate the
     paper's leak pruning runs on) while keeping reclamation a
@@ -91,7 +91,7 @@ val mark :
   stats:Lp_heap.Gc_stats.t ->
   config:Lp_heap.Collector.mark_config ->
   Lp_heap.Collector.edge list
-(** Parallel equivalent of {!Lp_heap.Collector.mark}: same marked set,
+(** Parallel in-use closure ({!Lp_heap.Trace_engine.t.mark}): same marked set,
     same counter totals, deferred edges in frontier (BFS) order —
     identical at every domain count. [edge_note] is evaluated by
     workers against each scanned edge (it must be pure); [apply_note]
@@ -115,7 +115,7 @@ val stale_closure :
   stale_tick_gc:int option ->
   Lp_heap.Collector.edge ->
   int
-(** Parallel equivalent of {!Lp_heap.Collector.stale_closure}. *)
+(** Parallel stale closure ({!Lp_heap.Trace_engine.t.stale_closure}). *)
 
 val end_stale : t -> gc:int -> events:Lp_obs.Sink.t option -> unit
 (** Emits the stale-phase per-worker span pairs accumulated since
@@ -128,7 +128,7 @@ val sweep :
   Lp_heap.Store.t ->
   stats:Lp_heap.Gc_stats.t ->
   unit
-(** Parallel equivalent of {!Lp_heap.Collector.sweep}: workers scan
+(** Parallel sweep ({!Lp_heap.Trace_engine.t.sweep}): workers scan
     disjoint slot segments, the coordinator frees dead objects in
     descending slot order — the exact free order of the sequential
     sweep, so id recycling (and therefore every later allocation) is

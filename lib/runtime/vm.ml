@@ -6,6 +6,10 @@ type gc_record = {
   state : Lp_core.State_kind.t;
 }
 
+(* The concrete engine behind the Trace_engine view, kept for budget
+   retuning, fault arming and introspection. *)
+type collector = Inc of Inc_engine.t | Par of Lp_par.Par_engine.t
+
 type t = {
   registry : Class_registry.t;
   store : Store.t;
@@ -24,16 +28,13 @@ type t = {
   nursery_limit : int option;
   remset : Remset.t;
   fault : Lp_fault.Fault_plan.t option;
-  (* The tracing engine behind every full collection
-     (Config.gc_engine). Mutable: the pause-SLO autopilot swaps
-     engines between collections ([switch_engine]); [par]/[inc] keep
-     the concrete engine around for fault arming, budget retuning and
-     introspection when that engine is current. [cur_engine] is the
-     Config-level spec of the engine installed right now. *)
+  (* The tracing engine behind every full collection, built from
+     Config.gc_domains and gc_slice_budget. Mutable: the pause-SLO
+     autopilot swaps engines between collections ([switch_engine]).
+     [domains] is the installed engine's domain count. *)
   mutable engine : Trace_engine.t;
-  mutable par : Lp_par.Par_engine.t option;
-  mutable inc : Inc_engine.t option;
-  mutable cur_engine : Lp_core.Config.gc_engine;
+  mutable collector : collector;
+  mutable domains : int;
   (* Slice high-water marks of engines already shut down by a switch;
      [max_slice_work] folds the live engine's figure over this. *)
   mutable max_slice_seen : int;
@@ -57,27 +58,24 @@ type t = {
   mutable sink : Lp_obs.Sink.t option;
 }
 
-(* Builds the concrete engine behind a Config-level spec. [budget] is
-   the slice budget the sliced engines start with — the config's
-   [gc_slice_budget] at VM creation, the autopilot's current budget at
-   a switch (the monolithic engines ignore it). [packet_size] and
-   [steal] come from the config on both paths: they are scheduling
-   knobs of the parallel engines only, output-neutral by the engine's
-   packet-index merge. *)
-let build_engine ~budget ~packet_size ~steal spec =
-  match spec with
-  | Lp_core.Config.Sequential -> (Trace_engine.sequential (), None, None)
-  | Lp_core.Config.Parallel domains ->
+(* Builds the engine for [domains] domains: the single-domain engine
+   on one, the parallel engine on more. [slice_budget] is the budget
+   the engine starts with — the config's at VM creation, the
+   autopilot's current one at a switch; [None] makes every collection
+   one pause. [packet_size] and [steal] are scheduling knobs of the
+   parallel engine only, output-neutral by its packet-index merge. *)
+let build_engine ~domains ~slice_budget ~packet_size ~steal =
+  if domains = 1 then
+    let ie = Inc_engine.create ?slice_budget () in
+    (Inc_engine.engine ie, Inc ie)
+  else
     let pool = Lp_par.Domain_pool.create ~domains in
-    let pe = Lp_par.Par_engine.create ~packet_size ~steal pool in
-    (Lp_par.Par_engine.engine pe, Some pe, None)
-  | Lp_core.Config.Incremental ->
-    let ie = Inc_engine.create ~slice_budget:budget () in
-    (Inc_engine.engine ie, None, Some ie)
-  | Lp_core.Config.Sliced_bsp domains ->
-    let pool = Lp_par.Domain_pool.create ~domains in
-    let pe = Lp_par.Par_engine.create ~packet_size ~steal ~slice_budget:budget pool in
-    (Lp_par.Par_engine.engine pe, Some pe, None)
+    let pe = Lp_par.Par_engine.create ~packet_size ~steal ?slice_budget pool in
+    (Lp_par.Par_engine.engine pe, Par pe)
+
+(* The budget an armed pause SLO starts from when the config sets
+   none: the autopilot needs slices to measure and retune. *)
+let slo_initial_slice_budget = 256
 
 let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     ?(charge_barriers = true) ?disk ?swap_backend ?swap_store
@@ -87,6 +85,11 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
   | Some n when n <= 0 || n >= heap_bytes ->
     invalid_arg "Vm.create: nursery_bytes must be in (0, heap_bytes)"
   | Some _ | None -> ());
+  (* before the engine is built: an out-of-range domain count must not
+     spawn domains *)
+  (match Lp_core.Config.validate config with
+  | Error msg -> invalid_arg ("Vm.create: " ^ msg)
+  | Ok _ -> ());
   let registry = Class_registry.create () in
   let roots = Roots.create () in
   let store =
@@ -154,20 +157,27 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
              image
              (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Swap)))
   | None -> ());
-  let engine, par, inc = build_engine ~budget:config.Lp_core.Config.gc_slice_budget
-      ~packet_size:config.Lp_core.Config.gc_packet_size
-      ~steal:config.Lp_core.Config.gc_steal
-      config.Lp_core.Config.gc_engine in
-  let autopilot =
+  let slice_budget, autopilot =
     match config.Lp_core.Config.pause_slo_p99_ns with
     | Some target_p99_ns ->
-      Some
-        (Lp_slo.Autopilot.create ~target_p99_ns
-           ~floor:config.Lp_core.Config.slo_budget_floor
-           ~domains:config.Lp_core.Config.slo_domains
-           ~escalate_permille:config.Lp_core.Config.slo_escalate_permille
-           ~init_budget:config.Lp_core.Config.gc_slice_budget)
-    | None -> None
+      let budget =
+        Option.value config.Lp_core.Config.gc_slice_budget
+          ~default:slo_initial_slice_budget
+      in
+      ( Some budget,
+        Some
+          (Lp_slo.Autopilot.create ~target_p99_ns
+             ~floor:config.Lp_core.Config.slo_budget_floor
+             ~domains:config.Lp_core.Config.slo_domains
+             ~escalate_permille:config.Lp_core.Config.slo_escalate_permille
+             ~init_budget:budget) )
+    | None -> (config.Lp_core.Config.gc_slice_budget, None)
+  in
+  let domains = config.Lp_core.Config.gc_domains in
+  let engine, collector =
+    build_engine ~domains ~slice_budget
+      ~packet_size:config.Lp_core.Config.gc_packet_size
+      ~steal:config.Lp_core.Config.gc_steal
   in
   let controller = Lp_core.Controller.create ~metrics ~engine config registry in
   {
@@ -189,9 +199,8 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     remset = Remset.create ();
     fault;
     engine;
-    par;
-    inc;
-    cur_engine = config.Lp_core.Config.gc_engine;
+    collector;
+    domains;
     max_slice_seen = 0;
     autopilot;
     gc_pause_ns = 0;
@@ -231,8 +240,8 @@ let metrics_snapshot t =
      conformance tests) but still surface as gc.* metrics. gc.steals is
      the one schedule-dependent value in the registry — it reports what
      the hardware really did; everything else here is deterministic. *)
-  (match t.par with
-  | Some pe ->
+  (match t.collector with
+  | Par pe ->
     let set name v =
       Lp_obs.Metrics.set_counter (Lp_obs.Metrics.counter t.metrics name) v
     in
@@ -241,7 +250,7 @@ let metrics_snapshot t =
     set "gc.packet_recoveries" (Lp_par.Par_engine.packet_recoveries pe);
     set "gc.pooled_rounds" (Lp_par.Par_engine.pooled_rounds pe);
     set "gc.pool_dispatches" (Lp_par.Par_engine.dispatches pe)
-  | None -> ());
+  | Inc _ -> ());
   Lp_obs.Metrics.snapshot t.metrics
 
 (* annotated so the barrier's disabled-sink guard compiles to a field
@@ -267,16 +276,9 @@ let resurrection_enabled t = t.resurrection
 let warm_boot t = t.warm_boot
 let charge_barriers t = t.charge_barriers
 
-(* The engine currently installed — the config's engine until the
-   autopilot's first switch. *)
-let gc_engine t = t.cur_engine
+let gc_domains t = t.domains
 
-let gc_domains t =
-  match t.cur_engine with
-  | Lp_core.Config.Parallel n | Lp_core.Config.Sliced_bsp n -> n
-  | Lp_core.Config.Sequential | Lp_core.Config.Incremental -> 1
-
-let par_engine t = t.par
+let par_engine t = match t.collector with Par pe -> Some pe | Inc _ -> None
 
 let autopilot t = t.autopilot
 
@@ -298,15 +300,12 @@ let max_slice_work t =
 let shutdown t = t.engine.Trace_engine.shutdown ()
 
 (* Retunes the live engine's slice budget in place (the autopilot's
-   cheap actuator, when no engine switch is due). No-op on monolithic
-   engines — the autopilot never installs one, but a user-forced
-   sliced engine under SLO keeps working through this same path. *)
+   cheap actuator, when no engine switch is due). Under the autopilot
+   every engine is built with a budget, so both setters accept it. *)
 let apply_budget t budget =
-  match (t.inc, t.par) with
-  | Some ie, _ -> Inc_engine.set_slice_budget ie budget
-  | None, Some pe when Lp_par.Par_engine.slice_budget pe <> None ->
-    Lp_par.Par_engine.set_slice_budget pe budget
-  | None, (Some _ | None) -> ()
+  match t.collector with
+  | Inc ie -> Inc_engine.set_slice_budget ie budget
+  | Par pe -> Lp_par.Par_engine.set_slice_budget pe budget
 
 (* Engine swap at a collection boundary. Safe exactly because every
    engine produces identical reclamation outcomes (the determinism
@@ -315,39 +314,32 @@ let apply_budget t budget =
    outgoing engine's deterministic slice high-water mark is folded
    into [max_slice_seen] before it is shut down, so [max_slice_work]
    stays a whole-run figure across switches. *)
-let switch_engine t spec =
-  if spec <> t.cur_engine then begin
-    let from_engine = t.engine.Trace_engine.name in
-    t.max_slice_seen <-
-      max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ());
-    t.engine.Trace_engine.shutdown ();
-    let budget =
-      match t.autopilot with
-      | Some ap -> Lp_slo.Autopilot.budget ap
-      | None ->
-        (Lp_core.Controller.config t.controller).Lp_core.Config.gc_slice_budget
-    in
-    let cfg = Lp_core.Controller.config t.controller in
-    let engine, par, inc =
-      build_engine ~budget ~packet_size:cfg.Lp_core.Config.gc_packet_size
-        ~steal:cfg.Lp_core.Config.gc_steal spec
-    in
-    t.engine <- engine;
-    t.par <- par;
-    t.inc <- inc;
-    t.cur_engine <- spec;
-    Lp_core.Controller.set_engine t.controller engine;
-    match t.sink with
-    | Some s ->
-      Lp_obs.Sink.emit s
-        (Lp_obs.Event.Engine_switch
-           {
-             gc = t.stats.Gc_stats.collections + 1;
-             from_engine;
-             to_engine = engine.Trace_engine.name;
-           })
-    | None -> ()
-  end
+let switch_engine t ap domains =
+  let from_engine = t.engine.Trace_engine.name in
+  t.max_slice_seen <-
+    max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ());
+  t.engine.Trace_engine.shutdown ();
+  let cfg = Lp_core.Controller.config t.controller in
+  let engine, collector =
+    build_engine ~domains ~slice_budget:(Some (Lp_slo.Autopilot.budget ap))
+      ~packet_size:cfg.Lp_core.Config.gc_packet_size
+      ~steal:cfg.Lp_core.Config.gc_steal
+  in
+  t.engine <- engine;
+  t.collector <- collector;
+  t.domains <- domains;
+  Lp_core.Controller.set_engine t.controller engine;
+  match t.sink with
+  | Some s ->
+    Lp_obs.Sink.emit s
+      (Lp_obs.Event.Engine_switch
+         {
+           gc = t.stats.Gc_stats.collections + 1;
+           from_engine;
+           to_engine = engine.Trace_engine.name;
+         })
+  | None -> ()
+
 let remset t = t.remset
 let fault_plan t = t.fault
 let corruptions_injected t = t.corruptions_injected
@@ -526,10 +518,10 @@ let collect_once t =
   | Some plan ->
     List.iter
       (fun f ->
-        match (f, t.par) with
-        | Lp_fault.Fault_plan.Corrupt_mark_packet, Some e ->
+        match (f, t.collector) with
+        | Lp_fault.Fault_plan.Corrupt_mark_packet, Par e ->
           Lp_par.Par_engine.arm_corrupt_packet e
-        | Lp_fault.Fault_plan.Steal_race, Some e ->
+        | Lp_fault.Fault_plan.Steal_race, Par e ->
           Lp_par.Par_engine.arm_steal_race e
         | _, _ -> ())
       (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Mark)
@@ -635,9 +627,9 @@ let run_gc t =
      per slice; whatever the collection spent outside those slices
      (finalizer scan, phase glue, disk) is folded into the LAST slice
      rather than reported as a separate sample — so [Monolithic] is
-     reserved for whole-collection pauses from non-sliced engines, and
+     reserved for whole-collection pauses from unbudgeted engines, and
      "no Monolithic sample" is exactly the statement that every pause
-     was slice-bounded. A monolithic engine contributes the whole
+     was slice-bounded. An unbudgeted engine contributes the whole
      collection as one [Monolithic] sample. *)
   let samples =
     match t.engine.Trace_engine.take_pauses () with
@@ -708,8 +700,8 @@ let run_gc t =
                p99_ns = d.Lp_slo.Autopilot.d_p99_ns;
              })
       | None -> ());
-    if d.Lp_slo.Autopilot.d_engine <> t.cur_engine then
-      switch_engine t d.Lp_slo.Autopilot.d_engine
+    if d.Lp_slo.Autopilot.d_domains <> t.domains then
+      switch_engine t ap d.Lp_slo.Autopilot.d_domains
     else apply_budget t d.Lp_slo.Autopilot.d_budget
   | None -> ());
   match t.gc_listener with Some f -> f record | None -> ()

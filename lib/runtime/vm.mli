@@ -67,7 +67,11 @@ val create :
     [first_object_id] starts the object-identifier space there instead
     of 1, so fresh allocations cannot collide with ids persisted in the
     adopted store's retained images — warm restarts pass the dead
-    store's [next_fresh_id]. *)
+    store's [next_fresh_id].
+
+    @raise Invalid_argument when [config] fails
+    {!Lp_core.Config.validate}, before any collector domain is
+    spawned. *)
 
 (** {1 Components} *)
 
@@ -104,64 +108,53 @@ val fault_plan : t -> Lp_fault.Fault_plan.t option
 
 (** {1 Tracing engines}
 
-    [Config.gc_engine] selects the {!Lp_heap.Trace_engine} behind every
-    full-heap collection, constructed at {!create}:
+    Two numbers from the config pick the {!Lp_heap.Trace_engine} behind
+    every full-heap collection, constructed at {!create}:
 
-    - [Sequential] (default): the original single-slice DFS collector.
-    - [Parallel n]: spawns a {!Lp_par.Domain_pool} and routes mark,
-      stale closures, sweep — and the minor-collection drain loop —
-      through the {!Lp_par.Par_engine}.
-    - [Incremental]: the {!Lp_heap.Inc_engine} runs the in-use and
-      stale closures and the sweep in slices of at most
-      [Config.gc_slice_budget] objects, logging mutator writes that
-      land during a mark phase and replaying them at slice boundaries.
-    - [Sliced_bsp n]: the par+inc composition — BSP parallel marking
-      on [n] domains with each round's packets merged in
-      budget-bounded groups, and a segmented sweep.
+    - [Config.gc_domains = 1] (default): the {!Lp_heap.Inc_engine}
+      traces on the calling domain;
+    - [Config.gc_domains = n > 1]: the VM spawns a
+      {!Lp_par.Domain_pool} and routes mark, stale closures, sweep —
+      and the minor-collection drain loop — through the
+      {!Lp_par.Par_engine};
+    - [Config.gc_slice_budget = None] (default): each collection is one
+      pause, recorded as one [Monolithic] sample;
+    - [Config.gc_slice_budget = Some b]: the closures run in slices of
+      at most [b] objects and the sweep in [b]-slot segments, one
+      tagged pause sample each. On one domain, mutator writes that
+      land during a mark phase are logged and replayed at slice
+      boundaries.
 
-    Every engine is deterministic by construction: heap state,
-    counters, prune decisions, reclaimed bytes and the simulated clock
-    are identical to the sequential collector. Traces match
-    event-for-event too, except that the parallel engines add their
-    own worker-span events and that word-level mark events within a
+    The four combinations are named [seq], [par<n>], [inc<b>] and
+    [bsp<n>]. Every engine is deterministic by construction: heap
+    state, counters, prune decisions, reclaimed bytes and the simulated
+    clock are identical across all of them. Traces match
+    event-for-event too, except that the parallel engine adds its own
+    worker-span events and that word-level mark events within a
     collection follow traversal order — same set, different
     interleaving. Only the wall-clock pause profile differs.
 
-    The engine is no longer fixed for the VM's lifetime: the pause-SLO
-    autopilot (armed by [Config.pause_slo_p99_ns]) may install a
-    different engine between collections, and {!switch_engine} exposes
-    the same boundary-only swap directly. *)
-
-val gc_engine : t -> Lp_core.Config.gc_engine
-(** The engine {e currently installed} — the config's engine until the
-    first switch. *)
+    The engine is not fixed for the VM's lifetime: the pause-SLO
+    autopilot (armed by [Config.pause_slo_p99_ns]) may install an
+    engine on a different domain count between collections. *)
 
 val gc_domains : t -> int
-(** The collector domain count the current engine implies
-    (1 unless [Parallel n] or [Sliced_bsp n]). *)
+(** The installed engine's domain count — the config's until the
+    autopilot's first switch. *)
 
 val par_engine : t -> Lp_par.Par_engine.t option
-(** The concrete parallel engine, present iff the current engine is
-    [Parallel n] or [Sliced_bsp n] (fault arming and introspection). *)
-
-val switch_engine : t -> Lp_core.Config.gc_engine -> unit
-(** Installs a different tracing engine. Legal only between
-    collections (never from a GC listener's reentrant collection, only
-    when no collection is running) — and safe at any such boundary
-    because every engine produces identical reclamation outcomes. The
-    outgoing engine is shut down (its slice high-water mark folds into
-    {!max_slice_work}); a sliced replacement starts at the autopilot's
-    current budget when the autopilot is armed, the config's
-    [gc_slice_budget] otherwise. Emits [Engine_switch] when tracing.
-    No-op if the spec equals the current engine. *)
+(** The concrete parallel engine, present iff the installed engine
+    runs on more than one domain (fault arming and introspection). *)
 
 val autopilot : t -> Lp_slo.Autopilot.t option
 (** The pause-SLO autopilot, present iff [Config.pause_slo_p99_ns] was
     set. After every full collection the VM feeds it the collection's
     phase-tagged pause samples plus the last SELECT decision's
     predicted stale-closure bytes, then applies the returned budget
-    (in place, or through {!switch_engine} when the engine decision
-    changed). *)
+    in place, or installs a new engine at that budget when the decided
+    domain count changed (emitting [Engine_switch] when tracing). Every
+    engine under the autopilot is sliced: with no
+    [Config.gc_slice_budget] it starts from 256 objects. *)
 
 val gc_pause_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent inside full-heap collections
@@ -170,13 +163,14 @@ val gc_pause_ns : t -> int
 
 val pause_samples : t -> (Trace_engine.pause_phase * int) list
 (** Individual phase-tagged wall-clock pause samples (nanoseconds),
-    oldest first. A monolithic engine contributes one [Monolithic]
+    oldest first. An engine without a slice budget contributes one
+    [Monolithic]
     sample per full collection. A sliced engine contributes one
     [Mark_slice] sample per mark/closure slice and one [Sweep_slice]
     sample per sweep segment; whatever the collection spent outside
     the slices (finalizer scan, phase glue, disk) is folded into the
     collection's last slice, so [Monolithic] appears {e only} for
-    non-sliced engines — "no [Monolithic] sample" is exactly the
+    engines without a budget — "no [Monolithic] sample" is exactly the
     statement that every pause was slice-bounded. Every sample also
     lands in the [gc.pause_ns] metrics histogram. *)
 

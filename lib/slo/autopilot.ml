@@ -1,7 +1,7 @@
 (* The pause-SLO autopilot: a PID-style feedback controller that holds
    the 99th-percentile GC pause under a configured target by retuning
-   the sliced engines' slice budget between collections, and by
-   switching engines per collection cycle.
+   slice budget between collections, and by picking
+   each collection's domain count.
 
    Two signal planes with very different determinism properties feed
    it, and keeping them apart is the whole design:
@@ -15,8 +15,8 @@
      engine's reclamation outcome is budget-independent by the
      determinism contract — so feeding wall time here is safe.
 
-   - The ENGINE plane is deterministic: escalation to the sliced-BSP
-     engine keys off the last SELECT decision's predicted
+   - The DOMAIN plane is deterministic: escalation from one domain to
+     [domains] keys off the last SELECT decision's predicted
      stale-closure size (bytes), a pure function of program, seed and
      configuration. Engine switches are therefore bit-identical run to
      run, which is what lets the conformance suite replay engine
@@ -36,7 +36,7 @@ type t = {
   mutable integral : float;
   mutable last_err : float;
   mutable escalate_hold : int;
-  mutable engine : Lp_core.Config.gc_engine;
+  mutable cur_domains : int;
   mutable adjustments : int;
   mutable switches : int;
   mutable samples_seen : int;
@@ -45,12 +45,9 @@ type t = {
 
 type decision = {
   d_budget : int;  (** slice budget for the next collection, objects *)
-  d_engine : Lp_core.Config.gc_engine;
-      (** engine for the next collection; [Incremental] or
-          [Sliced_bsp _], never a monolithic engine *)
+  d_domains : int;  (** domains for the next collection: 1 or [domains] *)
   d_p99_ns : int;  (** the window p99 that drove the budget *)
   d_budget_changed : bool;
-  d_engine_changed : bool;
 }
 
 let window_cap = 256
@@ -82,7 +79,7 @@ let create ~target_p99_ns ~floor ~domains ~escalate_permille ~init_budget =
     integral = 0.0;
     last_err = 0.0;
     escalate_hold = 0;
-    engine = Lp_core.Config.Incremental;
+    cur_domains = 1;
     adjustments = 0;
     switches = 0;
     samples_seen = 0;
@@ -153,7 +150,7 @@ let note_collection t ~samples ~selection_bytes ~heap_limit =
   let budget_changed = new_budget <> t.budget in
   if budget_changed then t.adjustments <- t.adjustments + 1;
   t.budget <- new_budget;
-  (* Deterministic engine plane: escalate to sliced-BSP when SELECT
+  (* Deterministic domain plane: escalate to [domains] when SELECT
      predicts a stale closure larger than [escalate_permille] of the
      heap, and hold the escalation for two collections so the pool is
      not churned by a single borderline prediction. *)
@@ -164,24 +161,18 @@ let note_collection t ~samples ~selection_bytes ~heap_limit =
     t.escalate_hold <- 2
   end
   else if t.escalate_hold > 0 then t.escalate_hold <- t.escalate_hold - 1;
-  let new_engine =
-    if t.escalate_hold > 0 then Lp_core.Config.Sliced_bsp t.domains
-    else Lp_core.Config.Incremental
-  in
-  let engine_changed = new_engine <> t.engine in
-  if engine_changed then t.switches <- t.switches + 1;
-  t.engine <- new_engine;
+  let new_domains = if t.escalate_hold > 0 then t.domains else 1 in
+  if new_domains <> t.cur_domains then t.switches <- t.switches + 1;
+  t.cur_domains <- new_domains;
   {
     d_budget = new_budget;
-    d_engine = new_engine;
+    d_domains = new_domains;
     d_p99_ns = p99;
     d_budget_changed = budget_changed;
-    d_engine_changed = engine_changed;
   }
 
 let target t = t.target_p99_ns
 let budget t = t.budget
-let engine t = t.engine
 let adjustments t = t.adjustments
 let switches t = t.switches
 let escalations t = t.escalations

@@ -1,8 +1,21 @@
 (* Collector phases: reachability, deferral, poisoning, finalizers,
    sweep — including the central property that a plain collection
-   reclaims exactly the unreachable objects of a random graph. *)
+   reclaims exactly the unreachable objects of a random graph. The
+   phases run through the single-domain engine with no slice budget,
+   the collector every VM runs by default. *)
 
 open Lp_heap
+
+let seq = Inc_engine.engine (Inc_engine.create ())
+
+let mark store roots ~stats ~config =
+  seq.Trace_engine.mark ~gc:1 store roots ~stats ~config
+
+let stale_closure store ~stats edge =
+  seq.Trace_engine.stale_closure ~gc:1 store ~stats ~set_untouched_bits:false
+    ~stale_tick_gc:None edge
+
+let sweep store ~stats = seq.Trace_engine.sweep ~gc:1 store ~stats
 
 let build_store () = Store.create ~limit_bytes:1_000_000
 
@@ -14,8 +27,8 @@ let link (src : Heap_obj.t) i (tgt : Heap_obj.t) =
 
 let collect_base store roots =
   let stats = Gc_stats.create () in
-  ignore (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats ~config:Collector.base_config);
-  Collector.sweep store ~stats;
+  ignore (mark store roots ~stats ~config:Collector.base_config);
+  sweep store ~stats;
   stats
 
 let test_unreachable_reclaimed () =
@@ -62,9 +75,9 @@ let test_untouched_bits_set () =
   link a 0 b;
   let stats = Gc_stats.create () in
   ignore
-    (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
+    (mark store roots ~stats
        ~config:{ Collector.set_untouched_bits = true; stale_tick_gc = None; edge_filter = None; on_poison = None; events = None });
-  Collector.sweep store ~stats;
+  sweep store ~stats;
   Alcotest.(check bool) "bit set on scanned reference" true
     (Word.untouched a.Heap_obj.fields.(0));
   Alcotest.(check int) "one bit recorded" 1 stats.Gc_stats.untouched_bits_set
@@ -84,7 +97,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
     else Collector.Trace
   in
   let deferred =
-    Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
+    mark store roots ~stats
       ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None }
   in
   Alcotest.(check int) "one candidate" 1 (List.length deferred);
@@ -92,14 +105,13 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
     (Header.marked b.Heap_obj.header);
   (* the stale closure claims b and c (two objects, 12 + 8... = their sizes) *)
   let bytes =
-    Collector.stale_closure ~buffers:(Trace_common.buffers ()) store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
-      (List.hd deferred)
+    stale_closure store ~stats (List.hd deferred)
   in
   Alcotest.(check int) "claimed bytes"
     (b.Heap_obj.size_bytes + c.Heap_obj.size_bytes)
     bytes;
   Alcotest.(check bool) "b stale-marked" true (Header.stale_marked b.Heap_obj.header);
-  Collector.sweep store ~stats;
+  sweep store ~stats;
   Alcotest.(check int) "nothing reclaimed in SELECT" 3 (Store.object_count store)
 
 let test_stale_closure_zero_for_marked_target () =
@@ -116,15 +128,14 @@ let test_stale_closure_zero_for_marked_target () =
     if e.Collector.field = 0 then Collector.Defer else Collector.Trace
   in
   let deferred =
-    Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
+    mark store roots ~stats
       ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None }
   in
   let bytes =
-    Collector.stale_closure ~buffers:(Trace_common.buffers ()) store ~stats ~set_untouched_bits:false ~stale_tick_gc:None
-      (List.hd deferred)
+    stale_closure store ~stats (List.hd deferred)
   in
   Alcotest.(check int) "no bytes claimed for in-use target" 0 bytes;
-  Collector.sweep store ~stats
+  sweep store ~stats
 
 let test_poison_reclaims_subtree () =
   let store = build_store () in
@@ -141,9 +152,9 @@ let test_poison_reclaims_subtree () =
     else Collector.Trace
   in
   ignore
-    (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats
+    (mark store roots ~stats
        ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None });
-  Collector.sweep store ~stats;
+  sweep store ~stats;
   Alcotest.(check bool) "reference poisoned" true (Word.poisoned a.Heap_obj.fields.(0));
   Alcotest.(check bool) "b reclaimed" false (Store.mem store b.Heap_obj.id);
   Alcotest.(check bool) "c reclaimed" false (Store.mem store c.Heap_obj.id);
@@ -163,10 +174,10 @@ let test_finalizer_resurrection () =
   link a 0 b;
   (* both unreachable; a has a finalizer which may access b *)
   let stats = Gc_stats.create () in
-  ignore (Collector.mark ~buffers:(Trace_common.buffers ()) store roots ~stats ~config:Collector.base_config);
+  ignore (mark store roots ~stats ~config:Collector.base_config);
   Collector.resurrect_finalizables store ~stats ~on_finalize:(fun o ->
       finalized := o.Heap_obj.id :: !finalized);
-  Collector.sweep store ~stats;
+  sweep store ~stats;
   Alcotest.(check (list int)) "finalizer ran" [ a.Heap_obj.id ] !finalized;
   Alcotest.(check bool) "a resurrected for this collection" true
     (Store.mem store a.Heap_obj.id);
@@ -176,7 +187,7 @@ let test_finalizer_resurrection () =
   ignore (collect_base store roots);
   Collector.resurrect_finalizables store ~stats ~on_finalize:(fun o ->
       finalized := o.Heap_obj.id :: !finalized);
-  Collector.sweep store ~stats;
+  sweep store ~stats;
   Alcotest.(check int) "finalizer ran once" 1 (List.length !finalized);
   Alcotest.(check int) "both reclaimed" 0 (Store.object_count store)
 

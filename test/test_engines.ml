@@ -2,37 +2,41 @@
    collections, driven through the engine record alone, must leave every
    engine's heap in the same state — same claimed bytes, same survivors,
    same poisoned words, same recycled identifiers, same counters. The
-   suite instantiates one scenario per engine (sequential, parallel on 2
-   domains, incremental at an 8-object slice budget) and compares the
-   full summaries against the sequential baseline, plus the incremental
+   suite instantiates one scenario per engine (single-domain with no
+   budget and at 1- and 8-object budgets, parallel and sliced-parallel
+   on 2 domains with and without stealing) and compares the full
+   summaries against the reference collector, plus the budgeted
    engine's own machinery: slicing under a tiny budget and the
    mutation-log replay that would make concurrent slices sound. *)
 
 open Lp_heap
 
+let inc ?slice_budget () = Inc_engine.engine (Inc_engine.create ?slice_budget ())
+
+(* [dense] deals one object per packet with no inline threshold, so
+   every round goes to the deques and cross-worker stealing (or, with
+   [steal] off, the legacy shared-counter claim) is as dense as the
+   engine can make it. *)
+let par ?slice_budget ?(dense = false) ?steal () =
+  let packet_size, inline_threshold = if dense then (Some 1, Some 1) else (None, None) in
+  Lp_par.Par_engine.engine
+    (Lp_par.Par_engine.create ?packet_size ?inline_threshold ?steal
+       ?slice_budget
+       (Lp_par.Domain_pool.create ~domains:2))
+
+(* Every engine the VM can build, against the reference collector. *)
 let factories =
   [
-    ("seq", fun () -> Trace_engine.sequential ());
-    ( "par2",
-      fun () ->
-        Lp_par.Par_engine.engine
-          (Lp_par.Par_engine.create (Lp_par.Domain_pool.create ~domains:2)) );
-    ("inc8", fun () -> Inc_engine.engine (Inc_engine.create ~slice_budget:8 ()));
-    (* steal-heavy: one object per packet and no inline threshold, so
-       every round is dealt to the deques and cross-worker stealing is
-       as dense as the engine can make it *)
-    ( "par2s",
-      fun () ->
-        Lp_par.Par_engine.engine
-          (Lp_par.Par_engine.create ~packet_size:1 ~inline_threshold:1
-             (Lp_par.Domain_pool.create ~domains:2)) );
-    (* same schedule pressure with the legacy shared-counter claim *)
-    ( "par2ns",
-      fun () ->
-        Lp_par.Par_engine.engine
-          (Lp_par.Par_engine.create ~packet_size:1 ~inline_threshold:1
-             ~steal:false
-             (Lp_par.Domain_pool.create ~domains:2)) );
+    ("ref", Reference_collector.engine);
+    ("seq", fun () -> inc ());
+    ("inc1", fun () -> inc ~slice_budget:1 ());
+    ("inc8", fun () -> inc ~slice_budget:8 ());
+    ("par2", fun () -> par ());
+    ("par2s", fun () -> par ~dense:true ());
+    ("par2ns", fun () -> par ~dense:true ~steal:false ());
+    ("bsp2", fun () -> par ~slice_budget:8 ());
+    ("bsp2s", fun () -> par ~slice_budget:8 ~dense:true ());
+    ("bsp2ns", fun () -> par ~slice_budget:8 ~dense:true ~steal:false ());
   ]
 
 let build_store () = Store.create ~limit_bytes:1_000_000
@@ -133,7 +137,7 @@ let test_conformance () =
   let (candidates, claimed, after_select), (poisoned, word_poisoned, _), _, _ =
     baseline
   in
-  (* absolute checks on the sequential baseline, so the cross-engine
+  (* absolute checks on the reference baseline, so the cross-engine
      equality below cannot vacuously pass on a broken scenario *)
   Alcotest.(check int) "one deferred candidate" 1 candidates;
   Alcotest.(check int) "select swept only the plain garbage" 4
@@ -148,7 +152,7 @@ let test_conformance () =
       Alcotest.(check bool)
         (Printf.sprintf
            "%s: claimed bytes, survivors, poisoned words, recycled ids and \
-            counters all match seq"
+            counters all match the reference"
            name)
         true
         (summary = baseline))
@@ -156,8 +160,8 @@ let test_conformance () =
   Alcotest.(check int) "no leaked domains" 0 (Lp_par.Domain_pool.active_count ())
 
 (* A one-object budget must slice a multi-object heap many times, never
-   scan more than one object per slice, and still mark exactly what the
-   sequential engine marks. *)
+   scan more than one object per slice, and still mark every reachable
+   object. *)
 let test_inc_slicing_respects_budget () =
   let inc = Inc_engine.create ~slice_budget:1 () in
   let e = Inc_engine.engine inc in
@@ -198,7 +202,8 @@ let test_inc_slicing_respects_budget () =
    engine, shut down at the boundary, exactly like Vm.switch_engine),
    and mutates the surviving graph between collections. The full
    observable state — live ids, object counts, counters — must match
-   between the seq -> inc -> par schedule and every fixed schedule. *)
+   the reference collector's, for the seq -> inc -> par schedule and
+   for every engine run fixed. *)
 let run_switch_scenario ~seed schedule =
   let rng = Random.State.make [| seed |] in
   let store = build_store () in
@@ -255,48 +260,34 @@ let run_switch_scenario ~seed schedule =
     schedule
 
 let test_engine_switch_conformance () =
-  let seq () = Trace_engine.sequential () in
-  let par () =
-    Lp_par.Par_engine.engine
-      (Lp_par.Par_engine.create (Lp_par.Domain_pool.create ~domains:2))
-  in
-  let inc () = Inc_engine.engine (Inc_engine.create ~slice_budget:8 ()) in
-  let bsp () =
-    Lp_par.Par_engine.engine
-      (Lp_par.Par_engine.create ~slice_budget:8
-         (Lp_par.Domain_pool.create ~domains:2))
-  in
-  (* steal-saturated variants: single-object packets, no inline
-     threshold, so the swap seam is crossed with deques in full use *)
-  let par_s () =
-    Lp_par.Par_engine.engine
-      (Lp_par.Par_engine.create ~packet_size:1 ~inline_threshold:1
-         (Lp_par.Domain_pool.create ~domains:2))
-  in
-  let bsp_s () =
-    Lp_par.Par_engine.engine
-      (Lp_par.Par_engine.create ~packet_size:1 ~inline_threshold:1
-         ~slice_budget:8
-         (Lp_par.Domain_pool.create ~domains:2))
-  in
+  let seq = List.assoc "seq" factories
+  and inc8 = List.assoc "inc8" factories
+  and par2 = List.assoc "par2" factories
+  and par_s = List.assoc "par2s" factories
+  and bsp_s = List.assoc "bsp2s" factories in
   for seed = 1 to 25 do
-    let mixed = run_switch_scenario ~seed [ seq; inc; par ] in
+    let reference =
+      run_switch_scenario ~seed
+        [ Reference_collector.engine; Reference_collector.engine;
+          Reference_collector.engine ]
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: seq->inc->par matches the reference" seed)
+      true
+      (run_switch_scenario ~seed [ seq; inc8; par2 ] = reference);
     List.iter
       (fun (name, fixed) ->
         Alcotest.(check bool)
-          (Printf.sprintf "seed %d: seq->inc->par matches all-%s" seed name)
+          (Printf.sprintf "seed %d: all-%s matches the reference" seed name)
           true
-          (run_switch_scenario ~seed [ fixed; fixed; fixed ] = mixed))
-      [
-        ("seq", seq); ("inc", inc); ("par", par); ("bsp", bsp);
-        ("par-steal", par_s); ("bsp-steal", bsp_s);
-      ];
+          (run_switch_scenario ~seed [ fixed; fixed; fixed ] = reference))
+      (List.tl factories);
     (* a schedule that hops between stealing and non-stealing parallel
        engines mid-run must also land on the same state *)
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: par-steal->seq->bsp-steal matches" seed)
       true
-      (run_switch_scenario ~seed [ par_s; seq; bsp_s ] = mixed)
+      (run_switch_scenario ~seed [ par_s; seq; bsp_s ] = reference)
   done;
   Alcotest.(check int) "no leaked domains" 0 (Lp_par.Domain_pool.active_count ())
 

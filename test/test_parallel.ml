@@ -236,8 +236,8 @@ let test_differential_oracle () =
         ~trace_capacity:65_536 ~seed ()
     in
     let run_inc budget =
-      Lp_harness.Chaos.run_one ~gc_engine:Lp_core.Config.Incremental
-        ~gc_slice_budget:budget ~trace_capacity:65_536 ~seed ()
+      Lp_harness.Chaos.run_one ~gc_slice_budget:budget ~trace_capacity:65_536
+        ~seed ()
     in
     let r1 = run ~gc_steal:true 1 in
     (* every pooled width, stealing and legacy claim both; the stealing

@@ -183,6 +183,29 @@ let test_work_rejects_negative () =
   Alcotest.check_raises "negative work" (Invalid_argument "Vm.work") (fun () ->
       Vm.work vm (-1))
 
+(* Without a slice budget each collection is one pause: the engine
+   reports no slices, so the VM records exactly one Monolithic sample
+   per collection, and the engine publishes no write hook, so the
+   barrier makes no extra call. *)
+let test_unbudgeted_collection_is_one_pause () =
+  let vm = make_vm () in
+  let engine = Lp_core.Controller.engine (Vm.controller vm) in
+  Alcotest.(check string) "the single-domain engine" "seq"
+    engine.Trace_engine.name;
+  Alcotest.(check bool) "no write hook" true
+    (engine.Trace_engine.note_mutation = None);
+  let a = Vm.statics vm ~class_name:"Root" ~n_fields:1 in
+  Mutator.write_obj vm a 0 (Vm.alloc vm ~class_name:"B" ~n_fields:0 ());
+  for _ = 1 to 5 do
+    Vm.run_gc vm
+  done;
+  Alcotest.(check (list string)) "one Monolithic sample per collection"
+    (List.init (Vm.gc_count vm) (fun _ -> "monolithic"))
+    (List.map
+       (fun (ph, _) -> Trace_engine.pause_phase_name ph)
+       (Vm.pause_samples vm));
+  Alcotest.(check int) "five collections" 5 (Vm.gc_count vm)
+
 let suite =
   ( "vm_mutator",
     [
@@ -204,4 +227,6 @@ let suite =
       Alcotest.test_case "strict finalizer mode" `Quick
         test_strict_finalizers_stop_after_prune;
       Alcotest.test_case "work validation" `Quick test_work_rejects_negative;
+      Alcotest.test_case "no slice budget: one Monolithic pause per collection"
+        `Quick test_unbudgeted_collection_is_one_pause;
     ] )
