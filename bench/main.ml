@@ -10,7 +10,8 @@
                            (writes bench/out/BENCH_resurrection.json,
                            plus the historical root copy)
      main.exe obs          measure the cost of the disabled observability
-                           hooks (writes bench/out/BENCH_obs_overhead.json)
+                           hooks (writes bench/out/BENCH_obs_overhead.json,
+                           plus a root copy)
      main.exe obs-gate     same measurement; exit 1 if overhead > 3%
      main.exe fleet        run the multi-tenant fleet chaos scenario
                            (writes bench/out/BENCH_fleet.json, plus a
@@ -331,8 +332,10 @@ let run_resurrection_bench () =
 (* Disabled-observability overhead: DESIGN.md budgets the event hooks at
    ≤ 3% on the barrier paths when no sink is attached.  [baseline_read]
    replicates the pre-observability Mutator.read from public APIs only —
-   the same charges, the same word tests, the same cold-path bookkeeping,
-   minus the [match Vm.sink vm with None -> ()] guards — and both
+   the same charges, the same word tests, the same lookups
+   ([Vm.assert_live] and [Store.find] against [Store.sentinel]), the
+   same cold-path bookkeeping, minus the [match Vm.sink vm with None ->
+   ()] guards — and both
    variants run the identical read loop.  Medians over interleaved
    samples keep one scheduling hiccup from deciding the comparison. *)
 
@@ -373,9 +376,9 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     baseline_charge_barrier vm
       (cost.Cost.barrier_cold + cost.Cost.barrier_poison_check);
     let tgt_class () =
-      match Store.get_opt (Vm.store vm) (Word.target w) with
-      | Some obj -> Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
-      | None -> "<reclaimed>"
+      let obj = Store.find (Vm.store vm) (Word.target w) in
+      if obj == Store.sentinel then "<reclaimed>"
+      else Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
     in
     if not (Vm.resurrection_enabled vm) then
       raise
@@ -401,19 +404,17 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     end
   end
   else begin
-    let tgt =
-      match Store.get_opt (Vm.store vm) (Word.target w) with
-      | Some tgt -> tgt
-      | None ->
-        src.Heap_obj.fields.(i) <- Word.poison w;
-        let stats = Vm.stats vm in
-        stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
-        raise
-          (Lp_core.Errors.heap_corruption
-             ~src_class:
-               (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-             ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
-    in
+    let tgt = Store.find (Vm.store vm) (Word.target w) in
+    if tgt == Store.sentinel then begin
+      src.Heap_obj.fields.(i) <- Word.poison w;
+      let stats = Vm.stats vm in
+      stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
+      raise
+        (Lp_core.Errors.heap_corruption
+           ~src_class:
+             (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+           ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
+    end;
     if Word.untouched w then begin
       baseline_charge_barrier vm cost.Cost.barrier_cold;
       src.Heap_obj.fields.(i) <- Word.clear_untouched w;
@@ -560,6 +561,8 @@ let run_obs_overhead_bench ~gate () =
   in
   let path = out_path "BENCH_obs_overhead.json" in
   write_file path json;
+  (* root copy, like BENCH_resurrection.json *)
+  write_file "BENCH_obs_overhead.json" json;
   Lp_harness.Render.table
     ~columns:[ "path"; "baseline ns/read"; "instrumented ns/read"; "overhead" ]
     ~rows:
@@ -581,7 +584,7 @@ let run_obs_overhead_bench ~gate () =
     "sink guard: %+.2f ns per cold read (%.2f%% of the cold path); mixed-stream \
      overhead %.2f%% (budget %.1f%%)\n"
     guard_ns guard_cold_pct mixed_pct budget;
-  Printf.printf "wrote %s\n" path;
+  Printf.printf "wrote %s (and root copy BENCH_obs_overhead.json)\n" path;
   if gate then
     if pass then
       Printf.printf "obs-gate: PASS (%.2f%% <= %.1f%%)\n" mixed_pct budget

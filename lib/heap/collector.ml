@@ -50,8 +50,8 @@ let resurrect_finalizables store ~stats ~on_finalize =
     for i = 0 to Array.length fields - 1 do
       let w = fields.(i) in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
-        match Store.get_opt store (Word.target w) with
-        | None -> Trace_common.quarantine stats fields i
-        | Some tgt -> mark_live tgt
+        let tgt = Store.find store (Word.target w) in
+        if tgt == Store.sentinel then Trace_common.quarantine stats fields i
+        else mark_live tgt
     done
   done

@@ -152,12 +152,13 @@ let mark t ?edge_note ?apply_note store roots ~stats
     let replay_log () =
       if Remset.cardinality s.log > 0 then begin
         Remset.iter s.log (fun ~src_id ~field ->
-            match Store.get_opt store src_id with
-            | Some src when Header.marked src.Heap_obj.header ->
+            (* the sentinel is never marked *)
+            let src = Store.find store src_id in
+            if Header.marked src.Heap_obj.header then begin
               t.replays <- t.replays + 1;
               Trace_common.scan_field store stats ~config ~note ~on_trace
                 ~deferred src field
-            | Some _ | None -> ());
+            end);
         Remset.clear s.log
       end
     in
@@ -165,7 +166,7 @@ let mark t ?edge_note ?apply_note store roots ~stats
     run_slices t s store stats ~config ~note ~on_trace ~deferred
       ~after_slice:replay_log stack;
     s.marking <- false);
-  Trace_common.flush_ticks stats config.stale_tick_gc batch;
+  Trace_common.flush_ticks store stats config.stale_tick_gc batch;
   List.rev !deferred
 
 (* The stale closure traces everything (no filter), but additionally

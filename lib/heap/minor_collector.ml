@@ -16,26 +16,26 @@ let collect ?events ?(number = 0) ?drain store roots ~remset =
   let queue = Work_queue.create () in
   let slots_scanned = ref 0 in
   let consider id =
-    if not (Store.mem store id) then ()
-    else
-      let obj = Store.get store id in
-      if
-        Header.in_nursery obj.Heap_obj.header
-        && not (Header.marked obj.Heap_obj.header)
-      then begin
-        obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
-        Work_queue.push queue obj.Heap_obj.id
-      end
+    (* a miss finds the sentinel, which is never in the nursery *)
+    let obj = Store.find store id in
+    if
+      Header.in_nursery obj.Heap_obj.header
+      && not (Header.marked obj.Heap_obj.header)
+    then begin
+      obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
+      Work_queue.push queue obj.Heap_obj.id
+    end
   in
   Roots.iter roots consider;
   Remset.iter remset (fun ~src_id ~field ->
       incr slots_scanned;
-      match Store.get_opt store src_id with
-      | None -> ()  (* the source died in an earlier full collection *)
-      | Some src ->
+      let src = Store.find store src_id in
+      (* a miss: the source died in an earlier full collection *)
+      if src != Store.sentinel then begin
         let w = src.Heap_obj.fields.(field) in
         if (not (Word.is_null w)) && not (Word.poisoned w) then
-          consider (Word.target w));
+          consider (Word.target w)
+      end);
   (match drain with
   | Some f ->
     (* Parallel path: hand the marked seed set to the external drain

@@ -2,8 +2,22 @@ exception Heap_full of { requested : int; used : int; limit : int }
 
 exception Dangling_reference of int
 
+(* The one object every empty slot holds. Id 0 is never allocated, so
+   no slot index maps to it and [is_live sentinel] is false. Callers
+   only ever get it as [find]'s miss, to compare against with [==]. *)
+let sentinel =
+  {
+    Heap_obj.id = 0;
+    class_id = -1;
+    header = Header.empty;
+    fields = [||];
+    scalar_bytes = 0;
+    size_bytes = 0;
+  }
+
 type t = {
-  mutable slots : Heap_obj.t option array;  (* index = id - 1 *)
+  mutable slots : Heap_obj.t array;
+      (* index = id - 1; an empty slot holds [sentinel] *)
   mutable next_id : int;
   mutable free_ids : int array;
       (* ring buffer of recycled ids, FIFO: [free_len] ids from
@@ -24,7 +38,7 @@ let create_at ~first_id ~limit_bytes =
   if limit_bytes <= 0 then invalid_arg "Store.create";
   if first_id < 1 then invalid_arg "Store.create_at: first_id must be >= 1";
   {
-    slots = Array.make (max 1024 first_id) None;
+    slots = Array.make (max 1024 first_id) sentinel;
     next_id = first_id;
     free_ids = Array.make 64 0;
     free_head = 0;
@@ -67,7 +81,7 @@ let would_overflow t n = t.used - t.swapped_out + n > t.limit
 
 let ensure_capacity t id =
   if id > Array.length t.slots then begin
-    let slots = Array.make (max (2 * Array.length t.slots) id) None in
+    let slots = Array.make (max (2 * Array.length t.slots) id) sentinel in
     Array.blit t.slots 0 slots 0 (Array.length t.slots);
     t.slots <- slots
   end
@@ -123,7 +137,7 @@ let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
       size_bytes = size;
     }
   in
-  t.slots.(id - 1) <- Some obj;
+  t.slots.(id - 1) <- obj;
   t.used <- t.used + size;
   t.count <- t.count + 1;
   t.total_allocated <- t.total_allocated + size;
@@ -133,24 +147,36 @@ let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
 let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
   alloc_generation t ~nursery:false ~class_id ~n_fields ~scalar_bytes ~finalizable
 
-let get_opt t id =
-  if id < 1 || id > Array.length t.slots then None else t.slots.(id - 1)
+(* [0 <= i < len] as one sign test: [i lor (len - 1 - i)] is negative
+   exactly when one of the two differences is. Both lookups below check
+   the bound this way and then load without a second check. *)
+let[@inline] in_bounds slots i = i lor (Array.length slots - 1 - i) >= 0
 
-let get t id =
-  match get_opt t id with Some obj -> obj | None -> raise (Dangling_reference id)
+let[@inline] find t id =
+  let i = id - 1 in
+  if in_bounds t.slots i then Array.unsafe_get t.slots i else sentinel
 
-let mem t id = get_opt t id <> None
+let[@inline] is_live t (obj : Heap_obj.t) =
+  let i = obj.Heap_obj.id - 1 in
+  in_bounds t.slots i && Array.unsafe_get t.slots i == obj
+
+let[@inline never] dangling id = raise (Dangling_reference id)
+
+let[@inline] get t id =
+  let obj = find t id in
+  if obj == sentinel then dangling id else obj
+
+let mem t id = find t id != sentinel
 
 let free t (obj : Heap_obj.t) =
-  match get_opt t obj.Heap_obj.id with
-  | Some live when live == obj ->
-    t.slots.(obj.Heap_obj.id - 1) <- None;
-    push_free_id t obj.Heap_obj.id;
-    t.used <- t.used - obj.Heap_obj.size_bytes;
-    if Header.in_nursery obj.Heap_obj.header then
-      t.nursery <- t.nursery - obj.Heap_obj.size_bytes;
-    t.count <- t.count - 1
-  | Some _ | None -> invalid_arg "Store.free: object is not live in this store"
+  if not (is_live t obj) then
+    invalid_arg "Store.free: object is not live in this store";
+  t.slots.(obj.Heap_obj.id - 1) <- sentinel;
+  push_free_id t obj.Heap_obj.id;
+  t.used <- t.used - obj.Heap_obj.size_bytes;
+  if Header.in_nursery obj.Heap_obj.header then
+    t.nursery <- t.nursery - obj.Heap_obj.size_bytes;
+  t.count <- t.count - 1
 
 let nursery_bytes t = t.nursery
 
@@ -164,19 +190,22 @@ let next_fresh_id t = t.next_id
 
 let iter_live t f =
   for i = 0 to t.next_id - 2 do
-    match t.slots.(i) with Some obj -> f obj | None -> ()
+    let obj = t.slots.(i) in
+    if obj != sentinel then f obj
   done
 
 let slot_count t = t.next_id - 1
 
 let iter_live_range t ~lo ~hi f =
   for i = lo to hi - 1 do
-    match t.slots.(i) with Some obj -> f obj | None -> ()
+    let obj = t.slots.(i) in
+    if obj != sentinel then f obj
   done
 
 let iter_live_range_desc t ~lo ~hi f =
   for i = hi - 1 downto lo do
-    match t.slots.(i) with Some obj -> f obj | None -> ()
+    let obj = t.slots.(i) in
+    if obj != sentinel then f obj
   done
 
 let total_allocated_bytes t = t.total_allocated

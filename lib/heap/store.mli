@@ -102,11 +102,26 @@ val promote : t -> Heap_obj.t -> unit
     bit and the nursery byte accounting; the object keeps its identity,
     as in a non-moving generational collector). *)
 
+val sentinel : Heap_obj.t
+(** The object every empty slot holds, and what {!find} returns on a
+    miss. It has id 0 (never allocated) and no fields; it is never
+    live, never yielded by the iterators, and {!free} rejects it.
+    Compare against it with [==] only. *)
+
+val find : t -> int -> Heap_obj.t
+(** [find t id] is the live object with identifier [id], or {!sentinel}
+    when there is none (id 0, negative, never allocated, or freed).
+    Allocates nothing. *)
+
+val is_live : t -> Heap_obj.t -> bool
+(** [is_live t obj] is true when [obj] itself occupies its identifier's
+    slot: false for a freed object, including one whose identifier has
+    since been recycled, and for {!sentinel}. One bounds check, one load
+    and a physical equality. *)
+
 val get : t -> int -> Heap_obj.t
 (** Dereference an object identifier.
     @raise Dangling_reference if no live object has this identifier. *)
-
-val get_opt : t -> int -> Heap_obj.t option
 
 val mem : t -> int -> bool
 

@@ -36,50 +36,24 @@ let tick stats gc obj =
    staleness; the final counters are unchanged because a tick depends
    only on the object's own counter and the collection number. This is
    the one shared home of that invariant — every engine funnels its
-   deferred ticks through here. The batch is a growable array that keeps
-   its capacity, so an engine-owned batch allocates nothing once grown.
-   It holds the objects themselves, so the flush needs no store lookup
-   (two dependent loads per ticked object, on every marked object of an
-   OBSERVE collection). Flushed cells are reset to a per-batch [filler]
-   object, so the batch never keeps a dead object's record alive. *)
-type tick_batch = {
-  mutable objs : Heap_obj.t array;  (* the first [len] cells are pending *)
-  mutable len : int;
-  filler : Heap_obj.t;
-}
+   deferred ticks through here. The batch is a buffer of object ids that
+   keeps its capacity, so an engine-owned batch allocates nothing once
+   grown. It holds ids, not the objects: the batch lives in OCaml's
+   major heap, so storing a recently allocated object record into it
+   would add an entry to OCaml's remembered set, and a full set forces
+   an OCaml minor collection inside the pause. The flush looks each id
+   up again: one bounds check and one load. *)
+type tick_batch = Work_queue.t
 
-let tick_batch () : tick_batch =
-  let filler =
-    {
-      Heap_obj.id = 0;
-      class_id = 0;
-      header = Header.empty;
-      fields = [||];
-      scalar_bytes = 0;
-      size_bytes = 0;
-    }
-  in
-  { objs = Array.make 256 filler; len = 0; filler }
+let tick_batch () : tick_batch = Work_queue.create ()
 
-let defer_tick (batch : tick_batch) ~(config : mark_config) obj =
-  if config.stale_tick_gc <> None then begin
-    if batch.len = Array.length batch.objs then begin
-      let objs = Array.make (2 * batch.len) batch.filler in
-      Array.blit batch.objs 0 objs 0 batch.len;
-      batch.objs <- objs
-    end;
-    batch.objs.(batch.len) <- obj;
-    batch.len <- batch.len + 1
-  end
+let defer_tick (batch : tick_batch) ~(config : mark_config) (obj : Heap_obj.t) =
+  if config.stale_tick_gc <> None then Work_queue.push batch obj.Heap_obj.id
 
-let clear_ticks (batch : tick_batch) =
-  Array.fill batch.objs 0 batch.len batch.filler;
-  batch.len <- 0
+let clear_ticks (batch : tick_batch) = Work_queue.clear batch
 
-let flush_ticks stats gc (batch : tick_batch) =
-  for i = 0 to batch.len - 1 do
-    tick stats gc batch.objs.(i)
-  done;
+let flush_ticks store stats gc (batch : tick_batch) =
+  Work_queue.iter batch (fun id -> tick stats gc (Store.get store id));
   clear_ticks batch
 
 type buffers = { stack : Work_queue.t; ticks : tick_batch }
@@ -128,9 +102,9 @@ let scan_field store stats ~(config : mark_config) ~note ~on_trace ~deferred
         end
         else w
       in
-      match Store.get_opt store (Word.target w) with
-      | None -> quarantine ~events:config.events stats fields i
-      | Some tgt -> (
+      let tgt = Store.find store (Word.target w) in
+      if tgt == Store.sentinel then quarantine ~events:config.events stats fields i
+      else begin
         (match note with
         | None -> ()
         | Some f -> f { src = obj; field = i; tgt });
@@ -164,7 +138,8 @@ let scan_field store stats ~(config : mark_config) ~note ~on_trace ~deferred
           | None -> ());
           fields.(i) <- Word.poison w;
           stats.Gc_stats.references_poisoned <-
-            stats.Gc_stats.references_poisoned + 1)
+            stats.Gc_stats.references_poisoned + 1
+      end
     end
   end
 

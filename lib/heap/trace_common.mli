@@ -49,8 +49,9 @@ type tick_batch
     order (DFS, sliced DFS, or BFS rounds). The final counters are
     unchanged because a tick depends only on the object's own counter
     and the collection number. Every engine defers through this one
-    helper. A batch keeps its capacity when flushed, so a reused batch
-    allocates nothing, and it drops its references to flushed objects. *)
+    helper. A batch holds object ids and keeps its capacity when
+    flushed, so a reused batch allocates nothing, and a collection's
+    ticks add nothing to OCaml's remembered set. *)
 
 val tick_batch : unit -> tick_batch
 
@@ -58,8 +59,9 @@ val defer_tick : tick_batch -> config:mark_config -> Heap_obj.t -> unit
 (** Enqueues [obj] for the end-of-phase tick iff [config.stale_tick_gc]
     is set; call at the point the object is marked. *)
 
-val flush_ticks : Gc_stats.t -> int option -> tick_batch -> unit
-(** Applies the batch in mark order and empties it. *)
+val flush_ticks : Store.t -> Gc_stats.t -> int option -> tick_batch -> unit
+(** Applies the batch in mark order, looking each id up in the store,
+    and empties it. *)
 
 val clear_ticks : tick_batch -> unit
 (** Drops the batch's pending ticks unapplied, keeping its capacity; an

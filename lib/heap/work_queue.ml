@@ -20,4 +20,9 @@ let is_empty t = t.len = 0
 
 let length t = t.len
 
+let iter t f =
+  for i = 0 to t.len - 1 do
+    f t.items.(i)
+  done
+
 let clear t = t.len <- 0

@@ -28,5 +28,9 @@ val is_empty : t -> bool
 
 val length : t -> int
 
+val iter : t -> (int -> unit) -> unit
+(** [iter t f] applies [f] to the ids held, oldest first, without
+    removing them. *)
+
 val clear : t -> unit
 (** Empties the queue, keeping its capacity. *)

@@ -290,11 +290,12 @@ let scan_packet store ~(config : Collector.mark_config) ~edge_note frontier
             end
             else w
           in
-          match Store.get_opt store (Word.target w) with
-          | None ->
+          let tgt = Store.find store (Word.target w) in
+          if tgt == Store.sentinel then begin
             buf_push p.quar (Word.target w);
             fields.(i) <- Word.poison w
-          | Some tgt -> (
+          end
+          else begin
             let edge = { Collector.src = obj; field = i; tgt } in
             (match edge_note with
             | None -> ()
@@ -314,7 +315,8 @@ let scan_packet store ~(config : Collector.mark_config) ~edge_note frontier
                 p.seal <- seal_step p.seal tgt.Heap_obj.id
               end
             | Collector.Defer -> p.deferred <- edge :: p.deferred
-            | Collector.Poison -> p.poisons <- edge :: p.poisons)
+            | Collector.Poison -> p.poisons <- edge :: p.poisons
+          end
         end
       end
     done
@@ -338,9 +340,8 @@ let recompute_disc store ~(config : Collector.mark_config) frontier (p : packet)
     for i = 0 to Array.length fields - 1 do
       let w = fields.(i) in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
-        match Store.get_opt store (Word.target w) with
-        | None -> ()
-        | Some tgt -> (
+        let tgt = Store.find store (Word.target w) in
+        if tgt != Store.sentinel then begin
           let action =
             match config.Collector.edge_filter with
             | None -> Collector.Trace
@@ -350,7 +351,8 @@ let recompute_disc store ~(config : Collector.mark_config) frontier (p : packet)
           | Collector.Trace ->
             if not (Header.marked tgt.Heap_obj.header) then
               buf_push disc tgt.Heap_obj.id
-          | Collector.Defer | Collector.Poison -> ())
+          | Collector.Defer | Collector.Poison -> ()
+        end
     done
   done;
   disc
@@ -633,7 +635,7 @@ let mark t ~gc ?edge_note ?apply_note store roots ~stats ~config =
   run_closure t store ~gc ~config ~edge_note ~apply_note ~stats
     ~claim:(Claim_mark batch) ~deferred_acc:deferred ~shards:t.work_shards
     frontier;
-  Trace_common.flush_ticks stats config.Collector.stale_tick_gc batch;
+  Trace_common.flush_ticks store stats config.Collector.stale_tick_gc batch;
   emit_worker_spans ~gc ~phase:"mark" ~events:config.Collector.events
     t.work_shards;
   emit_steal_spans t ~gc ~phase:"steal:mark" ~events:config.Collector.events;
@@ -790,13 +792,15 @@ let minor_drain t store ~queue ~slots_scanned =
         slots_scanned := !slots_scanned + p.fields_scanned;
         for j = 0 to p.disc.len - 1 do
           let id = p.disc.a.(j) in
-          match Store.get_opt store id with
-          | Some obj
-            when Header.in_nursery obj.Heap_obj.header
-                 && not (Header.marked obj.Heap_obj.header) ->
+          (* a miss finds the sentinel, which is never in the nursery *)
+          let obj = Store.find store id in
+          if
+            Header.in_nursery obj.Heap_obj.header
+            && not (Header.marked obj.Heap_obj.header)
+          then begin
             obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
             buf_push next obj.Heap_obj.id
-          | Some _ | None -> ()
+          end
         done)
       packets
   in

@@ -371,10 +371,10 @@ let heap_check ?(strict = false) vm =
     let disk_total = ref 0 in
     Diskswap.iter_resident swap (fun ~id ~bytes ->
         disk_total := !disk_total + bytes;
-        match Store.get_opt store id with
-        | None ->
+        let obj = Store.find store id in
+        if obj == Store.sentinel then
           fail (Printf.sprintf "disk-resident object %d is not live" id)
-        | Some obj ->
+        else begin
           if obj.Heap_obj.size_bytes <> bytes then
             fail
               (Printf.sprintf
@@ -383,7 +383,8 @@ let heap_check ?(strict = false) vm =
           if strict && not (Header.on_disk obj.Heap_obj.header) then
             fail
               (Printf.sprintf
-                 "disk-resident object %d lacks the on-disk header bit" id));
+                 "disk-resident object %d lacks the on-disk header bit" id)
+        end);
     if !disk_total <> Diskswap.resident_bytes swap then
       fail
         (Printf.sprintf "disk accounting: entries sum to %d, disk reports %d"
@@ -399,10 +400,9 @@ let heap_check ?(strict = false) vm =
      field in bounds (full collections clear the set; minor collections
      free only nursery objects, never a remset source, which is mature). *)
   Remset.iter (Vm.remset vm) (fun ~src_id ~field ->
-      match Store.get_opt store src_id with
-      | None -> fail (Printf.sprintf "remset source %d is not live" src_id)
-      | Some obj ->
-        if field < 0 || field >= Array.length obj.Heap_obj.fields then
-          fail
-            (Printf.sprintf "remset entry %d.%d is out of bounds" src_id field));
+      let obj = Store.find store src_id in
+      if obj == Store.sentinel then
+        fail (Printf.sprintf "remset source %d is not live" src_id)
+      else if field < 0 || field >= Array.length obj.Heap_obj.fields then
+        fail (Printf.sprintf "remset entry %d.%d is out of bounds" src_id field));
   match !error with None -> Ok () | Some msg -> Error msg

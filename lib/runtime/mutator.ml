@@ -61,9 +61,9 @@ let read vm (src : Heap_obj.t) i =
     | None -> ()
     | Some s -> emit_poison_trap s src i (Word.target w));
     let tgt_class () =
-      match Store.get_opt (Vm.store vm) (Word.target w) with
-      | Some obj -> Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
-      | None -> "<reclaimed>"
+      let obj = Store.find (Vm.store vm) (Word.target w) in
+      if obj == Store.sentinel then "<reclaimed>"
+      else Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
     in
     if not (Vm.resurrection_enabled vm) then
       raise
@@ -101,21 +101,19 @@ let read vm (src : Heap_obj.t) i =
     end
   end
   else begin
-    let tgt =
-      match Store.get_opt (Vm.store vm) (Word.target w) with
-      | Some tgt -> tgt
-      | None ->
-        (* Corrupt (dangling) reference word: quarantine it — poison the
-           slot so later loads take the deterministic poisoned-access
-           path — and surface a structured error instead of crashing. *)
-        src.Heap_obj.fields.(i) <- Word.poison w;
-        let stats = Vm.stats vm in
-        stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
-        raise
-          (Lp_core.Errors.heap_corruption
-             ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-             ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
-    in
+    let tgt = Store.find (Vm.store vm) (Word.target w) in
+    if tgt == Store.sentinel then begin
+      (* Corrupt (dangling) reference word: quarantine it — poison the
+         slot so later loads take the deterministic poisoned-access
+         path — and surface a structured error instead of crashing. *)
+      src.Heap_obj.fields.(i) <- Word.poison w;
+      let stats = Vm.stats vm in
+      stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
+      raise
+        (Lp_core.Errors.heap_corruption
+           ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+           ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
+    end;
     if Word.untouched w then begin
       (* Out-of-line cold path: first use of this reference since the last
          collection scanned it. *)
@@ -172,9 +170,8 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
     for i = dst_pos to dst_pos + len - 1 do
       let w = dst.Heap_obj.fields.(i) in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
-        match Store.get_opt (Vm.store vm) (Word.target w) with
-        | Some tgt -> Vm.remember_write vm ~src:dst ~field:i ~tgt
-        | None -> ()
+        let tgt = Store.find (Vm.store vm) (Word.target w) in
+        if tgt != Store.sentinel then Vm.remember_write vm ~src:dst ~field:i ~tgt
     done
 
 let field_is_poisoned vm (src : Heap_obj.t) i =

@@ -49,10 +49,9 @@ let capture store (obj : Heap_obj.t) =
       (fun w ->
         if Word.is_null w then { word = Word.null; referent_class = -1 }
         else
+          let tgt = Store.find store (Word.target w) in
           let referent_class =
-            match Store.get_opt store (Word.target w) with
-            | Some tgt -> tgt.Heap_obj.class_id
-            | None -> -1
+            if tgt == Store.sentinel then -1 else tgt.Heap_obj.class_id
           in
           { word = w; referent_class })
       obj.Heap_obj.fields

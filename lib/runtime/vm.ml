@@ -417,10 +417,13 @@ let used_bytes t = Store.used_bytes t.store
 
 let heap_limit t = Store.limit_bytes t.store
 
-let assert_live t (obj : Heap_obj.t) =
-  match Store.get_opt t.store obj.Heap_obj.id with
-  | Some live when live == obj -> ()
-  | Some _ | None -> raise (Store.Dangling_reference obj.Heap_obj.id)
+(* The raise lives out of line so the check itself inlines into the
+   barriers: a bounds test, one load and a physical equality. *)
+let[@inline never] dangling (obj : Heap_obj.t) =
+  raise (Store.Dangling_reference obj.Heap_obj.id)
+
+let[@inline] assert_live t (obj : Heap_obj.t) =
+  if not (Store.is_live t.store obj) then dangling obj
 
 let run_finalizer t (obj : Heap_obj.t) =
   match Hashtbl.find_opt t.finalizers obj.Heap_obj.id with
@@ -472,8 +475,9 @@ let capture_images t ~doomed ~poisoned =
     match Queue.take_opt queue with
     | None -> ()
     | Some id ->
-      (match Store.get_opt t.store id with
-      | Some obj when not (Header.marked obj.Heap_obj.header) ->
+      let obj = Store.find t.store id in
+      if obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
+      then begin
         if not (Diskswap.has_image t.swap id) then
           Diskswap.store_image t.swap ~id
             (Swap_image.encode (Swap_image.capture t.store obj));
@@ -482,7 +486,7 @@ let capture_images t ~doomed ~poisoned =
           (fun w ->
             if not (Word.is_null w) then enqueue_ref t seen queue (Word.target w))
           obj.Heap_obj.fields
-      | Some _ | None -> ());
+      end;
       drain ()
   in
   drain ()
@@ -913,12 +917,13 @@ let try_resurrect t (src : Heap_obj.t) ~field =
                    | None ->
                      if Diskswap.has_image t.swap tid then repoison tid
                      else (
-                       match Store.get_opt t.store tid with
-                       | Some tobj
-                         when tobj.Heap_obj.class_id
-                              = f.Swap_image.referent_class ->
-                         Word.of_id tid
-                       | Some _ | None -> repoison tid)
+                       let tobj = Store.find t.store tid in
+                       if
+                         tobj != Store.sentinel
+                         && tobj.Heap_obj.class_id
+                            = f.Swap_image.referent_class
+                       then Word.of_id tid
+                       else repoison tid)
                  end))
             image.Swap_image.fields;
           Heap_obj.set_stale obj image.Swap_image.stale;

@@ -26,7 +26,7 @@ let mark ?edge_note ?apply_note ~(buffers : Trace_common.buffers) store roots
     Trace_common.scan_object store stats ~config ~note ~on_trace ~deferred
       (Store.get store (Work_queue.pop stack))
   done;
-  Trace_common.flush_ticks stats config.Trace_common.stale_tick_gc batch;
+  Trace_common.flush_ticks store stats config.Trace_common.stale_tick_gc batch;
   List.rev !deferred
 
 let stale_closure ?events ~(buffers : Trace_common.buffers) store ~stats

@@ -137,6 +137,106 @@ let prop_free_ids_fifo =
           end)
         ops)
 
+(* The sentinel is the store's only miss value: it must come back from
+   every failed lookup and from nowhere else. *)
+
+let alloc8 store =
+  Store.alloc store ~class_id:0 ~n_fields:1 ~scalar_bytes:8 ~finalizable:false
+
+let test_find_misses () =
+  let store = Store.create ~limit_bytes:10_000 in
+  let a = alloc8 store in
+  let b = alloc8 store in
+  Store.free store b;
+  let miss id =
+    Alcotest.(check bool)
+      (Printf.sprintf "find %d is the sentinel" id)
+      true
+      (Store.find store id == Store.sentinel)
+  in
+  List.iter miss
+    [ 0; -1; -5; min_int; b.Heap_obj.id; Store.slot_count store + 1;
+      Store.slot_count store + 5_000; max_int ];
+  Alcotest.(check bool) "find hits a live id" true
+    (Store.find store a.Heap_obj.id == a);
+  Alcotest.(check bool) "mem agrees on a miss" false
+    (Store.mem store b.Heap_obj.id);
+  Alcotest.check_raises "get raises on a miss" (Store.Dangling_reference 0)
+    (fun () -> ignore (Store.get store 0))
+
+let test_iterators_skip_sentinel () =
+  let store = Store.create ~limit_bytes:100_000 in
+  let objs = Array.init 40 (fun _ -> alloc8 store) in
+  Array.iteri (fun i o -> if i mod 3 = 0 then Store.free store o) objs;
+  let check name iter =
+    let n = ref 0 in
+    iter (fun (o : Heap_obj.t) ->
+        incr n;
+        if o == Store.sentinel then Alcotest.failf "%s yielded the sentinel" name;
+        if not (Store.is_live store o) then
+          Alcotest.failf "%s yielded a dead object" name);
+    Alcotest.(check int) (name ^ " count") (Store.object_count store) !n
+  in
+  let hi = Store.slot_count store in
+  check "iter_live" (Store.iter_live store);
+  check "iter_live_range" (Store.iter_live_range store ~lo:0 ~hi);
+  check "iter_live_range_desc" (Store.iter_live_range_desc store ~lo:0 ~hi)
+
+let test_free_sentinel_rejected () =
+  let store = Store.create ~limit_bytes:1_000 in
+  ignore (alloc8 store);
+  Alcotest.check_raises "free sentinel"
+    (Invalid_argument "Store.free: object is not live in this store") (fun () ->
+      Store.free store Store.sentinel);
+  Alcotest.(check bool) "sentinel is never live" false
+    (Store.is_live store Store.sentinel)
+
+let test_is_live_recycled () =
+  let store = Store.create ~limit_bytes:1_000 in
+  let old = alloc8 store in
+  Alcotest.(check bool) "live while allocated" true (Store.is_live store old);
+  Store.free store old;
+  let fresh = alloc8 store in
+  Alcotest.(check int) "identifier recycled" old.Heap_obj.id fresh.Heap_obj.id;
+  Alcotest.(check bool) "stale record is not live" false
+    (Store.is_live store old);
+  Alcotest.(check bool) "new occupant is live" true (Store.is_live store fresh)
+
+let prop_find_iff_live =
+  (* Random alloc/free sequences: [find t o.id == o] exactly for the
+     objects still live, and every other probed id misses. *)
+  QCheck.Test.make ~name:"store: find returns an object exactly when it is live"
+    ~count:200
+    QCheck.(list (pair bool small_nat))
+    (fun ops ->
+      let store = Store.create ~limit_bytes:max_int in
+      let live = ref [] and dead = ref [] in
+      List.iter
+        (fun (do_alloc, n) ->
+          if do_alloc || !live = [] then live := alloc8 store :: !live
+          else begin
+            let k = n mod List.length !live in
+            let victim = List.nth !live k in
+            Store.free store victim;
+            live := List.filter (fun o -> o != victim) !live;
+            dead := victim :: !dead
+          end)
+        ops;
+      let live_ok (o : Heap_obj.t) =
+        Store.find store o.Heap_obj.id == o && Store.is_live store o
+      in
+      let dead_ok (o : Heap_obj.t) =
+        Store.find store o.Heap_obj.id != o && not (Store.is_live store o)
+      in
+      let misses_ok =
+        List.for_all
+          (fun id ->
+            let o = Store.find store id in
+            (o == Store.sentinel) = not (List.exists (fun l -> l == o) !live))
+          (List.init (Store.slot_count store + 3) (fun i -> i - 1))
+      in
+      List.for_all live_ok !live && List.for_all dead_ok !dead && misses_ok)
+
 let suite =
   ( "store",
     [
@@ -148,4 +248,12 @@ let suite =
       Alcotest.test_case "iter_live order" `Quick test_iter_live_order;
       QCheck_alcotest.to_alcotest prop_accounting_invariant;
       QCheck_alcotest.to_alcotest prop_free_ids_fifo;
+      Alcotest.test_case "find misses return the sentinel" `Quick test_find_misses;
+      Alcotest.test_case "iterators never yield the sentinel" `Quick
+        test_iterators_skip_sentinel;
+      Alcotest.test_case "free of the sentinel rejected" `Quick
+        test_free_sentinel_rejected;
+      Alcotest.test_case "is_live false after id recycling" `Quick
+        test_is_live_recycled;
+      QCheck_alcotest.to_alcotest prop_find_iff_live;
     ] )
