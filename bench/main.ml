@@ -75,10 +75,10 @@ let test_alloc =
            (Lp_runtime.Vm.alloc vm ~class_name:"Micro$Alloc" ~scalar_bytes:32
               ~n_fields:2 ())))
 
-let test_full_gc =
-  let vm = Lp_runtime.Vm.create ~heap_bytes:4_000_000 () in
+(* A VM holding a 2000-object list to trace. *)
+let list_vm ?config () =
+  let vm = Lp_runtime.Vm.create ?config ~heap_bytes:4_000_000 () in
   let statics = Lp_runtime.Vm.statics vm ~class_name:"GcMicro" ~n_fields:1 in
-  (* a 2000-object list to trace *)
   for _i = 1 to 2000 do
     Lp_runtime.Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node =
@@ -91,7 +91,23 @@ let test_full_gc =
         | None -> ());
         Lp_runtime.Mutator.write_obj vm statics 0 node)
   done;
+  vm
+
+let test_full_gc =
+  let vm = list_vm () in
   Test.make ~name:"fig7/full-heap-collection-2k-objects"
+    (Staged.stage (fun () -> Lp_runtime.Vm.run_gc vm))
+
+(* The same heap held in OBSERVE, so every collection ticks every live
+   object and sets the untouched bit of every reference it scans (the
+   read barrier never clears them here, so the bits stay set and each
+   scan takes the already-set path, as in a steady OBSERVE run). *)
+let test_full_gc_observe =
+  let config =
+    Lp_core.Config.make ~force_state:Lp_core.State_kind.Observe ()
+  in
+  let vm = list_vm ~config () in
+  Test.make ~name:"fig7/full-heap-collection-2k-objects-observe"
     (Staged.stage (fun () -> Lp_runtime.Vm.run_gc vm))
 
 let test_edge_table =
@@ -134,6 +150,7 @@ let microbenches =
       test_barrier_cold;
       test_alloc;
       test_full_gc;
+      test_full_gc_observe;
       test_edge_table;
       test_selection_scan;
       test_compile;

@@ -33,9 +33,9 @@ type mark_config = Trace_common.mark_config = {
       (** when [Some gc_number], apply the Section 4.1 staleness
           increment to each object marked during the closure — ticking
           piggybacks on tracing, as in the paper, so only live objects
-          pay for it. The ticks are applied in one batch after the
-          closure finishes rather than at each mark; see
-          {!Trace_common.tick_batch} for the invariant *)
+          pay for it. A filtered or noted closure applies the ticks in
+          one batch after it finishes rather than at each mark; see
+          {!Trace_common.tick_batch} for the rule *)
   edge_filter : (edge -> edge_action) option;
       (** [None] traces everything (base collection) *)
   on_poison : (edge -> unit) option;

@@ -3,8 +3,8 @@
     The paper piggybacks leak pruning on MMTk's mark-sweep collector by
     splitting the usual transitive closure into an {e in-use} closure
     and a {e stale} closure (Section 4.2). This engine runs both as a
-    DFS over an engine-owned {!Work_queue} with the shared
-    {!Trace_common.scan_object}; the controller composes the phases per
+    DFS over an engine-owned {!Work_queue} with the one scan loop
+    {!Trace_common.scan}; the controller composes the phases per
     collection mode through the {!Trace_engine} view:
 
     - base/observe collection: mark with no filter, then
@@ -17,8 +17,7 @@
 
     With no slice budget (named ["seq"]) every phase runs to completion
     as one pause: {!Trace_engine.t.take_pauses} returns [[]], so the VM
-    accounts each collection as one [Monolithic] sample, and the engine
-    publishes no [note_mutation] hook.
+    accounts each collection as one [Monolithic] sample.
 
     With a budget (named ["inc<b>"]) the closures yield every
     [slice_budget] scanned objects and the sweep runs through
@@ -31,16 +30,7 @@
     ([Mark_slice] for mark and stale-closure slices, [Sweep_slice] per
     sweep segment), and no mark slice ever scans more than
     [slice_budget] objects ({!Trace_engine.t.max_slice_work} proves
-    it).
-
-    A budgeted engine also reports mutations performed while a mark is
-    in progress through its [note_mutation] hook, logs them in a
-    deduplicated {!Remset}, and replays them — the mutated slot
-    re-scanned against the current mark state — at the next slice
-    boundary. Collections in this VM are stop-the-world, so the log
-    stays empty in real runs (the differential oracle relies on that);
-    the machinery is the piece that would make genuinely concurrent
-    slices sound, and tests drive it directly via {!log_mutation}. *)
+    it). *)
 
 type t
 
@@ -57,18 +47,8 @@ val slice_budget : t -> int option
 val set_slice_budget : t -> int -> unit
 (** Retunes the budget between collections (the pause-SLO autopilot's
     actuator). Outcome-neutral by construction — the budget only moves
-    slice boundaries. [Invalid_argument] if the budget is [< 1], the
-    engine was created without a budget, or a mark phase is in
-    progress. *)
+    slice boundaries. [Invalid_argument] if the budget is [< 1] or the
+    engine was created without a budget. *)
 
 val slices : t -> int
 (** Mark slices run so far, across all collections. *)
-
-val replays : t -> int
-(** Logged mutation slots re-scanned at slice boundaries so far. *)
-
-val log_mutation : t -> src_id:int -> field:int -> unit
-(** Appends a slot to the mutation log directly (deduplicated), as the
-    [note_mutation] hook does while marking; exposed so tests can
-    exercise the slice-boundary replay without a concurrent mutator.
-    [Invalid_argument] on an engine created without a budget. *)

@@ -208,4 +208,41 @@ let iter_live_range_desc t ~lo ~hi f =
     if obj != sentinel then f obj
   done
 
+(* The collector's sweep over one slot range, one loop with no
+   per-slot closure. Each dead object is freed as it is reached, in
+   descending slot order, so its id joins the free queue in the same
+   order [free] would give; the slot read already shows the object is
+   live, so [free]'s liveness check is not repeated. The byte and
+   object totals are written back once, at the end of the range. *)
+let sweep_range t stats ~lo ~hi =
+  if lo < 0 || hi > slot_count t then invalid_arg "Store.sweep_range";
+  let slots = t.slots in
+  let live = ref 0 and freed = ref 0 and freed_bytes = ref 0 in
+  let nursery_freed = ref 0 in
+  for i = hi - 1 downto lo do
+    let obj = Array.unsafe_get slots i in
+    if obj != sentinel then begin
+      let h = obj.Heap_obj.header in
+      let size = obj.Heap_obj.size_bytes in
+      if Header.marked h then begin
+        obj.Heap_obj.header <- Header.clear_gc_bits h;
+        live := !live + size
+      end
+      else begin
+        Array.unsafe_set slots i sentinel;
+        push_free_id t obj.Heap_obj.id;
+        incr freed;
+        freed_bytes := !freed_bytes + size;
+        if Header.in_nursery h then nursery_freed := !nursery_freed + size
+      end
+    end
+  done;
+  t.used <- t.used - !freed_bytes;
+  t.nursery <- t.nursery - !nursery_freed;
+  t.count <- t.count - !freed;
+  stats.Gc_stats.objects_swept <- stats.Gc_stats.objects_swept + !freed;
+  stats.Gc_stats.bytes_reclaimed <-
+    stats.Gc_stats.bytes_reclaimed + !freed_bytes;
+  !live
+
 let total_allocated_bytes t = t.total_allocated

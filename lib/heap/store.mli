@@ -147,5 +147,13 @@ val iter_live_range_desc :
     object it is given; the walk reads each slot once, before calling
     [f] on it. *)
 
+val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
+(** [sweep_range t stats ~lo ~hi] sweeps the slots [lo <= i < hi] in
+    descending order: it frees every unmarked object as it is reached,
+    exactly as {!free} would, and clears the GC bits of marked ones. It
+    adds the freed objects and bytes to [stats.objects_swept] and
+    [stats.bytes_reclaimed] and returns the bytes of the survivors.
+    [Invalid_argument] unless [0 <= lo] and [hi <= slot_count t]. *)
+
 val total_allocated_bytes : t -> int
 (** Cumulative bytes ever allocated; monotone, for statistics. *)

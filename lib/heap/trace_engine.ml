@@ -35,11 +35,7 @@ type t = {
   sweep : gc:int -> ?events:Lp_obs.Sink.t -> Store.t -> stats:Gc_stats.t -> unit;
   minor_drain :
     (Store.t -> queue:int array -> slots_scanned:int ref -> unit) option;
-  note_mutation : (src:Heap_obj.t -> field:int -> unit) option;
   take_pauses : unit -> (pause_phase * int) list;
   max_slice_work : unit -> int;
   shutdown : unit -> unit;
 }
-
-let note_mutation t ~src ~field =
-  match t.note_mutation with None -> () | Some f -> f ~src ~field

@@ -3,9 +3,9 @@
     A [Trace_engine.t] bundles every phase the controller drives during
     a full-heap collection — in-use mark, stale closure, sweep — plus
     the runtime hooks an engine may provide (minor-collection drain,
-    mark-time write logging, pause reporting, shutdown). The controller
-    holds exactly one engine value and dispatches through these closures
-    only; it never knows which engine is installed.
+    pause reporting, shutdown). The controller holds exactly one engine
+    value and dispatches through these closures only; it never knows
+    which engine is installed.
 
     Two engines implement the contract, each with or without a slice
     budget:
@@ -84,13 +84,6 @@ type t = {
     (Store.t -> queue:int array -> slots_scanned:int ref -> unit) option;
       (** When present, the minor collector hands its marked seed set to
           this drain instead of running its own loop. *)
-  note_mutation : (src:Heap_obj.t -> field:int -> unit) option;
-      (** When present, the mutator write barrier reports every
-          reference-slot store here. A budgeted {!Inc_engine} logs slots
-          mutated while a mark is in progress and replays them at slice
-          boundaries; collections in this VM are stop-the-world, so the
-          log stays empty in practice and the replay machinery is the
-          safety net that would make genuinely concurrent slices sound. *)
   take_pauses : unit -> (pause_phase * int) list;
       (** Drains the engine's recorded pause slices (phase tag and wall
           nanoseconds, oldest first) since the last call. Whole-pause
@@ -103,6 +96,3 @@ type t = {
   shutdown : unit -> unit;
       (** Releases engine resources (joins the domain pool); idempotent. *)
 }
-
-val note_mutation : t -> src:Heap_obj.t -> field:int -> unit
-(** Convenience dispatcher for the optional write hook. *)

@@ -262,13 +262,13 @@ let packets_for t n =
 
 (* --- the in-use / stale closure scan ------------------------------- *)
 
-(* Scans one packet's slice of [frontier]. Mirrors
-   [Trace_common.scan_object] field for field, except that instead of
-   marking and pushing discovered targets it records them (marking is
-   the coordinator's job at the merge), and poison-word writes, events
-   and note application are deferred to the merge too. The only heap
-   words written here are owned exclusively by this packet: untouched
-   bits and quarantine poisons of its own objects' fields. *)
+(* Scans one packet's slice of [frontier]. Mirrors the per-field code
+   of [Trace_common.scan], except that instead of marking and pushing
+   discovered targets it records them (marking is the coordinator's
+   job at the merge), and poison-word writes, events and note
+   application are deferred to the merge too. The only heap words
+   written here are owned exclusively by this packet: untouched bits
+   and quarantine poisons of its own objects' fields. *)
 let scan_packet store ~(config : Collector.mark_config) ~edge_note frontier
     (p : packet) =
   let fields_scanned = ref 0 and untouched_set = ref 0 in
@@ -829,7 +829,6 @@ let engine t =
       Some
         (fun store ~queue ~slots_scanned ->
           minor_drain t store ~queue ~slots_scanned);
-    note_mutation = None;
     take_pauses =
       (fun () ->
         let p = List.rev t.pauses in

@@ -144,7 +144,6 @@ let write vm (src : Heap_obj.t) i tgt =
   Vm.assert_live vm src;
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.write_ref;
-  Vm.log_gc_write vm ~src ~field:i;
   match tgt with
   | None -> src.Heap_obj.fields.(i) <- Word.null
   | Some (obj : Heap_obj.t) ->
@@ -161,9 +160,6 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
   Vm.assert_live vm dst;
   let cost = Vm.cost vm in
   Vm.charge vm (len * (cost.Cost.read_ref + cost.Cost.write_ref));
-  for i = dst_pos to dst_pos + len - 1 do
-    Vm.log_gc_write vm ~src:dst ~field:i
-  done;
   Array.blit src.Heap_obj.fields src_pos dst.Heap_obj.fields dst_pos len;
   if Vm.generational vm then
     (* the intrinsic still honours the generational write barrier *)

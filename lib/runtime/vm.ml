@@ -40,8 +40,11 @@ type t = {
   mutable max_slice_seen : int;
   autopilot : Lp_slo.Autopilot.t option;
   mutable gc_pause_ns : int;  (* wall time inside full collections *)
-  (* phase-tagged wall-clock pause samples, reverse order *)
-  mutable pause_samples : (Trace_engine.pause_phase * int) list;
+  (* phase-tagged wall-clock pause samples, oldest first: one int per
+     sample ([pause_code]) in the first [pause_len] slots, the buffer
+     doubling when full *)
+  mutable pause_buf : int array;
+  mutable pause_len : int;
   pause_hist : Lp_obs.Metrics.histogram;
   mutable corruptions_injected : int;
   mutable minor_collections : int;
@@ -204,7 +207,8 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     max_slice_seen = 0;
     autopilot;
     gc_pause_ns = 0;
-    pause_samples = [];
+    pause_buf = Array.make 16 0;
+    pause_len = 0;
     pause_hist = Lp_obs.Metrics.histogram metrics "gc.pause_ns";
     corruptions_injected = 0;
     minor_collections = 0;
@@ -284,12 +288,48 @@ let autopilot t = t.autopilot
 
 let gc_pause_ns t = t.gc_pause_ns
 
-let pause_samples t = List.rev t.pause_samples
+(* A pause sample packs its nanoseconds and its phase tag in one int,
+   [ns lsl 2 lor tag]; an arithmetic shift gives the nanoseconds back,
+   negative ones included. *)
+let pause_code (phase, ns) =
+  (ns lsl 2)
+  lor
+  match phase with
+  | Trace_engine.Mark_slice -> 0
+  | Trace_engine.Sweep_slice -> 1
+  | Trace_engine.Monolithic -> 2
 
-let pause_samples_ns t = List.rev_map snd t.pause_samples
+let pause_ns code = code asr 2
+
+let pause_phase code =
+  match code land 3 with
+  | 0 -> Trace_engine.Mark_slice
+  | 1 -> Trace_engine.Sweep_slice
+  | _ -> Trace_engine.Monolithic
+
+let push_pause t sample =
+  if t.pause_len = Array.length t.pause_buf then begin
+    let buf = Array.make (2 * t.pause_len) 0 in
+    Array.blit t.pause_buf 0 buf 0 t.pause_len;
+    t.pause_buf <- buf
+  end;
+  t.pause_buf.(t.pause_len) <- pause_code sample;
+  t.pause_len <- t.pause_len + 1
+
+let pause_samples t =
+  List.init t.pause_len (fun i ->
+      let c = t.pause_buf.(i) in
+      (pause_phase c, pause_ns c))
+
+let pause_samples_ns t =
+  List.init t.pause_len (fun i -> pause_ns t.pause_buf.(i))
 
 let max_pause_ns t =
-  List.fold_left (fun acc (_, ns) -> max acc ns) 0 t.pause_samples
+  let m = ref 0 in
+  for i = 0 to t.pause_len - 1 do
+    m := max !m (pause_ns t.pause_buf.(i))
+  done;
+  !m
 
 let max_slice_work t =
   max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ())
@@ -369,14 +409,6 @@ let gc_count t = t.stats.Gc_stats.collections
 let minor_gc_count t = t.minor_collections
 
 let generational t = t.nursery_limit <> None
-
-(* GC write barrier half for engines that mark incrementally: while a
-   mark phase is live, every reference store is logged so the engine can
-   re-scan the mutated slot at the next slice boundary. Engines that
-   mark atomically publish no hook, and outside a mark phase the
-   incremental engine's hook is a flag test — either way this is one
-   branch on the mutator's write path. *)
-let log_gc_write t ~src ~field = Trace_engine.note_mutation t.engine ~src ~field
 
 let remember_write t ~src ~field ~tgt =
   if
@@ -645,7 +677,7 @@ let run_gc t =
       | (ph, last) :: tl -> List.rev ((ph, last + rem) :: tl)
       | [] -> assert false)
   in
-  t.pause_samples <- List.rev_append samples t.pause_samples;
+  List.iter (push_pause t) samples;
   List.iter (fun (_, ns) -> Lp_obs.Metrics.observe t.pause_hist ns) samples;
   let gc_cost =
     Cost.gc_cost t.cost ~before ~after:t.stats

@@ -121,9 +121,7 @@ val fault_plan : t -> Lp_fault.Fault_plan.t option
       pause, recorded as one [Monolithic] sample;
     - [Config.gc_slice_budget = Some b]: the closures run in slices of
       at most [b] objects and the sweep in [b]-slot segments, one
-      tagged pause sample each. On one domain, mutator writes that
-      land during a mark phase are logged and replayed at slice
-      boundaries.
+      tagged pause sample each.
 
     The four combinations are named [seq], [par<n>], [inc<b>] and
     [bsp<n>]. Every engine is deterministic by construction: heap
@@ -172,14 +170,16 @@ val pause_samples : t -> (Trace_engine.pause_phase * int) list
     collection's last slice, so [Monolithic] appears {e only} for
     engines without a budget — "no [Monolithic] sample" is exactly the
     statement that every pause was slice-bounded. Every sample also
-    lands in the [gc.pause_ns] metrics histogram. *)
+    lands in the [gc.pause_ns] metrics histogram. The VM keeps the
+    history as one int per sample and builds the list on each call. *)
 
 val pause_samples_ns : t -> int list
 (** {!pause_samples} without the tags — the max over this list is the
     quantity the pause-time benchmark gates on. *)
 
 val max_pause_ns : t -> int
-(** [List.fold_left max 0 (pause_samples_ns t)]. *)
+(** [List.fold_left max 0 (pause_samples_ns t)], without building the
+    list. *)
 
 val max_slice_work : t -> int
 (** The largest number of objects any single mark slice has scanned,
@@ -304,12 +304,6 @@ val generational : t -> bool
 val remember_write : t -> src:Heap_obj.t -> field:int -> tgt:Heap_obj.t -> unit
 (** Generational write barrier: records a mature-to-nursery reference
     slot in the remembered set (no-op otherwise). Called by {!Mutator}. *)
-
-val log_gc_write : t -> src:Heap_obj.t -> field:int -> unit
-(** GC write barrier half for incrementally-marking engines: logs the
-    slot for replay at the next slice boundary while a mark phase is
-    live, and costs one branch otherwise. Called by {!Mutator} on every
-    reference store. *)
 
 val set_gc_listener : t -> (gc_record -> unit) option -> unit
 (** Invoked after every collection; used by the harness to record the

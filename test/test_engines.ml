@@ -6,8 +6,7 @@
    budget and at 1- and 8-object budgets, parallel and sliced-parallel
    on 2 domains with and without stealing) and compares the full
    summaries against the reference collector, plus the budgeted
-   engine's own machinery: slicing under a tiny budget and the
-   mutation-log replay that would make concurrent slices sound. *)
+   engine's slicing under a tiny budget. *)
 
 open Lp_heap
 
@@ -291,67 +290,226 @@ let test_engine_switch_conformance () =
   done;
   Alcotest.(check int) "no leaked domains" 0 (Lp_par.Domain_pool.active_count ())
 
-(* The mutation-log replay: a write that lands in an already-scanned
-   slot mid-mark would hide its target from a naive incremental marker.
-   The scenario plays the mutator from inside an edge filter — when the
-   scan reaches r.1 (r.0, earlier in scan order, is already behind the
-   wavefront), it stores a hidden object into r.0 and logs the slot.
-   The next slice boundary must replay the log and mark the hidden
-   object, or the sweep would reclaim a live object. *)
-let test_inc_mutation_replay () =
-  let inc = Inc_engine.create ~slice_budget:1 () in
-  let e = Inc_engine.engine inc in
-  let store = build_store () in
-  let roots = Roots.create () in
-  let stats = Gc_stats.create () in
-  let r = alloc store ~n_fields:2 in
-  let b = alloc store ~n_fields:0 in
-  let hidden = alloc store ~n_fields:0 in
-  Roots.add_static_root roots r.Heap_obj.id;
-  link r 1 b;
-  (* r.0 stays null until the "mutator" writes [hidden] into it *)
-  let mutator_fired = ref false in
-  let filter (edge : Collector.edge) =
-    if edge.Collector.field = 1 && not !mutator_fired then begin
-      mutator_fired := true;
-      link r 0 hidden;
-      Inc_engine.log_mutation inc ~src_id:r.Heap_obj.id ~field:0
-    end;
-    Collector.Trace
-  in
-  ignore
-    (e.Trace_engine.mark ~gc:1 store roots ~stats
-       ~config:
-         {
-           Collector.set_untouched_bits = false;
-           stale_tick_gc = None;
-           edge_filter = Some filter;
-           on_poison = None;
-           events = None;
-         });
-  e.Trace_engine.sweep ~gc:1 store ~stats;
-  Alcotest.(check bool) "the mid-mark write actually happened" true !mutator_fired;
-  Alcotest.(check bool) "replay rescanned the logged slot" true
-    (Inc_engine.replays inc > 0);
-  Alcotest.(check bool) "the hidden object survived the sweep" true
-    (Store.mem store hidden.Heap_obj.id);
-  Alcotest.(check int) "nothing else was lost either" 3 (Store.object_count store)
+(* Property: on generated heaps, the single-domain engine with no
+   budget and at 1- and 8-object budgets leaves everything exactly as
+   the reference collector does. A heap is a list of objects, each
+   with a stale counter, a scalar size, a liveness flag (dead objects
+   are freed before wiring, so words naming them dangle) and reference
+   words: null, clean or untouched references, poisoned references,
+   and references past the last id ever allocated. A collection has a
+   random number, ticks or not, sets untouched bits or not, and runs no
+   filter or a seeded Trace/Defer/Poison filter that reads the
+   target's staleness (so a tick applied too early would change its
+   decisions), with or without a note that records the target's
+   staleness too. Compared: every slot's header and field words after
+   the stale closures and after the sweep, the Gc_stats counters, the
+   deferred edges in order, the stale closures' bytes, the poisoned
+   edges, the applied notes and the ids the next allocations reuse. *)
+type word_spec =
+  | Null
+  | Ref of int * bool  (* target index, untouched bit *)
+  | Poisoned of int
+  | Past of int  (* an id this many past the next fresh one *)
 
-(* note_mutation only logs while a mark is in flight: a quiescent-time
-   write must not leave a stale log entry behind for the next mark. *)
-let test_inc_log_gated_on_marking () =
-  let inc = Inc_engine.create ~slice_budget:4 () in
-  let e = Inc_engine.engine inc in
+type obj_spec = {
+  live : bool;
+  stale : int;
+  scalar : int;
+  words : word_spec list;
+}
+
+type heap_spec = {
+  objs : obj_spec list;
+  roots : int list;
+  gc : int;
+  ticking : bool;
+  untouched : bool;
+  filter : int option;  (* the filter's seed *)
+  note : bool;
+}
+
+let gen_heap =
+  QCheck.Gen.(
+    let* n = int_range 1 30 in
+    let word =
+      frequency
+        [
+          (3, return Null);
+          (8, map2 (fun j u -> Ref (j, u)) (int_range 0 (n - 1)) bool);
+          (1, map (fun j -> Poisoned j) (int_range 0 (n - 1)));
+          (1, map (fun k -> Past k) (int_range 0 3));
+        ]
+    in
+    let obj =
+      let* live = frequencyl [ (9, true); (1, false) ] in
+      let* stale = int_range 0 Header.max_stale in
+      let* scalar = int_range 0 24 in
+      let* words = list_size (int_range 0 4) word in
+      return { live; stale; scalar; words }
+    in
+    let* objs = list_repeat n obj in
+    let* roots = list_size (int_range 0 4) (int_range 0 (n - 1)) in
+    let* gc = int_range 1 64 in
+    let* ticking = bool in
+    let* untouched = bool in
+    let* filter = opt (int_range 0 1_000_000) in
+    let* note = bool in
+    return { objs; roots; gc; ticking; untouched; filter; note })
+
+let print_heap h =
+  let word = function
+    | Null -> "null"
+    | Ref (j, u) -> Printf.sprintf "#%d%s" j (if u then "'" else "")
+    | Poisoned j -> Printf.sprintf "#%d*" j
+    | Past k -> Printf.sprintf "past+%d" k
+  in
+  Printf.sprintf
+    "gc=%d ticking=%b untouched=%b filter=%s note=%b roots=[%s]\n%s" h.gc
+    h.ticking h.untouched
+    (match h.filter with Some s -> string_of_int s | None -> "none")
+    h.note
+    (String.concat ";" (List.map string_of_int h.roots))
+    (String.concat "\n"
+       (List.mapi
+          (fun i o ->
+            Printf.sprintf "%d: %s stale=%d scalar=%d [%s]" i
+              (if o.live then "live" else "dead")
+              o.stale o.scalar
+              (String.concat ";" (List.map word o.words)))
+          h.objs))
+
+let build_heap h =
   let store = build_store () in
   let roots = Roots.create () in
+  let objs =
+    Array.of_list
+      (List.map
+         (fun o ->
+           Store.alloc store ~class_id:0 ~n_fields:(List.length o.words)
+             ~scalar_bytes:o.scalar ~finalizable:false)
+         h.objs)
+  in
+  List.iteri
+    (fun i o -> if not o.live then Store.free store objs.(i))
+    h.objs;
+  let past = Store.next_fresh_id store in
+  List.iteri
+    (fun i o ->
+      let obj = objs.(i) in
+      Heap_obj.set_stale obj o.stale;
+      List.iteri
+        (fun f w ->
+          obj.Heap_obj.fields.(f) <-
+            (match w with
+            | Null -> Word.null
+            | Ref (j, u) ->
+              let w = Word.of_id objs.(j).Heap_obj.id in
+              if u then Word.set_untouched w else w
+            | Poisoned j -> Word.poison (Word.of_id objs.(j).Heap_obj.id)
+            | Past k -> Word.of_id (past + k)))
+        o.words)
+    h.objs;
+  List.iter
+    (fun i ->
+      if (List.nth h.objs i).live then
+        Roots.add_static_root roots objs.(i).Heap_obj.id)
+    h.roots;
+  (store, roots)
+
+let snapshot store =
+  List.init (Store.slot_count store) (fun i ->
+      let o = Store.find store (i + 1) in
+      if o == Store.sentinel then None
+      else Some (o.Heap_obj.header, Array.to_list o.Heap_obj.fields))
+
+let run_generated h make =
+  let e = make () in
+  let store, roots = build_heap h in
   let stats = Gc_stats.create () in
-  let r = alloc store ~n_fields:1 in
-  Roots.add_static_root roots r.Heap_obj.id;
-  Trace_engine.note_mutation e ~src:r ~field:0;
-  ignore
-    (e.Trace_engine.mark ~gc:1 store roots ~stats
-       ~config:Collector.base_config);
-  Alcotest.(check int) "quiescent write never replayed" 0 (Inc_engine.replays inc)
+  let stale_tick_gc = if h.ticking then Some h.gc else None in
+  let pick seed (edge : Collector.edge) =
+    Hashtbl.hash
+      ( seed,
+        edge.Collector.src.Heap_obj.id,
+        edge.Collector.field,
+        Heap_obj.stale edge.Collector.tgt )
+  in
+  let edge_filter =
+    Option.map
+      (fun seed edge ->
+        match pick seed edge mod 4 with
+        | 0 -> Collector.Defer
+        | 1 -> Collector.Poison
+        | _ -> Collector.Trace)
+      h.filter
+  in
+  let edge_note, apply_note, notes =
+    let notes = ref [] in
+    if h.note then
+      ( Some
+          (fun (edge : Collector.edge) ->
+            if pick 7 edge mod 2 = 0 then
+              Some
+                ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
+                  edge.Collector.tgt.Heap_obj.id,
+                  Heap_obj.stale edge.Collector.tgt )
+            else None),
+        Some (fun triple -> notes := triple :: !notes),
+        notes )
+    else (None, None, notes)
+  in
+  let poisoned = ref [] in
+  let deferred =
+    e.Trace_engine.mark ~gc:h.gc ?edge_note ?apply_note store roots ~stats
+      ~config:
+        {
+          Collector.set_untouched_bits = h.untouched;
+          stale_tick_gc;
+          edge_filter;
+          on_poison =
+            Some
+              (fun (edge : Collector.edge) ->
+                poisoned :=
+                  (edge.Collector.src.Heap_obj.id, edge.Collector.field)
+                  :: !poisoned);
+          events = None;
+        }
+  in
+  let edges =
+    List.map
+      (fun (edge : Collector.edge) ->
+        ( edge.Collector.src.Heap_obj.id,
+          edge.Collector.field,
+          edge.Collector.tgt.Heap_obj.id ))
+      deferred
+  in
+  e.Trace_engine.begin_stale ();
+  let bytes =
+    List.map
+      (e.Trace_engine.stale_closure ~gc:h.gc store ~stats
+         ~set_untouched_bits:h.untouched ~stale_tick_gc)
+      (Trace_common.canonical_candidates deferred)
+  in
+  e.Trace_engine.end_stale ~gc:h.gc ~events:None;
+  let marked = snapshot store in
+  e.Trace_engine.sweep ~gc:h.gc store ~stats;
+  let swept = snapshot store in
+  let reused = List.init 4 (fun _ -> (alloc store ~n_fields:0).Heap_obj.id) in
+  e.Trace_engine.shutdown ();
+  ( (edges, bytes, List.rev !poisoned, List.rev !notes),
+    (marked, swept, reused, Store.live_bytes store),
+    Gc_stats.copy stats )
+
+let prop_generated_heaps =
+  QCheck.Test.make
+    ~name:"generated heaps: seq, inc1 and inc8 match the reference"
+    ~count:300
+    (QCheck.make ~print:print_heap gen_heap)
+    (fun h ->
+      let reference = run_generated h Reference_collector.engine in
+      List.for_all
+        (fun name -> run_generated h (List.assoc name factories) = reference)
+        [ "seq"; "inc1"; "inc8" ])
 
 let suite =
   ( "engines",
@@ -367,8 +525,5 @@ let suite =
         `Quick test_engine_switch_conformance;
       Alcotest.test_case "incremental: slice budget bounds every slice" `Quick
         test_inc_slicing_respects_budget;
-      Alcotest.test_case "incremental: mutation log replay finds hidden objects"
-        `Quick test_inc_mutation_replay;
-      Alcotest.test_case "incremental: mutation log gated on marking" `Quick
-        test_inc_log_gated_on_marking;
+      QCheck_alcotest.to_alcotest prop_generated_heaps;
     ] )

@@ -185,15 +185,12 @@ let test_work_rejects_negative () =
 
 (* Without a slice budget each collection is one pause: the engine
    reports no slices, so the VM records exactly one Monolithic sample
-   per collection, and the engine publishes no write hook, so the
-   barrier makes no extra call. *)
+   per collection. *)
 let test_unbudgeted_collection_is_one_pause () =
   let vm = make_vm () in
   let engine = Lp_core.Controller.engine (Vm.controller vm) in
   Alcotest.(check string) "the single-domain engine" "seq"
     engine.Trace_engine.name;
-  Alcotest.(check bool) "no write hook" true
-    (engine.Trace_engine.note_mutation = None);
   let a = Vm.statics vm ~class_name:"Root" ~n_fields:1 in
   Mutator.write_obj vm a 0 (Vm.alloc vm ~class_name:"B" ~n_fields:0 ());
   for _ = 1 to 5 do
