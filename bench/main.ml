@@ -75,6 +75,27 @@ let test_alloc =
            (Lp_runtime.Vm.alloc vm ~class_name:"Micro$Alloc" ~scalar_bytes:32
               ~n_fields:2 ())))
 
+(* The same allocation through [alloc_class], with the class resolved
+   once: the allocation fast path alone, without the registry lookup
+   [Vm.alloc ~class_name] makes on every call. A fresh VM replaces the
+   current one every million objects, so memory stays bounded however
+   many runs Bechamel asks for; the heap never fills, so no run
+   collects. *)
+let test_alloc_class =
+  let fresh () =
+    let vm = Lp_runtime.Vm.create ~heap_bytes:(64 * 1024 * 1024) () in
+    (vm, Lp_runtime.Vm.register_class vm "Micro$AllocClass")
+  in
+  let current = ref (fresh ()) in
+  Test.make ~name:"table1/allocation-by-class-id"
+    (Staged.stage (fun () ->
+         let vm, class_id = !current in
+         if Lp_heap.Store.object_count (Lp_runtime.Vm.store vm) >= 1_000_000
+         then current := fresh ();
+         ignore
+           (Lp_runtime.Vm.alloc_class vm ~class_id ~scalar_bytes:32 ~n_fields:2
+              ())))
+
 (* A VM holding a 2000-object list to trace. *)
 let list_vm ?config () =
   let vm = Lp_runtime.Vm.create ?config ~heap_bytes:4_000_000 () in
@@ -149,6 +170,7 @@ let microbenches =
       test_barrier_fast;
       test_barrier_cold;
       test_alloc;
+      test_alloc_class;
       test_full_gc;
       test_full_gc_observe;
       test_edge_table;

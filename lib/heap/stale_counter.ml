@@ -8,9 +8,3 @@ let tick_object ~gc_number obj =
     true
   end
   else false
-
-let tick_all store ~gc_number ~stats =
-  Store.iter_live store (fun obj ->
-      stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
-      if tick_object ~gc_number obj then
-        stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1)

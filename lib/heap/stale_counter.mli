@@ -18,6 +18,3 @@ val should_increment : gc_number:int -> current:int -> bool
 val tick_object : gc_number:int -> Heap_obj.t -> bool
 (** Applies the rule to one object; returns whether an increment
     happened. *)
-
-val tick_all : Store.t -> gc_number:int -> stats:Gc_stats.t -> unit
-(** Applies the rule to every live object, updating [stats]. *)

@@ -79,12 +79,15 @@ let set_swapped_out_bytes t n =
 
 let would_overflow t n = t.used - t.swapped_out + n > t.limit
 
-let ensure_capacity t id =
-  if id > Array.length t.slots then begin
-    let slots = Array.make (max (2 * Array.length t.slots) id) sentinel in
-    Array.blit t.slots 0 slots 0 (Array.length t.slots);
-    t.slots <- slots
-  end
+(* Growth stays out of line so the capacity check inlines into
+   [fresh_id]. *)
+let[@inline never] grow_slots t id =
+  let slots = Array.make (max (2 * Array.length t.slots) id) sentinel in
+  Array.blit t.slots 0 slots 0 (Array.length t.slots);
+  t.slots <- slots
+
+let[@inline] ensure_capacity t id =
+  if id > Array.length t.slots then grow_slots t id
 
 let push_free_id t id =
   let cap = Array.length t.free_ids in
@@ -101,7 +104,7 @@ let push_free_id t id =
   t.free_ids.(if tail >= cap then tail - cap else tail) <- id;
   t.free_len <- t.free_len + 1
 
-let fresh_id t =
+let[@inline] fresh_id t =
   if t.free_len > 0 then begin
     let id = t.free_ids.(t.free_head) in
     let head = t.free_head + 1 in
@@ -116,14 +119,24 @@ let fresh_id t =
     id
   end
 
-let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
-  let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
-  (match t.alloc_fault with
-  | Some refuse when refuse () ->
-    raise (Heap_full { requested = size; used = t.used; limit = t.limit })
-  | Some _ | None -> ());
-  if would_overflow t size then
-    raise (Heap_full { requested = size; used = t.used; limit = t.limit });
+(* A fresh field array of null words. Up to four words the array is
+   built inline; wider ones go through [Array.make], a C call. *)
+let[@inline] null_fields n_fields =
+  match n_fields with
+  | 0 -> [||]
+  | 1 -> [| Word.null |]
+  | 2 -> [| Word.null; Word.null |]
+  | 3 -> [| Word.null; Word.null; Word.null |]
+  | 4 -> [| Word.null; Word.null; Word.null; Word.null |]
+  | n -> Array.make n Word.null
+
+let[@inline] fits t size = t.alloc_fault == None && not (would_overflow t size)
+
+(* The placement step every allocation ends in: an id, the object with
+   null fields in its slot, and the byte accounting. [fresh_id] makes
+   sure the id's slot exists, so the store into it is unchecked. *)
+let[@inline] place t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable
+    ~size =
   let id = fresh_id t in
   let header = if finalizable then Header.set_finalizable Header.empty else Header.empty in
   let header = if nursery then Header.set_in_nursery header else header in
@@ -132,17 +145,27 @@ let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
       Heap_obj.id;
       class_id;
       header;
-      fields = Array.make n_fields Word.null;
+      fields = null_fields n_fields;
       scalar_bytes;
       size_bytes = size;
     }
   in
-  t.slots.(id - 1) <- obj;
+  Array.unsafe_set t.slots (id - 1) obj;
   t.used <- t.used + size;
   t.count <- t.count + 1;
   t.total_allocated <- t.total_allocated + size;
   if nursery then t.nursery <- t.nursery + size;
   obj
+
+let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
+  let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
+  (match t.alloc_fault with
+  | Some refuse when refuse () ->
+    raise (Heap_full { requested = size; used = t.used; limit = t.limit })
+  | Some _ | None -> ());
+  if would_overflow t size then
+    raise (Heap_full { requested = size; used = t.used; limit = t.limit });
+  place t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable ~size
 
 let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
   alloc_generation t ~nursery:false ~class_id ~n_fields ~scalar_bytes ~finalizable
@@ -244,5 +267,19 @@ let sweep_range t stats ~lo ~hi =
   stats.Gc_stats.bytes_reclaimed <-
     stats.Gc_stats.bytes_reclaimed + !freed_bytes;
   !live
+
+(* One pass over the slots with no per-object closure, counting live
+   objects by the stale counter in their headers. *)
+let staleness_histogram t =
+  let hist = Array.make (Header.max_stale + 1) 0 in
+  let slots = t.slots in
+  for i = 0 to t.next_id - 2 do
+    let obj = Array.unsafe_get slots i in
+    if obj != sentinel then begin
+      let s = Header.stale_counter obj.Heap_obj.header in
+      hist.(s) <- hist.(s) + 1
+    end
+  done;
+  hist
 
 let total_allocated_bytes t = t.total_allocated

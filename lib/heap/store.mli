@@ -94,6 +94,27 @@ val alloc_generation :
   Heap_obj.t
 (** Like {!alloc}, choosing the generation. *)
 
+val fits : t -> int -> bool
+(** [fits t size] is true when an allocation of [size] bytes would be
+    placed as it stands: no allocation fault is installed and the bytes
+    fit in the headroom ({!would_overflow} is false). *)
+
+val place :
+  t ->
+  nursery:bool ->
+  class_id:Class_registry.id ->
+  n_fields:int ->
+  scalar_bytes:int ->
+  finalizable:bool ->
+  size:int ->
+  Heap_obj.t
+(** The placement step every allocation ends in, {!alloc_generation}'s
+    included: takes an identifier, puts the object with null fields in
+    its slot and charges [size] (which must be
+    [Heap_obj.size_of ~n_fields ~scalar_bytes]) to the byte totals. It
+    checks nothing; the caller has established {!fits}. Field arrays of
+    up to four words are built inline, wider ones by [Array.make]. *)
+
 val nursery_bytes : t -> int
 (** Bytes currently occupied by nursery objects. *)
 
@@ -154,6 +175,12 @@ val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
     adds the freed objects and bytes to [stats.objects_swept] and
     [stats.bytes_reclaimed] and returns the bytes of the survivors.
     [Invalid_argument] unless [0 <= lo] and [hi <= slot_count t]. *)
+
+val staleness_histogram : t -> int array
+(** The live objects counted by stale counter: element [k] is the number
+    of live objects whose header holds [k], for [0 <= k <= ]
+    {!Header.max_stale}. One loop over the slots, with no per-object
+    closure. *)
 
 val total_allocated_bytes : t -> int
 (** Cumulative bytes ever allocated; monotone, for statistics. *)

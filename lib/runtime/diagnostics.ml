@@ -37,12 +37,7 @@ let class_histogram vm =
   Hashtbl.fold (fun _ stat l -> !stat :: l) acc []
   |> List.sort (fun a b -> compare b.bytes a.bytes)
 
-let staleness_histogram vm =
-  let hist = Array.make (Header.max_stale + 1) 0 in
-  Store.iter_live (Vm.store vm) (fun obj ->
-      let k = Heap_obj.stale obj in
-      hist.(k) <- hist.(k) + 1);
-  hist
+let staleness_histogram vm = Store.staleness_histogram (Vm.store vm)
 
 let stale_bytes vm =
   let bytes = ref 0 in
@@ -238,23 +233,28 @@ let heap_check ?(strict = false) vm =
   let bytes = ref 0 in
   let poisoned_words = ref 0 in
   let on_disk = ref 0 in
-  Store.iter_live store (fun obj ->
+  for id = 1 to Store.slot_count store do
+    let obj = Store.find store id in
+    if obj != Store.sentinel then begin
       bytes := !bytes + obj.Heap_obj.size_bytes;
       if Header.on_disk obj.Heap_obj.header then incr on_disk;
       if Header.marked obj.Heap_obj.header then
         fail
           (Printf.sprintf "object %d carries a mark bit outside a collection"
-             obj.Heap_obj.id);
-      Array.iteri
-        (fun i w ->
-          if not (Word.is_null w) then
-            if Word.poisoned w then incr poisoned_words
-            else if not (Store.mem store (Word.target w)) then
-              fail
-                (Printf.sprintf
-                   "object %d field %d references reclaimed object %d without poison"
-                   obj.Heap_obj.id i (Word.target w)))
-        obj.Heap_obj.fields);
+             id);
+      let fields = obj.Heap_obj.fields in
+      for i = 0 to Array.length fields - 1 do
+        let w = fields.(i) in
+        if not (Word.is_null w) then
+          if Word.poisoned w then incr poisoned_words
+          else if not (Store.mem store (Word.target w)) then
+            fail
+              (Printf.sprintf
+                 "object %d field %d references reclaimed object %d without poison"
+                 id i (Word.target w))
+      done
+    end
+  done;
   if !bytes <> Store.used_bytes store then
     fail
       (Printf.sprintf "byte accounting: traversal found %d, store reports %d"
@@ -303,27 +303,28 @@ let heap_check ?(strict = false) vm =
   Diskswap.iter_images swap (fun ~id ~image ->
       incr image_count;
       image_sum := !image_sum + Bytes.length image;
-      (* decoded and CRC-checked here, independently of the references
-         the store memoised when it wrote the image; strict mode then
-         holds the memo to what the bytes say *)
-      let decoded = Swap_image.decode image in
+      (* validated and CRC-checked here, independently of the
+         references the store memoised when it wrote the image; strict
+         mode then holds the memo to what the bytes say, read in place *)
+      let valid = Swap_image.validate image in
       (if strict then
-         let from_bytes =
-           match decoded with
-           | Ok img -> Some (Swap_image.refs img)
-           | Error _ -> None
+         let agrees =
+           match (valid, Diskswap.image_refs swap id) with
+           | Ok _, Some refs -> Swap_image.refs_equal image refs
+           | Error _, None -> true
+           | Ok _, None | Error _, Some _ -> false
          in
-         if from_bytes <> Diskswap.image_refs swap id then
+         if not agrees then
            fail
              (Printf.sprintf
                 "swap image %d: memoised references differ from its bytes" id));
-      match decoded with
-      | Ok img ->
-        if img.Swap_image.object_id <> id then
+      match valid with
+      | Ok _ ->
+        let recorded = Swap_image.stored_object_id image in
+        if recorded <> id then
           fail
             (Printf.sprintf
-               "swap image stored under id %d records object id %d" id
-               img.Swap_image.object_id)
+               "swap image stored under id %d records object id %d" id recorded)
         (* NB: [Store.mem store id] proves nothing here — the freed
            identifier may have been recycled by an unrelated live
            object, which is exactly why images record referent classes *)

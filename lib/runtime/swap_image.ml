@@ -67,6 +67,11 @@ let capture store (obj : Heap_obj.t) =
 (* Payload: five fixed int32s, then two int32s per field. *)
 let payload_bytes t = 20 + (8 * Array.length t.fields)
 
+let[@inline] field_offset i = header_bytes + 20 + (8 * i)
+
+(* A little-endian int32 of the image, read back sign-extended. *)
+let[@inline] get buf off = Int32.to_int (Bytes.get_int32_le buf off)
+
 let encoded_bytes t = header_bytes + payload_bytes t
 
 let encode t =
@@ -85,16 +90,15 @@ let encode t =
   put (header_bytes + 16) (Array.length t.fields);
   Array.iteri
     (fun i f ->
-      let off = header_bytes + 20 + (8 * i) in
+      let off = field_offset i in
       put off f.word;
       put (off + 4) f.referent_class)
     t.fields;
   put 8 (crc32 buf ~pos:header_bytes ~len:payload_len);
   buf
 
-let decode buf =
+let validate buf =
   let len = Bytes.length buf in
-  let get off = Int32.to_int (Bytes.get_int32_le buf off) in
   if len < header_bytes then
     Error
       (Lp_core.Errors.Image_torn
@@ -107,7 +111,7 @@ let decode buf =
     let v = Char.code (Bytes.get buf 2) in
     if v <> version then Error (Lp_core.Errors.Image_version_unsupported v)
     else
-      let payload_len = get 4 in
+      let payload_len = get buf 4 in
       let expected = header_bytes + payload_len in
       if payload_len < 20 || len <> expected then
         Error
@@ -115,27 +119,48 @@ let decode buf =
              { expected_bytes = expected; actual_bytes = len })
       else if
         (* the stored int32 reads back sign-extended; compare unsigned *)
-        get 8 land 0xFFFFFFFF <> crc32 buf ~pos:header_bytes ~len:payload_len
+        get buf 8 land 0xFFFFFFFF <> crc32 buf ~pos:header_bytes ~len:payload_len
       then
         Error Lp_core.Errors.Image_crc_mismatch
       else
-        let n_fields = get (header_bytes + 16) in
+        let n_fields = get buf (header_bytes + 16) in
         if n_fields < 0 || payload_len <> 20 + (8 * n_fields) then
           (* structurally impossible given a valid CRC, but decoding stays
              total rather than trusting arithmetic on attacker bytes *)
           Error Lp_core.Errors.Image_crc_mismatch
-        else
-          Ok
-            {
-              object_id = get header_bytes;
-              class_id = get (header_bytes + 4);
-              stale = get (header_bytes + 8);
-              scalar_bytes = get (header_bytes + 12);
-              fields =
-                Array.init n_fields (fun i ->
-                    let off = header_bytes + 20 + (8 * i) in
-                    { word = get off; referent_class = get (off + 4) });
-            }
+        else Ok n_fields
+
+let decode buf =
+  match validate buf with
+  | Error _ as e -> e
+  | Ok n_fields ->
+    Ok
+      {
+        object_id = get buf header_bytes;
+        class_id = get buf (header_bytes + 4);
+        stale = get buf (header_bytes + 8);
+        scalar_bytes = get buf (header_bytes + 12);
+        fields =
+          Array.init n_fields (fun i ->
+              let off = field_offset i in
+              { word = get buf off; referent_class = get buf (off + 4) });
+      }
+
+let stored_object_id buf = get buf header_bytes
+
+(* [refs (decode buf) = refs], read off the bytes: the non-null words
+   in field order against [refs], with no image built. *)
+let refs_equal buf refs =
+  let n_fields = get buf (header_bytes + 16) in
+  let n_refs = Array.length refs in
+  let rec go i k =
+    if i = n_fields then k = n_refs
+    else
+      let w = get buf (field_offset i) in
+      if Word.is_null w then go (i + 1) k
+      else k < n_refs && refs.(k) = Word.target w && go (i + 1) (k + 1)
+  in
+  go 0 0
 
 let refs t =
   let n = ref 0 in

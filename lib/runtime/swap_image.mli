@@ -62,10 +62,23 @@ val encoded_bytes : t -> int
 
 val encode : t -> bytes
 
+val validate : bytes -> (int, Lp_core.Errors.resurrection_failure) result
+(** Checks magic, version, length and CRC, in that order, and returns
+    the image's field count. Total: any byte string yields [Ok] or a
+    structured failure, never an exception. *)
+
 val decode : bytes -> (t, Lp_core.Errors.resurrection_failure) result
-(** Validates magic, version, length and CRC before deserializing.
-    Total: any byte string yields [Ok] or a structured failure, never an
-    exception. *)
+(** {!validate}, then deserializes: fails exactly when {!validate} does,
+    with the same failure. *)
+
+val stored_object_id : bytes -> int
+(** The object identifier recorded in bytes that passed {!validate},
+    read in place. *)
+
+val refs_equal : bytes -> int array -> bool
+(** [refs_equal buf refs] is [refs img = refs] for the image [img] that
+    bytes which passed {!validate} decode to, read in place without
+    building it. *)
 
 val refs : t -> int array
 (** The targets of the image's non-null reference words (poisoned ones

@@ -51,7 +51,11 @@ type t = {
   mutable cycles : int;
   mutable gc_cycles : int;
   mutable gc_listener : (gc_record -> unit) option;
-  mutable gc_history : gc_record list;  (* reverse order *)
+  (* the collection history, oldest first: two ints per collection
+     ([push_history]) in the first [history_len] slots, the buffer
+     doubling when full *)
+  mutable history_buf : int array;
+  mutable history_len : int;
   (* Observability plane: the metrics registry is always on (counter and
      gauge updates are field writes); the event sink is attached on
      demand by [enable_trace] and every emission site is guarded by one
@@ -215,7 +219,8 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     cycles = 0;
     gc_cycles = 0;
     gc_listener = None;
-    gc_history = [];
+    history_buf = Array.make 16 0;
+    history_len = 0;
     metrics;
     staleness_series =
       Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
@@ -307,12 +312,18 @@ let pause_phase code =
   | 1 -> Trace_engine.Sweep_slice
   | _ -> Trace_engine.Monolithic
 
+(* [buf], whose first [len] ints are in use, when it has room for
+   another; else a copy of them in a buffer of twice the size. *)
+let with_room buf len =
+  if len < Array.length buf then buf
+  else begin
+    let grown = Array.make (2 * len) 0 in
+    Array.blit buf 0 grown 0 len;
+    grown
+  end
+
 let push_pause t sample =
-  if t.pause_len = Array.length t.pause_buf then begin
-    let buf = Array.make (2 * t.pause_len) 0 in
-    Array.blit t.pause_buf 0 buf 0 t.pause_len;
-    t.pause_buf <- buf
-  end;
+  t.pause_buf <- with_room t.pause_buf t.pause_len;
   t.pause_buf.(t.pause_len) <- pause_code sample;
   t.pause_len <- t.pause_len + 1
 
@@ -439,7 +450,39 @@ let run_minor_gc t =
 
 let set_gc_listener t listener = t.gc_listener <- listener
 
-let gc_history t = List.rev t.gc_history
+(* A collection's history entry is two ints: its number, then
+   [live lsl 3 lor state] with the state's constructor index in the low
+   three bits; an arithmetic shift gives the bytes back. *)
+let state_code = function
+  | Lp_core.State_kind.Inactive -> 0
+  | Lp_core.State_kind.Observe -> 1
+  | Lp_core.State_kind.Select -> 2
+  | Lp_core.State_kind.Prune -> 3
+  | Lp_core.State_kind.Safe -> 4
+
+let state_of_code = function
+  | 0 -> Lp_core.State_kind.Inactive
+  | 1 -> Lp_core.State_kind.Observe
+  | 2 -> Lp_core.State_kind.Select
+  | 3 -> Lp_core.State_kind.Prune
+  | _ -> Lp_core.State_kind.Safe
+
+(* The buffer's length stays even, so room for one int is room for
+   the pair. *)
+let push_history t ~gc_number ~live ~state =
+  t.history_buf <- with_room t.history_buf t.history_len;
+  t.history_buf.(t.history_len) <- gc_number;
+  t.history_buf.(t.history_len + 1) <- (live lsl 3) lor state_code state;
+  t.history_len <- t.history_len + 2
+
+let gc_history t =
+  List.init (t.history_len / 2) (fun i ->
+      let code = t.history_buf.((2 * i) + 1) in
+      {
+        gc_number = t.history_buf.(2 * i);
+        live_bytes_after = code asr 3;
+        state = state_of_code (code land 7);
+      })
 
 let live_bytes t =
   Store.live_bytes t.store
@@ -631,13 +674,10 @@ let run_disk_phase t d =
 (* The per-collection staleness distribution, retained in the metrics
    registry so the last N collections' histograms survive (they used to
    be lost between collections). Counters saturate at
-   [Header.max_stale], so the array has a bucket per level. *)
+   [Header.max_stale], so the array has a bucket per level. Taken after
+   the pause is timed, so it is no part of any pause sample. *)
 let record_staleness_histogram t =
-  let hist = Array.make (Header.max_stale + 1) 0 in
-  Store.iter_live t.store (fun obj ->
-      let s = Heap_obj.stale obj in
-      hist.(s) <- hist.(s) + 1);
-  Lp_obs.Metrics.record t.staleness_series hist
+  Lp_obs.Metrics.record t.staleness_series (Store.staleness_histogram t.store)
 
 let run_gc t =
   let before = Gc_stats.copy t.stats in
@@ -689,26 +729,22 @@ let run_gc t =
   Lp_obs.Metrics.set_gauge
     (Lp_obs.Metrics.gauge t.metrics "heap.live_bytes")
     (live_bytes t);
-  let record =
-    {
-      gc_number = t.stats.Gc_stats.collections;
-      live_bytes_after = live_bytes t;
-      state = Lp_core.Controller.state t.controller;
-    }
-  in
+  let gc_number = t.stats.Gc_stats.collections in
+  let live = live_bytes t in
+  let state = Lp_core.Controller.state t.controller in
   (match t.sink with
   | Some s ->
     Lp_obs.Sink.emit s
       (Lp_obs.Event.Gc_end
          {
            gc = gc_n;
-           state = Lp_core.State_kind.to_string record.state;
-           live_bytes = record.live_bytes_after;
+           state = Lp_core.State_kind.to_string state;
+           live_bytes = live;
            reclaimed_bytes =
              t.stats.Gc_stats.bytes_reclaimed - before.Gc_stats.bytes_reclaimed;
          })
   | None -> ());
-  t.gc_history <- record :: t.gc_history;
+  push_history t ~gc_number ~live ~state;
   (* Autopilot step, between collections: feed this collection's
      tagged samples, get the next collection's budget and engine. The
      budget plane is wall-clock-fed (non-deterministic, outcome-
@@ -740,7 +776,9 @@ let run_gc t =
       switch_engine t ap d.Lp_slo.Autopilot.d_domains
     else apply_budget t d.Lp_slo.Autopilot.d_budget
   | None -> ());
-  match t.gc_listener with Some f -> f record | None -> ()
+  match t.gc_listener with
+  | Some f -> f { gc_number; live_bytes_after = live; state }
+  | None -> ()
 
 (* The allocation slow path: collect, then keep advancing through the
    controller's SELECT/PRUNE protocol while it reports progress is
@@ -781,9 +819,11 @@ let rec alloc_slow_path t size attempts =
       end
   end
 
-let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
-  let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
-  charge t (t.cost.Cost.alloc + (t.cost.Cost.alloc_per_word * (size / Heap_obj.word_size)));
+(* Every allocation the fast path below does not take: a nursery (the
+   minor-collection check), an armed allocation fault or a request that
+   does not fit in the headroom. *)
+let[@inline never] alloc_class_slow t ~class_id ~scalar_bytes ~finalizable
+    ~n_fields size =
   (match t.nursery_limit with
   | Some limit when Store.nursery_bytes t.store + size > limit -> run_minor_gc t
   | Some _ | None -> ());
@@ -797,8 +837,7 @@ let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
     if Store.would_overflow t.store size then alloc_slow_path t size 0;
     match
       Store.alloc_generation t.store ~nursery:(t.nursery_limit <> None) ~class_id
-        ~n_fields ~scalar_bytes
-        ~finalizable:(finalizer <> None)
+        ~n_fields ~scalar_bytes ~finalizable
     with
     | obj -> obj
     | exception Store.Heap_full _ ->
@@ -808,7 +847,20 @@ let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
         obtain (refusals + 1)
       end
   in
-  let obj = obtain 0 in
+  obtain 0
+
+let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
+  let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
+  charge t (t.cost.Cost.alloc + (t.cost.Cost.alloc_per_word * (size / Heap_obj.word_size)));
+  let finalizable = match finalizer with Some _ -> true | None -> false in
+  let obj =
+    match t.nursery_limit with
+    | None when Store.fits t.store size ->
+      Store.place t.store ~nursery:false ~class_id ~n_fields ~scalar_bytes
+        ~finalizable ~size
+    | Some _ | None ->
+      alloc_class_slow t ~class_id ~scalar_bytes ~finalizable ~n_fields size
+  in
   (match finalizer with
   | Some f -> Hashtbl.replace t.finalizers obj.Heap_obj.id f
   | None -> ());

@@ -77,6 +77,39 @@ let test_fast_paths_allocation_free () =
   check "Mutator.read (fast path)" 2.
     (words_per_call ~n (fun () -> ignore (Mutator.read vm src 0)))
 
+(* An allocation that fits, on a VM with no nursery and no fault plan,
+   takes the fast path: it allocates the object record (six fields and
+   a header word) and its field array (a header word and one per field,
+   none for the shared empty array), and nothing else. Neither the
+   number of objects already live nor whether the field array is built
+   inline (up to four words) or by [Array.make] changes that. *)
+let test_alloc_fast_path_words () =
+  let record_words = 7. in
+  List.iter
+    (fun live ->
+      let vm = chain_vm live in
+      Store.set_limit_bytes (Vm.store vm) (Vm.used_bytes vm + (1 lsl 20));
+      let class_id = Vm.register_class vm "Fresh" in
+      let gcs = Vm.gc_count vm in
+      List.iter
+        (fun n_fields ->
+          let expected =
+            record_words
+            +. if n_fields = 0 then 0. else float_of_int (n_fields + 1)
+          in
+          let words =
+            words_per_call ~n:2_000 (fun () ->
+                ignore (Vm.alloc_class vm ~class_id ~scalar_bytes:8 ~n_fields ()))
+          in
+          if Float.abs (words -. expected) > 0.01 then
+            Alcotest.failf
+              "%d live objects, %d fields: %.3f words per allocation, \
+               expected %.0f"
+              live n_fields words expected)
+        [ 0; 1; 2; 4; 5; 9 ];
+      Alcotest.(check int) "no collection ran" gcs (Vm.gc_count vm))
+    [ 100; 3_000 ]
+
 (* Collections store no object records in the engines' buffers. A
    buffer outlives collections, so it sits in OCaml's major heap, and
    storing a record allocated since the last OCaml minor collection into
@@ -85,10 +118,13 @@ let test_fast_paths_allocation_free () =
    a record and every collection ticks all of them, so a tick batch of
    records fills the set within a few dozen collections. With buffers of
    ids, a minor collection can only come from the minor heap filling
-   up, which this window is too small to do. *)
+   up, which this window is too small to do, or from the end of an
+   OCaml major cycle, which empties the minor heap too. The window
+   starts on a fresh major cycle, which its little allocation cannot
+   finish. *)
 let test_collections_force_no_minor_gc () =
   let minors () = (Gc.quick_stat ()).Gc.minor_collections in
-  Gc.minor ();
+  Gc.full_major ();
   let words_before = Gc.minor_words () and minors_before = minors () in
   let vm = chain_vm 2_000 in
   for _ = 1 to 40 do
@@ -107,6 +143,8 @@ let suite =
         test_constant_words_per_collection;
       Alcotest.test_case "mutator fast paths allocation-free" `Quick
         test_fast_paths_allocation_free;
+      Alcotest.test_case "fast-path allocation: record and fields only"
+        `Quick test_alloc_fast_path_words;
       Alcotest.test_case "collections force no OCaml minor collection" `Quick
         test_collections_force_no_minor_gc;
     ] )

@@ -95,9 +95,15 @@ let gen_image =
          (quad (1 -- 100_000) (0 -- 200) (0 -- 7) (0 -- 64))
          (list_size (0 -- 12) (pair gen_word (-1 -- 200)))))
 
-(* none, a flipped bit at a random offset, or a write torn at a random
-   length *)
-type damage = Intact | Flip of int | Tear of int
+(* none, a flipped bit at a random offset, a write torn at a random
+   length, a version byte other than the format's, or a flipped bit in
+   one of the two magic bytes *)
+type damage =
+  | Intact
+  | Flip of int
+  | Tear of int
+  | Version of int
+  | Magic of int * int
 
 let gen_damage =
   QCheck.Gen.(
@@ -108,10 +114,79 @@ let gen_damage =
         (1, map (fun k -> Tear k) (0 -- 500));
       ])
 
+(* every kind of damage, the prelude's included *)
+let gen_any_damage =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Intact);
+        (1, map (fun p -> Flip p) (0 -- 500));
+        (1, map (fun k -> Tear k) (0 -- 500));
+        ( 1,
+          map
+            (fun v -> Version v)
+            (oneof
+               [ 0 -- (Swap_image.version - 1); (Swap_image.version + 1) -- 255 ])
+        );
+        (1, map2 (fun i b -> Magic (i, b)) (0 -- 1) (0 -- 7));
+      ])
+
 let damage bytes = function
   | Intact -> bytes
   | Flip pos -> Swap_image.corrupt bytes ~pos
   | Tear keep -> Swap_image.tear bytes ~keep
+  | Version v ->
+    let b = Bytes.copy bytes in
+    Bytes.set b 2 (Char.chr v);
+    b
+  | Magic (i, bit) ->
+    let b = Bytes.copy bytes in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+    b
+
+(* [validate] is [decode] without the image: the same field count on
+   success, the same failure otherwise, and the object id read in place
+   is the decoded one *)
+let prop_validate_matches_decode =
+  QCheck.Test.make ~name:"swap image: validate agrees with decode" ~count:500
+    (QCheck.make QCheck.Gen.(pair gen_image gen_any_damage))
+    (fun (img, d) ->
+      let bytes = damage (Swap_image.encode img) d in
+      match (Swap_image.validate bytes, Swap_image.decode bytes) with
+      | Ok n, Ok decoded ->
+        n = Array.length decoded.Swap_image.fields
+        && Swap_image.stored_object_id bytes = decoded.Swap_image.object_id
+        && (d <> Intact || decoded = img)
+      | Error e, Error e' -> e = e' && d <> Intact
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* a memo that differs from [refs] by construction: one target
+   changed, one dropped, one added, or all of them gone *)
+let perturb refs choice =
+  let n = Array.length refs in
+  match choice mod 4 with
+  | 0 when n > 0 ->
+    let r = Array.copy refs in
+    r.(choice mod n) <- r.(choice mod n) + 1;
+    r
+  | 1 when n > 0 -> Array.sub refs 0 (n - 1)
+  | 2 -> Array.append refs [| 1 + (choice mod 1000) |]
+  | _ -> if n > 0 then [||] else [| 7 |]
+
+(* the in-place memo comparison agrees with comparing the decoded
+   image's references, for the true memo and for a perturbed one *)
+let prop_refs_equal_matches_decode =
+  QCheck.Test.make ~name:"swap image: in-place memo check agrees with decode"
+    ~count:500
+    (QCheck.make QCheck.Gen.(triple gen_image gen_any_damage nat))
+    (fun (img, d, choice) ->
+      let bytes = damage (Swap_image.encode img) d in
+      match Swap_image.decode bytes with
+      | Error _ -> true
+      | Ok decoded ->
+        let refs = Swap_image.refs decoded in
+        Swap_image.refs_equal bytes refs
+        && not (Swap_image.refs_equal bytes (perturb refs choice)))
 
 let prop_memo_matches_bytes =
   QCheck.Test.make ~name:"diskswap: memoised references equal the decoded bytes"
@@ -445,4 +520,6 @@ let suite =
         test_verifier_catches_stale_memo;
       Alcotest.test_case "differential retention over 50 seeds" `Quick
         test_differential_retention;
+      QCheck_alcotest.to_alcotest prop_validate_matches_decode;
+      QCheck_alcotest.to_alcotest prop_refs_equal_matches_decode;
     ] )

@@ -48,19 +48,6 @@ let prop_mask_is_mod =
       Stale_counter.should_increment ~gc_number:gc ~current:k
       = (k < Header.max_stale && gc mod (1 lsl k) = 0))
 
-let test_tick_all_counts () =
-  let store = Store.create ~limit_bytes:10_000 in
-  for _i = 1 to 10 do
-    ignore (Store.alloc store ~class_id:0 ~n_fields:0 ~scalar_bytes:8 ~finalizable:false)
-  done;
-  let stats = Gc_stats.create () in
-  Stale_counter.tick_all store ~gc_number:1 ~stats;
-  Alcotest.(check int) "all ten scanned" 10 stats.Gc_stats.stale_tick_scans;
-  Alcotest.(check int) "all ten ticked (counter 0)" 10 stats.Gc_stats.stale_ticks;
-  Stale_counter.tick_all store ~gc_number:3 ~stats;
-  Alcotest.(check int) "no tick at odd collection for counter 1" 10
-    stats.Gc_stats.stale_ticks
-
 let suite =
   ( "stale_counter",
     [
@@ -68,7 +55,6 @@ let suite =
       Alcotest.test_case "counter 1 even collections" `Quick test_counter_one_ticks_on_even;
       Alcotest.test_case "saturation at 7" `Quick test_saturation;
       Alcotest.test_case "logarithmic growth" `Quick test_logarithmic_growth;
-      Alcotest.test_case "tick_all counting" `Quick test_tick_all_counts;
       QCheck_alcotest.to_alcotest prop_divisibility;
       QCheck_alcotest.to_alcotest prop_mask_is_mod;
     ] )
