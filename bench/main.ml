@@ -637,273 +637,25 @@ let run_obs_overhead_bench ~gate () =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-GC speedup sweep: jbb_mod and swap_leak collected over a
-   {1, 2, 4} domains x steal {off, on} matrix. The engine is
-   deterministic by construction, so the sweep doubles as an
-   equivalence check (collections, reclaimed bytes and fields scanned
-   must match across every cell) while the wall-clock numbers measure
-   the engine honestly on this host -- on a single-core box the extra
-   domains cannot speed marking up, which is why host_cores is part of
-   the record and the speedup gate only arms when the host actually
-   has 4 cores.
-
-   The coordination gate is count-based and therefore host-independent:
-   pool_dispatches / pooled_rounds is how many times a round paid the
-   full wake-all-domains dispatch. The legacy shared-counter design
-   pays once per round (ratio 1.0); the steal-driven design opens one
-   session per mark closure and runs every round of that closure
-   inside it, so the ratio drops below 1.0 as soon as any closure has
-   two or more pooled rounds. *)
-
-let parallel_gc_schedules =
-  (* (gc_domains, steal) -- domains = 1 is the sequential baseline,
-     where the steal flag is irrelevant. *)
-  [ (1, true); (2, false); (2, true); (4, false); (4, true) ]
-
-let parallel_gc_workloads =
-  [ Lp_workloads.Jbb_mod.workload; Lp_workloads.Swap_leak.workload ]
-
-type parallel_gc_case = {
-  pg_workload : string;
-  pg_domains : int;
-  pg_steal : bool;
-  pg_gc_count : int;
-  pg_bytes_reclaimed : int;
-  pg_fields_scanned : int;
-  pg_mark_ns : int;
-  pg_pause_ns : int;
-  pg_pooled_rounds : int;
-  pg_dispatches : int;
-  pg_steals : int;
-}
-
-let run_parallel_gc_case w (gc_domains, gc_steal) =
-  let captured = ref None in
-  let r =
-    Lp_harness.Driver.run
-      ~config:(Lp_core.Config.make ~gc_domains ~gc_steal ())
-      ~max_iterations:5_000
-      ~prepare_vm:(fun vm -> captured := Some vm)
-      w
-  in
-  let vm = match !captured with Some vm -> vm | None -> assert false in
-  let stats = Lp_runtime.Vm.stats vm in
-  let pooled, dispatches, steals =
-    match Lp_runtime.Vm.par_engine vm with
-    | Some e ->
-      ( Lp_par.Par_engine.pooled_rounds e,
-        Lp_par.Par_engine.dispatches e,
-        Lp_par.Par_engine.steals e )
-    | None -> (0, 0, 0)
-  in
-  {
-    pg_workload = r.Lp_harness.Driver.workload;
-    pg_domains = gc_domains;
-    pg_steal = gc_steal;
-    pg_gc_count = r.Lp_harness.Driver.gc_count;
-    pg_bytes_reclaimed = r.Lp_harness.Driver.bytes_reclaimed;
-    pg_fields_scanned = stats.Lp_heap.Gc_stats.fields_scanned;
-    pg_mark_ns = Lp_core.Controller.mark_wall_ns (Lp_runtime.Vm.controller vm);
-    pg_pause_ns = Lp_runtime.Vm.gc_pause_ns vm;
-    pg_pooled_rounds = pooled;
-    pg_dispatches = dispatches;
-    pg_steals = steals;
-  }
-
-let run_parallel_gc_bench () =
-  Lp_harness.Render.header "Parallel collection"
-    "mark throughput, pause and coordination overhead over {1,2,4} domains \
-     x steal {off,on}; results in BENCH_parallel_gc.json";
-  let host_cores = Domain.recommended_domain_count () in
-  let cases =
-    List.concat_map
-      (fun w -> List.map (run_parallel_gc_case w) parallel_gc_schedules)
-      parallel_gc_workloads
-  in
-  let base c =
-    List.find
-      (fun b -> b.pg_workload = c.pg_workload && b.pg_domains = 1)
-      cases
-  in
-  (* Gate 1 -- equivalence across the whole matrix: same collections,
-     same reclaimed bytes, same fields scanned in every cell. *)
-  let deterministic =
-    List.for_all
-      (fun c ->
-        let b = base c in
-        c.pg_gc_count = b.pg_gc_count
-        && c.pg_bytes_reclaimed = b.pg_bytes_reclaimed
-        && c.pg_fields_scanned = b.pg_fields_scanned)
-      cases
-  in
-  (* Gate 2 -- coordination overhead, a deterministic count ratio: at
-     2 domains, steal-on must never dispatch the pool more often per
-     pooled round than steal-off, and on at least one workload it must
-     be strictly cheaper. A workload whose mark closures are all
-     single-round (SwapLeak: one wide frontier, then done) cannot go
-     below one dispatch per round under any design, so only
-     no-regression is demanded there; JbbMod's multi-round closures
-     are where the session amortisation must show up. *)
-  let coord_ratio c =
-    if c.pg_pooled_rounds = 0 then 1.0
-    else float_of_int c.pg_dispatches /. float_of_int c.pg_pooled_rounds
-  in
-  let coord_pairs =
-    List.filter_map
-      (fun w ->
-        let name = w.Lp_workloads.Workload.name in
-        let find steal =
-          List.find
-            (fun c ->
-              c.pg_workload = name && c.pg_domains = 2 && c.pg_steal = steal)
-            cases
-        in
-        let off = find false and on = find true in
-        if off.pg_pooled_rounds >= 1 then Some (name, off, on) else None)
-      parallel_gc_workloads
-  in
-  let coord_ok =
-    coord_pairs <> []
-    && List.for_all
-         (fun (_, off, on) -> coord_ratio on <= coord_ratio off)
-         coord_pairs
-    && List.exists
-         (fun (_, off, on) -> coord_ratio on < coord_ratio off)
-         coord_pairs
-  in
-  (* Gate 3 -- speedup, armed only where it is physically possible:
-     with 4 real cores, 4-domain steal-on marking must beat the
-     sequential baseline on both workloads. *)
-  let speedup c =
-    let b = base c in
-    if c.pg_mark_ns = 0 then 0.0
-    else float_of_int b.pg_mark_ns /. float_of_int c.pg_mark_ns
-  in
-  let speedup_armed = host_cores >= 4 in
-  let speedup_cells =
-    List.filter (fun c -> c.pg_domains = 4 && c.pg_steal) cases
-  in
-  let speedup_ok =
-    (not speedup_armed)
-    || List.for_all (fun c -> speedup c > 1.0) speedup_cells
-  in
-  let throughput c =
-    if c.pg_mark_ns = 0 then 0.0
-    else float_of_int c.pg_fields_scanned /. (float_of_int c.pg_mark_ns /. 1e9)
-  in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "gc_domains": %d, "steal": %b,
-      "collections": %d, "bytes_reclaimed": %d, "fields_scanned": %d,
-      "mark_ns": %d, "total_pause_ns": %d, "pooled_rounds": %d,
-      "pool_dispatches": %d, "steals": %d, "coordination_ratio": %.3f,
-      "mark_fields_per_s": %.0f, "mark_speedup_vs_1": %.3f }|}
-      c.pg_workload c.pg_domains c.pg_steal c.pg_gc_count
-      c.pg_bytes_reclaimed c.pg_fields_scanned c.pg_mark_ns c.pg_pause_ns
-      c.pg_pooled_rounds c.pg_dispatches c.pg_steals (coord_ratio c)
-      (throughput c) (speedup c)
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "parallel_gc",
-  "host_cores": %d,
-  "deterministic_across_schedules": %b,
-  "coordination_gate": %b,
-  "speedup_gate_armed": %b,
-  "speedup_gate": %b,
-  "cases": [
-%s
-  ]
-}
-|}
-      host_cores deterministic coord_ok speedup_armed speedup_ok
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  let path = out_path "BENCH_parallel_gc.json" in
-  write_file path json;
-  write_file "BENCH_parallel_gc.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "domains"; "steal"; "gcs"; "mark ms"; "fields/s";
-        "speedup"; "rounds"; "dispatches"; "steals" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.pg_workload;
-             string_of_int c.pg_domains;
-             (if c.pg_domains = 1 then "-"
-              else if c.pg_steal then "on"
-              else "off");
-             string_of_int c.pg_gc_count;
-             Printf.sprintf "%.2f" (float_of_int c.pg_mark_ns /. 1e6);
-             Printf.sprintf "%.2e" (throughput c);
-             Printf.sprintf "%.2fx" (speedup c);
-             string_of_int c.pg_pooled_rounds;
-             string_of_int c.pg_dispatches;
-             string_of_int c.pg_steals;
-           ])
-         cases);
-  Printf.printf
-    "host cores: %d; outputs %s across the schedule matrix\n" host_cores
-    (if deterministic then "IDENTICAL" else "DIVERGED (engine bug!)");
-  List.iter
-    (fun (name, off, on) ->
-      Printf.printf
-        "%s @ 2 domains: %.3f dispatches/round stealing vs %.3f legacy\n"
-        name (coord_ratio on) (coord_ratio off))
-    coord_pairs;
-  if speedup_armed then
-    List.iter
-      (fun c ->
-        Printf.printf "%s @ 4 domains stealing: %.2fx vs sequential\n"
-          c.pg_workload (speedup c))
-      speedup_cells
-  else
-    Printf.printf
-      "speedup gate disarmed: host has %d core(s), 4-domain marking cannot \
-       win here\n"
-      host_cores;
-  Printf.printf "wrote %s (and root copy BENCH_parallel_gc.json)\n" path;
-  if not deterministic then exit 1;
-  if not coord_ok then begin
-    Printf.eprintf
-      "coordination gate: FAIL -- steal-driven rounds must never dispatch \
-       the pool more often per pooled round than the legacy shared-counter \
-       design at 2 domains, and must be strictly cheaper on at least one \
-       workload\n";
-    exit 1
-  end;
-  if not speedup_ok then begin
-    Printf.eprintf
-      "speedup gate: FAIL -- 4-domain steal-on marking did not beat the \
-       sequential baseline on a %d-core host\n"
-      host_cores;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Pause-time sweep: the same leak workloads collected by all three
-   tracing engines, with the VM's per-pause samples (one per collection
-   for the monolithic engines; one per mark slice plus the remainder
-   for the incremental engine) aggregated into max / mean / a log10
-   histogram. Reclamation outcomes must match across engines (the
-   determinism contract — hard gate), and the incremental engine's
-   biggest slice must respect its object budget; that bound is counted
-   in objects, not nanoseconds, so the gate cannot be flaked by a busy
-   host. The wall-clock comparison (incremental max pause vs
-   sequential) is recorded in the JSON for the honest picture. *)
+(* Pause-time sweep: the same leak workloads collected with and
+   without a slice budget, with the VM's per-pause samples (one per
+   collection without a budget; one per mark slice plus the remainder
+   with one) aggregated into max / mean / a log10 histogram.
+   Reclamation outcomes must match across the two (the determinism
+   contract — hard gate), and the incremental engine's biggest slice
+   must respect its object budget; that bound is counted in objects,
+   not nanoseconds, so the gate cannot be flaked by a busy host. The
+   wall-clock comparison (incremental max pause vs sequential) is
+   recorded in the JSON for the honest picture. *)
 
 let pause_slice_budget = 64
 let pause_gate_tolerance = 1.25
 
-(* (label, (gc_domains, gc_slice_budget)) *)
+(* (label, gc_slice_budget) *)
 let pause_engines =
   [
-    ("seq", (1, None));
-    ("par2", (2, None));
-    (Printf.sprintf "inc%d" pause_slice_budget, (1, Some pause_slice_budget));
+    ("seq", None);
+    (Printf.sprintf "inc%d" pause_slice_budget, Some pause_slice_budget);
   ]
 
 let pause_workloads =
@@ -941,11 +693,11 @@ type pause_case = {
   pc_histogram : int array;
 }
 
-let run_pause_case w (name, (gc_domains, gc_slice_budget)) =
+let run_pause_case w (name, gc_slice_budget) =
   let captured = ref None in
   let r =
     Lp_harness.Driver.run
-      ~config:(Lp_core.Config.make ~gc_domains ?gc_slice_budget ())
+      ~config:(Lp_core.Config.make ?gc_slice_budget ())
       ~max_iterations:5_000
       ~prepare_vm:(fun vm -> captured := Some vm)
       w
@@ -969,8 +721,8 @@ let run_pause_case w (name, (gc_domains, gc_slice_budget)) =
 
 let run_pause_bench () =
   Lp_harness.Render.header "GC pause profile"
-    "per-pause wall-clock samples under seq / par2 / inc engines; results \
-     in BENCH_pauses.json";
+    "per-pause wall-clock samples under seq / inc engines; results in \
+     BENCH_pauses.json";
   let cases =
     List.concat_map
       (fun w -> List.map (run_pause_case w) pause_engines)
@@ -1110,7 +862,6 @@ type slo_case = {
   sc_p99_ns : int;
   sc_max_ns : int;
   sc_adjustments : int;
-  sc_switches : int;
   sc_final_budget : int;
 }
 
@@ -1135,13 +886,10 @@ let run_slo_case ~autopilot w =
   let vm = match !captured with Some vm -> vm | None -> assert false in
   let tagged = Lp_runtime.Vm.pause_samples vm in
   let ns = List.map snd tagged in
-  let adjustments, switches, final_budget =
+  let adjustments, final_budget =
     match Lp_runtime.Vm.autopilot vm with
-    | Some ap ->
-      ( Lp_slo.Autopilot.adjustments ap,
-        Lp_slo.Autopilot.switches ap,
-        Lp_slo.Autopilot.budget ap )
-    | None -> (0, 0, 256)
+    | Some ap -> (Lp_slo.Autopilot.adjustments ap, Lp_slo.Autopilot.budget ap)
+    | None -> (0, 256)
   in
   {
     sc_workload = r.Lp_harness.Driver.workload;
@@ -1158,7 +906,6 @@ let run_slo_case ~autopilot w =
     sc_p99_ns = slo_p99 ns;
     sc_max_ns = Lp_runtime.Vm.max_pause_ns vm;
     sc_adjustments = adjustments;
-    sc_switches = switches;
     sc_final_budget = final_budget;
   }
 
@@ -1197,9 +944,9 @@ let run_slo_bench () =
       {|    { "workload": %S, "mode": %S, "collections": %d,
       "bytes_reclaimed": %d, "pause_samples": %d, "monolithic_samples": %d,
       "p99_pause_ns": %d, "max_pause_ns": %d, "slo_adjustments": %d,
-      "engine_switches": %d, "final_budget": %d }|}
+      "final_budget": %d }|}
       c.sc_workload c.sc_mode c.sc_gc_count c.sc_bytes_reclaimed c.sc_samples
-      c.sc_monolithic c.sc_p99_ns c.sc_max_ns c.sc_adjustments c.sc_switches
+      c.sc_monolithic c.sc_p99_ns c.sc_max_ns c.sc_adjustments
       c.sc_final_budget
   in
   let json =
@@ -1748,11 +1495,8 @@ let list_experiments () =
     "Disabled-observability overhead (writes bench/out/BENCH_obs_overhead.json)";
   Printf.printf "%-13s %s\n" "obs-gate"
     "Same measurement; exit 1 if overhead exceeds the 3% budget";
-  Printf.printf "%-13s %s\n" "gc-parallel"
-    "Parallel-GC speedup sweep at 1/2/4 domains (writes \
-     bench/out/BENCH_parallel_gc.json; exit 1 if outputs diverge)";
   Printf.printf "%-13s %s\n" "gc-pauses"
-    "Pause profile under seq/par2/inc engines (writes \
+    "Pause profile under seq/inc engines (writes \
      bench/out/BENCH_pauses.json; exit 1 if outputs diverge or an \
      incremental slice busts its budget)";
   Printf.printf "%-13s %s\n" "slo"
@@ -1782,7 +1526,6 @@ let run_experiment id =
     else if id = "resurrection" then run_resurrection_bench ()
     else if id = "obs" then run_obs_overhead_bench ~gate:false ()
     else if id = "obs-gate" then run_obs_overhead_bench ~gate:true ()
-    else if id = "gc-parallel" then run_parallel_gc_bench ()
     else if id = "gc-pauses" then run_pause_bench ()
     else if id = "slo" then run_slo_bench ()
     else if id = "fleet" then run_fleet_bench ()
@@ -1812,7 +1555,6 @@ let () =
     run_microbenches ();
     run_resurrection_bench ();
     run_obs_overhead_bench ~gate:false ();
-    run_parallel_gc_bench ();
     run_pause_bench ();
     run_slo_bench ();
     run_fleet_bench ();

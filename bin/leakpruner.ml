@@ -64,17 +64,10 @@ let policy_conv =
   in
   Arg.conv (parse, Lp_core.Policy.pp)
 
-(* Shared by run, trace and chaos: the two numbers that pick the
-   tracing engine behind full collections. Every engine produces
-   identical prune decisions, counters and heap state by the
-   determinism contract — only the pause profile (and, on several
-   domains, the wall-clock mark time) differs. *)
-let gc_domains_arg =
-  Arg.(value & opt (some int) None
-       & info [ "gc-domains" ] ~docv:"N"
-           ~doc:"Collector domains for full collections (1-64; default 1). \
-                 More than 1 runs the deterministic parallel engine.")
-
+(* Shared by run, trace and chaos: the slice budget of the engine behind
+   full collections. Prune decisions, counters and heap state are
+   identical at every budget by the determinism contract — only the
+   pause profile differs. *)
 let gc_slice_budget_arg =
   Arg.(value & opt (some int) None
        & info [ "gc-slice-budget" ] ~docv:"N"
@@ -83,27 +76,6 @@ let gc_slice_budget_arg =
                  Without it each collection is one pause. With \
                  --pause-slo-p99 this is just the initial budget (default \
                  256) — the autopilot retunes it between collections.")
-
-(* Shared by run, trace, chaos and serve: the parallel engines' packet
-   granularity. Like the slice budget, a scheduling knob with no effect
-   on reclamation outcomes. *)
-let gc_packet_size_arg =
-  Arg.(value & opt (some int) None
-       & info [ "gc-packet-size" ] ~docv:"N"
-           ~doc:"Frontier objects per work packet when --gc-domains is \
-                 above 1 (default 32). Output-neutral: \
-                 packets are merged in index order, so boundaries only move \
-                 wall time and steal granularity.")
-
-let gc_steal_arg =
-  Arg.(value
-       & opt (some (enum [ ("on", true); ("off", false) ])) None
-       & info [ "gc-steal" ] ~docv:"on|off"
-           ~doc:"Work-stealing packet scheduling when --gc-domains is \
-                 above 1 (default $(b,on)): per-worker deques inside one pool \
-                 dispatch per mark closure. $(b,off) selects the legacy \
-                 shared-counter claim with one pool dispatch per round. \
-                 Output-neutral either way.")
 
 (* Pause targets read like durations: 100us, 2ms, 1s, 500ns, or a bare
    nanosecond count. *)
@@ -136,9 +108,7 @@ let pause_slo_arg =
        & info [ "pause-slo-p99" ] ~docv:"DURATION"
            ~doc:"Arm the pause-SLO autopilot with this p99 pause target \
                  (e.g. $(b,100us)): the slice budget is retuned from \
-                 wall-clock pause feedback between collections, and the \
-                 collector may escalate to a second domain for a collection \
-                 when SELECT predicts a large stale closure. \
+                 wall-clock pause feedback between collections. \
                  Outcome-neutral: reclamation stays bit-identical run to \
                  run.")
 
@@ -200,8 +170,8 @@ let run_cmd =
          & info [ "prune-at-exhaustion" ]
              ~doc:"Use the paper's option (1): wait until the heap is 100% full before the first prune (Figure 11). Default is option (2), pruning right after a SELECT collection.")
   in
-  let run name policy heap cap trace exhaustion gc_domains gc_slice_budget
-      gc_packet_size gc_steal pause_slo slo_floor liveness =
+  let run name policy heap cap trace exhaustion gc_slice_budget pause_slo
+      slo_floor liveness =
     match find_workload name with
     | None ->
       Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
@@ -214,9 +184,8 @@ let run_cmd =
              ~prune_trigger:
                (if exhaustion then Lp_core.Config.On_exhaustion
                 else Lp_core.Config.On_select_gc)
-             ?report ?gc_domains ?gc_slice_budget ?gc_packet_size ?gc_steal
-             ?pause_slo_p99_ns:pause_slo ?slo_budget_floor:slo_floor
-             ~liveness_mode:liveness ())
+             ?report ?gc_slice_budget ?pause_slo_p99_ns:pause_slo
+             ?slo_budget_floor:slo_floor ~liveness_mode:liveness ())
       in
       let r = Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap w in
       Printf.printf "workload:     %s\n" r.Lp_harness.Driver.workload;
@@ -243,8 +212,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg $ trace_arg
-          $ exhaustion_arg $ gc_domains_arg $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
-          $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
+          $ exhaustion_arg $ gc_slice_budget_arg $ pause_slo_arg $ slo_floor_arg
+          $ liveness_arg)
 
 let interp_cmd =
   let doc = "Assemble and interpret a bytecode file on the simulated VM (with leak pruning)." in
@@ -347,8 +316,8 @@ let trace_cmd =
                    bundled workloads under their default caps drop nothing, \
                    which the prune audit cross-check relies on.")
   in
-  let run name policy heap cap format out buffer gc_domains gc_slice_budget
-      gc_packet_size gc_steal pause_slo slo_floor liveness =
+  let run name policy heap cap format out buffer gc_slice_budget pause_slo
+      slo_floor liveness =
     match find_workload name with
     | None ->
       Printf.eprintf "unknown workload %S; see `leakpruner list`\n" name;
@@ -356,9 +325,9 @@ let trace_cmd =
     | Some w ->
       let config =
         validated
-          (Lp_core.Config.make ~policy ?gc_domains ?gc_slice_budget
-             ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
-             ?slo_budget_floor:slo_floor ~liveness_mode:liveness ())
+          (Lp_core.Config.make ~policy ?gc_slice_budget
+             ?pause_slo_p99_ns:pause_slo ?slo_budget_floor:slo_floor
+             ~liveness_mode:liveness ())
       in
       let captured = ref None in
       let r =
@@ -485,8 +454,7 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ workload_arg $ policy_arg $ heap_arg $ cap_arg
-          $ format_arg $ out_arg $ buffer_arg $ gc_domains_arg
-          $ gc_slice_budget_arg $ gc_packet_size_arg $ gc_steal_arg
+          $ format_arg $ out_arg $ buffer_arg $ gc_slice_budget_arg
           $ pause_slo_arg $ slo_floor_arg $ liveness_arg)
 
 let chaos_cmd =
@@ -526,13 +494,13 @@ let chaos_cmd =
      re-run traced, exported as a Chrome trace. Reruns are exact (the
      run is a deterministic function of seed and cap, and tracing never
      changes behaviour), so the trace shows the actual failure. *)
-  let write_failure_trace ~faults ~gc_domains ~gc_slice_budget ~gc_packet_size
-      ~gc_steal ~pause_slo ~liveness ~steps ~seed dir =
+  let write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
+      ~steps ~seed dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let r =
-      Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
-        ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness ~steps
-        ~trace_capacity:65_536 ~seed ()
+      Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
+        ?pause_slo_p99_ns:pause_slo ~liveness ~steps ~trace_capacity:65_536
+        ~seed ()
     in
     let file = Filename.concat dir (Printf.sprintf "chaos_seed_%d.trace.json" seed) in
     let oc = open_out file in
@@ -568,22 +536,21 @@ let chaos_cmd =
       | Lp_harness.Chaos.Survived -> ""
       | o -> "  (" ^ Lp_harness.Chaos.outcome_to_string o ^ ")")
   in
-  let run seeds steps no_faults seed quiet trace_dir gc_domains
-      gc_slice_budget gc_packet_size gc_steal pause_slo liveness =
+  let run seeds steps no_faults seed quiet trace_dir gc_slice_budget pause_slo
+      liveness =
     if seeds < 0 || steps < 0 then begin
       Printf.eprintf "leakpruner: chaos: --seeds and --steps must be non-negative\n";
       exit 2
     end;
     ignore
       (validated
-         (Lp_core.Config.make ?gc_domains ?gc_slice_budget ?gc_packet_size
-            ?gc_steal ?pause_slo_p99_ns:pause_slo ()));
+         (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns:pause_slo ()));
     let faults = not no_faults in
     match seed with
     | Some seed ->
       let r =
-        Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
+        Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
+          ?pause_slo_p99_ns:pause_slo ~liveness
           ~steps ~seed ()
       in
       print_report r;
@@ -592,8 +559,8 @@ let chaos_cmd =
          budgets, but these runs are untraced and every scalar field is
          deterministic by the outcome-neutrality of budgets *)
       (match
-         Lp_harness.Chaos.run_one ~faults ?gc_domains ?gc_slice_budget
-           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
+         Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
+           ?pause_slo_p99_ns:pause_slo ~liveness
            ~steps ~seed ()
        with
       | r' when r' = r -> ()
@@ -603,8 +570,8 @@ let chaos_cmd =
           (Lp_fault.Fault_plan.describe (Lp_fault.Fault_plan.random ~seed ()));
       if Lp_harness.Chaos.failed r then begin
         let shrunk =
-          Lp_harness.Chaos.shrink ~faults ?gc_domains ?gc_slice_budget
-            ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
+          Lp_harness.Chaos.shrink ~faults ?gc_slice_budget
+            ?pause_slo_p99_ns:pause_slo ~liveness
             ~steps ~seed ()
         in
         (match shrunk with
@@ -612,10 +579,9 @@ let chaos_cmd =
         | None -> ());
         (match trace_dir with
         | Some dir ->
-          (* replays run under the failing engine selection, so the trace
-             shows that engine's rounds when that is where it failed *)
-          write_failure_trace ~faults ~gc_domains ~gc_slice_budget
-            ~gc_packet_size ~gc_steal ~pause_slo ~liveness
+          (* replays run under the failing slice budget, so the trace
+             shows that run's slices *)
+          write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
             ~steps:(match shrunk with Some n -> n | None -> steps)
             ~seed dir
         | None -> ());
@@ -627,8 +593,8 @@ let chaos_cmd =
     | None ->
       let failures = ref 0 in
       let reports =
-        Lp_harness.Chaos.run_seeds ~faults ?gc_domains ?gc_slice_budget
-          ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo ~liveness
+        Lp_harness.Chaos.run_seeds ~faults ?gc_slice_budget
+          ?pause_slo_p99_ns:pause_slo ~liveness
           ~steps ~seeds
           ~progress:(fun r ->
             let bad =
@@ -655,8 +621,8 @@ let chaos_cmd =
           if Lp_harness.Chaos.failed r then begin
             let seed = r.Lp_harness.Chaos.seed in
             let shrunk =
-              Lp_harness.Chaos.shrink ~faults ?gc_domains ?gc_slice_budget
-                ?gc_packet_size ?gc_steal ?pause_slo_p99_ns:pause_slo
+              Lp_harness.Chaos.shrink ~faults ?gc_slice_budget
+                ?pause_slo_p99_ns:pause_slo
                 ~liveness ~steps ~seed ()
             in
             (match shrunk with
@@ -665,8 +631,7 @@ let chaos_cmd =
             | None -> ());
             match trace_dir with
             | Some dir ->
-              write_failure_trace ~faults ~gc_domains ~gc_slice_budget
-                ~gc_packet_size ~gc_steal ~pause_slo ~liveness
+              write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
                 ~steps:(match shrunk with Some n -> n | None -> steps)
                 ~seed dir
             | None -> ()
@@ -676,8 +641,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seeds_arg $ steps_arg $ no_faults_arg $ seed_arg $ quiet_arg
-          $ trace_dir_arg $ gc_domains_arg $ gc_slice_budget_arg
-          $ gc_packet_size_arg $ gc_steal_arg $ pause_slo_arg $ liveness_arg)
+          $ trace_dir_arg $ gc_slice_budget_arg $ pause_slo_arg $ liveness_arg)
 
 let serve_cmd =
   let doc =
@@ -877,7 +841,7 @@ let serve_cmd =
       kills chaos sweep trace_dir retry_cap backoff_base backoff_ceiling
       deadline storm quarantine extended_quarantine checkpoint_rounds
       warm_limit cold_limit retire_limit storm_window storm_trip storm_cooldown
-      liveness pause_slo gc_packet_size =
+      liveness pause_slo =
     if tenants < 1 then begin
       Printf.eprintf "leakpruner: serve: --tenants must be >= 1\n";
       exit 2
@@ -895,7 +859,7 @@ let serve_cmd =
     in
     let admission =
       validated
-        (Lp_core.Config.make ?gc_packet_size ~admission_retry_cap:retry_cap
+        (Lp_core.Config.make ~admission_retry_cap:retry_cap
            ~admission_backoff_base:backoff_base
            ~admission_backoff_ceiling:backoff_ceiling ~offload_deadline:deadline
            ~quarantine_rounds:quarantine
@@ -919,7 +883,7 @@ let serve_cmd =
             resurrection = true;
             liveness;
             pause_slo_p99_ns = pause_slo;
-            gc_packet_size;
+            gc_packet_size = None;
           })
     in
     let options seed =
@@ -991,8 +955,7 @@ let serve_cmd =
           $ storm_flag_arg $ quarantine_arg $ extended_quarantine_arg
           $ checkpoint_rounds_arg $ warm_limit_arg $ cold_limit_arg
           $ retire_limit_arg $ storm_window_arg $ storm_trip_arg
-          $ storm_cooldown_arg $ liveness_arg $ pause_slo_arg
-          $ gc_packet_size_arg)
+          $ storm_cooldown_arg $ liveness_arg $ pause_slo_arg)
 
 let experiment_cmd =
   let doc = "Regenerate one of the paper's tables or figures (see bench/main.exe --list)." in

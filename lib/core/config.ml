@@ -27,14 +27,7 @@ type t = {
   safe_mode_threshold : int option;
   safe_mode_collections : int;
   resurrection_alloc_attempts : int;
-  gc_domains : int;
   gc_slice_budget : int option;
-  (* Parallel-engine scheduling knobs. Neither can change any
-     reclamation outcome (the engine merges packets in index order, so
-     packet boundaries and steal schedules are output-neutral) — they
-     only move wall time. *)
-  gc_packet_size : int;
-  gc_steal : bool;
   admission_retry_cap : int;
   admission_backoff_base : int;
   admission_backoff_ceiling : int;
@@ -53,14 +46,11 @@ type t = {
   liveness_boost : int;
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
      arms it: the slice budget is retuned between collections from
-     wall-clock pause feedback, and each collection runs on 1 or
-     [slo_domains] domains.
-     Budgets never drop below [slo_budget_floor] objects, so the
-     deterministic count-based CI gates keep holding. *)
+     wall-clock pause feedback. Budgets never drop below
+     [slo_budget_floor] objects, so the deterministic count-based CI
+     gates keep holding. *)
   pause_slo_p99_ns : int option;
   slo_budget_floor : int;
-  slo_domains : int;
-  slo_escalate_permille : int;
 }
 
 let default =
@@ -82,10 +72,7 @@ let default =
     safe_mode_threshold = Some 4;
     safe_mode_collections = 8;
     resurrection_alloc_attempts = 4;
-    gc_domains = 1;
     gc_slice_budget = None;
-    gc_packet_size = 32;
-    gc_steal = true;
     admission_retry_cap = 3;
     admission_backoff_base = 1;
     admission_backoff_ceiling = 16;
@@ -104,8 +91,6 @@ let default =
     liveness_boost = 1;
     pause_slo_p99_ns = None;
     slo_budget_floor = 32;
-    slo_domains = 2;
-    slo_escalate_permille = 125;
   }
 
 let make ?(policy = default.policy) ?(observe_threshold = default.observe_threshold)
@@ -122,9 +107,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?(safe_mode_collections = default.safe_mode_collections)
     ?(resurrection_alloc_attempts = default.resurrection_alloc_attempts)
-    ?(gc_domains = default.gc_domains) ?gc_slice_budget
-    ?(gc_packet_size = default.gc_packet_size)
-    ?(gc_steal = default.gc_steal)
+    ?gc_slice_budget
     ?(admission_retry_cap = default.admission_retry_cap)
     ?(admission_backoff_base = default.admission_backoff_base)
     ?(admission_backoff_ceiling = default.admission_backoff_ceiling)
@@ -141,9 +124,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(storm_cooldown_rounds = default.storm_cooldown_rounds)
     ?(liveness_mode = default.liveness_mode)
     ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns
-    ?(slo_budget_floor = default.slo_budget_floor)
-    ?(slo_domains = default.slo_domains)
-    ?(slo_escalate_permille = default.slo_escalate_permille) () =
+    ?(slo_budget_floor = default.slo_budget_floor) () =
   {
     policy;
     observe_threshold;
@@ -162,10 +143,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     safe_mode_threshold;
     safe_mode_collections;
     resurrection_alloc_attempts;
-    gc_domains;
     gc_slice_budget;
-    gc_packet_size;
-    gc_steal;
     admission_retry_cap;
     admission_backoff_base;
     admission_backoff_ceiling;
@@ -184,8 +162,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     liveness_boost;
     pause_slo_p99_ns;
     slo_budget_floor;
-    slo_domains;
-    slo_escalate_permille;
   }
 
 let validate t =
@@ -211,11 +187,8 @@ let validate t =
     Error "safe_mode_collections must be >= 1"
   else if t.resurrection_alloc_attempts < 0 then
     Error "resurrection_alloc_attempts must be >= 0"
-  else if t.gc_domains < 1 || t.gc_domains > 64 then
-    Error "gc_domains must be in [1, 64]"
   else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then
     Error "gc_slice_budget must be >= 1"
-  else if t.gc_packet_size < 1 then Error "gc_packet_size must be >= 1"
   else if t.admission_retry_cap < 0 then Error "admission_retry_cap must be >= 0"
   else if t.admission_backoff_base < 1 then
     Error "admission_backoff_base must be >= 1"
@@ -243,8 +216,4 @@ let validate t =
   else if (match t.pause_slo_p99_ns with Some n -> n < 1 | None -> false) then
     Error "pause_slo_p99_ns must be >= 1"
   else if t.slo_budget_floor < 1 then Error "slo_budget_floor must be >= 1"
-  else if t.slo_domains < 2 || t.slo_domains > 64 then
-    Error "slo_domains must be in [2, 64]"
-  else if t.slo_escalate_permille < 1 || t.slo_escalate_permille > 1000 then
-    Error "slo_escalate_permille must be in [1, 1000]"
   else Ok t

@@ -73,32 +73,15 @@ type t = {
       (** collections the barrier-level resurrection path may trigger
           while re-allocating a pruned object's replacement before the
           recovery fails with [Reallocation_exhausted]; default 4 *)
-  gc_domains : int;
-      (** domains full-heap collections trace on, the calling domain
-          included; range [1, 64]; default 1. More than one runs the
-          [Lp_par] parallel engine. Reclamation outcomes are identical
-          at every domain count by construction — only scheduling (and
-          therefore wall time) differs. *)
   gc_slice_budget : int option;
       (** [Some b] bounds every pause: one mark slice scans at most [b]
           objects before yielding, and the sweep runs in segments of
           [b] slots ([>= 1]). [None] (the default) runs each
-          collection as one pause. Outcome-neutral like [gc_domains].
+          collection as one pause. Reclamation outcomes are identical
+          with and without a budget by construction — only the pause
+          profile (and therefore wall time per pause) differs.
           With the pause SLO armed this is only the starting budget
           (256 when [None]); the autopilot retunes it. *)
-  gc_packet_size : int;
-      (** frontier objects per work packet when [gc_domains > 1];
-          ignored on one domain. Packet boundaries are output-neutral (the
-          engine merges packets in index order), so this knob only
-          trades steal granularity against per-packet overhead.
-          Default 32; must be [>= 1]. *)
-  gc_steal : bool;
-      (** [true] (the default) runs the parallel engine's rounds
-          steal-driven: per-worker Chase–Lev deques inside one pool
-          session per closure. [false] selects the legacy shared
-          fetch-and-add packet claim with one pool dispatch per round —
-          kept as the control for the coordination-overhead bench
-          gate. Output-neutral either way. *)
   admission_retry_cap : int;
       (** fleet admission control: how many times one queued request may
           be re-offered to a tenant under disk backpressure before the
@@ -158,24 +141,14 @@ type t = {
       (** the pause SLO: target 99th-percentile pause, in nanoseconds.
           [Some target] arms the [Lp_slo.Autopilot] — the VM retunes
           the slice budget between collections from wall-clock pause
-          feedback and picks each collection's domain count (1 or
-          [slo_domains]). Outcome-neutral by construction: budgets and
-          domain counts only move slice boundaries. Default [None]
-          (autopilot off) *)
+          feedback. Outcome-neutral by construction: budgets only move
+          slice boundaries. Default [None] (autopilot off) *)
   slo_budget_floor : int;
       (** the deterministic object-count floor under the autopilot's
           nanosecond-denominated budget: a retuned slice budget never
           drops below this many objects, so the count-based CI gates
           stay meaningful however slow the host; must be [>= 1];
           default 32 *)
-  slo_domains : int;
-      (** domains the autopilot escalates a collection to when SELECT
-          predicts a large stale closure; range [2, 64]; default 2 *)
-  slo_escalate_permille : int;
-      (** escalate to [slo_domains] when the last SELECT's predicted
-          stale-closure size exceeds this fraction (in per-mille) of
-          the heap limit — a deterministic signal, so domain switching
-          is reproducible run to run; range [1, 1000]; default 125 *)
 }
 
 val default : t
@@ -198,10 +171,7 @@ val make :
   ?safe_mode_threshold:int option ->
   ?safe_mode_collections:int ->
   ?resurrection_alloc_attempts:int ->
-  ?gc_domains:int ->
   ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
   ?admission_retry_cap:int ->
   ?admission_backoff_base:int ->
   ?admission_backoff_ceiling:int ->
@@ -220,8 +190,6 @@ val make :
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->
   ?slo_budget_floor:int ->
-  ?slo_domains:int ->
-  ?slo_escalate_permille:int ->
   unit ->
   t
 val validate : t -> (t, string) result

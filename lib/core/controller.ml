@@ -16,13 +16,11 @@ type t = {
   mutable epoch_mispredictions : int;  (* since the last PRUNE collection *)
   metrics : Lp_obs.Metrics.t;
   mutable sink : Lp_obs.Sink.t option;
-  mutable engine : Trace_engine.t;
-      (* the one tracing engine every phase dispatches through; swapped
-         only between collections (Vm.switch_engine / the autopilot) *)
+  engine : Trace_engine.t;
+      (* the one tracing engine every phase dispatches through *)
   mutable mark_wall_ns : int;  (* wall time spent in mark phases *)
   (* The static liveness oracle, lowered to runtime ids by the harness
-     (lp_core never sees lp_liveness — only the closures). [prior] must
-     be pure: it is evaluated from parallel collector domains. *)
+     (lp_core never sees lp_liveness — only the closures). *)
   mutable prior : (Collector.edge -> Selection.prior) option;
   mutable prior_dead : (int -> int -> bool) option;
       (* (class id, field index) the oracle proved never-read — the
@@ -83,15 +81,6 @@ let set_sink t sink = t.sink <- sink
 let sink t = t.sink
 
 let engine t = t.engine
-
-(* Engine swap, legal only at a collection boundary: [collect] reads
-   [t.engine] afresh at every phase of one collection, so installing a
-   new engine between [collect] calls can never split a collection
-   across engines. Outcome-safety is the engines' determinism contract
-   — all of them produce identical reclamation outcomes — which is
-   what makes wall-clock-driven switching (the pause-SLO autopilot)
-   sound. *)
-let set_engine t engine = t.engine <- engine
 
 let mark_wall_ns t = t.mark_wall_ns
 
@@ -183,48 +172,45 @@ let note_field_read t ~src ~field =
       | Some (_, _, d) -> Lp_obs.Metrics.incr d
       | None -> ())
 
-(* Audit notes for oracle decisions that change an outcome, carried on
-   the engines' pure-evaluate/canonically-apply note channel (the same
-   one Individual_refs byte accounting uses). Tag -1: a veto suppressed
-   an edge that qualified dynamically. Tag -2: a boost qualified an
-   edge that dynamic staleness alone would not have. The note triple is
-   (src class, field index, tag); byte notes are (src class, tgt class,
-   bytes >= 0), so the sign of the third component dispatches. *)
-let liveness_note t (edge : Collector.edge) =
+(* Oracle decisions that change an outcome: [`Veto] suppressed an edge
+   that qualified dynamically, [`Boost] qualified an edge that dynamic
+   staleness alone would not have. *)
+let liveness_effect t (edge : Collector.edge) =
   match t.prior with
   | None -> None
   | Some p -> (
     match p edge with
     | Selection.Neutral -> None
     | Selection.Veto ->
-      if Selection.stale_qualifies t.config t.table edge then
-        Some (edge.Collector.src.Heap_obj.class_id, edge.Collector.field, -1)
+      if Selection.stale_qualifies t.config t.table edge then Some `Veto
       else None
     | Selection.Boost ->
       if
         Selection.stale_qualifies ~prior:p t.config t.table edge
         && not (Selection.stale_qualifies t.config t.table edge)
-      then Some (edge.Collector.src.Heap_obj.class_id, edge.Collector.field, -2)
+      then Some `Boost
       else None)
 
-let apply_liveness_note t (src_class, field, tag) =
+(* Counts and traces one such decision at the edge's scan point. *)
+let audit_liveness t (edge : Collector.edge) effect =
   match t.c_liveness with
   | None -> ()
-  | Some (v, b, _) ->
-    if tag = -1 then begin
+  | Some (v, b, _) -> (
+    let src_class = edge.Collector.src.Heap_obj.class_id
+    and field = edge.Collector.field in
+    match effect with
+    | `Veto -> (
       Lp_obs.Metrics.incr v;
       match t.sink with
       | Some s ->
         Lp_obs.Sink.emit s (Lp_obs.Event.Liveness_veto { src_class; field })
-      | None -> ()
-    end
-    else if tag = -2 then begin
+      | None -> ())
+    | `Boost -> (
       Lp_obs.Metrics.incr b;
       match t.sink with
       | Some s ->
         Lp_obs.Sink.emit s (Lp_obs.Event.Liveness_boost { src_class; field })
-      | None -> ()
-    end
+      | None -> ()))
 
 let report t msg = match t.config.Config.report with None -> () | Some f -> f msg
 
@@ -314,19 +300,13 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   let poisoned_before = stats.Gc_stats.references_poisoned in
   (* Every branch funnels its in-use closure through [mark] so the phase
      span and its work figure (fields scanned) are attributed uniformly.
-     Every engine produces the same marked set, counters and deferred
-     edges as the single-domain one; [edge_note]/[apply_note] carry
-     the Individual_refs byte accounting in the split form all engines
-     accept (the parallel one needs the halves apart: pure worker
-     evaluation, coordinator application). *)
-  let mark ?edge_note ?apply_note config =
+     [note] carries the Individual_refs byte accounting and the liveness
+     audit; the engine runs it on every live edge in scan order. *)
+  let mark ?note config =
     phase_begin t "mark";
     let before = stats.Gc_stats.fields_scanned in
     let t0 = Unix.gettimeofday () in
-    let r =
-      t.engine.Trace_engine.mark ~gc:t.gc_count ?edge_note ?apply_note store
-        roots ~stats ~config
-    in
+    let r = t.engine.Trace_engine.mark ?note store roots ~stats ~config in
     t.mark_wall_ns <-
       t.mark_wall_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
     phase_end t "mark" (stats.Gc_stats.fields_scanned - before);
@@ -348,11 +328,15 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   let decision_edge = ref None in
   (* Oracle audit channel: absent whenever no oracle is installed, so
      off-mode marks run the exact pre-oracle configuration. *)
-  let lv_edge_note =
-    match t.prior with None -> None | Some _ -> Some (liveness_note t)
-  in
-  let lv_apply_note =
-    match t.prior with None -> None | Some _ -> Some (apply_liveness_note t)
+  let lv_note =
+    match t.prior with
+    | None -> None
+    | Some _ ->
+      Some
+        (fun edge ->
+          match liveness_effect t edge with
+          | Some effect -> audit_liveness t edge effect
+          | None -> ())
   in
   (match (st, t.config.Config.policy) with
   | State_kind.Inactive, _ | _, Policy.None_ ->
@@ -372,7 +356,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
       Selection.select_filter_default ?prior:t.prior t.config t.table
     in
     let deferred =
-      mark ?edge_note:lv_edge_note ?apply_note:lv_apply_note
+      mark ?note:lv_note
         {
           Collector.set_untouched_bits = true;
           stale_tick_gc = tick;
@@ -383,49 +367,38 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
     in
     phase_begin t "stale_closure";
     let claimed_before = stats.Gc_stats.stale_closure_objects in
-    t.engine.Trace_engine.begin_stale ();
     List.iter
       (fun (edge : Collector.edge) ->
         let bytes =
-          t.engine.Trace_engine.stale_closure ~gc:t.gc_count ?events:t.sink
-            store ~stats ~set_untouched_bits:true ~stale_tick_gc:tick edge
+          t.engine.Trace_engine.stale_closure ?events:t.sink store ~stats
+            ~set_untouched_bits:true ~stale_tick_gc:tick edge
         in
         if bytes > 0 then
           Edge_table.add_bytes t.table
             ~src:edge.Collector.src.Heap_obj.class_id
             ~tgt:edge.Collector.tgt.Heap_obj.class_id bytes)
       (Trace_common.canonical_candidates deferred);
-    t.engine.Trace_engine.end_stale ~gc:t.gc_count ~events:t.sink;
     phase_end t "stale_closure"
       (stats.Gc_stats.stale_closure_objects - claimed_before);
     select_winner ()
   | State_kind.Select, Policy.Individual_refs ->
-    (* Byte attribution is impure (it adds to the edge table), which
-       parallel workers must not do, so it travels in split form for
-       every engine: a pure qualifying predicate evaluated per edge
-       ([edge_note]) and a table write the engine applies in canonical
-       scan order ([apply_note]). The single-domain engine applies
-       each note at its scan point — exactly where the
-       old impure filter wrote — so totals and table are unchanged. *)
-    let edge_note (edge : Collector.edge) =
+    (* Byte attribution: every live edge whose target qualifies as
+       stale adds the target's bytes to its edge type, at its scan
+       point. *)
+    let note (edge : Collector.edge) =
       if Selection.stale_qualifies ?prior:t.prior t.config t.table edge then
-        Some
-          ( edge.Collector.src.Heap_obj.class_id,
-            edge.Collector.tgt.Heap_obj.class_id,
-            edge.Collector.tgt.Heap_obj.size_bytes )
+        Edge_table.add_bytes t.table ~src:edge.Collector.src.Heap_obj.class_id
+          ~tgt:edge.Collector.tgt.Heap_obj.class_id
+          edge.Collector.tgt.Heap_obj.size_bytes
       else
         (* byte notes take precedence; only a veto that suppressed a
            dynamically qualifying edge is still worth auditing here *)
-        match liveness_note t edge with
-        | Some (_, _, -1) as veto -> veto
-        | Some _ | None -> None
-    in
-    let apply_note ((src, tgt, bytes) as note) =
-      if bytes < 0 then apply_liveness_note t note
-      else Edge_table.add_bytes t.table ~src ~tgt bytes
+        match liveness_effect t edge with
+        | Some `Veto -> audit_liveness t edge `Veto
+        | Some `Boost | None -> ()
     in
     ignore
-      (mark ~edge_note ~apply_note
+      (mark ~note
          {
            Collector.set_untouched_bits = true;
            stale_tick_gc = tick;
@@ -460,7 +433,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
       | None -> None
     in
     ignore
-      (mark ?edge_note:lv_edge_note ?apply_note:lv_apply_note
+      (mark ?note:lv_note
          {
            Collector.set_untouched_bits = true;
            stale_tick_gc = tick;
@@ -516,7 +489,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   let freed_before = stats.Gc_stats.bytes_reclaimed in
   phase_begin t "sweep";
   let swept_before = stats.Gc_stats.objects_swept in
-  t.engine.Trace_engine.sweep ~gc:t.gc_count ?events:t.sink store ~stats;
+  t.engine.Trace_engine.sweep store ~stats;
   phase_end t "sweep" (stats.Gc_stats.objects_swept - swept_before);
   let freed = stats.Gc_stats.bytes_reclaimed - freed_before in
   (* A prune that neither poisons nor frees is unproductive; enough of

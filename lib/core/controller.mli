@@ -38,8 +38,8 @@ val create :
     ({!Lp_heap.Trace_engine}); when omitted the controller runs an
     {!Lp_heap.Inc_engine} with no slice budget, the original collector
     bit-for-bit. The marked set, the prune decisions, every [Gc_stats]
-    counter and the reclaimed bytes are identical across engines by
-    construction — only scheduling differs. *)
+    counter and the reclaimed bytes do not depend on the engine's slice
+    budget — only the pause profile does. *)
 
 val set_sink : t -> Lp_obs.Sink.t option -> unit
 (** Attaches (or detaches) the event sink. With a sink attached, each
@@ -55,17 +55,9 @@ val sink : t -> Lp_obs.Sink.t option
 val engine : t -> Trace_engine.t
 (** The tracing engine this controller dispatches through. *)
 
-val set_engine : t -> Trace_engine.t -> unit
-(** Installs a new tracing engine. Legal only between collections —
-    {!collect} reads the engine at every phase, so a mid-collection
-    swap would split one collection across engines. Safe at any
-    boundary because every engine produces identical reclamation
-    outcomes (the determinism contract); this is the seam the
-    pause-SLO autopilot switches engines through. *)
-
 val mark_wall_ns : t -> int
-(** Cumulative wall-clock nanoseconds spent in mark phases (both
-    engines) — the numerator of the bench's mark-phase throughput. *)
+(** Cumulative wall-clock nanoseconds spent in mark phases — the
+    numerator of the bench's mark-phase throughput. *)
 
 val metrics : t -> Lp_obs.Metrics.t
 
@@ -170,8 +162,8 @@ val set_liveness_prior :
   unit
 (** Install the static liveness oracle, lowered to runtime ids by the
     harness (this layer never sees [lp_liveness] — only closures).
-    [prior] judges one heap reference and {e must be pure}: it is
-    evaluated from parallel collector domains. [is_dead class_id field]
+    [prior] judges one heap reference and {e must be pure}: SELECT may
+    evaluate it more than once per edge. [is_dead class_id field]
     answers whether the analysis proved the slot never-read
     ([Dead_beyond 0]); the read barrier's cold path probes it via
     {!note_field_read} so conformance tests can detect a falsified

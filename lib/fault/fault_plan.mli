@@ -19,11 +19,6 @@ type site =
   | Disk  (** every post-collection disk-swap operation *)
   | Step  (** every chaos-harness workload step *)
   | Swap  (** every swap-image write (pruned-object serialization) *)
-  | Mark
-      (** every full-heap collection's mark phase; the VM checks this
-          site once per collection regardless of [Config.gc_domains],
-          so fault streams stay aligned across domain counts — at 1
-          domain the parallel faults are structurally no-ops *)
   | Fleet
       (** every fleet scheduler round (the multi-tenant serve loop);
           owned by [Lp_fleet.Fleet], which applies the tenant-kill and
@@ -47,15 +42,6 @@ type fault =
   | Torn_write
       (** the swap image write is cut short, as if the process died
           mid-write; a later load fails the length check *)
-  | Corrupt_mark_packet
-      (** a parallel mark worker's discovery buffer is scrambled after
-          its seal was computed — worker-local queue corruption. The
-          engine must detect it by seal verification and recover it
-          exactly, so the fault is output-neutral by design. *)
-  | Steal_race
-      (** the next multi-packet mark round hands packets out in reverse
-          order, simulating a work-stealing scheduling race; merging by
-          packet index makes it output-neutral by construction *)
   | Kill_tenant
       (** one tenant VM dies mid-round, as if its process was OOM-killed:
           no clean teardown of its heap, only the crash-consistent swap
@@ -91,9 +77,12 @@ val make : event list -> t
     @raise Invalid_argument if any event has [at < 1]. *)
 
 val random : ?events:int -> seed:int -> unit -> t
-(** A reproducible plan of [events] (default 4) faults drawn from a
-    generator seeded with [seed]. The same seed always yields the same
-    plan. *)
+(** A reproducible plan of up to [events] (default 4) faults drawn
+    from a generator seeded with [seed]. The same seed always yields
+    the same plan. Each event takes the same draws it always did; two
+    of the ten fault kinds the generator draws from are retired and
+    schedule nothing, so a plan may hold fewer than [events] faults,
+    and every other event of every seed is unchanged. *)
 
 val random_fleet : ?events:int -> rounds:int -> seed:int -> unit -> t
 (** A reproducible fleet-level plan of [events] (default 3)

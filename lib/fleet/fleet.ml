@@ -136,6 +136,11 @@ let run opts specs =
     | [] -> ()
   in
   check_unique specs;
+  if
+    List.exists
+      (fun (s : Tenant.spec) -> s.Tenant.gc_packet_size <> None)
+      specs
+  then invalid_arg "Fleet.run: gc_packet_size must be None";
   (match Lp_core.Config.validate opts.admission with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Fleet.run: " ^ msg));

@@ -137,8 +137,9 @@ val default_options : seed:int -> rounds:int -> unit -> options
     pressure windows. *)
 
 val run : options -> Tenant.spec list -> report
-(** @raise Invalid_argument on an empty fleet, duplicate tenant ids, or
-    an admission config that fails [Config.validate]. *)
+(** @raise Invalid_argument on an empty fleet, duplicate tenant ids, a
+    spec with [gc_packet_size = Some _], or an admission config that
+    fails [Config.validate]. *)
 
 val failed : report -> bool
 (** True when any tenant saw a verifier failure or a crash (restarts

@@ -94,7 +94,7 @@ let spec t = t.spec
 let new_vm ?swap_store ?first_object_id (s : spec) backend =
   let config =
     Lp_core.Config.make ~policy:s.policy ~liveness_mode:s.liveness
-      ?pause_slo_p99_ns:s.pause_slo_p99_ns ?gc_packet_size:s.gc_packet_size
+      ?pause_slo_p99_ns:s.pause_slo_p99_ns
       ?force_state:(if s.force_safe then Some Lp_core.State_kind.Safe else None)
       ()
   in
@@ -269,8 +269,8 @@ let boot_cold t =
   set_baselines t
 
 (* A restart is the tenant's whole error-containment story: harvest the
-   dying VM's counters, join its collector domains, put the swap store
-   through a recovery pass, boot a replacement VM over the same quota.
+   dying VM's counters, put the swap store through a recovery pass,
+   boot a replacement VM over the same quota.
 
    Cold: [Diskswap.recover] drops every image and releases the backend;
    the fresh VM starts with an empty brain. Warm: [recover_warm] audits
@@ -281,7 +281,6 @@ let boot_cold t =
    half-restored tenant. *)
 let restart t ~killed ~mode =
   harvest t;
-  Vm.shutdown t.vm;
   t.restarts <- t.restarts + 1;
   if killed then t.kills <- t.kills + 1;
   let count (recovery : Diskswap.recovery) =
@@ -309,21 +308,19 @@ let restart t ~killed ~mode =
     | Error msg ->
       (* the adopted store still holds retained images; release them
          before abandoning the warm incarnation *)
-      Vm.shutdown t.vm;
       ignore (Diskswap.recover swap : Diskswap.recovery);
       t.cold_restarts <- t.cold_restarts + 1;
       boot_cold t;
       { recovery; warm = false; fallback = Some msg })
 
 (* Permanent removal at the top of the escalation ladder: harvest,
-   shut down, release every byte back to the shared backend. The swap
-   recovery counts its image audit like any restart would. *)
+   release every byte back to the shared backend. The swap recovery
+   counts its image audit like any restart would. *)
 let retire_tenant t =
   if not t.retired then begin
     t.retired <- true;
     t.finished <- true;
     harvest t;
-    Vm.shutdown t.vm;
     let recovery = Diskswap.recover (Vm.swap t.vm) in
     t.images_valid <- t.images_valid + recovery.Diskswap.images_valid;
     t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt
@@ -332,8 +329,7 @@ let retire_tenant t =
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    harvest t;
-    Vm.shutdown t.vm
+    harvest t
   end;
   {
     served = t.served;

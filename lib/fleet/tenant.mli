@@ -43,9 +43,10 @@ type spec = {
           configuration. Outcome-neutral, so mixed-SLO fleets keep the
           determinism oracle intact. [None] changes nothing. *)
   gc_packet_size : int option;
-      (** parallel-engine packet granularity for this tenant's VM
-          ({!Lp_core.Config.gc_packet_size}); output-neutral, so it is
-          safe to vary per tenant. [None] keeps the config default. *)
+      (** must be [None]: {!Lp_fleet.Fleet.run} rejects [Some _]. The
+          field once tuned the retired parallel collector; the
+          benchmark in [perfbench/] still builds specs with it, so it
+          stays until the next change to that benchmark. *)
 }
 
 exception Verifier_failed of string
@@ -141,8 +142,8 @@ val export_brain : t -> Lp_core.Controller.brain
     {!Lp_super.Checkpoint.encode}. *)
 
 val retire_tenant : t -> unit
-(** Permanent removal (top of the escalation ladder): harvest, shut
-    down, release the tenant's whole disk footprint back to the shared
+(** Permanent removal (top of the escalation ladder): harvest, then
+    release the tenant's whole disk footprint back to the shared
     backend. Idempotent; {!finish} afterwards only reads the stats. *)
 
 val restarts : t -> int
@@ -157,7 +158,7 @@ val admission_denials : t -> int
     matching the fresh swap store). *)
 
 val finish : t -> stats
-(** Final harvest plus shutdown (idempotent); the swap store is {e not}
+(** Final harvest (idempotent); the swap store is {e not}
     recovered, so [disk_bytes_final] reports the tenant's real final
     footprint (0 for retired tenants, whose footprint was released). *)
 

@@ -94,8 +94,7 @@ let liveness_field_map =
 
 let default_steps = 300
 
-let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
-    ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
+let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
     ?(liveness = Lp_core.Config.Liveness_off) ?(steps = default_steps)
     ?trace_capacity ~seed () =
   let rng = Random.State.make [| 0xC4A05; seed |] in
@@ -120,15 +119,10 @@ let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
   let vm =
     Lp_runtime.Vm.create
       ~config:
-        (Lp_core.Config.make ?gc_domains ?gc_slice_budget
-           ?gc_packet_size ?gc_steal ?pause_slo_p99_ns
+        (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns
            ~liveness_mode:liveness ())
       ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
   in
-  (* [with_vm]: even though the outcome net below catches everything the
-     body can raise, teardown must not depend on that — a sweep over
-     hundreds of seeds cannot afford one leaked domain. *)
-  Lifecycle.with_vm vm @@ fun vm ->
   (match trace_capacity with
   | Some capacity -> ignore (Lp_runtime.Vm.enable_trace ~capacity vm)
   | None -> ());
@@ -321,13 +315,11 @@ let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
               kill_nth (Random.State.int rng (List.length !threads))
           | Lp_fault.Fault_plan.Refuse_alloc | Lp_fault.Fault_plan.Disk_failure
           | Lp_fault.Fault_plan.Corrupt_image | Lp_fault.Fault_plan.Torn_write
-          | Lp_fault.Fault_plan.Corrupt_mark_packet
-          | Lp_fault.Fault_plan.Steal_race
           | Lp_fault.Fault_plan.Kill_tenant
           | Lp_fault.Fault_plan.Disk_pressure
           | Lp_fault.Fault_plan.Kill_storm
           | Lp_fault.Fault_plan.Torn_checkpoint ->
-            (* owned by the store / disk / swap / mark / fleet triggers *)
+            (* owned by the store / disk / swap / fleet triggers *)
             ())
         (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Step)
   in
@@ -363,9 +355,6 @@ let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
       | None -> Crash { detail = Printexc.to_string e; step = !executed })
     | e -> Crash { detail = Printexc.to_string e; step = !executed }
   in
-  (* joins the collector domains (no-op at gc_domains = 1): a sweep over
-     hundreds of seeds must not accumulate live domains *)
-  Lp_runtime.Vm.shutdown vm;
   {
     seed;
     steps_run = !executed;
@@ -386,12 +375,12 @@ let run_one ?(faults = true) ?gc_domains ?gc_slice_budget
       | None -> 0);
   }
 
-let shrink ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
-    ?gc_steal ?pause_slo_p99_ns ?liveness ?(steps = default_steps) ~seed () =
+let shrink ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness
+    ?(steps = default_steps) ~seed () =
   let failing m =
     failed
-      (run_one ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
-         ?gc_steal ?pause_slo_p99_ns ?liveness ~steps:m ~seed ())
+      (run_one ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ~steps:m
+         ~seed ())
   in
   if not (failing steps) then None
   else begin
@@ -406,12 +395,12 @@ let shrink ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
     Some !hi
   end
 
-let run_seeds ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
-    ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ?progress ~seeds () =
+let run_seeds ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ?steps
+    ?progress ~seeds () =
   List.init seeds (fun i ->
       let r =
-        run_one ?faults ?gc_domains ?gc_slice_budget ?gc_packet_size
-          ?gc_steal ?pause_slo_p99_ns ?liveness ?steps ~seed:(i + 1) ()
+        run_one ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ?steps
+          ~seed:(i + 1) ()
       in
       (match progress with Some f -> f r | None -> ());
       r)

@@ -75,10 +75,7 @@ val outcome_to_string : outcome -> string
 
 val run_one :
   ?faults:bool ->
-  ?gc_domains:int ->
   ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->
@@ -88,29 +85,22 @@ val run_one :
   report
 (** One deterministic chaos run. [faults] (default [true]) attaches the
     fault plan [Lp_fault.Fault_plan.random ~seed]; [false] runs the same
-    workload fault-free. [gc_domains] and [gc_slice_budget] select the
-    tracing engine behind the VM's full collections
-    ({!Lp_core.Config.gc_domains}, {!Lp_core.Config.gc_slice_budget});
-    [gc_packet_size] and [gc_steal] tune the parallel engine's packet
-    granularity and steal-vs-legacy round scheduling, both
-    output-neutral. Every engine reproduces the same decisions,
-    counters, heap state and clock exactly — so every scalar report
-    field must be independent of the engine selection, and the trace must match up to
-    the parallel engine's own worker events and the traversal-order
-    interleaving of word-level mark events, which is exactly what the
-    differential determinism test asserts. The engine is shut down
-    before the report is built. [steps] caps the workload (default
-    300). The VM shape (heap size, generational mode, disk baseline,
-    resurrection) is itself drawn from the seed, so a sweep covers all
-    configurations. [trace_capacity] attaches an event sink of that
+    workload fault-free. [gc_slice_budget] sets the slice budget of the
+    engine behind the VM's full collections
+    ({!Lp_core.Config.gc_slice_budget}). The engine reproduces the same
+    decisions, counters, heap state, clock and trace at every budget —
+    so the whole report must be independent of it, which is exactly
+    what the differential determinism test asserts. [steps] caps the
+    workload (default 300). The VM shape (heap size, generational mode,
+    disk baseline, resurrection) is itself drawn from the seed, so a
+    sweep covers all configurations. [trace_capacity] attaches an event sink of that
     capacity before the first step; the log lands in {!report.trace}.
     Tracing never changes a run's behaviour — only its observation.
     [pause_slo_p99_ns] arms the pause-SLO autopilot
     ({!Lp_core.Config.pause_slo_p99_ns}): the slice budget is then
     retuned from wall-clock feedback between collections — which keeps
     every scalar report field bit-identical run to run all the same,
-    because budgets are outcome-neutral and the autopilot's domain
-    count keys off a deterministic signal.
+    because budgets are outcome-neutral.
     [liveness] (default [Liveness_off]) installs the static liveness
     oracle over a bytecode model of the chaos program before the first
     step; off mode leaves every report byte-identical to builds without
@@ -118,10 +108,7 @@ val run_one :
 
 val shrink :
   ?faults:bool ->
-  ?gc_domains:int ->
   ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->
@@ -129,16 +116,13 @@ val shrink :
   unit ->
   int option
 (** The smallest step cap at which [seed] still fails ([Violation] or
-    [Crash]) under the given engine selection; [None] if it does not
+    [Crash]) under the given slice budget; [None] if it does not
     fail at [steps]. Binary search is sound because a capped run is a
     prefix of the full run, so failure at cap [m] is monotone in [m]. *)
 
 val run_seeds :
   ?faults:bool ->
-  ?gc_domains:int ->
   ?gc_slice_budget:int ->
-  ?gc_packet_size:int ->
-  ?gc_steal:bool ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->

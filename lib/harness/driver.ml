@@ -52,10 +52,6 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
     Lp_runtime.Vm.create ~config ~charge_barriers ?cost ?disk ?resurrection
       ~heap_bytes ()
   in
-  (* Under [Lifecycle.with_vm] so the collector domains are joined even
-     when an exception the handler below doesn't recognize (e.g.
-     [Heap_corruption]) escapes the iterate loop. *)
-  Lifecycle.with_vm vm @@ fun vm ->
   (* Runs before the workload's own [prepare] so a trace attached here
      observes the workload's setup allocations too. *)
   (match prepare_vm with Some f -> f vm | None -> ());
@@ -93,9 +89,6 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
   | Lp_core.Errors.Internal_error _ as e -> outcome := Pruned_access e
   | Lp_core.Errors.Disk_exhausted _ as e -> outcome := Out_of_disk e
   | Lp_runtime.Diskswap.Out_of_disk _ as e -> outcome := Out_of_disk e);
-  (* joins the collector domains when Config.gc_domains > 1; every
-     accessor below stays valid after shutdown *)
-  Lp_runtime.Vm.shutdown vm;
   let controller = Lp_runtime.Vm.controller vm in
   let registry = Lp_runtime.Vm.registry vm in
   let named (src, tgt) =

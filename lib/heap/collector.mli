@@ -3,13 +3,11 @@
     The paper piggybacks leak pruning on MMTk's mark-sweep collector by
     splitting the usual transitive closure into an {e in-use} closure
     and a {e stale} closure (Section 4.2). The closures and the sweep
-    are phases of a {!Trace_engine} ({!Inc_engine} on one domain,
-    [Lp_par.Par_engine] on several); this module holds what every
-    engine and the controller share: the edge vocabulary, re-exported
-    from {!Trace_common} (the types are equal, so filters written
-    against either module interoperate), and
-    {!resurrect_finalizables}, which runs between mark and sweep
-    whatever the engine. *)
+    are phases of a {!Trace_engine} ({!Inc_engine}); this module holds
+    what the engine and the controller share: the edge vocabulary,
+    re-exported from {!Trace_common} (the types are equal, so filters
+    written against either module interoperate), and
+    {!resurrect_finalizables}, which runs between mark and sweep. *)
 
 type edge = Trace_common.edge = {
   src : Heap_obj.t;

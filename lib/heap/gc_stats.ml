@@ -79,31 +79,6 @@ let reset t =
   t.resurrection_failures <- 0;
   t.words_repoisoned <- 0
 
-(* Every field is a monotone counter, so two shards combine by plain
-   sums: merge is commutative and associative with [create ()] as the
-   identity — exactly what the parallel engine's worker-id-ordered fold
-   relies on. *)
-let merge a b =
-  {
-    collections = a.collections + b.collections;
-    objects_marked = a.objects_marked + b.objects_marked;
-    fields_scanned = a.fields_scanned + b.fields_scanned;
-    untouched_bits_set = a.untouched_bits_set + b.untouched_bits_set;
-    stale_ticks = a.stale_ticks + b.stale_ticks;
-    stale_tick_scans = a.stale_tick_scans + b.stale_tick_scans;
-    candidates_enqueued = a.candidates_enqueued + b.candidates_enqueued;
-    stale_closure_objects = a.stale_closure_objects + b.stale_closure_objects;
-    references_poisoned = a.references_poisoned + b.references_poisoned;
-    selection_scans = a.selection_scans + b.selection_scans;
-    objects_swept = a.objects_swept + b.objects_swept;
-    bytes_reclaimed = a.bytes_reclaimed + b.bytes_reclaimed;
-    finalizers_enqueued = a.finalizers_enqueued + b.finalizers_enqueued;
-    words_quarantined = a.words_quarantined + b.words_quarantined;
-    resurrections = a.resurrections + b.resurrections;
-    resurrection_failures = a.resurrection_failures + b.resurrection_failures;
-    words_repoisoned = a.words_repoisoned + b.words_repoisoned;
-  }
-
 (* One (name, getter) row per field keeps publish and the record in
    sync by construction — adding a counter means adding a row here. *)
 let fields : (string * (t -> int)) list =

@@ -38,12 +38,6 @@ val create : unit -> t
 
 val copy : t -> t
 
-val merge : t -> t -> t
-(** Field-wise sum. Every field is a monotone counter, so [merge] is a
-    commutative, associative monoid operation with [create ()] as
-    identity — per-worker shards can be folded in worker-id order with
-    a result independent of how the work was split. *)
-
 val reset : t -> unit
 
 val publish : t -> Lp_obs.Metrics.t -> unit

@@ -86,19 +86,16 @@ let run_closure t store stats ~config ~note ~kind ~deferred =
       more := not (Work_queue.is_empty b.Trace_common.stack)
     done
 
-let mark t ?edge_note ?apply_note store roots ~stats
-    ~(config : Trace_common.mark_config) =
+let mark t ?note store roots ~stats ~(config : Trace_common.mark_config) =
   let b = t.buffers in
   Trace_common.reset_buffers b;
   let deferred = ref [] in
-  let note = Trace_common.note_fn ?edge_note ?apply_note () in
   Roots.iter roots (fun id ->
       let obj = Store.get store id in
       if not (Header.marked obj.Heap_obj.header) then
         Trace_common.claim b stats ~config ~note Trace_common.In_use obj);
   run_closure t store stats ~config ~note ~kind:Trace_common.In_use ~deferred;
-  Trace_common.flush_ticks store stats config.stale_tick_gc
-    b.Trace_common.ticks;
+  Trace_common.flush_ticks store stats config.stale_tick_gc b;
   List.rev !deferred
 
 (* The stale closure traces everything (no filter) and has no note, so
@@ -147,22 +144,13 @@ let engine t =
       (match t.budget with
       | None -> "seq"
       | Some b -> Printf.sprintf "inc%d" b);
-    mark =
-      (fun ~gc:_ ?edge_note ?apply_note store roots ~stats ~config ->
-        mark t ?edge_note ?apply_note store roots ~stats ~config);
-    begin_stale = (fun () -> ());
-    stale_closure =
-      (fun ~gc:_ ?events store ~stats ~set_untouched_bits ~stale_tick_gc e ->
-        stale_closure t ?events store ~stats ~set_untouched_bits
-          ~stale_tick_gc e);
-    end_stale = (fun ~gc:_ ~events:_ -> ());
-    sweep = (fun ~gc:_ ?events:_ store ~stats -> sweep t store ~stats);
-    minor_drain = None;
+    mark = mark t;
+    stale_closure = stale_closure t;
+    sweep = sweep t;
     take_pauses =
       (fun () ->
         let p = List.rev t.pauses in
         t.pauses <- [];
         p);
     max_slice_work = (fun () -> t.max_slice);
-    shutdown = (fun () -> ());
   }

@@ -9,7 +9,7 @@ type result = {
 (* Marks (with the ordinary mark bit, cleared before returning) every
    nursery object reachable from roots and remembered slots, scanning
    only nursery objects' fields plus the remembered mature slots. *)
-let collect ?events ?(number = 0) ?drain store roots ~remset =
+let collect ?events ?(number = 0) store roots ~remset =
   (match events with
   | Some sink -> Lp_obs.Sink.emit sink (Lp_obs.Event.Minor_begin { n = number })
   | None -> ());
@@ -36,27 +36,15 @@ let collect ?events ?(number = 0) ?drain store roots ~remset =
         if (not (Word.is_null w)) && not (Word.poisoned w) then
           consider (Word.target w)
       end);
-  (match drain with
-  | Some f ->
-    (* Parallel path: hand the marked seed set to the external drain
-       (the [Lp_par] engine, in practice — this module cannot depend on
-       it) and let it run the closure with identical semantics. The
-       seed lists the queue in pop order. *)
-    let seed = Array.make (Work_queue.length queue) 0 in
-    for i = 0 to Array.length seed - 1 do
-      seed.(i) <- Work_queue.pop queue
-    done;
-    f ~queue:seed ~slots_scanned
-  | None ->
-    while not (Work_queue.is_empty queue) do
-      let obj = Store.get store (Work_queue.pop queue) in
-      Array.iter
-        (fun w ->
-          incr slots_scanned;
-          if (not (Word.is_null w)) && not (Word.poisoned w) then
-            consider (Word.target w))
-        obj.Heap_obj.fields
-    done);
+  while not (Work_queue.is_empty queue) do
+    let obj = Store.get store (Work_queue.pop queue) in
+    Array.iter
+      (fun w ->
+        incr slots_scanned;
+        if (not (Word.is_null w)) && not (Word.poisoned w) then
+          consider (Word.target w))
+      obj.Heap_obj.fields
+  done;
   (* Sweep the nursery in place, in descending slot order: promote
      survivors, free the rest as they are reached. *)
   let promoted_objects = ref 0 and promoted_bytes = ref 0 in

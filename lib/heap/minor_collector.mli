@@ -27,7 +27,6 @@ type result = {
 val collect :
   ?events:Lp_obs.Sink.t ->
   ?number:int ->
-  ?drain:(queue:int array -> slots_scanned:int ref -> unit) ->
   Store.t ->
   Roots.t ->
   remset:Remset.t ->
@@ -35,12 +34,4 @@ val collect :
 (** Runs one minor collection and clears the remembered set. When an
     observability sink is given, brackets the collection in
     [Minor_begin]/[Minor_end] events labelled [number] (the VM's minor
-    collection count; default 0).
-
-    [drain], when given, replaces the sequential closure over the
-    marked seed set: it receives the already-marked nursery objects and
-    must mark every nursery object transitively reachable from them,
-    adding every scanned field slot (nulls included) to
-    [slots_scanned]. This is the hook the parallel engine's
-    [minor_drain] plugs into — this module sits below [Lp_par] and
-    cannot call it directly. *)
+    collection count; default 0). *)

@@ -19,58 +19,49 @@ let base_config =
     events = None;
   }
 
-let tick stats gc obj =
-  match gc with
-  | None -> ()
-  | Some gc_number ->
-    stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
-    if Stale_counter.tick_object ~gc_number obj then
-      stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1
-
 (* The end-of-phase tick batch. A filtered or noted closure must not
    tick as it marks: the edge filter reads target staleness, so ticking
    mid-traversal would make filter decisions depend on visit order
-   (single-domain DFS, sliced DFS, the parallel engine's BFS rounds).
-   Such a closure queues its ticks here and applies them after the
-   whole closure finishes, so every filter evaluation sees the
-   mark-start staleness. A closure with neither a filter nor a note has
-   no reader of staleness while it runs, so [scan] ticks each object at
-   its claim instead; the parallel engine batches every in-use closure.
-   Both give the same counters, because a tick depends only on the
-   object's own counter and the collection number. The batch is a
-   buffer of object ids that keeps its capacity, so an engine-owned
-   batch allocates nothing once grown. It holds ids, not the objects:
-   the batch lives in OCaml's major heap, so storing a recently
-   allocated object record into it would add an entry to OCaml's
-   remembered set, and a full set forces an OCaml minor collection
-   inside the pause. The flush looks each id up again: one bounds check
-   and one load. *)
-type tick_batch = Work_queue.t
-
-let tick_batch () : tick_batch = Work_queue.create ()
-
-let defer_tick (batch : tick_batch) ~(config : mark_config) (obj : Heap_obj.t) =
-  if config.stale_tick_gc <> None then Work_queue.push batch obj.Heap_obj.id
-
-let clear_ticks (batch : tick_batch) = Work_queue.clear batch
-
-let flush_ticks store stats gc (batch : tick_batch) =
-  Work_queue.iter batch (fun id -> tick stats gc (Store.get store id));
-  clear_ticks batch
-
+   (whole DFS or sliced DFS). Such a closure queues its ticks in
+   [ticks] and applies them after the whole closure finishes, so every
+   filter evaluation sees the mark-start staleness. A closure with
+   neither a filter nor a note has no reader of staleness while it
+   runs, so [scan] ticks each object at its claim instead. Both give
+   the same counters, because a tick depends only on the object's own
+   counter and the collection number. The batch is a buffer of object
+   ids that keeps its capacity, so an engine-owned batch allocates
+   nothing once grown. It holds ids, not the objects: the batch lives
+   in OCaml's major heap, so storing a recently allocated object record
+   into it would add an entry to OCaml's remembered set, and a full set
+   forces an OCaml minor collection inside the pause. The flush looks
+   each id up again: one bounds check and one load. *)
 type buffers = {
   stack : Work_queue.t;
-  ticks : tick_batch;
+  ticks : Work_queue.t;
   mutable claimed_bytes : int;
 }
 
 let buffers () =
-  { stack = Work_queue.create (); ticks = tick_batch (); claimed_bytes = 0 }
+  {
+    stack = Work_queue.create ();
+    ticks = Work_queue.create ();
+    claimed_bytes = 0;
+  }
 
 let reset_buffers b =
   Work_queue.clear b.stack;
-  clear_ticks b.ticks;
+  Work_queue.clear b.ticks;
   b.claimed_bytes <- 0
+
+let flush_ticks store stats gc b =
+  (match gc with
+  | None -> ()
+  | Some gc_number ->
+    Work_queue.iter b.ticks (fun id ->
+        stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
+        if Stale_counter.tick_object ~gc_number (Store.get store id) then
+          stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1));
+  Work_queue.clear b.ticks
 
 (* A non-poisoned reference word whose target is not live is corrupt
    (fault injection, or a collector bug). Crashing inside a collection
@@ -168,14 +159,12 @@ let[@inline never] hooked_edge stats (config : mark_config) note deferred
         stats.Gc_stats.references_poisoned + 1;
       false)
 
-(* The single-domain engine's one scan loop, for the in-use closure,
-   the stale closures and every budgeted slice. Per field it maintains
-   the untouched bit, quarantines corrupt words, runs the note and the
-   filter when there are any, and claims unmarked traced targets in
-   place. The config is read into locals once and the counters are
-   kept in locals, added to [stats] when the loop returns. (The
-   parallel engine's packet scan mirrors the per-field code but records
-   discoveries instead of claiming; see [Lp_par.Par_engine].) *)
+(* The one scan loop, for the in-use closure, the stale closures and
+   every budgeted slice. Per field it maintains the untouched bit,
+   quarantines corrupt words, runs the note and the filter when there
+   are any, and claims unmarked traced targets in place. The config is
+   read into locals once and the counters are kept in locals, added to
+   [stats] when the loop returns. *)
 let scan store stats ~(config : mark_config) ~note ~kind b ~deferred ~limit =
   let stack = b.stack in
   let set_untouched = config.set_untouched_bits in
@@ -242,10 +231,9 @@ let scan store stats ~(config : mark_config) ~note ~kind b ~deferred ~limit =
 
 (* Stale closures claim shared sub-structures first-come-first-served,
    so candidate order affects which edge type the claimed bytes are
-   attributed to. Every engine processes candidates in canonical
+   attributed to. The controller processes candidates in canonical
    (source id, field) order — a total order on edges — so SELECT
-   outcomes do not depend on traversal strategy, slice budget or domain
-   count. *)
+   outcomes do not depend on traversal order or slice budget. *)
 let canonical_candidates deferred =
   List.sort
     (fun (a : edge) (b : edge) ->
@@ -254,11 +242,10 @@ let canonical_candidates deferred =
       | c -> c)
     deferred
 
-(* The one sweep every engine runs (the parallel engine's pooled sweep
-   aside): [Store.sweep_range] walks slots in DESCENDING order and
-   frees each dead object as it is reached. Sweeping the segments from
-   the top down keeps the overall free order strictly descending, so
-   [Store] free-id recycling is identical however the walk is cut.
+(* The one sweep: [Store.sweep_range] walks slots in DESCENDING order
+   and frees each dead object as it is reached. Sweeping the segments
+   from the top down keeps the overall free order strictly descending,
+   so [Store] free-id recycling is identical however the walk is cut.
    Header writes and byte totals are per-object and order-independent,
    so every other outcome matches too. [on_segment] fires after each
    segment of [seg_slots] slots, where a sliced engine records one
@@ -277,18 +264,3 @@ let sliced_sweep store ~stats ~seg_slots ~on_segment =
     on_segment ()
   done;
   Store.set_live_bytes store !live
-
-(* Combines the split Individual_refs byte-accounting pair into the
-   per-edge note hook [scan] expects. Engines that evaluate and apply
-   at the same point (Inc_engine) use this; the parallel engine keeps
-   the halves apart so workers stay pure. *)
-let note_fn ?edge_note ?apply_note () =
-  match edge_note with
-  | None -> None
-  | Some en ->
-    Some
-      (fun e ->
-        match en e with
-        | None -> ()
-        | Some triple -> (
-          match apply_note with None -> () | Some ap -> ap triple))

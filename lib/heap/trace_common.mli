@@ -1,13 +1,10 @@
-(** Tracing logic shared by every {!Trace_engine}.
+(** The tracing logic behind {!Inc_engine}.
 
     The paper's mechanism (Sections 4.1–4.3) is defined over a tracing
     {e closure}, not over a particular engine. This module holds the
-    engine-independent pieces — the edge vocabulary, the tick rule and
-    the end-of-phase tick batch, corrupt-word quarantine, the canonical
-    candidate order and the sweep — so the single-domain engine
-    ({!Inc_engine}) and the parallel engine ([Lp_par.Par_engine])
-    cannot drift apart, and the single-domain engine's one scan loop
-    ({!scan}). *)
+    closure's pieces — the edge vocabulary, the tick rule and the
+    end-of-phase tick batch, corrupt-word quarantine, the one scan loop
+    ({!scan}), the canonical candidate order and the sweep. *)
 
 type edge = { src : Heap_obj.t; field : int; tgt : Heap_obj.t }
 (** A heap reference under examination: [src.fields.(field)] refers to
@@ -25,7 +22,7 @@ type mark_config = {
   stale_tick_gc : int option;
       (** when [Some gc_number], apply the Section 4.1 staleness
           increment to each object marked during the closure — see
-          {!tick_batch} for when the ticks are batched *)
+          {!buffers} for when the ticks are batched *)
   edge_filter : (edge -> edge_action) option;
       (** [None] traces everything (base collection) *)
   on_poison : (edge -> unit) option;
@@ -39,40 +36,11 @@ type mark_config = {
 val base_config : mark_config
 (** No untouched bits, no filter. *)
 
-val tick : Gc_stats.t -> int option -> Heap_obj.t -> unit
-(** The bare staleness tick (no marking). *)
-
-type tick_batch
-(** Accumulates the staleness ticks of a filtered or noted closure so
-    they can be applied in one batch after the closure finishes. The
-    edge filter reads target staleness; batch application keeps its
-    decisions a function of the mark-start heap alone, independent of
-    traversal order (DFS, sliced DFS, or BFS rounds). A closure with
-    neither a filter nor a note ticks each object when it claims it
-    instead (see {!scan}); the final counters are the same either way,
-    because a tick depends only on the object's own counter and the
-    collection number. A batch holds object ids and keeps its capacity
-    when flushed, so a reused batch allocates nothing, and a
-    collection's ticks add nothing to OCaml's remembered set. *)
-
-val tick_batch : unit -> tick_batch
-
-val defer_tick : tick_batch -> config:mark_config -> Heap_obj.t -> unit
-(** Enqueues [obj] for the end-of-phase tick iff [config.stale_tick_gc]
-    is set; call at the point the object is marked. *)
-
-val flush_ticks : Store.t -> Gc_stats.t -> int option -> tick_batch -> unit
-(** Applies the batch in mark order, looking each id up in the store,
-    and empties it. *)
-
-val clear_ticks : tick_batch -> unit
-(** Drops the batch's pending ticks unapplied, keeping its capacity; an
-    engine calls it before a closure so one aborted by an exception
-    leaves nothing behind. *)
-
 type buffers = {
   stack : Work_queue.t;
-  ticks : tick_batch;
+  ticks : Work_queue.t;
+      (** the end-of-phase tick batch: ids of the objects a filtered
+          or noted closure marked, in mark order *)
   mutable claimed_bytes : int;
       (** bytes of the objects a stale closure has claimed *)
 }
@@ -80,15 +48,32 @@ type buffers = {
     and the stale closure's byte count. Each engine instance owns one
     and reuses it for every collection, which is what keeps a
     steady-state collection's OCaml allocation constant whatever the
-    heap size. Buffers are never shared between engines (several VMs,
-    and the parallel engine's domains, run in one process). *)
+    heap size. Buffers are never shared between engines (several VMs
+    run in one process).
+
+    The tick batch exists because the edge filter reads target
+    staleness: a filtered or noted closure queues its ticks and applies
+    them in one batch after it finishes, so its decisions are a
+    function of the mark-start heap alone, independent of where slices
+    cut the traversal. A closure with neither a filter nor a note ticks
+    each object when it claims it instead (see {!scan}); the final
+    counters are the same either way, because a tick depends only on
+    the object's own counter and the collection number. The batch holds
+    object ids and keeps its capacity when flushed, so a reused batch
+    allocates nothing, and a collection's ticks add nothing to OCaml's
+    remembered set. *)
 
 val buffers : unit -> buffers
 
 val reset_buffers : buffers -> unit
 (** Empties both buffers, keeping their capacity, and zeroes
-    [claimed_bytes]; called at the start of each closure (see
-    {!clear_ticks}). *)
+    [claimed_bytes]; called at the start of each closure, so one
+    aborted by an exception leaves nothing behind. *)
+
+val flush_ticks : Store.t -> Gc_stats.t -> int option -> buffers -> unit
+(** Applies the tick batch in mark order for collection number [gc]
+    (nothing when [None]), looking each id up in the store, counting
+    [stale_tick_scans] and [stale_ticks], and empties it. *)
 
 val quarantine :
   ?events:Lp_obs.Sink.t option -> Gc_stats.t -> Word.t array -> int -> unit
@@ -114,7 +99,7 @@ val claim :
 (** Claims one unmarked object the way {!scan} claims a traced target,
     for a closure's entry points (the roots, a stale closure's
     candidate target): marks it, ticks it now or queues the tick by the
-    rule of {!tick_batch}, counts it in [stats] and pushes it on the
+    rule of {!buffers}, counts it in [stats] and pushes it on the
     mark stack. *)
 
 val scan :
@@ -127,7 +112,7 @@ val scan :
   deferred:edge list ref ->
   limit:int ->
   int
-(** The single-domain scan loop. Pops up to [limit] ids off the mark
+(** The scan loop. Pops up to [limit] ids off the mark
     stack ([max_int] for no bound) and scans each object's fields in
     index order: it maintains the untouched bit, quarantines corrupt
     words, evaluates [note] (the Individual_refs byte-accounting hook)
@@ -143,8 +128,7 @@ val canonical_candidates : edge list -> edge list
     — a total order on edges. Stale closures claim shared
     sub-structures first-come-first-served, so candidate order affects
     byte attribution; processing in canonical order makes SELECT
-    outcomes independent of traversal strategy, slice budget and domain
-    count. *)
+    outcomes independent of traversal order and slice budget. *)
 
 val sliced_sweep :
   Store.t ->
@@ -161,12 +145,3 @@ val sliced_sweep :
     after each — the points where a sliced engine records one
     [Sweep_slice] pause sample; an engine without a budget sweeps in
     one segment. *)
-
-val note_fn :
-  ?edge_note:(edge -> (int * int * int) option) ->
-  ?apply_note:(int * int * int -> unit) ->
-  unit ->
-  (edge -> unit) option
-(** Fuses the split pure-note/apply-note pair into the [note] hook of
-    {!scan}, for engines that evaluate and apply at the same
-    program point ({!Inc_engine}). *)

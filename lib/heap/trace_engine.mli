@@ -2,25 +2,22 @@
 
     A [Trace_engine.t] bundles every phase the controller drives during
     a full-heap collection — in-use mark, stale closure, sweep — plus
-    the runtime hooks an engine may provide (minor-collection drain,
-    pause reporting, shutdown). The controller holds exactly one engine
-    value and dispatches through these closures only; it never knows
-    which engine is installed.
+    the engine's pause reporting. The controller holds exactly one
+    engine value and dispatches through these closures only; it never
+    knows which engine is installed.
 
-    Two engines implement the contract, each with or without a slice
-    budget:
+    One engine implements the contract, with or without a slice budget:
+    {!Inc_engine}, the single-domain DFS — ["seq"] without a budget,
+    ["inc<b>"] run in budgeted slices so max pause shrinks. The test
+    suite's reference collector ([test/reference_collector.ml]) is the
+    second implementation, installed through this record so every
+    engine setting can be compared with it.
 
-    - {!Inc_engine} — the single-domain DFS: ["seq"] without a budget,
-      ["inc<b>"] run in budgeted slices so max pause shrinks;
-    - [Lp_par.Par_engine] — BSP packet-sharded parallel marking on a
-      domain pool: ["par<n>"], or ["bsp<n>"] with its rounds merged in
-      budgeted groups.
-
-    Every engine is deterministic by construction: marked set, prune
-    decisions, counters and reclaimed totals are identical across
-    engines for the same program and seed (the differential oracle in
-    the test suite enforces this). Only scheduling — and therefore wall
-    time — differs. *)
+    The engine is deterministic by construction: marked set, prune
+    decisions, counters and reclaimed totals are identical with and
+    without a budget and equal the reference collector's (the
+    differential oracle in the test suite enforces this). Only the
+    pause profile — and therefore wall time per pause — differs. *)
 
 type pause_phase = Mark_slice | Sweep_slice | Monolithic
 (** What kind of mutator-visible pause a sample measures: a bounded
@@ -33,11 +30,9 @@ val pause_phase_name : pause_phase -> string
 (** ["mark_slice"], ["sweep_slice"], ["monolithic"]. *)
 
 type t = {
-  name : string;  (** display label: ["seq"], ["par4"], ["inc64"], ... *)
+  name : string;  (** display label: ["seq"], ["inc64"], ["ref"] *)
   mark :
-    gc:int ->
-    ?edge_note:(Trace_common.edge -> (int * int * int) option) ->
-    ?apply_note:(int * int * int -> unit) ->
+    ?note:(Trace_common.edge -> unit) ->
     Store.t ->
     Roots.t ->
     stats:Gc_stats.t ->
@@ -51,14 +46,10 @@ type t = {
           live (a corrupt reference) is {e quarantined} — poisoned in
           place and counted in [Gc_stats.words_quarantined] — rather
           than crashing the collection; the other phases apply the
-          same rule. [edge_note] is evaluated against every live
-          scanned edge; it must be pure — an engine may evaluate it
-          anywhere but must invoke [apply_note] for the resulting
-          notes in canonical scan order. *)
-  begin_stale : unit -> unit;
-      (** Called once before a SELECT collection's stale-closure loop. *)
+          same rule. [note] runs on every live scanned edge, in scan
+          order, before the filter (the Individual_refs byte
+          accounting and the liveness audit). *)
   stale_closure :
-    gc:int ->
     ?events:Lp_obs.Sink.t ->
     Store.t ->
     stats:Gc_stats.t ->
@@ -71,19 +62,12 @@ type t = {
           number of bytes claimed — the size of the stale data
           structure rooted there. Claimed objects carry the stale-mark
           diagnostic bit. *)
-  end_stale : gc:int -> events:Lp_obs.Sink.t option -> unit;
-      (** Called once after the stale-closure loop (worker-span flush in
-          the parallel engine; no-op elsewhere). *)
-  sweep : gc:int -> ?events:Lp_obs.Sink.t -> Store.t -> stats:Gc_stats.t -> unit;
+  sweep : Store.t -> stats:Gc_stats.t -> unit;
       (** Frees every unmarked object, clears the GC bits of
           survivors, and records the surviving bytes in the store as
           its new live size, freeing in strictly descending slot order
-          so id recycling is identical across engines (see
+          so id recycling does not depend on the slice budget (see
           {!Trace_common.sliced_sweep}). *)
-  minor_drain :
-    (Store.t -> queue:int array -> slots_scanned:int ref -> unit) option;
-      (** When present, the minor collector hands its marked seed set to
-          this drain instead of running its own loop. *)
   take_pauses : unit -> (pause_phase * int) list;
       (** Drains the engine's recorded pause slices (phase tag and wall
           nanoseconds, oldest first) since the last call. Whole-pause
@@ -93,6 +77,4 @@ type t = {
       (** Largest number of objects scanned in a single mark slice so
           far (0 for engines without a slice budget) — the deterministic
           quantity the pause-bench budget gate checks. *)
-  shutdown : unit -> unit;
-      (** Releases engine resources (joins the domain pool); idempotent. *)
 }

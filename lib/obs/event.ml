@@ -24,9 +24,6 @@ type t =
   | Disk_restore of { id : int; ok : bool }
   | Image_capture of { id : int; bytes : int }
   | Image_drop of { id : int }
-  | Par_phase_begin of { gc : int; phase : string; worker : int }
-  | Par_phase_end of { gc : int; phase : string; worker : int; work : int }
-  | Packet_recovered of { gc : int; packet : int }
   | Tenant_killed of { tenant : int; round : int }
   | Tenant_restarted of {
       tenant : int;
@@ -48,7 +45,6 @@ type t =
   | Liveness_veto of { src_class : int; field : int }
   | Liveness_boost of { src_class : int; field : int }
   | Slo_adjust of { gc : int; budget : int; p99_ns : int }
-  | Engine_switch of { gc : int; from_engine : string; to_engine : string }
 
 type stamped = { seq : int; at : int; ev : t }
 
@@ -73,9 +69,6 @@ let type_name = function
   | Disk_restore _ -> "disk_restore"
   | Image_capture _ -> "image_capture"
   | Image_drop _ -> "image_drop"
-  | Par_phase_begin _ -> "par_phase_begin"
-  | Par_phase_end _ -> "par_phase_end"
-  | Packet_recovered _ -> "packet_recovered"
   | Tenant_killed _ -> "tenant_killed"
   | Tenant_restarted _ -> "tenant_restarted"
   | Request_shed _ -> "request_shed"
@@ -92,29 +85,19 @@ let type_name = function
   | Liveness_veto _ -> "liveness_veto"
   | Liveness_boost _ -> "liveness_boost"
   | Slo_adjust _ -> "slo_adjust"
-  | Engine_switch _ -> "engine_switch"
 
-(* Almost every event is a deterministic function of program, seed and
-   configuration. Two exceptions: [Slo_adjust], whose budget is derived
-   from wall-clock pause feedback, and the ["steal:*"] [Par_phase]
-   spans, which report how many packets each worker REALLY stole — a
-   hardware-schedule fact. Neither affects reclamation (budgets only
-   move slice boundaries; steal order is output-neutral by the
-   packet-index merge). Run-twice trace comparisons filter on this. *)
-let steal_phase phase =
-  String.length phase >= 6 && String.sub phase 0 6 = "steal:"
-
-let deterministic = function
-  | Slo_adjust _ -> false
-  | Par_phase_begin { phase; _ } | Par_phase_end { phase; _ } ->
-    not (steal_phase phase)
-  | _ -> true
+(* Every event but one is a deterministic function of program, seed
+   and configuration. The exception is [Slo_adjust], whose budget is
+   derived from wall-clock pause feedback; it does not affect
+   reclamation, since budgets only move slice boundaries. Run-twice
+   trace comparisons filter on this. *)
+let deterministic = function Slo_adjust _ -> false | _ -> true
 
 (* Span events open (`B`) and close (`E`) a nested duration in the
    Chrome trace; everything else is instantaneous. *)
 let span = function
-  | Gc_begin _ | Phase_begin _ | Minor_begin _ | Par_phase_begin _ -> `Begin
-  | Gc_end _ | Phase_end _ | Minor_end _ | Par_phase_end _ -> `End
+  | Gc_begin _ | Phase_begin _ | Minor_begin _ -> `Begin
+  | Gc_end _ | Phase_end _ | Minor_end _ -> `End
   | _ -> `Instant
 
 (* The label shared by a span's begin and end events; the nesting
@@ -124,7 +107,4 @@ let span_label = function
   | Phase_begin { gc; phase } | Phase_end { gc; phase; _ } ->
     Printf.sprintf "gc#%d/%s" gc phase
   | Minor_begin { n } | Minor_end { n; _ } -> Printf.sprintf "minor#%d" n
-  | Par_phase_begin { gc; phase; worker } | Par_phase_end { gc; phase; worker; _ }
-    ->
-    Printf.sprintf "gc#%d/%s/w%d" gc phase worker
   | ev -> type_name ev

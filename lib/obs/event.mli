@@ -49,15 +49,6 @@ type t =
   | Image_capture of { id : int; bytes : int }
       (** swap image of a dying object written before the sweep *)
   | Image_drop of { id : int }
-  | Par_phase_begin of { gc : int; phase : string; worker : int }
-      (** one parallel worker's share of a collection phase; emitted by
-          the coordinator at the merge, so pairs are adjacent and the
-          work figures are schedule-independent *)
-  | Par_phase_end of { gc : int; phase : string; worker : int; work : int }
-      (** [work]: fields scanned (mark / stale closure) or slots swept *)
-  | Packet_recovered of { gc : int; packet : int }
-      (** a mark packet's discovery buffer failed seal verification and
-          was recovered by a pure re-scan (chaos-injected corruption) *)
   | Tenant_killed of { tenant : int; round : int }
       (** fleet chaos killed this tenant's VM mid-round (no clean
           teardown; only swap recovery runs before the restart) *)
@@ -123,12 +114,6 @@ type t =
           [p99_ns] the observed p99 pause that drove the adjustment.
           {e Non-deterministic} (see {!deterministic}): budgets derive
           from wall-clock feedback *)
-  | Engine_switch of { gc : int; from_engine : string; to_engine : string }
-      (** the autopilot swapped tracing engines before collection [gc]
-          because it changed the domain count (engine names as in
-          [Lp_heap.Trace_engine.t.name]: ["inc256"], ["bsp2"], ...).
-          Deterministic: escalation keys off SELECT's predicted
-          stale-closure size, not wall time *)
 
 type stamped = { seq : int; at : int; ev : t }
 (** [seq] is a per-sink sequence number (total order even between events
@@ -143,14 +128,10 @@ val span : t -> [ `Begin | `End | `Instant ]
 
 val span_label : t -> string
 (** The label shared by a span's begin and end events (["gc#3"],
-    ["gc#3/mark"], ["gc#3/mark/w2"], ["minor#7"]); begin/end pairs carry
-    equal labels. *)
+    ["gc#3/mark"], ["minor#7"]); begin/end pairs carry equal labels. *)
 
 val deterministic : t -> bool
 (** Whether the event is a deterministic function of program, seed and
-    configuration. [false] for {!Slo_adjust} (budgets derive from
-    wall-clock pause feedback) and for [Par_phase] spans whose phase
-    starts with ["steal:"] (real per-worker steal counts — a
-    hardware-schedule fact; reclamation is unaffected by steal order).
-    Run-twice trace comparisons must filter events this predicate
-    rejects. *)
+    configuration. [false] only for {!Slo_adjust} (budgets derive
+    from wall-clock pause feedback). Run-twice trace comparisons must
+    filter events this predicate rejects. *)

@@ -52,11 +52,6 @@ let fields ~cls (ev : Event.t) =
   | Event.Disk_restore { id; ok } -> [ i "id" id; b "ok" ok ]
   | Event.Image_capture { id; bytes } -> [ i "id" id; i "bytes" bytes ]
   | Event.Image_drop { id } -> [ i "id" id ]
-  | Event.Par_phase_begin { gc; phase; worker } ->
-    [ i "gc" gc; s "phase" phase; i "worker" worker ]
-  | Event.Par_phase_end { gc; phase; worker; work } ->
-    [ i "gc" gc; s "phase" phase; i "worker" worker; i "work" work ]
-  | Event.Packet_recovered { gc; packet } -> [ i "gc" gc; i "packet" packet ]
   | Event.Tenant_killed { tenant; round } -> [ i "tenant" tenant; i "round" round ]
   | Event.Tenant_restarted { tenant; round; reason; restarts } ->
     [ i "tenant" tenant; i "round" round; s "reason" reason; i "restarts" restarts ]
@@ -86,8 +81,6 @@ let fields ~cls (ev : Event.t) =
     [ s "src_class" (cls src_class); i "field" field ]
   | Event.Slo_adjust { gc; budget; p99_ns } ->
     [ i "gc" gc; i "budget" budget; i "p99_ns" p99_ns ]
-  | Event.Engine_switch { gc; from_engine; to_engine } ->
-    [ i "gc" gc; s "from" from_engine; s "to" to_engine ]
 
 let members l =
   String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) l)
@@ -132,21 +125,12 @@ let to_chrome_trace ?(class_name = default_class_name) ?(dropped = 0) events =
         | `Instant -> Event.type_name e.Event.ev
       in
       let extra = match ph with "i" -> ",\"s\":\"t\"" | _ -> "" in
-      (* Parallel-phase spans land on per-worker tracks: worker [w]
-         renders as tid [w + 2], keeping tid 1 for the VM's own track. *)
-      let tid =
-        match e.Event.ev with
-        | Event.Par_phase_begin { worker; _ } | Event.Par_phase_end { worker; _ }
-          ->
-          worker + 2
-        | _ -> 1
-      in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":%d%s,\"args\":{%s}}"
+           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":1%s,\"args\":{%s}}"
            (escape name)
            (Event.type_name e.Event.ev)
-           ph e.Event.at tid extra
+           ph e.Event.at extra
            (members (("seq", string_of_int e.Event.seq) :: fields ~cls:class_name e.Event.ev))))
     events;
   Buffer.add_string buf

@@ -43,7 +43,7 @@ let program_reachable t (obj : Heap_obj.t) =
     if e.Collector.src == t.ring_holder then Collector.Defer else Collector.Trace
   in
   ignore
-    (t.engine.Trace_engine.mark ~gc:0 store (Vm.roots t.vm) ~stats
+    (t.engine.Trace_engine.mark store (Vm.roots t.vm) ~stats
        ~config:
          {
            Collector.set_untouched_bits = false;

@@ -6,10 +6,6 @@ type gc_record = {
   state : Lp_core.State_kind.t;
 }
 
-(* The concrete engine behind the Trace_engine view, kept for budget
-   retuning, fault arming and introspection. *)
-type collector = Inc of Inc_engine.t | Par of Lp_par.Par_engine.t
-
 type t = {
   registry : Class_registry.t;
   store : Store.t;
@@ -29,15 +25,10 @@ type t = {
   remset : Remset.t;
   fault : Lp_fault.Fault_plan.t option;
   (* The tracing engine behind every full collection, built from
-     Config.gc_domains and gc_slice_budget. Mutable: the pause-SLO
-     autopilot swaps engines between collections ([switch_engine]).
-     [domains] is the installed engine's domain count. *)
-  mutable engine : Trace_engine.t;
-  mutable collector : collector;
-  mutable domains : int;
-  (* Slice high-water marks of engines already shut down by a switch;
-     [max_slice_work] folds the live engine's figure over this. *)
-  mutable max_slice_seen : int;
+     Config.gc_slice_budget; [inc] is the same engine, kept for the
+     autopilot's budget retuning. *)
+  engine : Trace_engine.t;
+  inc : Inc_engine.t;
   autopilot : Lp_slo.Autopilot.t option;
   mutable gc_pause_ns : int;  (* wall time inside full collections *)
   (* phase-tagged wall-clock pause samples, oldest first: one int per
@@ -65,21 +56,6 @@ type t = {
   mutable sink : Lp_obs.Sink.t option;
 }
 
-(* Builds the engine for [domains] domains: the single-domain engine
-   on one, the parallel engine on more. [slice_budget] is the budget
-   the engine starts with — the config's at VM creation, the
-   autopilot's current one at a switch; [None] makes every collection
-   one pause. [packet_size] and [steal] are scheduling knobs of the
-   parallel engine only, output-neutral by its packet-index merge. *)
-let build_engine ~domains ~slice_budget ~packet_size ~steal =
-  if domains = 1 then
-    let ie = Inc_engine.create ?slice_budget () in
-    (Inc_engine.engine ie, Inc ie)
-  else
-    let pool = Lp_par.Domain_pool.create ~domains in
-    let pe = Lp_par.Par_engine.create ~packet_size ~steal ?slice_budget pool in
-    (Lp_par.Par_engine.engine pe, Par pe)
-
 (* The budget an armed pause SLO starts from when the config sets
    none: the autopilot needs slices to measure and retune. *)
 let slo_initial_slice_budget = 256
@@ -92,8 +68,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
   | Some n when n <= 0 || n >= heap_bytes ->
     invalid_arg "Vm.create: nursery_bytes must be in (0, heap_bytes)"
   | Some _ | None -> ());
-  (* before the engine is built: an out-of-range domain count must not
-     spawn domains *)
   (match Lp_core.Config.validate config with
   | Error msg -> invalid_arg ("Vm.create: " ^ msg)
   | Ok _ -> ());
@@ -154,8 +128,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
                  Swap_image.tear image ~keep:(Bytes.length image / 2)
                | Lp_fault.Fault_plan.Refuse_alloc | Lp_fault.Fault_plan.Disk_failure
                | Lp_fault.Fault_plan.Corrupt_word | Lp_fault.Fault_plan.Kill_thread
-               | Lp_fault.Fault_plan.Corrupt_mark_packet
-               | Lp_fault.Fault_plan.Steal_race
                | Lp_fault.Fault_plan.Kill_tenant
                | Lp_fault.Fault_plan.Disk_pressure
                | Lp_fault.Fault_plan.Kill_storm
@@ -175,17 +147,11 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
         Some
           (Lp_slo.Autopilot.create ~target_p99_ns
              ~floor:config.Lp_core.Config.slo_budget_floor
-             ~domains:config.Lp_core.Config.slo_domains
-             ~escalate_permille:config.Lp_core.Config.slo_escalate_permille
              ~init_budget:budget) )
     | None -> (config.Lp_core.Config.gc_slice_budget, None)
   in
-  let domains = config.Lp_core.Config.gc_domains in
-  let engine, collector =
-    build_engine ~domains ~slice_budget
-      ~packet_size:config.Lp_core.Config.gc_packet_size
-      ~steal:config.Lp_core.Config.gc_steal
-  in
+  let inc = Inc_engine.create ?slice_budget () in
+  let engine = Inc_engine.engine inc in
   let controller = Lp_core.Controller.create ~metrics ~engine config registry in
   {
     registry;
@@ -206,9 +172,7 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     remset = Remset.create ();
     fault;
     engine;
-    collector;
-    domains;
-    max_slice_seen = 0;
+    inc;
     autopilot;
     gc_pause_ns = 0;
     pause_buf = Array.make 16 0;
@@ -244,22 +208,6 @@ let metrics t = t.metrics
    still sees up-to-date gc.* values. *)
 let metrics_snapshot t =
   Gc_stats.publish t.stats t.metrics;
-  (* The parallel engine's scheduling counters live outside Gc_stats
-     (whose record is compared structurally across engines by the
-     conformance tests) but still surface as gc.* metrics. gc.steals is
-     the one schedule-dependent value in the registry — it reports what
-     the hardware really did; everything else here is deterministic. *)
-  (match t.collector with
-  | Par pe ->
-    let set name v =
-      Lp_obs.Metrics.set_counter (Lp_obs.Metrics.counter t.metrics name) v
-    in
-    set "gc.steals" (Lp_par.Par_engine.steals pe);
-    set "gc.steal_races" (Lp_par.Par_engine.steal_races pe);
-    set "gc.packet_recoveries" (Lp_par.Par_engine.packet_recoveries pe);
-    set "gc.pooled_rounds" (Lp_par.Par_engine.pooled_rounds pe);
-    set "gc.pool_dispatches" (Lp_par.Par_engine.dispatches pe)
-  | Inc _ -> ());
   Lp_obs.Metrics.snapshot t.metrics
 
 (* annotated so the barrier's disabled-sink guard compiles to a field
@@ -284,10 +232,6 @@ let trace_events t =
 let resurrection_enabled t = t.resurrection
 let warm_boot t = t.warm_boot
 let charge_barriers t = t.charge_barriers
-
-let gc_domains t = t.domains
-
-let par_engine t = match t.collector with Par pe -> Some pe | Inc _ -> None
 
 let autopilot t = t.autopilot
 
@@ -342,54 +286,11 @@ let max_pause_ns t =
   done;
   !m
 
-let max_slice_work t =
-  max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ())
+let max_slice_work t = t.engine.Trace_engine.max_slice_work ()
 
-(* Releases whatever the engine holds (the parallel engines join their
-   collector domains; the others hold nothing). Idempotent; callers
-   shut down when they are done with the VM. *)
-let shutdown t = t.engine.Trace_engine.shutdown ()
-
-(* Retunes the live engine's slice budget in place (the autopilot's
-   cheap actuator, when no engine switch is due). Under the autopilot
-   every engine is built with a budget, so both setters accept it. *)
-let apply_budget t budget =
-  match t.collector with
-  | Inc ie -> Inc_engine.set_slice_budget ie budget
-  | Par pe -> Lp_par.Par_engine.set_slice_budget pe budget
-
-(* Engine swap at a collection boundary. Safe exactly because every
-   engine produces identical reclamation outcomes (the determinism
-   contract): the next collection's marked set, counters and free
-   order do not depend on which engine ran the previous one. The
-   outgoing engine's deterministic slice high-water mark is folded
-   into [max_slice_seen] before it is shut down, so [max_slice_work]
-   stays a whole-run figure across switches. *)
-let switch_engine t ap domains =
-  let from_engine = t.engine.Trace_engine.name in
-  t.max_slice_seen <-
-    max t.max_slice_seen (t.engine.Trace_engine.max_slice_work ());
-  t.engine.Trace_engine.shutdown ();
-  let cfg = Lp_core.Controller.config t.controller in
-  let engine, collector =
-    build_engine ~domains ~slice_budget:(Some (Lp_slo.Autopilot.budget ap))
-      ~packet_size:cfg.Lp_core.Config.gc_packet_size
-      ~steal:cfg.Lp_core.Config.gc_steal
-  in
-  t.engine <- engine;
-  t.collector <- collector;
-  t.domains <- domains;
-  Lp_core.Controller.set_engine t.controller engine;
-  match t.sink with
-  | Some s ->
-    Lp_obs.Sink.emit s
-      (Lp_obs.Event.Engine_switch
-         {
-           gc = t.stats.Gc_stats.collections + 1;
-           from_engine;
-           to_engine = engine.Trace_engine.name;
-         })
-  | None -> ()
+(* The engine holds nothing to release; kept because the benchmark in
+   perfbench/ calls it. *)
+let shutdown (_ : t) = ()
 
 let remset t = t.remset
 let fault_plan t = t.fault
@@ -433,12 +334,9 @@ let remember_write t ~src ~field ~tgt =
 
 let run_minor_gc t =
   t.minor_collections <- t.minor_collections + 1;
-  let drain =
-    Option.map (fun f -> f t.store) t.engine.Trace_engine.minor_drain
-  in
   let r =
-    Minor_collector.collect ?events:t.sink ~number:t.minor_collections ?drain
-      t.store t.roots ~remset:t.remset
+    Minor_collector.collect ?events:t.sink ~number:t.minor_collections t.store
+      t.roots ~remset:t.remset
   in
   let minor_cost =
     (r.Minor_collector.slots_scanned * t.cost.Cost.gc_minor_slot)
@@ -590,21 +488,6 @@ let retain_images t ~poisoned =
   Diskswap.retain_images t.swap ~keep:(Hashtbl.mem keep)
 
 let collect_once t =
-  (* Mark-site faults are drawn once per full collection whether or not
-     the parallel engine is present, so a plan's fault stream (and thus
-     every later draw) is identical at every gc_domains setting. *)
-  (match t.fault with
-  | Some plan ->
-    List.iter
-      (fun f ->
-        match (f, t.collector) with
-        | Lp_fault.Fault_plan.Corrupt_mark_packet, Par e ->
-          Lp_par.Par_engine.arm_corrupt_packet e
-        | Lp_fault.Fault_plan.Steal_race, Par e ->
-          Lp_par.Par_engine.arm_steal_race e
-        | _, _ -> ())
-      (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Mark)
-  | None -> ());
   let doomed = ref [] in
   let poisoned = ref [] in
   let on_poison, before_sweep =
@@ -746,21 +629,11 @@ let run_gc t =
   | None -> ());
   push_history t ~gc_number ~live ~state;
   (* Autopilot step, between collections: feed this collection's
-     tagged samples, get the next collection's budget and engine. The
-     budget plane is wall-clock-fed (non-deterministic, outcome-
-     neutral); the engine plane keys off SELECT's predicted
-     stale-closure bytes, a deterministic signal. *)
+     tagged samples, get the next collection's budget. The budget is
+     wall-clock-fed (non-deterministic) and outcome-neutral. *)
   (match t.autopilot with
   | Some ap ->
-    let selection_bytes =
-      match Lp_core.Controller.last_selection t.controller with
-      | Some (_, _, bytes) -> bytes
-      | None -> 0
-    in
-    let d =
-      Lp_slo.Autopilot.note_collection ap ~samples ~selection_bytes
-        ~heap_limit:(Store.limit_bytes t.store)
-    in
+    let d = Lp_slo.Autopilot.note_collection ap ~samples in
     if d.Lp_slo.Autopilot.d_budget_changed then (
       match t.sink with
       | Some s ->
@@ -772,9 +645,7 @@ let run_gc t =
                p99_ns = d.Lp_slo.Autopilot.d_p99_ns;
              })
       | None -> ());
-    if d.Lp_slo.Autopilot.d_domains <> t.domains then
-      switch_engine t ap d.Lp_slo.Autopilot.d_domains
-    else apply_budget t d.Lp_slo.Autopilot.d_budget
+    Inc_engine.set_slice_budget t.inc d.Lp_slo.Autopilot.d_budget
   | None -> ());
   match t.gc_listener with
   | Some f -> f { gc_number; live_bytes_after = live; state }

@@ -106,53 +106,28 @@ val charge_barriers : t -> bool
 val remset : t -> Remset.t
 val fault_plan : t -> Lp_fault.Fault_plan.t option
 
-(** {1 Tracing engines}
+(** {1 The tracing engine}
 
-    Two numbers from the config pick the {!Lp_heap.Trace_engine} behind
-    every full-heap collection, constructed at {!create}:
+    Every full-heap collection runs through one {!Lp_heap.Inc_engine},
+    built at {!create} on the calling domain:
 
-    - [Config.gc_domains = 1] (default): the {!Lp_heap.Inc_engine}
-      traces on the calling domain;
-    - [Config.gc_domains = n > 1]: the VM spawns a
-      {!Lp_par.Domain_pool} and routes mark, stale closures, sweep —
-      and the minor-collection drain loop — through the
-      {!Lp_par.Par_engine};
-    - [Config.gc_slice_budget = None] (default): each collection is one
-      pause, recorded as one [Monolithic] sample;
-    - [Config.gc_slice_budget = Some b]: the closures run in slices of
-      at most [b] objects and the sweep in [b]-slot segments, one
-      tagged pause sample each.
+    - [Config.gc_slice_budget = None] (default, named [seq]): each
+      collection is one pause, recorded as one [Monolithic] sample;
+    - [Config.gc_slice_budget = Some b] (named [inc<b>]): the closures
+      run in slices of at most [b] objects and the sweep in [b]-slot
+      segments, one tagged pause sample each.
 
-    The four combinations are named [seq], [par<n>], [inc<b>] and
-    [bsp<n>]. Every engine is deterministic by construction: heap
-    state, counters, prune decisions, reclaimed bytes and the simulated
-    clock are identical across all of them. Traces match
-    event-for-event too, except that the parallel engine adds its own
-    worker-span events and that word-level mark events within a
-    collection follow traversal order — same set, different
-    interleaving. Only the wall-clock pause profile differs.
-
-    The engine is not fixed for the VM's lifetime: the pause-SLO
-    autopilot (armed by [Config.pause_slo_p99_ns]) may install an
-    engine on a different domain count between collections. *)
-
-val gc_domains : t -> int
-(** The installed engine's domain count — the config's until the
-    autopilot's first switch. *)
-
-val par_engine : t -> Lp_par.Par_engine.t option
-(** The concrete parallel engine, present iff the installed engine
-    runs on more than one domain (fault arming and introspection). *)
+    The engine is deterministic by construction: heap state, counters,
+    prune decisions, reclaimed bytes, the simulated clock and the trace
+    are identical with and without a budget. Only the wall-clock pause
+    profile differs. *)
 
 val autopilot : t -> Lp_slo.Autopilot.t option
 (** The pause-SLO autopilot, present iff [Config.pause_slo_p99_ns] was
     set. After every full collection the VM feeds it the collection's
-    phase-tagged pause samples plus the last SELECT decision's
-    predicted stale-closure bytes, then applies the returned budget
-    in place, or installs a new engine at that budget when the decided
-    domain count changed (emitting [Engine_switch] when tracing). Every
-    engine under the autopilot is sliced: with no
-    [Config.gc_slice_budget] it starts from 256 objects. *)
+    phase-tagged pause samples, then applies the returned slice budget
+    to the engine. Under the autopilot the engine is always sliced:
+    with no [Config.gc_slice_budget] it starts from 256 objects. *)
 
 val gc_pause_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent inside full-heap collections
@@ -182,15 +157,14 @@ val max_pause_ns : t -> int
     list. *)
 
 val max_slice_work : t -> int
-(** The largest number of objects any single mark slice has scanned,
-    across every engine this VM has run (0 for purely monolithic
-    engines) — the deterministic counterpart of {!max_pause_ns},
-    bounded by the largest slice budget in effect. *)
+(** The largest number of objects any single mark slice has scanned
+    (0 without a slice budget) — the deterministic counterpart of
+    {!max_pause_ns}, bounded by the largest slice budget in effect. *)
 
 val shutdown : t -> unit
-(** Releases whatever the engine holds — the parallel engine joins its
-    collector domains (leaked domains keep the process alive); the
-    other engines hold nothing. Idempotent. *)
+(** Does nothing: the engine holds no resource. Kept only because the
+    benchmark in [perfbench/] calls it; it goes with the next change to
+    that benchmark. *)
 
 (** {1 Observability}
 
@@ -208,12 +182,7 @@ val metrics_snapshot : t -> Lp_obs.Metrics.snapshot
 (** Publishes the collector's {!Gc_stats} counters into the registry,
     then snapshots it. Includes the retained [gc.staleness_histogram]
     series: one per-staleness-level live-object count array per
-    full-heap collection, last 16 collections. When the VM runs a
-    parallel engine, the engine's scheduling counters are published
-    too: [gc.steals] (real successful packet steals — the registry's
-    only schedule-dependent value), [gc.steal_races],
-    [gc.packet_recoveries], [gc.pooled_rounds] and
-    [gc.pool_dispatches]. *)
+    full-heap collection, last 16 collections. *)
 
 val enable_trace : ?capacity:int -> t -> Lp_obs.Sink.t
 (** Attaches a fresh event sink (drop-oldest ring, default capacity

@@ -1,32 +1,19 @@
 (* The pause-SLO autopilot: a PID-style feedback controller that holds
    the 99th-percentile GC pause under a configured target by retuning
-   slice budget between collections, and by picking
-   each collection's domain count.
+   the slice budget between collections.
 
-   Two signal planes with very different determinism properties feed
-   it, and keeping them apart is the whole design:
-
-   - The BUDGET plane is wall-clock-fed and therefore non-deterministic
-     run to run. The budget is denominated in nanoseconds and converted
-     to an object count through an EWMA estimate of per-object scan
-     cost; a deterministic object-count floor ([slo_budget_floor])
-     bounds it from below so count-based invariants survive arbitrarily
-     slow hosts. A wrong budget can only move slice boundaries — every
-     engine's reclamation outcome is budget-independent by the
-     determinism contract — so feeding wall time here is safe.
-
-   - The DOMAIN plane is deterministic: escalation from one domain to
-     [domains] keys off the last SELECT decision's predicted
-     stale-closure size (bytes), a pure function of program, seed and
-     configuration. Engine switches are therefore bit-identical run to
-     run, which is what lets the conformance suite replay engine
-     schedules. *)
+   The budget is wall-clock-fed and therefore non-deterministic run to
+   run. It is denominated in nanoseconds and converted to an object
+   count through an EWMA estimate of per-object scan cost; a
+   deterministic object-count floor ([slo_budget_floor]) bounds it from
+   below so count-based invariants survive arbitrarily slow hosts. A
+   wrong budget can only move slice boundaries — the engine's
+   reclamation outcome is budget-independent by the determinism
+   contract — so feeding wall time here is safe. *)
 
 type t = {
   target_p99_ns : int;
   floor : int;
-  domains : int;
-  escalate_permille : int;
   window : int array; (* ring of recent pause samples, ns *)
   mutable window_len : int;
   mutable window_pos : int;
@@ -35,17 +22,12 @@ type t = {
   mutable budget : int; (* current object-count budget *)
   mutable integral : float;
   mutable last_err : float;
-  mutable escalate_hold : int;
-  mutable cur_domains : int;
   mutable adjustments : int;
-  mutable switches : int;
   mutable samples_seen : int;
-  mutable escalations : int;
 }
 
 type decision = {
   d_budget : int;  (** slice budget for the next collection, objects *)
-  d_domains : int;  (** domains for the next collection: 1 or [domains] *)
   d_p99_ns : int;  (** the window p99 that drove the budget *)
   d_budget_changed : bool;
 }
@@ -60,15 +42,13 @@ let ki = 0.1
 let kd = 0.2
 let ewma_alpha = 0.3
 
-let create ~target_p99_ns ~floor ~domains ~escalate_permille ~init_budget =
+let create ~target_p99_ns ~floor ~init_budget =
   if target_p99_ns < 1 then invalid_arg "Autopilot.create: target_p99_ns < 1";
   if floor < 1 then invalid_arg "Autopilot.create: floor < 1";
   if init_budget < 1 then invalid_arg "Autopilot.create: init_budget < 1";
   {
     target_p99_ns;
     floor;
-    domains;
-    escalate_permille;
     window = Array.make window_cap 0;
     window_len = 0;
     window_pos = 0;
@@ -78,12 +58,8 @@ let create ~target_p99_ns ~floor ~domains ~escalate_permille ~init_budget =
     budget = max floor init_budget;
     integral = 0.0;
     last_err = 0.0;
-    escalate_hold = 0;
-    cur_domains = 1;
     adjustments = 0;
-    switches = 0;
     samples_seen = 0;
-    escalations = 0;
   }
 
 let push_sample t ns =
@@ -123,7 +99,7 @@ let budget_objects t =
   if t.ns_per_obj <= 0.0 then max t.floor t.budget
   else max t.floor (int_of_float (t.budget_ns /. t.ns_per_obj))
 
-let note_collection t ~samples ~selection_bytes ~heap_limit =
+let note_collection t ~samples =
   let budget_in_effect = max 1 t.budget in
   List.iter
     (fun (phase, ns) ->
@@ -150,23 +126,8 @@ let note_collection t ~samples ~selection_bytes ~heap_limit =
   let budget_changed = new_budget <> t.budget in
   if budget_changed then t.adjustments <- t.adjustments + 1;
   t.budget <- new_budget;
-  (* Deterministic domain plane: escalate to [domains] when SELECT
-     predicts a stale closure larger than [escalate_permille] of the
-     heap, and hold the escalation for two collections so the pool is
-     not churned by a single borderline prediction. *)
-  if selection_bytes > 0 && heap_limit > 0
-     && selection_bytes * 1000 >= t.escalate_permille * heap_limit
-  then begin
-    if t.escalate_hold = 0 then t.escalations <- t.escalations + 1;
-    t.escalate_hold <- 2
-  end
-  else if t.escalate_hold > 0 then t.escalate_hold <- t.escalate_hold - 1;
-  let new_domains = if t.escalate_hold > 0 then t.domains else 1 in
-  if new_domains <> t.cur_domains then t.switches <- t.switches + 1;
-  t.cur_domains <- new_domains;
   {
     d_budget = new_budget;
-    d_domains = new_domains;
     d_p99_ns = p99;
     d_budget_changed = budget_changed;
   }
@@ -174,6 +135,5 @@ let note_collection t ~samples ~selection_bytes ~heap_limit =
 let target t = t.target_p99_ns
 let budget t = t.budget
 let adjustments t = t.adjustments
-let switches t = t.switches
-let escalations t = t.escalations
+let escalations (_ : t) = 0
 let samples_seen t = t.samples_seen

@@ -95,22 +95,10 @@ let drain store stats ~config ~note ~on_trace ~deferred stack =
     scan_object store stats ~config ~note ~on_trace ~deferred (Stack.pop stack)
   done
 
-let note_of ?edge_note ?apply_note () =
-  match edge_note with
-  | None -> None
-  | Some en ->
-    Some
-      (fun e ->
-        match (en e, apply_note) with
-        | Some triple, Some ap -> ap triple
-        | Some _, None | None, _ -> ())
-
-let mark ?edge_note ?apply_note store roots ~stats
-    ~(config : Trace_common.mark_config) =
+let mark ?note store roots ~stats ~(config : Trace_common.mark_config) =
   let stack = Stack.create () in
   let marked = Queue.create () in
   let deferred = ref [] in
-  let note = note_of ?edge_note ?apply_note () in
   let on_trace (obj : Heap_obj.t) =
     obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
     stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
@@ -158,8 +146,9 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     !bytes
   end
 
-(* Frees in strictly descending slot order, the order every engine
-   must reproduce so that identifier recycling matches. *)
+(* Frees in strictly descending slot order, the order the engine must
+   reproduce at every slice budget so that identifier recycling
+   matches. *)
 let sweep store ~stats =
   let live = ref 0 in
   Store.iter_live_range_desc store ~lo:0 ~hi:(Store.slot_count store)
@@ -179,18 +168,9 @@ let sweep store ~stats =
 let engine () =
   {
     Trace_engine.name = "ref";
-    mark =
-      (fun ~gc:_ ?edge_note ?apply_note store roots ~stats ~config ->
-        mark ?edge_note ?apply_note store roots ~stats ~config);
-    begin_stale = (fun () -> ());
-    stale_closure =
-      (fun ~gc:_ ?events store ~stats ~set_untouched_bits ~stale_tick_gc e ->
-        stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
-          e);
-    end_stale = (fun ~gc:_ ~events:_ -> ());
-    sweep = (fun ~gc:_ ?events:_ store ~stats -> sweep store ~stats);
-    minor_drain = None;
+    mark;
+    stale_closure;
+    sweep;
     take_pauses = (fun () -> []);
     max_slice_work = (fun () -> 0);
-    shutdown = (fun () -> ());
   }

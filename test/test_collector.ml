@@ -9,13 +9,13 @@ open Lp_heap
 let seq = Inc_engine.engine (Inc_engine.create ())
 
 let mark store roots ~stats ~config =
-  seq.Trace_engine.mark ~gc:1 store roots ~stats ~config
+  seq.Trace_engine.mark store roots ~stats ~config
 
 let stale_closure store ~stats edge =
-  seq.Trace_engine.stale_closure ~gc:1 store ~stats ~set_untouched_bits:false
+  seq.Trace_engine.stale_closure store ~stats ~set_untouched_bits:false
     ~stale_tick_gc:None edge
 
-let sweep store ~stats = seq.Trace_engine.sweep ~gc:1 store ~stats
+let sweep store ~stats = seq.Trace_engine.sweep store ~stats
 
 let build_store () = Store.create ~limit_bytes:1_000_000
 

@@ -126,41 +126,30 @@ let test_config_validation () =
   (match Lp_core.Config.validate (Lp_core.Config.make ~disk_retry_attempts:(-1) ()) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "negative disk_retry_attempts must be rejected");
-  (* the collector's two numbers and the packet size: the range
-     messages every subcommand reports *)
+  (* the collector's slice budget: the range message every subcommand
+     reports *)
+  Alcotest.(check (result unit string))
+    "gc_slice_budget must be >= 1" (Error "gc_slice_budget must be >= 1")
+    (Result.map ignore
+       (Lp_core.Config.validate (Lp_core.Config.make ~gc_slice_budget:0 ())));
+  (* every slice budget is valid, with or without a pause SLO *)
   List.iter
-    (fun (config, expected) ->
-      Alcotest.(check (result unit string))
-        expected (Error expected)
-        (Result.map ignore (Lp_core.Config.validate config)))
-    [
-      (Lp_core.Config.make ~gc_domains:0 (), "gc_domains must be in [1, 64]");
-      (Lp_core.Config.make ~gc_domains:65 (), "gc_domains must be in [1, 64]");
-      (Lp_core.Config.make ~gc_slice_budget:0 (), "gc_slice_budget must be >= 1");
-      (Lp_core.Config.make ~gc_packet_size:0 (), "gc_packet_size must be >= 1");
-    ];
-  (* every combination of the two numbers is valid, with or without a
-     pause SLO *)
-  List.iter
-    (fun (gc_domains, gc_slice_budget) ->
+    (fun gc_slice_budget ->
       List.iter
         (fun pause_slo_p99_ns ->
           match
             Lp_core.Config.validate
-              (Lp_core.Config.make ~gc_domains ?gc_slice_budget
-                 ?pause_slo_p99_ns ())
+              (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns ())
           with
           | Ok _ -> ()
           | Error msg -> Alcotest.failf "valid engine choice rejected: %s" msg)
         [ None; Some 100_000 ])
-    [ (1, None); (64, None); (1, Some 1); (2, Some 32) ];
-  Alcotest.check_raises "Vm.create rejects 65 domains before spawning any"
-    (Invalid_argument "Vm.create: gc_domains must be in [1, 64]") (fun () ->
+    [ None; Some 1; Some 32 ];
+  Alcotest.check_raises "Vm.create rejects a zero slice budget"
+    (Invalid_argument "Vm.create: gc_slice_budget must be >= 1") (fun () ->
       ignore
-        (Vm.create ~config:(Lp_core.Config.make ~gc_domains:65 ())
+        (Vm.create ~config:(Lp_core.Config.make ~gc_slice_budget:0 ())
            ~heap_bytes:1_000 ()));
-  Alcotest.(check int) "no domain spawned" 0
-    (Lp_par.Domain_pool.active_count ());
   try
     ignore
       (Vm.create

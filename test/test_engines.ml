@@ -1,41 +1,24 @@
 (* Trace_engine conformance: the same SELECT-shaped and PRUNE-shaped
-   collections, driven through the engine record alone, must leave every
-   engine's heap in the same state — same claimed bytes, same survivors,
-   same poisoned words, same recycled identifiers, same counters. The
-   suite instantiates one scenario per engine (single-domain with no
-   budget and at 1- and 8-object budgets, parallel and sliced-parallel
-   on 2 domains with and without stealing) and compares the full
-   summaries against the reference collector, plus the budgeted
-   engine's slicing under a tiny budget. *)
+   collections, driven through the engine record alone, must leave the
+   heap in the same state at every slice budget — same claimed bytes,
+   same survivors, same poisoned words, same recycled identifiers, same
+   counters. The suite instantiates one scenario per engine setting (no
+   budget, and 1- and 8-object budgets) and compares the full summaries
+   against the reference collector; it also checks the budgeted
+   engine's slicing under a tiny budget, and runs the chaos differential
+   oracle across budgets. *)
 
 open Lp_heap
 
 let inc ?slice_budget () = Inc_engine.engine (Inc_engine.create ?slice_budget ())
 
-(* [dense] deals one object per packet with no inline threshold, so
-   every round goes to the deques and cross-worker stealing (or, with
-   [steal] off, the legacy shared-counter claim) is as dense as the
-   engine can make it. *)
-let par ?slice_budget ?(dense = false) ?steal () =
-  let packet_size, inline_threshold = if dense then (Some 1, Some 1) else (None, None) in
-  Lp_par.Par_engine.engine
-    (Lp_par.Par_engine.create ?packet_size ?inline_threshold ?steal
-       ?slice_budget
-       (Lp_par.Domain_pool.create ~domains:2))
-
-(* Every engine the VM can build, against the reference collector. *)
+(* Every engine setting under test, against the reference collector. *)
 let factories =
   [
     ("ref", Reference_collector.engine);
     ("seq", fun () -> inc ());
     ("inc1", fun () -> inc ~slice_budget:1 ());
     ("inc8", fun () -> inc ~slice_budget:8 ());
-    ("par2", fun () -> par ());
-    ("par2s", fun () -> par ~dense:true ());
-    ("par2ns", fun () -> par ~dense:true ~steal:false ());
-    ("bsp2", fun () -> par ~slice_budget:8 ());
-    ("bsp2s", fun () -> par ~slice_budget:8 ~dense:true ());
-    ("bsp2ns", fun () -> par ~slice_budget:8 ~dense:true ~steal:false ());
   ]
 
 let build_store () = Store.create ~limit_bytes:1_000_000
@@ -76,7 +59,7 @@ let run_scenario make =
     else Collector.Trace
   in
   let deferred =
-    e.Trace_engine.mark ~gc:1 store roots ~stats
+    e.Trace_engine.mark store roots ~stats
       ~config:
         {
           Collector.set_untouched_bits = true;
@@ -87,17 +70,15 @@ let run_scenario make =
         }
   in
   let candidates = Trace_common.canonical_candidates deferred in
-  e.Trace_engine.begin_stale ();
   let claimed =
     List.fold_left
       (fun acc edge ->
         acc
-        + e.Trace_engine.stale_closure ~gc:1 store ~stats
-            ~set_untouched_bits:true ~stale_tick_gc:(Some 1) edge)
+        + e.Trace_engine.stale_closure store ~stats ~set_untouched_bits:true
+            ~stale_tick_gc:(Some 1) edge)
       0 candidates
   in
-  e.Trace_engine.end_stale ~gc:1 ~events:None;
-  e.Trace_engine.sweep ~gc:1 store ~stats;
+  e.Trace_engine.sweep store ~stats;
   let live_after_select = live_ids store in
   let poisoned = ref [] in
   let poison_b (edge : Collector.edge) =
@@ -105,7 +86,7 @@ let run_scenario make =
     else Collector.Trace
   in
   ignore
-    (e.Trace_engine.mark ~gc:2 store roots ~stats
+    (e.Trace_engine.mark store roots ~stats
        ~config:
          {
            Collector.set_untouched_bits = false;
@@ -119,12 +100,11 @@ let run_scenario make =
                    :: !poisoned);
            events = None;
          });
-  e.Trace_engine.sweep ~gc:2 store ~stats;
+  e.Trace_engine.sweep store ~stats;
   let live_after_prune = live_ids store in
   let word_poisoned = Word.poisoned a.Heap_obj.fields.(0) in
   let n1 = alloc store ~n_fields:0 in
   let n2 = alloc store ~n_fields:0 in
-  e.Trace_engine.shutdown ();
   ( (List.length candidates, claimed, live_after_select),
     (!poisoned, word_poisoned, live_after_prune),
     (n1.Heap_obj.id, n2.Heap_obj.id),
@@ -155,8 +135,7 @@ let test_conformance () =
            name)
         true
         (summary = baseline))
-    (List.tl summaries);
-  Alcotest.(check int) "no leaked domains" 0 (Lp_par.Domain_pool.active_count ())
+    (List.tl summaries)
 
 (* A one-object budget must slice a multi-object heap many times, never
    scan more than one object per slice, and still mark every reachable
@@ -172,10 +151,8 @@ let test_inc_slicing_respects_budget () =
   for i = 0 to 9 do
     link root i (alloc store ~n_fields:0)
   done;
-  ignore
-    (e.Trace_engine.mark ~gc:1 store roots ~stats
-       ~config:Collector.base_config);
-  e.Trace_engine.sweep ~gc:1 store ~stats;
+  ignore (e.Trace_engine.mark store roots ~stats ~config:Collector.base_config);
+  e.Trace_engine.sweep store ~stats;
   Alcotest.(check int) "all 11 objects marked" 11 stats.Gc_stats.objects_marked;
   Alcotest.(check int) "max slice work bounded by the budget" 1
     (e.Trace_engine.max_slice_work ());
@@ -192,17 +169,17 @@ let test_inc_slicing_respects_budget () =
   Alcotest.(check int) "take_pauses drains" 0
     (List.length (e.Trace_engine.take_pauses ()))
 
-(* Mid-run engine switching: the pause-SLO autopilot swaps engines
-   between collections (through Controller.set_engine), which is only
-   sound if a mixed schedule behaves exactly like any fixed engine —
-   the determinism contract, now exercised across a swap seam. Each
-   scenario builds a seeded random graph, runs three collections under
-   a per-collection engine schedule (every collection gets a fresh
-   engine, shut down at the boundary, exactly like Vm.switch_engine),
-   and mutates the surviving graph between collections. The full
-   observable state — live ids, object counts, counters — must match
-   the reference collector's, for the seq -> inc -> par schedule and
-   for every engine run fixed. *)
+(* Engine switching between collections: a schedule that mixes
+   settings must behave exactly like any fixed one — the determinism
+   contract, exercised across a swap seam. No collection state may
+   outlive the collection in an engine, so a fresh engine can take
+   over at any boundary. Each scenario builds a seeded random graph,
+   runs three collections under a per-collection engine schedule
+   (every collection gets a fresh engine), and mutates the surviving
+   graph between collections. The full observable state — live ids,
+   object counts, counters — must match the reference collector's, for
+   seq -> inc8 -> seq, inc8 -> seq -> inc8 and every setting run
+   fixed. *)
 let run_switch_scenario ~seed schedule =
   let rng = Random.State.make [| seed |] in
   let store = build_store () in
@@ -244,26 +221,20 @@ let run_switch_scenario ~seed schedule =
       done
     end
   in
-  List.mapi
-    (fun i make ->
-      let gc = i + 1 in
+  List.map
+    (fun make ->
       let e = make () in
       ignore
-        (e.Trace_engine.mark ~gc store roots ~stats
-           ~config:Collector.base_config);
-      e.Trace_engine.sweep ~gc store ~stats;
+        (e.Trace_engine.mark store roots ~stats ~config:Collector.base_config);
+      e.Trace_engine.sweep store ~stats;
       ignore (e.Trace_engine.take_pauses ());
-      e.Trace_engine.shutdown ();
       mutate ();
       (live_ids store, Store.object_count store, Gc_stats.copy stats))
     schedule
 
 let test_engine_switch_conformance () =
   let seq = List.assoc "seq" factories
-  and inc8 = List.assoc "inc8" factories
-  and par2 = List.assoc "par2" factories
-  and par_s = List.assoc "par2s" factories
-  and bsp_s = List.assoc "bsp2s" factories in
+  and inc8 = List.assoc "inc8" factories in
   for seed = 1 to 25 do
     let reference =
       run_switch_scenario ~seed
@@ -271,24 +242,21 @@ let test_engine_switch_conformance () =
           Reference_collector.engine ]
     in
     Alcotest.(check bool)
-      (Printf.sprintf "seed %d: seq->inc->par matches the reference" seed)
+      (Printf.sprintf "seed %d: seq->inc8->seq matches the reference" seed)
       true
-      (run_switch_scenario ~seed [ seq; inc8; par2 ] = reference);
+      (run_switch_scenario ~seed [ seq; inc8; seq ] = reference);
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: inc8->seq->inc8 matches the reference" seed)
+      true
+      (run_switch_scenario ~seed [ inc8; seq; inc8 ] = reference);
     List.iter
       (fun (name, fixed) ->
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: all-%s matches the reference" seed name)
           true
           (run_switch_scenario ~seed [ fixed; fixed; fixed ] = reference))
-      (List.tl factories);
-    (* a schedule that hops between stealing and non-stealing parallel
-       engines mid-run must also land on the same state *)
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: par-steal->seq->bsp-steal matches" seed)
-      true
-      (run_switch_scenario ~seed [ par_s; seq; bsp_s ] = reference)
-  done;
-  Alcotest.(check int) "no leaked domains" 0 (Lp_par.Domain_pool.active_count ())
+      (List.tl factories)
+  done
 
 (* Property: on generated heaps, the single-domain engine with no
    budget and at 1- and 8-object budgets leaves everything exactly as
@@ -443,24 +411,22 @@ let run_generated h make =
         | _ -> Collector.Trace)
       h.filter
   in
-  let edge_note, apply_note, notes =
-    let notes = ref [] in
+  let notes = ref [] in
+  let note =
     if h.note then
-      ( Some
-          (fun (edge : Collector.edge) ->
-            if pick 7 edge mod 2 = 0 then
-              Some
-                ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
-                  edge.Collector.tgt.Heap_obj.id,
-                  Heap_obj.stale edge.Collector.tgt )
-            else None),
-        Some (fun triple -> notes := triple :: !notes),
-        notes )
-    else (None, None, notes)
+      Some
+        (fun (edge : Collector.edge) ->
+          if pick 7 edge mod 2 = 0 then
+            notes :=
+              ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
+                edge.Collector.tgt.Heap_obj.id,
+                Heap_obj.stale edge.Collector.tgt )
+              :: !notes)
+    else None
   in
   let poisoned = ref [] in
   let deferred =
-    e.Trace_engine.mark ~gc:h.gc ?edge_note ?apply_note store roots ~stats
+    e.Trace_engine.mark ?note store roots ~stats
       ~config:
         {
           Collector.set_untouched_bits = h.untouched;
@@ -483,19 +449,16 @@ let run_generated h make =
           edge.Collector.tgt.Heap_obj.id ))
       deferred
   in
-  e.Trace_engine.begin_stale ();
   let bytes =
     List.map
-      (e.Trace_engine.stale_closure ~gc:h.gc store ~stats
+      (e.Trace_engine.stale_closure store ~stats
          ~set_untouched_bits:h.untouched ~stale_tick_gc)
       (Trace_common.canonical_candidates deferred)
   in
-  e.Trace_engine.end_stale ~gc:h.gc ~events:None;
   let marked = snapshot store in
-  e.Trace_engine.sweep ~gc:h.gc store ~stats;
+  e.Trace_engine.sweep store ~stats;
   let swept = snapshot store in
   let reused = List.init 4 (fun _ -> (alloc store ~n_fields:0).Heap_obj.id) in
-  e.Trace_engine.shutdown ();
   ( (edges, bytes, List.rev !poisoned, List.rev !notes),
     (marked, swept, reused, Store.live_bytes store),
     Gc_stats.copy stats )
@@ -511,19 +474,48 @@ let prop_generated_heaps =
         (fun name -> run_generated h (List.assoc name factories) = reference)
         [ "seq"; "inc1"; "inc8" ])
 
+(* Differential determinism oracle: chaos seeds under seq and at three
+   slice budgets — one that cuts every closure after every object, one
+   small enough that every collection slices many times, and one near
+   the autopilot's starting budget. The whole report must match seq's:
+   every scalar, the outcome and the full event trace, in order. *)
+let differential_seeds = 50
+
+let test_differential_oracle () =
+  let mismatches = ref [] in
+  for seed = 1 to differential_seeds do
+    let run ?gc_slice_budget () =
+      Lp_harness.Chaos.run_one ?gc_slice_budget ~trace_capacity:65_536 ~seed ()
+    in
+    let seq = run () in
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: ring complete" seed)
+      0 seq.Lp_harness.Chaos.trace_dropped;
+    List.iter
+      (fun budget ->
+        if run ~gc_slice_budget:budget () <> seq then
+          mismatches := (seed, Printf.sprintf "inc%d" budget) :: !mismatches)
+      [ 1; 8; 128 ]
+  done;
+  Alcotest.(check (list (pair int string)))
+    (Printf.sprintf
+       "%d seeds x {inc1, inc8, inc128}: reports identical to seq's"
+       differential_seeds)
+    [] (List.rev !mismatches)
+
 let suite =
   ( "engines",
     [
       Alcotest.test_case
-        "conformance: seq, par2, par2-steal and inc8 agree on closure, sweep, \
-         poison and \
-         id recycling"
+        "conformance: seq, inc1 and inc8 agree with the reference on closure, \
+         sweep, poison and id recycling"
         `Quick test_conformance;
       Alcotest.test_case
-        "conformance: a seq->inc->par mid-run schedule matches every fixed \
-         engine across 25 seeds"
+        "engine switch: seq<->inc8 schedules match every fixed setting"
         `Quick test_engine_switch_conformance;
       Alcotest.test_case "incremental: slice budget bounds every slice" `Quick
         test_inc_slicing_respects_budget;
       QCheck_alcotest.to_alcotest prop_generated_heaps;
+      Alcotest.test_case "differential chaos oracle: seq vs inc1, inc8, inc128"
+        `Slow test_differential_oracle;
     ] )

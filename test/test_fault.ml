@@ -17,6 +17,52 @@ let test_plan_determinism () =
   Alcotest.(check bool) "different seeds give different plans" true
     (List.length distinct > 1)
 
+(* The plans behind chaos seeds 1-50, pinned: each entry is the MD5 of
+   [Fault_plan.describe] for that seed's plan. Every seed's events are
+   the ones it always drew, minus the retired mark-site events, so
+   historical chaos seeds keep reproducing. The retired slots must keep
+   consuming their draws: if they stopped, every later event of a seed
+   that drew one would move, and its digest with it. *)
+let plan_digests =
+  [|
+    "17714e555bb9ebf0abea3e7ef1bfb270"; "c0018059832588eea95e1991e28725ad";
+    "34821a6c534aa67ded8948d6d6e2f324"; "ebd4a64d126ae86b0c066ec25faed913";
+    "97482e533462d99733f53dc83e24f797"; "889fed571d00dce84420fea4c99a8bb3";
+    "744a759a5b577ae949421f594112e023"; "23df357e8daed124aef299eb7e83879a";
+    "0b4ba83783efe545f94c67db578721c0"; "a62199c5d5ffeb1896dd4fc43a30b1e2";
+    "7c13ef2c033cdc191f82c0445e0e69ca"; "6602778b0e28802e4b635910d5d487e7";
+    "8e0bc9d1cb770c9feb98ce482985f5ad"; "2d3ad4210716d5e02845cb836ac6f117";
+    "a8adee25648123367b5a371c22a5d5e4"; "0e9e69bd8793363d8f0d3b1e5305e458";
+    "55992d079193f0eb84d76485da1c448b"; "321acf502f1fc70dce7c8b2275d78d7f";
+    "043df72a39b973da3a51c6bcec2f5164"; "762a2ae358aed40fd6e4d53173278a02";
+    "6c235de5ed8f1db6ff256fdcb22f096d"; "252ee418274a29ebf5c86ebfbf7317a4";
+    "a7bd6f39131c9746034e9294b3aa14cd"; "5247581fa07044a105ec0b8888cb3631";
+    "82dfbdb771f0ed4060da51b2a8b0f34c"; "7a980b929fe25bddecd3515e915fa0be";
+    "f34e64ee43fc60c11b817add5bfe88b6"; "cbd7bc959cf046514ff112ca34ff7f1a";
+    "3bef2f133b9540f3a1ac6e2205ac6e27"; "b895e63d7e22b40496105dd37c920683";
+    "384ef49e75c50840cc2b1992a442dfb7"; "591d381d90f6ad82526e488ae7f92813";
+    "adfac75b3985a33990da598040f884e3"; "4da1951770a5c50138bd36af7aaa1dbf";
+    "d685bbe345b7703da12ee19a0bd6d5bb"; "686f5b38c376ee5c279aa28ba1698dfb";
+    "6ba3f44485ed48462490a83fbf69942a"; "a57b98beb74a8e4317d683f58f9ccb6d";
+    "c605a0d137b5644e2aafdf00ed71159a"; "7d8c3788b56b8f12eb773189e64bb234";
+    "8c7031995d3069e36167498b674ca389"; "c510e3251e635fcd88cc49d0efef3413";
+    "074bcc83733924a54138c838884287fd"; "a67cc43f6949ba1cda2771dfd1f64d42";
+    "1620e9c988552a303740f62f7112131e"; "373207f32d483cd67c369b7ad781b4ac";
+    "173d1c5cfae0927a2e650366d72f1e10"; "99a2ec1b77528d01c98d5bbf1f96e825";
+    "4ac70e125ba0073454fb7decb39896d0"; "2dea38cb1b5866cece7a3d26bf1d54e4";
+  |]
+
+let test_plan_digests () =
+  Array.iteri
+    (fun i want ->
+      let seed = i + 1 in
+      let plan = Fault_plan.random ~seed () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: %s" seed (Fault_plan.describe plan))
+        want
+        (Digest.to_hex (Digest.string (Fault_plan.describe plan))))
+    plan_digests
+
 let test_at_firing () =
   let p = Fault_plan.make [ ev Fault_plan.Alloc Fault_plan.Refuse_alloc 3 false ] in
   Alcotest.(check bool) "visit 1 clean" true
@@ -161,4 +207,6 @@ let suite =
       Alcotest.test_case "chaos fault-free sweep" `Quick test_chaos_fault_free_sweep;
       Alcotest.test_case "chaos faulted sweep" `Quick test_chaos_faulted_sweep;
       Alcotest.test_case "shrink on passing seed" `Quick test_shrink_passing_seed;
+      Alcotest.test_case "random plans: event digests pinned" `Quick
+        test_plan_digests;
     ] )

@@ -219,7 +219,6 @@ let test_dead_read_probe () =
       ~config:(Lp_core.Config.make ~observe_threshold:0.01 ())
       ~heap_bytes:(64 * 1024) ()
   in
-  Fun.protect ~finally:(fun () -> Lp_runtime.Vm.shutdown vm) @@ fun () ->
   Lp_harness.Driver.install_liveness vm ~bytecode
     ~field_map:[ ("Probe$T", "0", [ 0 ]) ];
   let src = Lp_runtime.Vm.alloc vm ~class_name:"Probe$T" ~n_fields:1 () in

@@ -20,8 +20,6 @@ let () =
       Test_resurrection.suite;
       Test_retention.suite;
       Test_fault.suite;
-      Test_deque.suite;
-      Test_parallel.suite;
       Test_engines.suite;
       Test_degradation.suite;
       Test_generational.suite;

@@ -471,8 +471,7 @@ let run_seed cov seed =
        Lp_obs.Sink.clear sink
      done
    with e when Lp_core.Errors.is_structured e -> ());
-  cov.resurrections <- cov.resurrections + (Vm.stats vm).Gc_stats.resurrections;
-  Vm.shutdown vm
+  cov.resurrections <- cov.resurrections + (Vm.stats vm).Gc_stats.resurrections
 
 let test_differential_retention () =
   let cov =
