@@ -832,8 +832,11 @@ let run_pause_bench () =
 (* Pause-SLO autopilot scenario: the same workloads under (a) the
    static incremental engine at a 256-object budget — the budget the
    autopilot starts from — and (b)
-   the autopilot chasing a tight 50us p99 target, which pins the
-   budget near the 32-object floor.  Three gates, each exit 1:
+   the autopilot chasing a tight 1us p99 target, which pins the
+   budget near the 32-object floor. The target must sit below the
+   static budget's own p99, or a working controller opens the budget
+   and the first gate asks it to beat a pause it was told it may
+   exceed.  Three gates, each exit 1:
 
    - the autopilot's p99 pause must come in strictly below the static
      default's on every workload (the controller actually controls);
@@ -844,7 +847,7 @@ let run_pause_bench () =
      collection count and the prune log (budgets are wall-clock-fed
      but outcome-neutral — the determinism contract under feedback). *)
 
-let slo_target_ns = 50_000
+let slo_target_ns = 1_000
 let slo_iterations = 5_000
 let slo_static_budget = 256
 

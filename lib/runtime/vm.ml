@@ -24,10 +24,9 @@ type t = {
   nursery_limit : int option;
   remset : Remset.t;
   fault : Lp_fault.Fault_plan.t option;
-  (* The tracing engine behind every full collection, built from
-     Config.gc_slice_budget; [inc] is the same engine, kept for the
-     autopilot's budget retuning. *)
-  engine : Trace_engine.t;
+  (* The engine behind every full collection, built from
+     Config.gc_slice_budget; the controller dispatches through its
+     Trace_engine view, the autopilot retunes its budget here. *)
   inc : Inc_engine.t;
   autopilot : Lp_slo.Autopilot.t option;
   mutable gc_pause_ns : int;  (* wall time inside full collections *)
@@ -151,8 +150,10 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     | None -> (config.Lp_core.Config.gc_slice_budget, None)
   in
   let inc = Inc_engine.create ?slice_budget () in
-  let engine = Inc_engine.engine inc in
-  let controller = Lp_core.Controller.create ~metrics ~engine config registry in
+  let controller =
+    Lp_core.Controller.create ~metrics ~engine:(Inc_engine.engine inc) config
+      registry
+  in
   {
     registry;
     store;
@@ -171,7 +172,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     nursery_limit = nursery_bytes;
     remset = Remset.create ();
     fault;
-    engine;
     inc;
     autopilot;
     gc_pause_ns = 0;
@@ -286,7 +286,8 @@ let max_pause_ns t =
   done;
   !m
 
-let max_slice_work t = t.engine.Trace_engine.max_slice_work ()
+let max_slice_work t =
+  (Lp_core.Controller.engine t.controller).Trace_engine.max_slice_work ()
 
 (* The engine holds nothing to release; kept because the benchmark in
    perfbench/ calls it. *)
@@ -591,7 +592,8 @@ let run_gc t =
      was slice-bounded. An unbudgeted engine contributes the whole
      collection as one [Monolithic] sample. *)
   let samples =
-    match t.engine.Trace_engine.take_pauses () with
+    match (Lp_core.Controller.engine t.controller).Trace_engine.take_pauses ()
+    with
     | [] -> [ (Trace_engine.Monolithic, total_ns) ]
     | slices -> (
       let in_slices = List.fold_left (fun acc (_, ns) -> acc + ns) 0 slices in

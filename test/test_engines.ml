@@ -5,8 +5,9 @@
    counters. The suite instantiates one scenario per engine setting (no
    budget, and 1- and 8-object budgets) and compares the full summaries
    against the reference collector; it also checks the budgeted
-   engine's slicing under a tiny budget, and runs the chaos differential
-   oracle across budgets. *)
+   engine's slicing under a tiny budget, retunes one engine's budget
+   between collections, and runs the chaos differential oracle across
+   budgets. *)
 
 open Lp_heap
 
@@ -169,17 +170,19 @@ let test_inc_slicing_respects_budget () =
   Alcotest.(check int) "take_pauses drains" 0
     (List.length (e.Trace_engine.take_pauses ()))
 
-(* Engine switching between collections: a schedule that mixes
+(* Changing settings between collections: a schedule that mixes
    settings must behave exactly like any fixed one — the determinism
-   contract, exercised across a swap seam. No collection state may
-   outlive the collection in an engine, so a fresh engine can take
-   over at any boundary. Each scenario builds a seeded random graph,
-   runs three collections under a per-collection engine schedule
-   (every collection gets a fresh engine), and mutates the surviving
-   graph between collections. The full observable state — live ids,
-   object counts, counters — must match the reference collector's, for
-   seq -> inc8 -> seq, inc8 -> seq -> inc8 and every setting run
-   fixed. *)
+   contract, exercised across collection boundaries. Each scenario
+   builds a seeded random graph, runs three collections, each through
+   the engine its schedule step returns, and mutates the surviving
+   graph between collections. The full observable state after each
+   collection — live ids, object counts, counters — must match the
+   reference collector's. Two kinds of schedule: fresh engines per
+   collection (seq -> inc8 -> seq, inc8 -> seq -> inc8 and every
+   setting run fixed), so no collection state may outlive the
+   collection in an engine; and one live engine whose budget is
+   retuned between collections with Inc_engine.set_slice_budget, the
+   path the pause-SLO autopilot takes. *)
 let run_switch_scenario ~seed schedule =
   let rng = Random.State.make [| seed |] in
   let store = build_store () in
@@ -257,6 +260,51 @@ let test_engine_switch_conformance () =
           (run_switch_scenario ~seed [ fixed; fixed; fixed ] = reference))
       (List.tl factories)
   done
+
+(* One live engine through a budget schedule. Outcomes cannot show
+   whether a retune took effect, so the mark slices run under each
+   budget are counted too: a 1-object budget runs one slice per marked
+   object, a 128-object budget one per closure. *)
+let test_budget_retune_conformance () =
+  let at_1 = ref 0 and at_128 = ref 0 in
+  for seed = 1 to 25 do
+    let reference =
+      run_switch_scenario ~seed
+        [ Reference_collector.engine; Reference_collector.engine;
+          Reference_collector.engine ]
+    in
+    List.iter
+      (fun budgets ->
+        let inc = Inc_engine.create ~slice_budget:(List.hd budgets) () in
+        let e = Inc_engine.engine inc in
+        let starts = ref [] in
+        let step b () =
+          Inc_engine.set_slice_budget inc b;
+          starts := (b, Inc_engine.slices inc) :: !starts;
+          e
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: one engine at budgets %s matches the \
+                           reference"
+             seed
+             (String.concat "->" (List.map string_of_int budgets)))
+          true
+          (run_switch_scenario ~seed (List.map step budgets) = reference);
+        ignore
+          (List.fold_left
+             (fun stop (b, start) ->
+               let n = stop - start in
+               if b = 1 then at_1 := !at_1 + n;
+               if b = 128 then at_128 := !at_128 + n;
+               start)
+             (Inc_engine.slices inc) !starts))
+      [ [ 8; 1; 128 ]; [ 128; 1; 8 ] ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "budget 1 ran more mark slices (%d) than budget 128 (%d)"
+       !at_1 !at_128)
+    true
+    (!at_1 > !at_128)
 
 (* Property: on generated heaps, the single-domain engine with no
    budget and at 1- and 8-object budgets leaves everything exactly as
@@ -518,4 +566,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_generated_heaps;
       Alcotest.test_case "differential chaos oracle: seq vs inc1, inc8, inc128"
         `Slow test_differential_oracle;
+      Alcotest.test_case
+        "budget retune: one engine through 8->1->128 matches the reference"
+        `Quick test_budget_retune_conformance;
     ] )
