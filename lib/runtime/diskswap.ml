@@ -57,6 +57,9 @@ type t = {
   resident : (int, entry) Hashtbl.t;  (* object id -> offloaded payload *)
   images : (int, image) Hashtbl.t;  (* pruned object id -> swap image *)
   forwards : (int, int) Hashtbl.t;  (* pruned id -> resurrected id *)
+  (* Bumped by every write to [images] or [forwards], so a reader can
+     tell in one comparison that neither changed since it last looked. *)
+  mutable generation : int;
   mutable resident_total : int;
   mutable image_total : int;
   backend : backend option;
@@ -88,6 +91,7 @@ let create ?metrics ?backend config =
     resident = Hashtbl.create 1024;
     images = Hashtbl.create 1024;
     forwards = Hashtbl.create 64;
+    generation = 0;
     resident_total = 0;
     image_total = 0;
     backend;
@@ -105,6 +109,10 @@ let create ?metrics ?backend config =
   }
 
 let set_sink t s = t.sink <- s
+
+let generation t = t.generation
+
+let bump t = t.generation <- t.generation + 1
 
 let set_fault_hook t f = t.fault <- f
 
@@ -158,6 +166,7 @@ let store_image t ~id image =
   | Some old -> set_image_total t (t.image_total - Bytes.length (image_data old))
   | None -> ());
   Hashtbl.replace t.images id (memoise image);
+  bump t;
   set_image_total t (t.image_total + Bytes.length image);
   Lp_obs.Metrics.incr t.c_image_writes;
   match t.sink with
@@ -183,6 +192,7 @@ let drop_image t id =
   | None -> ()
   | Some image ->
     Hashtbl.remove t.images id;
+    bump t;
     set_image_total t (t.image_total - Bytes.length (image_data image));
     Lp_obs.Metrics.incr t.c_image_drops;
     (match t.sink with
@@ -205,7 +215,9 @@ let image_writes t = Lp_obs.Metrics.counter_value t.c_image_writes
 
 let image_drops t = Lp_obs.Metrics.counter_value t.c_image_drops
 
-let forward t ~old_id ~new_id = Hashtbl.replace t.forwards old_id new_id
+let forward t ~old_id ~new_id =
+  Hashtbl.replace t.forwards old_id new_id;
+  bump t
 
 (* Transitive: a resurrected object can itself be pruned and resurrected
    again, chaining entries. The visit bound makes a (buggy) cycle
@@ -224,18 +236,21 @@ let resolve_forward t id =
 
 (* Objects reclaimed by the sweep release their disk space. Runs before
    any allocation can recycle an identifier, so a live id here is still
-   the same object. *)
+   the same object. With nothing resident there is nothing to release,
+   and the walk over the table's buckets is skipped. *)
 let reconcile t store =
-  let dead = ref [] in
-  Hashtbl.iter
-    (fun id { bytes; _ } ->
-      if not (Store.mem store id) then dead := (id, bytes) :: !dead)
-    t.resident;
-  List.iter
-    (fun (id, bytes) ->
-      Hashtbl.remove t.resident id;
-      set_resident_total t (t.resident_total - bytes))
-    !dead
+  if Hashtbl.length t.resident > 0 then begin
+    let dead = ref [] in
+    Hashtbl.iter
+      (fun id { bytes; _ } ->
+        if not (Store.mem store id) then dead := (id, bytes) :: !dead)
+      t.resident;
+    List.iter
+      (fun (id, bytes) ->
+        Hashtbl.remove t.resident id;
+        set_resident_total t (t.resident_total - bytes))
+      !dead
+  end
 
 let offload_one t store (obj : Heap_obj.t) =
   let payload = Swap_image.encode (Swap_image.capture store obj) in
@@ -342,6 +357,7 @@ let recover t =
   Hashtbl.reset t.resident;
   Hashtbl.reset t.images;
   Hashtbl.reset t.forwards;
+  bump t;
   set_resident_total t 0;
   set_image_total t 0;
   {
@@ -376,6 +392,7 @@ let recover_warm t =
   (* the survivors' memoised references are re-derived from the audit's
      decode, so the memo stays exactly what their bytes say *)
   List.iter (fun (id, image) -> Hashtbl.replace t.images id image) !valid;
+  bump t;
   let before = disk_bytes t in
   List.iter (drop_image t) !corrupt;
   let payloads_dropped = Hashtbl.length t.resident in

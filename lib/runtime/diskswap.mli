@@ -248,3 +248,11 @@ val forward : t -> old_id:int -> new_id:int -> unit
 val resolve_forward : t -> int -> int option
 (** Follows the forwarding chain transitively; [None] when the
     identifier was never forwarded. *)
+
+val generation : t -> int
+(** A counter that moves whenever the stored images or the forwarding
+    table change: {!store_image}, a {!drop_image} that drops something,
+    {!forward}, {!recover} and {!recover_warm} bump it; reads never do.
+    Equal generations mean the images (with their memoised references)
+    and the forwards are the same, which is what lets the VM skip a
+    retention pass whose inputs did not change. *)

@@ -53,6 +53,12 @@ type t = {
   metrics : Lp_obs.Metrics.t;
   staleness_series : Lp_obs.Metrics.series;
   mutable sink : Lp_obs.Sink.t option;
+  (* The inputs of the last retention pass: its poisoned-target list and
+     the swap store's generation once its drops were done. A pass with
+     the same two inputs would keep every image and drop none, so it is
+     skipped. Generation -1 is no memo: the first pass always runs. *)
+  mutable retained_poisoned : int list;
+  mutable retained_generation : int;
 }
 
 (* The budget an armed pause SLO starts from when the config sets
@@ -189,6 +195,8 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     staleness_series =
       Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
     sink = None;
+    retained_poisoned = [];
+    retained_generation = -1;
   }
 
 let store t = t.store
@@ -424,46 +432,74 @@ let enqueue_ref t seen queue id =
    order. Taken between marking and the sweep: the marked set is exactly
    the heap the sweep leaves, and neither image capture nor the sweep
    writes a survivor's fields, so one scan serves both the capture
-   before the sweep and the retention after it. *)
+   before the sweep and the retention after it. The loops run over the
+   slots and each object's fields from the top down, consing onto the
+   front, so the list comes out in slot and field order with no
+   reversal and no per-object closure. *)
 let poisoned_targets t =
   let acc = ref [] in
-  Store.iter_live t.store (fun obj ->
-      if Header.marked obj.Heap_obj.header then
-        Array.iter
-          (fun w ->
-            if (not (Word.is_null w)) && Word.poisoned w then
-              acc := Word.target w :: !acc)
-          obj.Heap_obj.fields);
-  List.rev !acc
+  for id = Store.slot_count t.store downto 1 do
+    let obj = Store.find t.store id in
+    if obj != Store.sentinel && Header.marked obj.Heap_obj.header then begin
+      let fields = obj.Heap_obj.fields in
+      for i = Array.length fields - 1 downto 0 do
+        let w = fields.(i) in
+        if (not (Word.is_null w)) && Word.poisoned w then
+          acc := Word.target w :: !acc
+      done
+    end
+  done;
+  !acc
+
+(* An object this collection frees: live, but left unmarked. *)
+let dying t id =
+  let obj = Store.find t.store id in
+  obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
+
+(* Whether [capture_images] would store nothing: its drain stores and
+   follows dying objects only, so with no doomed id and no poisoned
+   target (nor what it forwards to) dying, it ends where it starts. *)
+let nothing_to_capture t ~doomed ~poisoned =
+  doomed = []
+  && List.for_all
+       (fun id ->
+         (not (dying t id))
+         &&
+         match Diskswap.resolve_forward t.swap id with
+         | Some final -> not (dying t final)
+         | None -> true)
+       poisoned
 
 (* Runs between marking and the sweep, when liveness is decided but the
    doomed objects are still intact: serialize a swap image of every
    dying object reachable from a freshly pruned edge or from a live
    poisoned word, so a later misprediction can be recovered. *)
 let capture_images t ~doomed ~poisoned =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (enqueue_ref t seen queue) doomed;
-  List.iter (enqueue_ref t seen queue) poisoned;
-  let rec drain () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some id ->
-      let obj = Store.find t.store id in
-      if obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
-      then begin
-        if not (Diskswap.has_image t.swap id) then
-          Diskswap.store_image t.swap ~id
-            (Swap_image.encode (Swap_image.capture t.store obj));
-        (* the whole unmarked subtree dies with it *)
-        Array.iter
-          (fun w ->
-            if not (Word.is_null w) then enqueue_ref t seen queue (Word.target w))
-          obj.Heap_obj.fields
-      end;
-      drain ()
-  in
-  drain ()
+  if not (nothing_to_capture t ~doomed ~poisoned) then begin
+    let seen = Hashtbl.create 64 in
+    let queue = Queue.create () in
+    List.iter (enqueue_ref t seen queue) doomed;
+    List.iter (enqueue_ref t seen queue) poisoned;
+    let rec drain () =
+      match Queue.take_opt queue with
+      | None -> ()
+      | Some id ->
+        let obj = Store.find t.store id in
+        if obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
+        then begin
+          if not (Diskswap.has_image t.swap id) then
+            Diskswap.store_image t.swap ~id
+              (Swap_image.encode (Swap_image.capture t.store obj));
+          (* the whole unmarked subtree dies with it *)
+          Array.iter
+            (fun w ->
+              if not (Word.is_null w) then enqueue_ref t seen queue (Word.target w))
+            obj.Heap_obj.fields
+        end;
+        drain ()
+    in
+    drain ()
+  end
 
 (* Post-sweep retention: keep exactly the images still reachable from a
    live poisoned word, directly or through reference words recorded in
@@ -471,22 +507,36 @@ let capture_images t ~doomed ~poisoned =
    when it was stored; a corrupt image that is still referenced is
    retained without being followed, so the eventual access reports the
    real failure instead of Image_missing. Everything else is released
-   disk space. *)
+   disk space.
+
+   The keep set is a function of the poisoned targets, the forwarding
+   table and the stored images with their memoised references; the
+   last two change only where the swap store's generation moves. After
+   a pass every stored image is in the keep set, and dropping images
+   outside it does not change it, so a pass over the same poisoned list
+   at the same generation would drop nothing: it is skipped. *)
 let retain_images t ~poisoned =
-  let keep = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (enqueue_ref t keep queue) poisoned;
-  let rec drain () =
-    match Queue.take_opt queue with
-    | None -> ()
-    | Some id ->
-      (match Diskswap.image_refs t.swap id with
-      | Some refs -> Array.iter (enqueue_ref t keep queue) refs
-      | None -> ());
-      drain ()
-  in
-  drain ();
-  Diskswap.retain_images t.swap ~keep:(Hashtbl.mem keep)
+  if
+    Diskswap.generation t.swap <> t.retained_generation
+    || not (List.equal Int.equal poisoned t.retained_poisoned)
+  then begin
+    let keep = Hashtbl.create 64 in
+    let queue = Queue.create () in
+    List.iter (enqueue_ref t keep queue) poisoned;
+    let rec drain () =
+      match Queue.take_opt queue with
+      | None -> ()
+      | Some id ->
+        (match Diskswap.image_refs t.swap id with
+        | Some refs -> Array.iter (enqueue_ref t keep queue) refs
+        | None -> ());
+        drain ()
+    in
+    drain ();
+    Diskswap.retain_images t.swap ~keep:(Hashtbl.mem keep);
+    t.retained_poisoned <- poisoned;
+    t.retained_generation <- Diskswap.generation t.swap
+  end
 
 let collect_once t =
   let doomed = ref [] in

@@ -9,11 +9,12 @@ open Lp_runtime
    limit that keeps occupancy near 70% — past the OBSERVE threshold,
    short of nearly-full — so every collection marks the chain, ticks
    every live object and sets untouched bits. *)
-let chain_vm n =
+let chain_vm ?resurrection n =
   let obj_bytes = Heap_obj.size_of ~n_fields:1 ~scalar_bytes:16 in
   let heap = (n + 8) * obj_bytes * 10 / 7 in
   let vm =
-    Vm.create ~config:(Lp_core.Config.make ()) ~heap_bytes:heap ()
+    Vm.create ~config:(Lp_core.Config.make ()) ?resurrection ~heap_bytes:heap
+      ()
   in
   let head = Vm.statics vm ~class_name:"Head" ~n_fields:1 in
   let prev = ref head in
@@ -46,6 +47,47 @@ let test_constant_words_per_collection () =
       "words per collection: %.1f with 100 live objects, %.1f with 3,000 \
        (must agree within 16 and stay <= 256)"
       ws wl
+
+(* A resurrection VM over a chain of 1,000 live objects, with one
+   poisoned statics word whose target's image starts a chain of
+   [images] stored images, each referring to the next: all of them are
+   retained, and no collection changes the poisoned words or the
+   images. Such a collection skips retention, so what it allocates
+   does not depend on how many images are retained. *)
+let retained_images_vm images =
+  let vm = chain_vm ~resurrection:true 1_000 in
+  let first = 1_000_000 in
+  let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
+  pin.Heap_obj.fields.(0) <- Word.poison (Word.of_id first);
+  for id = first to first + images - 1 do
+    let next = if id + 1 < first + images then [| id + 1 |] else [||] in
+    Diskswap.store_image (Vm.swap vm) ~id
+      (Swap_image.encode
+         {
+           Swap_image.object_id = id;
+           class_id = 1;
+           stale = 2;
+           scalar_bytes = 8;
+           fields =
+             Array.map
+               (fun t -> { Swap_image.word = Word.of_id t; referent_class = 1 })
+               next;
+         })
+  done;
+  vm
+
+let test_unchanged_collections_independent_of_images () =
+  let few = retained_images_vm 10 and many = retained_images_vm 200 in
+  let wf = words_per_gc few ~collections:100 in
+  let wm = words_per_gc many ~collections:100 in
+  Alcotest.(check int) "10 images retained" 10 (Diskswap.image_count (Vm.swap few));
+  Alcotest.(check int) "200 images retained" 200
+    (Diskswap.image_count (Vm.swap many));
+  if Float.abs (wf -. wm) > 16. then
+    Alcotest.failf
+      "words per unchanged collection: %.1f with 10 retained images, %.1f \
+       with 200 (must agree within 16)"
+      wf wm
 
 (* OCaml words allocated per call of [f], over [n] calls. *)
 let words_per_call ~n f =
@@ -147,4 +189,6 @@ let suite =
         `Quick test_alloc_fast_path_words;
       Alcotest.test_case "collections force no OCaml minor collection" `Quick
         test_collections_force_no_minor_gc;
+      Alcotest.test_case "unchanged collections: words independent of images"
+        `Quick test_unchanged_collections_independent_of_images;
     ] )

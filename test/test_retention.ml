@@ -505,6 +505,103 @@ let test_differential_retention () =
     (Printf.sprintf "resurrections (%d)" cov.resurrections)
     true (cov.resurrections > 0)
 
+(* ---- The retention memo ----
+
+   A retention pass is skipped when its poisoned-target list and the
+   swap store's generation are those of the last pass. The first two
+   tests change one of the store's inputs between two collections and
+   check that the pass still runs. *)
+
+(* The target of [poisoned_vm]'s poisoned word, never allocated. *)
+let pinned = 800_001
+
+(* A resurrection VM whose one statics word is poisoned towards
+   [pinned]. *)
+let poisoned_vm () =
+  let vm = Vm.create ~resurrection:true ~heap_bytes:10_000 () in
+  let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
+  pin.Heap_obj.fields.(0) <- Word.poison (Word.of_id pinned);
+  vm
+
+let store_blank swap id =
+  Diskswap.store_image swap ~id (sample_image ~id ~targets:[||])
+
+let check_images vm expected =
+  let ids = ref [] in
+  Diskswap.iter_images (Vm.swap vm) (fun ~id ~image:_ -> ids := id :: !ids);
+  Alcotest.(check (list int)) "stored images" expected (List.sort compare !ids)
+
+(* An image no poisoned word reaches, stored between two collections
+   whose poisoned words do not change, is dropped by the next one; the
+   poisoned word's image stays. *)
+let test_memo_sees_stored_image () =
+  let vm = poisoned_vm () in
+  let swap = Vm.swap vm in
+  store_blank swap pinned;
+  Vm.run_gc vm;
+  Vm.run_gc vm;
+  check_images vm [ pinned ];
+  store_blank swap 900_001;
+  Vm.run_gc vm;
+  check_images vm [ pinned ]
+
+(* A forward re-pointed between two such collections: the image only
+   the old forward reached is dropped by the next one. *)
+let test_memo_sees_forward () =
+  let vm = poisoned_vm () in
+  let swap = Vm.swap vm in
+  List.iter (store_blank swap) [ pinned; 800_002 ];
+  Diskswap.forward swap ~old_id:pinned ~new_id:800_002;
+  Vm.run_gc vm;
+  Vm.run_gc vm;
+  check_images vm [ pinned; 800_002 ];
+  Diskswap.forward swap ~old_id:pinned ~new_id:800_003;
+  Vm.run_gc vm;
+  check_images vm [ pinned ]
+
+(* A warm-booted VM starts with no memo: its first collection runs
+   retention, and with no poisoned word of its own it drops the images
+   it inherited. *)
+let test_memo_warm_boot () =
+  let first = poisoned_vm () in
+  let swap = Vm.swap first in
+  store_blank swap pinned;
+  Vm.run_gc first;
+  check_images first [ pinned ];
+  ignore (Diskswap.recover_warm swap : Diskswap.recovery);
+  let vm =
+    Vm.create ~swap_store:swap ~resurrection:true ~heap_bytes:10_000 ()
+  in
+  check_images vm [ pinned ];
+  Vm.run_gc vm;
+  check_images vm []
+
+(* Every write to the images or the forwards moves the generation; reads
+   and a drop of an absent image do not. *)
+let test_generation_moves_on_writes () =
+  let swap = Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int) in
+  let moves name expected f =
+    let before = Diskswap.generation swap in
+    f ();
+    Alcotest.(check bool) name expected (Diskswap.generation swap <> before)
+  in
+  moves "store_image" true (fun () ->
+      Diskswap.store_image swap ~id:1 (sample_image ~id:1 ~targets:[| 2 |]));
+  moves "store_image (replacing)" true (fun () ->
+      Diskswap.store_image swap ~id:1 (sample_image ~id:1 ~targets:[| 3 |]));
+  moves "forward" true (fun () -> Diskswap.forward swap ~old_id:1 ~new_id:4);
+  moves "load_image" false (fun () -> ignore (Diskswap.load_image swap 1));
+  moves "image_refs" false (fun () -> ignore (Diskswap.image_refs swap 1));
+  moves "has_image" false (fun () -> ignore (Diskswap.has_image swap 1));
+  moves "resolve_forward" false (fun () ->
+      ignore (Diskswap.resolve_forward swap 1));
+  moves "drop_image" true (fun () -> Diskswap.drop_image swap 1);
+  moves "drop_image (absent)" false (fun () -> Diskswap.drop_image swap 1);
+  moves "recover_warm" true (fun () ->
+      ignore (Diskswap.recover_warm swap : Diskswap.recovery));
+  moves "recover" true (fun () ->
+      ignore (Diskswap.recover swap : Diskswap.recovery))
+
 let suite =
   ( "retention",
     [
@@ -521,4 +618,12 @@ let suite =
         test_differential_retention;
       QCheck_alcotest.to_alcotest prop_validate_matches_decode;
       QCheck_alcotest.to_alcotest prop_refs_equal_matches_decode;
+      Alcotest.test_case "memo: an image stored between collections" `Quick
+        test_memo_sees_stored_image;
+      Alcotest.test_case "memo: a forward re-pointed between collections"
+        `Quick test_memo_sees_forward;
+      Alcotest.test_case "memo: a warm boot's first collection" `Quick
+        test_memo_warm_boot;
+      Alcotest.test_case "diskswap: generation moves on writes only" `Quick
+        test_generation_moves_on_writes;
     ] )
