@@ -215,62 +215,6 @@ let run_cmd =
           $ exhaustion_arg $ gc_slice_budget_arg $ pause_slo_arg $ slo_floor_arg
           $ liveness_arg)
 
-let interp_cmd =
-  let doc = "Assemble and interpret a bytecode file on the simulated VM (with leak pruning)." in
-  let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.bca") in
-  let main_arg =
-    Arg.(value & opt string "main" & info [ "main" ] ~docv:"NAME" ~doc:"Method to run repeatedly.")
-  in
-  let statics_arg =
-    Arg.(value & opt (list string) [ "root" ]
-         & info [ "statics" ] ~docv:"NAMES" ~doc:"Comma-separated global reference variables.")
-  in
-  let heap_arg =
-    Arg.(value & opt int 100_000 & info [ "heap" ] ~docv:"BYTES" ~doc:"Heap size.")
-  in
-  let times_arg =
-    Arg.(value & opt int 1_000 & info [ "times" ] ~docv:"N" ~doc:"How many times to invoke the method; its return value, when a reference, is stored into the first static between calls.")
-  in
-  let run file main statics heap times =
-    let methods = Lp_interp.Assembler.parse_file file in
-    let config =
-      Lp_core.Config.make ~policy:Lp_core.Policy.Default
-        ~report:(fun m -> Printf.printf "[vm] %s
-%!" m)
-        ()
-    in
-    let vm = Lp_runtime.Vm.create ~config ~heap_bytes:heap () in
-    let env = Lp_interp.Interp.create_env vm ~statics_fields:statics () in
-    List.iter (Lp_interp.Interp.declare_method env) methods;
-    Printf.printf "loaded %d method(s) from %s
-" (List.length methods) file;
-    let invocations = ref 0 in
-    (try
-       for _i = 1 to times do
-         let result = Lp_interp.Interp.run env ~name:main ~args:[] in
-         (match (result, statics) with
-         | Lp_interp.Interp.Ref _, first :: _ ->
-           Lp_interp.Interp.set_static env first result
-         | _ -> ());
-         incr invocations
-       done
-     with
-    | Lp_core.Errors.Out_of_memory _ ->
-      Printf.printf "OutOfMemoryError after %d invocations
-" !invocations
-    | Lp_core.Errors.Internal_error _ ->
-      Printf.printf "InternalError (pruned access) after %d invocations
-" !invocations
-    | Lp_interp.Interp.Interp_error msg ->
-      Printf.printf "bytecode error after %d invocations: %s
-" !invocations msg);
-    Printf.printf "%d invocation(s), %d collection(s), %d bytes reachable
-"
-      !invocations (Lp_runtime.Vm.gc_count vm) (Lp_runtime.Vm.live_bytes vm)
-  in
-  Cmd.v (Cmd.info "interp" ~doc)
-    Term.(const run $ file_arg $ main_arg $ statics_arg $ heap_arg $ times_arg)
-
 let trace_cmd =
   let doc =
     "Run a workload with the event sink attached and export the trace \
@@ -979,5 +923,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; run_cmd; interp_cmd; trace_cmd; chaos_cmd; serve_cmd;
+          [ list_cmd; run_cmd; trace_cmd; chaos_cmd; serve_cmd;
             experiment_cmd ]))

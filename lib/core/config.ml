@@ -22,11 +22,8 @@ type t = {
   force_state : State_kind.t option;
   maxstaleuse_decay_period : int option;
   max_slow_path_attempts : int;
-  disk_baseline_retries : int;
   disk_retry_attempts : int;
   safe_mode_threshold : int option;
-  safe_mode_collections : int;
-  resurrection_alloc_attempts : int;
   gc_slice_budget : int option;
   admission_retry_cap : int;
   admission_backoff_base : int;
@@ -35,7 +32,6 @@ type t = {
   quarantine_rounds : int;
   extended_quarantine_rounds : int;
   checkpoint_rounds : int;
-  supervisor_window_rounds : int;
   warm_restart_limit : int;
   cold_restart_limit : int;
   retire_limit : int;
@@ -67,11 +63,8 @@ let default =
     force_state = None;
     maxstaleuse_decay_period = None;
     max_slow_path_attempts = 24;
-    disk_baseline_retries = 4;
     disk_retry_attempts = 2;
     safe_mode_threshold = Some 4;
-    safe_mode_collections = 8;
-    resurrection_alloc_attempts = 4;
     gc_slice_budget = None;
     admission_retry_cap = 3;
     admission_backoff_base = 1;
@@ -80,7 +73,6 @@ let default =
     quarantine_rounds = 1;
     extended_quarantine_rounds = 4;
     checkpoint_rounds = 8;
-    supervisor_window_rounds = 16;
     warm_restart_limit = 2;
     cold_restart_limit = 4;
     retire_limit = 6;
@@ -102,11 +94,8 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(finalizers_after_prune = default.finalizers_after_prune) ?report
     ?force_state ?maxstaleuse_decay_period
     ?(max_slow_path_attempts = default.max_slow_path_attempts)
-    ?(disk_baseline_retries = default.disk_baseline_retries)
     ?(disk_retry_attempts = default.disk_retry_attempts)
     ?(safe_mode_threshold = default.safe_mode_threshold)
-    ?(safe_mode_collections = default.safe_mode_collections)
-    ?(resurrection_alloc_attempts = default.resurrection_alloc_attempts)
     ?gc_slice_budget
     ?(admission_retry_cap = default.admission_retry_cap)
     ?(admission_backoff_base = default.admission_backoff_base)
@@ -115,7 +104,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(quarantine_rounds = default.quarantine_rounds)
     ?(extended_quarantine_rounds = default.extended_quarantine_rounds)
     ?(checkpoint_rounds = default.checkpoint_rounds)
-    ?(supervisor_window_rounds = default.supervisor_window_rounds)
     ?(warm_restart_limit = default.warm_restart_limit)
     ?(cold_restart_limit = default.cold_restart_limit)
     ?(retire_limit = default.retire_limit)
@@ -138,11 +126,8 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     force_state;
     maxstaleuse_decay_period;
     max_slow_path_attempts;
-    disk_baseline_retries;
     disk_retry_attempts;
     safe_mode_threshold;
-    safe_mode_collections;
-    resurrection_alloc_attempts;
     gc_slice_budget;
     admission_retry_cap;
     admission_backoff_base;
@@ -151,7 +136,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     quarantine_rounds;
     extended_quarantine_rounds;
     checkpoint_rounds;
-    supervisor_window_rounds;
     warm_restart_limit;
     cold_restart_limit;
     retire_limit;
@@ -179,14 +163,9 @@ let validate t =
   then Error "maxstaleuse_decay_period must be >= 1"
   else if t.max_slow_path_attempts < 1 then
     Error "max_slow_path_attempts must be >= 1"
-  else if t.disk_baseline_retries < 0 then Error "disk_baseline_retries must be >= 0"
   else if t.disk_retry_attempts < 0 then Error "disk_retry_attempts must be >= 0"
   else if (match t.safe_mode_threshold with Some n -> n < 1 | None -> false)
   then Error "safe_mode_threshold must be >= 1"
-  else if t.safe_mode_collections < 1 then
-    Error "safe_mode_collections must be >= 1"
-  else if t.resurrection_alloc_attempts < 0 then
-    Error "resurrection_alloc_attempts must be >= 0"
   else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then
     Error "gc_slice_budget must be >= 1"
   else if t.admission_retry_cap < 0 then Error "admission_retry_cap must be >= 0"
@@ -199,8 +178,6 @@ let validate t =
   else if t.extended_quarantine_rounds < t.quarantine_rounds then
     Error "extended_quarantine_rounds must be >= quarantine_rounds"
   else if t.checkpoint_rounds < 1 then Error "checkpoint_rounds must be >= 1"
-  else if t.supervisor_window_rounds < 1 then
-    Error "supervisor_window_rounds must be >= 1"
   else if t.warm_restart_limit < 0 then Error "warm_restart_limit must be >= 0"
   else if t.cold_restart_limit < t.warm_restart_limit then
     Error "cold_restart_limit must be >= warm_restart_limit"

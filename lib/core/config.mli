@@ -54,10 +54,6 @@ type t = {
       (** collections one allocation may trigger while advancing through
           the SELECT/PRUNE protocol before the out-of-memory error is
           thrown; default 24 *)
-  disk_baseline_retries : int;
-      (** retry collections the disk-only baseline gets after a failed
-          allocation, letting staleness reach the offload threshold
-          (counters only move at collections); default 4 *)
   disk_retry_attempts : int;
       (** degraded re-collections (offloading disabled) the VM attempts
           when the disk-swap baseline reports [Out_of_disk] before the
@@ -66,13 +62,6 @@ type t = {
       (** resurrections (recovered mispredictions) within one prune
           epoch that push the controller into the SAFE state, suspending
           pruning; [None] disables safe mode; default [Some 4] *)
-  safe_mode_collections : int;
-      (** full-heap collections the controller stays in SAFE before
-          resuming the normal state machine; default 8 *)
-  resurrection_alloc_attempts : int;
-      (** collections the barrier-level resurrection path may trigger
-          while re-allocating a pruned object's replacement before the
-          recovery fails with [Reallocation_exhausted]; default 4 *)
   gc_slice_budget : int option;
       (** [Some b] bounds every pause: one mark slice scans at most [b]
           objects before yielding, and the sweep runs in segments of
@@ -106,9 +95,6 @@ type t = {
   checkpoint_rounds : int;
       (** rounds between controller-brain checkpoints of each tenant;
           default 8 *)
-  supervisor_window_rounds : int;
-      (** sliding window over which the per-tenant supervisor counts
-          restarts when climbing the escalation ladder; default 16 *)
   warm_restart_limit : int;
       (** restarts within the window that still get the warm
           (checkpoint-restoring) path; 0 disables warm restarts;
@@ -166,11 +152,8 @@ val make :
   ?force_state:State_kind.t ->
   ?maxstaleuse_decay_period:int ->
   ?max_slow_path_attempts:int ->
-  ?disk_baseline_retries:int ->
   ?disk_retry_attempts:int ->
   ?safe_mode_threshold:int option ->
-  ?safe_mode_collections:int ->
-  ?resurrection_alloc_attempts:int ->
   ?gc_slice_budget:int ->
   ?admission_retry_cap:int ->
   ?admission_backoff_base:int ->
@@ -179,7 +162,6 @@ val make :
   ?quarantine_rounds:int ->
   ?extended_quarantine_rounds:int ->
   ?checkpoint_rounds:int ->
-  ?supervisor_window_rounds:int ->
   ?warm_restart_limit:int ->
   ?cold_restart_limit:int ->
   ?retire_limit:int ->

@@ -259,7 +259,7 @@ let note_misprediction t ~src_class ~tgt_class ~stale =
       (Printf.sprintf
          "leak pruning: %d mispredictions this epoch; entering SAFE for %d \
           collection(s)"
-         t.epoch_mispredictions t.config.Config.safe_mode_collections);
+         t.epoch_mispredictions State_machine.safe_mode_collections);
     State_machine.enter_safe t.machine;
     (match t.sink with
     | Some s ->

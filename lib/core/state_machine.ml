@@ -10,6 +10,8 @@ type t = {
   mutable history : (int * State_kind.t) list;  (* reverse chronological *)
 }
 
+let safe_mode_collections = 8
+
 let create (config : Config.t) =
   let state =
     match config.Config.force_state with
@@ -56,7 +58,7 @@ let enter_safe t =
   | None ->
     if t.state <> State_kind.Safe then begin
       t.safe_entries <- t.safe_entries + 1;
-      t.safe_until <- t.gc_seen + t.config.Config.safe_mode_collections;
+      t.safe_until <- t.gc_seen + safe_mode_collections;
       goto t State_kind.Safe
     end
 

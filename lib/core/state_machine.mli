@@ -19,7 +19,7 @@
       longer nearly full, otherwise to [Select] to pick more references.
     - [Safe] (entered via {!enter_safe} when the controller counts too
       many recovered mispredictions in one prune epoch) suspends pruning
-      for [Config.safe_mode_collections] collections, then resumes at
+      for {!safe_mode_collections} collections, then resumes at
       [Observe] — or [Select] if the heap is nearly full. An allocation
       exhaustion while in [Safe] forces the exit immediately: memory
       pressure overrides the moratorium.
@@ -27,6 +27,10 @@
     A forced state (Figure 7's overhead experiments) never transitions. *)
 
 type t
+
+val safe_mode_collections : int
+(** Full-heap collections the controller stays in SAFE before resuming
+    the normal state machine: 8. *)
 
 val create : Config.t -> t
 
@@ -43,7 +47,7 @@ val note_exhaustion : t -> unit
     counted in {!safe_exits_forced}. *)
 
 val enter_safe : t -> unit
-(** Enter the SAFE pruning moratorium for [Config.safe_mode_collections]
+(** Enter the SAFE pruning moratorium for {!safe_mode_collections}
     collections (no-op when already in [Safe] or when the state is
     forced). *)
 

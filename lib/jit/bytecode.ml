@@ -19,8 +19,6 @@ type instr =
 
 type methd = { name : string; n_locals : int; code : instr array }
 
-let instr_count m = Array.length m.code
-
 let is_reference_load = function
   | Get_field _ | Get_static _ | Array_load -> true
   | Const _ | Load_local _ | Store_local _ | Put_field _ | Array_store | Add
@@ -30,27 +28,3 @@ let is_reference_load = function
 
 let reference_loads m =
   Array.fold_left (fun n i -> if is_reference_load i then n + 1 else n) 0 m.code
-
-let pp_instr ppf = function
-  | Const n -> Format.fprintf ppf "const %d" n
-  | Load_local i -> Format.fprintf ppf "load %d" i
-  | Store_local i -> Format.fprintf ppf "store %d" i
-  | Get_field f -> Format.fprintf ppf "getfield %s" f
-  | Put_field f -> Format.fprintf ppf "putfield %s" f
-  | Get_static f -> Format.fprintf ppf "getstatic %s" f
-  | Array_load -> Format.pp_print_string ppf "aaload"
-  | Array_store -> Format.pp_print_string ppf "aastore"
-  | Add -> Format.pp_print_string ppf "add"
-  | Sub -> Format.pp_print_string ppf "sub"
-  | Mul -> Format.pp_print_string ppf "mul"
-  | Compare -> Format.pp_print_string ppf "cmp"
-  | Jump l -> Format.fprintf ppf "goto %d" l
-  | Jump_if_zero l -> Format.fprintf ppf "ifeq %d" l
-  | Call (m, n) -> Format.fprintf ppf "invoke %s/%d" m n
-  | New_object c -> Format.fprintf ppf "new %s" c
-  | Return -> Format.pp_print_string ppf "return"
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v2>method %s (locals=%d):@ " m.name m.n_locals;
-  Array.iteri (fun i instr -> Format.fprintf ppf "%3d: %a@ " i pp_instr instr) m.code;
-  Format.fprintf ppf "@]"

@@ -36,11 +36,5 @@ type methd = {
   code : instr array;
 }
 
-val instr_count : methd -> int
-
 val reference_loads : methd -> int
 (** How many instructions the barrier pass will instrument. *)
-
-val pp_instr : Format.formatter -> instr -> unit
-
-val pp : Format.formatter -> methd -> unit

@@ -3,7 +3,7 @@
    The stack machine has exactly three control constructs — [Jump],
    [Jump_if_zero] and [Return] — so the flow graph is computed in one
    pass. Successor lists are kept in ascending pc order and out-of-range
-   branch targets are dropped (the assembler never emits them; a
+   branch targets are dropped ([Method_gen] never emits them; a
    hand-written method with one simply loses the edge), which keeps
    every downstream fixpoint canonical. *)
 

@@ -703,12 +703,14 @@ let run_gc t =
   | Some f -> f { gc_number; live_bytes_after = live; state }
   | None -> ()
 
+let disk_baseline_retries = 4
+
 (* The allocation slow path: collect, then keep advancing through the
    controller's SELECT/PRUNE protocol while it reports progress is
    possible. Under the disk baseline the post-collection offload is the
-   only recourse, so only [Config.disk_baseline_retries] retry
-   collections are granted. [attempts] bounds the retries for one
-   allocation: if the collector cannot free the request within
+   only recourse, so only [disk_baseline_retries] retry collections are
+   granted. [attempts] bounds the retries for one allocation: if the
+   collector cannot free the request within
    [Config.max_slow_path_attempts] collections the VM has ground to a
    halt and the out-of-memory error is thrown (a forced state, for
    example, can never prune). *)
@@ -726,7 +728,7 @@ let rec alloc_slow_path t size attempts =
          recourse. The retry collections let staleness reach the
          offload threshold (counters only move at collections); after
          that, a failure is fatal. *)
-      if attempts < config.Lp_core.Config.disk_baseline_retries then
+      if attempts < disk_baseline_retries then
         alloc_slow_path t size (attempts + 1)
       else raise (oom_error t)
     | true | false ->
@@ -830,11 +832,15 @@ let inject_word_corruption t (obj : Heap_obj.t) ~field mode =
        stays dead until thousands of fresh allocations pass it. *)
     fields.(field) <- Word.of_id (Store.next_fresh_id t.store + 4096)
 
+let resurrection_alloc_attempts = 4
+
 (* Barrier-level recovery (the resurrection subsystem). Called by the
    read barrier when the program loads a poisoned reference and
    [resurrection] is enabled. On success the poisoned word in
    [src.fields.(field)] has been replaced by a clean reference to the
-   restored object and the load can be retried. *)
+   restored object and the load can be retried. Re-allocating the
+   object may run at most [resurrection_alloc_attempts] collections
+   before the recovery fails with [Reallocation_exhausted]. *)
 let try_resurrect t (src : Heap_obj.t) ~field =
   let w = src.Heap_obj.fields.(field) in
   let target = Word.target w in
@@ -866,10 +872,6 @@ let try_resurrect t (src : Heap_obj.t) ~field =
         let n_fields = Array.length image.Swap_image.fields in
         let scalar_bytes = image.Swap_image.scalar_bytes in
         let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
-        let attempts =
-          (Lp_core.Controller.config t.controller)
-            .Lp_core.Config.resurrection_alloc_attempts
-        in
         (* bounded re-allocation through the collector: each retry runs a
            full collection, letting pruning (or plain reclamation) make
            room for the object coming back *)
@@ -884,7 +886,7 @@ let try_resurrect t (src : Heap_obj.t) ~field =
             | obj -> Ok obj
             | exception Store.Heap_full _ -> retry n
         and retry n =
-          if n >= attempts then
+          if n >= resurrection_alloc_attempts then
             Error
               (Lp_core.Errors.Reallocation_exhausted
                  { attempts = n; size_bytes = size })

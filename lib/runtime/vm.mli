@@ -341,8 +341,7 @@ val try_resurrect :
     swap image is loaded and validated (torn or corrupt images yield the
     corresponding {!Lp_core.Errors.resurrection_failure}), the object is
     re-allocated through a bounded collect-and-retry loop
-    ([Config.resurrection_alloc_attempts] collections, then
-    [Reallocation_exhausted]), its fields are restored — a plain
+    (at most 4 collections, then [Reallocation_exhausted]), its fields are restored — a plain
     reference only when its target is live with the class recorded at
     capture time, everything else re-poisoned (counted in
     [Gc_stats.words_repoisoned]) — and the forwarding table and

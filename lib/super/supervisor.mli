@@ -30,7 +30,8 @@ type config = {
 }
 
 val config_of : Lp_core.Config.t -> config
-(** The supervisor constants of a validated fleet {!Lp_core.Config}. *)
+(** The supervisor constants of a validated fleet {!Lp_core.Config},
+    with a 16-round [window_rounds]. *)
 
 type t
 

@@ -30,8 +30,6 @@ let () =
       Test_super.suite;
       Test_jheap.suite;
       Test_jit.suite;
-      Test_interp.suite;
-      Test_assembler.suite;
       Test_semantics.suite;
       Test_paper_example.suite;
       Test_workloads.suite;

@@ -394,7 +394,7 @@ let test_safe_mode_entry_and_expiry () =
   Alcotest.(check int) "mispredictions counted" threshold
     (Lp_core.Controller.mispredictions c);
   (* the moratorium expires after safe_mode_collections collections *)
-  let budget = (Lp_core.Controller.config c).Lp_core.Config.safe_mode_collections in
+  let budget = Lp_core.State_machine.safe_mode_collections in
   for _i = 1 to budget + 1 do
     Vm.run_gc vm
   done;

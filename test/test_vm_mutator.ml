@@ -203,6 +203,28 @@ let test_unbudgeted_collection_is_one_pause () =
        (Vm.pause_samples vm));
   Alcotest.(check int) "five collections" 5 (Vm.gc_count vm)
 
+(* An object held only in a frame slot is a root: it survives the
+   collections that allocation inside the frame triggers, and it is
+   reclaimed once the frame is popped. *)
+let test_frame_slot_survives_collections () =
+  let vm = make_vm ~heap:4_000 () in
+  let node =
+    Vm.with_frame vm ~n_slots:1 (fun frame ->
+        let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:16 ~n_fields:1 () in
+        Roots.set_slot frame 0 node.Heap_obj.id;
+        let before = Vm.gc_count vm in
+        for _ = 1 to 40 do
+          ignore (Vm.alloc vm ~class_name:"Buffer" ~scalar_bytes:256 ~n_fields:0 ())
+        done;
+        Alcotest.(check bool) "allocation collected" true (Vm.gc_count vm > before);
+        Alcotest.(check bool) "frame-held node survived" true
+          (Store.is_live (Vm.store vm) node);
+        node)
+  in
+  Vm.run_gc vm;
+  Alcotest.(check bool) "reclaimed once the frame is popped" false
+    (Store.is_live (Vm.store vm) node)
+
 let suite =
   ( "vm_mutator",
     [
@@ -226,4 +248,6 @@ let suite =
       Alcotest.test_case "work validation" `Quick test_work_rejects_negative;
       Alcotest.test_case "no slice budget: one Monolithic pause per collection"
         `Quick test_unbudgeted_collection_is_one_pause;
+      Alcotest.test_case "frame slot survives collections" `Quick
+        test_frame_slot_survives_collections;
     ] )
