@@ -1173,7 +1173,7 @@ let run_fleet_bench () =
 (* Restart scenario: warm (checkpoint-restoring) versus cold restarts,
    25 seeds.  One PhasedCache tenant is killed at mid-run; the warm
    fleet restores the controller brain from its last checkpoint, the
-   cold baseline (warm_restart_limit = 0) relearns from scratch.  The
+   cold baseline (supervisor warm_limit = 0) relearns from scratch.  The
    oracle: both runs clean, the warm restart actually takes the warm
    path and reaches readiness, and the warm run ends with *strictly*
    fewer mispredictions than the cold one — the learning burst is paid
@@ -1200,15 +1200,14 @@ let run_restart_bench () =
   (* trip bar 1000 permille: the breaker (strict inequality) can never
      trip on a 1-tenant fleet, so time-to-ready measures quarantine plus
      the readiness probe, not a storm cooldown *)
-  let admission ~warm =
-    if warm then Lp_core.Config.make ~storm_trip_permille:1000 ()
-    else Lp_core.Config.make ~warm_restart_limit:0 ~storm_trip_permille:1000 ()
-  in
   let run ~warm seed =
+    let ladder = Lp_super.Supervisor.default in
     let options =
       { (Lp_fleet.Fleet.default_options ~seed ~rounds ()) with
         Lp_fleet.Fleet.requests_per_round = 2;
-        admission = admission ~warm;
+        supervisor =
+          (if warm then ladder else { ladder with warm_limit = 0 });
+        breaker = { Lp_super.Breaker.default with trip_permille = 1000 };
         kills = [ (kill_round, 0) ]
       }
     in

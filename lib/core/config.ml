@@ -25,19 +25,6 @@ type t = {
   disk_retry_attempts : int;
   safe_mode_threshold : int option;
   gc_slice_budget : int option;
-  admission_retry_cap : int;
-  admission_backoff_base : int;
-  admission_backoff_ceiling : int;
-  offload_deadline : int;
-  quarantine_rounds : int;
-  extended_quarantine_rounds : int;
-  checkpoint_rounds : int;
-  warm_restart_limit : int;
-  cold_restart_limit : int;
-  retire_limit : int;
-  storm_window_rounds : int;
-  storm_trip_permille : int;
-  storm_cooldown_rounds : int;
   liveness_mode : liveness_mode;
   liveness_boost : int;
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
@@ -66,19 +53,6 @@ let default =
     disk_retry_attempts = 2;
     safe_mode_threshold = Some 4;
     gc_slice_budget = None;
-    admission_retry_cap = 3;
-    admission_backoff_base = 1;
-    admission_backoff_ceiling = 16;
-    offload_deadline = 64;
-    quarantine_rounds = 1;
-    extended_quarantine_rounds = 4;
-    checkpoint_rounds = 8;
-    warm_restart_limit = 2;
-    cold_restart_limit = 4;
-    retire_limit = 6;
-    storm_window_rounds = 8;
-    storm_trip_permille = 500;
-    storm_cooldown_rounds = 4;
     liveness_mode = Liveness_off;
     liveness_boost = 1;
     pause_slo_p99_ns = None;
@@ -97,19 +71,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(disk_retry_attempts = default.disk_retry_attempts)
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?gc_slice_budget
-    ?(admission_retry_cap = default.admission_retry_cap)
-    ?(admission_backoff_base = default.admission_backoff_base)
-    ?(admission_backoff_ceiling = default.admission_backoff_ceiling)
-    ?(offload_deadline = default.offload_deadline)
-    ?(quarantine_rounds = default.quarantine_rounds)
-    ?(extended_quarantine_rounds = default.extended_quarantine_rounds)
-    ?(checkpoint_rounds = default.checkpoint_rounds)
-    ?(warm_restart_limit = default.warm_restart_limit)
-    ?(cold_restart_limit = default.cold_restart_limit)
-    ?(retire_limit = default.retire_limit)
-    ?(storm_window_rounds = default.storm_window_rounds)
-    ?(storm_trip_permille = default.storm_trip_permille)
-    ?(storm_cooldown_rounds = default.storm_cooldown_rounds)
     ?(liveness_mode = default.liveness_mode)
     ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns
     ?(slo_budget_floor = default.slo_budget_floor) () =
@@ -129,19 +90,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     disk_retry_attempts;
     safe_mode_threshold;
     gc_slice_budget;
-    admission_retry_cap;
-    admission_backoff_base;
-    admission_backoff_ceiling;
-    offload_deadline;
-    quarantine_rounds;
-    extended_quarantine_rounds;
-    checkpoint_rounds;
-    warm_restart_limit;
-    cold_restart_limit;
-    retire_limit;
-    storm_window_rounds;
-    storm_trip_permille;
-    storm_cooldown_rounds;
     liveness_mode;
     liveness_boost;
     pause_slo_p99_ns;
@@ -168,26 +116,6 @@ let validate t =
   then Error "safe_mode_threshold must be >= 1"
   else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then
     Error "gc_slice_budget must be >= 1"
-  else if t.admission_retry_cap < 0 then Error "admission_retry_cap must be >= 0"
-  else if t.admission_backoff_base < 1 then
-    Error "admission_backoff_base must be >= 1"
-  else if t.admission_backoff_ceiling < t.admission_backoff_base then
-    Error "admission_backoff_ceiling must be >= admission_backoff_base"
-  else if t.offload_deadline < 1 then Error "offload_deadline must be >= 1"
-  else if t.quarantine_rounds < 1 then Error "quarantine_rounds must be >= 1"
-  else if t.extended_quarantine_rounds < t.quarantine_rounds then
-    Error "extended_quarantine_rounds must be >= quarantine_rounds"
-  else if t.checkpoint_rounds < 1 then Error "checkpoint_rounds must be >= 1"
-  else if t.warm_restart_limit < 0 then Error "warm_restart_limit must be >= 0"
-  else if t.cold_restart_limit < t.warm_restart_limit then
-    Error "cold_restart_limit must be >= warm_restart_limit"
-  else if t.retire_limit < t.cold_restart_limit then
-    Error "retire_limit must be >= cold_restart_limit"
-  else if t.storm_window_rounds < 1 then Error "storm_window_rounds must be >= 1"
-  else if t.storm_trip_permille < 1 || t.storm_trip_permille > 1000 then
-    Error "storm_trip_permille must be in [1, 1000]"
-  else if t.storm_cooldown_rounds < 1 then
-    Error "storm_cooldown_rounds must be >= 1"
   else if t.liveness_boost < 0 || t.liveness_boost > 6 then
     Error "liveness_boost must be in [0, 6]"
   else if (match t.pause_slo_p99_ns with Some n -> n < 1 | None -> false) then

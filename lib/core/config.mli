@@ -5,7 +5,15 @@
     on the collection after a SELECT-state collection (the paper's option
     (2)). Setting [prune_trigger] to [On_exhaustion] reproduces option (1)
     and Figure 11: pruning waits until the heap is still 100% full after a
-    collection and the VM is about to throw an out-of-memory error. *)
+    collection and the VM is about to throw an out-of-memory error.
+
+    [Config] holds only the settings of one VM: the paper's thresholds
+    and trigger, the collector's slice budget, degradation limits, the
+    liveness oracle and the pause SLO. Fleet settings live with the code
+    that reads them: admission, quarantine and checkpoint cadence in
+    [Lp_fleet.Fleet.options], the restart ladder in
+    [Lp_super.Supervisor.config], the crash-storm breaker in
+    [Lp_super.Breaker.config]. *)
 
 type prune_trigger = On_select_gc | On_exhaustion
 
@@ -71,50 +79,6 @@ type t = {
           profile (and therefore wall time per pause) differs.
           With the pause SLO armed this is only the starting budget
           (256 when [None]); the autopilot retunes it. *)
-  admission_retry_cap : int;
-      (** fleet admission control: how many times one queued request may
-          be re-offered to a tenant under disk backpressure before the
-          scheduler sheds it; default 3 *)
-  admission_backoff_base : int;
-      (** first admission backoff, in scheduler rounds (the fleet's
-          logical time unit); each consecutive denial doubles it;
-          default 1 *)
-  admission_backoff_ceiling : int;
-      (** exponential backoff saturates at this many rounds; must be at
-          least [admission_backoff_base]; default 16 *)
-  offload_deadline : int;
-      (** scheduler rounds a queued request may wait (across backoffs)
-          before the deadline timeout sheds it; default 64 *)
-  quarantine_rounds : int;
-      (** scheduler rounds a restarted tenant sits out before the
-          readiness probe may re-admit it; default 1 (the previously
-          hardcoded fleet behaviour) *)
-  extended_quarantine_rounds : int;
-      (** quarantine applied by the supervisor's extended-quarantine
-          ladder rung; must be at least [quarantine_rounds]; default 4 *)
-  checkpoint_rounds : int;
-      (** rounds between controller-brain checkpoints of each tenant;
-          default 8 *)
-  warm_restart_limit : int;
-      (** restarts within the window that still get the warm
-          (checkpoint-restoring) path; 0 disables warm restarts;
-          default 2 *)
-  cold_restart_limit : int;
-      (** restarts within the window that still get a plain cold boot
-          before the ladder moves to extended quarantine; default 4 *)
-  retire_limit : int;
-      (** restarts within the window beyond which the tenant is retired
-          permanently; default 6 *)
-  storm_window_rounds : int;
-      (** sliding window over which the fleet breaker counts distinct
-          restarted tenants; default 8 *)
-  storm_trip_permille : int;
-      (** the breaker trips when strictly more than this fraction (in
-          per-mille) of tenants restarted within the window; range
-          [1, 1000]; default 500 *)
-  storm_cooldown_rounds : int;
-      (** rounds the tripped breaker pauses fleet-wide serving before
-          health probes may close it again; default 4 *)
   liveness_mode : liveness_mode;
       (** whether the static liveness oracle participates in SELECT;
           default [Liveness_off] *)
@@ -155,19 +119,6 @@ val make :
   ?disk_retry_attempts:int ->
   ?safe_mode_threshold:int option ->
   ?gc_slice_budget:int ->
-  ?admission_retry_cap:int ->
-  ?admission_backoff_base:int ->
-  ?admission_backoff_ceiling:int ->
-  ?offload_deadline:int ->
-  ?quarantine_rounds:int ->
-  ?extended_quarantine_rounds:int ->
-  ?checkpoint_rounds:int ->
-  ?warm_restart_limit:int ->
-  ?cold_restart_limit:int ->
-  ?retire_limit:int ->
-  ?storm_window_rounds:int ->
-  ?storm_trip_permille:int ->
-  ?storm_cooldown_rounds:int ->
   ?liveness_mode:liveness_mode ->
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->

@@ -1,10 +1,11 @@
 (* The multi-tenant scheduler: owns N tenant VM lifecycles and drives
    them round-robin with open-loop traffic over one shared disk
    backend. A scheduler *round* is the fleet's logical time unit — every
-   admission constant in [Lp_core.Config] (retry cap, backoff base and
-   ceiling, offload deadline) is denominated in rounds, and so is every
-   supervision constant (checkpoint cadence, escalation windows,
-   quarantine and breaker cooldown lengths). *)
+   admission setting in [options] (retry cap, backoff base and ceiling,
+   offload deadline) is denominated in rounds, and so is every
+   supervision setting (checkpoint cadence, quarantine lengths, and the
+   windows and cooldown of [Lp_super.Supervisor.config] and
+   [Lp_super.Breaker.config]). *)
 
 type tenant_report = {
   tenant : int;
@@ -70,32 +71,79 @@ type options = {
   seed : int;
   rounds : int;
   requests_per_round : int;
-  queue_limit : int;
-  admission : Lp_core.Config.t;
+  admission_retry_cap : int;
+  admission_backoff_base : int;
+  admission_backoff_ceiling : int;
+  offload_deadline : int;
+  quarantine_rounds : int;
+  extended_quarantine_rounds : int;
+  checkpoint_rounds : int;
+  supervisor : Lp_super.Supervisor.config;
+  breaker : Lp_super.Breaker.config;
   capacity_bytes : int;
   chaos : bool;
   chaos_events : int;
   storm : bool;  (* add a crash-storm plan (Kill_storm / Torn_checkpoint) *)
   kills : (int * int) list;  (* explicit (round, tenant id) kill schedule *)
-  pressure_rounds : int;
-  trace_capacity : int;
 }
+
+(* Arrivals past this many queued requests are shed as queue-full. *)
+let queue_limit = 16
+
+(* Length, in rounds, of a [Disk_pressure] window. *)
+let pressure_rounds = 8
+
+(* Capacity of the fleet event sink. *)
+let trace_capacity = 4096
 
 let default_options ~seed ~rounds () =
   {
     seed;
     rounds;
     requests_per_round = 2;
-    queue_limit = 16;
-    admission = Lp_core.Config.default;
+    admission_retry_cap = 3;
+    admission_backoff_base = 1;
+    admission_backoff_ceiling = 16;
+    offload_deadline = 64;
+    quarantine_rounds = 1;
+    extended_quarantine_rounds = 4;
+    checkpoint_rounds = 8;
+    supervisor = Lp_super.Supervisor.default;
+    breaker = Lp_super.Breaker.default;
     capacity_bytes = max_int / 2;
     chaos = false;
     chaos_events = 3;
     storm = false;
     kills = [];
-    pressure_rounds = 8;
-    trace_capacity = 4096;
   }
+
+let validate (o : options) =
+  let s = o.supervisor and b = o.breaker in
+  let checks =
+    [
+      (o.admission_retry_cap >= 0, "admission_retry_cap must be >= 0");
+      (o.admission_backoff_base >= 1, "admission_backoff_base must be >= 1");
+      ( o.admission_backoff_ceiling >= o.admission_backoff_base,
+        "admission_backoff_ceiling must be >= admission_backoff_base" );
+      (o.offload_deadline >= 1, "offload_deadline must be >= 1");
+      (o.quarantine_rounds >= 1, "quarantine_rounds must be >= 1");
+      ( o.extended_quarantine_rounds >= o.quarantine_rounds,
+        "extended_quarantine_rounds must be >= quarantine_rounds" );
+      (o.checkpoint_rounds >= 1, "checkpoint_rounds must be >= 1");
+      (s.warm_limit >= 0, "warm_restart_limit must be >= 0");
+      ( s.cold_limit >= s.warm_limit,
+        "cold_restart_limit must be >= warm_restart_limit" );
+      ( s.retire_limit >= s.cold_limit,
+        "retire_limit must be >= cold_restart_limit" );
+      (b.window_rounds >= 1, "storm_window_rounds must be >= 1");
+      ( b.trip_permille >= 1 && b.trip_permille <= 1000,
+        "storm_trip_permille must be in [1, 1000]" );
+      (b.cooldown_rounds >= 1, "storm_cooldown_rounds must be >= 1");
+    ]
+  in
+  match List.find_opt (fun (ok, _) -> not ok) checks with
+  | Some (_, msg) -> Error msg
+  | None -> Ok o
 
 type request = { enqueued : int }
 
@@ -141,21 +189,13 @@ let run opts specs =
       (fun (s : Tenant.spec) -> s.Tenant.gc_packet_size <> None)
       specs
   then invalid_arg "Fleet.run: gc_packet_size must be None";
-  (match Lp_core.Config.validate opts.admission with
+  (match validate opts with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Fleet.run: " ^ msg));
-  let cfg = opts.admission in
-  let retry_cap = cfg.Lp_core.Config.admission_retry_cap in
-  let backoff_base = cfg.Lp_core.Config.admission_backoff_base in
-  let backoff_ceiling = cfg.Lp_core.Config.admission_backoff_ceiling in
-  let deadline = cfg.Lp_core.Config.offload_deadline in
-  let quarantine = cfg.Lp_core.Config.quarantine_rounds in
-  let extended_quarantine = cfg.Lp_core.Config.extended_quarantine_rounds in
-  let checkpoint_rounds = cfg.Lp_core.Config.checkpoint_rounds in
   let backend = Lp_runtime.Diskswap.create_backend ~capacity_bytes:opts.capacity_bytes in
   let round = ref 0 in
   let sink =
-    Lp_obs.Sink.create ~capacity:opts.trace_capacity ~clock:(fun () -> !round) ()
+    Lp_obs.Sink.create ~capacity:trace_capacity ~clock:(fun () -> !round) ()
   in
   let plan =
     let evs =
@@ -182,7 +222,7 @@ let run opts specs =
              traffic =
                Traffic.create ~seed:opts.seed ~tenant:s.Tenant.id
                  ~rate_per_mille:s.Tenant.rate_per_mille;
-             super = Lp_super.Supervisor.create (Lp_super.Supervisor.config_of cfg);
+             super = Lp_super.Supervisor.create opts.supervisor;
              queue = Queue.create ();
              arrived = 0;
              shed_queue = 0;
@@ -200,7 +240,7 @@ let run opts specs =
          specs)
   in
   let n = Array.length slots in
-  let breaker = Lp_super.Breaker.create (Lp_super.Breaker.config_of cfg) ~tenants:n in
+  let breaker = Lp_super.Breaker.create opts.breaker ~tenants:n in
   let tenant_id slot = (Tenant.spec slot.tenant).Tenant.id in
   let shed slot reason =
     (match reason with
@@ -293,8 +333,8 @@ let run opts specs =
            });
       let q =
         match action with
-        | Lp_super.Supervisor.Cold_extended -> extended_quarantine
-        | _ -> quarantine
+        | Lp_super.Supervisor.Cold_extended -> opts.extended_quarantine_rounds
+        | _ -> opts.quarantine_rounds
       in
       slot.quarantined_until <- !round + q;
       slot.ready <- false;
@@ -363,7 +403,7 @@ let run opts specs =
         | Lp_fault.Fault_plan.Torn_checkpoint ->
           torn_pending := !torn_pending + 1
         | Lp_fault.Fault_plan.Disk_pressure ->
-          pressure_until := r + opts.pressure_rounds;
+          pressure_until := r + pressure_rounds;
           if !saved_capacity = None then begin
             let cap = Lp_runtime.Diskswap.backend_capacity backend in
             let used = Lp_runtime.Diskswap.backend_used_bytes backend in
@@ -395,7 +435,7 @@ let run opts specs =
           let a = Traffic.arrivals slot.traffic in
           for _ = 1 to a do
             slot.arrived <- slot.arrived + 1;
-            if Queue.length slot.queue >= opts.queue_limit then
+            if Queue.length slot.queue >= queue_limit then
               shed slot "queue-full"
             else Queue.add { enqueued = r } slot.queue
           done;
@@ -404,7 +444,7 @@ let run opts specs =
              [offload_deadline] rounds time out. *)
           while
             (not (Queue.is_empty slot.queue))
-            && r - (Queue.peek slot.queue).enqueued > deadline
+            && r - (Queue.peek slot.queue).enqueued > opts.offload_deadline
           do
             ignore (Queue.pop slot.queue);
             shed slot "deadline"
@@ -461,7 +501,7 @@ let run opts specs =
                 if d > slot.last_denials then begin
                   slot.last_denials <- d;
                   slot.pressure_retries <- slot.pressure_retries + 1;
-                  if slot.pressure_retries > retry_cap then begin
+                  if slot.pressure_retries > opts.admission_retry_cap then begin
                     while not (Queue.is_empty slot.queue) do
                       ignore (Queue.pop slot.queue);
                       shed slot "retries"
@@ -471,8 +511,9 @@ let run opts specs =
                   end
                   else begin
                     let b =
-                      min backoff_ceiling
-                        (backoff_base * (1 lsl min slot.backoff_level 20))
+                      min opts.admission_backoff_ceiling
+                        (opts.admission_backoff_base
+                        * (1 lsl min slot.backoff_level 20))
                     in
                     slot.backoff_until <- r + b;
                     slot.backoff_level <- slot.backoff_level + 1
@@ -491,7 +532,7 @@ let run opts specs =
        supervisor. A pending [Torn_checkpoint] fault damages the next
        frame(s) written — torn short or bit-flipped, alternating
        deterministically — which the next warm restart must detect. *)
-    if (not (Lp_super.Breaker.is_open breaker)) && r mod checkpoint_rounds = 0
+    if (not (Lp_super.Breaker.is_open breaker)) && r mod opts.checkpoint_rounds = 0
     then
       Array.iteri
         (fun i slot ->

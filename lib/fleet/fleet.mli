@@ -3,13 +3,13 @@
     [run] owns N tenant VM lifecycles and drives them with a fixed
     round-robin schedule (tenant-id order) for a fixed number of
     {e rounds} — the fleet's logical time unit. Each round, per tenant:
-    open-loop arrivals are enqueued (overflow past [queue_limit] is
-    shed), queued requests older than [Config.offload_deadline] rounds
-    time out, and — unless the tenant is quarantined or backing off — up
-    to [requests_per_round] requests are served. Offload-admission
-    denials from the tenant's own swap store drive bounded retry with
-    exponential backoff ([Config.admission_retry_cap], [_backoff_base],
-    [_backoff_ceiling]); past the cap the backlog is shed.
+    open-loop arrivals are enqueued (overflow past 16 queued requests is
+    shed), queued requests older than [offload_deadline] rounds time
+    out, and — unless the tenant is quarantined or backing off — up to
+    [requests_per_round] requests are served. Offload-admission denials
+    from the tenant's own swap store drive bounded retry with
+    exponential backoff ([admission_retry_cap], [admission_backoff_base],
+    [admission_backoff_ceiling]); past the cap the backlog is shed.
 
     {b Isolation.} A tenant's traffic is a function of [(seed, id)]
     alone; its backpressure signal is its {e own} denial counter, never
@@ -22,24 +22,25 @@
     {b Containment and supervision.} Any [`Fatal] serve outcome (typed
     error, verifier failure, crash) restarts only that tenant. Each
     tenant has a supervisor ({!Lp_super.Supervisor}) that counts its
-    restarts in a sliding window and climbs an escalation ladder: warm
-    (checkpoint-restoring) restarts first, then cold boots, then cold
-    with extended quarantine, then permanent retirement. Every
-    [Config.checkpoint_rounds] rounds each ready tenant's controller
-    brain is framed ({!Lp_super.Checkpoint}) and stored; a warm restart
-    restores it (falling back cold — with a [Checkpoint_fallback] event
-    — on any torn/corrupt/unimportable frame). A restarted tenant only
-    re-admits traffic after passing a readiness probe (verifier pass +
-    one unbilled request), recorded as [Tenant_ready].
+    restarts in a sliding window and climbs an escalation ladder
+    ([supervisor]): warm (checkpoint-restoring) restarts first, then
+    cold boots, then cold with extended quarantine, then permanent
+    retirement. Every [checkpoint_rounds] rounds each ready tenant's
+    controller brain is framed ({!Lp_super.Checkpoint}) and stored; a
+    warm restart restores it (falling back cold — with a
+    [Checkpoint_fallback] event — on any torn/corrupt/unimportable
+    frame). A restarted tenant only re-admits traffic after passing a
+    readiness probe (verifier pass + one unbilled request), recorded as
+    [Tenant_ready].
 
     {b Crash storms.} A fleet-level breaker ({!Lp_super.Breaker}) counts
-    distinct restarted tenants per window; past [storm_trip_permille] it
-    trips ([Breaker_tripped]) and pauses all serving (and checkpointing)
-    for at least [storm_cooldown_rounds], re-opening only after every
-    live tenant passes a verifier health probe ([Breaker_reset]). Fleet
-    chaos ([Fault_plan.Fleet] site) injects [Kill_tenant] /
-    [Disk_pressure] ([chaos]) and [Kill_storm] / [Torn_checkpoint]
-    ([storm]) faults on top. *)
+    distinct restarted tenants per window; past [breaker]'s
+    [trip_permille] it trips ([Breaker_tripped]) and pauses all serving
+    (and checkpointing) for at least its [cooldown_rounds], re-opening
+    only after every live tenant passes a verifier health probe
+    ([Breaker_reset]). Fleet chaos ([Fault_plan.Fleet] site) injects
+    [Kill_tenant] / [Disk_pressure] ([chaos]) and [Kill_storm] /
+    [Torn_checkpoint] ([storm]) faults on top. *)
 
 type tenant_report = {
   tenant : int;
@@ -114,10 +115,31 @@ type options = {
   seed : int;
   rounds : int;
   requests_per_round : int;  (** serve capacity per tenant per round *)
-  queue_limit : int;
-  admission : Lp_core.Config.t;
-      (** source of the admission {e and} supervision constants;
-          validated by [run] *)
+  admission_retry_cap : int;
+      (** how many times one queued request may be re-offered to a tenant
+          under disk backpressure before the scheduler sheds it;
+          default 3 *)
+  admission_backoff_base : int;
+      (** first admission backoff, in rounds; each consecutive denial
+          doubles it; default 1 *)
+  admission_backoff_ceiling : int;
+      (** exponential backoff saturates at this many rounds; at least
+          [admission_backoff_base]; default 16 *)
+  offload_deadline : int;
+      (** rounds a queued request may wait (across backoffs) before the
+          deadline timeout sheds it; default 64 *)
+  quarantine_rounds : int;
+      (** rounds a restarted tenant sits out before the readiness probe
+          may re-admit it; default 1 *)
+  extended_quarantine_rounds : int;
+      (** quarantine of the ladder's extended rung; at least
+          [quarantine_rounds]; default 4 *)
+  checkpoint_rounds : int;
+      (** rounds between controller-brain checkpoints of each tenant;
+          default 8 *)
+  supervisor : Lp_super.Supervisor.config;
+      (** every tenant's restart ladder *)
+  breaker : Lp_super.Breaker.config;  (** the fleet crash-storm breaker *)
   capacity_bytes : int;  (** shared backend size *)
   chaos : bool;  (** schedule a [Fault_plan.random_fleet] plan *)
   chaos_events : int;
@@ -127,19 +149,24 @@ type options = {
   kills : (int * int) list;
       (** explicit (round, tenant id) kill schedule, applied whether or
           not [chaos] is on — the isolation tests' scripted faults *)
-  pressure_rounds : int;  (** length of a [Disk_pressure] window *)
-  trace_capacity : int;
 }
 
 val default_options : seed:int -> rounds:int -> unit -> options
-(** 2 requests/round, queue of 16, [Config.default] admission constants,
-    effectively-unbounded backend, no chaos, no storm, no kills, 8-round
-    pressure windows. *)
+(** 2 requests/round, the admission and quarantine defaults above,
+    {!Lp_super.Supervisor.default} and {!Lp_super.Breaker.default},
+    effectively-unbounded backend, no chaos, no storm, no kills. *)
+
+val validate : options -> (options, string) result
+(** Checks the ranges and orderings of the admission, quarantine,
+    checkpoint, ladder and breaker settings; the [Error] message names
+    the offending setting. *)
 
 val run : options -> Tenant.spec list -> report
-(** @raise Invalid_argument on an empty fleet, duplicate tenant ids, a
-    spec with [gc_packet_size = Some _], or an admission config that
-    fails [Config.validate]. *)
+(** Every run uses a 16-request queue, 8-round [Disk_pressure] windows
+    and a 4096-event sink.
+    @raise Invalid_argument on an empty fleet, duplicate tenant ids, a
+    spec with [gc_packet_size = Some _], or options that fail
+    {!validate}. *)
 
 val failed : report -> bool
 (** True when any tenant saw a verifier failure or a crash (restarts

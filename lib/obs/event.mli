@@ -89,12 +89,12 @@ type t =
           successful serve) re-admitted the tenant to the scheduler *)
   | Tenant_retired of { tenant : int; round : int; restarts : int }
       (** the ladder's terminal rung: the tenant crossed
-          [Config.retire_limit] restarts within the supervisor window
+          the supervisor's [retire_limit] restarts within its window
           and is permanently removed from the fleet *)
   | Breaker_tripped of { round : int; restarted : int; tenants : int }
       (** the crash-storm breaker saw [restarted] distinct tenants (of
-          [tenants]) restart within [Config.storm_window_rounds] and
-          paused fleet-wide serving *)
+          [tenants]) restart within its [window_rounds] and paused
+          fleet-wide serving *)
   | Breaker_reset of { round : int }
       (** the cooldown elapsed and every surviving tenant passed its
           health probe; serving resumes *)

@@ -11,12 +11,7 @@ type config = {
   cooldown_rounds : int;
 }
 
-let config_of (c : Lp_core.Config.t) =
-  {
-    window_rounds = c.Lp_core.Config.storm_window_rounds;
-    trip_permille = c.Lp_core.Config.storm_trip_permille;
-    cooldown_rounds = c.Lp_core.Config.storm_cooldown_rounds;
-  }
+let default = { window_rounds = 8; trip_permille = 500; cooldown_rounds = 4 }
 
 type t = {
   config : config;

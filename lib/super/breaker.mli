@@ -12,12 +12,18 @@
 
 type config = {
   window_rounds : int;
+      (** sliding window, in scheduler rounds, over which distinct
+          restarted tenants are counted *)
   trip_permille : int;
+      (** trip when strictly more than this share of the fleet, in
+          per-mille, restarted within the window; range [1, 1000] *)
   cooldown_rounds : int;
+      (** rounds the tripped breaker pauses serving before health probes
+          may close it *)
 }
 
-val config_of : Lp_core.Config.t -> config
-(** The breaker constants of a validated fleet {!Lp_core.Config}. *)
+val default : config
+(** An 8-round window, a 500 per-mille trip bar and a 4-round cooldown. *)
 
 type t
 

@@ -17,17 +17,8 @@ type config = {
   retire_limit : int;
 }
 
-(* The sliding window, in scheduler rounds, over which restarts are
-   counted when climbing the escalation ladder. *)
-let window_rounds = 16
-
-let config_of (c : Lp_core.Config.t) =
-  {
-    window_rounds;
-    warm_limit = c.Lp_core.Config.warm_restart_limit;
-    cold_limit = c.Lp_core.Config.cold_restart_limit;
-    retire_limit = c.Lp_core.Config.retire_limit;
-  }
+let default =
+  { window_rounds = 16; warm_limit = 2; cold_limit = 4; retire_limit = 6 }
 
 type t = {
   config : config;

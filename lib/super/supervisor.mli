@@ -24,14 +24,22 @@ val action_to_string : action -> string
 
 type config = {
   window_rounds : int;
+      (** sliding window, in scheduler rounds, over which restarts are
+          counted *)
   warm_limit : int;
+      (** restarts within the window that still take the warm path; 0
+          disables warm restarts *)
   cold_limit : int;
+      (** restarts within the window that still get a plain cold boot;
+          at least [warm_limit] *)
   retire_limit : int;
+      (** restarts within the window beyond which the tenant is retired;
+          at least [cold_limit] *)
 }
 
-val config_of : Lp_core.Config.t -> config
-(** The supervisor constants of a validated fleet {!Lp_core.Config},
-    with a 16-round [window_rounds]. *)
+val default : config
+(** A 16-round window, warm up to 2 restarts, cold up to 4, extended
+    quarantine up to 6, retirement beyond. *)
 
 type t
 

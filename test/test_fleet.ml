@@ -176,25 +176,22 @@ let test_teardown_on_unanticipated_error () =
    with Lp_core.Errors.Heap_corruption _ -> raised := true);
   Alcotest.(check bool) "the error escaped Driver.run" true !raised
 
-(* Admission constants are validated like every other Config field. *)
+(* Admission settings are validated with the fleet's options, and
+   [Fleet.run] refuses options that fail [Fleet.validate]. *)
 let test_admission_config_validation () =
   let bad =
-    Lp_core.Config.make ~admission_backoff_base:4 ~admission_backoff_ceiling:2
-      ()
+    { (Fleet.default_options ~seed:1 ~rounds:1 ()) with
+      Fleet.admission_backoff_base = 4;
+      admission_backoff_ceiling = 2
+    }
   in
-  (match Lp_core.Config.validate bad with
+  (match Fleet.validate bad with
   | Ok _ -> Alcotest.fail "ceiling < base must not validate"
   | Error _ -> ());
   Alcotest.check_raises "Fleet.run rejects invalid admission config"
     (Invalid_argument
        "Fleet.run: admission_backoff_ceiling must be >= admission_backoff_base")
-    (fun () ->
-      ignore
-        (Fleet.run
-           { (Fleet.default_options ~seed:1 ~rounds:1 ()) with
-             Fleet.admission = bad
-           }
-           [ spec ~id:0 () ]))
+    (fun () -> ignore (Fleet.run bad [ spec ~id:0 () ]))
 
 (* [Tenant.spec.gc_packet_size] tuned the retired parallel collector
    and is kept only so existing callers still build; a spec that sets

@@ -188,34 +188,33 @@ let test_breaker_window_slides () =
 (* ------------------------ config validation ----------------------- *)
 
 let test_supervision_config_validation () =
-  let rejects label make =
-    match Lp_core.Config.validate (make ()) with
+  let base = Lp_fleet.Fleet.default_options ~seed:1 ~rounds:1 () in
+  let ladder = Supervisor.default and breaker = Breaker.default in
+  let rejects label opts =
+    match Lp_fleet.Fleet.validate opts with
     | Ok _ -> Alcotest.failf "%s must not validate" label
     | Error _ -> ()
   in
-  rejects "quarantine_rounds 0" (fun () ->
-      Lp_core.Config.make ~quarantine_rounds:0 ());
-  rejects "extended quarantine below quarantine" (fun () ->
-      Lp_core.Config.make ~quarantine_rounds:3 ~extended_quarantine_rounds:2 ());
-  rejects "checkpoint_rounds 0" (fun () ->
-      Lp_core.Config.make ~checkpoint_rounds:0 ());
-  rejects "negative warm limit" (fun () ->
-      Lp_core.Config.make ~warm_restart_limit:(-1) ());
-  rejects "cold limit below warm limit" (fun () ->
-      Lp_core.Config.make ~warm_restart_limit:3 ~cold_restart_limit:2 ());
-  rejects "retire limit below cold limit" (fun () ->
-      Lp_core.Config.make ~cold_restart_limit:4 ~retire_limit:3 ());
-  rejects "storm window 0" (fun () ->
-      Lp_core.Config.make ~storm_window_rounds:0 ());
-  rejects "storm trip 0 permille" (fun () ->
-      Lp_core.Config.make ~storm_trip_permille:0 ());
-  rejects "storm trip over 1000 permille" (fun () ->
-      Lp_core.Config.make ~storm_trip_permille:1001 ());
-  rejects "storm cooldown 0" (fun () ->
-      Lp_core.Config.make ~storm_cooldown_rounds:0 ());
-  match Lp_core.Config.validate Lp_core.Config.default with
+  rejects "quarantine_rounds 0" { base with quarantine_rounds = 0 };
+  rejects "extended quarantine below quarantine"
+    { base with quarantine_rounds = 3; extended_quarantine_rounds = 2 };
+  rejects "checkpoint_rounds 0" { base with checkpoint_rounds = 0 };
+  let with_ladder supervisor = { base with Lp_fleet.Fleet.supervisor } in
+  rejects "negative warm limit" (with_ladder { ladder with warm_limit = -1 });
+  rejects "cold limit below warm limit"
+    (with_ladder { ladder with warm_limit = 3; cold_limit = 2 });
+  rejects "retire limit below cold limit"
+    (with_ladder { ladder with cold_limit = 4; retire_limit = 3 });
+  let with_breaker breaker = { base with Lp_fleet.Fleet.breaker } in
+  rejects "storm window 0" (with_breaker { breaker with window_rounds = 0 });
+  rejects "storm trip 0 permille"
+    (with_breaker { breaker with trip_permille = 0 });
+  rejects "storm trip over 1000 permille"
+    (with_breaker { breaker with trip_permille = 1001 });
+  rejects "storm cooldown 0" (with_breaker { breaker with cooldown_rounds = 0 });
+  match Lp_fleet.Fleet.validate base with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "default config rejected: %s" msg
+  | Error msg -> Alcotest.failf "default options rejected: %s" msg
 
 (* --------------------- restart-reason taxonomy -------------------- *)
 
@@ -264,15 +263,12 @@ let spec ~id () =
 
 (* single-tenant runs: trip bar 1000 permille keeps the (strict) breaker
    out of the picture *)
-let solo_admission ?(warm_limit = 2) () =
-  Lp_core.Config.make ~warm_restart_limit:warm_limit ~storm_trip_permille:1000
-    ()
-
-let run_solo ?(rounds = 60) ?warm_limit ~kills seed =
+let run_solo ?(rounds = 60) ?(warm_limit = 2) ~kills seed =
   Lp_fleet.Fleet.run
     { (Lp_fleet.Fleet.default_options ~seed ~rounds ()) with
       Lp_fleet.Fleet.requests_per_round = 2;
-      admission = solo_admission ?warm_limit ();
+      supervisor = { Supervisor.default with warm_limit };
+      breaker = { Breaker.default with trip_permille = 1000 };
       kills
     }
     [ spec ~id:0 () ]
