@@ -386,7 +386,11 @@ let[@inline never] baseline_swap_in vm (src : Lp_heap.Heap_obj.t)
   let open Lp_heap in
   let open Lp_runtime in
   let cost = Vm.cost vm in
-  match Diskswap.retrieve (Vm.swap vm) (Vm.store vm) tgt with
+  let store = Vm.store vm in
+  let class_name (obj : Heap_obj.t) =
+    Class_registry.name (Vm.registry vm) (Store.class_of store obj.Heap_obj.id)
+  in
+  match Diskswap.retrieve (Vm.swap vm) store tgt with
   | `Not_resident -> ()
   | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
   | `Corrupt reason ->
@@ -396,8 +400,7 @@ let[@inline never] baseline_swap_in vm (src : Lp_heap.Heap_obj.t)
          ~cause:
            (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
               ~gc_count:(Vm.gc_count vm))
-         ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-         ~tgt_class:(Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id))
+         ~src_class:(class_name src) ~tgt_class:(class_name tgt))
 
 (* Full replica, error branches included: truncating them to stubs makes
    the baseline a much smaller function than the real barrier ever was
@@ -414,19 +417,21 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
   else if Word.poisoned w then begin
     baseline_charge_barrier vm
       (cost.Cost.barrier_cold + cost.Cost.barrier_poison_check);
+    let store = Vm.store vm in
     let tgt_class () =
-      let obj = Store.find (Vm.store vm) (Word.target w) in
-      if obj == Store.sentinel then "<reclaimed>"
-      else Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
+      let id = Word.target w in
+      if Store.mem store id then
+        Class_registry.name (Vm.registry vm) (Store.class_of store id)
+      else "<reclaimed>"
     in
     if not (Vm.resurrection_enabled vm) then
       raise
-        (Lp_core.Controller.poisoned_access_error (Vm.controller vm) ~src
+        (Lp_core.Controller.poisoned_access_error (Vm.controller vm) store ~src
            ~tgt_class:(tgt_class ()))
     else begin
       match Vm.try_resurrect vm src ~field:i with
       | Ok tgt ->
-        Heap_obj.set_stale tgt 0;
+        Store.set_stale store tgt.Heap_obj.id 0;
         Some tgt
       | Error reason ->
         let stats = Vm.stats vm in
@@ -438,12 +443,14 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
                (Lp_core.Errors.resurrection_failed ~target:(Word.target w)
                   ~reason ~gc_count:(Vm.gc_count vm))
              ~src_class:
-               (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+               (Class_registry.name (Vm.registry vm)
+                  (Store.class_of store src.Heap_obj.id))
              ~tgt_class:(tgt_class ()))
     end
   end
   else begin
-    let tgt = Store.find (Vm.store vm) (Word.target w) in
+    let store = Vm.store vm in
+    let tgt = Store.find store (Word.target w) in
     if tgt == Store.sentinel then begin
       src.Heap_obj.fields.(i) <- Word.poison w;
       let stats = Vm.stats vm in
@@ -451,18 +458,20 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
       raise
         (Lp_core.Errors.heap_corruption
            ~src_class:
-             (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+             (Class_registry.name (Vm.registry vm)
+                (Store.class_of store src.Heap_obj.id))
            ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
     end;
     if Word.untouched w then begin
       baseline_charge_barrier vm cost.Cost.barrier_cold;
       src.Heap_obj.fields.(i) <- Word.clear_untouched w;
-      Lp_core.Controller.on_stale_use (Vm.controller vm) ~src ~tgt;
-      Lp_core.Controller.note_field_read (Vm.controller vm) ~src ~field:i;
-      Heap_obj.set_stale tgt 0
+      Lp_core.Controller.on_stale_use (Vm.controller vm) store ~src ~tgt;
+      Lp_core.Controller.note_field_read (Vm.controller vm) store ~src
+        ~field:i;
+      Store.set_stale store tgt.Heap_obj.id 0
     end;
-    if Vm.offloading vm && Header.on_disk tgt.Heap_obj.header then
-      baseline_swap_in vm src tgt;
+    if Vm.offloading vm && Header.on_disk (Store.header store tgt.Heap_obj.id)
+    then baseline_swap_in vm src tgt;
     Some tgt
   end
 

@@ -163,11 +163,11 @@ let liveness_dead_reads t = liveness_counter_value (fun (_, _, d) -> d) t
    dynamic read of a slot the analysis called never-read ([Dead_beyond
    0]) would falsify the oracle, so it is counted where tests can see
    it. *)
-let note_field_read t ~src ~field =
+let note_field_read t store ~src ~field =
   match t.prior_dead with
   | None -> ()
   | Some dead ->
-    if dead src.Heap_obj.class_id field then (
+    if dead (Store.class_of store src.Heap_obj.id) field then (
       match t.c_liveness with
       | Some (_, _, d) -> Lp_obs.Metrics.incr d
       | None -> ())
@@ -175,28 +175,28 @@ let note_field_read t ~src ~field =
 (* Oracle decisions that change an outcome: [`Veto] suppressed an edge
    that qualified dynamically, [`Boost] qualified an edge that dynamic
    staleness alone would not have. *)
-let liveness_effect t (edge : Collector.edge) =
+let liveness_effect t store (edge : Collector.edge) =
   match t.prior with
   | None -> None
   | Some p -> (
     match p edge with
     | Selection.Neutral -> None
     | Selection.Veto ->
-      if Selection.stale_qualifies t.config t.table edge then Some `Veto
+      if Selection.stale_qualifies store t.config t.table edge then Some `Veto
       else None
     | Selection.Boost ->
       if
-        Selection.stale_qualifies ~prior:p t.config t.table edge
-        && not (Selection.stale_qualifies t.config t.table edge)
+        Selection.stale_qualifies ~prior:p store t.config t.table edge
+        && not (Selection.stale_qualifies store t.config t.table edge)
       then Some `Boost
       else None)
 
 (* Counts and traces one such decision at the edge's scan point. *)
-let audit_liveness t (edge : Collector.edge) effect =
+let audit_liveness t store (edge : Collector.edge) effect =
   match t.c_liveness with
   | None -> ()
   | Some (v, b, _) -> (
-    let src_class = edge.Collector.src.Heap_obj.class_id
+    let src_class = Store.class_of store edge.Collector.src.Heap_obj.id
     and field = edge.Collector.field in
     match effect with
     | `Veto -> (
@@ -232,12 +232,13 @@ let record_averted t store =
     report t "leak pruning: out-of-memory averted; pruning engaged"
   end
 
-let on_stale_use t ~src ~tgt =
+let on_stale_use t store ~src ~tgt =
   if tracking t then begin
-    let stale = Heap_obj.stale tgt in
+    let stale = Store.stale store tgt.Heap_obj.id in
     if stale >= 2 then
-      Edge_table.record_stale_use t.table ~src:src.Heap_obj.class_id
-        ~tgt:tgt.Heap_obj.class_id ~stale
+      Edge_table.record_stale_use t.table
+        ~src:(Store.class_of store src.Heap_obj.id)
+        ~tgt:(Store.class_of store tgt.Heap_obj.id) ~stale
   end
 
 (* Misprediction feedback from the resurrection subsystem: a program
@@ -268,7 +269,7 @@ let note_misprediction t ~src_class ~tgt_class ~stale =
     | None -> ())
   | Some _ | None -> ()
 
-let poisoned_access_error t ~src ~tgt_class =
+let poisoned_access_error t store ~src ~tgt_class =
   let cause =
     match t.averted with
     | Some e -> e
@@ -279,7 +280,8 @@ let poisoned_access_error t ~src ~tgt_class =
       Errors.out_of_memory ~gc_count:t.gc_count ~used_bytes:0 ~limit_bytes:0
   in
   Errors.internal_error ~cause
-    ~src_class:(Class_registry.name t.registry src.Heap_obj.class_id)
+    ~src_class:
+      (Class_registry.name t.registry (Store.class_of store src.Heap_obj.id))
     ~tgt_class
 
 (* One full-heap collection. The phases composed here are the paper's
@@ -334,8 +336,8 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
     | Some _ ->
       Some
         (fun edge ->
-          match liveness_effect t edge with
-          | Some effect -> audit_liveness t edge effect
+          match liveness_effect t store edge with
+          | Some effect -> audit_liveness t store edge effect
           | None -> ())
   in
   (match (st, t.config.Config.policy) with
@@ -353,7 +355,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
          })
   | State_kind.Select, Policy.Default ->
     let filter =
-      Selection.select_filter_default ?prior:t.prior t.config t.table
+      Selection.select_filter_default ?prior:t.prior store t.config t.table
     in
     let deferred =
       mark ?note:lv_note
@@ -375,8 +377,9 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
         in
         if bytes > 0 then
           Edge_table.add_bytes t.table
-            ~src:edge.Collector.src.Heap_obj.class_id
-            ~tgt:edge.Collector.tgt.Heap_obj.class_id bytes)
+            ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+            ~tgt:(Store.class_of store edge.Collector.tgt)
+            bytes)
       (Trace_common.canonical_candidates deferred);
     phase_end t "stale_closure"
       (stats.Gc_stats.stale_closure_objects - claimed_before);
@@ -386,15 +389,17 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
        stale adds the target's bytes to its edge type, at its scan
        point. *)
     let note (edge : Collector.edge) =
-      if Selection.stale_qualifies ?prior:t.prior t.config t.table edge then
-        Edge_table.add_bytes t.table ~src:edge.Collector.src.Heap_obj.class_id
-          ~tgt:edge.Collector.tgt.Heap_obj.class_id
-          edge.Collector.tgt.Heap_obj.size_bytes
+      if Selection.stale_qualifies ?prior:t.prior store t.config t.table edge
+      then
+        Edge_table.add_bytes t.table
+          ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+          ~tgt:(Store.class_of store edge.Collector.tgt)
+          (Store.size_bytes store edge.Collector.tgt)
       else
         (* byte notes take precedence; only a veto that suppressed a
            dynamically qualifying edge is still worth auditing here *)
-        match liveness_effect t edge with
-        | Some `Veto -> audit_liveness t edge `Veto
+        match liveness_effect t store edge with
+        | Some `Veto -> audit_liveness t store edge `Veto
         | Some `Boost | None -> ()
     in
     ignore
@@ -428,7 +433,8 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
       match t.selected with
       | Some selected ->
         Some
-          (Selection.prune_filter_edge_type ?prior:t.prior t.config t.table
+          (Selection.prune_filter_edge_type ?prior:t.prior store t.config
+             t.table
              ~selected)
       | None -> None
     in
@@ -457,7 +463,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
     record_averted t store;
     let filter =
       match t.selected_level with
-      | Some level -> Some (Selection.prune_filter_most_stale ~level)
+      | Some level -> Some (Selection.prune_filter_most_stale store ~level)
       | None -> None
     in
     ignore

@@ -106,7 +106,7 @@ val on_allocation_failure :
     later poisoned-access internal errors consistent with the final
     out-of-memory error. *)
 
-val on_stale_use : t -> src:Heap_obj.t -> tgt:Heap_obj.t -> unit
+val on_stale_use : t -> Store.t -> src:Heap_obj.t -> tgt:Heap_obj.t -> unit
 (** Read-barrier cold-path bookkeeping (Section 4.1): when tracking is
     active and the target was stale (counter >= 2) at the moment of use,
     raise the edge type's [maxstaleuse]. The caller passes the target's
@@ -116,7 +116,8 @@ val tracking : t -> bool
 (** Whether staleness tracking (and hence barrier bookkeeping) is
     active, i.e. the state is past INACTIVE. *)
 
-val poisoned_access_error : t -> src:Heap_obj.t -> tgt_class:string -> exn
+val poisoned_access_error :
+  t -> Store.t -> src:Heap_obj.t -> tgt_class:string -> exn
 (** The [Internal_error] to throw for a program access to a poisoned
     reference, with the averted out-of-memory error as cause. *)
 
@@ -173,7 +174,7 @@ val set_liveness_prior :
 
 val liveness_prior : t -> (Lp_heap.Collector.edge -> Selection.prior) option
 
-val note_field_read : t -> src:Heap_obj.t -> field:int -> unit
+val note_field_read : t -> Store.t -> src:Heap_obj.t -> field:int -> unit
 (** Conformance probe (read-barrier cold path): counts a dynamic read
     of a slot the oracle proved never-read under
     [liveness.dead_reads]. No-op without an installed oracle. *)

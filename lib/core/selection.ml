@@ -2,8 +2,8 @@ open Lp_heap
 
 (* References out of statics containers model root references (Jikes RVM
    scans statics as part of the JTOC); roots can never be pruned. *)
-let src_is_root (edge : Collector.edge) =
-  Header.statics_container edge.Collector.src.Heap_obj.header
+let src_is_root store (edge : Collector.edge) =
+  Header.statics_container (Store.header store edge.Collector.src.Heap_obj.id)
 
 (* The static liveness oracle's per-edge judgement, composed with the
    dynamic staleness test below. [Veto] and [Boost] come from a
@@ -11,7 +11,8 @@ let src_is_root (edge : Collector.edge) =
    absent prior) is the dynamic-only pipeline unchanged. *)
 type prior = Veto | Boost | Neutral
 
-let stale_qualifies ?prior (config : Config.t) table (edge : Collector.edge) =
+let stale_qualifies ?prior store (config : Config.t) table
+    (edge : Collector.edge) =
   let judgement =
     match prior with Some f -> f edge | None -> Neutral
   in
@@ -23,54 +24,58 @@ let stale_qualifies ?prior (config : Config.t) table (edge : Collector.edge) =
       | Boost -> max 1 (config.Config.min_candidate_stale - config.Config.liveness_boost)
       | _ -> config.Config.min_candidate_stale
     in
-    let stale = Heap_obj.stale edge.Collector.tgt in
-    (not (src_is_root edge))
+    let stale = Store.stale store edge.Collector.tgt in
+    (not (src_is_root store edge))
     && stale >= floor
     (* the maxstaleuse-plus-slack guard is dynamic protection and wins
        over any static boost: a recently used edge type stays safe *)
     && stale
        >= Edge_table.max_stale_use table
-            ~src:edge.Collector.src.Heap_obj.class_id
-            ~tgt:edge.Collector.tgt.Heap_obj.class_id
+            ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+            ~tgt:(Store.class_of store edge.Collector.tgt)
           + config.Config.stale_slack
 
-let select_filter_default ?prior config table edge =
-  if stale_qualifies ?prior config table edge then Collector.Defer
+let select_filter_default ?prior store config table edge =
+  if stale_qualifies ?prior store config table edge then Collector.Defer
   else Collector.Trace
 
-let select_filter_individual config table edge =
-  if stale_qualifies config table edge then
+let select_filter_individual store config table (edge : Collector.edge) =
+  if stale_qualifies store config table edge then
     Edge_table.add_bytes table
-      ~src:edge.Collector.src.Heap_obj.class_id
-      ~tgt:edge.Collector.tgt.Heap_obj.class_id
-      edge.Collector.tgt.Heap_obj.size_bytes;
+      ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+      ~tgt:(Store.class_of store edge.Collector.tgt)
+      (Store.size_bytes store edge.Collector.tgt);
   Collector.Trace
 
-let prune_filter_edge_type ?prior config table ~selected (edge : Collector.edge) =
+let prune_filter_edge_type ?prior store config table ~selected
+    (edge : Collector.edge) =
   let src_class, tgt_class = selected in
   if
-    edge.Collector.src.Heap_obj.class_id = src_class
-    && edge.Collector.tgt.Heap_obj.class_id = tgt_class
-    && stale_qualifies ?prior config table edge
+    Store.class_of store edge.Collector.src.Heap_obj.id = src_class
+    && Store.class_of store edge.Collector.tgt = tgt_class
+    && stale_qualifies ?prior store config table edge
   then Collector.Poison
   else Collector.Trace
 
-let prune_filter_most_stale ~level (edge : Collector.edge) =
-  if (not (src_is_root edge)) && Heap_obj.stale edge.Collector.tgt >= level then
-    Collector.Poison
+let prune_filter_most_stale store ~level (edge : Collector.edge) =
+  if
+    (not (src_is_root store edge))
+    && Store.stale store edge.Collector.tgt >= level
+  then Collector.Poison
   else Collector.Trace
 
+(* One loop over the header array. Statics containers model root
+   storage (immortal in Jikes RVM); their counters never clear because
+   no heap reference targets them, so they must not drive the
+   Most-stale level. *)
 let max_live_staleness store ~marked_only =
   let best = ref 0 in
-  Store.iter_live store (fun obj ->
-      (* Statics containers model root storage (immortal in Jikes RVM);
-         their counters never clear because no heap reference targets
-         them, so they must not drive the Most-stale level. *)
-      if
-        (not (Header.statics_container obj.Heap_obj.header))
-        && ((not marked_only) || Header.marked obj.Heap_obj.header)
-      then begin
-        let s = Heap_obj.stale obj in
-        if s > !best then best := s
-      end);
+  for id = 1 to Store.slot_count store do
+    let h = Store.header store id in
+    if
+      (not (Header.is_free h))
+      && (not (Header.statics_container h))
+      && ((not marked_only) || Header.marked h)
+    then best := max !best (Header.stale_counter h)
+  done;
   !best

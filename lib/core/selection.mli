@@ -13,17 +13,20 @@ type prior = Veto | Boost | Neutral
 
 val stale_qualifies :
   ?prior:(Lp_heap.Collector.edge -> prior) ->
+  Lp_heap.Store.t ->
   Config.t ->
   Edge_table.t ->
   Lp_heap.Collector.edge ->
   bool
 (** The paper's candidate test: the target's stale counter is at least
     [min_candidate_stale] (2) {e and} at least [stale_slack] (2) greater
-    than the edge type's [maxstaleuse]. [prior] must be pure — it is
-    evaluated from parallel collector domains. *)
+    than the edge type's [maxstaleuse]. The edge's objects are looked
+    up in the store. [prior] must be pure: it may be evaluated more
+    than once per edge. *)
 
 val select_filter_default :
   ?prior:(Lp_heap.Collector.edge -> prior) ->
+  Lp_heap.Store.t ->
   Config.t ->
   Edge_table.t ->
   Lp_heap.Collector.edge ->
@@ -31,6 +34,7 @@ val select_filter_default :
 (** Defers qualifying references to the candidate queue. *)
 
 val select_filter_individual :
+  Lp_heap.Store.t ->
   Config.t ->
   Edge_table.t ->
   Lp_heap.Collector.edge ->
@@ -41,6 +45,7 @@ val select_filter_individual :
 
 val prune_filter_edge_type :
   ?prior:(Lp_heap.Collector.edge -> prior) ->
+  Lp_heap.Store.t ->
   Config.t ->
   Edge_table.t ->
   selected:Lp_heap.Class_registry.id * Lp_heap.Class_registry.id ->
@@ -50,7 +55,10 @@ val prune_filter_edge_type :
     qualify; used by both Default and Individual-references pruning. *)
 
 val prune_filter_most_stale :
-  level:int -> Lp_heap.Collector.edge -> Lp_heap.Collector.edge_action
+  Lp_heap.Store.t ->
+  level:int ->
+  Lp_heap.Collector.edge ->
+  Lp_heap.Collector.edge_action
 (** The Most-stale variant (LeakSurvivor/Melt predictor): poisons every
     reference whose target's staleness is at least [level], ignoring edge
     types and data structures. *)

@@ -139,7 +139,8 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
            in
            let leaks = ref 0 in
            Store.iter_live store (fun o ->
-               if Some o.Heap_obj.class_id = leak_cls then incr leaks);
+               if Some (Store.class_of store o.Heap_obj.id) = leak_cls then
+                 incr leaks);
            Printf.eprintf
              "seed %d gc %d: live=%d/%d leaks=%d state=%s res=%b images=%d\n"
              seed r.Lp_runtime.Vm.gc_number r.Lp_runtime.Vm.live_bytes_after
@@ -189,7 +190,9 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   (* Uniform sampling over the live heap (allocation-slot order is
      deterministic, so so is the sample). *)
   let random_live () =
-    let eligible (obj : Heap_obj.t) = obj.Heap_obj.class_id <> leak_class in
+    let eligible (obj : Heap_obj.t) =
+      Store.class_of store obj.Heap_obj.id <> leak_class
+    in
     let n = ref 0 in
     Store.iter_live store (fun obj -> if eligible obj then incr n);
     if !n = 0 then None

@@ -73,9 +73,12 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
     | None -> max_iterations
   in
   let cycles_log = ref [] in
-  let iterate = w.Lp_workloads.Workload.prepare vm in
   let outcome = ref Reached_cap in
+  (* [prepare] allocates the long-lived structure, so it can run out of
+     memory too: a heap too small for it ends the run after 0
+     iterations like any other out-of-memory run *)
   (try
+     let iterate = w.Lp_workloads.Workload.prepare vm in
      while !iteration < cap do
        let before = Lp_runtime.Vm.cycles vm in
        iterate ();

@@ -46,10 +46,9 @@ let run ?(verbose = false) () =
      counters once more (collection number 2 increments counters 0 and
      1), so set pre-tick values whose post-tick values are the figure's:
      c1 = 3, c2 = 1, c3 = 3, c4 = 2. *)
-  Heap_obj.set_stale cs.(0) 3;
-  Heap_obj.set_stale cs.(1) 0;
-  Heap_obj.set_stale cs.(2) 3;
-  Heap_obj.set_stale cs.(3) 2;
+  List.iteri
+    (fun i k -> Store.set_stale (Vm.store vm) cs.(i).Heap_obj.id k)
+    [ 3; 0; 3; 2 ];
   (* The D instances stay below staleness 2 (they tick to 1 in the
      SELECT collection), so no C -> D reference is a candidate; the
      stale closure claims them anyway as part of their data structure. *)

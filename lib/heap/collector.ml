@@ -1,11 +1,7 @@
 (* The edge vocabulary is Trace_common's, re-exported under its
    historical names; the closures themselves live in the engines. *)
 
-type edge = Trace_common.edge = {
-  src : Heap_obj.t;
-  field : int;
-  tgt : Heap_obj.t;
-}
+type edge = Trace_common.edge = { src : Heap_obj.t; field : int; tgt : int }
 
 type edge_action = Trace_common.edge_action = Trace | Defer | Poison
 
@@ -20,38 +16,42 @@ type mark_config = Trace_common.mark_config = {
 let base_config = Trace_common.base_config
 
 let resurrect_finalizables store ~stats ~on_finalize =
-  (* Collect first: marking referents while iterating would otherwise make
-     the visit order matter. *)
-  let pending = ref [] in
-  Store.iter_live store (fun obj ->
-      let h = obj.Heap_obj.header in
-      if
-        (not (Header.marked h))
-        && Header.finalizable h
-        && not (Header.finalizer_enqueued h)
-      then pending := obj :: !pending);
+  (* Collect first, in one loop over the header array: marking referents
+     while iterating would otherwise make the visit order matter. *)
+  let pending = Work_queue.create () in
+  for id = 1 to Store.slot_count store do
+    let h = Store.header store id in
+    if
+      (not (Header.is_free h))
+      && (not (Header.marked h))
+      && Header.finalizable h
+      && not (Header.finalizer_enqueued h)
+    then Work_queue.push pending id
+  done;
   let queue = Work_queue.create () in
-  let mark_live (obj : Heap_obj.t) =
-    if not (Header.marked obj.Heap_obj.header) then begin
-      obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
+  let mark_live id =
+    let h = Store.header store id in
+    if not (Header.marked h) then begin
+      Store.set_header store id (Header.set_marked h);
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-      Work_queue.push queue obj.Heap_obj.id
+      Work_queue.push queue id
     end
   in
-  let finalize (obj : Heap_obj.t) =
-    obj.Heap_obj.header <- Header.set_finalizer_enqueued obj.Heap_obj.header;
-    stats.Gc_stats.finalizers_enqueued <- stats.Gc_stats.finalizers_enqueued + 1;
-    mark_live obj;
-    on_finalize obj
-  in
-  List.iter finalize (List.rev !pending);
+  Work_queue.iter pending (fun id ->
+      Store.set_header store id
+        (Header.set_finalizer_enqueued (Store.header store id));
+      stats.Gc_stats.finalizers_enqueued <-
+        stats.Gc_stats.finalizers_enqueued + 1;
+      mark_live id;
+      on_finalize (Store.get store id));
   while not (Work_queue.is_empty queue) do
     let fields = (Store.get store (Work_queue.pop queue)).Heap_obj.fields in
     for i = 0 to Array.length fields - 1 do
       let w = fields.(i) in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
-        let tgt = Store.find store (Word.target w) in
-        if tgt == Store.sentinel then Trace_common.quarantine stats fields i
+        let tgt = Word.target w in
+        if Header.is_free (Store.header store tgt) then
+          Trace_common.quarantine stats fields i
         else mark_live tgt
     done
   done

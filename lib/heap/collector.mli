@@ -9,13 +9,10 @@
     written against either module interoperate), and
     {!resurrect_finalizables}, which runs between mark and sweep. *)
 
-type edge = Trace_common.edge = {
-  src : Heap_obj.t;
-  field : int;
-  tgt : Heap_obj.t;
-}
+type edge = Trace_common.edge = { src : Heap_obj.t; field : int; tgt : int }
 (** A heap reference under examination: [src.fields.(field)] refers to
-    [tgt]. *)
+    the live object with identifier [tgt]; its header, class and size
+    are read from the {!Store}. *)
 
 type edge_action = Trace_common.edge_action =
   | Trace  (** follow the reference normally *)

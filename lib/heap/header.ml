@@ -12,6 +12,10 @@ let on_disk_bit = 0b1000000000
 
 let empty = 0
 
+let free = -1
+
+let[@inline] is_free h = h < 0
+
 let max_stale = 7
 
 let marked h = h land mark_bit <> 0

@@ -25,11 +25,20 @@
       barrier faults it back in, so the barrier's fast path tests this
       bit instead of looking the object up in the residency table. While
       the VM is between collections, the live objects carrying it are
-      exactly the disk-resident ones. *)
+      exactly the disk-resident ones.
+
+    A slot with no live object holds {!free} instead of a header: a
+    negative word, which no combination of the bits above can form. *)
 
 type t = int
 
 val empty : t
+
+val free : t
+(** The word a free slot holds in the store's header array. *)
+
+val is_free : t -> bool
+(** True for {!free} (any negative word), false for every header. *)
 
 val marked : t -> bool
 val set_marked : t -> t

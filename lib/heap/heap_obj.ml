@@ -1,11 +1,4 @@
-type t = {
-  id : int;
-  class_id : Class_registry.id;
-  mutable header : Header.t;
-  fields : Word.t array;
-  scalar_bytes : int;
-  size_bytes : int;
-}
+type t = { id : int; fields : Word.t array }
 
 let word_size = 4
 
@@ -14,11 +7,3 @@ let header_bytes = 8
 let size_of ~n_fields ~scalar_bytes =
   if n_fields < 0 || scalar_bytes < 0 then invalid_arg "Heap_obj.size_of";
   header_bytes + (word_size * n_fields) + scalar_bytes
-
-let stale t = Header.stale_counter t.header
-
-let set_stale t k = t.header <- Header.with_stale_counter t.header k
-
-let pp ppf t =
-  Format.fprintf ppf "obj#%d(class=%d, %dB, %a)" t.id t.class_id t.size_bytes
-    Header.pp t.header

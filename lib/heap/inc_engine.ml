@@ -91,9 +91,10 @@ let mark t ?note store roots ~stats ~(config : Trace_common.mark_config) =
   Trace_common.reset_buffers b;
   let deferred = ref [] in
   Roots.iter roots (fun id ->
-      let obj = Store.get store id in
-      if not (Header.marked obj.Heap_obj.header) then
-        Trace_common.claim b stats ~config ~note Trace_common.In_use obj);
+      let h = Store.header store id in
+      if Header.is_free h then raise (Store.Dangling_reference id);
+      if not (Header.marked h) then
+        Trace_common.claim store b stats ~config ~note Trace_common.In_use id);
   run_closure t store stats ~config ~note ~kind:Trace_common.In_use ~deferred;
   Trace_common.flush_ticks store stats config.stale_tick_gc b;
   List.rev !deferred
@@ -104,7 +105,7 @@ let mark t ?note store roots ~stats ~(config : Trace_common.mark_config) =
 let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : Trace_common.edge) =
   let tgt = e.Trace_common.tgt in
-  if Header.marked tgt.Heap_obj.header then 0
+  if Header.marked (Store.header store tgt) then 0
   else begin
     let config =
       {
@@ -117,7 +118,7 @@ let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     in
     let b = t.buffers in
     Trace_common.reset_buffers b;
-    Trace_common.claim b stats ~config ~note:None Trace_common.Stale tgt;
+    Trace_common.claim store b stats ~config ~note:None Trace_common.Stale tgt;
     run_closure t store stats ~config ~note:None ~kind:Trace_common.Stale
       ~deferred:(ref []);
     b.Trace_common.claimed_bytes

@@ -16,14 +16,12 @@ let collect ?events ?(number = 0) store roots ~remset =
   let queue = Work_queue.create () in
   let slots_scanned = ref 0 in
   let consider id =
-    (* a miss finds the sentinel, which is never in the nursery *)
-    let obj = Store.find store id in
+    let h = Store.header store id in
     if
-      Header.in_nursery obj.Heap_obj.header
-      && not (Header.marked obj.Heap_obj.header)
+      (not (Header.is_free h)) && Header.in_nursery h && not (Header.marked h)
     then begin
-      obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
-      Work_queue.push queue obj.Heap_obj.id
+      Store.set_header store id (Header.set_marked h);
+      Work_queue.push queue id
     end
   in
   Roots.iter roots consider;
@@ -49,20 +47,23 @@ let collect ?events ?(number = 0) store roots ~remset =
      survivors, free the rest as they are reached. *)
   let promoted_objects = ref 0 and promoted_bytes = ref 0 in
   let freed_objects = ref 0 and freed_bytes = ref 0 in
-  Store.iter_live_range_desc store ~lo:0 ~hi:(Store.slot_count store)
-    (fun obj ->
-      if Header.in_nursery obj.Heap_obj.header then
-        if Header.marked obj.Heap_obj.header then begin
-          obj.Heap_obj.header <- Header.clear_gc_bits obj.Heap_obj.header;
-          Store.promote store obj;
-          incr promoted_objects;
-          promoted_bytes := !promoted_bytes + obj.Heap_obj.size_bytes
-        end
-        else begin
-          incr freed_objects;
-          freed_bytes := !freed_bytes + obj.Heap_obj.size_bytes;
-          Store.free store obj
-        end);
+  for id = Store.slot_count store downto 1 do
+    let h = Store.header store id in
+    if (not (Header.is_free h)) && Header.in_nursery h then begin
+      let size = Store.size_bytes store id in
+      if Header.marked h then begin
+        Store.set_header store id (Header.clear_gc_bits h);
+        Store.promote store id;
+        incr promoted_objects;
+        promoted_bytes := !promoted_bytes + size
+      end
+      else begin
+        incr freed_objects;
+        freed_bytes := !freed_bytes + size;
+        Store.free store (Store.get store id)
+      end
+    end
+  done;
   Remset.clear remset;
   (match events with
   | Some sink ->

@@ -15,6 +15,6 @@ val should_increment : gc_number:int -> current:int -> bool
     full-heap collections from 1. Divisibility by [2^k] is tested as a
     mask of the low [k] bits, without a division. *)
 
-val tick_object : gc_number:int -> Heap_obj.t -> bool
-(** Applies the rule to one object; returns whether an increment
-    happened. *)
+val tick_object : Store.t -> gc_number:int -> int -> bool
+(** [tick_object store ~gc_number id] applies the rule to the live
+    object [id]; returns whether an increment happened. *)

@@ -2,22 +2,22 @@ exception Heap_full of { requested : int; used : int; limit : int }
 
 exception Dangling_reference of int
 
-(* The one object every empty slot holds. Id 0 is never allocated, so
-   no slot index maps to it and [is_live sentinel] is false. Callers
-   only ever get it as [find]'s miss, to compare against with [==]. *)
-let sentinel =
-  {
-    Heap_obj.id = 0;
-    class_id = -1;
-    header = Header.empty;
-    fields = [||];
-    scalar_bytes = 0;
-    size_bytes = 0;
-  }
+(* The handle of a slot never used. Id 0 is never allocated, so no
+   slot index maps to it and [is_live sentinel] is false. Callers only
+   ever get it as [find]'s miss, to compare against with [==]. *)
+let sentinel = { Heap_obj.id = 0; fields = [||] }
 
+(* The object state lives in four parallel arrays indexed by [id - 1],
+   all of one length. [headers] decides liveness: a free slot holds
+   [Header.free] there, and its [slots] entry keeps the handle of its
+   last occupant (or [sentinel]) until [place] reuses the id, so
+   freeing stores no pointer. [classes] and [sizes] hold the last
+   occupant's values. *)
 type t = {
   mutable slots : Heap_obj.t array;
-      (* index = id - 1; an empty slot holds [sentinel] *)
+  mutable headers : int array;
+  mutable classes : int array;
+  mutable sizes : int array;
   mutable next_id : int;
   mutable free_ids : int array;
       (* ring buffer of recycled ids, FIFO: [free_len] ids from
@@ -34,11 +34,28 @@ type t = {
   mutable alloc_fault : (unit -> bool) option;
 }
 
+(* The arrays start at one slot per [bytes_per_slot] bytes of heap
+   limit, the size of a small object, within [min_slots, max_slots].
+   Growing means copying all four arrays and leaving the old ones to
+   OCaml's GC, so a store that fills its heap with small objects should
+   grow them once or not at all. *)
+let bytes_per_slot = 64
+
+let min_slots = 1024
+
+let max_slots = 1 lsl 16
+
 let create_at ~first_id ~limit_bytes =
   if limit_bytes <= 0 then invalid_arg "Store.create";
   if first_id < 1 then invalid_arg "Store.create_at: first_id must be >= 1";
+  let cap =
+    max first_id (min max_slots (max min_slots (limit_bytes / bytes_per_slot)))
+  in
   {
-    slots = Array.make (max 1024 first_id) sentinel;
+    slots = Array.make cap sentinel;
+    headers = Array.make cap Header.free;
+    classes = Array.make cap 0;
+    sizes = Array.make cap 0;
     next_id = first_id;
     free_ids = Array.make 64 0;
     free_head = 0;
@@ -80,25 +97,36 @@ let set_swapped_out_bytes t n =
 let would_overflow t n = t.used - t.swapped_out + n > t.limit
 
 (* Growth stays out of line so the capacity check inlines into
-   [fresh_id]. *)
+   [fresh_id]. The four arrays grow together, by half: a heap whose
+   slot count settles just past a power of two would otherwise carry
+   nearly twice the slots it uses, in four arrays. *)
 let[@inline never] grow_slots t id =
-  let slots = Array.make (max (2 * Array.length t.slots) id) sentinel in
-  Array.blit t.slots 0 slots 0 (Array.length t.slots);
-  t.slots <- slots
+  let n = Array.length t.slots in
+  let cap = max (n + (n / 2)) id in
+  let grow a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  t.slots <- grow t.slots sentinel;
+  t.headers <- grow t.headers Header.free;
+  t.classes <- grow t.classes 0;
+  t.sizes <- grow t.sizes 0
 
 let[@inline] ensure_capacity t id =
   if id > Array.length t.slots then grow_slots t id
 
-let push_free_id t id =
+let[@inline never] grow_free_ids t =
   let cap = Array.length t.free_ids in
-  if t.free_len = cap then begin
-    let ids = Array.make (2 * cap) 0 in
-    let first = cap - t.free_head in
-    Array.blit t.free_ids t.free_head ids 0 first;
-    Array.blit t.free_ids 0 ids first (cap - first);
-    t.free_ids <- ids;
-    t.free_head <- 0
-  end;
+  let ids = Array.make (2 * cap) 0 in
+  let first = cap - t.free_head in
+  Array.blit t.free_ids t.free_head ids 0 first;
+  Array.blit t.free_ids 0 ids first (cap - first);
+  t.free_ids <- ids;
+  t.free_head <- 0
+
+let[@inline] push_free_id t id =
+  if t.free_len = Array.length t.free_ids then grow_free_ids t;
   let tail = t.free_head + t.free_len in
   let cap = Array.length t.free_ids in
   t.free_ids.(if tail >= cap then tail - cap else tail) <- id;
@@ -132,25 +160,20 @@ let[@inline] null_fields n_fields =
 
 let[@inline] fits t size = t.alloc_fault == None && not (would_overflow t size)
 
-(* The placement step every allocation ends in: an id, the object with
-   null fields in its slot, and the byte accounting. [fresh_id] makes
-   sure the id's slot exists, so the store into it is unchecked. *)
-let[@inline] place t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable
-    ~size =
+(* The placement step every allocation ends in: an id, a handle with
+   null fields in its slot, the header, class and size, and the byte
+   accounting. [fresh_id] makes sure the id's slot exists, so the
+   stores into it are unchecked. *)
+let[@inline] place t ~nursery ~class_id ~n_fields ~finalizable ~size =
   let id = fresh_id t in
+  let i = id - 1 in
   let header = if finalizable then Header.set_finalizable Header.empty else Header.empty in
   let header = if nursery then Header.set_in_nursery header else header in
-  let obj =
-    {
-      Heap_obj.id;
-      class_id;
-      header;
-      fields = null_fields n_fields;
-      scalar_bytes;
-      size_bytes = size;
-    }
-  in
-  Array.unsafe_set t.slots (id - 1) obj;
+  let obj = { Heap_obj.id; fields = null_fields n_fields } in
+  Array.unsafe_set t.slots i obj;
+  Array.unsafe_set t.headers i header;
+  Array.unsafe_set t.classes i class_id;
+  Array.unsafe_set t.sizes i size;
   t.used <- t.used + size;
   t.count <- t.count + 1;
   t.total_allocated <- t.total_allocated + size;
@@ -165,23 +188,32 @@ let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
   | Some _ | None -> ());
   if would_overflow t size then
     raise (Heap_full { requested = size; used = t.used; limit = t.limit });
-  place t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable ~size
+  place t ~nursery ~class_id ~n_fields ~finalizable ~size
 
 let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
   alloc_generation t ~nursery:false ~class_id ~n_fields ~scalar_bytes ~finalizable
 
 (* [0 <= i < len] as one sign test: [i lor (len - 1 - i)] is negative
-   exactly when one of the two differences is. Both lookups below check
-   the bound this way and then load without a second check. *)
-let[@inline] in_bounds slots i = i lor (Array.length slots - 1 - i) >= 0
+   exactly when one of the two differences is. The lookups below check
+   the bound on [headers] this way and then load from it, and from the
+   parallel [slots], without a second check. *)
+let[@inline] in_bounds a i = i lor (Array.length a - 1 - i) >= 0
+
+let[@inline] header t id =
+  let i = id - 1 in
+  if in_bounds t.headers i then Array.unsafe_get t.headers i else Header.free
 
 let[@inline] find t id =
   let i = id - 1 in
-  if in_bounds t.slots i then Array.unsafe_get t.slots i else sentinel
+  if in_bounds t.headers i && not (Header.is_free (Array.unsafe_get t.headers i))
+  then Array.unsafe_get t.slots i
+  else sentinel
 
 let[@inline] is_live t (obj : Heap_obj.t) =
   let i = obj.Heap_obj.id - 1 in
-  in_bounds t.slots i && Array.unsafe_get t.slots i == obj
+  in_bounds t.headers i
+  && (not (Header.is_free (Array.unsafe_get t.headers i)))
+  && Array.unsafe_get t.slots i == obj
 
 let[@inline never] dangling id = raise (Dangling_reference id)
 
@@ -189,71 +221,95 @@ let[@inline] get t id =
   let obj = find t id in
   if obj == sentinel then dangling id else obj
 
-let mem t id = find t id != sentinel
+let mem t id = not (Header.is_free (header t id))
+
+let[@inline] set_header t id h = t.headers.(id - 1) <- h
+
+let[@inline] class_of t id = t.classes.(id - 1)
+
+let[@inline] size_bytes t id = t.sizes.(id - 1)
+
+let scalar_bytes t (obj : Heap_obj.t) =
+  size_bytes t obj.Heap_obj.id
+  - Heap_obj.header_bytes
+  - (Heap_obj.word_size * Array.length obj.Heap_obj.fields)
+
+let[@inline] stale t id = Header.stale_counter (header t id)
+
+let set_stale t id k = set_header t id (Header.with_stale_counter (header t id) k)
 
 let free t (obj : Heap_obj.t) =
   if not (is_live t obj) then
     invalid_arg "Store.free: object is not live in this store";
-  t.slots.(obj.Heap_obj.id - 1) <- sentinel;
+  let i = obj.Heap_obj.id - 1 in
+  let h = t.headers.(i) and size = t.sizes.(i) in
+  t.headers.(i) <- Header.free;
   push_free_id t obj.Heap_obj.id;
-  t.used <- t.used - obj.Heap_obj.size_bytes;
-  if Header.in_nursery obj.Heap_obj.header then
-    t.nursery <- t.nursery - obj.Heap_obj.size_bytes;
+  t.used <- t.used - size;
+  if Header.in_nursery h then t.nursery <- t.nursery - size;
   t.count <- t.count - 1
 
 let nursery_bytes t = t.nursery
 
-let promote t (obj : Heap_obj.t) =
-  if Header.in_nursery obj.Heap_obj.header then begin
-    obj.Heap_obj.header <- Header.clear_in_nursery obj.Heap_obj.header;
-    t.nursery <- t.nursery - obj.Heap_obj.size_bytes
+let promote t id =
+  let h = header t id in
+  if (not (Header.is_free h)) && Header.in_nursery h then begin
+    set_header t id (Header.clear_in_nursery h);
+    t.nursery <- t.nursery - size_bytes t id
   end
 
-let next_fresh_id t = t.next_id
-
-let iter_live t f =
+let promote_all t =
+  let headers = t.headers and sizes = t.sizes in
+  let promoted = ref 0 in
   for i = 0 to t.next_id - 2 do
-    let obj = t.slots.(i) in
-    if obj != sentinel then f obj
-  done
+    let h = Array.unsafe_get headers i in
+    if (not (Header.is_free h)) && Header.in_nursery h then begin
+      Array.unsafe_set headers i (Header.clear_in_nursery h);
+      promoted := !promoted + Array.unsafe_get sizes i
+    end
+  done;
+  t.nursery <- t.nursery - !promoted
+
+let next_fresh_id t = t.next_id
 
 let slot_count t = t.next_id - 1
 
 let iter_live_range t ~lo ~hi f =
   for i = lo to hi - 1 do
-    let obj = t.slots.(i) in
-    if obj != sentinel then f obj
+    if not (Header.is_free t.headers.(i)) then f t.slots.(i)
   done
+
+let iter_live t f = iter_live_range t ~lo:0 ~hi:(slot_count t) f
 
 let iter_live_range_desc t ~lo ~hi f =
   for i = hi - 1 downto lo do
-    let obj = t.slots.(i) in
-    if obj != sentinel then f obj
+    if not (Header.is_free t.headers.(i)) then f t.slots.(i)
   done
 
-(* The collector's sweep over one slot range, one loop with no
-   per-slot closure. Each dead object is freed as it is reached, in
-   descending slot order, so its id joins the free queue in the same
-   order [free] would give; the slot read already shows the object is
-   live, so [free]'s liveness check is not repeated. The byte and
-   object totals are written back once, at the end of the range. *)
+(* The collector's sweep over one slot range: one loop over the header
+   and size arrays, touching no handle. Each dead object is freed as it
+   is reached, in descending slot order, so its id joins the free queue
+   in the same order [free] would give; the header already shows the
+   object is live, so [free]'s liveness check is not repeated. A freed
+   slot gets the free marker and keeps its handle, so the loop makes no
+   pointer store. The byte and object totals are written back once, at
+   the end of the range. *)
 let sweep_range t stats ~lo ~hi =
   if lo < 0 || hi > slot_count t then invalid_arg "Store.sweep_range";
-  let slots = t.slots in
+  let headers = t.headers and sizes = t.sizes in
   let live = ref 0 and freed = ref 0 and freed_bytes = ref 0 in
   let nursery_freed = ref 0 in
   for i = hi - 1 downto lo do
-    let obj = Array.unsafe_get slots i in
-    if obj != sentinel then begin
-      let h = obj.Heap_obj.header in
-      let size = obj.Heap_obj.size_bytes in
+    let h = Array.unsafe_get headers i in
+    if not (Header.is_free h) then begin
+      let size = Array.unsafe_get sizes i in
       if Header.marked h then begin
-        obj.Heap_obj.header <- Header.clear_gc_bits h;
+        Array.unsafe_set headers i (Header.clear_gc_bits h);
         live := !live + size
       end
       else begin
-        Array.unsafe_set slots i sentinel;
-        push_free_id t obj.Heap_obj.id;
+        Array.unsafe_set headers i Header.free;
+        push_free_id t (i + 1);
         incr freed;
         freed_bytes := !freed_bytes + size;
         if Header.in_nursery h then nursery_freed := !nursery_freed + size
@@ -268,15 +324,15 @@ let sweep_range t stats ~lo ~hi =
     stats.Gc_stats.bytes_reclaimed + !freed_bytes;
   !live
 
-(* One pass over the slots with no per-object closure, counting live
-   objects by the stale counter in their headers. *)
+(* One pass over the header array, counting live objects by the stale
+   counter in their headers. *)
 let staleness_histogram t =
   let hist = Array.make (Header.max_stale + 1) 0 in
-  let slots = t.slots in
+  let headers = t.headers in
   for i = 0 to t.next_id - 2 do
-    let obj = Array.unsafe_get slots i in
-    if obj != sentinel then begin
-      let s = Header.stale_counter obj.Heap_obj.header in
+    let h = Array.unsafe_get headers i in
+    if not (Header.is_free h) then begin
+      let s = Header.stale_counter h in
       hist.(s) <- hist.(s) + 1
     end
   done;

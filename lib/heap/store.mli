@@ -1,4 +1,5 @@
-(** The object store: allocation, byte accounting and object lookup.
+(** The object store: allocation, byte accounting, object lookup and
+    the object state.
 
     The store models a bounded heap. [used_bytes] is the sum of live bytes
     retained by the last collection plus all bytes allocated since; a
@@ -6,6 +7,15 @@
     limit, matching the paper's description: "the next collection occurs
     after the sum of this reachable memory plus new allocation exceeds the
     available heap memory".
+
+    Each object's header, class and size are held here, in three
+    [int array]s indexed by [id - 1], as the Jikes RVM object model
+    keeps a header word at a fixed place per object. A {!Heap_obj.t}
+    is only the handle (identity and field array), kept in a fourth,
+    parallel array. A slot with no live object holds {!Header.free} in
+    the header array, and liveness is read there first: a freed slot
+    keeps its old handle until the identifier is reused, so the sweep
+    frees an object with one integer store and no pointer store.
 
     Identifiers of reclaimed objects are recycled (as addresses are in a
     real heap), first freed first reused; the queue of free identifiers
@@ -104,27 +114,31 @@ val place :
   nursery:bool ->
   class_id:Class_registry.id ->
   n_fields:int ->
-  scalar_bytes:int ->
   finalizable:bool ->
   size:int ->
   Heap_obj.t
 (** The placement step every allocation ends in, {!alloc_generation}'s
-    included: takes an identifier, puts the object with null fields in
-    its slot and charges [size] (which must be
-    [Heap_obj.size_of ~n_fields ~scalar_bytes]) to the byte totals. It
-    checks nothing; the caller has established {!fits}. Field arrays of
-    up to four words are built inline, wider ones by [Array.make]. *)
+    included: takes an identifier, puts a handle with null fields in
+    its slot, writes the header, class and size, and charges [size]
+    (which must be [Heap_obj.size_of ~n_fields ~scalar_bytes]) to the
+    byte totals. It checks nothing; the caller has established {!fits}.
+    Field arrays of up to four words are built inline, wider ones by
+    [Array.make]. *)
 
 val nursery_bytes : t -> int
 (** Bytes currently occupied by nursery objects. *)
 
-val promote : t -> Heap_obj.t -> unit
-(** Moves a nursery object to the mature generation (clears the nursery
-    bit and the nursery byte accounting; the object keeps its identity,
-    as in a non-moving generational collector). *)
+val promote : t -> int -> unit
+(** [promote t id] moves a live nursery object to the mature generation
+    (clears the nursery bit and the nursery byte accounting; the object
+    keeps its identity, as in a non-moving generational collector). *)
+
+val promote_all : t -> unit
+(** Promotes every live nursery object, in one loop over the header
+    array. *)
 
 val sentinel : Heap_obj.t
-(** The object every empty slot holds, and what {!find} returns on a
+(** The handle of a slot never used, and what {!find} returns on a
     miss. It has id 0 (never allocated) and no fields; it is never
     live, never yielded by the iterators, and {!free} rejects it.
     Compare against it with [==] only. *)
@@ -135,10 +149,39 @@ val find : t -> int -> Heap_obj.t
     Allocates nothing. *)
 
 val is_live : t -> Heap_obj.t -> bool
-(** [is_live t obj] is true when [obj] itself occupies its identifier's
-    slot: false for a freed object, including one whose identifier has
-    since been recycled, and for {!sentinel}. One bounds check, one load
-    and a physical equality. *)
+(** [is_live t obj] is true when [obj] itself is the live object with
+    its identifier: false for a freed object, including one whose
+    identifier has since been recycled, and for {!sentinel}. One bounds
+    check, a header load and a physical equality with the slot's
+    handle. *)
+
+(** {2 Object state}
+
+    By identifier. The accessors other than {!header} read an object's
+    entry as it stands; they are meaningful only while the identifier
+    is live. *)
+
+val header : t -> int -> Header.t
+(** [header t id] is the header word of the live object [id], or
+    {!Header.free} when there is none (freed, never allocated or out of
+    range). One bounds check and one load. *)
+
+val set_header : t -> int -> Header.t -> unit
+(** Overwrites a live object's header word. *)
+
+val class_of : t -> int -> Class_registry.id
+
+val size_bytes : t -> int -> int
+(** The object's footprint, as charged to the heap. *)
+
+val scalar_bytes : t -> Heap_obj.t -> int
+(** The non-reference payload: the footprint less the header and the
+    reference fields. *)
+
+val stale : t -> int -> int
+(** The stale counter of the object's header. *)
+
+val set_stale : t -> int -> int -> unit
 
 val get : t -> int -> Heap_obj.t
 (** Dereference an object identifier.
@@ -147,8 +190,9 @@ val get : t -> int -> Heap_obj.t
 val mem : t -> int -> bool
 
 val free : t -> Heap_obj.t -> unit
-(** Reclaims the object; used by the collector's sweep. Freed bytes are
-    subtracted from [used_bytes]. *)
+(** Reclaims the object: marks its slot free and queues its identifier.
+    Freed bytes are subtracted from [used_bytes].
+    @raise Invalid_argument unless the object is live. *)
 
 val iter_live : t -> (Heap_obj.t -> unit) -> unit
 (** Iterates over every live object in allocation-slot order. *)
@@ -171,7 +215,9 @@ val iter_live_range_desc :
 val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
 (** [sweep_range t stats ~lo ~hi] sweeps the slots [lo <= i < hi] in
     descending order: it frees every unmarked object as it is reached,
-    exactly as {!free} would, and clears the GC bits of marked ones. It
+    exactly as {!free} would, and clears the GC bits of marked ones.
+    It reads only the header and size arrays, and a freed slot costs
+    one header store and the queueing of its identifier. It
     adds the freed objects and bytes to [stats.objects_swept] and
     [stats.bytes_reclaimed] and returns the bytes of the survivors.
     [Invalid_argument] unless [0 <= lo] and [hi <= slot_count t]. *)
@@ -179,8 +225,7 @@ val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
 val staleness_histogram : t -> int array
 (** The live objects counted by stale counter: element [k] is the number
     of live objects whose header holds [k], for [0 <= k <= ]
-    {!Header.max_stale}. One loop over the slots, with no per-object
-    closure. *)
+    {!Header.max_stale}. One loop over the header array. *)
 
 val total_allocated_bytes : t -> int
 (** Cumulative bytes ever allocated; monotone, for statistics. *)

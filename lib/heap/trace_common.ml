@@ -1,4 +1,4 @@
-type edge = { src : Heap_obj.t; field : int; tgt : Heap_obj.t }
+type edge = { src : Heap_obj.t; field : int; tgt : int }
 
 type edge_action = Trace | Defer | Poison
 
@@ -59,7 +59,7 @@ let flush_ticks store stats gc b =
   | Some gc_number ->
     Work_queue.iter b.ticks (fun id ->
         stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
-        if Stale_counter.tick_object ~gc_number (Store.get store id) then
+        if Stale_counter.tick_object store ~gc_number id then
           stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1));
   Work_queue.clear b.ticks
 
@@ -79,36 +79,36 @@ let quarantine ?(events = None) stats fields i =
 
 type claim = In_use | Stale
 
-(* Claims [obj] for the running closure: sets its mark bit (and, for a
-   stale claim, the stale-mark bit), ticks it now ([tick_now]) or
-   queues its tick ([tick_batched]), and pushes it on the mark stack.
-   Returns 1 when the tick raised the counter, else 0. [scan] and
-   [claim] share this one body. *)
-let[@inline] claim_obj b ~kind ~tick_now ~tick_batched ~gc (obj : Heap_obj.t)
-    =
-  let h = Header.set_marked obj.Heap_obj.header in
+(* Claims object [id], whose header is [h], for the running closure:
+   sets its mark bit (and, for a stale claim, the stale-mark bit),
+   ticks it now ([tick_now]) or queues its tick ([tick_batched]), and
+   pushes it on the mark stack. Returns 1 when the tick raised the
+   counter, else 0. [scan] and [claim] share this one body. *)
+let[@inline] claim_obj store b ~kind ~tick_now ~tick_batched ~gc id h =
+  let h = Header.set_marked h in
   let h = match kind with In_use -> h | Stale -> Header.set_stale_marked h in
   let k = Header.stale_counter h in
   let bump =
     tick_now && Stale_counter.should_increment ~gc_number:gc ~current:k
   in
-  obj.Heap_obj.header <-
+  Store.set_header store id
     (if bump then Header.with_stale_counter h (k + 1) else h);
-  if tick_batched then Work_queue.push b.ticks obj.Heap_obj.id;
-  Work_queue.push b.stack obj.Heap_obj.id;
+  if tick_batched then Work_queue.push b.ticks id;
+  Work_queue.push b.stack id;
   if bump then 1 else 0
 
 (* Whether the closure has a reader of each edge: a filter or a note. *)
 let[@inline] hooked ~(config : mark_config) ~note =
   match (config.edge_filter, note) with None, None -> false | _ -> true
 
-let claim b stats ~(config : mark_config) ~note kind (obj : Heap_obj.t) =
+let claim store b stats ~(config : mark_config) ~note kind id =
   let gc = match config.stale_tick_gc with Some g -> g | None -> 0 in
   let ticking = config.stale_tick_gc <> None in
   let hooked = hooked ~config ~note in
   let tick_now = ticking && not hooked in
   let ticked =
-    claim_obj b ~kind ~tick_now ~tick_batched:(ticking && hooked) ~gc obj
+    claim_obj store b ~kind ~tick_now ~tick_batched:(ticking && hooked) ~gc id
+      (Store.header store id)
   in
   stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
   if tick_now then begin
@@ -120,13 +120,13 @@ let claim b stats ~(config : mark_config) ~note kind (obj : Heap_obj.t) =
   | Stale ->
     stats.Gc_stats.stale_closure_objects <-
       stats.Gc_stats.stale_closure_objects + 1;
-    b.claimed_bytes <- b.claimed_bytes + obj.Heap_obj.size_bytes
+    b.claimed_bytes <- b.claimed_bytes + Store.size_bytes store id
 
 (* One live edge of a filtered or noted closure: builds the edge once,
    evaluates the note, then the filter, and applies [Defer] and
    [Poison]. Returns whether the edge is traced. Out of line: a closure
    with neither a filter nor a note never comes here. *)
-let[@inline never] hooked_edge stats (config : mark_config) note deferred
+let[@inline never] hooked_edge store stats (config : mark_config) note deferred
     (obj : Heap_obj.t) i tgt w =
   let e = { src = obj; field = i; tgt } in
   (match note with None -> () | Some f -> f e);
@@ -149,9 +149,9 @@ let[@inline never] hooked_edge stats (config : mark_config) note deferred
         Lp_obs.Sink.emit sink
           (Lp_obs.Event.Edge_poisoned
              {
-               src_class = obj.Heap_obj.class_id;
+               src_class = Store.class_of store obj.Heap_obj.id;
                field = i;
-               target = tgt.Heap_obj.id;
+               target = tgt;
              })
       | None -> ());
       obj.Heap_obj.fields.(i) <- Word.poison w;
@@ -162,9 +162,11 @@ let[@inline never] hooked_edge stats (config : mark_config) note deferred
 (* The one scan loop, for the in-use closure, the stale closures and
    every budgeted slice. Per field it maintains the untouched bit,
    quarantines corrupt words, runs the note and the filter when there
-   are any, and claims unmarked traced targets in place. The config is
-   read into locals once and the counters are kept in locals, added to
-   [stats] when the loop returns. *)
+   are any, and claims unmarked traced targets in place. A target is
+   judged by its word in the store's header array alone: free means a
+   corrupt reference, marked means already claimed; its handle is never
+   loaded. The config is read into locals once and the counters are
+   kept in locals, added to [stats] when the loop returns. *)
 let scan store stats ~(config : mark_config) ~note ~kind b ~deferred ~limit =
   let stack = b.stack in
   let set_untouched = config.set_untouched_bits in
@@ -194,18 +196,21 @@ let scan store stats ~(config : mark_config) ~note ~kind b ~deferred ~limit =
             end
             else w
           in
-          let tgt = Store.find store (Word.target w) in
-          if tgt == Store.sentinel then quarantine ~events stats fields i
+          let tgt = Word.target w in
+          let h = Store.header store tgt in
+          if Header.is_free h then quarantine ~events stats fields i
           else if
-            ((not hooked) || hooked_edge stats config note deferred obj i tgt w)
-            && not (Header.marked tgt.Heap_obj.header)
+            ((not hooked)
+            || hooked_edge store stats config note deferred obj i tgt w)
+            && not (Header.marked h)
           then begin
             incr marked;
             ticked :=
-              !ticked + claim_obj b ~kind ~tick_now ~tick_batched ~gc tgt;
+              !ticked
+              + claim_obj store b ~kind ~tick_now ~tick_batched ~gc tgt h;
             match kind with
             | In_use -> ()
-            | Stale -> bytes := !bytes + tgt.Heap_obj.size_bytes
+            | Stale -> bytes := !bytes + Store.size_bytes store tgt
           end
         end
       end

@@ -6,9 +6,9 @@
     end-of-phase tick batch, corrupt-word quarantine, the one scan loop
     ({!scan}), the canonical candidate order and the sweep. *)
 
-type edge = { src : Heap_obj.t; field : int; tgt : Heap_obj.t }
+type edge = { src : Heap_obj.t; field : int; tgt : int }
 (** A heap reference under examination: [src.fields.(field)] refers to
-    [tgt]. *)
+    the live object with identifier [tgt]. *)
 
 type edge_action =
   | Trace  (** follow the reference normally *)
@@ -89,14 +89,16 @@ type claim =
           [claimed_bytes] *)
 
 val claim :
+  Store.t ->
   buffers ->
   Gc_stats.t ->
   config:mark_config ->
   note:(edge -> unit) option ->
   claim ->
-  Heap_obj.t ->
+  int ->
   unit
-(** Claims one unmarked object the way {!scan} claims a traced target,
+(** [claim store b stats ~config ~note kind id] claims the live,
+    unmarked object [id] the way {!scan} claims a traced target,
     for a closure's entry points (the roots, a stale closure's
     candidate target): marks it, ticks it now or queues the tick by the
     rule of {!buffers}, counts it in [stats] and pushes it on the
@@ -117,7 +119,9 @@ val scan :
     index order: it maintains the untouched bit, quarantines corrupt
     words, evaluates [note] (the Individual_refs byte-accounting hook)
     on every live edge, applies the edge filter, and claims every
-    unmarked [Trace] target as {!claim} does. [Defer]red edges are
+    unmarked [Trace] target as {!claim} does. A target is checked and
+    claimed through its header word ({!Store.header}) alone; no target
+    handle is loaded. [Defer]red edges are
     consed onto [deferred]; [Poison] runs [on_poison], emits the event
     and poisons the word. The edge record is built only when a note or
     a filter exists. Counters are added to [stats] when the loop

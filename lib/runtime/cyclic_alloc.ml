@@ -52,9 +52,11 @@ let program_reachable t (obj : Heap_obj.t) =
            on_poison = None;
            events = None;
          });
-  let reachable = Header.marked obj.Heap_obj.header in
-  Store.iter_live store (fun o ->
-      o.Heap_obj.header <- Header.clear_gc_bits o.Heap_obj.header);
+  let reachable = Header.marked (Store.header store obj.Heap_obj.id) in
+  for id = 1 to Store.slot_count store do
+    let h = Store.header store id in
+    if not (Header.is_free h) then Store.set_header store id (Header.clear_gc_bits h)
+  done;
   reachable
 
 let alloc t =

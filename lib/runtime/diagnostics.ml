@@ -11,16 +11,19 @@ type class_stat = {
 let class_histogram vm =
   let acc : (int, class_stat ref) Hashtbl.t = Hashtbl.create 64 in
   let registry = Vm.registry vm in
-  Store.iter_live (Vm.store vm) (fun obj ->
-      let cls = obj.Heap_obj.class_id in
-      let stale = Heap_obj.stale obj in
+  let store = Vm.store vm in
+  Store.iter_live store (fun obj ->
+      let id = obj.Heap_obj.id in
+      let cls = Store.class_of store id in
+      let stale = Store.stale store id in
+      let size = Store.size_bytes store id in
       match Hashtbl.find_opt acc cls with
       | Some stat ->
         stat :=
           {
             !stat with
             objects = !stat.objects + 1;
-            bytes = !stat.bytes + obj.Heap_obj.size_bytes;
+            bytes = !stat.bytes + size;
             max_stale = max !stat.max_stale stale;
             min_stale = min !stat.min_stale stale;
           }
@@ -30,7 +33,7 @@ let class_histogram vm =
              {
                class_name = Class_registry.name registry cls;
                objects = 1;
-               bytes = obj.Heap_obj.size_bytes;
+               bytes = size;
                max_stale = stale;
                min_stale = stale;
              }));
@@ -40,9 +43,13 @@ let class_histogram vm =
 let staleness_histogram vm = Store.staleness_histogram (Vm.store vm)
 
 let stale_bytes vm =
+  let store = Vm.store vm in
   let bytes = ref 0 in
-  Store.iter_live (Vm.store vm) (fun obj ->
-      if Heap_obj.stale obj >= 2 then bytes := !bytes + obj.Heap_obj.size_bytes);
+  for id = 1 to Store.slot_count store do
+    let h = Store.header store id in
+    if (not (Header.is_free h)) && Header.stale_counter h >= 2 then
+      bytes := !bytes + Store.size_bytes store id
+  done;
   !bytes
 
 let misprediction_rate vm =
@@ -195,18 +202,16 @@ let to_dot ?(max_objects = 400) vm =
   Store.iter_live store (fun obj ->
       if !count < max_objects then begin
         incr count;
-        let stale = Heap_obj.stale obj in
+        let h = Store.header store obj.Heap_obj.id in
+        let stale = Header.stale_counter h in
         let shade = 0xF0 - (stale * 0x18) in
-        let shape =
-          if Lp_heap.Header.statics_container obj.Heap_obj.header then "box"
-          else "ellipse"
-        in
+        let shape = if Header.statics_container h then "box" else "ellipse" in
         Buffer.add_string buf
           (Printf.sprintf
              "  n%d [label=\"%s\\nid=%d stale=%d\", shape=%s, style=filled, \
               fillcolor=\"#%02x%02x%02x\"];\n"
              obj.Heap_obj.id
-             (Class_registry.name registry obj.Heap_obj.class_id)
+             (Class_registry.name registry (Store.class_of store obj.Heap_obj.id))
              obj.Heap_obj.id stale shape shade shade 0xF8);
         Array.iteri
           (fun i w ->
@@ -234,15 +239,15 @@ let heap_check ?(strict = false) vm =
   let poisoned_words = ref 0 in
   let on_disk = ref 0 in
   for id = 1 to Store.slot_count store do
-    let obj = Store.find store id in
-    if obj != Store.sentinel then begin
-      bytes := !bytes + obj.Heap_obj.size_bytes;
-      if Header.on_disk obj.Heap_obj.header then incr on_disk;
-      if Header.marked obj.Heap_obj.header then
+    let h = Store.header store id in
+    if not (Header.is_free h) then begin
+      bytes := !bytes + Store.size_bytes store id;
+      if Header.on_disk h then incr on_disk;
+      if Header.marked h then
         fail
           (Printf.sprintf "object %d carries a mark bit outside a collection"
              id);
-      let fields = obj.Heap_obj.fields in
+      let fields = (Store.get store id).Heap_obj.fields in
       for i = 0 to Array.length fields - 1 do
         let w = fields.(i) in
         if not (Word.is_null w) then
@@ -372,16 +377,16 @@ let heap_check ?(strict = false) vm =
     let disk_total = ref 0 in
     Diskswap.iter_resident swap (fun ~id ~bytes ->
         disk_total := !disk_total + bytes;
-        let obj = Store.find store id in
-        if obj == Store.sentinel then
+        let h = Store.header store id in
+        if Header.is_free h then
           fail (Printf.sprintf "disk-resident object %d is not live" id)
         else begin
-          if obj.Heap_obj.size_bytes <> bytes then
+          if Store.size_bytes store id <> bytes then
             fail
               (Printf.sprintf
                  "disk-resident object %d recorded as %d bytes but is %d" id
-                 bytes obj.Heap_obj.size_bytes);
-          if strict && not (Header.on_disk obj.Heap_obj.header) then
+                 bytes (Store.size_bytes store id));
+          if strict && not (Header.on_disk h) then
             fail
               (Printf.sprintf
                  "disk-resident object %d lacks the on-disk header bit" id)

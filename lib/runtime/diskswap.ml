@@ -252,19 +252,18 @@ let reconcile t store =
       !dead
   end
 
-let offload_one t store (obj : Heap_obj.t) =
-  let payload = Swap_image.encode (Swap_image.capture store obj) in
+let offload_one t store id =
+  let payload =
+    Swap_image.encode (Swap_image.capture store (Store.get store id))
+  in
   let payload = match t.image_fault with Some f -> f payload | None -> payload in
-  Hashtbl.replace t.resident obj.Heap_obj.id
-    { bytes = obj.Heap_obj.size_bytes; payload };
-  obj.Heap_obj.header <- Header.set_on_disk obj.Heap_obj.header;
-  set_resident_total t (t.resident_total + obj.Heap_obj.size_bytes);
+  let bytes = Store.size_bytes store id in
+  Hashtbl.replace t.resident id { bytes; payload };
+  Store.set_header store id (Header.set_on_disk (Store.header store id));
+  set_resident_total t (t.resident_total + bytes);
   Lp_obs.Metrics.incr t.c_swap_outs;
   match t.sink with
-  | Some s ->
-    Lp_obs.Sink.emit s
-      (Lp_obs.Event.Disk_offload
-         { id = obj.Heap_obj.id; bytes = obj.Heap_obj.size_bytes })
+  | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
 
 let after_gc ?(allow_offload = true) t store =
@@ -286,36 +285,39 @@ let after_gc ?(allow_offload = true) t store =
        injected swap fault lands on — is a deterministic function of the
        heap, not of hash-table iteration order. *)
     let candidates = ref [] in
-    Store.iter_live store (fun obj ->
-        (* statics containers model immortal space: never offloaded *)
-        if
-          Heap_obj.stale obj >= t.config.offload_stale_threshold
-          && (not (Header.statics_container obj.Heap_obj.header))
-          && not (Hashtbl.mem t.resident obj.Heap_obj.id)
-        then candidates := obj :: !candidates);
+    for id = 1 to Store.slot_count store do
+      let h = Store.header store id in
+      (* statics containers model immortal space: never offloaded *)
+      if
+        (not (Header.is_free h))
+        && Header.stale_counter h >= t.config.offload_stale_threshold
+        && (not (Header.statics_container h))
+        && not (Hashtbl.mem t.resident id)
+      then candidates := id :: !candidates
+    done;
     let candidates =
       List.sort
-        (fun (a : Heap_obj.t) (b : Heap_obj.t) ->
-          match compare (Heap_obj.stale b) (Heap_obj.stale a) with
-          | 0 -> compare a.Heap_obj.id b.Heap_obj.id
+        (fun a b ->
+          match compare (Store.stale store b) (Store.stale store a) with
+          | 0 -> compare a b
           | c -> c)
         !candidates
     in
     List.iter
-      (fun (obj : Heap_obj.t) ->
+      (fun id ->
         match t.backend with
-        | None -> offload_one t store obj
+        | None -> offload_one t store id
         | Some b ->
           (* Shared-disk admission: an offload is admitted only when it
              fits both this tenant's quota ([disk_limit_bytes]) and the
              backend's remaining capacity. A denial is bookkeeping, not
              an error — the object simply stays in memory, and sustained
              denials surface to the fleet as backpressure. *)
-          let bytes = obj.Heap_obj.size_bytes in
+          let bytes = Store.size_bytes store id in
           if
             disk_bytes t + bytes <= t.config.disk_limit_bytes
             && b.used_bytes + bytes <= b.capacity_bytes
-          then offload_one t store obj
+          then offload_one t store id
           else begin
             t.denied <- t.denied + 1;
             b.denials <- b.denials + 1;
@@ -429,7 +431,8 @@ let retrieve t store (obj : Heap_obj.t) =
        lost. Removing before decoding keeps resident_total consistent
        even when the decode reports a fault. *)
     Hashtbl.remove t.resident obj.Heap_obj.id;
-    obj.Heap_obj.header <- Header.clear_on_disk obj.Heap_obj.header;
+    Store.set_header store obj.Heap_obj.id
+      (Header.clear_on_disk (Store.header store obj.Heap_obj.id));
     set_resident_total t (t.resident_total - bytes);
     Store.set_swapped_out_bytes store t.resident_total;
     let emit_restore ok =

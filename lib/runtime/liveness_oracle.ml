@@ -45,11 +45,13 @@ let install vm ~bytecode ~field_map =
       resolved
   | None -> ());
   let controller = Vm.controller vm in
+  let store = Vm.store vm in
   Lp_core.Controller.set_liveness_prior controller
     ~prior:(fun (edge : Lp_heap.Collector.edge) ->
       match
         Hashtbl.find_opt priors
-          ( edge.Lp_heap.Collector.src.Lp_heap.Heap_obj.class_id,
+          ( Lp_heap.Store.class_of store
+              edge.Lp_heap.Collector.src.Lp_heap.Heap_obj.id,
             edge.Lp_heap.Collector.field )
       with
       | Some p -> p

@@ -7,10 +7,10 @@ let charge_barrier vm n = if Vm.charge_barriers vm then Vm.charge vm n
    never-taken branch — constructing the event inline would swell the
    barrier's hot code region even when no sink is attached. *)
 
-let[@inline never] emit_poison_trap s (src : Heap_obj.t) i target =
+let[@inline never] emit_poison_trap s store (src : Heap_obj.t) i target =
   Lp_obs.Sink.emit s
     (Lp_obs.Event.Poison_trap
-       { src_class = src.Heap_obj.class_id; field = i; target })
+       { src_class = Store.class_of store src.Heap_obj.id; field = i; target })
 
 let[@inline never] emit_resurrection_attempt s target =
   Lp_obs.Sink.emit s (Lp_obs.Event.Resurrection_attempt { target })
@@ -24,15 +24,20 @@ let[@inline never] emit_resurrection_failed s target reason =
     (Lp_obs.Event.Resurrection_failed
        { target; reason = Lp_core.Errors.resurrection_failure_to_string reason })
 
-let[@inline never] emit_barrier_cold s (src : Heap_obj.t) i =
+let[@inline never] emit_barrier_cold s store (src : Heap_obj.t) i =
   Lp_obs.Sink.emit s
-    (Lp_obs.Event.Barrier_cold { src_class = src.Heap_obj.class_id; field = i })
+    (Lp_obs.Event.Barrier_cold
+       { src_class = Store.class_of store src.Heap_obj.id; field = i })
 
 (* Out-of-line disk fault: the target's on-disk header bit is set, so
    its payload is read back (and validated) before the load returns. *)
 let[@inline never] swap_in vm (src : Heap_obj.t) (tgt : Heap_obj.t) =
   let cost = Vm.cost vm in
-  match Diskswap.retrieve (Vm.swap vm) (Vm.store vm) tgt with
+  let store = Vm.store vm in
+  let class_name (obj : Heap_obj.t) =
+    Class_registry.name (Vm.registry vm) (Store.class_of store obj.Heap_obj.id)
+  in
+  match Diskswap.retrieve (Vm.swap vm) store tgt with
   | `Not_resident -> ()
   | `Swapped_in -> Vm.charge vm cost.Cost.disk_swap_in
   | `Corrupt reason ->
@@ -45,8 +50,7 @@ let[@inline never] swap_in vm (src : Heap_obj.t) (tgt : Heap_obj.t) =
          ~cause:
            (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
               ~gc_count:(Vm.gc_count vm))
-         ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
-         ~tgt_class:(Class_registry.name (Vm.registry vm) tgt.Heap_obj.class_id))
+         ~src_class:(class_name src) ~tgt_class:(class_name tgt))
 
 let read vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
@@ -57,17 +61,19 @@ let read vm (src : Heap_obj.t) i =
   if Word.is_null w then None
   else if Word.poisoned w then begin
     charge_barrier vm (cost.Cost.barrier_cold + cost.Cost.barrier_poison_check);
+    let store = Vm.store vm in
     (match Vm.sink vm with
     | None -> ()
-    | Some s -> emit_poison_trap s src i (Word.target w));
+    | Some s -> emit_poison_trap s store src i (Word.target w));
     let tgt_class () =
-      let obj = Store.find (Vm.store vm) (Word.target w) in
-      if obj == Store.sentinel then "<reclaimed>"
-      else Class_registry.name (Vm.registry vm) obj.Heap_obj.class_id
+      let id = Word.target w in
+      if Store.mem store id then
+        Class_registry.name (Vm.registry vm) (Store.class_of store id)
+      else "<reclaimed>"
     in
     if not (Vm.resurrection_enabled vm) then
       raise
-        (Lp_core.Controller.poisoned_access_error (Vm.controller vm) ~src
+        (Lp_core.Controller.poisoned_access_error (Vm.controller vm) store ~src
            ~tgt_class:(tgt_class ()))
     else begin
       (* barrier-level recovery: restore the pruned target from its swap
@@ -81,7 +87,7 @@ let read vm (src : Heap_obj.t) i =
         | None -> ()
         | Some s -> emit_resurrection_ok s (Word.target w) tgt);
         (* the program just used the resurrected reference *)
-        Heap_obj.set_stale tgt 0;
+        Store.set_stale store tgt.Heap_obj.id 0;
         Some tgt
       | Error reason ->
         (match Vm.sink vm with
@@ -96,12 +102,14 @@ let read vm (src : Heap_obj.t) i =
                (Lp_core.Errors.resurrection_failed ~target:(Word.target w)
                   ~reason ~gc_count:(Vm.gc_count vm))
              ~src_class:
-               (Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+               (Class_registry.name (Vm.registry vm)
+                  (Store.class_of store src.Heap_obj.id))
              ~tgt_class:(tgt_class ()))
     end
   end
   else begin
-    let tgt = Store.find (Vm.store vm) (Word.target w) in
+    let store = Vm.store vm in
+    let tgt = Store.find store (Word.target w) in
     if tgt == Store.sentinel then begin
       (* Corrupt (dangling) reference word: quarantine it — poison the
          slot so later loads take the deterministic poisoned-access
@@ -111,7 +119,9 @@ let read vm (src : Heap_obj.t) i =
       stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
       raise
         (Lp_core.Errors.heap_corruption
-           ~src_class:(Class_registry.name (Vm.registry vm) src.Heap_obj.class_id)
+           ~src_class:
+             (Class_registry.name (Vm.registry vm)
+                (Store.class_of store src.Heap_obj.id))
            ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
     end;
     if Word.untouched w then begin
@@ -120,17 +130,19 @@ let read vm (src : Heap_obj.t) i =
       charge_barrier vm cost.Cost.barrier_cold;
       (match Vm.sink vm with
       | None -> ()
-      | Some s -> emit_barrier_cold s src i);
+      | Some s -> emit_barrier_cold s store src i);
       src.Heap_obj.fields.(i) <- Word.clear_untouched w;
-      Lp_core.Controller.on_stale_use (Vm.controller vm) ~src ~tgt;
+      Lp_core.Controller.on_stale_use (Vm.controller vm) store ~src ~tgt;
       (* liveness-oracle conformance probe; a no-op unless an oracle is
          installed, keeping the 3%-budget fast path untouched *)
-      Lp_core.Controller.note_field_read (Vm.controller vm) ~src ~field:i;
-      Heap_obj.set_stale tgt 0
+      Lp_core.Controller.note_field_read (Vm.controller vm) store ~src
+        ~field:i;
+      Store.set_stale store tgt.Heap_obj.id 0
     end;
     (* the VM's offload flag first, so a VM without the disk baseline
        never loads the target's header here *)
-    if Vm.offloading vm && Header.on_disk tgt.Heap_obj.header then
+    if Vm.offloading vm && Header.on_disk (Store.header store tgt.Heap_obj.id)
+    then
       swap_in vm src tgt;
     Some tgt
   end

@@ -49,18 +49,19 @@ let capture store (obj : Heap_obj.t) =
       (fun w ->
         if Word.is_null w then { word = Word.null; referent_class = -1 }
         else
-          let tgt = Store.find store (Word.target w) in
+          let tgt = Word.target w in
           let referent_class =
-            if tgt == Store.sentinel then -1 else tgt.Heap_obj.class_id
+            if Store.mem store tgt then Store.class_of store tgt else -1
           in
           { word = w; referent_class })
       obj.Heap_obj.fields
   in
+  let id = obj.Heap_obj.id in
   {
-    object_id = obj.Heap_obj.id;
-    class_id = obj.Heap_obj.class_id;
-    stale = Heap_obj.stale obj;
-    scalar_bytes = obj.Heap_obj.scalar_bytes;
+    object_id = id;
+    class_id = Store.class_of store id;
+    stale = Store.stale store id;
+    scalar_bytes = Store.scalar_bytes store obj;
     fields;
   }
 

@@ -334,8 +334,8 @@ let generational t = t.nursery_limit <> None
 let remember_write t ~src ~field ~tgt =
   if
     t.nursery_limit <> None
-    && (not (Header.in_nursery src.Heap_obj.header))
-    && Header.in_nursery tgt.Heap_obj.header
+    && (not (Header.in_nursery (Store.header t.store src.Heap_obj.id)))
+    && Header.in_nursery (Store.header t.store tgt.Heap_obj.id)
   then begin
     charge t t.cost.Cost.write_barrier;
     Remset.add t.remset ~src_id:src.Heap_obj.id ~field
@@ -400,7 +400,8 @@ let used_bytes t = Store.used_bytes t.store
 let heap_limit t = Store.limit_bytes t.store
 
 (* The raise lives out of line so the check itself inlines into the
-   barriers: a bounds test, one load and a physical equality. *)
+   barriers: a bounds test, a header load, a slot load and a physical
+   equality. *)
 let[@inline never] dangling (obj : Heap_obj.t) =
   raise (Store.Dangling_reference obj.Heap_obj.id)
 
@@ -439,9 +440,9 @@ let enqueue_ref t seen queue id =
 let poisoned_targets t =
   let acc = ref [] in
   for id = Store.slot_count t.store downto 1 do
-    let obj = Store.find t.store id in
-    if obj != Store.sentinel && Header.marked obj.Heap_obj.header then begin
-      let fields = obj.Heap_obj.fields in
+    let h = Store.header t.store id in
+    if (not (Header.is_free h)) && Header.marked h then begin
+      let fields = (Store.get t.store id).Heap_obj.fields in
       for i = Array.length fields - 1 downto 0 do
         let w = fields.(i) in
         if (not (Word.is_null w)) && Word.poisoned w then
@@ -453,8 +454,8 @@ let poisoned_targets t =
 
 (* An object this collection frees: live, but left unmarked. *)
 let dying t id =
-  let obj = Store.find t.store id in
-  obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
+  let h = Store.header t.store id in
+  (not (Header.is_free h)) && not (Header.marked h)
 
 (* Whether [capture_images] would store nothing: its drain stores and
    follows dying objects only, so with no doomed id and no poisoned
@@ -484,9 +485,8 @@ let capture_images t ~doomed ~poisoned =
       match Queue.take_opt queue with
       | None -> ()
       | Some id ->
-        let obj = Store.find t.store id in
-        if obj != Store.sentinel && not (Header.marked obj.Heap_obj.header)
-        then begin
+        if dying t id then begin
+          let obj = Store.get t.store id in
           if not (Diskswap.has_image t.swap id) then
             Diskswap.store_image t.swap ~id
               (Swap_image.encode (Swap_image.capture t.store obj));
@@ -545,7 +545,7 @@ let collect_once t =
     if t.resurrection then
       ( Some
           (fun (e : Collector.edge) ->
-            doomed := e.Collector.tgt.Heap_obj.id :: !doomed),
+            doomed := e.Collector.tgt :: !doomed),
         Some
           (fun () ->
             poisoned := poisoned_targets t;
@@ -565,7 +565,7 @@ let collect_once t =
   if t.nursery_limit <> None then begin
     (* a full-heap collection empties the nursery: every survivor is
        mature afterwards *)
-    Store.iter_live t.store (Store.promote t.store);
+    Store.promote_all t.store;
     Remset.clear t.remset
   end
 
@@ -781,8 +781,7 @@ let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
   let obj =
     match t.nursery_limit with
     | None when Store.fits t.store size ->
-      Store.place t.store ~nursery:false ~class_id ~n_fields ~scalar_bytes
-        ~finalizable ~size
+      Store.place t.store ~nursery:false ~class_id ~n_fields ~finalizable ~size
     | Some _ | None ->
       alloc_class_slow t ~class_id ~scalar_bytes ~finalizable ~n_fields size
   in
@@ -807,7 +806,8 @@ let statics t ~class_name ~n_fields =
     obj
   | None ->
     let obj = alloc t ~class_name:(class_name ^ "$Statics") ~n_fields () in
-    obj.Heap_obj.header <- Header.set_statics_container obj.Heap_obj.header;
+    Store.set_header t.store obj.Heap_obj.id
+      (Header.set_statics_container (Store.header t.store obj.Heap_obj.id));
     Roots.add_static_root t.roots obj.Heap_obj.id;
     Hashtbl.replace t.statics_objects class_name obj;
     obj
@@ -861,8 +861,9 @@ let try_resurrect t (src : Heap_obj.t) ~field =
       let tgt = Store.get t.store target in
       src.Heap_obj.fields.(field) <- Word.of_id target;
       Lp_core.Controller.note_misprediction t.controller
-        ~src_class:src.Heap_obj.class_id ~tgt_class:tgt.Heap_obj.class_id
-        ~stale:(Heap_obj.stale tgt);
+        ~src_class:(Store.class_of t.store src.Heap_obj.id)
+        ~tgt_class:(Store.class_of t.store target)
+        ~stale:(Store.stale t.store target);
       Ok tgt
     | None -> Error Lp_core.Errors.Image_missing
     | Some bytes -> (
@@ -925,17 +926,15 @@ let try_resurrect t (src : Heap_obj.t) ~field =
                    | Some final -> repoison final
                    | None ->
                      if Diskswap.has_image t.swap tid then repoison tid
-                     else (
-                       let tobj = Store.find t.store tid in
-                       if
-                         tobj != Store.sentinel
-                         && tobj.Heap_obj.class_id
-                            = f.Swap_image.referent_class
-                       then Word.of_id tid
-                       else repoison tid)
+                     else if
+                       Store.mem t.store tid
+                       && Store.class_of t.store tid
+                          = f.Swap_image.referent_class
+                     then Word.of_id tid
+                     else repoison tid
                  end))
             image.Swap_image.fields;
-          Heap_obj.set_stale obj image.Swap_image.stale;
+          Store.set_stale t.store obj.Heap_obj.id image.Swap_image.stale;
           Diskswap.forward t.swap ~old_id:target ~new_id:obj.Heap_obj.id;
           Diskswap.drop_image t.swap target;
           src.Heap_obj.fields.(field) <- Word.of_id obj.Heap_obj.id;
@@ -943,7 +942,7 @@ let try_resurrect t (src : Heap_obj.t) ~field =
           (* misprediction feedback: protect the edge type and maybe
              enter the SAFE moratorium *)
           Lp_core.Controller.note_misprediction t.controller
-            ~src_class:src.Heap_obj.class_id
+            ~src_class:(Store.class_of t.store src.Heap_obj.id)
             ~tgt_class:image.Swap_image.class_id ~stale:image.Swap_image.stale;
           Ok obj)))
 

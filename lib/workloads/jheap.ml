@@ -14,7 +14,7 @@ let alloc_string vm ~chars =
 
 let string_length vm str =
   let arr = Mutator.read_exn vm str 0 in
-  arr.Heap_obj.scalar_bytes
+  Store.scalar_bytes (Vm.store vm) arr
 
 let alloc_array vm ?(class_name = "Object[]") ~len () =
   Vm.alloc vm ~class_name ~n_fields:len ()

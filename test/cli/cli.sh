@@ -2,7 +2,8 @@
 # Golden transcript of the leakpruner command line: the plain help of
 # the group and of every subcommand (it lists every flag with its
 # default), then the standard error and exit code of every rejected
-# setting. Usage: cli.sh PATH/TO/leakpruner.exe
+# setting, and the full output of runs that must end cleanly.
+# Usage: cli.sh PATH/TO/leakpruner.exe
 lp=$1
 unset OCAMLRUNPARAM
 
@@ -16,6 +17,13 @@ help() {
 err() {
   echo "\$ leakpruner $*"
   "$lp" "$@" 2>&1 >/dev/null
+  echo "[exit $?]"
+}
+
+# standard output and standard error, interleaved as written
+out() {
+  echo "\$ leakpruner $*"
+  "$lp" "$@" 2>&1
   echo "[exit $?]"
 }
 
@@ -72,3 +80,8 @@ err serve --storm-trip-permille 1001
 err serve --storm-cooldown 0
 
 err experiment NoSuchExperiment
+
+# a heap too small for the workload's setup: a clean out-of-memory
+# outcome after 0 iterations, not an uncaught exception
+out run ListLeak --heap=8
+out trace -w ListLeak --heap=8

@@ -10,12 +10,12 @@
 
 open Lp_heap
 
-let tick stats gc (obj : Heap_obj.t) =
+let tick store stats gc (obj : Heap_obj.t) =
   match gc with
   | None -> ()
   | Some gc_number ->
     stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
-    if Stale_counter.tick_object ~gc_number obj then
+    if Stale_counter.tick_object store ~gc_number obj.Heap_obj.id then
       stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1
 
 let quarantine (config : Trace_common.mark_config) stats fields i =
@@ -49,7 +49,9 @@ let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
         quarantine config stats fields i
       else begin
         let tgt = Store.get store (Word.target w) in
-        let edge = { Trace_common.src = obj; field = i; tgt } in
+        let edge =
+          { Trace_common.src = obj; field = i; tgt = tgt.Heap_obj.id }
+        in
         (match note with None -> () | Some f -> f edge);
         let action =
           match config.Trace_common.edge_filter with
@@ -58,7 +60,8 @@ let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
         in
         match action with
         | Trace_common.Trace ->
-          if not (Header.marked tgt.Heap_obj.header) then on_trace tgt
+          if not (Header.marked (Store.header store tgt.Heap_obj.id)) then
+            on_trace tgt
         | Trace_common.Defer ->
           stats.Gc_stats.candidates_enqueued <-
             stats.Gc_stats.candidates_enqueued + 1;
@@ -72,7 +75,7 @@ let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
             Lp_obs.Sink.emit sink
               (Lp_obs.Event.Edge_poisoned
                  {
-                   src_class = obj.Heap_obj.class_id;
+                   src_class = Store.class_of store obj.Heap_obj.id;
                    field = i;
                    target = tgt.Heap_obj.id;
                  })
@@ -100,22 +103,23 @@ let mark ?note store roots ~stats ~(config : Trace_common.mark_config) =
   let marked = Queue.create () in
   let deferred = ref [] in
   let on_trace (obj : Heap_obj.t) =
-    obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
+    let id = obj.Heap_obj.id in
+    Store.set_header store id (Header.set_marked (Store.header store id));
     stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
     Queue.push obj marked;
     Stack.push obj stack
   in
   Roots.iter roots (fun id ->
       let obj = Store.get store id in
-      if not (Header.marked obj.Heap_obj.header) then on_trace obj);
+      if not (Header.marked (Store.header store id)) then on_trace obj);
   drain store stats ~config ~note ~on_trace ~deferred stack;
-  Queue.iter (tick stats config.Trace_common.stale_tick_gc) marked;
+  Queue.iter (tick store stats config.Trace_common.stale_tick_gc) marked;
   List.rev !deferred
 
 let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : Trace_common.edge) =
-  let tgt = e.Trace_common.tgt in
-  if Header.marked tgt.Heap_obj.header then 0
+  let tgt = Store.get store e.Trace_common.tgt in
+  if Header.marked (Store.header store tgt.Heap_obj.id) then 0
   else begin
     let config =
       {
@@ -130,19 +134,20 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     let claimed = Queue.create () in
     let bytes = ref 0 in
     let claim (obj : Heap_obj.t) =
-      obj.Heap_obj.header <-
-        Header.set_stale_marked (Header.set_marked obj.Heap_obj.header);
+      let id = obj.Heap_obj.id in
+      Store.set_header store id
+        (Header.set_stale_marked (Header.set_marked (Store.header store id)));
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
       Queue.push obj claimed;
       stats.Gc_stats.stale_closure_objects <-
         stats.Gc_stats.stale_closure_objects + 1;
-      bytes := !bytes + obj.Heap_obj.size_bytes;
+      bytes := !bytes + Store.size_bytes store id;
       Stack.push obj stack
     in
     claim tgt;
     drain store stats ~config ~note:None ~on_trace:claim ~deferred:(ref [])
       stack;
-    Queue.iter (tick stats stale_tick_gc) claimed;
+    Queue.iter (tick store stats stale_tick_gc) claimed;
     !bytes
   end
 
@@ -153,14 +158,16 @@ let sweep store ~stats =
   let live = ref 0 in
   Store.iter_live_range_desc store ~lo:0 ~hi:(Store.slot_count store)
     (fun (obj : Heap_obj.t) ->
-      if Header.marked obj.Heap_obj.header then begin
-        obj.Heap_obj.header <- Header.clear_gc_bits obj.Heap_obj.header;
-        live := !live + obj.Heap_obj.size_bytes
+      let id = obj.Heap_obj.id in
+      let h = Store.header store id and size = Store.size_bytes store id in
+      if Header.marked h then begin
+        Store.set_header store id (Header.clear_gc_bits h);
+        live := !live + size
       end
       else begin
         stats.Gc_stats.objects_swept <- stats.Gc_stats.objects_swept + 1;
         stats.Gc_stats.bytes_reclaimed <-
-          stats.Gc_stats.bytes_reclaimed + obj.Heap_obj.size_bytes;
+          stats.Gc_stats.bytes_reclaimed + size;
         Store.free store obj
       end);
   Store.set_live_bytes store !live

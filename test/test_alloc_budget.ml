@@ -120,13 +120,14 @@ let test_fast_paths_allocation_free () =
     (words_per_call ~n (fun () -> ignore (Mutator.read vm src 0)))
 
 (* An allocation that fits, on a VM with no nursery and no fault plan,
-   takes the fast path: it allocates the object record (six fields and
-   a header word) and its field array (a header word and one per field,
-   none for the shared empty array), and nothing else. Neither the
+   takes the fast path: it allocates the object's handle (two fields
+   and a header word) and its field array (a header word and one per
+   field, none for the shared empty array), and nothing else; the
+   header, class and size go into the store's int arrays. Neither the
    number of objects already live nor whether the field array is built
    inline (up to four words) or by [Array.make] changes that. *)
 let test_alloc_fast_path_words () =
-  let record_words = 7. in
+  let record_words = 3. in
   List.iter
     (fun live ->
       let vm = chain_vm live in
@@ -151,6 +152,45 @@ let test_alloc_fast_path_words () =
         [ 0; 1; 2; 4; 5; 9 ];
       Alcotest.(check int) "no collection ran" gcs (Vm.gc_count vm))
     [ 100; 3_000 ]
+
+(* An INACTIVE collection frees with no OCaml allocation per freed
+   slot: the sweep marks a slot free in the header array and queues its
+   id in a ring buffer that keeps its capacity. A VM holding a short
+   live chain in a large heap stays INACTIVE; between collections it
+   allocates [garbage] dead objects. Only the collections are measured,
+   after the free-id ring has grown to the working size. *)
+let words_per_inactive_gc ~garbage =
+  let vm = chain_vm 100 in
+  Store.set_limit_bytes (Vm.store vm) (1 lsl 24);
+  let class_id = Vm.register_class vm "Garbage" in
+  let churn () =
+    for _ = 1 to garbage do
+      ignore (Vm.alloc_class vm ~class_id ~scalar_bytes:8 ~n_fields:1 ())
+    done
+  in
+  for _ = 1 to 5 do
+    churn ();
+    Vm.run_gc vm
+  done;
+  Alcotest.(check string) "steady state" "INACTIVE"
+    (Lp_core.State_kind.to_string (Lp_core.Controller.state (Vm.controller vm)));
+  let collections = 50 and words = ref 0. in
+  for _ = 1 to collections do
+    churn ();
+    let before = Gc.minor_words () in
+    Vm.run_gc vm;
+    words := !words +. (Gc.minor_words () -. before)
+  done;
+  !words /. float_of_int collections
+
+let test_inactive_words_independent_of_freed () =
+  let few = words_per_inactive_gc ~garbage:10 in
+  let many = words_per_inactive_gc ~garbage:5_000 in
+  if Float.abs (few -. many) > 16. then
+    Alcotest.failf
+      "words per INACTIVE collection: %.1f freeing 10 objects, %.1f freeing \
+       5,000 (must agree within 16)"
+      few many
 
 (* Collections store no object records in the engines' buffers. A
    buffer outlives collections, so it sits in OCaml's major heap, and
@@ -191,4 +231,6 @@ let suite =
         test_collections_force_no_minor_gc;
       Alcotest.test_case "unchanged collections: words independent of images"
         `Quick test_unchanged_collections_independent_of_images;
+      Alcotest.test_case "INACTIVE collections: words independent of frees"
+        `Quick test_inactive_words_independent_of_freed;
     ] )

@@ -62,8 +62,8 @@ let test_live_bytes_recorded () =
   ignore (alloc store ~n_fields:0);
   Roots.add_static_root roots a.Heap_obj.id;
   ignore (collect_base store roots);
-  Alcotest.(check int) "live bytes" a.Heap_obj.size_bytes (Store.live_bytes store);
-  Alcotest.(check int) "used equals live after sweep" a.Heap_obj.size_bytes
+  Alcotest.(check int) "live bytes" (Store.size_bytes store a.Heap_obj.id) (Store.live_bytes store);
+  Alcotest.(check int) "used equals live after sweep" (Store.size_bytes store a.Heap_obj.id)
     (Store.used_bytes store)
 
 let test_untouched_bits_set () =
@@ -93,7 +93,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   link b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.tgt.Heap_obj.id = b.Heap_obj.id then Collector.Defer
+    if e.Collector.tgt = b.Heap_obj.id then Collector.Defer
     else Collector.Trace
   in
   let deferred =
@@ -102,15 +102,15 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   in
   Alcotest.(check int) "one candidate" 1 (List.length deferred);
   Alcotest.(check bool) "b not marked by in-use closure" false
-    (Header.marked b.Heap_obj.header);
+    (Header.marked (Store.header store b.Heap_obj.id));
   (* the stale closure claims b and c (two objects, 12 + 8... = their sizes) *)
   let bytes =
     stale_closure store ~stats (List.hd deferred)
   in
   Alcotest.(check int) "claimed bytes"
-    (b.Heap_obj.size_bytes + c.Heap_obj.size_bytes)
+    ((Store.size_bytes store b.Heap_obj.id) + (Store.size_bytes store c.Heap_obj.id))
     bytes;
-  Alcotest.(check bool) "b stale-marked" true (Header.stale_marked b.Heap_obj.header);
+  Alcotest.(check bool) "b stale-marked" true (Header.stale_marked (Store.header store b.Heap_obj.id));
   sweep store ~stats;
   Alcotest.(check int) "nothing reclaimed in SELECT" 3 (Store.object_count store)
 
@@ -148,7 +148,7 @@ let test_poison_reclaims_subtree () =
   link b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.tgt.Heap_obj.id = b.Heap_obj.id then Collector.Poison
+    if e.Collector.tgt = b.Heap_obj.id then Collector.Poison
     else Collector.Trace
   in
   ignore

@@ -56,7 +56,7 @@ let test_full_cycle_reclaims_stale_chain () =
   (* keep the holder fresh, as the program re-reads it *)
   let rec age n =
     if n > 0 then begin
-      Heap_obj.set_stale holder 0;
+      Store.set_stale f.store holder.Heap_obj.id 0;
       gc f;
       age (n - 1)
     end
@@ -83,9 +83,9 @@ let test_selection_prefers_bigger_structure () =
   link holder 0 small;
   link holder 1 big;
   gc f;
-  Heap_obj.set_stale small 4;
-  Heap_obj.set_stale big 4;
-  Heap_obj.set_stale holder 0;
+  Store.set_stale f.store small.Heap_obj.id 4;
+  Store.set_stale f.store big.Heap_obj.id 4;
+  Store.set_stale f.store holder.Heap_obj.id 0;
   gc f;
   (* force SELECT by occupancy: the heap is 10_000 with ~5_100 live, so
      we must drive the state machine by hand via config thresholds
@@ -140,7 +140,7 @@ let test_report_hook_fires () =
   let f = fixture ~config ~heap:3_100 () in
   let holder = build_leak f ~nodes:80 in
   for _i = 1 to 11 do
-    Heap_obj.set_stale holder 0;
+    Store.set_stale f.store holder.Heap_obj.id 0;
     gc f
   done;
   Alcotest.(check bool) "pruning reported" true
@@ -161,7 +161,7 @@ let test_maxstaleuse_decay_weakens_protection () =
     (Lp_core.Controller.edge_table f.controller)
     ~src:leaked ~tgt:leaked ~stale:7;
   for _i = 1 to 14 do
-    Heap_obj.set_stale holder 0;
+    Store.set_stale f.store holder.Heap_obj.id 0;
     gc f
   done;
   Alcotest.(check bool) "decay let pruning through" true

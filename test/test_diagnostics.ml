@@ -115,7 +115,7 @@ let image_bytes ~object_id =
 let test_heap_check_mark_bit () =
   let vm = vm_with_leak () in
   let obj = Vm.alloc vm ~class_name:"Marked" ~n_fields:0 () in
-  obj.Heap_obj.header <- Header.set_marked obj.Heap_obj.header;
+  Store.set_header (Vm.store vm) obj.Heap_obj.id (Header.set_marked (Store.header (Vm.store vm) obj.Heap_obj.id));
   check_fails_with vm
     (Printf.sprintf "object %d carries a mark bit outside a collection"
        obj.Heap_obj.id)
@@ -139,7 +139,7 @@ let test_heap_check_corrupt_image () =
 let iter_live_histogram vm =
   let hist = Array.make (Header.max_stale + 1) 0 in
   Store.iter_live (Vm.store vm) (fun obj ->
-      let k = Heap_obj.stale obj in
+      let k = Store.stale (Vm.store vm) obj.Heap_obj.id in
       hist.(k) <- hist.(k) + 1);
   hist
 

@@ -72,8 +72,8 @@ let test_on_disk_bit_tracks_residency () =
       Alcotest.(check bool)
         (Printf.sprintf "object %d: bit iff resident" obj.Heap_obj.id)
         (Diskswap.is_resident d obj.Heap_obj.id)
-        (Header.on_disk obj.Heap_obj.header);
-      if Header.on_disk obj.Heap_obj.header then resident := obj :: !resident);
+        (Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id));
+      if Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id) then resident := obj :: !resident);
   Alcotest.(check bool) "something is on disk" true (!resident <> []);
   Alcotest.(check bool) "strict verifier passes" true
     (Diagnostics.heap_check ~strict:true vm = Ok ());
@@ -82,12 +82,12 @@ let test_on_disk_bit_tracks_residency () =
   | `Swapped_in -> ()
   | `Not_resident | `Corrupt _ -> Alcotest.fail "resident object must swap in");
   Alcotest.(check bool) "swap-in clears the bit" false
-    (Header.on_disk obj.Heap_obj.header);
+    (Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id));
   Alcotest.(check bool) "still consistent" true
     (Diagnostics.heap_check ~strict:true vm = Ok ());
   (* a resident object whose bit went missing is reported *)
   let other = List.nth !resident 1 in
-  other.Heap_obj.header <- Header.clear_on_disk other.Heap_obj.header;
+  Store.set_header (Vm.store vm) other.Heap_obj.id (Header.clear_on_disk (Store.header (Vm.store vm) other.Heap_obj.id));
   Alcotest.(check bool) "missing bit reported" true
     (Result.is_error (Diagnostics.heap_check ~strict:true vm))
 
@@ -130,7 +130,7 @@ let stale_full_store () =
          Store.alloc store ~class_id:cls ~n_fields:1 ~scalar_bytes:100
            ~finalizable:false
        in
-       Heap_obj.set_stale o 3;
+       Store.set_stale store o.Heap_obj.id 3;
        objs := o :: !objs
      done
    with Store.Heap_full _ -> ());
@@ -287,8 +287,8 @@ let direct_store ~objs =
       Store.alloc store ~class_id:cid ~n_fields:0 ~scalar_bytes:64
         ~finalizable:false
     in
-    Heap_obj.set_stale o Lp_heap.Header.max_stale;
-    size := o.Heap_obj.size_bytes
+    Store.set_stale store o.Heap_obj.id Lp_heap.Header.max_stale;
+    size := Store.size_bytes store o.Heap_obj.id
   done;
   (* the occupancy test reads live bytes, which only a sweep records *)
   Store.set_live_bytes store (Store.used_bytes store);

@@ -56,7 +56,7 @@ let run_scenario make =
   link b 0 c;
   link a 1 d;
   let defer_b (edge : Collector.edge) =
-    if edge.Collector.tgt.Heap_obj.id = b.Heap_obj.id then Collector.Defer
+    if edge.Collector.tgt = b.Heap_obj.id then Collector.Defer
     else Collector.Trace
   in
   let deferred =
@@ -83,7 +83,7 @@ let run_scenario make =
   let live_after_select = live_ids store in
   let poisoned = ref [] in
   let poison_b (edge : Collector.edge) =
-    if edge.Collector.tgt.Heap_obj.id = b.Heap_obj.id then Collector.Poison
+    if edge.Collector.tgt = b.Heap_obj.id then Collector.Poison
     else Collector.Trace
   in
   ignore
@@ -412,7 +412,7 @@ let build_heap h =
   List.iteri
     (fun i o ->
       let obj = objs.(i) in
-      Heap_obj.set_stale obj o.stale;
+      Store.set_stale store obj.Heap_obj.id o.stale;
       List.iteri
         (fun f w ->
           obj.Heap_obj.fields.(f) <-
@@ -436,7 +436,7 @@ let snapshot store =
   List.init (Store.slot_count store) (fun i ->
       let o = Store.find store (i + 1) in
       if o == Store.sentinel then None
-      else Some (o.Heap_obj.header, Array.to_list o.Heap_obj.fields))
+      else Some ((Store.header store o.Heap_obj.id), Array.to_list o.Heap_obj.fields))
 
 let run_generated h make =
   let e = make () in
@@ -448,7 +448,7 @@ let run_generated h make =
       ( seed,
         edge.Collector.src.Heap_obj.id,
         edge.Collector.field,
-        Heap_obj.stale edge.Collector.tgt )
+        Store.stale store edge.Collector.tgt )
   in
   let edge_filter =
     Option.map
@@ -467,8 +467,8 @@ let run_generated h make =
           if pick 7 edge mod 2 = 0 then
             notes :=
               ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
-                edge.Collector.tgt.Heap_obj.id,
-                Heap_obj.stale edge.Collector.tgt )
+                edge.Collector.tgt,
+                Store.stale store edge.Collector.tgt )
               :: !notes)
     else None
   in
@@ -494,7 +494,7 @@ let run_generated h make =
       (fun (edge : Collector.edge) ->
         ( edge.Collector.src.Heap_obj.id,
           edge.Collector.field,
-          edge.Collector.tgt.Heap_obj.id ))
+          edge.Collector.tgt ))
       deferred
   in
   let bytes =

@@ -12,9 +12,9 @@ let test_nursery_allocation () =
   let vm = make_vm () in
   let obj = Vm.alloc vm ~class_name:"N" ~scalar_bytes:16 ~n_fields:0 () in
   Alcotest.(check bool) "allocated in nursery" true
-    (Header.in_nursery obj.Heap_obj.header);
+    (Header.in_nursery (Store.header (Vm.store vm) obj.Heap_obj.id));
   Alcotest.(check bool) "nursery bytes tracked" true
-    (Store.nursery_bytes (Vm.store vm) >= obj.Heap_obj.size_bytes)
+    (Store.nursery_bytes (Vm.store vm) >= (Store.size_bytes (Vm.store vm) obj.Heap_obj.id))
 
 let test_minor_gc_reclaims_dead_nursery () =
   let vm = make_vm ~nursery:1_000 () in
@@ -40,7 +40,7 @@ let test_rooted_nursery_objects_promote () =
   Alcotest.(check bool) "survivor still live" true
     (Store.mem (Vm.store vm) keep.Heap_obj.id);
   Alcotest.(check bool) "survivor promoted to mature" false
-    (Header.in_nursery keep.Heap_obj.header)
+    (Header.in_nursery (Store.header (Vm.store vm) keep.Heap_obj.id))
 
 let test_remembered_set_keeps_nursery_target_alive () =
   let vm = make_vm ~nursery:1_000 () in
@@ -50,7 +50,7 @@ let test_remembered_set_keeps_nursery_target_alive () =
   Mutator.write_obj vm statics 0 holder;
   Vm.run_gc vm;  (* promotes everything: holder is now mature *)
   Alcotest.(check bool) "holder mature" false
-    (Header.in_nursery holder.Heap_obj.header);
+    (Header.in_nursery (Store.header (Vm.store vm) holder.Heap_obj.id));
   (* a fresh nursery object referenced ONLY from the mature holder *)
   let young = Vm.alloc vm ~class_name:"Young" ~scalar_bytes:16 ~n_fields:0 () in
   Mutator.write_obj vm holder 0 young;  (* write barrier records the slot *)
@@ -92,7 +92,7 @@ let test_full_gc_empties_nursery () =
   Alcotest.(check int) "nursery empty after full collection" 0
     (Store.nursery_bytes (Vm.store vm));
   Alcotest.(check bool) "survivor mature" false
-    (Header.in_nursery keep.Heap_obj.header)
+    (Header.in_nursery (Store.header (Vm.store vm) keep.Heap_obj.id))
 
 let test_pruning_still_works_generationally () =
   (* a leak whose churn dies in the nursery; pruning must still reclaim

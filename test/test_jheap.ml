@@ -11,7 +11,7 @@ let test_string () =
   let s = Jheap.alloc_string vm ~chars:37 in
   Alcotest.(check int) "length via backing array" 37 (Jheap.string_length vm s);
   Alcotest.(check string) "string class" Jheap.string_class
-    (Class_registry.name (Vm.registry vm) s.Heap_obj.class_id)
+    (Class_registry.name (Vm.registry vm) (Store.class_of (Vm.store vm) s.Heap_obj.id))
 
 let test_list_push_iter () =
   let vm = make_vm () in
@@ -29,14 +29,14 @@ let test_list_traversal_clears_staleness () =
   let statics = Vm.statics vm ~class_name:"T" ~n_fields:1 in
   let n1 = Jheap.List_field.push vm ~node_class:"T$Node" ~holder:statics ~field:0 ~payload:None in
   let n2 = Jheap.List_field.push vm ~node_class:"T$Node" ~holder:statics ~field:0 ~payload:None in
-  Heap_obj.set_stale n1 5;
-  Heap_obj.set_stale n2 5;
+  Store.set_stale (Vm.store vm) n1.Heap_obj.id 5;
+  Store.set_stale (Vm.store vm) n2.Heap_obj.id 5;
   (* arm the untouched bits as a collection would *)
   statics.Heap_obj.fields.(0) <- Word.set_untouched statics.Heap_obj.fields.(0);
   n2.Heap_obj.fields.(0) <- Word.set_untouched n2.Heap_obj.fields.(0);
   Jheap.List_field.iter vm ~holder:statics ~field:0 (fun _ -> ());
-  Alcotest.(check int) "head cleared" 0 (Heap_obj.stale n2);
-  Alcotest.(check int) "tail cleared" 0 (Heap_obj.stale n1)
+  Alcotest.(check int) "head cleared" 0 (Store.stale (Vm.store vm) n2.Heap_obj.id);
+  Alcotest.(check int) "tail cleared" 0 (Store.stale (Vm.store vm) n1.Heap_obj.id)
 
 let test_vector_growth_via_arraycopy () =
   let vm = make_vm () in
@@ -62,14 +62,14 @@ let test_vector_growth_preserves_staleness () =
   let v = Jheap.Vector.create vm ~holder:statics ~field:0 ~initial_capacity:2 in
   let o = Vm.alloc vm ~class_name:"Elem" ~n_fields:0 () in
   Jheap.Vector.add v o;
-  Heap_obj.set_stale o 6;
+  Store.set_stale (Vm.store vm) o.Heap_obj.id 6;
   for _i = 1 to 6 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let e = Vm.alloc vm ~class_name:"Elem" ~n_fields:0 () in
         Roots.set_slot frame 0 e.Heap_obj.id;
         Jheap.Vector.add v (Vm.deref vm (Roots.get_slot frame 0)))
   done;
-  Alcotest.(check int) "stale survived two growths" 6 (Heap_obj.stale o)
+  Alcotest.(check int) "stale survived two growths" 6 (Store.stale (Vm.store vm) o.Heap_obj.id)
 
 let test_vector_exchange () =
   let vm = make_vm () in
@@ -117,7 +117,7 @@ let test_rehash_touches_payloads () =
         payloads := Vm.deref vm (Roots.get_slot frame 0) :: !payloads;
         Jheap.Hash_table.insert t ~key:k ~payload:(Vm.deref vm (Roots.get_slot frame 0)))
   done;
-  List.iter (fun p -> Heap_obj.set_stale p 5) !payloads;
+  List.iter (fun p -> Store.set_stale (Vm.store vm) p.Heap_obj.id 5) !payloads;
   (* arm bits so the rehash's reads clear staleness through cold paths *)
   Store.iter_live (Vm.store vm) (fun o ->
       Array.iteri
@@ -134,7 +134,7 @@ let test_rehash_touches_payloads () =
   done;
   Alcotest.(check bool) "rehash happened" true (Jheap.Hash_table.rehash_count t >= 1);
   List.iter
-    (fun p -> Alcotest.(check int) "payload staleness cleared by rehash" 0 (Heap_obj.stale p))
+    (fun p -> Alcotest.(check int) "payload staleness cleared by rehash" 0 (Store.stale (Vm.store vm) p.Heap_obj.id))
     !payloads
 
 let suite =

@@ -130,21 +130,22 @@ let obj ~class_id ~stale () =
     Lp_heap.Store.alloc store ~class_id ~n_fields:1 ~scalar_bytes:0
       ~finalizable:false
   in
-  Lp_heap.Heap_obj.set_stale o stale;
+  Lp_heap.Store.set_stale store o.Lp_heap.Heap_obj.id stale;
   o
 
-let edge src tgt = { Lp_heap.Collector.src; field = 0; tgt }
+let edge src (tgt : Lp_heap.Heap_obj.t) =
+  { Lp_heap.Collector.src; field = 0; tgt = tgt.Lp_heap.Heap_obj.id }
 let config = Lp_core.Config.default
 
 let test_prior_veto () =
   let table = Lp_core.Edge_table.create () in
   let e = edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale:7 ()) in
   Alcotest.(check bool) "qualifies without a prior" true
-    (Lp_core.Selection.stale_qualifies config table e);
+    (Lp_core.Selection.stale_qualifies store config table e);
   Alcotest.(check bool) "Veto blocks even very stale references" false
     (Lp_core.Selection.stale_qualifies
        ~prior:(fun _ -> Lp_core.Selection.Veto)
-       config table e)
+       store config table e)
 
 let test_prior_boost () =
   let table = Lp_core.Edge_table.create () in
@@ -157,12 +158,12 @@ let test_prior_boost () =
   in
   let e = edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale:2 ()) in
   Alcotest.(check bool) "stale 2 below the neutral threshold of 4" false
-    (Lp_core.Selection.stale_qualifies strict table e);
+    (Lp_core.Selection.stale_qualifies store strict table e);
   Alcotest.(check bool)
     "Boost lowers the floor to max 1 (min_candidate_stale - boost)" true
     (Lp_core.Selection.stale_qualifies
        ~prior:(fun _ -> Lp_core.Selection.Boost)
-       strict table e);
+       store strict table e);
   (* dynamic protection wins over any static boost: a recorded stale
      use keeps maxstaleuse + slack in force under Boost *)
   Lp_core.Edge_table.record_stale_use table ~src:0 ~tgt:1 ~stale:3;
@@ -172,7 +173,7 @@ let test_prior_boost () =
   Alcotest.(check bool) "Boost cannot override maxstaleuse + slack" false
     (Lp_core.Selection.stale_qualifies
        ~prior:(fun _ -> Lp_core.Selection.Boost)
-       config table guarded)
+       store config table guarded)
 
 let test_prior_neutral () =
   let table = Lp_core.Edge_table.create () in
@@ -182,10 +183,10 @@ let test_prior_neutral () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "Neutral matches no-prior at stale %d" stale)
-      (Lp_core.Selection.stale_qualifies config table e)
+      (Lp_core.Selection.stale_qualifies store config table e)
       (Lp_core.Selection.stale_qualifies
          ~prior:(fun _ -> Lp_core.Selection.Neutral)
-         config table e)
+         store config table e)
   in
   List.iter probe [ 0; 1; 2; 5 ]
 

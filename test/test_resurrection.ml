@@ -19,16 +19,16 @@ let sample_image () =
   obj.Heap_obj.fields.(0) <- Word.of_id tgt.Heap_obj.id;
   obj.Heap_obj.fields.(1) <- Word.poison (Word.of_id tgt.Heap_obj.id);
   (* fields.(2) stays null *)
-  Heap_obj.set_stale obj 3;
+  Store.set_stale store obj.Heap_obj.id 3;
   (store, obj, Swap_image.capture store obj)
 
 let test_image_roundtrip () =
-  let _store, obj, img = sample_image () in
+  let store, obj, img = sample_image () in
   match Swap_image.decode (Swap_image.encode img) with
   | Error _ -> Alcotest.fail "roundtrip must decode"
   | Ok d ->
     Alcotest.(check int) "object id" obj.Heap_obj.id d.Swap_image.object_id;
-    Alcotest.(check int) "class id" obj.Heap_obj.class_id d.Swap_image.class_id;
+    Alcotest.(check int) "class id" (Store.class_of store obj.Heap_obj.id) d.Swap_image.class_id;
     Alcotest.(check int) "stale" 3 d.Swap_image.stale;
     Alcotest.(check int) "scalar bytes" 24 d.Swap_image.scalar_bytes;
     Alcotest.(check int) "field count" 3 (Array.length d.Swap_image.fields);
@@ -130,11 +130,11 @@ let prune_by_hand vm =
   Roots.add_static_root (Vm.roots vm) src.Heap_obj.id;
   let victim = Vm.alloc vm ~class_name:"Victim" ~scalar_bytes:32 ~n_fields:1 () in
   Mutator.write_obj vm src 0 victim;
-  Heap_obj.set_stale victim 5;
+  Store.set_stale (Vm.store vm) victim.Heap_obj.id 5;
   Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
     (Swap_image.encode (Swap_image.capture (Vm.store vm) victim));
   Vm.inject_word_corruption vm src ~field:0 `Poison;
-  let id = victim.Heap_obj.id and cls = victim.Heap_obj.class_id in
+  let id = victim.Heap_obj.id and cls = (Store.class_of (Vm.store vm) victim.Heap_obj.id) in
   Store.free (Vm.store vm) victim;
   (src, id, cls)
 
@@ -144,9 +144,9 @@ let test_resurrect_restores_object () =
   (match Mutator.read vm src 0 with
   | None -> Alcotest.fail "expected the restored object"
   | Some tgt ->
-    Alcotest.(check int) "class restored" victim_cls tgt.Heap_obj.class_id;
-    Alcotest.(check int) "scalar size restored" 32 tgt.Heap_obj.scalar_bytes;
-    Alcotest.(check int) "staleness cleared by the use" 0 (Heap_obj.stale tgt);
+    Alcotest.(check int) "class restored" victim_cls (Store.class_of (Vm.store vm) tgt.Heap_obj.id);
+    Alcotest.(check int) "scalar size restored" 32 (Store.scalar_bytes (Vm.store vm) tgt);
+    Alcotest.(check int) "staleness cleared by the use" 0 (Store.stale (Vm.store vm) tgt.Heap_obj.id);
     Alcotest.(check bool) "restored object is live" true
       (Store.mem (Vm.store vm) tgt.Heap_obj.id);
     (* the forwarding table resolves the pruned id to the restored copy;
@@ -451,7 +451,7 @@ let test_misprediction_protects_edge_type () =
   let table = Lp_core.Controller.edge_table (Vm.controller vm) in
   let slack = (Lp_core.Controller.config (Vm.controller vm)).Lp_core.Config.stale_slack in
   Alcotest.(check bool) "edge type protected past the observed staleness" true
-    (Lp_core.Edge_table.max_stale_use table ~src:src.Heap_obj.class_id
+    (Lp_core.Edge_table.max_stale_use table ~src:(Store.class_of (Vm.store vm) src.Heap_obj.id)
        ~tgt:victim_cls
     >= 5 + slack)
 

@@ -407,7 +407,7 @@ let run_seed cov seed =
      or its staleness would never grow enough to be pruned *)
   let random_live () =
     let eligible (obj : Heap_obj.t) =
-      obj.Heap_obj.class_id <> leak_class
+      Store.class_of (Vm.store vm) obj.Heap_obj.id <> leak_class
       && obj != statics
       && Array.length obj.Heap_obj.fields > 0
     in

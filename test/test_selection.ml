@@ -7,11 +7,11 @@ let store = Store.create ~limit_bytes:1_000_000
 
 let obj ?(statics = false) ~class_id ~stale () =
   let o = Store.alloc store ~class_id ~n_fields:1 ~scalar_bytes:0 ~finalizable:false in
-  Heap_obj.set_stale o stale;
-  if statics then o.Heap_obj.header <- Header.set_statics_container o.Heap_obj.header;
+  Store.set_stale store o.Heap_obj.id stale;
+  if statics then Store.set_header store o.Heap_obj.id (Header.set_statics_container (Store.header store o.Heap_obj.id));
   o
 
-let edge src tgt = { Collector.src; field = 0; tgt }
+let edge src (tgt : Heap_obj.t) = { Collector.src; field = 0; tgt = tgt.Heap_obj.id }
 
 let config = Config.default
 
@@ -19,34 +19,34 @@ let test_staleness_threshold () =
   let table = Edge_table.create () in
   let src = obj ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "stale 1 does not qualify" false
-    (Selection.stale_qualifies config table (edge src (obj ~class_id:1 ~stale:1 ())));
+    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:1 ())));
   Alcotest.(check bool) "stale 2 qualifies" true
-    (Selection.stale_qualifies config table (edge src (obj ~class_id:1 ~stale:2 ())))
+    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:2 ())))
 
 let test_maxstaleuse_slack () =
   let table = Edge_table.create () in
   Edge_table.record_stale_use table ~src:0 ~tgt:1 ~stale:3;
   let src = obj ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "stale 4 < maxstaleuse+2" false
-    (Selection.stale_qualifies config table (edge src (obj ~class_id:1 ~stale:4 ())));
+    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:4 ())));
   Alcotest.(check bool) "stale 5 >= maxstaleuse+2" true
-    (Selection.stale_qualifies config table (edge src (obj ~class_id:1 ~stale:5 ())))
+    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:5 ())))
 
 let test_statics_sources_never_qualify () =
   let table = Edge_table.create () in
   let src = obj ~statics:true ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "root reference unprunable" false
-    (Selection.stale_qualifies config table (edge src (obj ~class_id:1 ~stale:7 ())))
+    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:7 ())))
 
 let test_default_filter_defers () =
   let table = Edge_table.create () in
   let src = obj ~class_id:0 ~stale:0 () in
   let stale_tgt = obj ~class_id:1 ~stale:3 () in
   let fresh_tgt = obj ~class_id:1 ~stale:0 () in
-  (match Selection.select_filter_default config table (edge src stale_tgt) with
+  (match Selection.select_filter_default store config table (edge src stale_tgt) with
   | Collector.Defer -> ()
   | Collector.Trace | Collector.Poison -> Alcotest.fail "expected Defer");
-  match Selection.select_filter_default config table (edge src fresh_tgt) with
+  match Selection.select_filter_default store config table (edge src fresh_tgt) with
   | Collector.Trace -> ()
   | Collector.Defer | Collector.Poison -> Alcotest.fail "expected Trace"
 
@@ -54,17 +54,17 @@ let test_individual_filter_attributes_direct_bytes () =
   let table = Edge_table.create () in
   let src = obj ~class_id:5 ~stale:0 () in
   let tgt = obj ~class_id:6 ~stale:3 () in
-  (match Selection.select_filter_individual config table (edge src tgt) with
+  (match Selection.select_filter_individual store config table (edge src tgt) with
   | Collector.Trace -> ()
   | Collector.Defer | Collector.Poison -> Alcotest.fail "individual refs must trace");
-  Alcotest.(check int) "direct target bytes attributed" tgt.Heap_obj.size_bytes
+  Alcotest.(check int) "direct target bytes attributed" (Store.size_bytes store tgt.Heap_obj.id)
     (Edge_table.bytes_used table ~src:5 ~tgt:6)
 
 let test_prune_filter_matches_type_and_staleness () =
   let table = Edge_table.create () in
   let src = obj ~class_id:7 ~stale:0 () in
   let tgt = obj ~class_id:8 ~stale:4 () in
-  let f = Selection.prune_filter_edge_type config table ~selected:(7, 8) in
+  let f = Selection.prune_filter_edge_type store config table ~selected:(7, 8) in
   (match f (edge src tgt) with
   | Collector.Poison -> ()
   | Collector.Trace | Collector.Defer -> Alcotest.fail "expected Poison");
@@ -79,7 +79,7 @@ let test_prune_filter_matches_type_and_staleness () =
 
 let test_most_stale_filter () =
   let src = obj ~class_id:0 ~stale:0 () in
-  let f = Selection.prune_filter_most_stale ~level:5 in
+  let f = Selection.prune_filter_most_stale store ~level:5 in
   (match f (edge src (obj ~class_id:1 ~stale:5 ())) with
   | Collector.Poison -> ()
   | Collector.Trace | Collector.Defer -> Alcotest.fail "at level: poison");
@@ -90,10 +90,11 @@ let test_most_stale_filter () =
 let test_max_live_staleness_ignores_statics () =
   let fresh_store = Store.create ~limit_bytes:10_000 in
   let o1 = Store.alloc fresh_store ~class_id:0 ~n_fields:0 ~scalar_bytes:0 ~finalizable:false in
-  Heap_obj.set_stale o1 3;
+  Store.set_stale fresh_store o1.Heap_obj.id 3;
   let s = Store.alloc fresh_store ~class_id:1 ~n_fields:0 ~scalar_bytes:0 ~finalizable:false in
-  s.Heap_obj.header <- Header.set_statics_container s.Heap_obj.header;
-  Heap_obj.set_stale s 7;
+  Store.set_header fresh_store s.Heap_obj.id
+    (Header.set_statics_container (Store.header fresh_store s.Heap_obj.id));
+  Store.set_stale fresh_store s.Heap_obj.id 7;
   Alcotest.(check int) "statics container excluded" 3
     (Selection.max_live_staleness fresh_store ~marked_only:false)
 

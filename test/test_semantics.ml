@@ -92,7 +92,7 @@ let run_program ?(strict = false) ~policy ~heap ops =
                | None, None -> ()
                | Some o, Some s ->
                  let cls =
-                   Class_registry.name (Vm.registry vm) o.Heap_obj.class_id
+                   Class_registry.name (Vm.registry vm) (Store.class_of (Vm.store vm) o.Heap_obj.id)
                  in
                  if cls <> s.cls then violated := true
                  else follow o s rest
@@ -101,7 +101,7 @@ let run_program ?(strict = false) ~policy ~heap ops =
            (match (Mutator.read vm statics slot, shadows.(slot)) with
            | None, None -> ()
            | Some o, Some s ->
-             let cls = Class_registry.name (Vm.registry vm) o.Heap_obj.class_id in
+             let cls = Class_registry.name (Vm.registry vm) (Store.class_of (Vm.store vm) o.Heap_obj.id) in
              if cls <> s.cls then violated := true else follow o s path
            | Some _, None | None, Some _ -> violated := true))
        ops;

@@ -6,8 +6,8 @@ let test_alloc_accounting () =
   let store = Store.create ~limit_bytes:1_000 in
   let obj = Store.alloc store ~class_id:0 ~n_fields:2 ~scalar_bytes:12 ~finalizable:false in
   Alcotest.(check int) "size = header + fields + scalar" (8 + 8 + 12)
-    obj.Heap_obj.size_bytes;
-  Alcotest.(check int) "used" obj.Heap_obj.size_bytes (Store.used_bytes store);
+    (Store.size_bytes store obj.Heap_obj.id);
+  Alcotest.(check int) "used" (Store.size_bytes store obj.Heap_obj.id) (Store.used_bytes store);
   Alcotest.(check int) "count" 1 (Store.object_count store)
 
 let test_heap_full () =
@@ -55,7 +55,7 @@ let test_iter_live_order () =
   in
   Store.free store (List.nth objs 2);
   let seen = ref [] in
-  Store.iter_live store (fun o -> seen := o.Heap_obj.class_id :: !seen);
+  Store.iter_live store (fun o -> seen := (Store.class_of store o.Heap_obj.id) :: !seen);
   Alcotest.(check (list int)) "slot order, skipping freed" [ 0; 1; 3; 4 ]
     (List.rev !seen)
 
@@ -83,7 +83,7 @@ let prop_accounting_invariant =
           end)
         ops;
       let expected =
-        List.fold_left (fun acc (o : Heap_obj.t) -> acc + o.Heap_obj.size_bytes) 0 !live
+        List.fold_left (fun acc (o : Heap_obj.t) -> acc + (Store.size_bytes store o.Heap_obj.id)) 0 !live
       in
       Store.used_bytes store = expected
       && Store.object_count store = List.length !live)

@@ -22,10 +22,10 @@ let test_barrier_cold_path_clears_staleness () =
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  Heap_obj.set_stale b 4;
+  Store.set_stale (Vm.store vm) b.Heap_obj.id 4;
   a.Heap_obj.fields.(0) <- Word.set_untouched a.Heap_obj.fields.(0);
   ignore (Mutator.read vm a 0);
-  Alcotest.(check int) "stale counter cleared on use" 0 (Heap_obj.stale b);
+  Alcotest.(check int) "stale counter cleared on use" 0 (Store.stale (Vm.store vm) b.Heap_obj.id);
   Alcotest.(check bool) "untouched bit cleared" false
     (Word.untouched a.Heap_obj.fields.(0))
 
@@ -34,11 +34,11 @@ let test_barrier_fast_path_leaves_staleness () =
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  Heap_obj.set_stale b 4;
+  Store.set_stale (Vm.store vm) b.Heap_obj.id 4;
   (* low bit clear: fast path does not touch the counter (the paper's
      barrier takes no action when the bit is clear) *)
   ignore (Mutator.read vm a 0);
-  Alcotest.(check int) "fast path leaves counter" 4 (Heap_obj.stale b)
+  Alcotest.(check int) "fast path leaves counter" 4 (Store.stale (Vm.store vm) b.Heap_obj.id)
 
 let test_stale_use_updates_edge_table () =
   let vm = make_vm () in
@@ -54,7 +54,7 @@ let test_stale_use_updates_edge_table () =
   Vm.run_gc vm;
   Alcotest.(check bool) "tracking active" true
     (Lp_core.Controller.tracking (Vm.controller vm));
-  Heap_obj.set_stale b 5;
+  Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
   a.Heap_obj.fields.(0) <- Word.set_untouched a.Heap_obj.fields.(0);
   ignore (Mutator.read vm a 0);
   let table = Lp_core.Controller.edge_table (Vm.controller vm) in
@@ -85,13 +85,13 @@ let test_arraycopy_preserves_tags_without_barrier () =
   let dst = Vm.alloc vm ~class_name:"Object[]" ~n_fields:3 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm src 0 b;
-  Heap_obj.set_stale b 5;
+  Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
   src.Heap_obj.fields.(0) <- Word.set_untouched src.Heap_obj.fields.(0);
   src.Heap_obj.fields.(1) <- Word.poison (Word.of_id b.Heap_obj.id);
   Mutator.arraycopy vm ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:3;
   Alcotest.(check bool) "untouched bit copied" true (Word.untouched dst.Heap_obj.fields.(0));
   Alcotest.(check bool) "poison copied" true (Word.poisoned dst.Heap_obj.fields.(1));
-  Alcotest.(check int) "no staleness effect" 5 (Heap_obj.stale b)
+  Alcotest.(check int) "no staleness effect" 5 (Store.stale (Vm.store vm) b.Heap_obj.id)
 
 let test_alloc_triggers_collection () =
   let vm = make_vm ~policy:Lp_core.Policy.None_ ~heap:1_000 () in
@@ -129,7 +129,7 @@ let test_statics_are_roots_and_stable () =
   let s2 = Vm.statics vm ~class_name:"K" ~n_fields:2 in
   Alcotest.(check bool) "same object" true (s1 == s2);
   Alcotest.(check bool) "flagged as statics container" true
-    (Header.statics_container s1.Heap_obj.header);
+    (Header.statics_container (Store.header (Vm.store vm) s1.Heap_obj.id));
   Vm.run_gc vm;
   Alcotest.(check bool) "survives collection" true
     (Store.mem (Vm.store vm) s1.Heap_obj.id)
