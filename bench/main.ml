@@ -40,6 +40,23 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* Writes a scenario's JSON object to bench/out/[name] and to the root
+   copy [name], with the host's core count stamped as its first field,
+   so every BENCH_*.json records the host it was measured on. Returns
+   the bench/out/ path. *)
+let write_bench name json =
+  if String.length json < 2 || String.sub json 0 2 <> "{\n" then
+    invalid_arg ("write_bench: " ^ name ^ " is not a JSON object");
+  let json =
+    Printf.sprintf "{\n  \"host_cores\": %d,\n%s"
+      (Domain.recommended_domain_count ())
+      (String.sub json 2 (String.length json - 2))
+  in
+  let path = out_path name in
+  write_file path json;
+  write_file name json;
+  path
+
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks: one Test.make per table/figure family, measuring
    the operation that dominates that experiment. *)
@@ -345,10 +362,7 @@ let run_resurrection_bench () =
       !safe_entries
       !total_cycles !gc_cycles !recover_cycles cycles_per_resurrection cpu_s
   in
-  let path = out_path "BENCH_resurrection.json" in
-  write_file path json;
-  (* historical root copy: earlier tooling reads the baseline here *)
-  write_file "BENCH_resurrection.json" json;
+  let path = write_bench "BENCH_resurrection.json" json in
   Lp_harness.Render.table
     ~columns:[ "metric"; "value" ]
     ~rows:
@@ -475,7 +489,7 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     Some tgt
   end
 
-let obs_pairs = 31
+let obs_pairs = 101
 let obs_reads_per_sample = 500_000
 
 (* One cold read per this many reads in the mixed stream the budget is
@@ -500,36 +514,35 @@ let time_sample ~mask obj read =
   done;
   Unix.gettimeofday () -. t0
 
-(* Paired design: each slice times baseline and instrumented
-   back-to-back (order alternating), so frequency drift and scheduler
-   interference hit both sides of every difference.  The median of the
-   per-slice differences is robust to the occasional preempted slice;
-   the fastest absolute sample is reported alongside for ns/read. *)
-let time_pairs ~mask obj baseline instrumented =
-  let base = ref [] and inst = ref [] and deltas = ref [] in
-  for round = 1 to obs_pairs do
-    let b, i =
-      if round land 1 = 0 then begin
-        let b = time_sample ~mask obj baseline in
-        let i = time_sample ~mask obj instrumented in
-        (b, i)
-      end
-      else begin
-        let i = time_sample ~mask obj instrumented in
-        let b = time_sample ~mask obj baseline in
-        (b, i)
-      end
-    in
-    base := b :: !base;
-    inst := i :: !inst;
-    deltas := (i -. b) :: !deltas
+(* Paired design: each round times baseline and instrumented
+   back-to-back (order alternating) on each of the three streams in
+   turn, so frequency drift and scheduler interference hit both sides
+   of every difference, and a round's streams are timed at the same
+   moment.  Returns, per stream, the round-by-round baseline and
+   instrumented times. *)
+let time_rounds ~masks obj baseline instrumented =
+  let n = Array.length masks in
+  let base = Array.make_matrix n obs_pairs 0.0 in
+  let inst = Array.make_matrix n obs_pairs 0.0 in
+  for round = 0 to obs_pairs - 1 do
+    Array.iteri
+      (fun s mask ->
+        if round land 1 = 0 then begin
+          base.(s).(round) <- time_sample ~mask obj baseline;
+          inst.(s).(round) <- time_sample ~mask obj instrumented
+        end
+        else begin
+          inst.(s).(round) <- time_sample ~mask obj instrumented;
+          base.(s).(round) <- time_sample ~mask obj baseline
+        end)
+      masks
   done;
-  (!base, !inst, !deltas)
+  (base, inst)
 
-let fastest xs = List.fold_left min infinity xs
+let fastest xs = Array.fold_left min infinity xs
 
 let median xs =
-  let a = Array.of_list xs in
+  let a = Array.copy xs in
   Array.sort compare a;
   a.(Array.length a / 2)
 
@@ -548,36 +561,32 @@ let run_obs_overhead_bench ~gate () =
   ignore (time_sample ~mask:(-1) obj instrumented);
   ignore (time_sample ~mask:0 obj baseline);
   ignore (time_sample ~mask:0 obj instrumented);
-  let fast_base, fast_inst, fast_deltas =
-    time_pairs ~mask:(-1) obj baseline instrumented
+  let base, inst =
+    time_rounds ~masks:[| -1; 0; obs_cold_period - 1 |] obj baseline
+      instrumented
   in
-  let cold_base, cold_inst, cold_deltas =
-    time_pairs ~mask:0 obj baseline instrumented
-  in
-  let mixed_base, mixed_inst, mixed_deltas =
-    time_pairs ~mask:(obs_cold_period - 1) obj baseline instrumented
-  in
-  let fb = fastest fast_base and fi = fastest fast_inst in
-  let cb = fastest cold_base and ci = fastest cold_inst in
-  let mb = fastest mixed_base and mi = fastest mixed_inst in
-  let fast_delta = median fast_deltas and cold_delta = median cold_deltas in
-  let mixed_delta = median mixed_deltas in
-  let fast_pct = fast_delta /. fb *. 100.0 in
-  let cold_pct = cold_delta /. cb *. 100.0 in
+  let fast = 0 and cold = 1 and mixed = 2 in
+  let deltas s = Array.map2 ( -. ) inst.(s) base.(s) in
+  let fb = fastest base.(fast) and fi = fastest inst.(fast) in
+  let cb = fastest base.(cold) and ci = fastest inst.(cold) in
+  let mb = fastest base.(mixed) and mi = fastest inst.(mixed) in
+  let fast_pct = median (deltas fast) /. fb *. 100.0 in
+  let cold_pct = median (deltas cold) /. cb *. 100.0 in
   (* The two fast paths are compiled from identical source, so their
      paired delta is pure bias — code placement of two distinct
      functions plus harness dispatch — worth several percent either way
-     at this granularity.  Subtracting it from the other streams'
-     deltas isolates the sink guard, the only source-level
-     difference.  The budget gates the guard's cost on the mixed
-     stream, whose 1/16 cold duty cycle already overstates how often
-     real workloads take the cold path; the pure-cold differential is
-     reported as a diagnostic. *)
-  let guard_ns = ns_per_read (cold_delta -. fast_delta) in
+     at this granularity.  Subtracting each round's fast delta from the
+     same round's other deltas isolates the sink guard, the only
+     source-level difference; the median is taken over those per-round
+     differences, so the bias and the delta it corrects are measured
+     at the same moment.  The budget gates the guard's cost on the
+     mixed stream, whose 1/16 cold duty cycle already overstates how
+     often real workloads take the cold path; the pure-cold
+     differential is reported as a diagnostic. *)
+  let unbiased s = median (Array.map2 ( -. ) (deltas s) (deltas fast)) in
+  let guard_ns = ns_per_read (unbiased cold) in
   let guard_cold_pct = Float.max 0.0 (guard_ns /. ns_per_read cb *. 100.0) in
-  let mixed_pct =
-    Float.max 0.0 ((mixed_delta -. fast_delta) /. mb *. 100.0)
-  in
+  let mixed_pct = Float.max 0.0 (unbiased mixed /. mb *. 100.0) in
   let budget = 3.0 in
   let pass = mixed_pct <= budget in
   let json =
@@ -607,10 +616,7 @@ let run_obs_overhead_bench ~gate () =
       (ns_per_read mb) (ns_per_read mi) guard_ns guard_cold_pct mixed_pct
       budget pass
   in
-  let path = out_path "BENCH_obs_overhead.json" in
-  write_file path json;
-  (* root copy, like BENCH_resurrection.json *)
-  write_file "BENCH_obs_overhead.json" json;
+  let path = write_bench "BENCH_obs_overhead.json" json in
   Lp_harness.Render.table
     ~columns:[ "path"; "baseline ns/read"; "instrumented ns/read"; "overhead" ]
     ~rows:
@@ -796,10 +802,7 @@ let run_pause_bench () =
          (List.map (fun c -> Printf.sprintf "%S" c.pc_workload) inc_beats_seq))
       (String.concat ",\n" (List.map case_json cases))
   in
-  let path = out_path "BENCH_pauses.json" in
-  write_file path json;
-  (* root copy, like BENCH_resurrection.json *)
-  write_file "BENCH_pauses.json" json;
+  let path = write_bench "BENCH_pauses.json" json in
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "engine"; "gcs"; "pauses"; "max pause ms"; "mean pause ms";
@@ -979,9 +982,7 @@ let run_slo_bench () =
       (not nondeterministic)
       (String.concat ",\n" (List.map case_json cases))
   in
-  let path = out_path "BENCH_slo.json" in
-  write_file path json;
-  write_file "BENCH_slo.json" json;
+  let path = write_bench "BENCH_slo.json" json in
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "mode"; "gcs"; "pauses"; "p99 pause ms"; "max pause ms";
@@ -1151,10 +1152,7 @@ let run_fleet_bench () =
       report.Lp_fleet.Fleet.backend_used_bytes
       report.Lp_fleet.Fleet.backend_denials cpu_s
   in
-  let path = out_path "BENCH_fleet.json" in
-  write_file path json;
-  (* root copy, like BENCH_resurrection.json *)
-  write_file "BENCH_fleet.json" json;
+  let path = write_bench "BENCH_fleet.json" json in
   Lp_harness.Render.table
     ~columns:[ "metric"; "value" ]
     ~rows:
@@ -1317,9 +1315,7 @@ let run_restart_bench () =
       (String.concat ", "
          (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
   in
-  let path = out_path "BENCH_restart.json" in
-  write_file path json;
-  write_file "BENCH_restart.json" json;
+  let path = write_bench "BENCH_restart.json" json in
   Lp_harness.Render.table
     ~columns:[ "metric"; "warm"; "cold" ]
     ~rows:
@@ -1466,9 +1462,7 @@ let run_liveness_bench () =
       (String.concat ", "
          (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
   in
-  let path = out_path "BENCH_liveness.json" in
-  write_file path json;
-  write_file "BENCH_liveness.json" json;
+  let path = write_bench "BENCH_liveness.json" json in
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "off mispred"; "guide mispred"; "vetoes"; "boosts" ]

@@ -274,15 +274,8 @@ let next_fresh_id t = t.next_id
 
 let slot_count t = t.next_id - 1
 
-let iter_live_range t ~lo ~hi f =
-  for i = lo to hi - 1 do
-    if not (Header.is_free t.headers.(i)) then f t.slots.(i)
-  done
-
-let iter_live t f = iter_live_range t ~lo:0 ~hi:(slot_count t) f
-
-let iter_live_range_desc t ~lo ~hi f =
-  for i = hi - 1 downto lo do
+let iter_live t f =
+  for i = 0 to slot_count t - 1 do
     if not (Header.is_free t.headers.(i)) then f t.slots.(i)
   done
 

@@ -198,19 +198,9 @@ val iter_live : t -> (Heap_obj.t -> unit) -> unit
 (** Iterates over every live object in allocation-slot order. *)
 
 val slot_count : t -> int
-(** Number of allocation slots ever used; the exclusive upper bound of
-    the slot-index ranges accepted by {!iter_live_range}. *)
-
-val iter_live_range : t -> lo:int -> hi:int -> (Heap_obj.t -> unit) -> unit
-(** [iter_live_range t ~lo ~hi f] is {!iter_live} restricted to slot
-    indices [lo <= i < hi]; disjoint ranges visit disjoint objects, which
-    is what the parallel sweep segments rely on. *)
-
-val iter_live_range_desc :
-  t -> lo:int -> hi:int -> (Heap_obj.t -> unit) -> unit
-(** {!iter_live_range} in descending slot order. [f] may {!free} the
-    object it is given; the walk reads each slot once, before calling
-    [f] on it. *)
+(** Number of allocation slots ever used: the largest identifier handed
+    out so far, and the exclusive upper bound of the slot-index ranges
+    accepted by {!sweep_range}. *)
 
 val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
 (** [sweep_range t stats ~lo ~hi] sweeps the slots [lo <= i < hi] in

@@ -30,11 +30,11 @@ let base_config =
    the same counters, because a tick depends only on the object's own
    counter and the collection number. The batch is a buffer of object
    ids that keeps its capacity, so an engine-owned batch allocates
-   nothing once grown. It holds ids, not the objects: the batch lives
-   in OCaml's major heap, so storing a recently allocated object record
-   into it would add an entry to OCaml's remembered set, and a full set
-   forces an OCaml minor collection inside the pause. The flush looks
-   each id up again: one bounds check and one load. *)
+   nothing once grown. It holds ids, not handles: the batch lives in
+   OCaml's major heap, so storing a recently allocated handle into it
+   would add an entry to OCaml's remembered set, and a full set forces
+   an OCaml minor collection inside the pause. The flush reads and
+   writes each id's word in the store's header array. *)
 type buffers = {
   stack : Work_queue.t;
   ticks : Work_queue.t;

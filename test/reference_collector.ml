@@ -156,9 +156,9 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
    matches. *)
 let sweep store ~stats =
   let live = ref 0 in
-  Store.iter_live_range_desc store ~lo:0 ~hi:(Store.slot_count store)
-    (fun (obj : Heap_obj.t) ->
-      let id = obj.Heap_obj.id in
+  for id = Store.slot_count store downto 1 do
+    let obj = Store.find store id in
+    if obj != Store.sentinel then begin
       let h = Store.header store id and size = Store.size_bytes store id in
       if Header.marked h then begin
         Store.set_header store id (Header.clear_gc_bits h);
@@ -169,7 +169,9 @@ let sweep store ~stats =
         stats.Gc_stats.bytes_reclaimed <-
           stats.Gc_stats.bytes_reclaimed + size;
         Store.free store obj
-      end);
+      end
+    end
+  done;
   Store.set_live_bytes store !live
 
 let engine () =

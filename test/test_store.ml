@@ -177,10 +177,7 @@ let test_iterators_skip_sentinel () =
           Alcotest.failf "%s yielded a dead object" name);
     Alcotest.(check int) (name ^ " count") (Store.object_count store) !n
   in
-  let hi = Store.slot_count store in
-  check "iter_live" (Store.iter_live store);
-  check "iter_live_range" (Store.iter_live_range store ~lo:0 ~hi);
-  check "iter_live_range_desc" (Store.iter_live_range_desc store ~lo:0 ~hi)
+  check "iter_live" (Store.iter_live store)
 
 let test_free_sentinel_rejected () =
   let store = Store.create ~limit_bytes:1_000 in
@@ -237,6 +234,140 @@ let prop_find_iff_live =
       in
       List.for_all live_ok !live && List.for_all dead_ok !dead && misses_ok)
 
+(* The flat store against a list model. Random sequences of
+   allocations (either generation), marks, frees and segmented sweeps
+   run on a store and on a model of it: the live objects with their
+   handle, size, class, generation and mark, the handles freed so far,
+   and the FIFO of free identifiers. After every step the store must
+   agree with the model: every live handle is found and live with its
+   recorded state, no freed handle is live (even once its identifier
+   is reused), every queued free identifier finds the sentinel, each
+   allocation takes the identifier the model's FIFO predicts, and the
+   used, live, nursery and count totals match. *)
+type store_op =
+  | Alloc of { n_fields : int; scalar : int; nursery : bool }
+  | Mark of int
+  | Free of int
+  | Sweep of int
+
+type model_obj = {
+  handle : Heap_obj.t;
+  size : int;
+  cls : int;
+  young : bool;
+  mutable marked : bool;
+}
+
+let prop_flat_store_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 5,
+            map3
+              (fun n_fields scalar nursery -> Alloc { n_fields; scalar; nursery })
+              (int_bound 5) (int_bound 40) bool );
+          (3, map (fun k -> Mark k) nat);
+          (1, map (fun k -> Free k) nat);
+          (1, map (fun seg -> Sweep (1 + seg)) (int_bound 12));
+        ])
+  in
+  QCheck.Test.make ~name:"store: flat arrays agree with a list model"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 150) gen_op))
+    (fun ops ->
+      let store = Store.create ~limit_bytes:1_000_000 in
+      let stats = Gc_stats.create () in
+      let live = ref [] and dead = ref [] in
+      let fifo = Queue.create () and next = ref 1 in
+      let swept_live = ref 0 in
+      let nth k = List.nth !live (k mod List.length !live) in
+      let release (m : model_obj) =
+        live := List.filter (fun l -> l != m) !live;
+        dead := m.handle :: !dead;
+        Queue.push m.handle.Heap_obj.id fifo
+      in
+      let sum f = List.fold_left (fun acc m -> acc + f m) 0 !live in
+      let agrees () =
+        let live_ok m =
+          let id = m.handle.Heap_obj.id in
+          let h = Store.header store id in
+          Store.find store id == m.handle
+          && Store.is_live store m.handle
+          && Header.marked h = m.marked
+          && Header.in_nursery h = m.young
+          && Store.size_bytes store id = m.size
+          && Store.class_of store id = m.cls
+        in
+        let free_ok id =
+          Store.find store id == Store.sentinel
+          && (not (Store.mem store id))
+          && Header.is_free (Store.header store id)
+        in
+        List.for_all live_ok !live
+        && List.for_all (fun h -> not (Store.is_live store h)) !dead
+        && Queue.fold (fun ok id -> ok && free_ok id) true fifo
+        && Store.used_bytes store = sum (fun m -> m.size)
+        && Store.nursery_bytes store
+           = sum (fun m -> if m.young then m.size else 0)
+        && Store.object_count store = List.length !live
+        && Store.slot_count store = !next - 1
+        && Store.live_bytes store = !swept_live
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Alloc { n_fields; scalar; nursery } ->
+              let expected =
+                if Queue.is_empty fifo then begin
+                  incr next;
+                  !next - 1
+                end
+                else Queue.pop fifo
+              in
+              let handle =
+                Store.alloc_generation store ~nursery ~class_id:n_fields
+                  ~n_fields ~scalar_bytes:scalar ~finalizable:false
+              in
+              live :=
+                {
+                  handle;
+                  size = Heap_obj.size_of ~n_fields ~scalar_bytes:scalar;
+                  cls = n_fields;
+                  young = nursery;
+                  marked = false;
+                }
+                :: !live;
+              handle.Heap_obj.id = expected
+            | Mark k when !live <> [] ->
+              let m = nth k in
+              let id = m.handle.Heap_obj.id in
+              Store.set_header store id (Header.set_marked (Store.header store id));
+              m.marked <- true;
+              true
+            | Free k when !live <> [] ->
+              let m = nth k in
+              Store.free store m.handle;
+              release m;
+              true
+            | Sweep seg ->
+              let doomed =
+                List.filter (fun m -> not m.marked) !live
+                |> List.sort (fun a b ->
+                       compare b.handle.Heap_obj.id a.handle.Heap_obj.id)
+              in
+              Trace_common.sliced_sweep store ~stats ~seg_slots:seg
+                ~on_segment:ignore;
+              List.iter release doomed;
+              List.iter (fun m -> m.marked <- false) !live;
+              swept_live := sum (fun m -> m.size);
+              true
+            | Mark _ | Free _ -> true
+          in
+          step_ok && agrees ())
+        ops)
+
 let suite =
   ( "store",
     [
@@ -256,4 +387,5 @@ let suite =
       Alcotest.test_case "is_live false after id recycling" `Quick
         test_is_live_recycled;
       QCheck_alcotest.to_alcotest prop_find_iff_live;
+      QCheck_alcotest.to_alcotest prop_flat_store_model;
     ] )
