@@ -489,7 +489,7 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     Some tgt
   end
 
-let obs_pairs = 101
+let obs_pairs = 201
 let obs_reads_per_sample = 500_000
 
 (* One cold read per this many reads in the mixed stream the budget is

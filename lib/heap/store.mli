@@ -198,9 +198,9 @@ val iter_live : t -> (Heap_obj.t -> unit) -> unit
 (** Iterates over every live object in allocation-slot order. *)
 
 val slot_count : t -> int
-(** Number of allocation slots ever used: the largest identifier handed
-    out so far, and the exclusive upper bound of the slot-index ranges
-    accepted by {!sweep_range}. *)
+(** Number of allocation slots ever used, [next_fresh_id t - 1]; the
+    exclusive upper bound of the slot-index ranges accepted by
+    {!sweep_range}. *)
 
 val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
 (** [sweep_range t stats ~lo ~hi] sweeps the slots [lo <= i < hi] in

@@ -108,7 +108,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
     stale_closure store ~stats (List.hd deferred)
   in
   Alcotest.(check int) "claimed bytes"
-    ((Store.size_bytes store b.Heap_obj.id) + (Store.size_bytes store c.Heap_obj.id))
+    (Store.size_bytes store b.Heap_obj.id + Store.size_bytes store c.Heap_obj.id)
     bytes;
   Alcotest.(check bool) "b stale-marked" true (Header.stale_marked (Store.header store b.Heap_obj.id));
   sweep store ~stats;

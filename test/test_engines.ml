@@ -436,7 +436,7 @@ let snapshot store =
   List.init (Store.slot_count store) (fun i ->
       let o = Store.find store (i + 1) in
       if o == Store.sentinel then None
-      else Some ((Store.header store o.Heap_obj.id), Array.to_list o.Heap_obj.fields))
+      else Some (Store.header store o.Heap_obj.id, Array.to_list o.Heap_obj.fields))
 
 let run_generated h make =
   let e = make () in

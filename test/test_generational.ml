@@ -14,7 +14,7 @@ let test_nursery_allocation () =
   Alcotest.(check bool) "allocated in nursery" true
     (Header.in_nursery (Store.header (Vm.store vm) obj.Heap_obj.id));
   Alcotest.(check bool) "nursery bytes tracked" true
-    (Store.nursery_bytes (Vm.store vm) >= (Store.size_bytes (Vm.store vm) obj.Heap_obj.id))
+    (Store.nursery_bytes (Vm.store vm) >= Store.size_bytes (Vm.store vm) obj.Heap_obj.id)
 
 let test_minor_gc_reclaims_dead_nursery () =
   let vm = make_vm ~nursery:1_000 () in

@@ -134,7 +134,7 @@ let prune_by_hand vm =
   Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
     (Swap_image.encode (Swap_image.capture (Vm.store vm) victim));
   Vm.inject_word_corruption vm src ~field:0 `Poison;
-  let id = victim.Heap_obj.id and cls = (Store.class_of (Vm.store vm) victim.Heap_obj.id) in
+  let id = victim.Heap_obj.id and cls = Store.class_of (Vm.store vm) victim.Heap_obj.id in
   Store.free (Vm.store vm) victim;
   (src, id, cls)
 

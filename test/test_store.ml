@@ -55,7 +55,7 @@ let test_iter_live_order () =
   in
   Store.free store (List.nth objs 2);
   let seen = ref [] in
-  Store.iter_live store (fun o -> seen := (Store.class_of store o.Heap_obj.id) :: !seen);
+  Store.iter_live store (fun o -> seen := Store.class_of store o.Heap_obj.id :: !seen);
   Alcotest.(check (list int)) "slot order, skipping freed" [ 0; 1; 3; 4 ]
     (List.rev !seen)
 
@@ -83,7 +83,7 @@ let prop_accounting_invariant =
           end)
         ops;
       let expected =
-        List.fold_left (fun acc (o : Heap_obj.t) -> acc + (Store.size_bytes store o.Heap_obj.id)) 0 !live
+        List.fold_left (fun acc (o : Heap_obj.t) -> acc + Store.size_bytes store o.Heap_obj.id) 0 !live
       in
       Store.used_bytes store = expected
       && Store.object_count store = List.length !live)
