@@ -50,8 +50,7 @@ let resurrect_finalizables store ~stats ~on_finalize =
       let w = fields.(i) in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
         let tgt = Word.target w in
-        if Header.is_free (Store.header store tgt) then
-          Trace_common.quarantine stats fields i
-        else mark_live tgt
+        if Store.mem store tgt then mark_live tgt
+        else Trace_common.quarantine stats fields i
     done
   done
