@@ -33,6 +33,7 @@ let () =
       Test_semantics.suite;
       Test_paper_example.suite;
       Test_workloads.suite;
+      Test_collect_arms.suite;
       Test_liveness.suite;
       Test_alloc_budget.suite;
     ]
