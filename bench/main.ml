@@ -7,55 +7,33 @@
      main.exe fig1 table2  run selected experiments (ids from --list)
      main.exe micro        run only the microbenches
      main.exe resurrection run the resurrection-overhead scenario
-                           (writes bench/out/BENCH_resurrection.json,
-                           plus the historical root copy)
+                           (writes BENCH_resurrection.json)
      main.exe obs          measure the cost of the disabled observability
-                           hooks (writes bench/out/BENCH_obs_overhead.json,
-                           plus a root copy)
+                           hooks (writes BENCH_obs_overhead.json)
      main.exe obs-gate     same measurement; exit 1 if overhead > 3%
      main.exe fleet        run the multi-tenant fleet chaos scenario
-                           (writes bench/out/BENCH_fleet.json, plus a
-                           root copy; exit 1 if any tenant sees a
-                           verifier failure or crash)
+                           (writes BENCH_fleet.json; exit 1 if any
+                           tenant sees a verifier failure or crash)
      main.exe --list       list experiment ids
 
-   JSON results land under bench/out/; BENCH_resurrection.json is also
-   kept at the repository root because earlier tooling reads it there. *)
+   Each scenario writes its BENCH_*.json once, in the current directory
+   (the repository root under `dune exec`), where the committed copy
+   lives. *)
 
 open Bechamel
 open Toolkit
 
-(* ------------------------------------------------------------------ *)
-(* Output convention: every JSON result is written under bench/out/. *)
-
-let out_dir = "bench/out"
-
-let out_path name =
-  (try Sys.mkdir "bench" 0o755 with Sys_error _ -> ());
-  (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
-  Filename.concat out_dir name
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-(* Writes a scenario's JSON object to bench/out/[name] and to the root
-   copy [name], with the host's core count stamped as its first field,
-   so every BENCH_*.json records the host it was measured on. Returns
-   the bench/out/ path. *)
+(* Writes a scenario's JSON object to [name], with the host's core
+   count stamped as its first field, so every BENCH_*.json records the
+   host it was measured on. *)
 let write_bench name json =
   if String.length json < 2 || String.sub json 0 2 <> "{\n" then
     invalid_arg ("write_bench: " ^ name ^ " is not a JSON object");
-  let json =
-    Printf.sprintf "{\n  \"host_cores\": %d,\n%s"
-      (Domain.recommended_domain_count ())
-      (String.sub json 2 (String.length json - 2))
-  in
-  let path = out_path name in
-  write_file path json;
-  write_file name json;
-  path
+  let oc = open_out name in
+  Printf.fprintf oc "{\n  \"host_cores\": %d,\n%s"
+    (Domain.recommended_domain_count ())
+    (String.sub json 2 (String.length json - 2));
+  close_out oc
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks: one Test.make per table/figure family, measuring
@@ -362,7 +340,7 @@ let run_resurrection_bench () =
       !safe_entries
       !total_cycles !gc_cycles !recover_cycles cycles_per_resurrection cpu_s
   in
-  let path = write_bench "BENCH_resurrection.json" json in
+  write_bench "BENCH_resurrection.json" json;
   Lp_harness.Render.table
     ~columns:[ "metric"; "value" ]
     ~rows:
@@ -379,7 +357,7 @@ let run_resurrection_bench () =
         [ "recovery cycles / resurrection";
           Printf.sprintf "%.1f" cycles_per_resurrection ];
       ];
-  Printf.printf "wrote %s (and root copy BENCH_resurrection.json)\n" path
+  print_endline "wrote BENCH_resurrection.json"
 
 (* ------------------------------------------------------------------ *)
 (* Disabled-observability overhead: DESIGN.md budgets the event hooks at
@@ -616,7 +594,7 @@ let run_obs_overhead_bench ~gate () =
       (ns_per_read mb) (ns_per_read mi) guard_ns guard_cold_pct mixed_pct
       budget pass
   in
-  let path = write_bench "BENCH_obs_overhead.json" json in
+  write_bench "BENCH_obs_overhead.json" json;
   Lp_harness.Render.table
     ~columns:[ "path"; "baseline ns/read"; "instrumented ns/read"; "overhead" ]
     ~rows:
@@ -638,7 +616,7 @@ let run_obs_overhead_bench ~gate () =
     "sink guard: %+.2f ns per cold read (%.2f%% of the cold path); mixed-stream \
      overhead %.2f%% (budget %.1f%%)\n"
     guard_ns guard_cold_pct mixed_pct budget;
-  Printf.printf "wrote %s (and root copy BENCH_obs_overhead.json)\n" path;
+  print_endline "wrote BENCH_obs_overhead.json";
   if gate then
     if pass then
       Printf.printf "obs-gate: PASS (%.2f%% <= %.1f%%)\n" mixed_pct budget
@@ -802,7 +780,7 @@ let run_pause_bench () =
          (List.map (fun c -> Printf.sprintf "%S" c.pc_workload) inc_beats_seq))
       (String.concat ",\n" (List.map case_json cases))
   in
-  let path = write_bench "BENCH_pauses.json" json in
+  write_bench "BENCH_pauses.json" json;
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "engine"; "gcs"; "pauses"; "max pause ms"; "mean pause ms";
@@ -826,7 +804,7 @@ let run_pause_bench () =
     (match inc_beats_seq with
     | [] -> "none"
     | l -> String.concat ", " (List.map (fun c -> c.pc_workload) l));
-  Printf.printf "wrote %s (and root copy BENCH_pauses.json)\n" path;
+  print_endline "wrote BENCH_pauses.json";
   if not deterministic then exit 1;
   if slice_violations <> [] then begin
     List.iter
@@ -982,7 +960,7 @@ let run_slo_bench () =
       (not nondeterministic)
       (String.concat ",\n" (List.map case_json cases))
   in
-  let path = write_bench "BENCH_slo.json" json in
+  write_bench "BENCH_slo.json" json;
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "mode"; "gcs"; "pauses"; "p99 pause ms"; "max pause ms";
@@ -1001,7 +979,7 @@ let run_slo_bench () =
              string_of_int c.sc_final_budget;
            ])
          cases);
-  Printf.printf "wrote %s (and root copy BENCH_slo.json)\n" path;
+  print_endline "wrote BENCH_slo.json";
   if p99_losses <> [] then begin
     List.iter
       (fun c ->
@@ -1152,7 +1130,7 @@ let run_fleet_bench () =
       report.Lp_fleet.Fleet.backend_used_bytes
       report.Lp_fleet.Fleet.backend_denials cpu_s
   in
-  let path = write_bench "BENCH_fleet.json" json in
+  write_bench "BENCH_fleet.json" json;
   Lp_harness.Render.table
     ~columns:[ "metric"; "value" ]
     ~rows:
@@ -1167,7 +1145,7 @@ let run_fleet_bench () =
         [ "verifier failures"; string_of_int verifier_failures ];
         [ "crashes"; string_of_int crashes ];
       ];
-  Printf.printf "wrote %s (and root copy BENCH_fleet.json)\n" path;
+  print_endline "wrote BENCH_fleet.json";
   if verifier_failures > 0 || crashes > 0 then begin
     Printf.eprintf
       "FLEET GATE FAILED: %d verifier failure(s), %d crash(es) — isolation \
@@ -1315,7 +1293,7 @@ let run_restart_bench () =
       (String.concat ", "
          (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
   in
-  let path = write_bench "BENCH_restart.json" json in
+  write_bench "BENCH_restart.json" json;
   Lp_harness.Render.table
     ~columns:[ "metric"; "warm"; "cold" ]
     ~rows:
@@ -1336,7 +1314,7 @@ let run_restart_bench () =
           Printf.sprintf "%.4f" mean_cold_wall;
         ];
       ];
-  Printf.printf "wrote %s (and root copy BENCH_restart.json)\n" path;
+  print_endline "wrote BENCH_restart.json";
   if !violations <> [] then begin
     Printf.eprintf "RESTART GATE FAILED (%d violation(s)):\n"
       (List.length !violations);
@@ -1462,7 +1440,7 @@ let run_liveness_bench () =
       (String.concat ", "
          (List.map (fun v -> Printf.sprintf "%S" v) (List.rev !violations)))
   in
-  let path = write_bench "BENCH_liveness.json" json in
+  write_bench "BENCH_liveness.json" json;
   Lp_harness.Render.table
     ~columns:
       [ "workload"; "off mispred"; "guide mispred"; "vetoes"; "boosts" ]
@@ -1479,7 +1457,7 @@ let run_liveness_bench () =
              string_of_int (sum (fun (_, _, _, _, _, _, _, b) -> b) l);
            ])
          bench_workloads);
-  Printf.printf "wrote %s (and root copy BENCH_liveness.json)\n" path;
+  print_endline "wrote BENCH_liveness.json";
   if !violations <> [] then begin
     Printf.eprintf "LIVENESS GATE FAILED (%d violation(s)):\n"
       (List.length !violations);
@@ -1496,37 +1474,37 @@ let scenarios =
   @ [
       ("micro", "Bechamel microbenchmarks", run_microbenches);
       ( "resurrection",
-        "Resurrection-overhead baseline (writes bench/out/BENCH_resurrection.json)",
+        "Resurrection-overhead baseline (writes BENCH_resurrection.json)",
         run_resurrection_bench );
       ( "obs",
-        "Disabled-observability overhead (writes bench/out/BENCH_obs_overhead.json)",
+        "Disabled-observability overhead (writes BENCH_obs_overhead.json)",
         run_obs_overhead_bench ~gate:false );
       ( "obs-gate",
         "Same measurement; exit 1 if overhead exceeds the 3% budget",
         run_obs_overhead_bench ~gate:true );
       ( "gc-pauses",
         "Pause profile under seq/inc engines (writes \
-         bench/out/BENCH_pauses.json; exit 1 if outputs diverge or an \
+         BENCH_pauses.json; exit 1 if outputs diverge or an \
          incremental slice busts its budget)",
         run_pause_bench );
       ( "slo",
         "Pause-SLO autopilot vs the static incremental default (writes \
-         bench/out/BENCH_slo.json; exit 1 unless the autopilot's p99 beats \
+         BENCH_slo.json; exit 1 unless the autopilot's p99 beats \
          static everywhere, no pause is monolithic, and reruns reclaim \
          bit-identically)",
         run_slo_bench );
       ( "fleet",
-        "Multi-tenant fleet under chaos (writes bench/out/BENCH_fleet.json; \
+        "Multi-tenant fleet under chaos (writes BENCH_fleet.json; \
          exit 1 on any verifier failure or crash)",
         run_fleet_bench );
       ( "restart",
         "Warm vs cold restart cost over 25 seeds (writes \
-         bench/out/BENCH_restart.json; exit 1 unless every warm run beats \
+         BENCH_restart.json; exit 1 unless every warm run beats \
          its cold baseline)",
         run_restart_bench );
       ( "liveness",
         "Static liveness oracle vs dynamic-only SELECT over 25 variants of \
-         each bytecode-modelled workload (writes bench/out/BENCH_liveness.json; \
+         each bytecode-modelled workload (writes BENCH_liveness.json; \
          exit 1 unless guided is deterministic, never worse, and strictly \
          better somewhere)",
         run_liveness_bench );

@@ -21,8 +21,6 @@ type t = {
   report : (string -> unit) option;
   force_state : State_kind.t option;
   maxstaleuse_decay_period : int option;
-  max_slow_path_attempts : int;
-  disk_retry_attempts : int;
   safe_mode_threshold : int option;
   gc_slice_budget : int option;
   liveness_mode : liveness_mode;
@@ -49,8 +47,6 @@ let default =
     report = None;
     force_state = None;
     maxstaleuse_decay_period = None;
-    max_slow_path_attempts = 24;
-    disk_retry_attempts = 2;
     safe_mode_threshold = Some 4;
     gc_slice_budget = None;
     liveness_mode = Liveness_off;
@@ -67,8 +63,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(max_unproductive_cycles = default.max_unproductive_cycles)
     ?(finalizers_after_prune = default.finalizers_after_prune) ?report
     ?force_state ?maxstaleuse_decay_period
-    ?(max_slow_path_attempts = default.max_slow_path_attempts)
-    ?(disk_retry_attempts = default.disk_retry_attempts)
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?gc_slice_budget
     ?(liveness_mode = default.liveness_mode)
@@ -86,8 +80,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     report;
     force_state;
     maxstaleuse_decay_period;
-    max_slow_path_attempts;
-    disk_retry_attempts;
     safe_mode_threshold;
     gc_slice_budget;
     liveness_mode;
@@ -109,9 +101,6 @@ let validate t =
     Error "max_unproductive_cycles must be >= 1"
   else if (match t.maxstaleuse_decay_period with Some p -> p < 1 | None -> false)
   then Error "maxstaleuse_decay_period must be >= 1"
-  else if t.max_slow_path_attempts < 1 then
-    Error "max_slow_path_attempts must be >= 1"
-  else if t.disk_retry_attempts < 0 then Error "disk_retry_attempts must be >= 0"
   else if (match t.safe_mode_threshold with Some n -> n < 1 | None -> false)
   then Error "safe_mode_threshold must be >= 1"
   else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then

@@ -8,12 +8,13 @@
     collection and the VM is about to throw an out-of-memory error.
 
     [Config] holds only the settings of one VM: the paper's thresholds
-    and trigger, the collector's slice budget, degradation limits, the
-    liveness oracle and the pause SLO. Fleet settings live with the code
-    that reads them: admission, quarantine and checkpoint cadence in
-    [Lp_fleet.Fleet.options], the restart ladder in
+    and trigger, the collector's slice budget, the SAFE-mode threshold,
+    the liveness oracle and the pause SLO. Fleet settings live with the
+    code that reads them: admission, quarantine and checkpoint cadence
+    in [Lp_fleet.Fleet.options], the restart ladder in
     [Lp_super.Supervisor.config], the crash-storm breaker in
-    [Lp_super.Breaker.config]. *)
+    [Lp_super.Breaker.config]; the slow paths' retry bounds are
+    constants in [Lp_runtime.Vm]. *)
 
 type prune_trigger = On_select_gc | On_exhaustion
 
@@ -58,14 +59,6 @@ type t = {
           full-heap collections — the paper's proposed future-work
           policy for phased behaviour (JbbMod); default [None] (the
           paper's implementation) *)
-  max_slow_path_attempts : int;
-      (** collections one allocation may trigger while advancing through
-          the SELECT/PRUNE protocol before the out-of-memory error is
-          thrown; default 24 *)
-  disk_retry_attempts : int;
-      (** degraded re-collections (offloading disabled) the VM attempts
-          when the disk-swap baseline reports [Out_of_disk] before the
-          structured [Errors.Disk_exhausted] is thrown; default 2 *)
   safe_mode_threshold : int option;
       (** resurrections (recovered mispredictions) within one prune
           epoch that push the controller into the SAFE state, suspending
@@ -115,8 +108,6 @@ val make :
   ?report:(string -> unit) ->
   ?force_state:State_kind.t ->
   ?maxstaleuse_decay_period:int ->
-  ?max_slow_path_attempts:int ->
-  ?disk_retry_attempts:int ->
   ?safe_mode_threshold:int option ->
   ?gc_slice_budget:int ->
   ?liveness_mode:liveness_mode ->

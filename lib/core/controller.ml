@@ -16,8 +16,7 @@ type t = {
   mutable epoch_mispredictions : int;  (* since the last PRUNE collection *)
   metrics : Lp_obs.Metrics.t;
   mutable sink : Lp_obs.Sink.t option;
-  engine : Trace_engine.t;
-      (* the one tracing engine every phase dispatches through *)
+  engine : Collector.t;  (* the collector every phase runs on *)
   mutable mark_wall_ns : int;  (* wall time spent in mark phases *)
   (* The static liveness oracle, lowered to runtime ids by the harness
      (lp_core never sees lp_liveness — only the closures). *)
@@ -47,7 +46,7 @@ let create ?metrics ?engine config registry =
     let engine =
       match engine with
       | Some e -> e
-      | None -> Inc_engine.engine (Inc_engine.create ())
+      | None -> Collector.create ()
     in
     {
       config;
@@ -292,28 +291,11 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   stats.Gc_stats.collections <- stats.Gc_stats.collections + 1;
   let st = state t in
   let track = State_kind.tracking st in
-  (* Staleness increments piggyback on tracing (the mark configs below
-     carry the collection number), so only live objects pay for them. *)
-  let tick = if track then Some t.gc_count else None in
   (match t.config.Config.maxstaleuse_decay_period with
   | Some period when track && t.gc_count mod period = 0 ->
     Edge_table.decay_max_stale_use t.table
   | Some _ | None -> ());
   let poisoned_before = stats.Gc_stats.references_poisoned in
-  (* Every branch funnels its in-use closure through [mark] so the phase
-     span and its work figure (fields scanned) are attributed uniformly.
-     [note] carries the Individual_refs byte accounting and the liveness
-     audit; the engine runs it on every live edge in scan order. *)
-  let mark ?note config =
-    phase_begin t "mark";
-    let before = stats.Gc_stats.fields_scanned in
-    let t0 = Unix.gettimeofday () in
-    let r = t.engine.Trace_engine.mark ?note store roots ~stats ~config in
-    t.mark_wall_ns <-
-      t.mark_wall_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
-    phase_end t "mark" (stats.Gc_stats.fields_scanned - before);
-    r
-  in
   let select_winner () =
     phase_begin t "selection";
     stats.Gc_stats.selection_scans <- stats.Gc_stats.selection_scans + 1;
@@ -340,144 +322,125 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
           | Some effect -> audit_liveness t store edge effect
           | None -> ())
   in
-  (match (st, t.config.Config.policy) with
-  | State_kind.Inactive, _ | _, Policy.None_ ->
-    ignore (mark { Collector.base_config with Collector.events = t.sink })
-  | (State_kind.Observe | State_kind.Safe), _ ->
-    ignore
-      (mark
-         {
-           Collector.set_untouched_bits = true;
-           stale_tick_gc = tick;
-           edge_filter = None;
-           on_poison = None;
-           events = t.sink;
-         })
-  | State_kind.Select, Policy.Default ->
-    let filter =
-      Selection.select_filter_default ?prior:t.prior store t.config t.table
-    in
-    let deferred =
-      mark ?note:lv_note
-        {
-          Collector.set_untouched_bits = true;
-          stale_tick_gc = tick;
-          edge_filter = Some filter;
-          on_poison = None;
-          events = t.sink;
-        }
-    in
-    phase_begin t "stale_closure";
-    let claimed_before = stats.Gc_stats.stale_closure_objects in
-    List.iter
-      (fun (edge : Collector.edge) ->
-        let bytes =
-          t.engine.Trace_engine.stale_closure ?events:t.sink store ~stats
-            ~set_untouched_bits:true ~stale_tick_gc:tick edge
-        in
-        if bytes > 0 then
+  (* Each arm picks the in-use closure's edge filter and note, and what
+     runs on its deferred candidates once it is done. [note] carries
+     the Individual_refs byte accounting and the liveness audit; the
+     collector runs it on every live edge in scan order. *)
+  let filter, note, after_mark =
+    match (st, t.config.Config.policy) with
+    | State_kind.Inactive, _
+    | _, Policy.None_
+    | (State_kind.Observe | State_kind.Safe), _ ->
+      (None, None, ignore)
+    | State_kind.Select, Policy.Default ->
+      ( Some
+          (Selection.select_filter_default ?prior:t.prior store t.config
+             t.table),
+        lv_note,
+        fun deferred ->
+          phase_begin t "stale_closure";
+          let claimed_before = stats.Gc_stats.stale_closure_objects in
+          List.iter
+            (fun (edge : Collector.edge) ->
+              let bytes =
+                Collector.stale_closure t.engine ?events:t.sink store ~stats
+                  ~set_untouched_bits:true ~stale_tick_gc:(Some t.gc_count)
+                  edge
+              in
+              if bytes > 0 then
+                Edge_table.add_bytes t.table
+                  ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+                  ~tgt:(Store.class_of store edge.Collector.tgt)
+                  bytes)
+            (Collector.canonical_candidates deferred);
+          phase_end t "stale_closure"
+            (stats.Gc_stats.stale_closure_objects - claimed_before);
+          select_winner () )
+    | State_kind.Select, Policy.Individual_refs ->
+      (* Byte attribution: every live edge whose target qualifies as
+         stale adds the target's bytes to its edge type, at its scan
+         point. *)
+      let note (edge : Collector.edge) =
+        if Selection.stale_qualifies ?prior:t.prior store t.config t.table edge
+        then
           Edge_table.add_bytes t.table
             ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
             ~tgt:(Store.class_of store edge.Collector.tgt)
-            bytes)
-      (Trace_common.canonical_candidates deferred);
-    phase_end t "stale_closure"
-      (stats.Gc_stats.stale_closure_objects - claimed_before);
-    select_winner ()
-  | State_kind.Select, Policy.Individual_refs ->
-    (* Byte attribution: every live edge whose target qualifies as
-       stale adds the target's bytes to its edge type, at its scan
-       point. *)
-    let note (edge : Collector.edge) =
-      if Selection.stale_qualifies ?prior:t.prior store t.config t.table edge
-      then
-        Edge_table.add_bytes t.table
-          ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
-          ~tgt:(Store.class_of store edge.Collector.tgt)
-          (Store.size_bytes store edge.Collector.tgt)
-      else
-        (* byte notes take precedence; only a veto that suppressed a
-           dynamically qualifying edge is still worth auditing here *)
-        match liveness_effect t store edge with
-        | Some `Veto -> audit_liveness t store edge `Veto
-        | Some `Boost | None -> ()
-    in
-    ignore
-      (mark ~note
-         {
-           Collector.set_untouched_bits = true;
-           stale_tick_gc = tick;
-           edge_filter = None;
-           on_poison = None;
-           events = t.sink;
-         });
-    select_winner ()
-  | State_kind.Select, Policy.Most_stale ->
-    ignore
-      (mark
-         {
-           Collector.set_untouched_bits = true;
-           stale_tick_gc = tick;
-           edge_filter = None;
-           on_poison = None;
-           events = t.sink;
-         });
-    phase_begin t "selection";
-    stats.Gc_stats.selection_scans <- stats.Gc_stats.selection_scans + 1;
-    let level = Selection.max_live_staleness store ~marked_only:true in
-    t.selected_level <- (if level >= 2 then Some level else None);
-    phase_end t "selection" 1
-  | State_kind.Prune, (Policy.Default | Policy.Individual_refs) ->
-    record_averted t store;
-    let filter =
-      match t.selected with
-      | Some selected ->
-        Some
-          (Selection.prune_filter_edge_type ?prior:t.prior store t.config
-             t.table
-             ~selected)
-      | None -> None
-    in
-    ignore
-      (mark ?note:lv_note
-         {
-           Collector.set_untouched_bits = true;
-           stale_tick_gc = tick;
-           edge_filter = filter;
-           on_poison;
-           events = t.sink;
-         });
-    State_machine.note_prune_performed t.machine;
-    t.epoch_mispredictions <- 0;
-    decision_edge := t.selected;
-    (match (t.selected, stats.Gc_stats.references_poisoned - poisoned_before) with
-    | Some selected, n when n > 0 ->
-      if not (List.mem selected t.pruned_types) then
-        t.pruned_types <- selected :: t.pruned_types;
-      report t
-        (Printf.sprintf "leak pruning: pruned %d reference(s) of type %s" n
-           (edge_name t selected))
-    | Some _, _ | None, _ -> ());
-    t.selected <- None
-  | State_kind.Prune, Policy.Most_stale ->
-    record_averted t store;
-    let filter =
-      match t.selected_level with
-      | Some level -> Some (Selection.prune_filter_most_stale store ~level)
-      | None -> None
-    in
-    ignore
-      (mark
-         {
-           Collector.set_untouched_bits = true;
-           stale_tick_gc = tick;
-           edge_filter = filter;
-           on_poison;
-           events = t.sink;
-         });
-    State_machine.note_prune_performed t.machine;
-    t.epoch_mispredictions <- 0;
-    t.selected_level <- None);
+            (Store.size_bytes store edge.Collector.tgt)
+        else
+          (* byte notes take precedence; only a veto that suppressed a
+             dynamically qualifying edge is still worth auditing here *)
+          match liveness_effect t store edge with
+          | Some `Veto -> audit_liveness t store edge `Veto
+          | Some `Boost | None -> ()
+      in
+      (None, Some note, fun _ -> select_winner ())
+    | State_kind.Select, Policy.Most_stale ->
+      ( None,
+        None,
+        fun _ ->
+          phase_begin t "selection";
+          stats.Gc_stats.selection_scans <- stats.Gc_stats.selection_scans + 1;
+          let level = Selection.max_live_staleness store ~marked_only:true in
+          t.selected_level <- (if level >= 2 then Some level else None);
+          phase_end t "selection" 1 )
+    | State_kind.Prune, (Policy.Default | Policy.Individual_refs) ->
+      record_averted t store;
+      ( Option.map
+          (fun selected ->
+            Selection.prune_filter_edge_type ?prior:t.prior store t.config
+              t.table ~selected)
+          t.selected,
+        lv_note,
+        fun _ ->
+          State_machine.note_prune_performed t.machine;
+          t.epoch_mispredictions <- 0;
+          decision_edge := t.selected;
+          (match
+             (t.selected, stats.Gc_stats.references_poisoned - poisoned_before)
+           with
+          | Some selected, n when n > 0 ->
+            if not (List.mem selected t.pruned_types) then
+              t.pruned_types <- selected :: t.pruned_types;
+            report t
+              (Printf.sprintf "leak pruning: pruned %d reference(s) of type %s"
+                 n (edge_name t selected))
+          | Some _, _ | None, _ -> ());
+          t.selected <- None )
+    | State_kind.Prune, Policy.Most_stale ->
+      record_averted t store;
+      ( Option.map
+          (fun level -> Selection.prune_filter_most_stale store ~level)
+          t.selected_level,
+        None,
+        fun _ ->
+          State_machine.note_prune_performed t.machine;
+          t.epoch_mispredictions <- 0;
+          t.selected_level <- None )
+  in
+  (* The one in-use closure. Every state but INACTIVE maintains the
+     untouched bits and ticks staleness; ticking piggybacks on tracing
+     (the config carries the collection number), so only live objects
+     pay for it. Pruning disabled traces like INACTIVE. The phase span's
+     work figure is the fields scanned. *)
+  let active = track && t.config.Config.policy <> Policy.None_ in
+  let config =
+    {
+      Collector.set_untouched_bits = active;
+      stale_tick_gc = (if active then Some t.gc_count else None);
+      edge_filter = filter;
+      on_poison;
+      events = t.sink;
+    }
+  in
+  phase_begin t "mark";
+  let scanned_before = stats.Gc_stats.fields_scanned in
+  let t0 = Unix.gettimeofday () in
+  let deferred = Collector.mark t.engine ?note store roots ~stats ~config in
+  t.mark_wall_ns <-
+    t.mark_wall_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+  phase_end t "mark" (stats.Gc_stats.fields_scanned - scanned_before);
+  after_mark deferred;
   let run_finalizers =
     t.config.Config.finalizers_after_prune || not (State_machine.has_pruned t.machine)
   in
@@ -495,7 +458,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   let freed_before = stats.Gc_stats.bytes_reclaimed in
   phase_begin t "sweep";
   let swept_before = stats.Gc_stats.objects_swept in
-  t.engine.Trace_engine.sweep store ~stats;
+  Collector.sweep t.engine store ~stats;
   phase_end t "sweep" (stats.Gc_stats.objects_swept - swept_before);
   let freed = stats.Gc_stats.bytes_reclaimed - freed_before in
   (* A prune that neither poisons nor frees is unproductive; enough of

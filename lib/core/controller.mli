@@ -24,7 +24,7 @@ type t
 
 val create :
   ?metrics:Lp_obs.Metrics.t ->
-  ?engine:Trace_engine.t ->
+  ?engine:Collector.t ->
   Config.t ->
   Class_registry.t ->
   t
@@ -33,13 +33,12 @@ val create :
     publishes its counters into ([controller.mispredictions],
     [prune.decisions], [prune.refs_poisoned], [prune.bytes_reclaimed]);
     a private registry is created when omitted, so standalone
-    controllers keep working unchanged. [engine] is the tracing engine
-    every full-heap collection dispatches through
-    ({!Lp_heap.Trace_engine}); when omitted the controller runs an
-    {!Lp_heap.Inc_engine} with no slice budget, the original collector
-    bit-for-bit. The marked set, the prune decisions, every [Gc_stats]
-    counter and the reclaimed bytes do not depend on the engine's slice
-    budget — only the pause profile does. *)
+    controllers keep working unchanged. [engine] is the collector
+    every full-heap collection runs on ({!Lp_heap.Collector}); when
+    omitted the controller creates one with no slice budget. The marked
+    set, the prune decisions, every [Gc_stats] counter and the
+    reclaimed bytes do not depend on the engine's slice budget — only
+    the pause profile does. *)
 
 val set_sink : t -> Lp_obs.Sink.t option -> unit
 (** Attaches (or detaches) the event sink. With a sink attached, each
@@ -52,8 +51,10 @@ val set_sink : t -> Lp_obs.Sink.t option -> unit
 
 val sink : t -> Lp_obs.Sink.t option
 
-val engine : t -> Trace_engine.t
-(** The tracing engine this controller dispatches through. *)
+val engine : t -> Collector.t
+(** The collector this controller runs every full-heap collection on:
+    the VM retunes its slice budget and drains its pause samples
+    through it. *)
 
 val mark_wall_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent in mark phases — the

@@ -7,7 +7,7 @@ type site = {
   n_fields : int;
   scalar_bytes : int;
   ring_holder : Heap_obj.t;  (* statics-rooted object whose fields are the ring *)
-  engine : Trace_engine.t;  (* runs the trial mark *)
+  engine : Collector.t;  (* runs the trial mark *)
   mutable filled : int;
   mutable next : int;
   mutable recycled : int;
@@ -26,7 +26,7 @@ let site vm ~class_name ~m ~n_fields ~scalar_bytes =
     n_fields;
     scalar_bytes;
     ring_holder;
-    engine = Inc_engine.engine (Inc_engine.create ());
+    engine = Collector.create ();
     filled = 0;
     next = 0;
     recycled = 0;
@@ -43,7 +43,7 @@ let program_reachable t (obj : Heap_obj.t) =
     if e.Collector.src == t.ring_holder then Collector.Defer else Collector.Trace
   in
   ignore
-    (t.engine.Trace_engine.mark store (Vm.roots t.vm) ~stats
+    (Collector.mark t.engine store (Vm.roots t.vm) ~stats
        ~config:
          {
            Collector.set_untouched_bits = false;

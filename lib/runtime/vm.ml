@@ -24,10 +24,6 @@ type t = {
   nursery_limit : int option;
   remset : Remset.t;
   fault : Lp_fault.Fault_plan.t option;
-  (* The engine behind every full collection, built from
-     Config.gc_slice_budget; the controller dispatches through its
-     Trace_engine view, the autopilot retunes its budget here. *)
-  inc : Inc_engine.t;
   autopilot : Lp_slo.Autopilot.t option;
   mutable gc_pause_ns : int;  (* wall time inside full collections *)
   (* phase-tagged wall-clock pause samples, oldest first: one int per
@@ -155,10 +151,13 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
              ~init_budget:budget) )
     | None -> (config.Lp_core.Config.gc_slice_budget, None)
   in
-  let inc = Inc_engine.create ?slice_budget () in
+  (* The collector behind every full collection, built from
+     Config.gc_slice_budget; the controller owns it, and the autopilot
+     retunes its budget through [Controller.engine]. *)
   let controller =
-    Lp_core.Controller.create ~metrics ~engine:(Inc_engine.engine inc) config
-      registry
+    Lp_core.Controller.create ~metrics
+      ~engine:(Collector.create ?slice_budget ())
+      config registry
   in
   {
     registry;
@@ -178,7 +177,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     nursery_limit = nursery_bytes;
     remset = Remset.create ();
     fault;
-    inc;
     autopilot;
     gc_pause_ns = 0;
     pause_buf = Array.make 16 0;
@@ -295,7 +293,7 @@ let max_pause_ns t =
   !m
 
 let max_slice_work t =
-  (Lp_core.Controller.engine t.controller).Trace_engine.max_slice_work ()
+  Collector.max_slice_work (Lp_core.Controller.engine t.controller)
 
 (* The engine holds nothing to release; kept because the benchmark in
    perfbench/ calls it. *)
@@ -581,6 +579,20 @@ let oom_error t =
       ~used_bytes:(Store.used_bytes t.store)
       ~limit_bytes:(Store.limit_bytes t.store)
 
+(* The slow paths' bounds. [disk_retry_attempts]: degraded
+   re-collections (offloading disabled) after the disk-swap baseline
+   reports [Out_of_disk], before the structured [Disk_exhausted] is
+   thrown. [disk_baseline_retries]: retry collections one allocation
+   gets under the disk-only baseline. [max_slow_path_attempts]:
+   collections one allocation may trigger while advancing through the
+   SELECT/PRUNE protocol, and store refusals it may absorb, before the
+   out-of-memory error is thrown. *)
+let disk_retry_attempts = 2
+
+let disk_baseline_retries = 4
+
+let max_slow_path_attempts = 24
+
 (* The post-collection disk operation can fail — for real (residency
    over the disk limit) or through an injected fault. Rather than
    crashing the VM, degrade: re-collect (another collection lets pruning
@@ -588,13 +600,10 @@ let oom_error t =
    and retry with offloading disabled, a bounded number of times. Only
    when the bounded policy fails does the structured error surface. *)
 let run_disk_phase t d =
-  let retries =
-    (Lp_core.Controller.config t.controller).Lp_core.Config.disk_retry_attempts
-  in
   let rec attempt n =
     try Diskswap.after_gc ~allow_offload:(n = 0) d t.store
     with Diskswap.Out_of_disk { resident_bytes; limit_bytes } ->
-      if n >= retries then
+      if n >= disk_retry_attempts then
         raise
           (Lp_core.Errors.disk_exhausted ~resident_bytes ~limit_bytes ~retries:n
              ~gc_count:t.stats.Gc_stats.collections)
@@ -642,8 +651,7 @@ let run_gc t =
      was slice-bounded. An unbudgeted engine contributes the whole
      collection as one [Monolithic] sample. *)
   let samples =
-    match (Lp_core.Controller.engine t.controller).Trace_engine.take_pauses ()
-    with
+    match Collector.take_pauses (Lp_core.Controller.engine t.controller) with
     | [] -> [ (Trace_engine.Monolithic, total_ns) ]
     | slices -> (
       let in_slices = List.fold_left (fun acc (_, ns) -> acc + ns) 0 slices in
@@ -697,13 +705,13 @@ let run_gc t =
                p99_ns = d.Lp_slo.Autopilot.d_p99_ns;
              })
       | None -> ());
-    Inc_engine.set_slice_budget t.inc d.Lp_slo.Autopilot.d_budget
+    Collector.set_slice_budget
+      (Lp_core.Controller.engine t.controller)
+      d.Lp_slo.Autopilot.d_budget
   | None -> ());
   match t.gc_listener with
   | Some f -> f { gc_number; live_bytes_after = live; state }
   | None -> ()
-
-let disk_baseline_retries = 4
 
 (* The allocation slow path: collect, then keep advancing through the
    controller's SELECT/PRUNE protocol while it reports progress is
@@ -711,7 +719,7 @@ let disk_baseline_retries = 4
    only recourse, so only [disk_baseline_retries] retry collections are
    granted. [attempts] bounds the retries for one allocation: if the
    collector cannot free the request within
-   [Config.max_slow_path_attempts] collections the VM has ground to a
+   [max_slow_path_attempts] collections the VM has ground to a
    halt and the out-of-memory error is thrown (a forced state, for
    example, can never prune). *)
 let rec alloc_slow_path t size attempts =
@@ -732,7 +740,7 @@ let rec alloc_slow_path t size attempts =
         alloc_slow_path t size (attempts + 1)
       else raise (oom_error t)
     | true | false ->
-      if attempts >= config.Lp_core.Config.max_slow_path_attempts then
+      if attempts >= max_slow_path_attempts then
         raise (oom_error t)
       else begin
         match
@@ -755,9 +763,6 @@ let[@inline never] alloc_class_slow t ~class_id ~scalar_bytes ~finalizable
   (* The store can refuse even after the headroom check said yes (an
      injected allocation fault); each refusal buys the slow path another
      go, bounded like the slow path itself. *)
-  let max_refusals =
-    (Lp_core.Controller.config t.controller).Lp_core.Config.max_slow_path_attempts
-  in
   let rec obtain refusals =
     if Store.would_overflow t.store size then alloc_slow_path t size 0;
     match
@@ -766,7 +771,7 @@ let[@inline never] alloc_class_slow t ~class_id ~scalar_bytes ~finalizable
     with
     | obj -> obj
     | exception Store.Heap_full _ ->
-      if refusals >= max_refusals then raise (oom_error t)
+      if refusals >= max_slow_path_attempts then raise (oom_error t)
       else begin
         run_gc t;
         obtain (refusals + 1)

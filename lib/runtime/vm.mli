@@ -106,10 +106,11 @@ val charge_barriers : t -> bool
 val remset : t -> Remset.t
 val fault_plan : t -> Lp_fault.Fault_plan.t option
 
-(** {1 The tracing engine}
+(** {1 The collector}
 
-    Every full-heap collection runs through one {!Lp_heap.Inc_engine},
-    built at {!create} on the calling domain:
+    Every full-heap collection runs on one {!Lp_heap.Collector}, built
+    at {!create} and owned by the controller
+    ({!Lp_core.Controller.engine}), the VM's only handle on it:
 
     - [Config.gc_slice_budget = None] (default, named [seq]): each
       collection is one pause, recorded as one [Monolithic] sample;
@@ -253,12 +254,21 @@ val alloc_class :
 
 (** {1 Collection} *)
 
+val disk_retry_attempts : int
+(** Degraded re-collections {!run_gc} attempts after the disk-swap
+    baseline reports [Out_of_disk]: 2. *)
+
+val max_slow_path_attempts : int
+(** Collections one allocation may trigger while advancing through the
+    SELECT/PRUNE protocol, and store refusals it may absorb, before the
+    out-of-memory error is thrown: 24. *)
+
 val run_gc : t -> unit
 (** Forces a full-heap collection now (used by tests and experiments;
     programs normally collect only on allocation pressure). Under the
     disk baseline a failing post-collection disk operation is retried
     with a bounded degradation policy — re-collect, then reconcile with
-    offloading disabled, [Config.disk_retry_attempts] times — before
+    offloading disabled, {!disk_retry_attempts} times — before
     {!Lp_core.Errors.Disk_exhausted} surfaces; the raw
     {!Diskswap.Out_of_disk} never escapes the VM. *)
 

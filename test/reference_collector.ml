@@ -5,8 +5,9 @@
    own copy, it claims targets through an [on_trace] closure, and it
    always applies a closure's ticks in one batch at its end, so
    comparing an engine against it also checks the engines' rule of
-   ticking at claim time when no filter or note reads staleness. Every
-   Trace_engine must leave the heap exactly as this one does. *)
+   ticking at claim time when no filter or note reads staleness. The
+   Collector must leave the heap exactly as this one does, at every
+   slice budget. *)
 
 open Lp_heap
 
@@ -18,8 +19,8 @@ let tick store stats gc (obj : Heap_obj.t) =
     if Stale_counter.tick_object store ~gc_number obj.Heap_obj.id then
       stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1
 
-let quarantine (config : Trace_common.mark_config) stats fields i =
-  (match config.Trace_common.events with
+let quarantine (config : Collector.mark_config) stats fields i =
+  (match config.Collector.events with
   | Some sink ->
     Lp_obs.Sink.emit sink
       (Lp_obs.Event.Quarantine { target = Word.target fields.(i) })
@@ -27,7 +28,7 @@ let quarantine (config : Trace_common.mark_config) stats fields i =
   fields.(i) <- Word.poison fields.(i);
   stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1
 
-let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
+let scan_field store stats ~(config : Collector.mark_config) ~note ~on_trace
     ~deferred (obj : Heap_obj.t) i =
   let fields = obj.Heap_obj.fields in
   let w = fields.(i) in
@@ -35,7 +36,7 @@ let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
     stats.Gc_stats.fields_scanned <- stats.Gc_stats.fields_scanned + 1;
     if not (Word.poisoned w) then begin
       let w =
-        if config.Trace_common.set_untouched_bits && not (Word.untouched w)
+        if config.Collector.set_untouched_bits && not (Word.untouched w)
         then begin
           let w' = Word.set_untouched w in
           fields.(i) <- w';
@@ -50,27 +51,27 @@ let scan_field store stats ~(config : Trace_common.mark_config) ~note ~on_trace
       else begin
         let tgt = Store.get store (Word.target w) in
         let edge =
-          { Trace_common.src = obj; field = i; tgt = tgt.Heap_obj.id }
+          { Collector.src = obj; field = i; tgt = tgt.Heap_obj.id }
         in
         (match note with None -> () | Some f -> f edge);
         let action =
-          match config.Trace_common.edge_filter with
-          | None -> Trace_common.Trace
+          match config.Collector.edge_filter with
+          | None -> Collector.Trace
           | Some filter -> filter edge
         in
         match action with
-        | Trace_common.Trace ->
+        | Collector.Trace ->
           if not (Header.marked (Store.header store tgt.Heap_obj.id)) then
             on_trace tgt
-        | Trace_common.Defer ->
+        | Collector.Defer ->
           stats.Gc_stats.candidates_enqueued <-
             stats.Gc_stats.candidates_enqueued + 1;
           deferred := edge :: !deferred
-        | Trace_common.Poison ->
-          (match config.Trace_common.on_poison with
+        | Collector.Poison ->
+          (match config.Collector.on_poison with
           | Some f -> f edge
           | None -> ());
-          (match config.Trace_common.events with
+          (match config.Collector.events with
           | Some sink ->
             Lp_obs.Sink.emit sink
               (Lp_obs.Event.Edge_poisoned
@@ -98,7 +99,7 @@ let drain store stats ~config ~note ~on_trace ~deferred stack =
     scan_object store stats ~config ~note ~on_trace ~deferred (Stack.pop stack)
   done
 
-let mark ?note store roots ~stats ~(config : Trace_common.mark_config) =
+let mark ?note store roots ~stats ~(config : Collector.mark_config) =
   let stack = Stack.create () in
   let marked = Queue.create () in
   let deferred = ref [] in
@@ -113,17 +114,17 @@ let mark ?note store roots ~stats ~(config : Trace_common.mark_config) =
       let obj = Store.get store id in
       if not (Header.marked (Store.header store id)) then on_trace obj);
   drain store stats ~config ~note ~on_trace ~deferred stack;
-  Queue.iter (tick store stats config.Trace_common.stale_tick_gc) marked;
+  Queue.iter (tick store stats config.Collector.stale_tick_gc) marked;
   List.rev !deferred
 
 let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
-    (e : Trace_common.edge) =
-  let tgt = Store.get store e.Trace_common.tgt in
+    (e : Collector.edge) =
+  let tgt = Store.get store e.Collector.tgt in
   if Header.marked (Store.header store tgt.Heap_obj.id) then 0
   else begin
     let config =
       {
-        Trace_common.set_untouched_bits;
+        Collector.set_untouched_bits;
         stale_tick_gc;
         edge_filter = None;
         on_poison = None;
@@ -173,13 +174,3 @@ let sweep store ~stats =
     end
   done;
   Store.set_live_bytes store !live
-
-let engine () =
-  {
-    Trace_engine.name = "ref";
-    mark;
-    stale_closure;
-    sweep;
-    take_pauses = (fun () -> []);
-    max_slice_work = (fun () -> 0);
-  }

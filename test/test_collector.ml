@@ -6,16 +6,16 @@
 
 open Lp_heap
 
-let seq = Inc_engine.engine (Inc_engine.create ())
+let seq = Collector.create ()
 
 let mark store roots ~stats ~config =
-  seq.Trace_engine.mark store roots ~stats ~config
+  Collector.mark seq store roots ~stats ~config
 
 let stale_closure store ~stats edge =
-  seq.Trace_engine.stale_closure store ~stats ~set_untouched_bits:false
+  Collector.stale_closure seq store ~stats ~set_untouched_bits:false
     ~stale_tick_gc:None edge
 
-let sweep store ~stats = seq.Trace_engine.sweep store ~stats
+let sweep store ~stats = Collector.sweep seq store ~stats
 
 let build_store () = Store.create ~limit_bytes:1_000_000
 

@@ -14,11 +14,11 @@ let leak_one vm statics =
 
 let test_slow_path_exhaustion_bound () =
   (* a forced SELECT state can never prune, so collections free nothing:
-     the slow path must give up after its configured bound rather than
-     collect forever *)
+     the slow path must give up after its bound rather than collect
+     forever *)
   let config =
     Lp_core.Config.make ~policy:Lp_core.Policy.Default
-      ~force_state:Lp_core.State_kind.Select ~max_slow_path_attempts:3 ()
+      ~force_state:Lp_core.State_kind.Select ()
   in
   let vm = Vm.create ~config ~heap_bytes:2_000 () in
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
@@ -36,7 +36,7 @@ let test_slow_path_exhaustion_bound () =
   | _ -> Alcotest.fail "expected Out_of_memory"
   | exception Lp_core.Errors.Out_of_memory _ -> ());
   Alcotest.(check bool) "collections bounded by max_slow_path_attempts" true
-    (Vm.gc_count vm - gc_before <= 3 + 1)
+    (Vm.gc_count vm - gc_before <= Vm.max_slow_path_attempts + 1)
 
 let test_forced_prune_throws_averted () =
   (* a forced PRUNE state with nothing selected never poisons and never
@@ -120,12 +120,6 @@ let test_oversized_request_fast_fail () =
       (Vm.gc_count vm <= 1)
 
 let test_config_validation () =
-  (match Lp_core.Config.validate (Lp_core.Config.make ~max_slow_path_attempts:0 ()) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "max_slow_path_attempts = 0 must be rejected");
-  (match Lp_core.Config.validate (Lp_core.Config.make ~disk_retry_attempts:(-1) ()) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative disk_retry_attempts must be rejected");
   (* the collector's slice budget: the range message every subcommand
      reports *)
   Alcotest.(check (result unit string))
@@ -149,14 +143,7 @@ let test_config_validation () =
     (Invalid_argument "Vm.create: gc_slice_budget must be >= 1") (fun () ->
       ignore
         (Vm.create ~config:(Lp_core.Config.make ~gc_slice_budget:0 ())
-           ~heap_bytes:1_000 ()));
-  try
-    ignore
-      (Vm.create
-         ~config:(Lp_core.Config.make ~max_slow_path_attempts:0 ())
-         ~heap_bytes:1_000 ());
-    Alcotest.fail "Vm.create accepted an invalid config"
-  with Invalid_argument _ -> ()
+           ~heap_bytes:1_000 ()))
 
 let disk_vm plan =
   Vm.create
@@ -207,9 +194,8 @@ let test_disk_permanent_failure () =
   match Vm.run_gc vm with
   | () -> Alcotest.fail "expected Disk_exhausted"
   | exception Lp_core.Errors.Disk_exhausted { retries; _ } ->
-    Alcotest.(check int) "gave up after the configured retry budget"
-      (Lp_core.Controller.config (Vm.controller vm)).Lp_core.Config.disk_retry_attempts
-      retries
+    Alcotest.(check int) "gave up after the retry budget"
+      Vm.disk_retry_attempts retries
 
 let suite =
   ( "degradation",

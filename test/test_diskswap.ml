@@ -111,8 +111,7 @@ let test_out_of_disk () =
        last retry, and the retry budget it spent *)
     Alcotest.(check int) "limit carried" 4_000 limit_bytes;
     Alcotest.(check bool) "resident exceeded limit" true (resident_bytes > limit_bytes);
-    Alcotest.(check int) "retries equal the configured budget"
-      (Lp_core.Controller.config (Vm.controller vm)).Lp_core.Config.disk_retry_attempts
+    Alcotest.(check int) "retries equal the budget" Vm.disk_retry_attempts
       retries;
     Alcotest.(check bool) "collection count recorded" true (gc_count > 0)
 

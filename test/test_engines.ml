@@ -1,5 +1,5 @@
-(* Trace_engine conformance: the same SELECT-shaped and PRUNE-shaped
-   collections, driven through the engine record alone, must leave the
+(* Collector conformance: the same SELECT-shaped and PRUNE-shaped
+   collections, driven through the [engine] record alone, must leave the
    heap in the same state at every slice budget — same claimed bytes,
    same survivors, same poisoned words, same recycled identifiers, same
    counters. The suite instantiates one scenario per engine setting (no
@@ -11,12 +11,47 @@
 
 open Lp_heap
 
-let inc ?slice_budget () = Inc_engine.engine (Inc_engine.create ?slice_budget ())
+(* The three phases of one engine setting as closures, so the
+   reference collector and every Collector budget run the same
+   scenarios. *)
+type engine = {
+  mark :
+    ?note:(Collector.edge -> unit) ->
+    Store.t ->
+    Roots.t ->
+    stats:Gc_stats.t ->
+    config:Collector.mark_config ->
+    Collector.edge list;
+  stale_closure :
+    Store.t ->
+    stats:Gc_stats.t ->
+    set_untouched_bits:bool ->
+    stale_tick_gc:int option ->
+    Collector.edge ->
+    int;
+  sweep : Store.t -> stats:Gc_stats.t -> unit;
+}
+
+let of_collector c =
+  {
+    mark = (fun ?note store -> Collector.mark c ?note store);
+    stale_closure = (fun store -> Collector.stale_closure c store);
+    sweep = Collector.sweep c;
+  }
+
+let reference () =
+  {
+    mark = Reference_collector.mark;
+    stale_closure = (fun store -> Reference_collector.stale_closure store);
+    sweep = Reference_collector.sweep;
+  }
+
+let inc ?slice_budget () = of_collector (Collector.create ?slice_budget ())
 
 (* Every engine setting under test, against the reference collector. *)
 let factories =
   [
-    ("ref", Reference_collector.engine);
+    ("ref", reference);
     ("seq", fun () -> inc ());
     ("inc1", fun () -> inc ~slice_budget:1 ());
     ("inc8", fun () -> inc ~slice_budget:8 ());
@@ -60,7 +95,7 @@ let run_scenario make =
     else Collector.Trace
   in
   let deferred =
-    e.Trace_engine.mark store roots ~stats
+    e.mark store roots ~stats
       ~config:
         {
           Collector.set_untouched_bits = true;
@@ -70,16 +105,16 @@ let run_scenario make =
           events = None;
         }
   in
-  let candidates = Trace_common.canonical_candidates deferred in
+  let candidates = Collector.canonical_candidates deferred in
   let claimed =
     List.fold_left
       (fun acc edge ->
         acc
-        + e.Trace_engine.stale_closure store ~stats ~set_untouched_bits:true
+        + e.stale_closure store ~stats ~set_untouched_bits:true
             ~stale_tick_gc:(Some 1) edge)
       0 candidates
   in
-  e.Trace_engine.sweep store ~stats;
+  e.sweep store ~stats;
   let live_after_select = live_ids store in
   let poisoned = ref [] in
   let poison_b (edge : Collector.edge) =
@@ -87,7 +122,7 @@ let run_scenario make =
     else Collector.Trace
   in
   ignore
-    (e.Trace_engine.mark store roots ~stats
+    (e.mark store roots ~stats
        ~config:
          {
            Collector.set_untouched_bits = false;
@@ -101,7 +136,7 @@ let run_scenario make =
                    :: !poisoned);
            events = None;
          });
-  e.Trace_engine.sweep store ~stats;
+  e.sweep store ~stats;
   let live_after_prune = live_ids store in
   let word_poisoned = Word.poisoned a.Heap_obj.fields.(0) in
   let n1 = alloc store ~n_fields:0 in
@@ -142,8 +177,8 @@ let test_conformance () =
    scan more than one object per slice, and still mark every reachable
    object. *)
 let test_inc_slicing_respects_budget () =
-  let inc = Inc_engine.create ~slice_budget:1 () in
-  let e = Inc_engine.engine inc in
+  let inc = Collector.create ~slice_budget:1 () in
+  let e = of_collector inc in
   let store = build_store () in
   let roots = Roots.create () in
   let stats = Gc_stats.create () in
@@ -152,23 +187,23 @@ let test_inc_slicing_respects_budget () =
   for i = 0 to 9 do
     link root i (alloc store ~n_fields:0)
   done;
-  ignore (e.Trace_engine.mark store roots ~stats ~config:Collector.base_config);
-  e.Trace_engine.sweep store ~stats;
+  ignore (e.mark store roots ~stats ~config:Collector.base_config);
+  e.sweep store ~stats;
   Alcotest.(check int) "all 11 objects marked" 11 stats.Gc_stats.objects_marked;
   Alcotest.(check int) "max slice work bounded by the budget" 1
-    (e.Trace_engine.max_slice_work ());
-  Alcotest.(check bool) "at least 11 slices ran" true (Inc_engine.slices inc >= 11);
-  let pauses = e.Trace_engine.take_pauses () in
+    (Collector.max_slice_work inc);
+  Alcotest.(check bool) "at least 11 slices ran" true (Collector.slices inc >= 11);
+  let pauses = Collector.take_pauses inc in
   let count ph = List.length (List.filter (fun (p, _) -> p = ph) pauses) in
   Alcotest.(check int) "one Mark_slice sample per mark slice"
-    (Inc_engine.slices inc)
+    (Collector.slices inc)
     (count Trace_engine.Mark_slice);
   Alcotest.(check bool) "the sweep contributed tagged segment samples" true
     (count Trace_engine.Sweep_slice >= 1);
   Alcotest.(check int) "a sliced engine never reports Monolithic" 0
     (count Trace_engine.Monolithic);
   Alcotest.(check int) "take_pauses drains" 0
-    (List.length (e.Trace_engine.take_pauses ()))
+    (List.length (Collector.take_pauses inc))
 
 (* Changing settings between collections: a schedule that mixes
    settings must behave exactly like any fixed one — the determinism
@@ -181,7 +216,7 @@ let test_inc_slicing_respects_budget () =
    collection (seq -> inc8 -> seq, inc8 -> seq -> inc8 and every
    setting run fixed), so no collection state may outlive the
    collection in an engine; and one live engine whose budget is
-   retuned between collections with Inc_engine.set_slice_budget, the
+   retuned between collections with Collector.set_slice_budget, the
    path the pause-SLO autopilot takes. *)
 let run_switch_scenario ~seed schedule =
   let rng = Random.State.make [| seed |] in
@@ -228,9 +263,8 @@ let run_switch_scenario ~seed schedule =
     (fun make ->
       let e = make () in
       ignore
-        (e.Trace_engine.mark store roots ~stats ~config:Collector.base_config);
-      e.Trace_engine.sweep store ~stats;
-      ignore (e.Trace_engine.take_pauses ());
+        (e.mark store roots ~stats ~config:Collector.base_config);
+      e.sweep store ~stats;
       mutate ();
       (live_ids store, Store.object_count store, Gc_stats.copy stats))
     schedule
@@ -241,8 +275,7 @@ let test_engine_switch_conformance () =
   for seed = 1 to 25 do
     let reference =
       run_switch_scenario ~seed
-        [ Reference_collector.engine; Reference_collector.engine;
-          Reference_collector.engine ]
+        [ reference; reference; reference ]
     in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: seq->inc8->seq matches the reference" seed)
@@ -270,17 +303,16 @@ let test_budget_retune_conformance () =
   for seed = 1 to 25 do
     let reference =
       run_switch_scenario ~seed
-        [ Reference_collector.engine; Reference_collector.engine;
-          Reference_collector.engine ]
+        [ reference; reference; reference ]
     in
     List.iter
       (fun budgets ->
-        let inc = Inc_engine.create ~slice_budget:(List.hd budgets) () in
-        let e = Inc_engine.engine inc in
+        let inc = Collector.create ~slice_budget:(List.hd budgets) () in
+        let e = of_collector inc in
         let starts = ref [] in
         let step b () =
-          Inc_engine.set_slice_budget inc b;
-          starts := (b, Inc_engine.slices inc) :: !starts;
+          Collector.set_slice_budget inc b;
+          starts := (b, Collector.slices inc) :: !starts;
           e
         in
         Alcotest.(check bool)
@@ -297,7 +329,7 @@ let test_budget_retune_conformance () =
                if b = 1 then at_1 := !at_1 + n;
                if b = 128 then at_128 := !at_128 + n;
                start)
-             (Inc_engine.slices inc) !starts))
+             (Collector.slices inc) !starts))
       [ [ 8; 1; 128 ]; [ 128; 1; 8 ] ]
   done;
   Alcotest.(check bool)
@@ -474,7 +506,7 @@ let run_generated h make =
   in
   let poisoned = ref [] in
   let deferred =
-    e.Trace_engine.mark ?note store roots ~stats
+    e.mark ?note store roots ~stats
       ~config:
         {
           Collector.set_untouched_bits = h.untouched;
@@ -499,12 +531,12 @@ let run_generated h make =
   in
   let bytes =
     List.map
-      (e.Trace_engine.stale_closure store ~stats
+      (e.stale_closure store ~stats
          ~set_untouched_bits:h.untouched ~stale_tick_gc)
-      (Trace_common.canonical_candidates deferred)
+      (Collector.canonical_candidates deferred)
   in
   let marked = snapshot store in
-  e.Trace_engine.sweep store ~stats;
+  e.sweep store ~stats;
   let swept = snapshot store in
   let reused = List.init 4 (fun _ -> (alloc store ~n_fields:0).Heap_obj.id) in
   ( (edges, bytes, List.rev !poisoned, List.rev !notes),
@@ -517,7 +549,7 @@ let prop_generated_heaps =
     ~count:300
     (QCheck.make ~print:print_heap gen_heap)
     (fun h ->
-      let reference = run_generated h Reference_collector.engine in
+      let reference = run_generated h reference in
       List.for_all
         (fun name -> run_generated h (List.assoc name factories) = reference)
         [ "seq"; "inc1"; "inc8" ])

@@ -357,8 +357,8 @@ let prop_flat_store_model =
                 |> List.sort (fun a b ->
                        compare b.handle.Heap_obj.id a.handle.Heap_obj.id)
               in
-              Trace_common.sliced_sweep store ~stats ~seg_slots:seg
-                ~on_segment:ignore;
+              Collector.sweep (Collector.create ~slice_budget:seg ()) store
+                ~stats;
               List.iter release doomed;
               List.iter (fun m -> m.marked <- false) !live;
               swept_live := sum (fun m -> m.size);
