@@ -1348,8 +1348,7 @@ let run_liveness_bench () =
     ]
   in
   let run mode w n =
-    let config = Lp_core.Config.make ~liveness_mode:mode () in
-    Lp_harness.Driver.run ~config ~resurrection:true ~max_iterations:n w
+    Lp_harness.Driver.run ~liveness:mode ~resurrection:true ~max_iterations:n w
   in
   let key (r : Lp_harness.Driver.result) =
     ( r.Lp_harness.Driver.iterations,

@@ -183,13 +183,13 @@ let validated validate x =
 
 (* The VM configuration run and trace share, validated. *)
 let vm_config =
-  let make policy gc_slice_budget pause_slo slo_floor liveness =
+  let make policy gc_slice_budget pause_slo slo_floor =
     validated Lp_core.Config.validate
       (Lp_core.Config.make ~policy ?gc_slice_budget ?pause_slo_p99_ns:pause_slo
-         ?slo_budget_floor:slo_floor ~liveness_mode:liveness ())
+         ?slo_budget_floor:slo_floor ())
   in
   Term.(const make $ policy_arg $ gc_slice_budget_arg $ pause_slo_arg
-        $ slo_floor_arg $ liveness_arg)
+        $ slo_floor_arg)
 
 (* Shared by serve's fleet options and its tenant specs. *)
 let rate_arg =
@@ -346,7 +346,7 @@ let run_cmd =
          & info [ "prune-at-exhaustion" ]
              ~doc:"Use the paper's option (1): wait until the heap is 100% full before the first prune (Figure 11). Default is option (2), pruning right after a SELECT collection.")
   in
-  let run name config heap cap trace exhaustion =
+  let run name config liveness heap cap trace exhaustion =
     let w = find_workload name in
     let config =
       {
@@ -358,7 +358,10 @@ let run_cmd =
           (if trace then Some (fun m -> Printf.printf "[vm] %s\n%!" m) else None);
       }
     in
-    let r = Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap w in
+    let r =
+      Lp_harness.Driver.run ~config ~liveness ?heap_bytes:heap
+        ~max_iterations:cap w
+    in
     Printf.printf "workload:     %s\n" r.Lp_harness.Driver.workload;
     Printf.printf "policy:       %s\n"
       (Lp_core.Policy.to_string config.Lp_core.Config.policy);
@@ -371,7 +374,7 @@ let run_cmd =
       r.Lp_harness.Driver.total_cycles r.Lp_harness.Driver.gc_cycles;
     Printf.printf "poisoned:     %d references\n" r.Lp_harness.Driver.references_poisoned;
     Printf.printf "edge types:   %d in the table\n" r.Lp_harness.Driver.edge_table_entries;
-    if config.Lp_core.Config.liveness_mode = Lp_core.Config.Liveness_guide then
+    if liveness = Lp_core.Config.Liveness_guide then
       Printf.printf "liveness:     %d veto(es), %d boost(s), %d misprediction(s)\n"
         r.Lp_harness.Driver.liveness_vetoes r.Lp_harness.Driver.liveness_boosts
         r.Lp_harness.Driver.mispredictions;
@@ -383,8 +386,8 @@ let run_cmd =
     end
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ workload_arg $ vm_config $ heap_arg $ cap_arg $ trace_arg
-          $ exhaustion_arg)
+    Term.(const run $ workload_arg $ vm_config $ liveness_arg $ heap_arg
+          $ cap_arg $ trace_arg $ exhaustion_arg)
 
 let trace_cmd =
   let doc =
@@ -422,11 +425,12 @@ let trace_cmd =
                    bundled workloads under their default caps drop nothing, \
                    which the prune audit cross-check relies on.")
   in
-  let run name config heap cap format out buffer =
+  let run name config liveness heap cap format out buffer =
     let w = find_workload name in
     let captured = ref None in
     let r =
-      Lp_harness.Driver.run ~config ?heap_bytes:heap ~max_iterations:cap
+      Lp_harness.Driver.run ~config ~liveness ?heap_bytes:heap
+        ~max_iterations:cap
         ~prepare_vm:(fun vm ->
           ignore (Lp_runtime.Vm.enable_trace ~capacity:buffer vm);
           captured := Some vm)
@@ -473,8 +477,7 @@ let trace_cmd =
          (sum = counter);
        (* liveness prune audit: the trace's veto/boost events and the
           controller's counters must tell the same story *)
-       if config.Lp_core.Config.liveness_mode = Lp_core.Config.Liveness_guide
-       then begin
+       if liveness = Lp_core.Config.Liveness_guide then begin
          let verdicts = ref 0 and vetoes = ref 0 and boosts = ref 0 in
          List.iter
            (fun (st : Lp_obs.Event.stamped) ->
@@ -549,8 +552,8 @@ let trace_cmd =
       exit 1
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ workload_arg $ vm_config $ heap_arg $ cap_arg
-          $ format_arg $ out_arg $ buffer_arg)
+    Term.(const run $ workload_arg $ vm_config $ liveness_arg $ heap_arg
+          $ cap_arg $ format_arg $ out_arg $ buffer_arg)
 
 let chaos_cmd =
   let doc =

@@ -1,13 +1,6 @@
 type prune_trigger = On_select_gc | On_exhaustion
 
-(* Whether the static liveness oracle (lp_liveness) participates in
-   SELECT. [Liveness_off] is bit-for-bit the pre-oracle behavior;
-   [Liveness_guide] lets an installed oracle veto or boost candidates. *)
 type liveness_mode = Liveness_off | Liveness_guide
-
-let liveness_mode_to_string = function
-  | Liveness_off -> "off"
-  | Liveness_guide -> "guide"
 
 type t = {
   policy : Policy.t;
@@ -23,7 +16,6 @@ type t = {
   maxstaleuse_decay_period : int option;
   safe_mode_threshold : int option;
   gc_slice_budget : int option;
-  liveness_mode : liveness_mode;
   liveness_boost : int;
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
      arms it: the slice budget is retuned between collections from
@@ -49,7 +41,6 @@ let default =
     maxstaleuse_decay_period = None;
     safe_mode_threshold = Some 4;
     gc_slice_budget = None;
-    liveness_mode = Liveness_off;
     liveness_boost = 1;
     pause_slo_p99_ns = None;
     slo_budget_floor = 32;
@@ -65,7 +56,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?force_state ?maxstaleuse_decay_period
     ?(safe_mode_threshold = default.safe_mode_threshold)
     ?gc_slice_budget
-    ?(liveness_mode = default.liveness_mode)
     ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns
     ?(slo_budget_floor = default.slo_budget_floor) () =
   {
@@ -82,7 +72,6 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     maxstaleuse_decay_period;
     safe_mode_threshold;
     gc_slice_budget;
-    liveness_mode;
     liveness_boost;
     pause_slo_p99_ns;
     slo_budget_floor;

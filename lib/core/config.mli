@@ -7,9 +7,11 @@
     and Figure 11: pruning waits until the heap is still 100% full after a
     collection and the VM is about to throw an out-of-memory error.
 
-    [Config] holds only the settings of one VM: the paper's thresholds
-    and trigger, the collector's slice budget, the SAFE-mode threshold,
-    the liveness oracle and the pause SLO. Fleet settings live with the
+    [Config] holds only the settings of one VM, 16 fields: the paper's
+    thresholds and trigger, the collector's slice budget, the SAFE-mode
+    threshold, the liveness boost and the pause SLO. Whether a run
+    installs the liveness oracle at all is not among them (see
+    {!liveness_mode}). Fleet settings live with the
     code that reads them: admission, quarantine and checkpoint cadence
     in [Lp_fleet.Fleet.options], the restart ladder in
     [Lp_super.Supervisor.config], the crash-storm breaker in
@@ -26,9 +28,12 @@ type liveness_mode =
       (** an installed oracle's verdicts compose with dynamic staleness:
           proven-live slots are vetoed, proven-dead slots get a SELECT
           confidence boost *)
-
-val liveness_mode_to_string : liveness_mode -> string
-(** ["off"], ["guide"]. *)
+(** Whether a run installs the static liveness oracle. No VM reads it,
+    so it is not a field of {!t}: the harness takes it
+    ([Lp_harness.Driver.run], [Lp_harness.Chaos.run_one],
+    [Lp_fleet.Tenant.spec]) and [Lp_runtime.Liveness_oracle.install]
+    acts on it. The type stays in [Config] because the benchmark in
+    [perfbench/] builds its tenant specs with [Config.Liveness_off]. *)
 
 type t = {
   policy : Policy.t;
@@ -72,9 +77,6 @@ type t = {
           profile (and therefore wall time per pause) differs.
           With the pause SLO armed this is only the starting budget
           (256 when [None]); the autopilot retunes it. *)
-  liveness_mode : liveness_mode;
-      (** whether the static liveness oracle participates in SELECT;
-          default [Liveness_off] *)
   liveness_boost : int;
       (** how many staleness levels a [Dead_beyond 0] (never-read)
           verdict lowers the [min_candidate_stale] floor for that edge
@@ -110,7 +112,6 @@ val make :
   ?maxstaleuse_decay_period:int ->
   ?safe_mode_threshold:int option ->
   ?gc_slice_budget:int ->
-  ?liveness_mode:liveness_mode ->
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->
   ?slo_budget_floor:int ->

@@ -19,11 +19,8 @@ type t = {
   engine : Collector.t;  (* the collector every phase runs on *)
   mutable mark_wall_ns : int;  (* wall time spent in mark phases *)
   (* The static liveness oracle, lowered to runtime ids by the harness
-     (lp_core never sees lp_liveness — only the closures). *)
-  mutable prior : (Collector.edge -> Selection.prior) option;
-  mutable prior_dead : (int -> int -> bool) option;
-      (* (class id, field index) the oracle proved never-read — the
-         conformance probe behind [note_field_read] *)
+     (lp_core never sees lp_liveness — only the closure). *)
+  mutable prior : (Class_registry.id -> int -> Selection.prior) option;
   mutable c_liveness :
     (Lp_obs.Metrics.counter * Lp_obs.Metrics.counter * Lp_obs.Metrics.counter)
     option;
@@ -67,7 +64,6 @@ let create ?metrics ?engine config registry =
       engine;
       mark_wall_ns = 0;
       prior = None;
-      prior_dead = None;
       c_liveness = None;
       c_mispredictions = Lp_obs.Metrics.counter metrics "controller.mispredictions";
       c_prune_decisions = Lp_obs.Metrics.counter metrics "prune.decisions";
@@ -131,21 +127,18 @@ let epoch_mispredictions t = t.epoch_mispredictions
 
 (* ------------------------------------------------------------------ *)
 (* Static liveness oracle plumbing. The harness lowers a
-   [Liveness.oracle] onto runtime ids and installs the two closures
-   here; with none installed every path below is the pre-oracle
-   pipeline bit-for-bit. *)
+   [Liveness.oracle] onto runtime ids and installs its closure here;
+   with none installed every path below is the pre-oracle pipeline
+   bit-for-bit. *)
 
-let set_liveness_prior t ~prior ~is_dead =
+let set_liveness_prior t prior =
   t.prior <- Some prior;
-  t.prior_dead <- Some is_dead;
   if t.c_liveness = None then
     t.c_liveness <-
       Some
         ( Lp_obs.Metrics.counter t.metrics "liveness.vetoes",
           Lp_obs.Metrics.counter t.metrics "liveness.boosts",
           Lp_obs.Metrics.counter t.metrics "liveness.dead_reads" )
-
-let liveness_prior t = t.prior
 
 let liveness_counter_value pick t =
   match t.c_liveness with
@@ -158,58 +151,40 @@ let liveness_boosts t = liveness_counter_value (fun (_, b, _) -> b) t
 
 let liveness_dead_reads t = liveness_counter_value (fun (_, _, d) -> d) t
 
-(* Conformance probe, called from the read barrier's cold path: a
-   dynamic read of a slot the analysis called never-read ([Dead_beyond
-   0]) would falsify the oracle, so it is counted where tests can see
-   it. *)
+(* Conformance probe, called from the read barrier's cold path: the
+   prior boosts exactly the slots the analysis called never-read
+   ([Dead_beyond 0]), and a dynamic read of one would falsify the
+   oracle, so it is counted where tests can see it. *)
 let note_field_read t store ~src ~field =
-  match t.prior_dead with
-  | None -> ()
-  | Some dead ->
-    if dead (Store.class_of store src.Heap_obj.id) field then (
-      match t.c_liveness with
-      | Some (_, _, d) -> Lp_obs.Metrics.incr d
-      | None -> ())
+  match (t.prior, t.c_liveness) with
+  | Some prior, Some (_, _, d) ->
+    if prior (Store.class_of store src.Heap_obj.id) field = Selection.Boost then
+      Lp_obs.Metrics.incr d
+  | Some _, None | None, _ -> ()
 
-(* Oracle decisions that change an outcome: [`Veto] suppressed an edge
-   that qualified dynamically, [`Boost] qualified an edge that dynamic
-   staleness alone would not have. *)
-let liveness_effect t store (edge : Collector.edge) =
-  match t.prior with
-  | None -> None
-  | Some p -> (
-    match p edge with
-    | Selection.Neutral -> None
-    | Selection.Veto ->
-      if Selection.stale_qualifies store t.config t.table edge then Some `Veto
-      else None
-    | Selection.Boost ->
-      if
-        Selection.stale_qualifies ~prior:p store t.config t.table edge
-        && not (Selection.stale_qualifies store t.config t.table edge)
-      then Some `Boost
-      else None)
-
-(* Counts and traces one such decision at the edge's scan point. *)
-let audit_liveness t store (edge : Collector.edge) effect =
+(* Counts and traces, at the edge's scan point, a verdict the prior
+   changed: a veto of an edge that qualified by staleness, or a boost
+   that qualified one staleness alone would not have. *)
+let audit_liveness t store (edge : Collector.edge) verdict =
   match t.c_liveness with
   | None -> ()
   | Some (v, b, _) -> (
     let src_class = Store.class_of store edge.Collector.src.Heap_obj.id
     and field = edge.Collector.field in
-    match effect with
-    | `Veto -> (
+    match verdict with
+    | Selection.Vetoed -> (
       Lp_obs.Metrics.incr v;
       match t.sink with
       | Some s ->
         Lp_obs.Sink.emit s (Lp_obs.Event.Liveness_veto { src_class; field })
       | None -> ())
-    | `Boost -> (
+    | Selection.Boosted -> (
       Lp_obs.Metrics.incr b;
       match t.sink with
       | Some s ->
         Lp_obs.Sink.emit s (Lp_obs.Event.Liveness_boost { src_class; field })
-      | None -> ()))
+      | None -> ())
+    | Selection.Qualifies | Selection.Rejected -> ())
 
 let report t msg = match t.config.Config.report with None -> () | Some f -> f msg
 
@@ -310,33 +285,21 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   (* The edge type a PRUNE collection acted on, remembered past the
      [t.selected] reset for the decision event after the sweep. *)
   let decision_edge = ref None in
-  (* Oracle audit channel: absent whenever no oracle is installed, so
-     off-mode marks run the exact pre-oracle configuration. *)
-  let lv_note =
-    match t.prior with
-    | None -> None
-    | Some _ ->
-      Some
-        (fun edge ->
-          match liveness_effect t store edge with
-          | Some effect -> audit_liveness t store edge effect
-          | None -> ())
-  in
-  (* Each arm picks the in-use closure's edge filter and note, and what
-     runs on its deferred candidates once it is done. [note] carries
-     the Individual_refs byte accounting and the liveness audit; the
-     collector runs it on every live edge in scan order. *)
-  let filter, note, after_mark =
+  (* Each arm picks the in-use closure's edge filter, and what runs on
+     its deferred candidates once it is done. The filter is the
+     closure's one reader of its edges: the collector runs it on every
+     live edge in scan order, so it also carries the Individual_refs
+     byte accounting and the liveness audit. *)
+  let filter, after_mark =
     match (st, t.config.Config.policy) with
     | State_kind.Inactive, _
     | _, Policy.None_
     | (State_kind.Observe | State_kind.Safe), _ ->
-      (None, None, ignore)
+      (None, ignore)
     | State_kind.Select, Policy.Default ->
       ( Some
-          (Selection.select_filter_default ?prior:t.prior store t.config
-             t.table),
-        lv_note,
+          (Selection.select_filter_default ?prior:t.prior
+             ~audit:(audit_liveness t store) store t.config t.table),
         fun deferred ->
           phase_begin t "stale_closure";
           let claimed_before = stats.Gc_stats.stale_closure_objects in
@@ -359,25 +322,21 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
     | State_kind.Select, Policy.Individual_refs ->
       (* Byte attribution: every live edge whose target qualifies as
          stale adds the target's bytes to its edge type, at its scan
-         point. *)
-      let note (edge : Collector.edge) =
-        if Selection.stale_qualifies ?prior:t.prior store t.config t.table edge
-        then
+         point, and is traced. Only vetoes are audited here. *)
+      let filter (edge : Collector.edge) =
+        (match Selection.judge ?prior:t.prior store t.config t.table edge with
+        | Selection.Qualifies | Selection.Boosted ->
           Edge_table.add_bytes t.table
             ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
             ~tgt:(Store.class_of store edge.Collector.tgt)
             (Store.size_bytes store edge.Collector.tgt)
-        else
-          (* byte notes take precedence; only a veto that suppressed a
-             dynamically qualifying edge is still worth auditing here *)
-          match liveness_effect t store edge with
-          | Some `Veto -> audit_liveness t store edge `Veto
-          | Some `Boost | None -> ()
+        | Selection.Vetoed -> audit_liveness t store edge Selection.Vetoed
+        | Selection.Rejected -> ());
+        Collector.Trace
       in
-      (None, Some note, fun _ -> select_winner ())
+      (Some filter, fun _ -> select_winner ())
     | State_kind.Select, Policy.Most_stale ->
       ( None,
-        None,
         fun _ ->
           phase_begin t "selection";
           stats.Gc_stats.selection_scans <- stats.Gc_stats.selection_scans + 1;
@@ -386,12 +345,13 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
           phase_end t "selection" 1 )
     | State_kind.Prune, (Policy.Default | Policy.Individual_refs) ->
       record_averted t store;
-      ( Option.map
-          (fun selected ->
-            Selection.prune_filter_edge_type ?prior:t.prior store t.config
-              t.table ~selected)
-          t.selected,
-        lv_note,
+      ( (match (t.selected, t.prior) with
+        | None, None -> None
+        | selected, prior ->
+          Some
+            (Selection.prune_filter_edge_type ?prior
+               ~audit:(audit_liveness t store) store t.config t.table
+               ~selected)),
         fun _ ->
           State_machine.note_prune_performed t.machine;
           t.epoch_mispredictions <- 0;
@@ -412,7 +372,6 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
       ( Option.map
           (fun level -> Selection.prune_filter_most_stale store ~level)
           t.selected_level,
-        None,
         fun _ ->
           State_machine.note_prune_performed t.machine;
           t.epoch_mispredictions <- 0;
@@ -436,7 +395,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   phase_begin t "mark";
   let scanned_before = stats.Gc_stats.fields_scanned in
   let t0 = Unix.gettimeofday () in
-  let deferred = Collector.mark t.engine ?note store roots ~stats ~config in
+  let deferred = Collector.mark t.engine store roots ~stats ~config in
   t.mark_wall_ns <-
     t.mark_wall_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
   phase_end t "mark" (stats.Gc_stats.fields_scanned - scanned_before);
@@ -639,8 +598,16 @@ let on_allocation_failure t store ~requested =
            is not even nearly full: the request simply does not fit. *)
         `Out_of_memory (oom ())
       | State_kind.Select ->
-        report t "leak pruning: allocation failed in SELECT; arming prune";
         State_machine.note_exhaustion t.machine;
+        report t
+          (match state t with
+          | State_kind.Prune ->
+            "leak pruning: allocation failed in SELECT; the next collection \
+             prunes"
+          | State_kind.Inactive | State_kind.Observe | State_kind.Select
+          | State_kind.Safe ->
+            "leak pruning: allocation failed in SELECT; selecting before \
+             pruning");
         `Retry
       | State_kind.Safe ->
         (* Memory pressure overrides the moratorium: force the early

@@ -158,22 +158,17 @@ val epoch_mispredictions : t -> int
 (** Mispredictions counted since the last PRUNE collection. *)
 
 val set_liveness_prior :
-  t ->
-  prior:(Lp_heap.Collector.edge -> Selection.prior) ->
-  is_dead:(int -> int -> bool) ->
-  unit
+  t -> (Lp_heap.Class_registry.id -> int -> Selection.prior) -> unit
 (** Install the static liveness oracle, lowered to runtime ids by the
-    harness (this layer never sees [lp_liveness] — only closures).
-    [prior] judges one heap reference and {e must be pure}: SELECT may
-    evaluate it more than once per edge. [is_dead class_id field]
-    answers whether the analysis proved the slot never-read
-    ([Dead_beyond 0]); the read barrier's cold path probes it via
-    {!note_field_read} so conformance tests can detect a falsified
-    oracle. Installing interns the [liveness.*] counters; with no
-    oracle installed the controller's behavior and metrics registry
-    are bit-for-bit those of the pre-oracle pipeline. *)
-
-val liveness_prior : t -> (Lp_heap.Collector.edge -> Selection.prior) option
+    harness (this layer never sees [lp_liveness] — only the closure).
+    The prior judges one slot, given the source's class and the field
+    index, and {e must be pure}. {!Selection.judge} asks it at most
+    once per scanned edge; the read barrier's cold path asks it too,
+    via {!note_field_read}: a [Boost] slot is one the analysis proved
+    never-read ([Dead_beyond 0]), so reading it falsifies the oracle.
+    Installing interns the [liveness.*] counters; with no oracle
+    installed the controller's behavior and metrics registry are
+    bit-for-bit those of the pre-oracle pipeline. *)
 
 val note_field_read : t -> Store.t -> src:Heap_obj.t -> field:int -> unit
 (** Conformance probe (read-barrier cold path): counts a dynamic read

@@ -62,11 +62,20 @@ let enter_safe t =
       goto t State_kind.Safe
     end
 
+(* Whether a collection has run since the machine entered its current
+   state: [goto] records the collection count at each entry. *)
+let collected_in_state t =
+  match t.history with (since, _) :: _ -> t.gc_seen > since | [] -> false
+
 (* Under option (1) the Select -> Prune move happens the moment the VM is
    about to throw an out-of-memory error, so the very next collection
-   prunes. In SAFE, exhaustion is the pressure override: holding the
-   pruning moratorium while the program dies of memory starvation would
-   be the opposite of graceful, so the machine re-arms SELECT early. *)
+   prunes — provided this SELECT episode has already run a collection,
+   since a PRUNE collection acts only on what a SELECT collection
+   selected. Before that, [exhaustion_noted] lets [after_gc] advance
+   right after the next collection, which selects. In SAFE, exhaustion
+   is the pressure override: holding the pruning moratorium while the
+   program dies of memory starvation would be the opposite of graceful,
+   so the machine re-arms SELECT early. *)
 let note_exhaustion t =
   t.exhaustion_noted <- true;
   match t.config.Config.force_state with
@@ -79,6 +88,7 @@ let note_exhaustion t =
     else if
       t.state = State_kind.Select
       && t.config.Config.prune_trigger = Config.On_exhaustion
+      && collected_in_state t
     then goto t State_kind.Prune
 
 let after_gc t ~occupancy =

@@ -42,7 +42,9 @@ val note_prune_performed : t -> unit
 
 val note_exhaustion : t -> unit
 (** Called when allocation still fails after a collection; under
-    [On_exhaustion] this is what arms the transition to [Prune]. In
+    [On_exhaustion] this is what arms the transition to [Prune]: at
+    once if this [Select] episode has run a collection, otherwise
+    right after the next collection, so that one selects first. In
     [Safe] it forces an early exit to [Select] (pressure override),
     counted in {!safe_exits_forced}. *)
 

@@ -93,7 +93,7 @@ let spec t = t.spec
 
 let new_vm ?swap_store ?first_object_id (s : spec) backend =
   let config =
-    Lp_core.Config.make ~policy:s.policy ~liveness_mode:s.liveness
+    Lp_core.Config.make ~policy:s.policy
       ?pause_slo_p99_ns:s.pause_slo_p99_ns
       ?force_state:(if s.force_safe then Some Lp_core.State_kind.Safe else None)
       ()
@@ -120,11 +120,9 @@ let install t =
            raise (Verifier_failed msg)));
   (* the static prior is part of the tenant's VM configuration, so a
      restart reinstalls it on the fresh VM before prepare runs *)
-  (match (t.spec.liveness, t.spec.workload.Lp_workloads.Workload.bytecode) with
-  | Lp_core.Config.Liveness_guide, Some bytecode ->
-    Liveness_oracle.install vm ~bytecode
-      ~field_map:t.spec.workload.Lp_workloads.Workload.field_map
-  | (Lp_core.Config.Liveness_guide | Lp_core.Config.Liveness_off), _ -> ());
+  Liveness_oracle.install t.spec.liveness vm
+    ~bytecode:t.spec.workload.Lp_workloads.Workload.bytecode
+    ~field_map:t.spec.workload.Lp_workloads.Workload.field_map;
   t.iterate <- t.spec.workload.Lp_workloads.Workload.prepare vm
 
 let set_baselines t =

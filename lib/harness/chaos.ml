@@ -119,8 +119,7 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   let vm =
     Lp_runtime.Vm.create
       ~config:
-        (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns
-           ~liveness_mode:liveness ())
+        (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns ())
       ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
   in
   (match trace_capacity with
@@ -182,11 +181,8 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   let leak_class = Lp_runtime.Vm.register_class vm "Chaos$Leak" in
   (* Guided runs install the static prior before the first step; off
      mode touches nothing, keeping its reports byte-identical. *)
-  (match liveness with
-  | Lp_core.Config.Liveness_guide ->
-    Driver.install_liveness vm ~bytecode:liveness_bytecode
-      ~field_map:liveness_field_map
-  | Lp_core.Config.Liveness_off -> ());
+  Lp_runtime.Liveness_oracle.install liveness vm
+    ~bytecode:(Some liveness_bytecode) ~field_map:liveness_field_map;
   (* Uniform sampling over the live heap (allocation-slot order is
      deterministic, so so is the sample). *)
   let random_live () =

@@ -32,9 +32,8 @@ let outcome_to_string = function
   | Pruned_access _ -> "accessed pruned reference"
   | Out_of_disk _ -> "out of disk"
 
-let install_liveness = Lp_runtime.Liveness_oracle.install
-
-let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
+let run ?(policy = Lp_core.Policy.Default) ?config
+    ?(liveness = Lp_core.Config.Liveness_off) ?heap_bytes
     ?(max_iterations = 50_000) ?(charge_barriers = true) ?cost ?disk
     ?resurrection ?(record_iteration_cycles = false) ?prepare_vm
     (w : Lp_workloads.Workload.t) =
@@ -55,12 +54,9 @@ let run ?(policy = Lp_core.Policy.Default) ?config ?heap_bytes
   (* Runs before the workload's own [prepare] so a trace attached here
      observes the workload's setup allocations too. *)
   (match prepare_vm with Some f -> f vm | None -> ());
-  (match (config.Lp_core.Config.liveness_mode, w.Lp_workloads.Workload.bytecode)
-   with
-  | Lp_core.Config.Liveness_guide, Some bytecode ->
-    install_liveness vm ~bytecode
-      ~field_map:w.Lp_workloads.Workload.field_map
-  | (Lp_core.Config.Liveness_guide | Lp_core.Config.Liveness_off), _ -> ());
+  Lp_runtime.Liveness_oracle.install liveness vm
+    ~bytecode:w.Lp_workloads.Workload.bytecode
+    ~field_map:w.Lp_workloads.Workload.field_map;
   let iteration = ref 0 in
   let series = ref [] in
   Lp_runtime.Vm.set_gc_listener vm

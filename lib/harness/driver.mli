@@ -39,24 +39,10 @@ type result = {
 
 val outcome_to_string : outcome -> string
 
-val install_liveness :
-  Lp_runtime.Vm.t ->
-  bytecode:Lp_jit.Bytecode.methd list ->
-  field_map:(string * string * int list) list ->
-  unit
-(** Analyze [bytecode] with the static liveness oracle and install the
-    resulting prior on the VM's controller: [Dead_beyond 0] slots are
-    boosted, deeper [Dead_beyond] and [Maybe_live] slots are vetoed,
-    [Unanalyzed] slots stay neutral. Classes named in [field_map] are
-    registered eagerly (sorted) so guide-mode class ids are
-    deterministic, and one [Liveness_verdict] event per analyzed slot is
-    emitted if a sink is already attached. [run] calls this
-    automatically in [Liveness_guide] mode for workloads that publish
-    bytecode; chaos installs its own program through it. *)
-
 val run :
   ?policy:Lp_core.Policy.t ->
   ?config:Lp_core.Config.t ->
+  ?liveness:Lp_core.Config.liveness_mode ->
   ?heap_bytes:int ->
   ?max_iterations:int ->
   ?charge_barriers:bool ->
@@ -74,10 +60,10 @@ val run :
     [resurrection] is forwarded to [Vm.create] so misprediction
     experiments can recover mispruned data. [prepare_vm] runs on the
     freshly created VM before the workload's [prepare] — the hook the
-    trace CLI and tests use to attach an event sink. When the config's
-    [liveness_mode] is [Liveness_guide] and the workload publishes
-    [bytecode], the static oracle is installed (after [prepare_vm], so
-    an attached sink sees the verdict events). *)
+    trace CLI and tests use to attach an event sink. When [liveness]
+    (default [Liveness_off]) is [Liveness_guide] and the workload
+    publishes [bytecode], the static oracle is installed (after
+    [prepare_vm], so an attached sink sees the verdict events). *)
 
 val survival_factor : base:result -> result -> float
 (** Iterations relative to the Base run — Table 1's "runs NX longer". *)

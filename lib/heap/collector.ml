@@ -55,16 +55,16 @@ let canonical_candidates deferred =
       | c -> c)
     deferred
 
-(* The end-of-phase tick batch. A filtered or noted closure must not
-   tick as it marks: the edge filter reads target staleness, so ticking
+(* The end-of-phase tick batch. A filtered closure must not tick as it
+   marks: the edge filter reads target staleness, so ticking
    mid-traversal would make filter decisions depend on visit order
    (whole DFS or sliced DFS). Such a closure queues its ticks in
    [ticks] and applies them after the whole closure finishes, so every
-   filter evaluation sees the mark-start staleness. A closure with
-   neither a filter nor a note has no reader of staleness while it
-   runs, so [scan] ticks each object at its claim instead. Both give
-   the same counters, because a tick depends only on the object's own
-   counter and the collection number. Both buffers hold object ids and
+   filter evaluation sees the mark-start staleness. A closure without a
+   filter has no reader of staleness while it runs, so [scan] ticks
+   each object at its claim instead. Both give the same counters,
+   because a tick depends only on the object's own counter and the
+   collection number. Both buffers hold object ids and
    keep their capacity when cleared, so they allocate nothing once
    grown. They hold ids, not handles: the engine lives in OCaml's major
    heap, so storing a recently allocated handle into a buffer would add
@@ -72,7 +72,7 @@ let canonical_candidates deferred =
    minor collection inside the pause. *)
 type t = {
   stack : Work_queue.t;  (* the mark stack *)
-  ticks : Work_queue.t;  (* ids a filtered or noted closure marked *)
+  ticks : Work_queue.t;  (* ids a filtered closure marked *)
   mutable claimed_bytes : int;  (* bytes the stale closure claimed *)
   mutable budget : int option;  (* None: every phase is one pause *)
   mutable pauses : (Trace_engine.pause_phase * int) list;
@@ -166,20 +166,16 @@ let[@inline] claim_obj t store ~kind ~tick_now ~tick_batched ~gc id h =
   Work_queue.push t.stack id;
   if bump then 1 else 0
 
-(* Whether the closure has a reader of each edge: a filter or a note. *)
-let[@inline] hooked ~(config : mark_config) ~note =
-  match (config.edge_filter, note) with None, None -> false | _ -> true
-
 (* Claims the live, unmarked object [id] the way [scan] claims a traced
    target, for a closure's entry points (the roots, a stale closure's
    candidate target). *)
-let claim t store stats ~(config : mark_config) ~note kind id =
+let claim t store stats ~(config : mark_config) kind id =
   let gc = match config.stale_tick_gc with Some g -> g | None -> 0 in
   let ticking = config.stale_tick_gc <> None in
-  let hooked = hooked ~config ~note in
-  let tick_now = ticking && not hooked in
+  let filtered = Option.is_some config.edge_filter in
+  let tick_now = ticking && not filtered in
   let ticked =
-    claim_obj t store ~kind ~tick_now ~tick_batched:(ticking && hooked) ~gc id
+    claim_obj t store ~kind ~tick_now ~tick_batched:(ticking && filtered) ~gc id
       (Store.header store id)
   in
   stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
@@ -194,62 +190,58 @@ let claim t store stats ~(config : mark_config) ~note kind id =
       stats.Gc_stats.stale_closure_objects + 1;
     t.claimed_bytes <- t.claimed_bytes + Store.size_bytes store id
 
-(* One live edge of a filtered or noted closure: builds the edge once,
-   evaluates the note, then the filter, and applies [Defer] and
-   [Poison]. Returns whether the edge is traced. Out of line: a closure
-   with neither a filter nor a note never comes here. *)
-let[@inline never] hooked_edge store stats (config : mark_config) note deferred
-    (obj : Heap_obj.t) i tgt w =
+(* One live edge of a filtered closure: builds the edge once, runs the
+   filter on it and applies [Defer] and [Poison]. Returns whether the
+   edge is traced. Out of line: a closure without a filter never comes
+   here. *)
+let[@inline never] filtered_edge store stats (config : mark_config) filter
+    deferred (obj : Heap_obj.t) i tgt w =
   let e = { src = obj; field = i; tgt } in
-  (match note with None -> () | Some f -> f e);
-  match config.edge_filter with
-  | None -> true
-  | Some filter -> (
-    match filter e with
-    | Trace -> true
-    | Defer ->
-      stats.Gc_stats.candidates_enqueued <-
-        stats.Gc_stats.candidates_enqueued + 1;
-      deferred := e :: !deferred;
-      false
-    | Poison ->
-      (* the hook sees the edge while the target's subtree is still
-         intact, so it can capture a swap image before the sweep *)
-      (match config.on_poison with Some f -> f e | None -> ());
-      (match config.events with
-      | Some sink ->
-        Lp_obs.Sink.emit sink
-          (Lp_obs.Event.Edge_poisoned
-             {
-               src_class = Store.class_of store obj.Heap_obj.id;
-               field = i;
-               target = tgt;
-             })
-      | None -> ());
-      obj.Heap_obj.fields.(i) <- Word.poison w;
-      stats.Gc_stats.references_poisoned <-
-        stats.Gc_stats.references_poisoned + 1;
-      false)
+  match filter e with
+  | Trace -> true
+  | Defer ->
+    stats.Gc_stats.candidates_enqueued <-
+      stats.Gc_stats.candidates_enqueued + 1;
+    deferred := e :: !deferred;
+    false
+  | Poison ->
+    (* the hook sees the edge while the target's subtree is still
+       intact, so it can capture a swap image before the sweep *)
+    (match config.on_poison with Some f -> f e | None -> ());
+    (match config.events with
+    | Some sink ->
+      Lp_obs.Sink.emit sink
+        (Lp_obs.Event.Edge_poisoned
+           {
+             src_class = Store.class_of store obj.Heap_obj.id;
+             field = i;
+             target = tgt;
+           })
+    | None -> ());
+    obj.Heap_obj.fields.(i) <- Word.poison w;
+    stats.Gc_stats.references_poisoned <-
+      stats.Gc_stats.references_poisoned + 1;
+    false
 
 (* The one scan loop, for the in-use closure, the stale closures and
    every budgeted slice. Pops up to [limit] ids off the mark stack and
    scans each object's fields in index order. Per field it maintains
-   the untouched bit, quarantines corrupt words, runs the note and the
-   filter when there are any, and claims unmarked traced targets in
-   place. A target is judged by its word in the store's header array
+   the untouched bit, quarantines corrupt words, runs the filter when
+   there is one, and claims unmarked traced targets in place. A target is judged by its word in the store's header array
    alone: free means a corrupt reference, marked means already claimed;
    its handle is never loaded. The config is read into locals once and
    the counters are kept in locals, added to [stats] when the loop
    returns. Returns the number of objects scanned. *)
-let scan t store stats ~(config : mark_config) ~note ~kind ~deferred ~limit =
+let scan t store stats ~(config : mark_config) ~kind ~deferred ~limit =
   let stack = t.stack in
   let set_untouched = config.set_untouched_bits in
   let events = config.events in
   let gc = match config.stale_tick_gc with Some g -> g | None -> 0 in
   let ticking = config.stale_tick_gc <> None in
-  let hooked = hooked ~config ~note in
-  let tick_now = ticking && not hooked in
-  let tick_batched = ticking && hooked in
+  let filter = config.edge_filter in
+  let filtered = Option.is_some filter in
+  let tick_now = ticking && not filtered in
+  let tick_batched = ticking && filtered in
   let scanned = ref 0 and fields_scanned = ref 0 and untouched_set = ref 0 in
   let marked = ref 0 and ticked = ref 0 and bytes = ref 0 in
   while !scanned < limit && not (Work_queue.is_empty stack) do
@@ -274,8 +266,9 @@ let scan t store stats ~(config : mark_config) ~note ~kind ~deferred ~limit =
           let h = Store.header store tgt in
           if Header.is_free h then quarantine ~events stats fields i
           else if
-            ((not hooked)
-            || hooked_edge store stats config note deferred obj i tgt w)
+            (match filter with
+            | None -> true
+            | Some f -> filtered_edge store stats config f deferred obj i tgt w)
             && not (Header.marked h)
           then begin
             incr marked;
@@ -319,37 +312,35 @@ let record_pause t phase slice_start =
    call; with one, each slice scans at most [budget] objects, then
    counts itself and records a [Mark_slice] pause sample. A closure
    always runs at least one slice. *)
-let run_closure t store stats ~config ~note ~kind ~deferred =
+let run_closure t store stats ~config ~kind ~deferred =
   match t.budget with
   | None ->
-    ignore (scan t store stats ~config ~note ~kind ~deferred ~limit:max_int)
+    ignore (scan t store stats ~config ~kind ~deferred ~limit:max_int)
   | Some budget ->
     let slice_start = ref (now_ns ()) in
     let more = ref true in
     while !more do
-      let work =
-        scan t store stats ~config ~note ~kind ~deferred ~limit:budget
-      in
+      let work = scan t store stats ~config ~kind ~deferred ~limit:budget in
       t.slices <- t.slices + 1;
       if work > t.max_slice then t.max_slice <- work;
       record_pause t Trace_engine.Mark_slice slice_start;
       more := not (Work_queue.is_empty t.stack)
     done
 
-let mark t ?note store roots ~stats ~(config : mark_config) =
+let mark t store roots ~stats ~(config : mark_config) =
   reset t;
   let deferred = ref [] in
   Roots.iter roots (fun id ->
       let h = Store.header store id in
       if Header.is_free h then raise (Store.Dangling_reference id);
       if not (Header.marked h) then
-        claim t store stats ~config ~note In_use id);
-  run_closure t store stats ~config ~note ~kind:In_use ~deferred;
+        claim t store stats ~config In_use id);
+  run_closure t store stats ~config ~kind:In_use ~deferred;
   flush_ticks t store stats config.stale_tick_gc;
   List.rev !deferred
 
-(* The stale closure traces everything (no filter) and has no note, so
-   [scan] ticks each object at its claim; it also sets the stale-mark
+(* The stale closure traces everything (no filter), so [scan] ticks
+   each object at its claim; it also sets the stale-mark
    diagnostic bit and counts the claimed bytes. *)
 let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : edge) =
@@ -365,8 +356,8 @@ let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
       }
     in
     reset t;
-    claim t store stats ~config ~note:None Stale e.tgt;
-    run_closure t store stats ~config ~note:None ~kind:Stale ~deferred:(ref []);
+    claim t store stats ~config Stale e.tgt;
+    run_closure t store stats ~config ~kind:Stale ~deferred:(ref []);
     t.claimed_bytes
   end
 

@@ -48,13 +48,17 @@ type mark_config = {
       (** when [Some gc_number], apply the Section 4.1 staleness
           increment to each object marked during the closure — ticking
           piggybacks on tracing, as in the paper, so only live objects
-          pay for it. A filtered or noted closure applies the ticks in
+          pay for it. A filtered closure applies the ticks in
           one batch after it finishes rather than at each mark, so its
           filter decisions see the mark-start staleness wherever slices
           cut the traversal; the final counters are the same either
           way *)
   edge_filter : (edge -> edge_action) option;
-      (** [None] traces everything (base collection) *)
+      (** [None] traces everything (base collection). The filter is
+          the closure's only reader of its edges: it runs once on every
+          live scanned edge, in scan order, and may act on the edge
+          before it returns (the Individual-refs byte accounting and
+          the liveness audit do) *)
   on_poison : (edge -> unit) option;
       (** invoked for every edge the filter resolves to [Poison], before
           the word is poisoned — the target and its subtree are still
@@ -101,7 +105,6 @@ val slices : t -> int
 
 val mark :
   t ->
-  ?note:(edge -> unit) ->
   Store.t ->
   Roots.t ->
   stats:Gc_stats.t ->
@@ -114,9 +117,7 @@ val mark :
     non-poisoned word whose target is not live (a corrupt reference)
     is {e quarantined} — poisoned in place and counted in
     [Gc_stats.words_quarantined] — rather than crashing the
-    collection; the other phases apply the same rule. [note] runs on
-    every live scanned edge, in scan order, before the filter (the
-    Individual_refs byte accounting and the liveness audit). A target
+    collection; the other phases apply the same rule. A target
     is checked and claimed through its header word alone; no target
     handle is loaded. [Store.Dangling_reference] if a root names a
     free slot. *)

@@ -1,11 +1,11 @@
 (* Lower a static liveness oracle onto a fresh VM: analyze the
    bytecode, register the mapped classes eagerly (sorted, so guide-mode
-   class ids are deterministic regardless of allocation order), resolve
-   symbolic verdicts to (class id, field index) judgements and install
-   the pure prior closures on the controller. Emits one
-   [Liveness_verdict] event per analyzed slot when a sink is already
-   attached — which is why callers install after attaching theirs. *)
-let install vm ~bytecode ~field_map =
+   class ids are deterministic regardless of allocation order) and
+   resolve symbolic verdicts to (class id, field index) judgements in
+   one table behind a pure closure. Emits one [Liveness_verdict] event
+   per analyzed slot when a sink is already attached — which is why
+   callers install after attaching theirs. *)
+let prior vm ~bytecode ~field_map =
   let oracle = Lp_liveness.Liveness.analyze bytecode in
   let registry = Vm.registry vm in
   List.iter
@@ -19,13 +19,11 @@ let install vm ~bytecode ~field_map =
   let priors : (int * int, Lp_core.Selection.prior) Hashtbl.t =
     Hashtbl.create 32
   in
-  let dead : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (key, verdict) ->
       match verdict with
       | Lp_liveness.Liveness.Dead_beyond 0 ->
-        Hashtbl.replace priors key Lp_core.Selection.Boost;
-        Hashtbl.replace dead key ()
+        Hashtbl.replace priors key Lp_core.Selection.Boost
       | Lp_liveness.Liveness.Dead_beyond _ | Lp_liveness.Liveness.Maybe_live ->
         Hashtbl.replace priors key Lp_core.Selection.Veto
       | Lp_liveness.Liveness.Unanalyzed -> ())
@@ -44,16 +42,14 @@ let install vm ~bytecode ~field_map =
         | Lp_liveness.Liveness.Unanalyzed -> ())
       resolved
   | None -> ());
-  let controller = Vm.controller vm in
-  let store = Vm.store vm in
-  Lp_core.Controller.set_liveness_prior controller
-    ~prior:(fun (edge : Lp_heap.Collector.edge) ->
-      match
-        Hashtbl.find_opt priors
-          ( Lp_heap.Store.class_of store
-              edge.Lp_heap.Collector.src.Lp_heap.Heap_obj.id,
-            edge.Lp_heap.Collector.field )
-      with
-      | Some p -> p
-      | None -> Lp_core.Selection.Neutral)
-    ~is_dead:(fun class_id field -> Hashtbl.mem dead (class_id, field))
+  fun class_id field ->
+    match Hashtbl.find_opt priors (class_id, field) with
+    | Some p -> p
+    | None -> Lp_core.Selection.Neutral
+
+let install mode vm ~bytecode ~field_map =
+  match (mode, bytecode) with
+  | Lp_core.Config.Liveness_guide, Some bytecode ->
+    Lp_core.Controller.set_liveness_prior (Vm.controller vm)
+      (prior vm ~bytecode ~field_map)
+  | (Lp_core.Config.Liveness_guide | Lp_core.Config.Liveness_off), _ -> ()

@@ -5,7 +5,7 @@
    own copy, it claims targets through an [on_trace] closure, and it
    always applies a closure's ticks in one batch at its end, so
    comparing an engine against it also checks the engines' rule of
-   ticking at claim time when no filter or note reads staleness. The
+   ticking at claim time when no filter reads staleness. The
    Collector must leave the heap exactly as this one does, at every
    slice budget. *)
 
@@ -28,7 +28,7 @@ let quarantine (config : Collector.mark_config) stats fields i =
   fields.(i) <- Word.poison fields.(i);
   stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1
 
-let scan_field store stats ~(config : Collector.mark_config) ~note ~on_trace
+let scan_field store stats ~(config : Collector.mark_config) ~on_trace
     ~deferred (obj : Heap_obj.t) i =
   let fields = obj.Heap_obj.fields in
   let w = fields.(i) in
@@ -53,7 +53,6 @@ let scan_field store stats ~(config : Collector.mark_config) ~note ~on_trace
         let edge =
           { Collector.src = obj; field = i; tgt = tgt.Heap_obj.id }
         in
-        (match note with None -> () | Some f -> f edge);
         let action =
           match config.Collector.edge_filter with
           | None -> Collector.Trace
@@ -88,18 +87,17 @@ let scan_field store stats ~(config : Collector.mark_config) ~note ~on_trace
     end
   end
 
-let scan_object store stats ~config ~note ~on_trace ~deferred (obj : Heap_obj.t)
-    =
+let scan_object store stats ~config ~on_trace ~deferred (obj : Heap_obj.t) =
   for i = 0 to Array.length obj.Heap_obj.fields - 1 do
-    scan_field store stats ~config ~note ~on_trace ~deferred obj i
+    scan_field store stats ~config ~on_trace ~deferred obj i
   done
 
-let drain store stats ~config ~note ~on_trace ~deferred stack =
+let drain store stats ~config ~on_trace ~deferred stack =
   while not (Stack.is_empty stack) do
-    scan_object store stats ~config ~note ~on_trace ~deferred (Stack.pop stack)
+    scan_object store stats ~config ~on_trace ~deferred (Stack.pop stack)
   done
 
-let mark ?note store roots ~stats ~(config : Collector.mark_config) =
+let mark store roots ~stats ~(config : Collector.mark_config) =
   let stack = Stack.create () in
   let marked = Queue.create () in
   let deferred = ref [] in
@@ -113,7 +111,7 @@ let mark ?note store roots ~stats ~(config : Collector.mark_config) =
   Roots.iter roots (fun id ->
       let obj = Store.get store id in
       if not (Header.marked (Store.header store id)) then on_trace obj);
-  drain store stats ~config ~note ~on_trace ~deferred stack;
+  drain store stats ~config ~on_trace ~deferred stack;
   Queue.iter (tick store stats config.Collector.stale_tick_gc) marked;
   List.rev !deferred
 
@@ -146,8 +144,7 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
       Stack.push obj stack
     in
     claim tgt;
-    drain store stats ~config ~note:None ~on_trace:claim ~deferred:(ref [])
-      stack;
+    drain store stats ~config ~on_trace:claim ~deferred:(ref []) stack;
     Queue.iter (tick store stats stale_tick_gc) claimed;
     !bytes
   end

@@ -38,19 +38,19 @@ type liveness = Off | Guide | Boost
 
 let run liveness policy trigger (w : Workload.t) =
   let guide = liveness <> Off in
-  let liveness_mode =
-    if guide then Lp_core.Config.Liveness_guide else Lp_core.Config.Liveness_off
-  in
   let config =
     match liveness with
     | Boost ->
-      Lp_core.Config.make ~policy ~prune_trigger:trigger ~liveness_mode
-        ~min_candidate_stale:3 ~liveness_boost:2 ()
-    | Off | Guide ->
-      Lp_core.Config.make ~policy ~prune_trigger:trigger ~liveness_mode ()
+      Lp_core.Config.make ~policy ~prune_trigger:trigger ~min_candidate_stale:3
+        ~liveness_boost:2 ()
+    | Off | Guide -> Lp_core.Config.make ~policy ~prune_trigger:trigger ()
   in
   fingerprint
-    (Lp_harness.Driver.run ~config ~resurrection:guide ~max_iterations:cap w)
+    (Lp_harness.Driver.run ~config
+       ~liveness:
+         (if guide then Lp_core.Config.Liveness_guide
+          else Lp_core.Config.Liveness_off)
+       ~resurrection:guide ~max_iterations:cap w)
 
 let trigger_name = function
   | Lp_core.Config.On_select_gc -> "select-gc"
@@ -62,15 +62,15 @@ let pinned =
     (List_leak.workload, Lp_core.Policy.Default, Lp_core.Config.On_select_gc, Off,
       "iters=2000 outcome=reached cap gc=52 reclaimed=1197840 poisoned=18 pruned=[ListLeak$Node->ListLeak$Node;ListLeak$Node->ListLeak$Payload] cycles=3161658 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.Default, Lp_core.Config.On_exhaustion, Off,
-      "iters=161 outcome=out of memory gc=9 reclaimed=0 poisoned=0 pruned=[] cycles=415236 mispredicted=0 vetoes=0 boosts=0");
+      "iters=2000 outcome=reached cap gc=52 reclaimed=1197840 poisoned=18 pruned=[ListLeak$Node->ListLeak$Node;ListLeak$Node->ListLeak$Payload] cycles=3161658 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.Most_stale, Lp_core.Config.On_select_gc, Off,
       "iters=2000 outcome=reached cap gc=50 reclaimed=1199312 poisoned=24 pruned=[] cycles=3030794 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.Most_stale, Lp_core.Config.On_exhaustion, Off,
-      "iters=161 outcome=out of memory gc=9 reclaimed=0 poisoned=0 pruned=[] cycles=415236 mispredicted=0 vetoes=0 boosts=0");
+      "iters=2000 outcome=reached cap gc=50 reclaimed=1199312 poisoned=24 pruned=[] cycles=3030794 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.Individual_refs, Lp_core.Config.On_select_gc, Off,
       "iters=2000 outcome=reached cap gc=73 reclaimed=1186416 poisoned=9683 pruned=[ListLeak$Node->ListLeak$Payload;ListLeak$Node->ListLeak$Node] cycles=4245187 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.Individual_refs, Lp_core.Config.On_exhaustion, Off,
-      "iters=161 outcome=out of memory gc=9 reclaimed=0 poisoned=0 pruned=[] cycles=415236 mispredicted=0 vetoes=0 boosts=0");
+      "iters=2000 outcome=reached cap gc=73 reclaimed=1186416 poisoned=9683 pruned=[ListLeak$Node->ListLeak$Payload;ListLeak$Node->ListLeak$Node] cycles=4245187 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.None_, Lp_core.Config.On_select_gc, Off,
       "iters=161 outcome=out of memory gc=1 reclaimed=0 poisoned=0 pruned=[] cycles=170076 mispredicted=0 vetoes=0 boosts=0");
     (List_leak.workload, Lp_core.Policy.None_, Lp_core.Config.On_exhaustion, Off,

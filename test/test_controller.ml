@@ -93,6 +93,34 @@ let test_selection_prefers_bigger_structure () =
      collection. *)
   ignore (Lp_core.Controller.state f.controller)
 
+(* An Individual-refs SELECT collection attributes to each qualifying
+   edge type its direct target's bytes, not the bytes of the target's
+   closure, and traces every edge. *)
+let test_individual_refs_attributes_direct_bytes () =
+  let config =
+    Lp_core.Config.make ~policy:Lp_core.Policy.Individual_refs
+      ~force_state:Lp_core.State_kind.Select ()
+  in
+  let f = fixture ~config ~heap:10_000 () in
+  let holder = alloc f ~class_name:"Holder" ~n_fields:1 ~scalar:0 in
+  Roots.add_static_root f.roots holder.Heap_obj.id;
+  let big = alloc f ~class_name:"Big" ~n_fields:1 ~scalar:64 in
+  let small = alloc f ~class_name:"Small" ~n_fields:0 ~scalar:8 in
+  link holder 0 big;
+  link big 0 small;
+  Store.set_stale f.store big.Heap_obj.id 3;
+  Store.set_stale f.store small.Heap_obj.id 3;
+  gc f;
+  let id = Class_registry.register f.registry in
+  Alcotest.(check (option (triple int int int)))
+    "Holder -> Big wins with Big's own bytes"
+    (Some (id "Holder", id "Big", Store.size_bytes f.store big.Heap_obj.id))
+    (Lp_core.Controller.last_selection f.controller);
+  Alcotest.(check int) "nothing deferred" 0
+    f.stats.Gc_stats.candidates_enqueued;
+  Alcotest.(check bool) "every object traced" true
+    (Store.mem f.store big.Heap_obj.id && Store.mem f.store small.Heap_obj.id)
+
 let test_unproductive_cycles_end_in_oom () =
   (* Everything is live and fresh: pruning can never help; the failure
      protocol must eventually report out-of-memory rather than loop. *)
@@ -181,6 +209,8 @@ let suite =
       Alcotest.test_case "full cycle reclaims stale chain" `Quick
         test_full_cycle_reclaims_stale_chain;
       Alcotest.test_case "selection sanity" `Quick test_selection_prefers_bigger_structure;
+      Alcotest.test_case "individual-refs byte accounting" `Quick
+        test_individual_refs_attributes_direct_bytes;
       Alcotest.test_case "unproductive cycles end in OOM" `Quick
         test_unproductive_cycles_end_in_oom;
       Alcotest.test_case "disabled policy throws" `Quick

@@ -16,7 +16,6 @@ open Lp_heap
    scenarios. *)
 type engine = {
   mark :
-    ?note:(Collector.edge -> unit) ->
     Store.t ->
     Roots.t ->
     stats:Gc_stats.t ->
@@ -34,7 +33,7 @@ type engine = {
 
 let of_collector c =
   {
-    mark = (fun ?note store -> Collector.mark c ?note store);
+    mark = Collector.mark c;
     stale_closure = (fun store -> Collector.stale_closure c store);
     sweep = Collector.sweep c;
   }
@@ -348,11 +347,13 @@ let test_budget_retune_conformance () =
    random number, ticks or not, sets untouched bits or not, and runs no
    filter or a seeded Trace/Defer/Poison filter that reads the
    target's staleness (so a tick applied too early would change its
-   decisions), with or without a note that records the target's
-   staleness too. Compared: every slot's header and field words after
-   the stale closures and after the sweep, the Gc_stats counters, the
-   deferred edges in order, the stale closures' bytes, the poisoned
-   edges, the applied notes and the ids the next allocations reuse. *)
+   decisions). The filter may first note the target's staleness, as
+   the liveness audit and the Individual-refs byte accounting do; with
+   no seed such a filter notes and traces every edge. Compared: every
+   slot's header and field words after the stale closures and after
+   the sweep, the Gc_stats counters, the deferred edges in order, the
+   stale closures' bytes, the poisoned edges, the applied notes and the
+   ids the next allocations reuse. *)
 type word_spec =
   | Null
   | Ref of int * bool  (* target index, untouched bit *)
@@ -373,7 +374,7 @@ type heap_spec = {
   ticking : bool;
   untouched : bool;
   filter : int option;  (* the filter's seed *)
-  note : bool;
+  note : bool;  (* whether the filter notes edges *)
 }
 
 let gen_heap =
@@ -482,31 +483,33 @@ let run_generated h make =
         edge.Collector.field,
         Store.stale store edge.Collector.tgt )
   in
-  let edge_filter =
-    Option.map
-      (fun seed edge ->
-        match pick seed edge mod 4 with
-        | 0 -> Collector.Defer
-        | 1 -> Collector.Poison
-        | _ -> Collector.Trace)
-      h.filter
-  in
   let notes = ref [] in
-  let note =
-    if h.note then
+  let record (edge : Collector.edge) =
+    if pick 7 edge mod 2 = 0 then
+      notes :=
+        ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
+          edge.Collector.tgt,
+          Store.stale store edge.Collector.tgt )
+        :: !notes
+  in
+  let edge_filter =
+    match (h.filter, h.note) with
+    | None, false -> None
+    | seed, note ->
       Some
-        (fun (edge : Collector.edge) ->
-          if pick 7 edge mod 2 = 0 then
-            notes :=
-              ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
-                edge.Collector.tgt,
-                Store.stale store edge.Collector.tgt )
-              :: !notes)
-    else None
+        (fun edge ->
+          if note then record edge;
+          match seed with
+          | None -> Collector.Trace
+          | Some seed -> (
+            match pick seed edge mod 4 with
+            | 0 -> Collector.Defer
+            | 1 -> Collector.Poison
+            | _ -> Collector.Trace))
   in
   let poisoned = ref [] in
   let deferred =
-    e.mark ?note store roots ~stats
+    e.mark store roots ~stats
       ~config:
         {
           Collector.set_untouched_bits = h.untouched;

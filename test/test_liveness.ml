@@ -137,15 +137,36 @@ let edge src (tgt : Lp_heap.Heap_obj.t) =
   { Lp_heap.Collector.src; field = 0; tgt = tgt.Lp_heap.Heap_obj.id }
 let config = Lp_core.Config.default
 
+let verdict =
+  Alcotest.of_pp (fun ppf v ->
+      Format.pp_print_string ppf
+        (match v with
+        | Lp_core.Selection.Qualifies -> "Qualifies"
+        | Lp_core.Selection.Rejected -> "Rejected"
+        | Lp_core.Selection.Vetoed -> "Vetoed"
+        | Lp_core.Selection.Boosted -> "Boosted"))
+
 let test_prior_veto () =
   let table = Lp_core.Edge_table.create () in
   let e = edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale:7 ()) in
-  Alcotest.(check bool) "qualifies without a prior" true
-    (Lp_core.Selection.stale_qualifies store config table e);
-  Alcotest.(check bool) "Veto blocks even very stale references" false
-    (Lp_core.Selection.stale_qualifies
-       ~prior:(fun _ -> Lp_core.Selection.Veto)
-       store config table e)
+  let veto _ _ = Lp_core.Selection.Veto in
+  Alcotest.check verdict "qualifies without a prior" Lp_core.Selection.Qualifies
+    (Lp_core.Selection.judge store config table e);
+  Alcotest.check verdict "Veto blocks even very stale references"
+    Lp_core.Selection.Vetoed
+    (Lp_core.Selection.judge ~prior:veto store config table e);
+  (* the SELECT filter traces a vetoed edge and hands the veto to its
+     audit once *)
+  let audited = ref [] in
+  let action =
+    Lp_core.Selection.select_filter_default ~prior:veto
+      ~audit:(fun _ v -> audited := v :: !audited)
+      store config table e
+  in
+  Alcotest.(check bool) "vetoed edge traced" true
+    (action = Lp_heap.Collector.Trace);
+  Alcotest.(check (list verdict)) "veto audited once"
+    [ Lp_core.Selection.Vetoed ] !audited
 
 let test_prior_boost () =
   let table = Lp_core.Edge_table.create () in
@@ -156,24 +177,24 @@ let test_prior_boost () =
   let strict =
     Lp_core.Config.make ~min_candidate_stale:4 ~liveness_boost:2 ()
   in
+  let boost _ _ = Lp_core.Selection.Boost in
   let e = edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale:2 ()) in
-  Alcotest.(check bool) "stale 2 below the neutral threshold of 4" false
-    (Lp_core.Selection.stale_qualifies store strict table e);
-  Alcotest.(check bool)
-    "Boost lowers the floor to max 1 (min_candidate_stale - boost)" true
-    (Lp_core.Selection.stale_qualifies
-       ~prior:(fun _ -> Lp_core.Selection.Boost)
-       store strict table e);
+  Alcotest.check verdict "stale 2 below the neutral threshold of 4"
+    Lp_core.Selection.Rejected
+    (Lp_core.Selection.judge store strict table e);
+  Alcotest.check verdict
+    "Boost lowers the floor to max 1 (min_candidate_stale - boost)"
+    Lp_core.Selection.Boosted
+    (Lp_core.Selection.judge ~prior:boost store strict table e);
   (* dynamic protection wins over any static boost: a recorded stale
      use keeps maxstaleuse + slack in force under Boost *)
   Lp_core.Edge_table.record_stale_use table ~src:0 ~tgt:1 ~stale:3;
   let guarded =
     edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale:4 ())
   in
-  Alcotest.(check bool) "Boost cannot override maxstaleuse + slack" false
-    (Lp_core.Selection.stale_qualifies
-       ~prior:(fun _ -> Lp_core.Selection.Boost)
-       store config table guarded)
+  Alcotest.check verdict "Boost cannot override maxstaleuse + slack"
+    Lp_core.Selection.Rejected
+    (Lp_core.Selection.judge ~prior:boost store config table guarded)
 
 let test_prior_neutral () =
   let table = Lp_core.Edge_table.create () in
@@ -181,14 +202,64 @@ let test_prior_neutral () =
     let e =
       edge (obj ~class_id:0 ~stale:0 ()) (obj ~class_id:1 ~stale ())
     in
-    Alcotest.(check bool)
+    Alcotest.check verdict
       (Printf.sprintf "Neutral matches no-prior at stale %d" stale)
-      (Lp_core.Selection.stale_qualifies store config table e)
-      (Lp_core.Selection.stale_qualifies
-         ~prior:(fun _ -> Lp_core.Selection.Neutral)
+      (Lp_core.Selection.judge store config table e)
+      (Lp_core.Selection.judge
+         ~prior:(fun _ _ -> Lp_core.Selection.Neutral)
          store config table e)
   in
   List.iter probe [ 0; 1; 2; 5 ]
+
+(* The prior is judged once per edge: across every collection of a
+   boosted guided ListLeak run (SELECT and PRUNE collections, vetoes
+   and boosts), the collection's calls to the installed prior never
+   exceed the fields it scanned. Calls from the read barrier's
+   dead-read probe come between collections and are not counted: a
+   call counts when the collection counter has moved past the last
+   collection the listener saw. *)
+let test_prior_once_per_scanned_field () =
+  let w = Lp_workloads.List_leak.workload in
+  let vm =
+    Lp_runtime.Vm.create
+      ~config:(Lp_core.Config.make ~min_candidate_stale:3 ~liveness_boost:2 ())
+      ~resurrection:true ~heap_bytes:w.Lp_workloads.Workload.default_heap_bytes
+      ()
+  in
+  let prior =
+    Lp_runtime.Liveness_oracle.prior vm
+      ~bytecode:(Option.get w.Lp_workloads.Workload.bytecode)
+      ~field_map:w.Lp_workloads.Workload.field_map
+  in
+  let stats = Lp_runtime.Vm.stats vm in
+  let listened = ref 0 and calls = ref 0 and total = ref 0 in
+  let controller = Lp_runtime.Vm.controller vm in
+  Lp_core.Controller.set_liveness_prior controller (fun class_id field ->
+      if stats.Lp_heap.Gc_stats.collections > !listened then begin
+        incr calls;
+        incr total
+      end;
+      prior class_id field);
+  let fields = ref stats.Lp_heap.Gc_stats.fields_scanned in
+  let over = ref [] in
+  Lp_runtime.Vm.set_gc_listener vm
+    (Some
+       (fun r ->
+         let scanned = stats.Lp_heap.Gc_stats.fields_scanned - !fields in
+         if !calls > scanned then
+           over := (r.Lp_runtime.Vm.gc_number, !calls, scanned) :: !over;
+         listened := stats.Lp_heap.Gc_stats.collections;
+         calls := 0;
+         fields := stats.Lp_heap.Gc_stats.fields_scanned));
+  let iterate = w.Lp_workloads.Workload.prepare vm in
+  for _ = 1 to 2_000 do
+    iterate ()
+  done;
+  Alcotest.(check (list (triple int int int)))
+    "(collection, prior calls, fields scanned) over the bound" [] !over;
+  Alcotest.(check bool) "the prior was asked" true (!total > 0);
+  Alcotest.(check bool) "boosts counted" true
+    (Lp_core.Controller.liveness_boosts controller > 0)
 
 (* Positive control for the conformance probe: a program that writes a
    slot the oracle proved Dead_beyond 0 and then reads it back must be
@@ -220,8 +291,8 @@ let test_dead_read_probe () =
       ~config:(Lp_core.Config.make ~observe_threshold:0.01 ())
       ~heap_bytes:(64 * 1024) ()
   in
-  Lp_harness.Driver.install_liveness vm ~bytecode
-    ~field_map:[ ("Probe$T", "0", [ 0 ]) ];
+  Lp_runtime.Liveness_oracle.install Lp_core.Config.Liveness_guide vm
+    ~bytecode:(Some bytecode) ~field_map:[ ("Probe$T", "0", [ 0 ]) ];
   let src = Lp_runtime.Vm.alloc vm ~class_name:"Probe$T" ~n_fields:1 () in
   let tgt = Lp_runtime.Vm.alloc vm ~class_name:"Probe$U" ~n_fields:1 () in
   let filler =
@@ -260,9 +331,7 @@ let result_key (r : Lp_harness.Driver.result) =
     r.Lp_harness.Driver.liveness_boosts )
 
 let run_mode mode w =
-  Lp_harness.Driver.run
-    ~config:(Lp_core.Config.make ~liveness_mode:mode ())
-    ~resurrection:true ~max_iterations:200 w
+  Lp_harness.Driver.run ~liveness:mode ~resurrection:true ~max_iterations:200 w
 
 let check_veto_path w =
   let name = w.Lp_workloads.Workload.name in
@@ -363,6 +432,8 @@ let suite =
       Alcotest.test_case "prior: boost" `Quick test_prior_boost;
       Alcotest.test_case "prior: neutral" `Quick test_prior_neutral;
       Alcotest.test_case "dead-read probe" `Quick test_dead_read_probe;
+      Alcotest.test_case "prior: once per scanned field" `Quick
+        test_prior_once_per_scanned_field;
       Alcotest.test_case "veto path: PhasedCache" `Quick
         test_veto_path_phased_cache;
       Alcotest.test_case "veto path: AdaptonHull" `Quick

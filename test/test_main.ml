@@ -35,5 +35,6 @@ let () =
       Test_workloads.suite;
       Test_collect_arms.suite;
       Test_liveness.suite;
+      Test_autopilot.suite;
       Test_alloc_budget.suite;
     ]

@@ -15,56 +15,52 @@ let edge src (tgt : Heap_obj.t) = { Collector.src; field = 0; tgt = tgt.Heap_obj
 
 let config = Config.default
 
+let qualifies table e = Selection.qualifies (Selection.judge store config table e)
+
+let no_audit _ _ = Alcotest.fail "no prior: nothing to audit"
+
 let test_staleness_threshold () =
   let table = Edge_table.create () in
   let src = obj ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "stale 1 does not qualify" false
-    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:1 ())));
+    (qualifies table (edge src (obj ~class_id:1 ~stale:1 ())));
   Alcotest.(check bool) "stale 2 qualifies" true
-    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:2 ())))
+    (qualifies table (edge src (obj ~class_id:1 ~stale:2 ())))
 
 let test_maxstaleuse_slack () =
   let table = Edge_table.create () in
   Edge_table.record_stale_use table ~src:0 ~tgt:1 ~stale:3;
   let src = obj ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "stale 4 < maxstaleuse+2" false
-    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:4 ())));
+    (qualifies table (edge src (obj ~class_id:1 ~stale:4 ())));
   Alcotest.(check bool) "stale 5 >= maxstaleuse+2" true
-    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:5 ())))
+    (qualifies table (edge src (obj ~class_id:1 ~stale:5 ())))
 
 let test_statics_sources_never_qualify () =
   let table = Edge_table.create () in
   let src = obj ~statics:true ~class_id:0 ~stale:0 () in
   Alcotest.(check bool) "root reference unprunable" false
-    (Selection.stale_qualifies store config table (edge src (obj ~class_id:1 ~stale:7 ())))
+    (qualifies table (edge src (obj ~class_id:1 ~stale:7 ())))
 
 let test_default_filter_defers () =
   let table = Edge_table.create () in
   let src = obj ~class_id:0 ~stale:0 () in
   let stale_tgt = obj ~class_id:1 ~stale:3 () in
   let fresh_tgt = obj ~class_id:1 ~stale:0 () in
-  (match Selection.select_filter_default store config table (edge src stale_tgt) with
+  (match Selection.select_filter_default ~audit:no_audit store config table (edge src stale_tgt) with
   | Collector.Defer -> ()
   | Collector.Trace | Collector.Poison -> Alcotest.fail "expected Defer");
-  match Selection.select_filter_default store config table (edge src fresh_tgt) with
+  match Selection.select_filter_default ~audit:no_audit store config table (edge src fresh_tgt) with
   | Collector.Trace -> ()
   | Collector.Defer | Collector.Poison -> Alcotest.fail "expected Trace"
-
-let test_individual_filter_attributes_direct_bytes () =
-  let table = Edge_table.create () in
-  let src = obj ~class_id:5 ~stale:0 () in
-  let tgt = obj ~class_id:6 ~stale:3 () in
-  (match Selection.select_filter_individual store config table (edge src tgt) with
-  | Collector.Trace -> ()
-  | Collector.Defer | Collector.Poison -> Alcotest.fail "individual refs must trace");
-  Alcotest.(check int) "direct target bytes attributed" (Store.size_bytes store tgt.Heap_obj.id)
-    (Edge_table.bytes_used table ~src:5 ~tgt:6)
 
 let test_prune_filter_matches_type_and_staleness () =
   let table = Edge_table.create () in
   let src = obj ~class_id:7 ~stale:0 () in
   let tgt = obj ~class_id:8 ~stale:4 () in
-  let f = Selection.prune_filter_edge_type store config table ~selected:(7, 8) in
+  let f = Selection.prune_filter_edge_type ~audit:no_audit store config table
+      ~selected:(Some (7, 8))
+  in
   (match f (edge src tgt) with
   | Collector.Poison -> ()
   | Collector.Trace | Collector.Defer -> Alcotest.fail "expected Poison");
@@ -105,7 +101,6 @@ let suite =
       Alcotest.test_case "maxstaleuse slack" `Quick test_maxstaleuse_slack;
       Alcotest.test_case "statics sources excluded" `Quick test_statics_sources_never_qualify;
       Alcotest.test_case "default filter defers" `Quick test_default_filter_defers;
-      Alcotest.test_case "individual filter" `Quick test_individual_filter_attributes_direct_bytes;
       Alcotest.test_case "prune filter" `Quick test_prune_filter_matches_type_and_staleness;
       Alcotest.test_case "most-stale filter" `Quick test_most_stale_filter;
       Alcotest.test_case "most-stale level ignores statics" `Quick

@@ -54,6 +54,17 @@ let test_exhaustion_trigger () =
   State_machine.after_gc m ~occupancy:0.95;
   check_state "after first prune, select always advances" State_kind.Prune m
 
+(* A PRUNE collection acts on what a SELECT collection selected, so an
+   exhaustion that comes before this SELECT episode's first collection
+   waits for it. *)
+let test_exhaustion_before_select_gc () =
+  let m = machine ~trigger:Config.On_exhaustion () in
+  State_machine.after_gc m ~occupancy:0.95;
+  State_machine.note_exhaustion m;
+  check_state "no SELECT collection yet: still select" State_kind.Select m;
+  State_machine.after_gc m ~occupancy:0.95;
+  check_state "prune right after the SELECT collection" State_kind.Prune m
+
 let test_forced_state_never_moves () =
   let m = machine ~force:State_kind.Select () in
   check_state "starts forced" State_kind.Select m;
@@ -105,6 +116,8 @@ let suite =
       Alcotest.test_case "observe sticky" `Quick test_observe_is_sticky;
       Alcotest.test_case "select/prune cycle" `Quick test_select_and_prune_cycle;
       Alcotest.test_case "exhaustion trigger (option 1)" `Quick test_exhaustion_trigger;
+      Alcotest.test_case "exhaustion before a SELECT gc" `Quick
+        test_exhaustion_before_select_gc;
       Alcotest.test_case "forced state" `Quick test_forced_state_never_moves;
       Alcotest.test_case "disabled policy" `Quick test_none_policy_never_moves;
       Alcotest.test_case "history" `Quick test_transition_history;
