@@ -169,7 +169,7 @@ let audit_liveness t store (edge : Collector.edge) verdict =
   match t.c_liveness with
   | None -> ()
   | Some (v, b, _) -> (
-    let src_class = Store.class_of store edge.Collector.src.Heap_obj.id
+    let src_class = Store.class_of store edge.Collector.src
     and field = edge.Collector.field in
     match verdict with
     | Selection.Vetoed -> (
@@ -312,7 +312,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
               in
               if bytes > 0 then
                 Edge_table.add_bytes t.table
-                  ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+                  ~src:(Store.class_of store edge.Collector.src)
                   ~tgt:(Store.class_of store edge.Collector.tgt)
                   bytes)
             (Collector.canonical_candidates deferred);
@@ -327,7 +327,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
         (match Selection.judge ?prior:t.prior store t.config t.table edge with
         | Selection.Qualifies | Selection.Boosted ->
           Edge_table.add_bytes t.table
-            ~src:(Store.class_of store edge.Collector.src.Heap_obj.id)
+            ~src:(Store.class_of store edge.Collector.src)
             ~tgt:(Store.class_of store edge.Collector.tgt)
             (Store.size_bytes store edge.Collector.tgt)
         | Selection.Vetoed -> audit_liveness t store edge Selection.Vetoed

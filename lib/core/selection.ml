@@ -3,7 +3,7 @@ open Lp_heap
 (* References out of statics containers model root references (Jikes RVM
    scans statics as part of the JTOC); roots can never be pruned. *)
 let src_is_root store (edge : Collector.edge) =
-  Header.statics_container (Store.header store edge.Collector.src.Heap_obj.id)
+  Header.statics_container (Store.header store edge.Collector.src)
 
 (* The static liveness oracle's judgement on one slot, composed with the
    dynamic staleness test below. [Neutral] (and an absent prior) is the
@@ -30,7 +30,7 @@ let judge ?prior store (config : Config.t) table (edge : Collector.edge) =
     let stale = Store.stale store edge.Collector.tgt in
     if stale < lowest then Rejected
     else
-      let src_class = Store.class_of store edge.Collector.src.Heap_obj.id in
+      let src_class = Store.class_of store edge.Collector.src in
       (* the maxstaleuse-plus-slack guard is dynamic protection and wins
          over any static boost: a recently used edge type stays safe *)
       if
@@ -63,7 +63,7 @@ let select_filter_default ?prior ~audit store config table edge =
 let of_type store selected (edge : Collector.edge) =
   match selected with
   | Some (src_class, tgt_class) ->
-    Store.class_of store edge.Collector.src.Heap_obj.id = src_class
+    Store.class_of store edge.Collector.src = src_class
     && Store.class_of store edge.Collector.tgt = tgt_class
   | None -> false
 

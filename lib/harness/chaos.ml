@@ -203,9 +203,10 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
       !found
     end
   in
+  let field_count (obj : Heap_obj.t) = Store.n_fields store obj.Heap_obj.id in
   let random_field (obj : Heap_obj.t) =
     (* never the reserved leak-chain slot of the statics container *)
-    let n = Array.length obj.Heap_obj.fields in
+    let n = field_count obj in
     Random.State.int rng (if obj == statics then n - 1 else n)
   in
   let anchor obj =
@@ -227,7 +228,7 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
     anchor obj;
     if Random.State.bool rng then
       match random_live () with
-      | Some src when Array.length src.Heap_obj.fields > 0 ->
+      | Some src when field_count src > 0 ->
         Lp_runtime.Mutator.write_obj vm src (random_field src) obj
       | _ -> ()
   in
@@ -248,7 +249,7 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   in
   let step_write () =
     match random_live () with
-    | Some src when Array.length src.Heap_obj.fields > 0 ->
+    | Some src when field_count src > 0 ->
       let i = random_field src in
       if Random.State.int rng 4 = 0 then Lp_runtime.Mutator.clear vm src i
       else begin
@@ -260,7 +261,7 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   in
   let step_read () =
     match random_live () with
-    | Some src when Array.length src.Heap_obj.fields > 0 ->
+    | Some src when field_count src > 0 ->
       ignore (Lp_runtime.Mutator.read vm src (random_field src))
     | _ -> ()
   in
@@ -272,11 +273,10 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
   let step_poke_pruned () =
     let found = ref None in
     Store.iter_live store (fun obj ->
-        if !found = None then
-          Array.iteri
-            (fun i w ->
-              if !found = None && Word.poisoned w then found := Some (obj, i))
-            obj.Heap_obj.fields);
+        for i = 0 to field_count obj - 1 do
+          if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+          then found := Some (obj, i)
+        done);
     match !found with
     | Some (src, i) -> ignore (Lp_runtime.Mutator.read vm src i)
     | None -> step_read ()
@@ -297,7 +297,7 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
           match (f : Lp_fault.Fault_plan.fault) with
           | Lp_fault.Fault_plan.Corrupt_word -> (
             match random_live () with
-            | Some obj when Array.length obj.Heap_obj.fields > 0 ->
+            | Some obj when field_count obj > 0 ->
               let field = random_field obj in
               let mode =
                 match Random.State.int rng 3 with

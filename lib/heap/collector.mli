@@ -29,10 +29,11 @@
     ([test/reference_collector.ml]) is a second, plainly written
     implementation that every budget is compared with. *)
 
-type edge = { src : Heap_obj.t; field : int; tgt : int }
-(** A heap reference under examination: [src.fields.(field)] refers to
-    the live object with identifier [tgt]; its header, class and size
-    are read from the {!Store}. *)
+type edge = { src : int; field : int; tgt : int }
+(** A heap reference under examination: field [field] of the live
+    object with identifier [src] refers to the live object with
+    identifier [tgt]; their headers, classes and sizes are read from
+    the {!Store}. *)
 
 type edge_action =
   | Trace  (** follow the reference normally *)

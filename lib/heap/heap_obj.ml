@@ -1,4 +1,4 @@
-type t = { id : int; fields : Word.t array }
+type t = { id : int }
 
 let word_size = 4
 

@@ -27,21 +27,20 @@ let collect ?events ?(number = 0) store roots ~remset =
   Roots.iter roots consider;
   Remset.iter remset (fun ~src_id ~field ->
       incr slots_scanned;
-      let src = Store.find store src_id in
       (* a miss: the source died in an earlier full collection *)
-      if src != Store.sentinel then begin
-        let w = src.Heap_obj.fields.(field) in
+      if Store.mem store src_id then begin
+        let w = Store.field store src_id field in
         if (not (Word.is_null w)) && not (Word.poisoned w) then
           consider (Word.target w)
       end);
   while not (Work_queue.is_empty queue) do
-    let obj = Store.get store (Work_queue.pop queue) in
-    Array.iter
-      (fun w ->
-        incr slots_scanned;
-        if (not (Word.is_null w)) && not (Word.poisoned w) then
-          consider (Word.target w))
-      obj.Heap_obj.fields
+    let id = Work_queue.pop queue in
+    for i = 0 to Store.n_fields store id - 1 do
+      let w = Store.field store id i in
+      incr slots_scanned;
+      if (not (Word.is_null w)) && not (Word.poisoned w) then
+        consider (Word.target w)
+    done
   done;
   (* Sweep the nursery in place, in descending slot order: promote
      survivors, free the rest as they are reached. *)

@@ -40,7 +40,7 @@ let program_reachable t (obj : Heap_obj.t) =
   let store = Vm.store t.vm in
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.src == t.ring_holder then Collector.Defer else Collector.Trace
+    if e.Collector.src = t.ring_holder.Heap_obj.id then Collector.Defer else Collector.Trace
   in
   ignore
     (Collector.mark t.engine store (Vm.roots t.vm) ~stats
@@ -77,7 +77,7 @@ let alloc t =
       t.recycled_while_reachable <- t.recycled_while_reachable + 1;
     (* in-place reuse: the allocator clears the object; any surviving
        program reference now silently sees a "different" object *)
-    Array.fill obj.Heap_obj.fields 0 (Array.length obj.Heap_obj.fields) Word.null;
+    Store.clear_fields (Vm.store t.vm) obj.Heap_obj.id;
     obj
   end
 

@@ -213,20 +213,20 @@ let to_dot ?(max_objects = 400) vm =
              obj.Heap_obj.id
              (Class_registry.name registry (Store.class_of store obj.Heap_obj.id))
              obj.Heap_obj.id stale shape shade shade 0xF8);
-        Array.iteri
-          (fun i w ->
-            if not (Word.is_null w) then
-              if Word.poisoned w then
-                Buffer.add_string buf
-                  (Printf.sprintf
-                     "  n%d -> p%d_%d [color=red, style=dashed];\n  p%d_%d \
-                      [label=\"pruned #%d\", shape=plaintext, fontcolor=red];\n"
-                     obj.Heap_obj.id obj.Heap_obj.id i obj.Heap_obj.id i
-                     (Word.target w))
-              else if Store.mem store (Word.target w) then
-                Buffer.add_string buf
-                  (Printf.sprintf "  n%d -> n%d;\n" obj.Heap_obj.id (Word.target w)))
-          obj.Heap_obj.fields
+        for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+          let w = Store.field store obj.Heap_obj.id i in
+          if not (Word.is_null w) then
+            if Word.poisoned w then
+              Buffer.add_string buf
+                (Printf.sprintf
+                   "  n%d -> p%d_%d [color=red, style=dashed];\n  p%d_%d \
+                    [label=\"pruned #%d\", shape=plaintext, fontcolor=red];\n"
+                   obj.Heap_obj.id obj.Heap_obj.id i obj.Heap_obj.id i
+                   (Word.target w))
+            else if Store.mem store (Word.target w) then
+              Buffer.add_string buf
+                (Printf.sprintf "  n%d -> n%d;\n" obj.Heap_obj.id (Word.target w))
+        done
       end);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
@@ -247,9 +247,8 @@ let heap_check ?(strict = false) vm =
         fail
           (Printf.sprintf "object %d carries a mark bit outside a collection"
              id);
-      let fields = (Store.get store id).Heap_obj.fields in
-      for i = 0 to Array.length fields - 1 do
-        let w = fields.(i) in
+      for i = 0 to Store.n_fields store id - 1 do
+        let w = Store.field store id i in
         if not (Word.is_null w) then
           if Word.poisoned w then incr poisoned_words
           else if not (Store.mem store (Word.target w)) then
@@ -305,7 +304,7 @@ let heap_check ?(strict = false) vm =
            (fun (site, _, _) -> site = Lp_fault.Fault_plan.Swap)
            (Lp_fault.Fault_plan.fired plan))
   in
-  Diskswap.iter_images swap (fun ~id ~image ->
+  Diskswap.iter_images swap (fun ~id ~image ~refs ->
       incr image_count;
       image_sum := !image_sum + Bytes.length image;
       (* validated and CRC-checked here, independently of the
@@ -314,7 +313,7 @@ let heap_check ?(strict = false) vm =
       let valid = Swap_image.validate image in
       (if strict then
          let agrees =
-           match (valid, Diskswap.image_refs swap id) with
+           match (valid, refs) with
            | Ok _, Some refs -> Swap_image.refs_equal image refs
            | Error _, None -> true
            | Ok _, None | Error _, Some _ -> false
@@ -406,9 +405,8 @@ let heap_check ?(strict = false) vm =
      field in bounds (full collections clear the set; minor collections
      free only nursery objects, never a remset source, which is mature). *)
   Remset.iter (Vm.remset vm) (fun ~src_id ~field ->
-      let obj = Store.find store src_id in
-      if obj == Store.sentinel then
+      if not (Store.mem store src_id) then
         fail (Printf.sprintf "remset source %d is not live" src_id)
-      else if field < 0 || field >= Array.length obj.Heap_obj.fields then
+      else if field < 0 || field >= Store.n_fields store src_id then
         fail (Printf.sprintf "remset entry %d.%d is out of bounds" src_id field));
   match !error with None -> Ok () | Some msg -> Error msg

@@ -78,6 +78,8 @@ type t = {
   mutable sink : Lp_obs.Sink.t option;
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
+  mutable candidates : int array;
+      (* the offload pass's sort keys, reused; grown by doubling *)
 }
 
 exception Out_of_disk = Lp_core.Errors.Out_of_disk
@@ -106,6 +108,7 @@ let create ?metrics ?backend config =
     sink = None;
     fault = None;
     image_fault = None;
+    candidates = [||];
   }
 
 let set_sink t s = t.sink <- s
@@ -205,7 +208,12 @@ let retain_images t ~keep =
   List.iter (drop_image t) !doomed
 
 let iter_images t f =
-  Hashtbl.iter (fun id image -> f ~id ~image:(image_data image)) t.images
+  Hashtbl.iter
+    (fun id image ->
+      match image with
+      | Decoded (data, refs) -> f ~id ~image:data ~refs:(Some refs)
+      | Corrupt data -> f ~id ~image:data ~refs:None)
+    t.images
 
 let image_count t = Hashtbl.length t.images
 
@@ -266,6 +274,35 @@ let offload_one t store id =
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
 
+let grow_keys a =
+  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Sorts [a.(0)] to [a.(n - 1)] ascending, in place: a heapsort. *)
+let sort_prefix a n =
+  let rec sift i n =
+    let l = (2 * i) + 1 in
+    if l < n then begin
+      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let x = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- x;
+        sift c n
+      end
+    end
+  in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 last
+  done
+
 let after_gc ?(allow_offload = true) t store =
   (match t.fault with
   | Some fails when fails () ->
@@ -283,8 +320,11 @@ let after_gc ?(allow_offload = true) t store =
     (* Candidates are offloaded most-stale first (ties broken by lowest
        id) so the payload write order — and therefore which write an
        injected swap fault lands on — is a deterministic function of the
-       heap, not of hash-table iteration order. *)
-    let candidates = ref [] in
+       heap, not of hash-table iteration order. Each candidate is one
+       int key, staleness descending then id ascending, sorted in place
+       in this swap store's reused array. *)
+    let stride = Store.slot_count store + 1 in
+    let n = ref 0 in
     for id = 1 to Store.slot_count store do
       let h = Store.header store id in
       (* statics containers model immortal space: never offloaded *)
@@ -293,37 +333,36 @@ let after_gc ?(allow_offload = true) t store =
         && Header.stale_counter h >= t.config.offload_stale_threshold
         && (not (Header.statics_container h))
         && not (Hashtbl.mem t.resident id)
-      then candidates := id :: !candidates
+      then begin
+        if !n = Array.length t.candidates then
+          t.candidates <- grow_keys t.candidates;
+        t.candidates.(!n) <-
+          ((Header.max_stale - Header.stale_counter h) * stride) + id;
+        incr n
+      end
     done;
-    let candidates =
-      List.sort
-        (fun a b ->
-          match compare (Store.stale store b) (Store.stale store a) with
-          | 0 -> compare a b
-          | c -> c)
-        !candidates
-    in
-    List.iter
-      (fun id ->
-        match t.backend with
-        | None -> offload_one t store id
-        | Some b ->
-          (* Shared-disk admission: an offload is admitted only when it
-             fits both this tenant's quota ([disk_limit_bytes]) and the
-             backend's remaining capacity. A denial is bookkeeping, not
-             an error — the object simply stays in memory, and sustained
-             denials surface to the fleet as backpressure. *)
-          let bytes = Store.size_bytes store id in
-          if
-            disk_bytes t + bytes <= t.config.disk_limit_bytes
-            && b.used_bytes + bytes <= b.capacity_bytes
-          then offload_one t store id
-          else begin
-            t.denied <- t.denied + 1;
-            b.denials <- b.denials + 1;
-            Lp_obs.Metrics.incr t.c_admission_denied
-          end)
-      candidates
+    sort_prefix t.candidates !n;
+    for k = 0 to !n - 1 do
+      let id = t.candidates.(k) mod stride in
+      match t.backend with
+      | None -> offload_one t store id
+      | Some b ->
+        (* Shared-disk admission: an offload is admitted only when it
+           fits both this tenant's quota ([disk_limit_bytes]) and the
+           backend's remaining capacity. A denial is bookkeeping, not
+           an error — the object simply stays in memory, and sustained
+           denials surface to the fleet as backpressure. *)
+        let bytes = Store.size_bytes store id in
+        if
+          disk_bytes t + bytes <= t.config.disk_limit_bytes
+          && b.used_bytes + bytes <= b.capacity_bytes
+        then offload_one t store id
+        else begin
+          t.denied <- t.denied + 1;
+          b.denials <- b.denials + 1;
+          Lp_obs.Metrics.incr t.c_admission_denied
+        end
+    done
   end;
   Store.set_swapped_out_bytes store t.resident_total;
   if disk_bytes t > t.config.disk_limit_bytes then raise (out_of_disk t)

@@ -230,7 +230,11 @@ val retain_images : t -> keep:(int -> bool) -> unit
     The VM keeps exactly the images still referenced by live poisoned
     words (directly or through another retained image). *)
 
-val iter_images : t -> (id:int -> image:bytes -> unit) -> unit
+val iter_images :
+  t -> (id:int -> image:bytes -> refs:int array option -> unit) -> unit
+(** Calls [f] on every stored image with its bytes and its memoised
+    references, as {!image_refs} would return them, in the table's
+    iteration order. *)
 
 val image_count : t -> int
 

@@ -57,7 +57,7 @@ let read vm (src : Heap_obj.t) i =
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.read_ref;
   charge_barrier vm cost.Cost.barrier_fast;
-  let w = src.Heap_obj.fields.(i) in
+  let w = Store.field (Vm.store vm) src.Heap_obj.id i in
   if Word.is_null w then None
   else if Word.poisoned w then begin
     charge_barrier vm (cost.Cost.barrier_cold + cost.Cost.barrier_poison_check);
@@ -114,7 +114,7 @@ let read vm (src : Heap_obj.t) i =
       (* Corrupt (dangling) reference word: quarantine it — poison the
          slot so later loads take the deterministic poisoned-access
          path — and surface a structured error instead of crashing. *)
-      src.Heap_obj.fields.(i) <- Word.poison w;
+      Store.set_field store src.Heap_obj.id i (Word.poison w);
       let stats = Vm.stats vm in
       stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
       raise
@@ -131,7 +131,7 @@ let read vm (src : Heap_obj.t) i =
       (match Vm.sink vm with
       | None -> ()
       | Some s -> emit_barrier_cold s store src i);
-      src.Heap_obj.fields.(i) <- Word.clear_untouched w;
+      Store.set_field store src.Heap_obj.id i (Word.clear_untouched w);
       Lp_core.Controller.on_stale_use (Vm.controller vm) store ~src ~tgt;
       (* liveness-oracle conformance probe; a no-op unless an oracle is
          installed, keeping the 3%-budget fast path untouched *)
@@ -157,11 +157,11 @@ let write vm (src : Heap_obj.t) i tgt =
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.write_ref;
   match tgt with
-  | None -> src.Heap_obj.fields.(i) <- Word.null
+  | None -> Store.set_field (Vm.store vm) src.Heap_obj.id i Word.null
   | Some (obj : Heap_obj.t) ->
     Vm.assert_live vm obj;
     Vm.remember_write vm ~src ~field:i ~tgt:obj;
-    src.Heap_obj.fields.(i) <- Word.of_id obj.Heap_obj.id
+    Store.set_field (Vm.store vm) src.Heap_obj.id i (Word.of_id obj.Heap_obj.id)
 
 let write_obj vm src i obj = write vm src i (Some obj)
 
@@ -172,20 +172,22 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
   Vm.assert_live vm dst;
   let cost = Vm.cost vm in
   Vm.charge vm (len * (cost.Cost.read_ref + cost.Cost.write_ref));
-  Array.blit src.Heap_obj.fields src_pos dst.Heap_obj.fields dst_pos len;
+  let store = Vm.store vm in
+  Store.blit_fields store ~src:src.Heap_obj.id ~src_pos ~dst:dst.Heap_obj.id
+    ~dst_pos ~len;
   if Vm.generational vm then
     (* the intrinsic still honours the generational write barrier *)
     for i = dst_pos to dst_pos + len - 1 do
-      let w = dst.Heap_obj.fields.(i) in
+      let w = Store.field store dst.Heap_obj.id i in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
-        let tgt = Store.find (Vm.store vm) (Word.target w) in
+        let tgt = Store.find store (Word.target w) in
         if tgt != Store.sentinel then Vm.remember_write vm ~src:dst ~field:i ~tgt
     done
 
 let field_is_poisoned vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
-  Word.poisoned src.Heap_obj.fields.(i)
+  Word.poisoned (Store.field (Vm.store vm) src.Heap_obj.id i)
 
 let field_word vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
-  src.Heap_obj.fields.(i)
+  Store.field (Vm.store vm) src.Heap_obj.id i

@@ -44,9 +44,10 @@ let crc32 buf ~pos ~len =
   !c lxor 0xFFFFFFFF
 
 let capture store (obj : Heap_obj.t) =
+  let id = obj.Heap_obj.id in
   let fields =
-    Array.map
-      (fun w ->
+    Array.init (Store.n_fields store id) (fun i ->
+        let w = Store.field store id i in
         if Word.is_null w then { word = Word.null; referent_class = -1 }
         else
           let tgt = Word.target w in
@@ -54,9 +55,7 @@ let capture store (obj : Heap_obj.t) =
             if Store.mem store tgt then Store.class_of store tgt else -1
           in
           { word = w; referent_class })
-      obj.Heap_obj.fields
   in
-  let id = obj.Heap_obj.id in
   {
     object_id = id;
     class_id = Store.class_of store id;

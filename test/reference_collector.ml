@@ -19,19 +19,19 @@ let tick store stats gc (obj : Heap_obj.t) =
     if Stale_counter.tick_object store ~gc_number obj.Heap_obj.id then
       stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1
 
-let quarantine (config : Collector.mark_config) stats fields i =
+let quarantine (config : Collector.mark_config) store stats id i =
+  let w = Store.field store id i in
   (match config.Collector.events with
   | Some sink ->
-    Lp_obs.Sink.emit sink
-      (Lp_obs.Event.Quarantine { target = Word.target fields.(i) })
+    Lp_obs.Sink.emit sink (Lp_obs.Event.Quarantine { target = Word.target w })
   | None -> ());
-  fields.(i) <- Word.poison fields.(i);
+  Store.set_field store id i (Word.poison w);
   stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1
 
 let scan_field store stats ~(config : Collector.mark_config) ~on_trace
     ~deferred (obj : Heap_obj.t) i =
-  let fields = obj.Heap_obj.fields in
-  let w = fields.(i) in
+  let id = obj.Heap_obj.id in
+  let w = Store.field store id i in
   if not (Word.is_null w) then begin
     stats.Gc_stats.fields_scanned <- stats.Gc_stats.fields_scanned + 1;
     if not (Word.poisoned w) then begin
@@ -39,7 +39,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
         if config.Collector.set_untouched_bits && not (Word.untouched w)
         then begin
           let w' = Word.set_untouched w in
-          fields.(i) <- w';
+          Store.set_field store id i w';
           stats.Gc_stats.untouched_bits_set <-
             stats.Gc_stats.untouched_bits_set + 1;
           w'
@@ -47,11 +47,11 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
         else w
       in
       if not (Store.mem store (Word.target w)) then
-        quarantine config stats fields i
+        quarantine config store stats id i
       else begin
         let tgt = Store.get store (Word.target w) in
         let edge =
-          { Collector.src = obj; field = i; tgt = tgt.Heap_obj.id }
+          { Collector.src = id; field = i; tgt = tgt.Heap_obj.id }
         in
         let action =
           match config.Collector.edge_filter with
@@ -75,12 +75,12 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
             Lp_obs.Sink.emit sink
               (Lp_obs.Event.Edge_poisoned
                  {
-                   src_class = Store.class_of store obj.Heap_obj.id;
+                   src_class = Store.class_of store id;
                    field = i;
                    target = tgt.Heap_obj.id;
                  })
           | None -> ());
-          fields.(i) <- Word.poison w;
+          Store.set_field store id i (Word.poison w);
           stats.Gc_stats.references_poisoned <-
             stats.Gc_stats.references_poisoned + 1
       end
@@ -88,7 +88,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
   end
 
 let scan_object store stats ~config ~on_trace ~deferred (obj : Heap_obj.t) =
-  for i = 0 to Array.length obj.Heap_obj.fields - 1 do
+  for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
     scan_field store stats ~config ~on_trace ~deferred obj i
   done
 

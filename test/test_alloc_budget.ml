@@ -1,6 +1,8 @@
 (* The collector's allocation rule: once an engine's buffers have grown
    to the heap's working size, a steady-state collection allocates a
-   constant number of OCaml words, whatever the heap size. *)
+   constant number of OCaml words, whatever the heap size, in every
+   state that marks: OBSERVE, SELECT (candidates and stale closures)
+   and PRUNE (the poisoning filter). *)
 
 open Lp_heap
 open Lp_runtime
@@ -9,12 +11,13 @@ open Lp_runtime
    limit that keeps occupancy near 70% — past the OBSERVE threshold,
    short of nearly-full — so every collection marks the chain, ticks
    every live object and sets untouched bits. *)
-let chain_vm ?resurrection n =
+let chain_vm ?resurrection ?force_state n =
   let obj_bytes = Heap_obj.size_of ~n_fields:1 ~scalar_bytes:16 in
   let heap = (n + 8) * obj_bytes * 10 / 7 in
   let vm =
-    Vm.create ~config:(Lp_core.Config.make ()) ?resurrection ~heap_bytes:heap
-      ()
+    Vm.create
+      ~config:(Lp_core.Config.make ?force_state ())
+      ?resurrection ~heap_bytes:heap ()
   in
   let head = Vm.statics vm ~class_name:"Head" ~n_fields:1 in
   let prev = ref head in
@@ -25,11 +28,11 @@ let chain_vm ?resurrection n =
   done;
   vm
 
-let words_per_gc vm ~collections =
+let words_per_gc ?(state = "OBSERVE") vm ~collections =
   for _ = 1 to 20 do
     Vm.run_gc vm
   done;
-  Alcotest.(check string) "steady state" "OBSERVE"
+  Alcotest.(check string) "steady state" state
     (Lp_core.State_kind.to_string (Lp_core.Controller.state (Vm.controller vm)));
   let before = Gc.minor_words () in
   for _ = 1 to collections do
@@ -38,15 +41,27 @@ let words_per_gc vm ~collections =
   let after = Gc.minor_words () in
   (after -. before) /. float_of_int collections
 
-let test_constant_words_per_collection () =
-  let small = chain_vm 100 and large = chain_vm 3_000 in
-  let ws = words_per_gc small ~collections:200 in
-  let wl = words_per_gc large ~collections:200 in
-  if Float.abs (ws -. wl) > 16. || ws > 256. || wl > 256. then
+let constant_words_per_collection ?force_state ~state ~bound () =
+  let small = chain_vm ?force_state 100
+  and large = chain_vm ?force_state 3_000 in
+  let ws = words_per_gc ~state small ~collections:200 in
+  let wl = words_per_gc ~state large ~collections:200 in
+  if Float.abs (ws -. wl) > 16. || ws > bound || wl > bound then
     Alcotest.failf
-      "words per collection: %.1f with 100 live objects, %.1f with 3,000 \
-       (must agree within 16 and stay <= 256)"
-      ws wl
+      "%s words per collection: %.1f with 100 live objects, %.1f with 3,000 \
+       (must agree within 16 and stay <= %.0f)"
+      state ws wl bound
+
+let test_constant_words_per_collection () =
+  constant_words_per_collection ~state:"OBSERVE" ~bound:256. ()
+
+let test_constant_words_select () =
+  constant_words_per_collection ~force_state:Lp_core.State_kind.Select
+    ~state:"SELECT" ~bound:320. ()
+
+let test_constant_words_prune () =
+  constant_words_per_collection ~force_state:Lp_core.State_kind.Prune
+    ~state:"PRUNE" ~bound:256. ()
 
 (* A resurrection VM over a chain of 1,000 live objects, with one
    poisoned statics word whose target's image starts a chain of
@@ -58,7 +73,7 @@ let retained_images_vm images =
   let vm = chain_vm ~resurrection:true 1_000 in
   let first = 1_000_000 in
   let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
-  pin.Heap_obj.fields.(0) <- Word.poison (Word.of_id first);
+  Store.set_field (Vm.store vm) pin.Heap_obj.id 0 (Word.poison (Word.of_id first));
   for id = first to first + images - 1 do
     let next = if id + 1 < first + images then [| id + 1 |] else [||] in
     Diskswap.store_image (Vm.swap vm) ~id
@@ -120,37 +135,38 @@ let test_fast_paths_allocation_free () =
     (words_per_call ~n (fun () -> ignore (Mutator.read vm src 0)))
 
 (* An allocation that fits, on a VM with no nursery and no fault plan,
-   takes the fast path: it allocates the object's handle (two fields
-   and a header word) and its field array (a header word and one per
-   field, none for the shared empty array), and nothing else; the
-   header, class and size go into the store's int arrays. Neither the
-   number of objects already live nor whether the field array is built
-   inline (up to four words) or by [Array.make] changes that. *)
+   takes the fast path: it allocates the object's handle (one field and
+   a header word) and nothing else; the header, class, size, field
+   count, field offset and the fields themselves go into the store's
+   int arrays. Here each allocation reuses the identifier of a dead
+   object of the same field count, which a collection freed, and with
+   it that object's words. Neither the number of objects already live
+   nor the field count changes the figure. *)
 let test_alloc_fast_path_words () =
-  let record_words = 3. in
+  let handle_words = 2. in
   List.iter
     (fun live ->
-      let vm = chain_vm live in
-      Store.set_limit_bytes (Vm.store vm) (Vm.used_bytes vm + (1 lsl 20));
-      let class_id = Vm.register_class vm "Fresh" in
-      let gcs = Vm.gc_count vm in
       List.iter
         (fun n_fields ->
-          let expected =
-            record_words
-            +. if n_fields = 0 then 0. else float_of_int (n_fields + 1)
+          let vm = chain_vm live in
+          Store.set_limit_bytes (Vm.store vm) (Vm.used_bytes vm + (1 lsl 20));
+          let class_id = Vm.register_class vm "Fresh" in
+          let alloc () =
+            ignore (Vm.alloc_class vm ~class_id ~scalar_bytes:8 ~n_fields ())
           in
-          let words =
-            words_per_call ~n:2_000 (fun () ->
-                ignore (Vm.alloc_class vm ~class_id ~scalar_bytes:8 ~n_fields ()))
-          in
-          if Float.abs (words -. expected) > 0.01 then
+          for _ = 1 to 2_000 do
+            alloc ()
+          done;
+          Vm.run_gc vm;
+          let gcs = Vm.gc_count vm in
+          let words = words_per_call ~n:2_000 alloc in
+          if Float.abs (words -. handle_words) > 0.01 then
             Alcotest.failf
               "%d live objects, %d fields: %.3f words per allocation, \
                expected %.0f"
-              live n_fields words expected)
-        [ 0; 1; 2; 4; 5; 9 ];
-      Alcotest.(check int) "no collection ran" gcs (Vm.gc_count vm))
+              live n_fields words handle_words;
+          Alcotest.(check int) "no collection ran" gcs (Vm.gc_count vm))
+        [ 0; 1; 2; 4; 5; 9 ])
     [ 100; 3_000 ]
 
 (* An INACTIVE collection frees with no OCaml allocation per freed
@@ -225,12 +241,16 @@ let suite =
         test_constant_words_per_collection;
       Alcotest.test_case "mutator fast paths allocation-free" `Quick
         test_fast_paths_allocation_free;
-      Alcotest.test_case "fast-path allocation: record and fields only"
-        `Quick test_alloc_fast_path_words;
+      Alcotest.test_case "fast-path allocation: handle only" `Quick
+        test_alloc_fast_path_words;
       Alcotest.test_case "collections force no OCaml minor collection" `Quick
         test_collections_force_no_minor_gc;
       Alcotest.test_case "unchanged collections: words independent of images"
         `Quick test_unchanged_collections_independent_of_images;
       Alcotest.test_case "INACTIVE collections: words independent of frees"
         `Quick test_inactive_words_independent_of_freed;
+      Alcotest.test_case "constant words per SELECT collection" `Quick
+        test_constant_words_select;
+      Alcotest.test_case "constant words per PRUNE collection" `Quick
+        test_constant_words_prune;
     ] )

@@ -22,8 +22,8 @@ let build_store () = Store.create ~limit_bytes:1_000_000
 let alloc store ~n_fields =
   Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
 
-let link (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  src.Heap_obj.fields.(i) <- Word.of_id tgt.Heap_obj.id
+let link store (src : Heap_obj.t) i (tgt : Heap_obj.t) =
+  Store.set_field store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
 
 let collect_base store roots =
   let stats = Gc_stats.create () in
@@ -38,7 +38,7 @@ let test_unreachable_reclaimed () =
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
+  link store a 0 b;
   (* c unreachable *)
   ignore (collect_base store roots);
   Alcotest.(check bool) "a live" true (Store.mem store a.Heap_obj.id);
@@ -50,8 +50,8 @@ let test_cycle_reclaimed () =
   let roots = Roots.create () in
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:1 in
-  link a 0 b;
-  link b 0 a;
+  link store a 0 b;
+  link store b 0 a;
   ignore (collect_base store roots);
   Alcotest.(check int) "unrooted cycle fully reclaimed" 0 (Store.object_count store)
 
@@ -72,14 +72,14 @@ let test_untouched_bits_set () =
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:0 in
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
+  link store a 0 b;
   let stats = Gc_stats.create () in
   ignore
     (mark store roots ~stats
        ~config:{ Collector.set_untouched_bits = true; stale_tick_gc = None; edge_filter = None; on_poison = None; events = None });
   sweep store ~stats;
   Alcotest.(check bool) "bit set on scanned reference" true
-    (Word.untouched a.Heap_obj.fields.(0));
+    (Word.untouched (Store.field store a.Heap_obj.id 0));
   Alcotest.(check int) "one bit recorded" 1 stats.Gc_stats.untouched_bits_set
 
 let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
@@ -89,8 +89,8 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
-  link b 0 c;
+  link store a 0 b;
+  link store b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
     if e.Collector.tgt = b.Heap_obj.id then Collector.Defer
@@ -120,8 +120,8 @@ let test_stale_closure_zero_for_marked_target () =
   let a = alloc store ~n_fields:2 in
   let b = alloc store ~n_fields:0 in
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
-  link a 1 b;
+  link store a 0 b;
+  link store a 1 b;
   let stats = Gc_stats.create () in
   (* trace edge 1, defer edge 0: the target is in-use via the other path *)
   let filter (e : Collector.edge) =
@@ -144,8 +144,8 @@ let test_poison_reclaims_subtree () =
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
-  link b 0 c;
+  link store a 0 b;
+  link store b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
     if e.Collector.tgt = b.Heap_obj.id then Collector.Poison
@@ -155,7 +155,7 @@ let test_poison_reclaims_subtree () =
     (mark store roots ~stats
        ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None });
   sweep store ~stats;
-  Alcotest.(check bool) "reference poisoned" true (Word.poisoned a.Heap_obj.fields.(0));
+  Alcotest.(check bool) "reference poisoned" true (Word.poisoned (Store.field store a.Heap_obj.id 0));
   Alcotest.(check bool) "b reclaimed" false (Store.mem store b.Heap_obj.id);
   Alcotest.(check bool) "c reclaimed" false (Store.mem store c.Heap_obj.id);
   Alcotest.(check int) "poison count" 1 stats.Gc_stats.references_poisoned;
@@ -171,7 +171,7 @@ let test_finalizer_resurrection () =
     Store.alloc store ~class_id:0 ~n_fields:1 ~scalar_bytes:0 ~finalizable:true
   in
   let b = alloc store ~n_fields:0 in
-  link a 0 b;
+  link store a 0 b;
   (* both unreachable; a has a finalizer which may access b *)
   let stats = Gc_stats.create () in
   ignore (mark store roots ~stats ~config:Collector.base_config);
@@ -211,7 +211,7 @@ let prop_reachability =
       List.iter
         (fun (src, tgt) ->
           if fields.(src) < 4 then begin
-            link objs.(src) fields.(src) objs.(tgt);
+            link store objs.(src) fields.(src) objs.(tgt);
             fields.(src) <- fields.(src) + 1
           end)
         edges;
@@ -228,11 +228,11 @@ let prop_reachability =
       and visit_edge src tgt =
         (* only edges that were actually installed *)
         let installed = ref false in
-        Array.iter
-          (fun w ->
-            if (not (Word.is_null w)) && Word.target w = objs.(tgt).Heap_obj.id then
-              installed := true)
-          objs.(src).Heap_obj.fields;
+        for i = 0 to Store.n_fields store objs.(src).Heap_obj.id - 1 do
+          let w = Store.field store objs.(src).Heap_obj.id i in
+          if (not (Word.is_null w)) && Word.target w = objs.(tgt).Heap_obj.id then
+            installed := true
+        done;
         if !installed then visit tgt
       in
       List.iter visit root_ids;

@@ -28,8 +28,8 @@ let alloc f ~class_name ~n_fields ~scalar =
 
 let gc f = Lp_core.Controller.collect f.controller f.store f.roots ~stats:f.stats
 
-let link (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  src.Heap_obj.fields.(i) <- Word.of_id tgt.Heap_obj.id
+let link f (src : Heap_obj.t) i (tgt : Heap_obj.t) =
+  Store.set_field f.store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
 
 (* Build: root -> holder -> chain of [n] leaked nodes with payloads; the
    holder is re-read by the "program" (staleness 0), the chain is not. *)
@@ -40,11 +40,11 @@ let build_leak f ~nodes =
   for _i = 1 to nodes do
     let node = alloc f ~class_name:"Leaked" ~n_fields:2 ~scalar:20 in
     (match !prev with
-    | Some p -> link node 0 p
+    | Some p -> link f node 0 p
     | None -> ());
     prev := Some node
   done;
-  (match !prev with Some head -> link holder 0 head | None -> ());
+  (match !prev with Some head -> link f holder 0 head | None -> ());
   holder
 
 let test_full_cycle_reclaims_stale_chain () =
@@ -80,8 +80,8 @@ let test_selection_prefers_bigger_structure () =
   (* small structure of class Small, big structure of class Big *)
   let small = alloc f ~class_name:"Small" ~n_fields:0 ~scalar:50 in
   let big = alloc f ~class_name:"Big" ~n_fields:0 ~scalar:5_000 in
-  link holder 0 small;
-  link holder 1 big;
+  link f holder 0 small;
+  link f holder 1 big;
   gc f;
   Store.set_stale f.store small.Heap_obj.id 4;
   Store.set_stale f.store big.Heap_obj.id 4;
@@ -106,8 +106,8 @@ let test_individual_refs_attributes_direct_bytes () =
   Roots.add_static_root f.roots holder.Heap_obj.id;
   let big = alloc f ~class_name:"Big" ~n_fields:1 ~scalar:64 in
   let small = alloc f ~class_name:"Small" ~n_fields:0 ~scalar:8 in
-  link holder 0 big;
-  link big 0 small;
+  link f holder 0 big;
+  link f big 0 small;
   Store.set_stale f.store big.Heap_obj.id 3;
   Store.set_stale f.store small.Heap_obj.id 3;
   gc f;

@@ -69,7 +69,7 @@ let test_to_dot () =
   let statics = Vm.statics vm ~class_name:"D" ~n_fields:1 in
   (match Mutator.read vm statics 0 with
   | Some head ->
-    head.Heap_obj.fields.(0) <- Word.poison head.Heap_obj.fields.(0)
+    Store.set_field (Vm.store vm) head.Heap_obj.id 0 (Word.poison (Store.field (Vm.store vm) head.Heap_obj.id 0))
   | None -> Alcotest.fail "expected a head node");
   let dot = Diagnostics.to_dot vm in
   Alcotest.(check bool) "poisoned edge rendered" true (contains_sub dot "color=red")
@@ -86,7 +86,7 @@ let test_heap_check_detects_corruption () =
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
   Mutator.write_obj vm statics 0 a;
   (* forge a dangling, unpoisoned reference *)
-  a.Heap_obj.fields.(0) <- Word.of_id 9_999;
+  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.of_id 9_999);
   match Diagnostics.heap_check vm with
   | Ok () -> Alcotest.fail "corruption not detected"
   | Error _ -> ()

@@ -61,8 +61,8 @@ let build_store () = Store.create ~limit_bytes:1_000_000
 let alloc store ~n_fields =
   Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
 
-let link (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  src.Heap_obj.fields.(i) <- Word.of_id tgt.Heap_obj.id
+let link store (src : Heap_obj.t) i (tgt : Heap_obj.t) =
+  Store.set_field store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
 
 let live_ids store =
   let ids = ref [] in
@@ -86,9 +86,9 @@ let run_scenario make =
   let d = alloc store ~n_fields:0 in
   ignore (alloc store ~n_fields:0);
   Roots.add_static_root roots a.Heap_obj.id;
-  link a 0 b;
-  link b 0 c;
-  link a 1 d;
+  link store a 0 b;
+  link store b 0 c;
+  link store a 1 d;
   let defer_b (edge : Collector.edge) =
     if edge.Collector.tgt = b.Heap_obj.id then Collector.Defer
     else Collector.Trace
@@ -131,13 +131,13 @@ let run_scenario make =
              Some
                (fun (edge : Collector.edge) ->
                  poisoned :=
-                   (edge.Collector.src.Heap_obj.id, edge.Collector.field)
+                   (edge.Collector.src, edge.Collector.field)
                    :: !poisoned);
            events = None;
          });
   e.sweep store ~stats;
   let live_after_prune = live_ids store in
-  let word_poisoned = Word.poisoned a.Heap_obj.fields.(0) in
+  let word_poisoned = Word.poisoned (Store.field store a.Heap_obj.id 0) in
   let n1 = alloc store ~n_fields:0 in
   let n2 = alloc store ~n_fields:0 in
   ( (List.length candidates, claimed, live_after_select),
@@ -184,7 +184,7 @@ let test_inc_slicing_respects_budget () =
   let root = alloc store ~n_fields:10 in
   Roots.add_static_root roots root.Heap_obj.id;
   for i = 0 to 9 do
-    link root i (alloc store ~n_fields:0)
+    link store root i (alloc store ~n_fields:0)
   done;
   ignore (e.mark store roots ~stats ~config:Collector.base_config);
   e.sweep store ~stats;
@@ -228,11 +228,9 @@ let run_switch_scenario ~seed schedule =
   in
   Array.iter
     (fun (o : Heap_obj.t) ->
-      Array.iteri
-        (fun i _ ->
-          if Random.State.bool rng then
-            link o i arr.(Random.State.int rng n))
-        o.Heap_obj.fields)
+      for i = 0 to Store.n_fields store o.Heap_obj.id - 1 do
+        if Random.State.bool rng then link store o i arr.(Random.State.int rng n)
+      done)
     arr;
   for _ = 1 to 1 + Random.State.int rng 3 do
     Roots.add_static_root roots arr.(Random.State.int rng n).Heap_obj.id
@@ -245,16 +243,16 @@ let run_switch_scenario ~seed schedule =
     if nl > 0 then begin
       for _ = 1 to 5 do
         let src = live.(Random.State.int rng nl) in
-        let nf = Array.length src.Heap_obj.fields in
+        let nf = Store.n_fields store src.Heap_obj.id in
         if nf > 0 then
-          link src (Random.State.int rng nf) live.(Random.State.int rng nl)
+          link store src (Random.State.int rng nf) live.(Random.State.int rng nl)
       done;
       for _ = 1 to 3 do
         let o = alloc store ~n_fields:(Random.State.int rng 3) in
         let keep = Random.State.bool rng in
         let dst = live.(Random.State.int rng nl) in
-        let nf = Array.length dst.Heap_obj.fields in
-        if keep && nf > 0 then link dst (Random.State.int rng nf) o
+        let nf = Store.n_fields store dst.Heap_obj.id in
+        if keep && nf > 0 then link store dst (Random.State.int rng nf) o
       done
     end
   in
@@ -446,17 +444,20 @@ let build_heap h =
     (fun i o ->
       let obj = objs.(i) in
       Store.set_stale store obj.Heap_obj.id o.stale;
-      List.iteri
-        (fun f w ->
-          obj.Heap_obj.fields.(f) <-
-            (match w with
-            | Null -> Word.null
-            | Ref (j, u) ->
-              let w = Word.of_id objs.(j).Heap_obj.id in
-              if u then Word.set_untouched w else w
-            | Poisoned j -> Word.poison (Word.of_id objs.(j).Heap_obj.id)
-            | Past k -> Word.of_id (past + k)))
-        o.words)
+      (* a freed object's words are on a free list: only live objects
+         get theirs *)
+      if o.live then
+        List.iteri
+          (fun f w ->
+            Store.set_field store obj.Heap_obj.id f
+              (match w with
+              | Null -> Word.null
+              | Ref (j, u) ->
+                let w = Word.of_id objs.(j).Heap_obj.id in
+                if u then Word.set_untouched w else w
+              | Poisoned j -> Word.poison (Word.of_id objs.(j).Heap_obj.id)
+              | Past k -> Word.of_id (past + k)))
+          o.words)
     h.objs;
   List.iter
     (fun i ->
@@ -469,7 +470,10 @@ let snapshot store =
   List.init (Store.slot_count store) (fun i ->
       let o = Store.find store (i + 1) in
       if o == Store.sentinel then None
-      else Some (Store.header store o.Heap_obj.id, Array.to_list o.Heap_obj.fields))
+      else
+        Some
+          ( Store.header store o.Heap_obj.id,
+            List.init (Store.n_fields store o.Heap_obj.id) (Store.field store o.Heap_obj.id) ))
 
 let run_generated h make =
   let e = make () in
@@ -479,7 +483,7 @@ let run_generated h make =
   let pick seed (edge : Collector.edge) =
     Hashtbl.hash
       ( seed,
-        edge.Collector.src.Heap_obj.id,
+        edge.Collector.src,
         edge.Collector.field,
         Store.stale store edge.Collector.tgt )
   in
@@ -487,7 +491,7 @@ let run_generated h make =
   let record (edge : Collector.edge) =
     if pick 7 edge mod 2 = 0 then
       notes :=
-        ( (edge.Collector.src.Heap_obj.id * 8) + edge.Collector.field,
+        ( (edge.Collector.src * 8) + edge.Collector.field,
           edge.Collector.tgt,
           Store.stale store edge.Collector.tgt )
         :: !notes
@@ -519,7 +523,7 @@ let run_generated h make =
             Some
               (fun (edge : Collector.edge) ->
                 poisoned :=
-                  (edge.Collector.src.Heap_obj.id, edge.Collector.field)
+                  (edge.Collector.src, edge.Collector.field)
                   :: !poisoned);
           events = None;
         }
@@ -527,7 +531,7 @@ let run_generated h make =
   let edges =
     List.map
       (fun (edge : Collector.edge) ->
-        ( edge.Collector.src.Heap_obj.id,
+        ( edge.Collector.src,
           edge.Collector.field,
           edge.Collector.tgt ))
       deferred

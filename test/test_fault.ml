@@ -147,8 +147,9 @@ let test_heap_check_detects_unaccounted_poison () =
   Mutator.write_obj vm statics 0 obj;
   (* poison behind the runtime's back: no prune, quarantine or injection
      recorded, so the verifier must flag it *)
-  statics.Lp_heap.Heap_obj.fields.(0) <-
-    Lp_heap.Word.poison statics.Lp_heap.Heap_obj.fields.(0);
+  let store = Vm.store vm and id = statics.Lp_heap.Heap_obj.id in
+  Lp_heap.Store.set_field store id 0
+    (Lp_heap.Word.poison (Lp_heap.Store.field store id 0));
   match Diagnostics.heap_check vm with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "verifier missed an unaccounted poisoned word"

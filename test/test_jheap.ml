@@ -32,8 +32,8 @@ let test_list_traversal_clears_staleness () =
   Store.set_stale (Vm.store vm) n1.Heap_obj.id 5;
   Store.set_stale (Vm.store vm) n2.Heap_obj.id 5;
   (* arm the untouched bits as a collection would *)
-  statics.Heap_obj.fields.(0) <- Word.set_untouched statics.Heap_obj.fields.(0);
-  n2.Heap_obj.fields.(0) <- Word.set_untouched n2.Heap_obj.fields.(0);
+  Store.set_field (Vm.store vm) statics.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) statics.Heap_obj.id 0));
+  Store.set_field (Vm.store vm) n2.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) n2.Heap_obj.id 0));
   Jheap.List_field.iter vm ~holder:statics ~field:0 (fun _ -> ());
   Alcotest.(check int) "head cleared" 0 (Store.stale (Vm.store vm) n2.Heap_obj.id);
   Alcotest.(check int) "tail cleared" 0 (Store.stale (Vm.store vm) n1.Heap_obj.id)
@@ -119,12 +119,13 @@ let test_rehash_touches_payloads () =
   done;
   List.iter (fun p -> Store.set_stale (Vm.store vm) p.Heap_obj.id 5) !payloads;
   (* arm bits so the rehash's reads clear staleness through cold paths *)
-  Store.iter_live (Vm.store vm) (fun o ->
-      Array.iteri
-        (fun i w ->
-          if not (Word.is_null w) then
-            o.Heap_obj.fields.(i) <- Word.set_untouched w)
-        o.Heap_obj.fields);
+  let store = Vm.store vm in
+  Store.iter_live store (fun o ->
+      for i = 0 to Store.n_fields store o.Heap_obj.id - 1 do
+        let w = Store.field store o.Heap_obj.id i in
+        if not (Word.is_null w) then
+          Store.set_field store o.Heap_obj.id i (Word.set_untouched w)
+      done);
   (* force a rehash by crossing the load factor *)
   for k = 3 to 8 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->

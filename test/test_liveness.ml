@@ -133,8 +133,12 @@ let obj ~class_id ~stale () =
   Lp_heap.Store.set_stale store o.Lp_heap.Heap_obj.id stale;
   o
 
-let edge src (tgt : Lp_heap.Heap_obj.t) =
-  { Lp_heap.Collector.src; field = 0; tgt = tgt.Lp_heap.Heap_obj.id }
+let edge (src : Lp_heap.Heap_obj.t) (tgt : Lp_heap.Heap_obj.t) =
+  {
+    Lp_heap.Collector.src = src.Lp_heap.Heap_obj.id;
+    field = 0;
+    tgt = tgt.Lp_heap.Heap_obj.id;
+  }
 let config = Lp_core.Config.default
 
 let verdict =

@@ -9,6 +9,7 @@ let () =
       Test_header.suite;
       Test_stale_counter.suite;
       Test_store.suite;
+      Test_word_store.suite;
       Test_roots.suite;
       Test_collector.suite;
       Test_edge_table.suite;

@@ -16,8 +16,8 @@ let sample_image () =
   let obj =
     Store.alloc store ~class_id:cls ~n_fields:3 ~scalar_bytes:24 ~finalizable:false
   in
-  obj.Heap_obj.fields.(0) <- Word.of_id tgt.Heap_obj.id;
-  obj.Heap_obj.fields.(1) <- Word.poison (Word.of_id tgt.Heap_obj.id);
+  Store.set_field store obj.Heap_obj.id 0 (Word.of_id tgt.Heap_obj.id);
+  Store.set_field store obj.Heap_obj.id 1 (Word.poison (Word.of_id tgt.Heap_obj.id));
   (* fields.(2) stays null *)
   Store.set_stale store obj.Heap_obj.id 3;
   (store, obj, Swap_image.capture store obj)
@@ -174,7 +174,7 @@ let test_sibling_reference_forwards () =
   (* a second holder still pointing at the pruned identifier *)
   let other = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
   Roots.add_static_root (Vm.roots vm) other.Heap_obj.id;
-  other.Heap_obj.fields.(0) <- Word.poison (Word.of_id victim_id);
+  Store.set_field (Vm.store vm) other.Heap_obj.id 0 (Word.poison (Word.of_id victim_id));
   Vm.inject_word_corruption vm other ~field:0 `Poison;
   let first = Option.get (Mutator.read vm src 0) in
   let second = Option.get (Mutator.read vm other 0) in
@@ -297,12 +297,13 @@ let leak_until_pruned vm statics =
 (* first live poisoned field in the heap *)
 let find_poisoned vm =
   let found = ref None in
-  Store.iter_live (Vm.store vm) (fun obj ->
-      Array.iteri
-        (fun i w ->
-          if !found = None && (not (Word.is_null w)) && Word.poisoned w then
-            found := Some (obj, i))
-        obj.Heap_obj.fields);
+  let store = Vm.store vm in
+  Store.iter_live store (fun obj ->
+      for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+        let w = Store.field store obj.Heap_obj.id i in
+        if !found = None && (not (Word.is_null w)) && Word.poisoned w then
+          found := Some (obj, i)
+      done);
   Option.get !found
 
 let test_end_to_end_prune_then_resurrect () =
@@ -324,7 +325,8 @@ let test_end_to_end_prune_then_resurrect () =
       match Mutator.read vm src field with
       | Some tgt ->
         incr hops;
-        if Array.length tgt.Heap_obj.fields > 0 && Mutator.field_is_poisoned vm tgt 0
+        if Store.n_fields (Vm.store vm) tgt.Heap_obj.id > 0
+           && Mutator.field_is_poisoned vm tgt 0
         then walk tgt 0
       | None -> ()
   in

@@ -203,8 +203,9 @@ let prop_memo_matches_bytes =
             (damage (Swap_image.encode img) d))
         images;
       let ok = ref true in
-      Diskswap.iter_images swap (fun ~id ~image ->
-          if Diskswap.image_refs swap id <> refs_of_bytes image then ok := false);
+      Diskswap.iter_images swap (fun ~id ~image ~refs ->
+          if refs <> refs_of_bytes image || refs <> Diskswap.image_refs swap id
+          then ok := false);
       (* an intact image's references are the ones it was built from *)
       let last = Hashtbl.create 4 in
       List.iteri
@@ -299,11 +300,12 @@ let reference_reach vm =
     | Some final -> push final
     | None -> ()
   in
-  Store.iter_live (Vm.store vm) (fun obj ->
-      Array.iter
-        (fun w ->
-          if (not (Word.is_null w)) && Word.poisoned w then enqueue (Word.target w))
-        obj.Heap_obj.fields);
+  let store = Vm.store vm in
+  Store.iter_live store (fun obj ->
+      for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+        let w = Store.field store obj.Heap_obj.id i in
+        if (not (Word.is_null w)) && Word.poisoned w then enqueue (Word.target w)
+      done);
   while not (Queue.is_empty queue) do
     let bytes = Diskswap.load_image swap (Queue.pop queue) in
     match Option.bind bytes refs_of_bytes with
@@ -379,7 +381,7 @@ let run_seed cov seed =
          let reach = reference_reach vm in
          cov.checks <- cov.checks + 1;
          cov.retention_drops <- cov.retention_drops + List.length dropped;
-         Diskswap.iter_images swap (fun ~id ~image:_ ->
+         Diskswap.iter_images swap (fun ~id ~image:_ ~refs:_ ->
              cov.images_seen <- cov.images_seen + 1;
              if Diskswap.image_refs swap id = None then
                cov.corrupt_seen <- cov.corrupt_seen + 1;
@@ -409,7 +411,7 @@ let run_seed cov seed =
     let eligible (obj : Heap_obj.t) =
       Store.class_of (Vm.store vm) obj.Heap_obj.id <> leak_class
       && obj != statics
-      && Array.length obj.Heap_obj.fields > 0
+      && Store.n_fields (Vm.store vm) obj.Heap_obj.id > 0
     in
     let n = ref 0 in
     Store.iter_live (Vm.store vm) (fun obj -> if eligible obj then incr n);
@@ -435,7 +437,7 @@ let run_seed cov seed =
       (match random_live () with
       | Some src ->
         Mutator.write_obj vm src
-          (Random.State.int rng (Array.length src.Heap_obj.fields))
+          (Random.State.int rng (Store.n_fields (Vm.store vm) src.Heap_obj.id))
           obj
       | None -> ())
     | n when n < 55 ->
@@ -450,16 +452,17 @@ let run_seed cov seed =
       | Some src ->
         ignore
           (Mutator.read vm src
-             (Random.State.int rng (Array.length src.Heap_obj.fields)))
+             (Random.State.int rng (Store.n_fields (Vm.store vm) src.Heap_obj.id)))
       | None -> ())
     | n when n < 92 ->
       (* load a pruned reference: resurrection *)
       let found = ref None in
-      Store.iter_live (Vm.store vm) (fun obj ->
-          if !found = None then
-            Array.iteri
-              (fun i w -> if !found = None && Word.poisoned w then found := Some (obj, i))
-              obj.Heap_obj.fields);
+      let store = Vm.store vm in
+      Store.iter_live store (fun obj ->
+          for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+            if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+            then found := Some (obj, i)
+          done);
       (match !found with
       | Some (src, i) -> ignore (Mutator.read vm src i)
       | None -> ())
@@ -520,7 +523,7 @@ let pinned = 800_001
 let poisoned_vm () =
   let vm = Vm.create ~resurrection:true ~heap_bytes:10_000 () in
   let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
-  pin.Heap_obj.fields.(0) <- Word.poison (Word.of_id pinned);
+  Store.set_field (Vm.store vm) pin.Heap_obj.id 0 (Word.poison (Word.of_id pinned));
   vm
 
 let store_blank swap id =
@@ -528,7 +531,8 @@ let store_blank swap id =
 
 let check_images vm expected =
   let ids = ref [] in
-  Diskswap.iter_images (Vm.swap vm) (fun ~id ~image:_ -> ids := id :: !ids);
+  Diskswap.iter_images (Vm.swap vm) (fun ~id ~image:_ ~refs:_ ->
+      ids := id :: !ids);
   Alcotest.(check (list int)) "stored images" expected (List.sort compare !ids)
 
 (* An image no poisoned word reaches, stored between two collections

@@ -11,7 +11,8 @@ let obj ?(statics = false) ~class_id ~stale () =
   if statics then Store.set_header store o.Heap_obj.id (Header.set_statics_container (Store.header store o.Heap_obj.id));
   o
 
-let edge src (tgt : Heap_obj.t) = { Collector.src; field = 0; tgt = tgt.Heap_obj.id }
+let edge (src : Heap_obj.t) (tgt : Heap_obj.t) =
+  { Collector.src = src.Heap_obj.id; field = 0; tgt = tgt.Heap_obj.id }
 
 let config = Config.default
 

@@ -23,11 +23,11 @@ let test_barrier_cold_path_clears_staleness () =
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
   Store.set_stale (Vm.store vm) b.Heap_obj.id 4;
-  a.Heap_obj.fields.(0) <- Word.set_untouched a.Heap_obj.fields.(0);
+  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) a.Heap_obj.id 0));
   ignore (Mutator.read vm a 0);
   Alcotest.(check int) "stale counter cleared on use" 0 (Store.stale (Vm.store vm) b.Heap_obj.id);
   Alcotest.(check bool) "untouched bit cleared" false
-    (Word.untouched a.Heap_obj.fields.(0))
+    (Word.untouched (Store.field (Vm.store vm) a.Heap_obj.id 0))
 
 let test_barrier_fast_path_leaves_staleness () =
   let vm = make_vm () in
@@ -55,7 +55,7 @@ let test_stale_use_updates_edge_table () =
   Alcotest.(check bool) "tracking active" true
     (Lp_core.Controller.tracking (Vm.controller vm));
   Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
-  a.Heap_obj.fields.(0) <- Word.set_untouched a.Heap_obj.fields.(0);
+  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) a.Heap_obj.id 0));
   ignore (Mutator.read vm a 0);
   let table = Lp_core.Controller.edge_table (Vm.controller vm) in
   let registry = Vm.registry vm in
@@ -69,7 +69,7 @@ let test_poisoned_access_raises_internal_error () =
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  a.Heap_obj.fields.(0) <- Word.poison a.Heap_obj.fields.(0);
+  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.poison (Store.field (Vm.store vm) a.Heap_obj.id 0));
   (match Mutator.read vm a 0 with
   | _ -> Alcotest.fail "expected InternalError"
   | exception Lp_core.Errors.Internal_error { cause; src_class; tgt_class } ->
@@ -86,11 +86,11 @@ let test_arraycopy_preserves_tags_without_barrier () =
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm src 0 b;
   Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
-  src.Heap_obj.fields.(0) <- Word.set_untouched src.Heap_obj.fields.(0);
-  src.Heap_obj.fields.(1) <- Word.poison (Word.of_id b.Heap_obj.id);
+  Store.set_field (Vm.store vm) src.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) src.Heap_obj.id 0));
+  Store.set_field (Vm.store vm) src.Heap_obj.id 1 (Word.poison (Word.of_id b.Heap_obj.id));
   Mutator.arraycopy vm ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:3;
-  Alcotest.(check bool) "untouched bit copied" true (Word.untouched dst.Heap_obj.fields.(0));
-  Alcotest.(check bool) "poison copied" true (Word.poisoned dst.Heap_obj.fields.(1));
+  Alcotest.(check bool) "untouched bit copied" true (Word.untouched (Store.field (Vm.store vm) dst.Heap_obj.id 0));
+  Alcotest.(check bool) "poison copied" true (Word.poisoned (Store.field (Vm.store vm) dst.Heap_obj.id 1));
   Alcotest.(check int) "no staleness effect" 5 (Store.stale (Vm.store vm) b.Heap_obj.id)
 
 let test_alloc_triggers_collection () =
