@@ -343,7 +343,7 @@ val try_resurrect :
   field:int ->
   (Heap_obj.t, Lp_core.Errors.resurrection_failure) result
 (** Barrier-level recovery of a poisoned reference in
-    [src.fields.(field)] (called by {!Mutator.read}; exposed for tests).
+    field [field] of [src] (called by {!Mutator.read}; exposed for tests).
     If the pruned target was already resurrected through a sibling
     reference, the word is rewired to the forwarded copy; if it never
     died at all (it survived through another live path, so no image was
