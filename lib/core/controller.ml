@@ -107,8 +107,6 @@ let averted_error t = t.averted
 
 let tracking t = State_kind.tracking (state t)
 
-let selected_edge t = t.selected
-
 let last_selection t = t.last_selection
 
 let pruned_edge_types t = List.rev t.pruned_types

@@ -122,9 +122,6 @@ val poisoned_access_error :
 (** The [Internal_error] to throw for a program access to a poisoned
     reference, with the averted out-of-memory error as cause. *)
 
-val selected_edge : t -> (Class_registry.id * Class_registry.id) option
-(** The edge type the next PRUNE collection will poison, if any. *)
-
 val last_selection : t -> (Class_registry.id * Class_registry.id * int) option
 (** The most recent SELECT decision with the winning [bytesused] value
     (Figure 5's 120 bytes for B->C); survives the PRUNE collection for

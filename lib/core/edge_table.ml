@@ -168,5 +168,3 @@ let iter t f =
     f ~src:t.src_classes.(i) ~tgt:t.tgt_classes.(i)
       ~max_stale_use:t.max_stale_uses.(i) ~bytes_used:t.bytes_useds.(i)
   done
-
-let load_factor t = float_of_int t.entries /. float_of_int slots

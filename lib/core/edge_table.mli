@@ -113,5 +113,3 @@ val iter :
   unit) ->
   unit
 (** Visits every entry in ascending slot order. *)
-
-val load_factor : t -> float

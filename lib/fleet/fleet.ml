@@ -58,10 +58,6 @@ type report = {
   backend_capacity : int;
   backend_used_bytes : int;
   backend_denials : int;
-  metrics : Lp_obs.Metrics.snapshot;
-      (* fleet-aggregate merge of every incarnation's registry; contains
-         wall-clock pause histograms, so it is NOT part of the
-         deterministic view *)
   timings : timing list;
   events : Lp_obs.Event.stamped list;
   events_dropped : int;
@@ -627,12 +623,6 @@ let run opts specs =
            })
          slots)
   in
-  let metrics =
-    Lp_obs.Aggregate.merge
-      (List.concat_map
-         (fun slot -> Tenant.metrics_snapshots slot.tenant)
-         (Array.to_list slots))
-  in
   {
     seed = opts.seed;
     rounds = opts.rounds;
@@ -642,7 +632,6 @@ let run opts specs =
     backend_capacity = Lp_runtime.Diskswap.backend_capacity backend;
     backend_used_bytes = Lp_runtime.Diskswap.backend_used_bytes backend;
     backend_denials = Lp_runtime.Diskswap.backend_denials backend;
-    metrics;
     timings;
     events = Lp_obs.Sink.events sink;
     events_dropped = Lp_obs.Sink.dropped sink;
@@ -653,9 +642,9 @@ let failed (r : report) =
     (fun t -> t.verifier_failures > 0 || t.crashes > 0)
     r.tenant_reports
 
-(* The deterministic view: everything except wall-clock timings and the
-   merged metrics (whose pause histograms carry wall time). Two runs
-   with the same seed, specs and schedule must render identically. *)
+(* The deterministic view: everything except the wall-clock timings.
+   Two runs with the same seed, specs and schedule must render
+   identically. *)
 let render_tenant (t : tenant_report) =
   Printf.sprintf
     "tenant %d %s (%s): arrived=%d served=%d recovered=%d \

@@ -98,9 +98,6 @@ type report = {
   backend_capacity : int;
   backend_used_bytes : int;
   backend_denials : int;
-  metrics : Lp_obs.Metrics.snapshot;
-      (** fleet-aggregate merge of every incarnation's registry (carries
-          wall-clock histograms — not deterministic) *)
   timings : timing list;
   events : Lp_obs.Event.stamped list;
       (** the fleet sink's log ([Tenant_killed], [Tenant_restarted],

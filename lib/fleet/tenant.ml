@@ -76,7 +76,6 @@ type t = {
   mutable acc_denials : int;
   mutable acc_pruned : (string * string) list;
   mutable acc_pause_samples : int list;
-  mutable acc_snapshots : Lp_obs.Metrics.snapshot list;
   (* The counters a warm restart restores into the fresh controller were
      already harvested from the incarnation that exported them; the
      baselines mark the restored level so harvest only ever counts what
@@ -157,7 +156,6 @@ let create ~backend spec =
       acc_denials = 0;
       acc_pruned = [];
       acc_pause_samples = [];
-      acc_snapshots = [];
       base_safe_entries = 0;
       base_pruned = 0;
       base_mispredictions = 0;
@@ -198,8 +196,7 @@ let harvest t =
       (Lp_core.Controller.pruned_edge_types ctl)
   in
   t.acc_pruned <- t.acc_pruned @ List.map named fresh_pruned;
-  t.acc_pause_samples <- t.acc_pause_samples @ Vm.pause_samples_ns vm;
-  t.acc_snapshots <- t.acc_snapshots @ [ Vm.metrics_snapshot vm ]
+  t.acc_pause_samples <- t.acc_pause_samples @ Vm.pause_samples_ns vm
 
 let serve_one t =
   match t.iterate () with
@@ -354,5 +351,3 @@ let finish t =
   }
 
 let pause_samples t = t.acc_pause_samples
-
-let metrics_snapshots t = t.acc_snapshots

@@ -3,11 +3,11 @@
     A tenant is a {e specification} (workload, heap size, disk quota,
     policy) plus whichever VM incarnation is currently serving it. The
     scheduler serves requests through {!serve_one}; when one comes back
-    [`Fatal] the tenant is restarted — counters harvested, domains
-    joined, swap store put through a recovery pass, replacement VM
-    booted over the same quota — and the fleet carries on. All
-    cumulative statistics survive restarts; per-VM counters are folded
-    into the accumulators each time an incarnation dies.
+    [`Fatal] the tenant is restarted — counters harvested, swap store
+    put through a recovery pass, replacement VM booted over the same
+    quota — and the fleet carries on. All cumulative statistics survive
+    restarts; per-VM counters are folded into the accumulators each
+    time an incarnation dies.
 
     Restarts come in two temperatures. A {e cold} restart drops every
     swap image and boots an empty brain. A {e warm} restart retains the
@@ -165,7 +165,3 @@ val finish : t -> stats
 val pause_samples : t -> int list
 (** Wall-clock collection pauses across all incarnations (valid after
     {!finish}); excluded from every determinism comparison. *)
-
-val metrics_snapshots : t -> Lp_obs.Metrics.snapshot list
-(** One snapshot per dead incarnation (plus the final one after
-    {!finish}), for {!Lp_obs.Aggregate.merge}. *)

@@ -33,5 +33,3 @@ let name t id =
 let find t n = Hashtbl.find_opt t.by_name n
 
 let count t = t.count
-
-let pp_id t ppf id = Format.pp_print_string ppf (name t id)

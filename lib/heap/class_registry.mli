@@ -26,5 +26,3 @@ val find : t -> string -> id option
 
 val count : t -> int
 (** Number of classes registered so far. *)
-
-val pp_id : t -> Format.formatter -> id -> unit

@@ -20,7 +20,6 @@ let max_stale = 7
 
 let marked h = h land mark_bit <> 0
 let set_marked h = h lor mark_bit
-let clear_marked h = h land lnot mark_bit
 
 let stale_marked h = h land stale_mark_bit <> 0
 let set_stale_marked h = h lor stale_mark_bit

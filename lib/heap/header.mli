@@ -42,7 +42,6 @@ val is_free : t -> bool
 
 val marked : t -> bool
 val set_marked : t -> t
-val clear_marked : t -> t
 
 val stale_marked : t -> bool
 val set_stale_marked : t -> t

@@ -4,8 +4,6 @@ let create () = { slots = Hashtbl.create 256 }
 
 let add t ~src_id ~field = Hashtbl.replace t.slots (src_id, field) ()
 
-let cardinality t = Hashtbl.length t.slots
-
 let iter t f = Hashtbl.iter (fun (src_id, field) () -> f ~src_id ~field) t.slots
 
 let clear t = Hashtbl.reset t.slots

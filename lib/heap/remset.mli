@@ -14,8 +14,6 @@ val create : unit -> t
 
 val add : t -> src_id:int -> field:int -> unit
 
-val cardinality : t -> int
-
 val iter : t -> (src_id:int -> field:int -> unit) -> unit
 
 val clear : t -> unit

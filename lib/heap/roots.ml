@@ -1,7 +1,6 @@
 type frame = { slots : int array }
 
 type thread = {
-  tid : int;
   mutable frames : frame list;  (* top first; never empty while alive *)
   mutable alive : bool;
 }
@@ -9,20 +8,16 @@ type thread = {
 type t = {
   mutable statics : int list;
   mutable threads : thread list;
-  mutable next_tid : int;
 }
 
-let create () = { statics = []; threads = []; next_tid = 1 }
+let create () = { statics = []; threads = [] }
 
 let add_static_root t id =
   if id < 1 then invalid_arg "Roots.add_static_root";
   t.statics <- id :: t.statics
 
-let static_roots t = t.statics
-
 let spawn_thread t =
-  let thread = { tid = t.next_tid; frames = [ { slots = [||] } ]; alive = true } in
-  t.next_tid <- t.next_tid + 1;
+  let thread = { frames = [ { slots = [||] } ]; alive = true } in
   t.threads <- thread :: t.threads;
   thread
 
@@ -33,11 +28,7 @@ let kill_thread t thread =
     t.threads <- List.filter (fun th -> th != thread) t.threads
   end
 
-let thread_id thread = thread.tid
-
 let thread_alive thread = thread.alive
-
-let live_threads t = t.threads
 
 let push_frame thread ~n_slots =
   if not thread.alive then invalid_arg "Roots.push_frame: dead thread";
@@ -55,8 +46,6 @@ let top_frame thread =
   match thread.frames with
   | frame :: _ -> frame
   | [] -> invalid_arg "Roots.top_frame: dead thread"
-
-let frame_count thread = List.length thread.frames
 
 let set_slot frame i id = frame.slots.(i) <- id
 

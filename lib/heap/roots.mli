@@ -24,8 +24,6 @@ val create : unit -> t
 val add_static_root : t -> int -> unit
 (** Permanently registers the object with this identifier as a root. *)
 
-val static_roots : t -> int list
-
 val spawn_thread : t -> thread
 (** Creates a thread with one (empty) initial frame and adds it to the
     root set. *)
@@ -34,11 +32,7 @@ val kill_thread : t -> thread -> unit
 (** Removes the thread (and all its frames) from the root set. Killing a
     thread twice is a no-op. *)
 
-val thread_id : thread -> int
-
 val thread_alive : thread -> bool
-
-val live_threads : t -> thread list
 
 val push_frame : thread -> n_slots:int -> frame
 
@@ -46,8 +40,6 @@ val pop_frame : thread -> unit
 (** @raise Invalid_argument when only the initial frame remains. *)
 
 val top_frame : thread -> frame
-
-val frame_count : thread -> int
 
 val set_slot : frame -> int -> int -> unit
 (** [set_slot f i id] stores object identifier [id] (or 0 for null) in

@@ -47,7 +47,6 @@ type t = {
   mutable used : int;
   mutable live : int;
   mutable count : int;
-  mutable total_allocated : int;
   mutable swapped_out : int;
   mutable nursery : int;
   mutable alloc_fault : (unit -> bool) option;
@@ -104,7 +103,6 @@ let create_at ~first_id ~limit_bytes =
     used = 0;
     live = 0;
     count = 0;
-    total_allocated = 0;
     swapped_out = 0;
     nursery = 0;
     alloc_fault = None;
@@ -315,7 +313,6 @@ let[@inline] place t ~nursery ~class_id ~n_fields ~finalizable ~size =
   Array.unsafe_set t.extents i extent;
   t.used <- t.used + size;
   t.count <- t.count + 1;
-  t.total_allocated <- t.total_allocated + size;
   if nursery then t.nursery <- t.nursery + size;
   obj
 
@@ -506,5 +503,3 @@ let staleness_histogram t =
     end
   done;
   hist
-
-let total_allocated_bytes t = t.total_allocated

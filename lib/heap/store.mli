@@ -277,6 +277,3 @@ val staleness_histogram : t -> int array
 (** The live objects counted by stale counter: element [k] is the number
     of live objects whose header holds [k], for [0 <= k <= ]
     {!Header.max_stale}. One loop over the header array. *)
-
-val total_allocated_bytes : t -> int
-(** Cumulative bytes ever allocated; monotone, for statistics. *)

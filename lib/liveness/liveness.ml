@@ -27,8 +27,6 @@ let pp_verdict ppf = function
   | Maybe_live -> Format.pp_print_string ppf "maybe-live"
   | Unanalyzed -> Format.pp_print_string ppf "unanalyzed"
 
-let verdict_to_string v = Format.asprintf "%a" pp_verdict v
-
 type oracle = { graph : AG.t; verdicts : verdict AG.Map.t }
 
 (* ------------------------------------------------------------------ *)

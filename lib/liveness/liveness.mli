@@ -18,7 +18,6 @@
 type verdict = Dead_beyond of int | Maybe_live | Unanalyzed
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val verdict_to_string : verdict -> string
 
 type oracle
 

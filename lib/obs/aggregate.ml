@@ -1,4 +1,4 @@
-(* Cross-registry aggregation for fleet reports and benches. *)
+(* Percentiles over pause-sample lists, for fleet reports and benches. *)
 
 let percentile samples ~p =
   match samples with
@@ -12,34 +12,3 @@ let percentile samples ~p =
       max 1 (min n r)
     in
     List.nth sorted (rank - 1)
-
-(* Merge two sorted assoc lists, combining values under equal keys. *)
-let rec merge_assoc combine a b =
-  match (a, b) with
-  | [], rest | rest, [] -> rest
-  | (ka, va) :: ta, (kb, vb) :: tb ->
-    if ka < kb then (ka, va) :: merge_assoc combine ta b
-    else if kb < ka then (kb, vb) :: merge_assoc combine a tb
-    else (ka, combine va vb) :: merge_assoc combine ta tb
-
-let merge_hist (a : Metrics.histogram_view) (b : Metrics.histogram_view) :
-    Metrics.histogram_view =
-  {
-    observations = a.observations + b.observations;
-    sum = a.sum + b.sum;
-    buckets = merge_assoc ( + ) a.buckets b.buckets;
-  }
-
-let empty : Metrics.snapshot =
-  { counters = []; gauges = []; histograms = []; series = [] }
-
-let merge (snapshots : Metrics.snapshot list) : Metrics.snapshot =
-  List.fold_left
-    (fun (acc : Metrics.snapshot) (s : Metrics.snapshot) ->
-      {
-        Metrics.counters = merge_assoc ( + ) acc.counters s.counters;
-        gauges = merge_assoc ( + ) acc.gauges s.gauges;
-        histograms = merge_assoc merge_hist acc.histograms s.histograms;
-        series = merge_assoc (fun a b -> a @ b) acc.series s.series;
-      })
-    empty snapshots

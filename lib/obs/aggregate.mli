@@ -1,16 +1,7 @@
-(** Cross-registry aggregation: merging per-tenant metrics snapshots
-    into fleet-level views, and percentile extraction over pause-sample
-    lists. Pure functions over {!Metrics.snapshot} values — no registry
-    handles involved, so aggregates stay deterministic. *)
+(** Percentile extraction over pause-sample lists: a pure function, so
+    fleet reports and benches that aggregate samples stay
+    deterministic. *)
 
 val percentile : int list -> p:float -> int
 (** Nearest-rank percentile of the samples ([p] in [0..100]); [0] on an
     empty list. [percentile s ~p:50.] is the median, [~p:100.] the max. *)
-
-val merge : Metrics.snapshot list -> Metrics.snapshot
-(** Pointwise merge: counters and gauges with equal names are summed,
-    histograms with equal names are merged bucket-by-bucket, series with
-    equal names are concatenated in argument order. Name lists stay
-    sorted, so the merge of deterministic snapshots is deterministic.
-    Summing gauges is the useful fleet reading for the byte-level gauges
-    the runtime publishes (resident/image bytes). *)

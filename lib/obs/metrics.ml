@@ -1,19 +1,18 @@
-type counter = { c_name : string; mutable count : int }
+type counter = { mutable count : int }
 
-type gauge = { g_name : string; mutable value : int }
+type gauge = { mutable value : int }
 
 (* Log-scale histogram: bucket 0 holds values <= 0, bucket k (k >= 1)
    holds values in [2^(k-1), 2^k). 63 buckets cover the int range. *)
 let histogram_buckets = 63
 
 type histogram = {
-  h_name : string;
   buckets : int array;
   mutable observations : int;
   mutable sum : int;
 }
 
-type series = { s_name : string; ring : int array Ring.t }
+type series = { ring : int array Ring.t }
 
 type t = {
   counters : (string, counter) Hashtbl.t;
@@ -34,7 +33,7 @@ let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c
   | None ->
-    let c = { c_name = name; count = 0 } in
+    let c = { count = 0 } in
     Hashtbl.add t.counters name c;
     c
 
@@ -44,19 +43,15 @@ let set_counter c v = c.count <- v
 
 let counter_value c = c.count
 
-let counter_name c = c.c_name
-
 let gauge t name =
   match Hashtbl.find_opt t.gauges name with
   | Some g -> g
   | None ->
-    let g = { g_name = name; value = 0 } in
+    let g = { value = 0 } in
     Hashtbl.add t.gauges name g;
     g
 
 let set_gauge g v = g.value <- v
-
-let gauge_value g = g.value
 
 let bucket_of v =
   if v <= 0 then 0
@@ -70,12 +65,7 @@ let histogram t name =
   | Some h -> h
   | None ->
     let h =
-      {
-        h_name = name;
-        buckets = Array.make histogram_buckets 0;
-        observations = 0;
-        sum = 0;
-      }
+      { buckets = Array.make histogram_buckets 0; observations = 0; sum = 0 }
     in
     Hashtbl.add t.histograms name h;
     h
@@ -90,7 +80,7 @@ let series t ~retain name =
   match Hashtbl.find_opt t.series_tbl name with
   | Some s -> s
   | None ->
-    let s = { s_name = name; ring = Ring.create ~capacity:retain } in
+    let s = { ring = Ring.create ~capacity:retain } in
     Hashtbl.add t.series_tbl name s;
     s
 

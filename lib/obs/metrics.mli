@@ -33,15 +33,11 @@ val set_counter : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val counter_name : counter -> string
-
 (** {2 Gauges} *)
 
 val gauge : t -> string -> gauge
 
 val set_gauge : gauge -> int -> unit
-
-val gauge_value : gauge -> int
 
 (** {2 Log-scale histograms} *)
 

@@ -1,64 +1,14 @@
-(** Leak diagnostics: the reporting side of leak pruning (Section 3.2).
+(** The heap verifier: one pass over a VM between collections that
+    checks every invariant leak pruning must keep, and reports the
+    first one broken.
 
-    "To help programmers, leak pruning optionally reports (1) an
-    out-of-memory warning when the program first runs out of memory and
-    (2) the data structures it prunes." This module extends those
-    reports into the kind of heap forensics the paper's related-work
-    leak detectors produce: per-class footprints, staleness histograms,
-    the hottest edge-table entries, and a dominating-structure sketch —
-    everything a developer needs to find the code to fix while leak
-    pruning buys them time. *)
-
-type class_stat = {
-  class_name : string;
-  objects : int;
-  bytes : int;
-  max_stale : int;
-  min_stale : int;
-}
-
-val class_histogram : Vm.t -> class_stat list
-(** Live objects grouped by class, biggest footprint first. *)
-
-val staleness_histogram : Vm.t -> int array
-(** [result.(k)] = live objects whose stale counter is [k] (length 8). *)
-
-val stale_bytes : Vm.t -> int
-(** Bytes in live objects with staleness >= 2 — the prunable-looking
-    share of the heap. *)
-
-val misprediction_rate : Vm.t -> float
-(** Recovered mispredictions per poisoned reference, this VM's whole
-    life: [Controller.mispredictions / references_poisoned], or [0.] if
-    nothing was ever poisoned. The quality figure the liveness-oracle
-    experiments compare across prediction modes. *)
-
-val top_edges :
-  Vm.t -> n:int -> (string * string * int * int) list
-(** The [n] edge-table entries with the highest [maxstaleuse]:
-    [(src, tgt, maxstaleuse, bytesused)]. These are the reference types
-    leak pruning has learned to protect. *)
-
-val pruned_report : Vm.t -> string list
-(** One line per reference type pruned so far, in first-pruned order.
-    Derived from the trace's [Prune_decision] events when a sink is
-    attached and its ring has not dropped anything; otherwise from the
-    controller's own record — both sources agree by construction. *)
-
-val summary : Vm.t -> string
-(** A multi-line report: heap occupancy, state, staleness histogram,
-    top classes by footprint, protected edges and pruned types. This is
-    what a production deployment would log when the out-of-memory
-    warning of Section 3.2 fires. Built over {!Vm.metrics_snapshot}
-    (collections count, retained per-collection staleness histogram);
-    with a trace attached the prune audit timeline — one line per
-    [Prune_decision] event with its logical timestamp — is appended. *)
-
-val to_dot : ?max_objects:int -> Vm.t -> string
-(** A Graphviz rendering of the live object graph: nodes labelled with
-    class and staleness (darker = staler), statics containers boxed,
-    poisoned references drawn red and dashed to their last known
-    target. Truncated at [max_objects] (default 400). *)
+    The chaos harness and every fleet tenant run it in strict mode
+    after each collection, and the fleet runs it again as a restarted
+    tenant's readiness probe and before the crash-storm breaker
+    closes. The paper's own Section 3.2 reports, the out-of-memory
+    warning and the pruned data structures, reach users through the
+    [report] callback of {!Lp_core.Config.t} and through the trace's
+    [Prune_decision] events. *)
 
 val heap_check : ?strict:bool -> Vm.t -> (unit, string) result
 (** Internal consistency check, for tests and the chaos harness: every

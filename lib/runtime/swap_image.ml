@@ -72,8 +72,6 @@ let[@inline] field_offset i = header_bytes + 20 + (8 * i)
 (* A little-endian int32 of the image, read back sign-extended. *)
 let[@inline] get buf off = Int32.to_int (Bytes.get_int32_le buf off)
 
-let encoded_bytes t = header_bytes + payload_bytes t
-
 let encode t =
   let payload_len = payload_bytes t in
   let buf = Bytes.create (header_bytes + payload_len) in

@@ -57,9 +57,6 @@ val capture :
 (** Snapshot a live object. Referent classes are read from the store;
     a reference whose target no longer exists records class [-1]. *)
 
-val encoded_bytes : t -> int
-(** Length of {!encode}'s output without building it. *)
-
 val encode : t -> bytes
 
 val validate : bytes -> (int, Lp_core.Errors.resurrection_failure) result

@@ -48,6 +48,9 @@ type t = {
      branch on [sink]. *)
   metrics : Lp_obs.Metrics.t;
   staleness_series : Lp_obs.Metrics.series;
+  (* interned by the first full collection, so a snapshot taken before
+     one holds no heap.live_bytes gauge *)
+  mutable live_bytes_gauge : Lp_obs.Metrics.gauge option;
   mutable sink : Lp_obs.Sink.t option;
   (* The inputs of the last retention pass: its poisoned-target list and
      the swap store's generation once its drops were done. A pass with
@@ -192,6 +195,7 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     metrics;
     staleness_series =
       Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
+    live_bytes_gauge = None;
     sink = None;
     retained_poisoned = [];
     retained_generation = -1;
@@ -226,11 +230,6 @@ let enable_trace ?capacity t =
   Lp_core.Controller.set_sink t.controller (Some s);
   Diskswap.set_sink t.swap (Some s);
   s
-
-let disable_trace t =
-  t.sink <- None;
-  Lp_core.Controller.set_sink t.controller None;
-  Diskswap.set_sink t.swap None
 
 let trace_events t =
   match t.sink with Some s -> Lp_obs.Sink.events s | None -> []
@@ -394,8 +393,6 @@ let live_bytes t =
   - (if t.offload then Diskswap.resident_bytes t.swap else 0)
 
 let used_bytes t = Store.used_bytes t.store
-
-let heap_limit t = Store.limit_bytes t.store
 
 (* The raise lives out of line so the check itself inlines into the
    barriers: a bounds test, a header load, a slot load and a physical
@@ -668,11 +665,17 @@ let run_gc t =
   t.cycles <- t.cycles + gc_cost;
   t.gc_cycles <- t.gc_cycles + gc_cost;
   record_staleness_histogram t;
-  Lp_obs.Metrics.set_gauge
-    (Lp_obs.Metrics.gauge t.metrics "heap.live_bytes")
-    (live_bytes t);
-  let gc_number = t.stats.Gc_stats.collections in
   let live = live_bytes t in
+  let live_gauge =
+    match t.live_bytes_gauge with
+    | Some g -> g
+    | None ->
+      let g = Lp_obs.Metrics.gauge t.metrics "heap.live_bytes" in
+      t.live_bytes_gauge <- Some g;
+      g
+  in
+  Lp_obs.Metrics.set_gauge live_gauge live;
+  let gc_number = t.stats.Gc_stats.collections in
   let state = Lp_core.Controller.state t.controller in
   (match t.sink with
   | Some s ->

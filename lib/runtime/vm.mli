@@ -70,8 +70,7 @@ val create :
     store's [next_fresh_id].
 
     @raise Invalid_argument when [config] fails
-    {!Lp_core.Config.validate}, before any collector domain is
-    spawned. *)
+    {!Lp_core.Config.validate}. *)
 
 (** {1 Components} *)
 
@@ -190,8 +189,6 @@ val enable_trace : ?capacity:int -> t -> Lp_obs.Sink.t
     {!Lp_obs.Sink.default_capacity}) clocked by the VM's simulated
     cycles, and wires it into the controller and the swap store. Traces
     are deterministic: no wall time is ever recorded. *)
-
-val disable_trace : t -> unit
 
 val sink : t -> Lp_obs.Sink.t option
 
@@ -312,8 +309,6 @@ val live_bytes : t -> int
     the disk baseline are excluded). *)
 
 val used_bytes : t -> int
-
-val heap_limit : t -> int
 
 val assert_live : t -> Heap_obj.t -> unit
 (** @raise Store.Dangling_reference when the object has been reclaimed

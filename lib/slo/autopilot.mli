@@ -48,8 +48,7 @@ val adjustments : t -> int
 (** Collections after which the object budget actually changed. *)
 
 val escalations : t -> int
-(** Always 0. The autopilot once escalated collections to a second
-    collector domain; the benchmark in [perfbench/] still reads this
-    counter, so it stays until the next change to that benchmark. *)
+(** Always 0. The benchmark in [perfbench/] still reads this counter,
+    so it stays until the next change to that benchmark. *)
 
 val samples_seen : t -> int

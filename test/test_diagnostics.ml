@@ -1,4 +1,4 @@
-(* Heap diagnostics and the consistency checker. *)
+(* The heap verifier and the staleness histograms the VM retains. *)
 
 open Lp_heap
 open Lp_runtime
@@ -17,21 +17,9 @@ let vm_with_leak () =
   done;
   vm
 
-let test_class_histogram () =
-  let vm = vm_with_leak () in
-  let hist = Diagnostics.class_histogram vm in
-  let nodes = List.find (fun s -> s.Diagnostics.class_name = "D$Node") hist in
-  Alcotest.(check int) "node count" 20 nodes.Diagnostics.objects;
-  Alcotest.(check int) "node bytes" (20 * (8 + 4 + 40)) nodes.Diagnostics.bytes;
-  (* biggest first *)
-  (match hist with
-  | first :: _ ->
-    Alcotest.(check string) "sorted by footprint" "D$Node" first.Diagnostics.class_name
-  | [] -> Alcotest.fail "empty histogram")
-
 let test_staleness_histogram () =
   let vm = vm_with_leak () in
-  let before = Diagnostics.staleness_histogram vm in
+  let before = Store.staleness_histogram (Vm.store vm) in
   Alcotest.(check int) "everything fresh initially"
     (Array.fold_left ( + ) 0 before)
     before.(0);
@@ -44,35 +32,14 @@ let test_staleness_histogram () =
   Vm.run_gc vm;
   Vm.run_gc vm;
   Vm.run_gc vm;
-  let after = Diagnostics.staleness_histogram vm in
+  let after = Store.staleness_histogram (Vm.store vm) in
   Alcotest.(check bool) "staleness appeared" true
-    (Array.fold_left ( + ) 0 (Array.sub after 2 6) > 0);
-  Alcotest.(check bool) "stale bytes positive" true (Diagnostics.stale_bytes vm > 0)
+    (Array.fold_left ( + ) 0 (Array.sub after 2 6) > 0)
 
 let contains_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-let test_summary_mentions_classes () =
-  let vm = vm_with_leak () in
-  let s = Diagnostics.summary vm in
-  Alcotest.(check bool) "mentions the leaking class" true (contains_sub s "D$Node")
-
-let test_to_dot () =
-  let vm = vm_with_leak () in
-  let dot = Diagnostics.to_dot vm in
-  Alcotest.(check bool) "digraph" true (contains_sub dot "digraph heap");
-  Alcotest.(check bool) "nodes labelled with class" true (contains_sub dot "D$Node");
-  Alcotest.(check bool) "edges drawn" true (contains_sub dot "->");
-  (* poison an edge and confirm it renders red *)
-  let statics = Vm.statics vm ~class_name:"D" ~n_fields:1 in
-  (match Mutator.read vm statics 0 with
-  | Some head ->
-    Store.set_field (Vm.store vm) head.Heap_obj.id 0 (Word.poison (Store.field (Vm.store vm) head.Heap_obj.id 0))
-  | None -> Alcotest.fail "expected a head node");
-  let dot = Diagnostics.to_dot vm in
-  Alcotest.(check bool) "poisoned edge rendered" true (contains_sub dot "color=red")
 
 let test_heap_check_ok () =
   let vm = vm_with_leak () in
@@ -167,7 +134,7 @@ let check_retained_histograms vm ~drive =
              expected
              (List.nth retained (List.length retained - 1));
            Alcotest.(check (array int)) "diagnostics agree" expected
-             (Diagnostics.staleness_histogram vm)
+             (Store.staleness_histogram (Vm.store vm))
          | Some [] | None -> Alcotest.fail "no retained histogram"));
   drive ();
   Alcotest.(check bool)
@@ -225,10 +192,7 @@ let test_histogram_disk_baseline () =
 let suite =
   ( "diagnostics",
     [
-      Alcotest.test_case "class histogram" `Quick test_class_histogram;
       Alcotest.test_case "staleness histogram" `Quick test_staleness_histogram;
-      Alcotest.test_case "summary" `Quick test_summary_mentions_classes;
-      Alcotest.test_case "dot export" `Quick test_to_dot;
       Alcotest.test_case "heap check ok" `Quick test_heap_check_ok;
       Alcotest.test_case "heap check detects corruption" `Quick
         test_heap_check_detects_corruption;

@@ -339,29 +339,6 @@ let test_aggregate_percentile () =
   Alcotest.(check int) "p99 of 100 samples is the 99th" 99
     (Lp_obs.Aggregate.percentile (ascending 100) ~p:99.)
 
-let test_aggregate_merge () =
-  let snap () =
-    let r = Lp_obs.Metrics.create () in
-    Lp_obs.Metrics.incr ~by:3 (Lp_obs.Metrics.counter r "n");
-    Lp_obs.Metrics.set_gauge (Lp_obs.Metrics.gauge r "g") 5;
-    Lp_obs.Metrics.observe (Lp_obs.Metrics.histogram r "h") 4;
-    Lp_obs.Metrics.snapshot r
-  in
-  let merged = Lp_obs.Aggregate.merge [ snap (); snap (); snap () ] in
-  Alcotest.(check (option int)) "counters sum" (Some 9)
-    (Lp_obs.Metrics.find_counter merged "n");
-  Alcotest.(check (option int)) "gauges sum" (Some 15)
-    (Lp_obs.Metrics.find_gauge merged "g");
-  (match List.assoc_opt "h" merged.Lp_obs.Metrics.histograms with
-  | Some h ->
-    Alcotest.(check int) "histogram observations sum" 3
-      h.Lp_obs.Metrics.observations;
-    Alcotest.(check int) "histogram sum sums" 12 h.Lp_obs.Metrics.sum
-  | None -> Alcotest.fail "merged histogram missing");
-  (* merging nothing is the empty snapshot; merging one is identity *)
-  let one = snap () in
-  Alcotest.(check bool) "identity" true (Lp_obs.Aggregate.merge [ one ] = one)
-
 let suite =
   ( "obs",
     [
@@ -392,6 +369,4 @@ let suite =
         test_chaos_tracing_is_transparent;
       Alcotest.test_case "aggregate: nearest-rank percentile" `Quick
         test_aggregate_percentile;
-      Alcotest.test_case "aggregate: snapshot merge" `Quick
-        test_aggregate_merge;
     ] )

@@ -7,7 +7,7 @@ let collect_roots roots =
   Roots.iter roots (fun id -> acc := id :: !acc);
   List.sort compare !acc
 
-let test_static_roots () =
+let test_add_static_root () =
   let roots = Roots.create () in
   Roots.add_static_root roots 3;
   Roots.add_static_root roots 9;
@@ -66,7 +66,7 @@ let test_root_count () =
 let suite =
   ( "roots",
     [
-      Alcotest.test_case "static roots" `Quick test_static_roots;
+      Alcotest.test_case "static roots" `Quick test_add_static_root;
       Alcotest.test_case "thread frames" `Quick test_thread_frames;
       Alcotest.test_case "initial frame protected" `Quick test_cannot_pop_initial_frame;
       Alcotest.test_case "kill thread" `Quick test_kill_thread;
