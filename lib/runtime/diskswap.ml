@@ -15,18 +15,20 @@ let default_config ~disk_limit_bytes =
 type entry = { bytes : int; payload : bytes }
 
 (* A stored prune image: the bytes a later load will see, with the
-   targets of their non-null reference words decoded once when the
-   image is stored ([Swap_image.refs]), so retention follows memoised
+   targets of their non-null reference words read once when the image
+   is stored ([Swap_image.stored_refs]), so retention follows memoised
    references instead of re-parsing every image at every collection.
-   [Corrupt] marks bytes that did not decode: retention keeps such an
+   [Corrupt] marks bytes that did not validate: retention keeps such an
    image when it is referenced but follows nothing through it. *)
-type image = Decoded of bytes * int array | Corrupt of bytes
+type image = Valid of bytes * int array | Corrupt of bytes
 
-let image_data = function Decoded (data, _) | Corrupt data -> data
+let image_data = function Valid (data, _) | Corrupt data -> data
 
+(* The bytes are validated again here, whoever wrote them: the
+   image-fault hook may have changed them on their way to disk. *)
 let memoise data =
-  match Swap_image.decode data with
-  | Ok img -> Decoded (data, Swap_image.refs img)
+  match Swap_image.validate data with
+  | Ok _ -> Valid (data, Swap_image.stored_refs data)
   | Error _ -> Corrupt data
 
 (* A shared disk shared by several swap stores (one per tenant). Byte
@@ -78,8 +80,9 @@ type t = {
   mutable sink : Lp_obs.Sink.t option;
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
-  mutable candidates : int array;
-      (* the offload pass's sort keys, reused; grown by doubling *)
+  mutable scratch : int array;
+      (* the offload pass's sort keys, and the ids a retention pass
+         drops; reused, grown by doubling *)
 }
 
 exception Out_of_disk = Lp_core.Errors.Out_of_disk
@@ -90,7 +93,11 @@ let create ?metrics ?backend config =
   in
   {
     config;
-    resident = Hashtbl.create 1024;
+    (* [resident] starts small and grows with residency, so [reconcile]
+       and [iter_resident] walk about as many buckets as entries.
+       [images] keeps 1,024 buckets: its iteration order fixes the order
+       of a retention pass's [Image_drop] events. *)
+    resident = Hashtbl.create 16;
     images = Hashtbl.create 1024;
     forwards = Hashtbl.create 64;
     generation = 0;
@@ -108,7 +115,7 @@ let create ?metrics ?backend config =
     sink = None;
     fault = None;
     image_fault = None;
-    candidates = [||];
+    scratch = [||];
   }
 
 let set_sink t s = t.sink <- s
@@ -183,17 +190,18 @@ let load_image t id =
   | Some image -> Some (image_data image)
   | None -> None
 
-let image_refs t id =
-  match Hashtbl.find_opt t.images id with
-  | Some (Decoded (_, refs)) -> Some refs
-  | Some (Corrupt _) | None -> None
+let iter_image_refs t id f =
+  match Hashtbl.find t.images id with
+  | Valid (_, refs) -> Array.iter f refs
+  | Corrupt _ -> ()
+  | exception Not_found -> ()
 
 let has_image t id = Hashtbl.mem t.images id
 
 let drop_image t id =
-  match Hashtbl.find_opt t.images id with
-  | None -> ()
-  | Some image ->
+  match Hashtbl.find t.images id with
+  | exception Not_found -> ()
+  | image ->
     Hashtbl.remove t.images id;
     bump t;
     set_image_total t (t.image_total - Bytes.length (image_data image));
@@ -202,16 +210,33 @@ let drop_image t id =
     | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Image_drop { id })
     | None -> ())
 
+let grow_scratch a =
+  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Drops the images [keep] rejects in the reverse of the table's order,
+   which is the order of their [Image_drop] events; their ids are
+   gathered in the reused scratch array first. *)
 let retain_images t ~keep =
-  let doomed = ref [] in
-  Hashtbl.iter (fun id _ -> if not (keep id) then doomed := id :: !doomed) t.images;
-  List.iter (drop_image t) !doomed
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun id _ ->
+      if not (keep id) then begin
+        if !n = Array.length t.scratch then t.scratch <- grow_scratch t.scratch;
+        t.scratch.(!n) <- id;
+        incr n
+      end)
+    t.images;
+  for k = !n - 1 downto 0 do
+    drop_image t t.scratch.(k)
+  done
 
 let iter_images t f =
   Hashtbl.iter
     (fun id image ->
       match image with
-      | Decoded (data, refs) -> f ~id ~image:data ~refs:(Some refs)
+      | Valid (data, refs) -> f ~id ~image:data ~refs:(Some refs)
       | Corrupt data -> f ~id ~image:data ~refs:None)
     t.images
 
@@ -230,15 +255,17 @@ let forward t ~old_id ~new_id =
 (* Transitive: a resurrected object can itself be pruned and resurrected
    again, chaining entries. The visit bound makes a (buggy) cycle
    terminate at the last id seen rather than hanging the barrier. *)
+let rec follow t id steps =
+  match Hashtbl.find_opt t.forwards id with
+  | Some next when steps < Hashtbl.length t.forwards + 1 ->
+    follow t next (steps + 1)
+  | Some _ | None -> id
+
 let resolve_forward t id =
-  let rec follow id steps =
-    match Hashtbl.find_opt t.forwards id with
-    | Some next when steps < Hashtbl.length t.forwards + 1 ->
-      follow next (steps + 1)
-    | Some _ | None -> id
-  in
-  let final = follow id 0 in
-  if final = id then None else Some final
+  if Hashtbl.length t.forwards = 0 then None
+  else
+    let final = follow t id 0 in
+    if final = id then None else Some final
 
 (* ---- Offload baseline ---- *)
 
@@ -261,9 +288,7 @@ let reconcile t store =
   end
 
 let offload_one t store id =
-  let payload =
-    Swap_image.encode (Swap_image.capture store (Store.get store id))
-  in
+  let payload = Swap_image.capture store id in
   let payload = match t.image_fault with Some f -> f payload | None -> payload in
   let bytes = Store.size_bytes store id in
   Hashtbl.replace t.resident id { bytes; payload };
@@ -273,11 +298,6 @@ let offload_one t store id =
   match t.sink with
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
-
-let grow_keys a =
-  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
 
 (* Sorts [a.(0)] to [a.(n - 1)] ascending, in place: a heapsort. *)
 let sort_prefix a n =
@@ -322,7 +342,7 @@ let after_gc ?(allow_offload = true) t store =
        injected swap fault lands on — is a deterministic function of the
        heap, not of hash-table iteration order. Each candidate is one
        int key, staleness descending then id ascending, sorted in place
-       in this swap store's reused array. *)
+       in this swap store's reused scratch array. *)
     let stride = Store.slot_count store + 1 in
     let n = ref 0 in
     for id = 1 to Store.slot_count store do
@@ -334,16 +354,16 @@ let after_gc ?(allow_offload = true) t store =
         && (not (Header.statics_container h))
         && not (Hashtbl.mem t.resident id)
       then begin
-        if !n = Array.length t.candidates then
-          t.candidates <- grow_keys t.candidates;
-        t.candidates.(!n) <-
+        if !n = Array.length t.scratch then
+          t.scratch <- grow_scratch t.scratch;
+        t.scratch.(!n) <-
           ((Header.max_stale - Header.stale_counter h) * stride) + id;
         incr n
       end
     done;
-    sort_prefix t.candidates !n;
+    sort_prefix t.scratch !n;
     for k = 0 to !n - 1 do
-      let id = t.candidates.(k) mod stride in
+      let id = t.scratch.(k) mod stride in
       match t.backend with
       | None -> offload_one t store id
       | Some b ->
@@ -389,7 +409,7 @@ let recover t =
   let images_valid = ref 0 and images_corrupt = ref 0 in
   Hashtbl.iter
     (fun _ image ->
-      match Swap_image.decode (image_data image) with
+      match Swap_image.validate (image_data image) with
       | Ok _ -> incr images_valid
       | Error _ -> incr images_corrupt)
     t.images;
@@ -422,16 +442,16 @@ let recover_warm t =
   Hashtbl.iter
     (fun id image ->
       let data = image_data image in
-      match Swap_image.decode data with
-      | Ok img ->
+      match Swap_image.validate data with
+      | Ok _ ->
         incr images_valid;
-        valid := (id, Decoded (data, Swap_image.refs img)) :: !valid
+        valid := (id, Valid (data, Swap_image.stored_refs data)) :: !valid
       | Error _ ->
         incr images_corrupt;
         corrupt := id :: !corrupt)
     t.images;
-  (* the survivors' memoised references are re-derived from the audit's
-     decode, so the memo stays exactly what their bytes say *)
+  (* the survivors' memoised references are re-read from the bytes the
+     audit validated, so the memo stays exactly what their bytes say *)
   List.iter (fun (id, image) -> Hashtbl.replace t.images id image) !valid;
   bump t;
   let before = disk_bytes t in
@@ -481,7 +501,7 @@ let retrieve t store (obj : Heap_obj.t) =
           (Lp_obs.Event.Disk_restore { id = obj.Heap_obj.id; ok })
       | None -> ()
     in
-    match Swap_image.decode payload with
+    match Swap_image.validate payload with
     | Ok _ ->
       Lp_obs.Metrics.incr t.c_swap_ins;
       emit_restore true;

@@ -208,17 +208,19 @@ val retrieve :
 val store_image : t -> id:int -> bytes -> unit
 (** Writes a pruned object's swap image, passing it through the
     image-fault hook (see {!set_image_fault_hook}); replaces any
-    previous image for the same identifier. The stored bytes are decoded
-    once, here, and the targets of their reference words are kept with
-    them (see {!image_refs}). *)
+    previous image for the same identifier. The stored bytes are
+    validated once, here, and the targets of their reference words,
+    read in place, are kept with them (see {!iter_image_refs}). *)
 
 val load_image : t -> int -> bytes option
 
-val image_refs : t -> int -> int array option
-(** The memoised reference targets of the image stored under this
-    identifier ({!Swap_image.refs} of its decoded bytes); [None] when no
-    image is stored or its bytes do not decode. Retention follows these
-    instead of decoding the image again. *)
+val iter_image_refs : t -> int -> (int -> unit) -> unit
+(** [iter_image_refs t id f] calls [f], in field order, on each target
+    of a non-null reference word of the image stored under [id]
+    ({!Swap_image.stored_refs} of its bytes, memoised when it was
+    stored), and on nothing when no image is stored or its bytes did
+    not validate. Retention follows these instead of decoding the image
+    again. Allocates nothing. *)
 
 val has_image : t -> int -> bool
 
@@ -233,8 +235,8 @@ val retain_images : t -> keep:(int -> bool) -> unit
 val iter_images :
   t -> (id:int -> image:bytes -> refs:int array option -> unit) -> unit
 (** Calls [f] on every stored image with its bytes and its memoised
-    references, as {!image_refs} would return them, in the table's
-    iteration order. *)
+    references ({!iter_image_refs}' targets; [None] when the bytes did
+    not validate), in the table's iteration order. *)
 
 val image_count : t -> int
 

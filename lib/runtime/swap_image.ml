@@ -43,57 +43,66 @@ let crc32 buf ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF
 
-let capture store (obj : Heap_obj.t) =
-  let id = obj.Heap_obj.id in
-  let fields =
-    Array.init (Store.n_fields store id) (fun i ->
-        let w = Store.field store id i in
-        if Word.is_null w then { word = Word.null; referent_class = -1 }
-        else
-          let tgt = Word.target w in
-          let referent_class =
-            if Store.mem store tgt then Store.class_of store tgt else -1
-          in
-          { word = w; referent_class })
-  in
-  {
-    object_id = id;
-    class_id = Store.class_of store id;
-    stale = Store.stale store id;
-    scalar_bytes = Store.scalar_bytes store obj;
-    fields;
-  }
-
 (* Payload: five fixed int32s, then two int32s per field. *)
-let payload_bytes t = 20 + (8 * Array.length t.fields)
-
 let[@inline] field_offset i = header_bytes + 20 + (8 * i)
 
 (* A little-endian int32 of the image, read back sign-extended. *)
 let[@inline] get buf off = Int32.to_int (Bytes.get_int32_le buf off)
 
-let encode t =
-  let payload_len = payload_bytes t in
+let[@inline] put buf off v = Bytes.set_int32_le buf off (Int32.of_int v)
+
+(* The one writer of the byte layout, for both sources of an image: the
+   prelude, the five fixed int32s, then field [i]'s word and referent
+   class, which [put_field src (first + i) buf off] puts at [off], then
+   the CRC of the payload. It allocates the image and nothing else. *)
+let write ~object_id ~class_id ~stale ~scalar_bytes ~n_fields src ~first
+    put_field =
+  let payload_len = 20 + (8 * n_fields) in
   let buf = Bytes.create (header_bytes + payload_len) in
-  let put off v = Bytes.set_int32_le buf off (Int32.of_int v) in
   Bytes.set buf 0 magic0;
   Bytes.set buf 1 magic1;
   Bytes.set buf 2 (Char.chr version);
   Bytes.set buf 3 '\000';
-  put 4 payload_len;
-  put header_bytes t.object_id;
-  put (header_bytes + 4) t.class_id;
-  put (header_bytes + 8) t.stale;
-  put (header_bytes + 12) t.scalar_bytes;
-  put (header_bytes + 16) (Array.length t.fields);
-  Array.iteri
-    (fun i f ->
-      let off = field_offset i in
-      put off f.word;
-      put (off + 4) f.referent_class)
-    t.fields;
-  put 8 (crc32 buf ~pos:header_bytes ~len:payload_len);
+  put buf 4 payload_len;
+  put buf header_bytes object_id;
+  put buf (header_bytes + 4) class_id;
+  put buf (header_bytes + 8) stale;
+  put buf (header_bytes + 12) scalar_bytes;
+  put buf (header_bytes + 16) n_fields;
+  for i = 0 to n_fields - 1 do
+    put_field src (first + i) buf (field_offset i)
+  done;
+  put buf 8 (crc32 buf ~pos:header_bytes ~len:payload_len);
   buf
+
+let put_record_field fields i buf off =
+  let f = fields.(i) in
+  put buf off f.word;
+  put buf (off + 4) f.referent_class
+
+let encode t =
+  write ~object_id:t.object_id ~class_id:t.class_id ~stale:t.stale
+    ~scalar_bytes:t.scalar_bytes ~n_fields:(Array.length t.fields) t.fields
+    ~first:0 put_record_field
+
+(* Word [k] of the store's word array, with the class of its referent
+   now, or -1 when the word is null or its target is not live. *)
+let put_store_field store k buf off =
+  let w = (Store.words store).(k) in
+  put buf off w;
+  put buf (off + 4)
+    (if Word.is_null w then -1
+     else
+       let tgt = Word.target w in
+       if Store.mem store tgt then Store.class_of store tgt else -1)
+
+let capture store id =
+  let obj = Store.get store id in
+  let e = Store.extent store id in
+  write ~object_id:id ~class_id:(Store.class_of store id)
+    ~stale:(Store.stale store id) ~scalar_bytes:(Store.scalar_bytes store obj)
+    ~n_fields:(Store.extent_count e) store ~first:(Store.extent_offset e)
+    put_store_field
 
 let validate buf =
   let len = Bytes.length buf in
@@ -146,8 +155,8 @@ let decode buf =
 
 let stored_object_id buf = get buf header_bytes
 
-(* [refs (decode buf) = refs], read off the bytes: the non-null words
-   in field order against [refs], with no image built. *)
+(* [stored_refs buf = refs], read off the bytes: the non-null words in
+   field order against [refs], with no array built. *)
 let refs_equal buf refs =
   let n_fields = get buf (header_bytes + 16) in
   let n_refs = Array.length refs in
@@ -160,18 +169,23 @@ let refs_equal buf refs =
   in
   go 0 0
 
-let refs t =
+(* Counts the non-null words, then fills the array: no list, no
+   image. *)
+let stored_refs buf =
+  let n_fields = get buf (header_bytes + 16) in
   let n = ref 0 in
-  Array.iter (fun f -> if not (Word.is_null f.word) then incr n) t.fields;
+  for i = 0 to n_fields - 1 do
+    if not (Word.is_null (get buf (field_offset i))) then incr n
+  done;
   let out = Array.make !n 0 in
   let k = ref 0 in
-  Array.iter
-    (fun f ->
-      if not (Word.is_null f.word) then begin
-        out.(!k) <- Word.target f.word;
-        incr k
-      end)
-    t.fields;
+  for i = 0 to n_fields - 1 do
+    let w = get buf (field_offset i) in
+    if not (Word.is_null w) then begin
+      out.(!k) <- Word.target w;
+      incr k
+    end
+  done;
   out
 
 let tear buf ~keep =

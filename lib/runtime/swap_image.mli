@@ -52,12 +52,15 @@ val version : int
 val header_bytes : int
 (** Size of the fixed prelude before the payload (12). *)
 
-val capture :
-  Lp_heap.Store.t -> Lp_heap.Heap_obj.t -> t
-(** Snapshot a live object. Referent classes are read from the store;
-    a reference whose target no longer exists records class [-1]. *)
+val capture : Lp_heap.Store.t -> int -> bytes
+(** [capture store id] is the image of the live object [id], written
+    straight from the store: no {!t} is built. Referent classes are read
+    from the store; a reference whose target no longer exists records
+    class [-1]. The bytes equal {!encode} of the same object's record.
+    @raise Lp_heap.Store.Dangling_reference unless [id] is live. *)
 
 val encode : t -> bytes
+(** The image of a record, written by the same writer as {!capture}. *)
 
 val validate : bytes -> (int, Lp_core.Errors.resurrection_failure) result
 (** Checks magic, version, length and CRC, in that order, and returns
@@ -73,14 +76,13 @@ val stored_object_id : bytes -> int
     read in place. *)
 
 val refs_equal : bytes -> int array -> bool
-(** [refs_equal buf refs] is [refs img = refs] for the image [img] that
-    bytes which passed {!validate} decode to, read in place without
-    building it. *)
+(** [refs_equal buf refs] is [stored_refs buf = refs] for bytes that
+    passed {!validate}, with no array built. *)
 
-val refs : t -> int array
-(** The targets of the image's non-null reference words (poisoned ones
-    included), in field order: the identifiers image retention follows
-    from this image. *)
+val stored_refs : bytes -> int array
+(** The targets of the non-null reference words (poisoned ones
+    included), in field order, of bytes that passed {!validate}, read
+    in place: the identifiers image retention follows from the image. *)
 
 val tear : bytes -> keep:int -> bytes
 (** [tear img ~keep] models a torn write: the first [keep] bytes of the

@@ -58,6 +58,16 @@ type t = {
      skipped. Generation -1 is no memo: the first pass always runs. *)
   mutable retained_poisoned : int list;
   mutable retained_generation : int;
+  (* The breadth-first walks of image capture and retention, one at a
+     time: an id is seen in the current walk when its [walk_stamps]
+     entry is [walk_epoch], and the walk's FIFO is the first
+     [walk_len] ids of [walk_fifo]. Both arrays are reused and grow on
+     demand: image references and forwards can name ids beyond the
+     store's slots. *)
+  mutable walk_stamps : int array;
+  mutable walk_epoch : int;
+  mutable walk_fifo : int array;
+  mutable walk_len : int;
 }
 
 (* The budget an armed pause SLO starts from when the config sets
@@ -199,6 +209,10 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     sink = None;
     retained_poisoned = [];
     retained_generation = -1;
+    walk_stamps = [||];
+    walk_epoch = 0;
+    walk_fifo = [||];
+    walk_len = 0;
   }
 
 let store t = t.store
@@ -410,18 +424,36 @@ let run_finalizer t (obj : Heap_obj.t) =
     f obj
   | None -> ()
 
+let grown a ~past =
+  let a' = Array.make (max (past + 1) (max 64 (2 * Array.length a))) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* A new walk: nothing seen, nothing queued. *)
+let start_walk t =
+  t.walk_epoch <- t.walk_epoch + 1;
+  t.walk_len <- 0
+
+let walked t id =
+  id < Array.length t.walk_stamps && t.walk_stamps.(id) = t.walk_epoch
+
+let push t id =
+  if id >= Array.length t.walk_stamps then
+    t.walk_stamps <- grown t.walk_stamps ~past:id;
+  if t.walk_stamps.(id) <> t.walk_epoch then begin
+    t.walk_stamps.(id) <- t.walk_epoch;
+    if t.walk_len = Array.length t.walk_fifo then
+      t.walk_fifo <- grown t.walk_fifo ~past:t.walk_len;
+    t.walk_fifo.(t.walk_len) <- id;
+    t.walk_len <- t.walk_len + 1
+  end
+
 (* enqueue an identifier and, if it was forwarded (pruned then
    resurrected), the identifier it forwards to *)
-let enqueue_ref t seen queue id =
-  let push id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.add seen id ();
-      Queue.add id queue
-    end
-  in
-  push id;
+let enqueue_ref t id =
+  push t id;
   match Diskswap.resolve_forward t.swap id with
-  | Some final -> push final
+  | Some final -> push t final
   | None -> ()
 
 (* The targets of every poisoned word in a marked object, in slot
@@ -468,31 +500,30 @@ let nothing_to_capture t ~doomed ~poisoned =
 (* Runs between marking and the sweep, when liveness is decided but the
    doomed objects are still intact: serialize a swap image of every
    dying object reachable from a freshly pruned edge or from a live
-   poisoned word, so a later misprediction can be recovered. *)
+   poisoned word, so a later misprediction can be recovered. The walk
+   is breadth first and takes ids in the order they were pushed, each
+   once: that order fixes the order of the [Image_capture] events and
+   which image write an injected Swap fault lands on. *)
 let capture_images t ~doomed ~poisoned =
   if not (nothing_to_capture t ~doomed ~poisoned) then begin
-    let seen = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    List.iter (enqueue_ref t seen queue) doomed;
-    List.iter (enqueue_ref t seen queue) poisoned;
-    let rec drain () =
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some id ->
-        if dying t id then begin
-          if not (Diskswap.has_image t.swap id) then
-            Diskswap.store_image t.swap ~id
-              (Swap_image.encode
-                 (Swap_image.capture t.store (Store.get t.store id)));
-          (* the whole unmarked subtree dies with it *)
-          for i = 0 to Store.n_fields t.store id - 1 do
-            let w = Store.field t.store id i in
-            if not (Word.is_null w) then enqueue_ref t seen queue (Word.target w)
-          done
-        end;
-        drain ()
-    in
-    drain ()
+    start_walk t;
+    let follow = enqueue_ref t in
+    List.iter follow doomed;
+    List.iter follow poisoned;
+    let next = ref 0 in
+    while !next < t.walk_len do
+      let id = t.walk_fifo.(!next) in
+      incr next;
+      if dying t id then begin
+        if not (Diskswap.has_image t.swap id) then
+          Diskswap.store_image t.swap ~id (Swap_image.capture t.store id);
+        (* the whole unmarked subtree dies with it *)
+        for i = 0 to Store.n_fields t.store id - 1 do
+          let w = Store.field t.store id i in
+          if not (Word.is_null w) then enqueue_ref t (Word.target w)
+        done
+      end
+    done
   end
 
 (* Post-sweep retention: keep exactly the images still reachable from a
@@ -514,20 +545,16 @@ let retain_images t ~poisoned =
     Diskswap.generation t.swap <> t.retained_generation
     || not (List.equal Int.equal poisoned t.retained_poisoned)
   then begin
-    let keep = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    List.iter (enqueue_ref t keep queue) poisoned;
-    let rec drain () =
-      match Queue.take_opt queue with
-      | None -> ()
-      | Some id ->
-        (match Diskswap.image_refs t.swap id with
-        | Some refs -> Array.iter (enqueue_ref t keep queue) refs
-        | None -> ());
-        drain ()
-    in
-    drain ();
-    Diskswap.retain_images t.swap ~keep:(Hashtbl.mem keep);
+    start_walk t;
+    let follow = enqueue_ref t in
+    List.iter follow poisoned;
+    let next = ref 0 in
+    while !next < t.walk_len do
+      let id = t.walk_fifo.(!next) in
+      incr next;
+      Diskswap.iter_image_refs t.swap id follow
+    done;
+    Diskswap.retain_images t.swap ~keep:(walked t);
     t.retained_poisoned <- poisoned;
     t.retained_generation <- Diskswap.generation t.swap
   end

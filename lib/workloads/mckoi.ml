@@ -10,9 +10,8 @@ let churn_bytes = 8_000
    fields [stack memory; connection]; Connection: fields [rowBuffer].
    The blocked worker "polls" its connection every iteration (it is
    blocked on it), keeping the connection fresh; nothing ever reads the
-   row buffer again. *)
-type worker = { thread : Roots.thread; frame : Roots.frame }
-
+   row buffer again. A worker is the frame of its thread that holds its
+   WorkerThread object. *)
 let prepare vm =
   let workers = ref [] in
   let spawn () =
@@ -36,7 +35,7 @@ let prepare vm =
         Mutator.write_obj vm worker 0 (Vm.deref vm (Roots.get_slot scratch 0));
         Mutator.write_obj vm worker 1 (Vm.deref vm (Roots.get_slot scratch 1));
         Roots.set_slot frame 0 worker.Heap_obj.id);
-    workers := { thread; frame } :: !workers
+    workers := frame :: !workers
   in
   fun () ->
     let remaining = ref churn_bytes in
@@ -53,7 +52,7 @@ let prepare vm =
        connection reference, so neither is ever prunable — only the row
        buffers behind the connections are. *)
     List.iter
-      (fun { frame; _ } ->
+      (fun frame ->
         let worker = Vm.deref vm (Roots.get_slot frame 0) in
         ignore (Mutator.read vm worker 0);
         ignore (Mutator.read vm worker 1))

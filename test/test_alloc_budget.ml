@@ -104,6 +104,101 @@ let test_unchanged_collections_independent_of_images () =
        with 200 (must agree within 16)"
       wf wm
 
+(* A resurrection VM whose collections are PRUNEs. [poison ()] points
+   a statics word at a fresh chain of [n] one-field objects, poisoned,
+   so the next collection finds the chain dying behind a live poisoned
+   word: it captures [n] images and retention keeps them. [unpoison ()]
+   nulls the word, so the next collection captures nothing and
+   retention drops the [n] images; the next chain then reuses the
+   chain's identifiers with no image stored under them. *)
+let capturing_vm n =
+  let obj_bytes = Heap_obj.size_of ~n_fields:1 ~scalar_bytes:16 in
+  let vm =
+    Vm.create
+      ~config:(Lp_core.Config.make ~force_state:Lp_core.State_kind.Prune ())
+      ~resurrection:true
+      ~heap_bytes:(4 * (n + 8) * obj_bytes)
+      ()
+  in
+  let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
+  let class_id = Vm.register_class vm "Node" in
+  let set w = Store.set_field (Vm.store vm) pin.Heap_obj.id 0 w in
+  let poison () =
+    if n > 0 then begin
+      let head =
+        ref (Vm.alloc_class vm ~class_id ~scalar_bytes:16 ~n_fields:1 ())
+      in
+      for _ = 2 to n do
+        let o = Vm.alloc_class vm ~class_id ~scalar_bytes:16 ~n_fields:1 () in
+        Mutator.write_obj vm o 0 !head;
+        head := o
+      done;
+      set (Word.poison (Word.of_id !head.Heap_obj.id))
+    end
+  in
+  (vm, poison, fun () -> set Word.null)
+
+(* Mean OCaml words of a capturing collection and of a dropping one,
+   after 20 rounds have grown every buffer. *)
+let capture_and_drop_words n =
+  let vm, poison, unpoison = capturing_vm n in
+  let round () =
+    poison ();
+    let a = Gc.minor_words () in
+    Vm.run_gc vm;
+    let b = Gc.minor_words () in
+    unpoison ();
+    Vm.run_gc vm;
+    (b -. a, Gc.minor_words () -. b)
+  in
+  for _ = 1 to 20 do
+    ignore (round ())
+  done;
+  let rounds = 50 and capture = ref 0. and drop = ref 0. in
+  let writes = Diskswap.image_writes (Vm.swap vm) in
+  for _ = 1 to rounds do
+    let c, d = round () in
+    capture := !capture +. c;
+    drop := !drop +. d
+  done;
+  Alcotest.(check string) "state" "PRUNE"
+    (Lp_core.State_kind.to_string (Lp_core.Controller.state (Vm.controller vm)));
+  Alcotest.(check int)
+    (Printf.sprintf "images captured per collection (%d)" n)
+    n
+    ((Diskswap.image_writes (Vm.swap vm) - writes) / rounds);
+  Alcotest.(check int) "every image dropped" 0
+    (Diskswap.image_count (Vm.swap vm));
+  (!capture /. float_of_int rounds, !drop /. float_of_int rounds)
+
+(* A PRUNE allocates, per image it captures, the image's own storage
+   and nothing else: its bytes (40 of them, 7 words), its memoised
+   references (one, 2 words; the chain's last image has none) and its
+   table entry (the bucket, 4 words; the memo's constructor, 3; the
+   validation's [Ok], 2), 18 words. Beyond those, capturing 50 images
+   and capturing 500 allocate the same few words, so neither the walk
+   nor the writer allocates per object it visits. A collection that
+   drops the images allocates as many words whatever their number. *)
+let image_words = 18.
+
+let test_capture_words_per_image () =
+  let base, _ = capture_and_drop_words 0 in
+  let excess n =
+    let c, d = capture_and_drop_words n in
+    (c -. base -. (image_words *. float_of_int n), d)
+  in
+  let few, drop_few = excess 50 and many, drop_many = excess 500 in
+  if Float.abs (few -. many) > 16. || few > 64. || many > 64. then
+    Alcotest.failf
+      "words beyond %.0f per captured image: %.1f capturing 50, %.1f \
+       capturing 500 (must agree within 16 and stay <= 64)"
+      image_words few many;
+  if Float.abs (drop_few -. drop_many) > 16. then
+    Alcotest.failf
+      "words per dropping collection: %.1f dropping 50 images, %.1f dropping \
+       500 (must agree within 16)"
+      drop_few drop_many
+
 (* OCaml words allocated per call of [f], over [n] calls. *)
 let words_per_call ~n f =
   let before = Gc.minor_words () in
@@ -253,4 +348,6 @@ let suite =
         test_constant_words_select;
       Alcotest.test_case "constant words per PRUNE collection" `Quick
         test_constant_words_prune;
+      Alcotest.test_case "PRUNE capture: only the images' own words"
+        `Quick test_capture_words_per_image;
     ] )

@@ -20,7 +20,10 @@ let sample_image () =
   Store.set_field store obj.Heap_obj.id 1 (Word.poison (Word.of_id tgt.Heap_obj.id));
   (* fields.(2) stays null *)
   Store.set_stale store obj.Heap_obj.id 3;
-  (store, obj, Swap_image.capture store obj)
+  let img =
+    Result.get_ok (Swap_image.decode (Swap_image.capture store obj.Heap_obj.id))
+  in
+  (store, obj, img)
 
 let test_image_roundtrip () =
   let store, obj, img = sample_image () in
@@ -57,7 +60,7 @@ let test_image_high_bit_crc_roundtrips () =
       Store.alloc store ~class_id:cls ~n_fields:0 ~scalar_bytes:scalar
         ~finalizable:false
     in
-    let buf = Swap_image.encode (Swap_image.capture store obj) in
+    let buf = Swap_image.capture store obj.Heap_obj.id in
     let crc =
       Swap_image.crc32 buf ~pos:Swap_image.header_bytes
         ~len:(Bytes.length buf - Swap_image.header_bytes)
@@ -132,7 +135,7 @@ let prune_by_hand vm =
   Mutator.write_obj vm src 0 victim;
   Store.set_stale (Vm.store vm) victim.Heap_obj.id 5;
   Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
-    (Swap_image.encode (Swap_image.capture (Vm.store vm) victim));
+    (Swap_image.capture (Vm.store vm) victim.Heap_obj.id);
   Vm.inject_word_corruption vm src ~field:0 `Poison;
   let id = victim.Heap_obj.id and cls = Store.class_of (Vm.store vm) victim.Heap_obj.id in
   Store.free (Vm.store vm) victim;
@@ -267,7 +270,7 @@ let test_repoisoned_dead_referent () =
   Mutator.write_obj vm src 0 victim;
   Mutator.write_obj vm victim 0 inner;
   Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
-    (Swap_image.encode (Swap_image.capture (Vm.store vm) victim));
+    (Swap_image.capture (Vm.store vm) victim.Heap_obj.id);
   Vm.inject_word_corruption vm src ~field:0 `Poison;
   Store.free (Vm.store vm) victim;
   Store.free (Vm.store vm) inner;

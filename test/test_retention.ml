@@ -65,6 +65,20 @@ let refs_of_bytes bytes =
   | Error _ -> None
   | Ok img -> Some (targets img)
 
+(* The references the swap store memoised for the image stored under
+   [id]; [None] when there is none or its bytes did not validate. *)
+let image_refs swap id =
+  let memo = ref None in
+  Diskswap.iter_images swap (fun ~id:stored ~image:_ ~refs ->
+      if stored = id then memo := refs);
+  !memo
+
+(* What [Diskswap.iter_image_refs] calls its function on, in order. *)
+let iterated_refs swap id =
+  let acc = ref [] in
+  Diskswap.iter_image_refs swap id (fun r -> acc := r :: !acc);
+  Array.of_list (List.rev !acc)
+
 let gen_word =
   QCheck.Gen.(
     frequency
@@ -184,7 +198,7 @@ let prop_refs_equal_matches_decode =
       match Swap_image.decode bytes with
       | Error _ -> true
       | Ok decoded ->
-        let refs = Swap_image.refs decoded in
+        let refs = targets decoded in
         Swap_image.refs_equal bytes refs
         && not (Swap_image.refs_equal bytes (perturb refs choice)))
 
@@ -204,7 +218,9 @@ let prop_memo_matches_bytes =
         images;
       let ok = ref true in
       Diskswap.iter_images swap (fun ~id ~image ~refs ->
-          if refs <> refs_of_bytes image || refs <> Diskswap.image_refs swap id
+          if
+            refs <> refs_of_bytes image
+            || Option.value refs ~default:[||] <> iterated_refs swap id
           then ok := false);
       (* an intact image's references are the ones it was built from *)
       let last = Hashtbl.create 4 in
@@ -213,9 +229,126 @@ let prop_memo_matches_bytes =
         images;
       Hashtbl.iter
         (fun id ((img : Swap_image.t), d) ->
-          if d = Intact && Diskswap.image_refs swap id <> Some (targets img)
+          if d = Intact && image_refs swap id <> Some (targets img)
           then ok := false)
         last;
+      !ok)
+
+(* ---- Images written from the store ---- *)
+
+(* The record of a live object, read field by field from the store:
+   the model [Swap_image.capture]'s bytes are checked against. *)
+let record_of_store store id =
+  {
+    Swap_image.object_id = id;
+    class_id = Store.class_of store id;
+    stale = Store.stale store id;
+    scalar_bytes = Store.scalar_bytes store (Store.get store id);
+    fields =
+      Array.init (Store.n_fields store id) (fun i ->
+          let w = Store.field store id i in
+          let live = (not (Word.is_null w)) && Store.mem store (Word.target w) in
+          {
+            Swap_image.word = w;
+            referent_class =
+              (if live then Store.class_of store (Word.target w) else -1);
+          });
+  }
+
+(* A store built from generated steps: objects of 0 to 4 fields; links
+   between them, some poisoned; frees, which leave references to dead
+   targets; and later allocations, which recycle the freed identifiers
+   under other classes and field counts. *)
+type store_plan = {
+  objects : (int * int * int * int) list;
+      (* fields, scalar bytes, stale counter, class *)
+  links : (int * int * int * bool) list;  (* source, field, target, poisoned *)
+  frees : int list;
+  recycled : (int * int) list;  (* fields, class *)
+}
+
+let gen_store_plan =
+  QCheck.Gen.(
+    map
+      (fun (objects, links, frees, recycled) ->
+        { objects; links; frees; recycled })
+      (quad
+         (list_size (1 -- 30) (quad (0 -- 4) (0 -- 64) (0 -- 3) (0 -- 20)))
+         (list_size (0 -- 80) (quad nat nat nat bool))
+         (list_size (0 -- 12) nat)
+         (list_size (0 -- 8) (pair (0 -- 4) (0 -- 20)))))
+
+let build_store plan =
+  let store = Store.create ~limit_bytes:1_000_000 in
+  let objs =
+    Array.of_list
+      (List.map
+         (fun (n_fields, scalar_bytes, stale, class_id) ->
+           let o =
+             Store.alloc store ~class_id ~n_fields ~scalar_bytes
+               ~finalizable:false
+           in
+           Store.set_stale store o.Heap_obj.id stale;
+           o)
+         plan.objects)
+  in
+  let n = Array.length objs in
+  List.iter
+    (fun (s, f, tgt, poisoned) ->
+      let src = objs.(s mod n).Heap_obj.id in
+      let n_fields = Store.n_fields store src in
+      if n_fields > 0 then begin
+        let w = Word.of_id objs.(tgt mod n).Heap_obj.id in
+        Store.set_field store src (f mod n_fields)
+          (if poisoned then Word.poison w else w)
+      end)
+    plan.links;
+  List.iter
+    (fun k ->
+      let o = objs.(k mod n) in
+      if Store.is_live store o then Store.free store o)
+    plan.frees;
+  List.iter
+    (fun (n_fields, class_id) ->
+      ignore
+        (Store.alloc store ~class_id ~n_fields ~scalar_bytes:8
+           ~finalizable:false))
+    plan.recycled;
+  store
+
+(* Every live object's image, written from the store, is [encode] of
+   its record and decodes back to it; stored through the image-fault
+   hook, which damages some of them, its memo is the references of the
+   bytes the store kept. *)
+let prop_capture_matches_record =
+  QCheck.Test.make ~name:"swap image: the store writer equals encode" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_store_plan (list_size (1 -- 8) gen_damage)))
+    (fun (plan, damages) ->
+      let store = build_store plan in
+      let swap =
+        Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int)
+      in
+      let damages = Array.of_list damages and k = ref 0 in
+      Diskswap.set_image_fault_hook swap
+        (Some
+           (fun bytes ->
+             let d = damages.(!k mod Array.length damages) in
+             incr k;
+             damage bytes d));
+      let ok = ref true in
+      Store.iter_live store (fun obj ->
+          let id = obj.Heap_obj.id in
+          let record = record_of_store store id in
+          let bytes = Swap_image.capture store id in
+          if not (Bytes.equal bytes (Swap_image.encode record)) then ok := false;
+          if Swap_image.decode bytes <> Ok record then ok := false;
+          let d = damages.(!k mod Array.length damages) in
+          Diskswap.store_image swap ~id bytes;
+          let stored = Option.get (Diskswap.load_image swap id) in
+          if image_refs swap id <> refs_of_bytes stored then ok := false;
+          if d = Intact && image_refs swap id <> Some (targets record)
+          then ok := false);
       !ok)
 
 let sample_image ~id ~targets =
@@ -237,10 +370,10 @@ let test_memo_follows_drop_and_recovery () =
   Diskswap.store_image swap ~id:2 (sample_image ~id:2 ~targets:[| 3 |]);
   Diskswap.store_image swap ~id:3 (sample_image ~id:3 ~targets:[||]);
   Alcotest.(check (option (array int))) "memo of image 1" (Some [| 2; 3 |])
-    (Diskswap.image_refs swap 1);
+    (image_refs swap 1);
   Diskswap.drop_image swap 2;
   Alcotest.(check (option (array int))) "dropped image has no memo" None
-    (Diskswap.image_refs swap 2);
+    (image_refs swap 2);
   (* at-rest rot after the write: the stored bytes change under the memo,
      and the warm-recovery audit drops the image the bytes condemn *)
   let rotten = Option.get (Diskswap.load_image swap 1) in
@@ -250,10 +383,10 @@ let test_memo_follows_drop_and_recovery () =
   Alcotest.(check int) "one valid image kept" 1 r.Diskswap.images_valid;
   Alcotest.(check bool) "rotten image dropped" false (Diskswap.has_image swap 1);
   Alcotest.(check (option (array int))) "survivor memo intact" (Some [||])
-    (Diskswap.image_refs swap 3);
+    (image_refs swap 3);
   ignore (Diskswap.recover swap : Diskswap.recovery);
   Alcotest.(check (option (array int))) "cold recovery clears the memo" None
-    (Diskswap.image_refs swap 3)
+    (image_refs swap 3)
 
 (* The strict verifier decodes every image itself: rot that changes an
    image's bytes after the store memoised them is reported. *)
@@ -383,7 +516,7 @@ let run_seed cov seed =
          cov.retention_drops <- cov.retention_drops + List.length dropped;
          Diskswap.iter_images swap (fun ~id ~image:_ ~refs:_ ->
              cov.images_seen <- cov.images_seen + 1;
-             if Diskswap.image_refs swap id = None then
+             if image_refs swap id = None then
                cov.corrupt_seen <- cov.corrupt_seen + 1;
              if not (Hashtbl.mem reach id) then
                raise
@@ -595,7 +728,8 @@ let test_generation_moves_on_writes () =
       Diskswap.store_image swap ~id:1 (sample_image ~id:1 ~targets:[| 3 |]));
   moves "forward" true (fun () -> Diskswap.forward swap ~old_id:1 ~new_id:4);
   moves "load_image" false (fun () -> ignore (Diskswap.load_image swap 1));
-  moves "image_refs" false (fun () -> ignore (Diskswap.image_refs swap 1));
+  moves "iter_image_refs" false (fun () ->
+      Diskswap.iter_image_refs swap 1 ignore);
   moves "has_image" false (fun () -> ignore (Diskswap.has_image swap 1));
   moves "resolve_forward" false (fun () ->
       ignore (Diskswap.resolve_forward swap 1));
@@ -605,6 +739,121 @@ let test_generation_moves_on_writes () =
       ignore (Diskswap.recover_warm swap : Diskswap.recovery));
   moves "recover" true (fun () ->
       ignore (Diskswap.recover swap : Diskswap.recovery))
+
+(* ---- The order of image writes and drops ----
+
+   Image capture walks the dying objects breadth first from the freshly
+   pruned targets and the live poisoned words; the order it stores
+   images in fixes the order of [Image_capture] events and which write
+   an injected swap fault lands on, and retention's drops come out in
+   the image table's order. Both sequences are pinned here as one MD5,
+   taken over the traces of the 50 chaos seeds and of a leak whose
+   pruned nodes each hold a small shared tree (where a walk in any other
+   order stores the same images in another order), together with the
+   bytes of every image stored after each of the leak's collections. *)
+
+let image_event buf (st : Lp_obs.Event.stamped) =
+  match st.Lp_obs.Event.ev with
+  | Lp_obs.Event.Image_capture { id; bytes } ->
+    Buffer.add_string buf (Printf.sprintf "c%d:%d;" id bytes)
+  | Lp_obs.Event.Image_drop { id } ->
+    Buffer.add_string buf (Printf.sprintf "d%d;" id)
+  | _ -> ()
+
+(* A leak of nodes the program never reads back, each holding a tree of
+   three levels whose leaves are shared between siblings; every fifth
+   step reads the first poisoned word it finds (a resurrection), and the
+   Swap site tears or corrupts a few image writes. *)
+let tree_leak_events buf =
+  let plan =
+    Fault_plan.make
+      (List.map
+         (fun (fault, at) ->
+           { Fault_plan.site = Fault_plan.Swap; fault; at; repeat = false })
+         [
+           (Fault_plan.Torn_write, 7);
+           (Fault_plan.Corrupt_image, 23);
+           (Fault_plan.Torn_write, 61);
+           (Fault_plan.Corrupt_image, 140);
+         ])
+  in
+  let vm =
+    Vm.create ~resurrection:true ~fault:plan ~heap_bytes:60_000 ()
+  in
+  let swap = Vm.swap vm in
+  let sink = Lp_obs.Sink.create ~capacity:1_000_000 ~clock:(fun () -> 0) () in
+  Diskswap.set_sink swap (Some sink);
+  Vm.set_gc_listener vm
+    (Some
+       (fun _ ->
+         let images = ref [] in
+         Diskswap.iter_images swap (fun ~id ~image ~refs:_ ->
+             images := (id, Digest.to_hex (Digest.bytes image)) :: !images);
+         List.iter
+           (fun (id, d) -> Buffer.add_string buf (Printf.sprintf "i%d:%s;" id d))
+           (List.sort compare !images);
+         Buffer.add_char buf '|'));
+  let statics = Vm.statics vm ~class_name:"Roots" ~n_fields:1 in
+  let node () = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:24 ~n_fields:3 () in
+  let leaf () = Vm.alloc vm ~class_name:"Leaf" ~scalar_bytes:8 ~n_fields:1 () in
+  let step k =
+    Vm.with_frame vm ~n_slots:5 @@ fun frame ->
+    let rooted slot obj =
+      Roots.set_slot frame slot obj.Heap_obj.id;
+      obj
+    in
+    let head = rooted 0 (node ()) in
+    let a = rooted 1 (node ()) in
+    let b = rooted 2 (node ()) in
+    let x = rooted 3 (leaf ()) in
+    let y = rooted 4 (leaf ()) in
+    Mutator.write_obj vm x 0 y;
+    Mutator.write_obj vm a 0 x;
+    Mutator.write_obj vm a 1 y;
+    Mutator.write_obj vm b 0 y;
+    Mutator.write_obj vm b 2 x;
+    Mutator.write_obj vm head 1 a;
+    Mutator.write_obj vm head 2 b;
+    (match Mutator.read vm statics 0 with
+    | Some old -> Mutator.write_obj vm head 0 old
+    | None -> ());
+    Mutator.write_obj vm statics 0 head;
+    if k mod 5 = 0 then begin
+      let store = Vm.store vm and found = ref None in
+      Store.iter_live store (fun obj ->
+          for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+            if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+            then found := Some (obj, i)
+          done);
+      match !found with
+      | Some (src, i) -> ignore (Mutator.read vm src i)
+      | None -> ()
+    end
+  in
+  (try
+     for k = 1 to 3_000 do
+       try step k with e when Lp_core.Errors.is_recoverable e -> ()
+     done
+   with e when Lp_core.Errors.is_structured e -> ());
+  Alcotest.(check int) "complete trace" 0 (Lp_obs.Sink.dropped sink);
+  Lp_obs.Sink.iter sink (image_event buf);
+  (Vm.stats vm).Gc_stats.references_poisoned
+
+let image_events_md5 = "d320cd85bf67ffb07702f300a7776b00"
+
+let test_image_event_order () =
+  let buf = Buffer.create 65_536 in
+  for seed = 1 to 50 do
+    let r = Lp_harness.Chaos.run_one ~trace_capacity:1_000_000 ~seed () in
+    if r.Lp_harness.Chaos.trace_dropped > 0 then
+      Alcotest.failf "seed %d: the chaos trace dropped events" seed;
+    List.iter (image_event buf) r.Lp_harness.Chaos.trace;
+    Buffer.add_char buf '#'
+  done;
+  let poisoned = tree_leak_events buf in
+  Alcotest.(check bool) "the leak was pruned" true (poisoned > 0);
+  Alcotest.(check string) "image writes and drops" image_events_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =
   ( "retention",
@@ -630,4 +879,7 @@ let suite =
         test_memo_warm_boot;
       Alcotest.test_case "diskswap: generation moves on writes only" `Quick
         test_generation_moves_on_writes;
+      Alcotest.test_case "image writes and drops keep their order" `Quick
+        test_image_event_order;
+      QCheck_alcotest.to_alcotest prop_capture_matches_record;
     ] )
