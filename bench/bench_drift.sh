@@ -7,14 +7,12 @@
 # Each named file in the working tree is compared with
 # `git show HEAD:<file>` after both are stripped of the fields a rerun
 # may change: the host's core count, wall-clock times and the verdicts
-# drawn from them, and the fields the pause-SLO autopilot sets from
-# wall-clock pauses (its budget, adjustments and slice count). Prints
-# each difference and exits 1 if any deterministic field differs.
+# drawn from them. Prints each difference and exits 1 if any
+# deterministic field differs.
 set -eu
 
 strip='walk(if type == "object" then
-  with_entries(select(.key | test("^(host_cores|cpu_seconds|histogram|pass|guard_ns)$|pause.*_ns$|_ns_|_wall_s$|_(delta|overhead|path)_pct$|_below_") | not))
-  | if .mode == "autopilot" then del(.pause_samples, .final_budget, .slo_adjustments) else . end
+  with_entries(select(.key | test("^(host_cores|cpu_seconds|histogram|pass|guard_ns)$|pause.*_ns$|_ns_|_wall_s$|_(delta|overhead|path)_pct$") | not))
 else . end)'
 
 status=0

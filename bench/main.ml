@@ -639,383 +639,6 @@ let run_obs_overhead_bench ~gate () =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Pause-time sweep: the same leak workloads collected with and
-   without a slice budget, with the VM's per-pause samples (one per
-   collection without a budget; one per mark slice plus the remainder
-   with one) aggregated into max / mean / a log10 histogram.
-   Reclamation outcomes must match across the two (the determinism
-   contract — hard gate), and the incremental engine's biggest slice
-   must respect its object budget; that bound is counted in objects,
-   not nanoseconds, so the gate cannot be flaked by a busy host. The
-   wall-clock comparison (incremental max pause vs sequential) is
-   recorded in the JSON for the honest picture. *)
-
-let pause_slice_budget = 64
-let pause_gate_tolerance = 1.25
-
-(* (label, gc_slice_budget) *)
-let pause_engines =
-  [
-    ("seq", None);
-    (Printf.sprintf "inc%d" pause_slice_budget, Some pause_slice_budget);
-  ]
-
-let pause_workloads =
-  [ Lp_workloads.List_leak.workload; Lp_workloads.Swap_leak.workload ]
-
-(* log10 buckets in microseconds: <1us, <10us, <100us, <1ms, <10ms, >=10ms *)
-let pause_bucket_labels =
-  [ "<1us"; "<10us"; "<100us"; "<1ms"; "<10ms"; ">=10ms" ]
-
-let pause_histogram samples =
-  let h = Array.make (List.length pause_bucket_labels) 0 in
-  List.iter
-    (fun ns ->
-      let b =
-        if ns < 1_000 then 0
-        else if ns < 10_000 then 1
-        else if ns < 100_000 then 2
-        else if ns < 1_000_000 then 3
-        else if ns < 10_000_000 then 4
-        else 5
-      in
-      h.(b) <- h.(b) + 1)
-    samples;
-  h
-
-type pause_case = {
-  pc_workload : string;
-  pc_engine : string;
-  pc_gc_count : int;
-  pc_bytes_reclaimed : int;
-  pc_samples : int;
-  pc_max_ns : int;
-  pc_mean_ns : float;
-  pc_max_slice_work : int;
-  pc_histogram : int array;
-}
-
-let run_pause_case w (name, gc_slice_budget) =
-  let captured = ref None in
-  let r =
-    Lp_harness.Driver.run
-      ~config:(Lp_core.Config.make ?gc_slice_budget ())
-      ~max_iterations:5_000
-      ~prepare_vm:(fun vm -> captured := Some vm)
-      w
-  in
-  let vm = match !captured with Some vm -> vm | None -> assert false in
-  let samples = Lp_runtime.Vm.pause_samples_ns vm in
-  let n = List.length samples in
-  {
-    pc_workload = r.Lp_harness.Driver.workload;
-    pc_engine = name;
-    pc_gc_count = r.Lp_harness.Driver.gc_count;
-    pc_bytes_reclaimed = r.Lp_harness.Driver.bytes_reclaimed;
-    pc_samples = n;
-    pc_max_ns = Lp_runtime.Vm.max_pause_ns vm;
-    pc_mean_ns =
-      (if n = 0 then 0.0
-       else float_of_int (List.fold_left ( + ) 0 samples) /. float_of_int n);
-    pc_max_slice_work = Lp_runtime.Vm.max_slice_work vm;
-    pc_histogram = pause_histogram samples;
-  }
-
-let run_pause_bench () =
-  Lp_harness.Render.header "GC pause profile"
-    "per-pause wall-clock samples under seq / inc engines; results in \
-     BENCH_pauses.json";
-  let cases =
-    List.concat_map
-      (fun w -> List.map (run_pause_case w) pause_engines)
-      pause_workloads
-  in
-  let base c =
-    List.find
-      (fun b -> b.pc_workload = c.pc_workload && b.pc_engine = "seq")
-      cases
-  in
-  let deterministic =
-    List.for_all
-      (fun c ->
-        let b = base c in
-        c.pc_gc_count = b.pc_gc_count
-        && c.pc_bytes_reclaimed = b.pc_bytes_reclaimed)
-      cases
-  in
-  let slice_cap =
-    int_of_float (float_of_int pause_slice_budget *. pause_gate_tolerance)
-  in
-  let slice_violations =
-    List.filter (fun c -> c.pc_max_slice_work > slice_cap) cases
-  in
-  let inc_beats_seq =
-    List.filter
-      (fun c ->
-        c.pc_engine <> "seq" && c.pc_max_slice_work > 0
-        && c.pc_max_ns < (base c).pc_max_ns)
-      cases
-  in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "engine": %S, "collections": %d,
-      "bytes_reclaimed": %d, "pause_samples": %d, "max_pause_ns": %d,
-      "mean_pause_ns": %.0f, "max_slice_work": %d,
-      "histogram": [%s] }|}
-      c.pc_workload c.pc_engine c.pc_gc_count c.pc_bytes_reclaimed c.pc_samples
-      c.pc_max_ns c.pc_mean_ns c.pc_max_slice_work
-      (String.concat ", "
-         (Array.to_list (Array.map string_of_int c.pc_histogram)))
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "gc_pauses",
-  "slice_budget": %d,
-  "slice_gate_tolerance": %.2f,
-  "histogram_buckets": [%s],
-  "deterministic_across_engines": %b,
-  "incremental_max_pause_below_sequential_on": [%s],
-  "cases": [
-%s
-  ]
-}
-|}
-      pause_slice_budget pause_gate_tolerance
-      (String.concat ", "
-         (List.map (Printf.sprintf "%S") pause_bucket_labels))
-      deterministic
-      (String.concat ", "
-         (List.map (fun c -> Printf.sprintf "%S" c.pc_workload) inc_beats_seq))
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  write_bench "BENCH_pauses.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "engine"; "gcs"; "pauses"; "max pause ms"; "mean pause ms";
-        "max slice objs" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.pc_workload;
-             c.pc_engine;
-             string_of_int c.pc_gc_count;
-             string_of_int c.pc_samples;
-             Printf.sprintf "%.3f" (float_of_int c.pc_max_ns /. 1e6);
-             Printf.sprintf "%.3f" (c.pc_mean_ns /. 1e6);
-             string_of_int c.pc_max_slice_work;
-           ])
-         cases);
-  Printf.printf
-    "outputs %s across engines; incremental max pause below sequential on: %s\n"
-    (if deterministic then "IDENTICAL" else "DIVERGED (engine bug!)")
-    (match inc_beats_seq with
-    | [] -> "none"
-    | l -> String.concat ", " (List.map (fun c -> c.pc_workload) l));
-  print_endline "wrote BENCH_pauses.json";
-  if not deterministic then exit 1;
-  if slice_violations <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "pause-gate: FAIL — %s/%s max slice scanned %d objects, over the \
-           budget %d x %.2f = %d\n"
-          c.pc_workload c.pc_engine c.pc_max_slice_work pause_slice_budget
-          pause_gate_tolerance slice_cap)
-      slice_violations;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Pause-SLO autopilot scenario: the same workloads under (a) the
-   static incremental engine at a 256-object budget — the budget the
-   autopilot starts from — and (b)
-   the autopilot chasing a tight 1us p99 target, which pins the
-   budget near the 32-object floor. The target must sit below the
-   static budget's own p99, or a working controller opens the budget
-   and the first gate asks it to beat a pause it was told it may
-   exceed.  Three gates, each exit 1:
-
-   - the autopilot's p99 pause must come in strictly below the static
-     default's on every workload (the controller actually controls);
-   - an autopilot run may contain no Monolithic pause sample — every
-     pause was slice-bounded, i.e. the sliced sweep really removed the
-     monolithic remainder;
-   - two autopilot runs must agree bit-for-bit on reclaimed bytes,
-     collection count and the prune log (budgets are wall-clock-fed
-     but outcome-neutral — the determinism contract under feedback). *)
-
-let slo_target_ns = 1_000
-let slo_iterations = 5_000
-let slo_static_budget = 256
-
-let slo_workloads =
-  [ Lp_workloads.List_leak.workload; Lp_workloads.Swap_leak.workload ]
-
-type slo_case = {
-  sc_workload : string;
-  sc_mode : string;  (* "static" | "autopilot" *)
-  sc_gc_count : int;
-  sc_bytes_reclaimed : int;
-  sc_pruned : (string * string) list;
-  sc_samples : int;
-  sc_monolithic : int;
-  sc_p99_ns : int;
-  sc_max_ns : int;
-  sc_adjustments : int;
-  sc_final_budget : int;
-}
-
-let slo_p99 samples =
-  match List.sort compare samples with
-  | [] -> 0
-  | sorted ->
-    let n = List.length sorted in
-    List.nth sorted (min (n - 1) (99 * n / 100))
-
-let run_slo_case ~autopilot w =
-  let captured = ref None in
-  let config =
-    if autopilot then Lp_core.Config.make ~pause_slo_p99_ns:slo_target_ns ()
-    else Lp_core.Config.make ~gc_slice_budget:slo_static_budget ()
-  in
-  let r =
-    Lp_harness.Driver.run ~config ~max_iterations:slo_iterations
-      ~prepare_vm:(fun vm -> captured := Some vm)
-      w
-  in
-  let vm = match !captured with Some vm -> vm | None -> assert false in
-  let tagged = Lp_runtime.Vm.pause_samples vm in
-  let ns = List.map snd tagged in
-  let adjustments, final_budget =
-    match Lp_runtime.Vm.autopilot vm with
-    | Some ap -> (Lp_slo.Autopilot.adjustments ap, Lp_slo.Autopilot.budget ap)
-    | None -> (0, 256)
-  in
-  {
-    sc_workload = r.Lp_harness.Driver.workload;
-    sc_mode = (if autopilot then "autopilot" else "static");
-    sc_gc_count = r.Lp_harness.Driver.gc_count;
-    sc_bytes_reclaimed = r.Lp_harness.Driver.bytes_reclaimed;
-    sc_pruned = r.Lp_harness.Driver.pruned_edge_types;
-    sc_samples = List.length tagged;
-    sc_monolithic =
-      List.length
-        (List.filter
-           (fun (p, _) -> p = Lp_heap.Trace_engine.Monolithic)
-           tagged);
-    sc_p99_ns = slo_p99 ns;
-    sc_max_ns = Lp_runtime.Vm.max_pause_ns vm;
-    sc_adjustments = adjustments;
-    sc_final_budget = final_budget;
-  }
-
-let run_slo_bench () =
-  Lp_harness.Render.header "Pause-SLO autopilot"
-    "feedback-tuned slice budgets vs the static incremental default; \
-     results in BENCH_slo.json";
-  let cases =
-    List.concat_map
-      (fun w ->
-        [ run_slo_case ~autopilot:false w; run_slo_case ~autopilot:true w ])
-      slo_workloads
-  in
-  let static c =
-    List.find
-      (fun b -> b.sc_workload = c.sc_workload && b.sc_mode = "static")
-      cases
-  in
-  let autopilots = List.filter (fun c -> c.sc_mode = "autopilot") cases in
-  let p99_losses =
-    List.filter (fun c -> c.sc_p99_ns >= (static c).sc_p99_ns) autopilots
-  in
-  let monolithic_leaks =
-    List.filter (fun c -> c.sc_monolithic > 0) autopilots
-  in
-  (* determinism under feedback: rerun every autopilot case and compare
-     the reclamation outcome bit for bit (pause timings are excluded —
-     they are wall-clock and may not repeat) *)
-  let reruns = List.map (run_slo_case ~autopilot:true) slo_workloads in
-  let outcome c = (c.sc_workload, c.sc_gc_count, c.sc_bytes_reclaimed, c.sc_pruned) in
-  let nondeterministic =
-    List.exists2 (fun a b -> outcome a <> outcome b) autopilots reruns
-  in
-  let case_json c =
-    Printf.sprintf
-      {|    { "workload": %S, "mode": %S, "collections": %d,
-      "bytes_reclaimed": %d, "pause_samples": %d, "monolithic_samples": %d,
-      "p99_pause_ns": %d, "max_pause_ns": %d, "slo_adjustments": %d,
-      "final_budget": %d }|}
-      c.sc_workload c.sc_mode c.sc_gc_count c.sc_bytes_reclaimed c.sc_samples
-      c.sc_monolithic c.sc_p99_ns c.sc_max_ns c.sc_adjustments
-      c.sc_final_budget
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "benchmark": "pause_slo",
-  "target_p99_ns": %d,
-  "autopilot_p99_below_static_everywhere": %b,
-  "monolithic_samples_in_autopilot_runs": %d,
-  "deterministic_under_feedback": %b,
-  "cases": [
-%s
-  ]
-}
-|}
-      slo_target_ns (p99_losses = [])
-      (List.fold_left (fun acc c -> acc + c.sc_monolithic) 0 autopilots)
-      (not nondeterministic)
-      (String.concat ",\n" (List.map case_json cases))
-  in
-  write_bench "BENCH_slo.json" json;
-  Lp_harness.Render.table
-    ~columns:
-      [ "workload"; "mode"; "gcs"; "pauses"; "p99 pause ms"; "max pause ms";
-        "retunes"; "budget" ]
-    ~rows:
-      (List.map
-         (fun c ->
-           [
-             c.sc_workload;
-             c.sc_mode;
-             string_of_int c.sc_gc_count;
-             string_of_int c.sc_samples;
-             Printf.sprintf "%.3f" (float_of_int c.sc_p99_ns /. 1e6);
-             Printf.sprintf "%.3f" (float_of_int c.sc_max_ns /. 1e6);
-             string_of_int c.sc_adjustments;
-             string_of_int c.sc_final_budget;
-           ])
-         cases);
-  print_endline "wrote BENCH_slo.json";
-  if p99_losses <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "slo-gate: FAIL — %s autopilot p99 %dns not below static %dns\n"
-          c.sc_workload c.sc_p99_ns (static c).sc_p99_ns)
-      p99_losses;
-    exit 1
-  end;
-  if monolithic_leaks <> [] then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "slo-gate: FAIL — %s autopilot run contains %d Monolithic pause \
-           sample(s); every pause must be slice-bounded\n"
-          c.sc_workload c.sc_monolithic)
-      monolithic_leaks;
-    exit 1
-  end;
-  if nondeterministic then begin
-    Printf.eprintf
-      "slo-gate: FAIL — autopilot reruns diverged on reclamation outcome \
-       (budget feedback leaked into collector decisions)\n";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Fleet scenario: a small multi-tenant fleet under chaos — one tenant
    pinned SAFE, seeded kills and disk-pressure windows — reporting
    per-tenant and aggregate throughput, pause percentiles, restart
@@ -1612,17 +1235,6 @@ let scenarios =
       ( "obs-gate",
         "Same measurement; exit 1 if overhead exceeds the 3% budget",
         run_obs_overhead_bench ~gate:true );
-      ( "gc-pauses",
-        "Pause profile under seq/inc engines (writes \
-         BENCH_pauses.json; exit 1 if outputs diverge or an \
-         incremental slice busts its budget)",
-        run_pause_bench );
-      ( "slo",
-        "Pause-SLO autopilot vs the static incremental default (writes \
-         BENCH_slo.json; exit 1 unless the autopilot's p99 beats \
-         static everywhere, no pause is monolithic, and reruns reclaim \
-         bit-identically)",
-        run_slo_bench );
       ( "fleet",
         "Multi-tenant fleet under chaos (writes BENCH_fleet.json; \
          exit 1 on any verifier failure or crash)",

@@ -125,35 +125,17 @@ let heap_arg =
   Arg.(value & opt (some positive) None
        & info [ "heap" ] ~docv:"BYTES" ~doc:"Heap size in simulated bytes (default: the workload's, about twice its non-leaking live size).")
 
-(* Shared by run, trace and chaos: the slice budget of the engine behind
-   full collections. Prune decisions, counters and heap state are
-   identical at every budget by the determinism contract — only the
-   pause profile differs. *)
-let gc_slice_budget_arg =
-  Arg.(value & opt (some positive) None
-       & info [ "gc-slice-budget" ] ~docv:"N"
-           ~doc:"Bound every pause: one mark slice scans at most N objects \
-                 before yielding, and the sweep runs in N-slot segments. \
-                 Without it each collection is one pause. With \
-                 --pause-slo-p99 this is just the initial budget (default \
-                 256) — the autopilot retunes it between collections.")
-
 (* Shared by run, trace, chaos and serve: the pause-SLO autopilot. *)
 let pause_slo_arg =
   Arg.(value & opt (some duration_conv) None
        & info [ "pause-slo-p99" ] ~docv:"DURATION"
            ~doc:"Arm the pause-SLO autopilot with this p99 pause target \
-                 (e.g. $(b,100us)): the slice budget is retuned from \
-                 wall-clock pause feedback between collections. \
-                 Outcome-neutral: reclamation stays bit-identical run to \
-                 run.")
-
-let slo_floor_arg =
-  Arg.(value & opt (some positive) None
-       & info [ "pause-slo-floor" ] ~docv:"N"
-           ~doc:"Lowest slice budget (in objects) the autopilot may tune \
-                 down to (default 32). The floor keeps slices meaningful \
-                 however slow the host.")
+                 (e.g. $(b,100us)): collections run in slices of at most \
+                 256 objects at first, and the slice budget is retuned \
+                 from wall-clock pause feedback between collections, never \
+                 below 32 objects. Without it each collection is one \
+                 pause. Outcome-neutral: reclamation stays bit-identical \
+                 run to run.")
 
 (* Shared by run, trace, chaos and serve: whether the static liveness
    oracle (access-graph analysis over the workload's bytecode model)
@@ -183,13 +165,11 @@ let validated validate x =
 
 (* The VM configuration run and trace share, validated. *)
 let vm_config =
-  let make policy gc_slice_budget pause_slo slo_floor =
+  let make policy pause_slo =
     validated Lp_core.Config.validate
-      (Lp_core.Config.make ~policy ?gc_slice_budget ?pause_slo_p99_ns:pause_slo
-         ?slo_budget_floor:slo_floor ())
+      (Lp_core.Config.make ~policy ?pause_slo_p99_ns:pause_slo ())
   in
-  Term.(const make $ policy_arg $ gc_slice_budget_arg $ pause_slo_arg
-        $ slo_floor_arg)
+  Term.(const make $ policy_arg $ pause_slo_arg)
 
 (* Shared by serve's fleet options and its tenant specs. *)
 let rate_arg =
@@ -592,13 +572,11 @@ let chaos_cmd =
      re-run traced, exported as a Chrome trace. Reruns are exact (the
      run is a deterministic function of seed and cap, and tracing never
      changes behaviour), so the trace shows the actual failure. *)
-  let write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
-      ~steps ~seed dir =
+  let write_failure_trace ~faults ~pause_slo ~liveness ~steps ~seed dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let r =
-      Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
-        ?pause_slo_p99_ns:pause_slo ~liveness ~steps ~trace_capacity:65_536
-        ~seed ()
+      Lp_harness.Chaos.run_one ~faults ?pause_slo_p99_ns:pause_slo ~liveness
+        ~steps ~trace_capacity:65_536 ~seed ()
     in
     let file = Filename.concat dir (Printf.sprintf "chaos_seed_%d.trace.json" seed) in
     let oc = open_out file in
@@ -634,14 +612,12 @@ let chaos_cmd =
       | Lp_harness.Chaos.Survived -> ""
       | o -> "  (" ^ Lp_harness.Chaos.outcome_to_string o ^ ")")
   in
-  let run seeds steps no_faults seed quiet trace_dir gc_slice_budget pause_slo
-      liveness =
+  let run seeds steps no_faults seed quiet trace_dir pause_slo liveness =
     let faults = not no_faults in
     match seed with
     | Some seed ->
       let r =
-        Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
-          ?pause_slo_p99_ns:pause_slo ~liveness
+        Lp_harness.Chaos.run_one ~faults ?pause_slo_p99_ns:pause_slo ~liveness
           ~steps ~seed ()
       in
       print_report r;
@@ -650,9 +626,8 @@ let chaos_cmd =
          budgets, but these runs are untraced and every scalar field is
          deterministic by the outcome-neutrality of budgets *)
       (match
-         Lp_harness.Chaos.run_one ~faults ?gc_slice_budget
-           ?pause_slo_p99_ns:pause_slo ~liveness
-           ~steps ~seed ()
+         Lp_harness.Chaos.run_one ~faults ?pause_slo_p99_ns:pause_slo
+           ~liveness ~steps ~seed ()
        with
       | r' when r' = r -> ()
       | _ -> Printf.printf "WARNING: seed %d did not reproduce identically\n" seed);
@@ -661,8 +636,7 @@ let chaos_cmd =
           (Lp_fault.Fault_plan.describe (Lp_fault.Fault_plan.random ~seed ()));
       if Lp_harness.Chaos.failed r then begin
         let shrunk =
-          Lp_harness.Chaos.shrink ~faults ?gc_slice_budget
-            ?pause_slo_p99_ns:pause_slo ~liveness
+          Lp_harness.Chaos.shrink ~faults ?pause_slo_p99_ns:pause_slo ~liveness
             ~steps ~seed ()
         in
         (match shrunk with
@@ -670,9 +644,7 @@ let chaos_cmd =
         | None -> ());
         (match trace_dir with
         | Some dir ->
-          (* replays run under the failing slice budget, so the trace
-             shows that run's slices *)
-          write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
+          write_failure_trace ~faults ~pause_slo ~liveness
             ~steps:(match shrunk with Some n -> n | None -> steps)
             ~seed dir
         | None -> ());
@@ -684,9 +656,8 @@ let chaos_cmd =
     | None ->
       let failures = ref 0 in
       let reports =
-        Lp_harness.Chaos.run_seeds ~faults ?gc_slice_budget
-          ?pause_slo_p99_ns:pause_slo ~liveness
-          ~steps ~seeds
+        Lp_harness.Chaos.run_seeds ~faults ?pause_slo_p99_ns:pause_slo
+          ~liveness ~steps ~seeds
           ~progress:(fun r ->
             let bad =
               Lp_harness.Chaos.failed r
@@ -712,8 +683,7 @@ let chaos_cmd =
           if Lp_harness.Chaos.failed r then begin
             let seed = r.Lp_harness.Chaos.seed in
             let shrunk =
-              Lp_harness.Chaos.shrink ~faults ?gc_slice_budget
-                ?pause_slo_p99_ns:pause_slo
+              Lp_harness.Chaos.shrink ~faults ?pause_slo_p99_ns:pause_slo
                 ~liveness ~steps ~seed ()
             in
             (match shrunk with
@@ -722,7 +692,7 @@ let chaos_cmd =
             | None -> ());
             match trace_dir with
             | Some dir ->
-              write_failure_trace ~faults ~gc_slice_budget ~pause_slo ~liveness
+              write_failure_trace ~faults ~pause_slo ~liveness
                 ~steps:(match shrunk with Some n -> n | None -> steps)
                 ~seed dir
             | None -> ()
@@ -732,7 +702,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seeds_arg $ steps_arg $ no_faults_arg $ seed_arg $ quiet_arg
-          $ trace_dir_arg $ gc_slice_budget_arg $ pause_slo_arg $ liveness_arg)
+          $ trace_dir_arg $ pause_slo_arg $ liveness_arg)
 
 let serve_cmd =
   let doc =

@@ -15,15 +15,11 @@ type t = {
   force_state : State_kind.t option;
   maxstaleuse_decay_period : int option;
   safe_mode_threshold : int option;
-  gc_slice_budget : int option;
   liveness_boost : int;
   (* Pause-SLO autopilot (lib/slo). [pause_slo_p99_ns = Some target]
      arms it: the slice budget is retuned between collections from
-     wall-clock pause feedback. Budgets never drop below
-     [slo_budget_floor] objects, so the deterministic count-based CI
-     gates keep holding. *)
+     wall-clock pause feedback. *)
   pause_slo_p99_ns : int option;
-  slo_budget_floor : int;
 }
 
 let default =
@@ -40,10 +36,8 @@ let default =
     force_state = None;
     maxstaleuse_decay_period = None;
     safe_mode_threshold = Some 4;
-    gc_slice_budget = None;
     liveness_boost = 1;
     pause_slo_p99_ns = None;
-    slo_budget_floor = 32;
   }
 
 let make ?(policy = default.policy) ?(observe_threshold = default.observe_threshold)
@@ -55,9 +49,7 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     ?(finalizers_after_prune = default.finalizers_after_prune) ?report
     ?force_state ?maxstaleuse_decay_period
     ?(safe_mode_threshold = default.safe_mode_threshold)
-    ?gc_slice_budget
-    ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns
-    ?(slo_budget_floor = default.slo_budget_floor) () =
+    ?(liveness_boost = default.liveness_boost) ?pause_slo_p99_ns () =
   {
     policy;
     observe_threshold;
@@ -71,10 +63,8 @@ let make ?(policy = default.policy) ?(observe_threshold = default.observe_thresh
     force_state;
     maxstaleuse_decay_period;
     safe_mode_threshold;
-    gc_slice_budget;
     liveness_boost;
     pause_slo_p99_ns;
-    slo_budget_floor;
   }
 
 let validate t =
@@ -92,11 +82,8 @@ let validate t =
   then Error "maxstaleuse_decay_period must be >= 1"
   else if (match t.safe_mode_threshold with Some n -> n < 1 | None -> false)
   then Error "safe_mode_threshold must be >= 1"
-  else if (match t.gc_slice_budget with Some b -> b < 1 | None -> false) then
-    Error "gc_slice_budget must be >= 1"
   else if t.liveness_boost < 0 || t.liveness_boost > 6 then
     Error "liveness_boost must be in [0, 6]"
   else if (match t.pause_slo_p99_ns with Some n -> n < 1 | None -> false) then
     Error "pause_slo_p99_ns must be >= 1"
-  else if t.slo_budget_floor < 1 then Error "slo_budget_floor must be >= 1"
   else Ok t

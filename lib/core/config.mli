@@ -7,16 +7,16 @@
     and Figure 11: pruning waits until the heap is still 100% full after a
     collection and the VM is about to throw an out-of-memory error.
 
-    [Config] holds only the settings of one VM, 16 fields: the paper's
-    thresholds and trigger, the collector's slice budget, the SAFE-mode
-    threshold, the liveness boost and the pause SLO. Whether a run
-    installs the liveness oracle at all is not among them (see
-    {!liveness_mode}). Fleet settings live with the
-    code that reads them: admission, quarantine and checkpoint cadence
-    in [Lp_fleet.Fleet.options], the restart ladder in
+    [Config] holds only the settings of one VM, 14 fields: the paper's
+    thresholds and trigger, the SAFE-mode threshold, the liveness boost
+    and the pause SLO. Whether a run installs the liveness oracle at
+    all is not among them (see {!liveness_mode}). Fleet settings live
+    with the code that reads them: admission, quarantine and checkpoint
+    cadence in [Lp_fleet.Fleet.options], the restart ladder in
     [Lp_super.Supervisor.config], the crash-storm breaker in
-    [Lp_super.Breaker.config]; the slow paths' retry bounds are
-    constants in [Lp_runtime.Vm]. *)
+    [Lp_super.Breaker.config]. The slow paths' retry bounds and the
+    autopilot's starting budget and floor are constants in
+    [Lp_runtime.Vm]. *)
 
 type prune_trigger = On_select_gc | On_exhaustion
 
@@ -68,15 +68,6 @@ type t = {
       (** resurrections (recovered mispredictions) within one prune
           epoch that push the controller into the SAFE state, suspending
           pruning; [None] disables safe mode; default [Some 4] *)
-  gc_slice_budget : int option;
-      (** [Some b] bounds every pause: one mark slice scans at most [b]
-          objects before yielding, and the sweep runs in segments of
-          [b] slots ([>= 1]). [None] (the default) runs each
-          collection as one pause. Reclamation outcomes are identical
-          with and without a budget by construction — only the pause
-          profile (and therefore wall time per pause) differs.
-          With the pause SLO armed this is only the starting budget
-          (256 when [None]); the autopilot retunes it. *)
   liveness_boost : int;
       (** how many staleness levels a [Dead_beyond 0] (never-read)
           verdict lowers the [min_candidate_stale] floor for that edge
@@ -84,16 +75,12 @@ type t = {
           guard still applies; range [0, 6]; default 1 *)
   pause_slo_p99_ns : int option;
       (** the pause SLO: target 99th-percentile pause, in nanoseconds.
-          [Some target] arms the [Lp_slo.Autopilot] — the VM retunes
+          [Some target] arms the [Lp_slo.Autopilot]: the collector
+          runs in slices, starting at 256 objects, and the VM retunes
           the slice budget between collections from wall-clock pause
-          feedback. Outcome-neutral by construction: budgets only move
-          slice boundaries. Default [None] (autopilot off) *)
-  slo_budget_floor : int;
-      (** the deterministic object-count floor under the autopilot's
-          nanosecond-denominated budget: a retuned slice budget never
-          drops below this many objects, so the count-based CI gates
-          stay meaningful however slow the host; must be [>= 1];
-          default 32 *)
+          feedback, never below 32 objects. Outcome-neutral by
+          construction: budgets only move slice boundaries. Default
+          [None] (autopilot off: each collection is one pause) *)
 }
 
 val default : t
@@ -111,10 +98,8 @@ val make :
   ?force_state:State_kind.t ->
   ?maxstaleuse_decay_period:int ->
   ?safe_mode_threshold:int option ->
-  ?gc_slice_budget:int ->
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->
-  ?slo_budget_floor:int ->
   unit ->
   t
 val validate : t -> (t, string) result

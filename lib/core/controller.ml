@@ -121,7 +121,6 @@ let safe_exits_forced t = State_machine.safe_exits_forced t.machine
 
 let mispredictions t = t.mispredictions
 
-let epoch_mispredictions t = t.epoch_mispredictions
 
 (* ------------------------------------------------------------------ *)
 (* Static liveness oracle plumbing. The harness lowers a

@@ -151,9 +151,6 @@ val note_misprediction :
 val mispredictions : t -> int
 (** Total recovered mispredictions reported via {!note_misprediction}. *)
 
-val epoch_mispredictions : t -> int
-(** Mispredictions counted since the last PRUNE collection. *)
-
 val set_liveness_prior :
   t -> (Lp_heap.Class_registry.id -> int -> Selection.prior) -> unit
 (** Install the static liveness oracle, lowered to runtime ids by the

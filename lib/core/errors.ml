@@ -100,31 +100,3 @@ let is_recoverable = function
   | Out_of_memory _ | Disk_exhausted _ | Out_of_disk _ | Resurrection_failed _
   | _ ->
     false
-
-let rec pp_exn ppf = function
-  | Out_of_memory { gc_count; used_bytes; limit_bytes } ->
-    Format.fprintf ppf "OutOfMemoryError (after %d collections, %d/%d bytes)"
-      gc_count used_bytes limit_bytes
-  | Internal_error { cause; src_class; tgt_class } ->
-    Format.fprintf ppf
-      "InternalError: access to pruned reference %s -> %s@ caused by: %a"
-      src_class tgt_class pp_exn cause
-  | Disk_exhausted { resident_bytes; limit_bytes; retries; gc_count } ->
-    Format.fprintf ppf
-      "DiskExhausted (%d/%d bytes resident after %d degraded retries, %d \
-       collections)"
-      resident_bytes limit_bytes retries gc_count
-  | Heap_corruption { src_class; field; target; gc_count } ->
-    Format.fprintf ppf
-      "HeapCorruption: %s field %d held a dangling reference to #%d \
-       (quarantined; %d collections)"
-      src_class field target gc_count
-  | Out_of_disk { resident_bytes; limit_bytes } ->
-    Format.fprintf ppf "OutOfDisk (%d resident of %d limit)" resident_bytes
-      limit_bytes
-  | Resurrection_failed { target; reason; gc_count } ->
-    Format.fprintf ppf "ResurrectionFailed: object #%d: %s (%d collections)"
-      target
-      (resurrection_failure_to_string reason)
-      gc_count
-  | e -> Format.pp_print_string ppf (Printexc.to_string e)

@@ -128,7 +128,3 @@ val is_recoverable : exn -> bool
     resource is gone. [Resurrection_failed] is not itself recoverable —
     it only appears as the cause inside a (recoverable)
     [Internal_error]. [false] for exceptions outside the taxonomy. *)
-
-val pp_exn : Format.formatter -> exn -> unit
-(** Human-readable rendering of the errors above (and a fallback for
-    any other exception). *)

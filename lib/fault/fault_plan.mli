@@ -113,9 +113,5 @@ val fired : t -> (site * int * fault) list
 
 val fired_count : t -> int
 
-val site_to_string : site -> string
-
-val fault_to_string : fault -> string
-
 val describe : t -> string
 (** One line per scheduled event, for reports. *)

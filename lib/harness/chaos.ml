@@ -94,7 +94,7 @@ let liveness_field_map =
 
 let default_steps = 300
 
-let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
+let run_one ?(faults = true) ?pause_slo_p99_ns
     ?(liveness = Lp_core.Config.Liveness_off) ?(steps = default_steps)
     ?trace_capacity ~seed () =
   let rng = Random.State.make [| 0xC4A05; seed |] in
@@ -114,12 +114,11 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
      paper's prune-means-gone semantics in the sweep. *)
   let resurrection = Random.State.int rng 4 > 0 in
   let plan = if faults then Some (Lp_fault.Fault_plan.random ~seed ()) else None in
-  (* [Config.make ()] is [Config.default], so with no engine selection
-     this is the exact VM every chaos run always built. *)
+  (* [Config.make ()] is [Config.default], so with no pause SLO this is
+     the exact VM every chaos run always built. *)
   let vm =
     Lp_runtime.Vm.create
-      ~config:
-        (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns ())
+      ~config:(Lp_core.Config.make ?pause_slo_p99_ns ())
       ?disk ~resurrection ?nursery_bytes ?fault:plan ~heap_bytes ()
   in
   (match trace_capacity with
@@ -374,11 +373,11 @@ let run_one ?(faults = true) ?gc_slice_budget ?pause_slo_p99_ns
       | None -> 0);
   }
 
-let shrink ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness
+let shrink ?faults ?pause_slo_p99_ns ?liveness
     ?(steps = default_steps) ~seed () =
   let failing m =
     failed
-      (run_one ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ~steps:m
+      (run_one ?faults ?pause_slo_p99_ns ?liveness ~steps:m
          ~seed ())
   in
   if not (failing steps) then None
@@ -394,11 +393,11 @@ let shrink ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness
     Some !hi
   end
 
-let run_seeds ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ?steps
+let run_seeds ?faults ?pause_slo_p99_ns ?liveness ?steps
     ?progress ~seeds () =
   List.init seeds (fun i ->
       let r =
-        run_one ?faults ?gc_slice_budget ?pause_slo_p99_ns ?liveness ?steps
+        run_one ?faults ?pause_slo_p99_ns ?liveness ?steps
           ~seed:(i + 1) ()
       in
       (match progress with Some f -> f r | None -> ());

@@ -75,7 +75,6 @@ val outcome_to_string : outcome -> string
 
 val run_one :
   ?faults:bool ->
-  ?gc_slice_budget:int ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->
@@ -85,22 +84,20 @@ val run_one :
   report
 (** One deterministic chaos run. [faults] (default [true]) attaches the
     fault plan [Lp_fault.Fault_plan.random ~seed]; [false] runs the same
-    workload fault-free. [gc_slice_budget] sets the slice budget of the
-    engine behind the VM's full collections
-    ({!Lp_core.Config.gc_slice_budget}). The engine reproduces the same
-    decisions, counters, heap state, clock and trace at every budget —
-    so the whole report must be independent of it, which is exactly
-    what the differential determinism test asserts. [steps] caps the
-    workload (default 300). The VM shape (heap size, generational mode,
-    disk baseline, resurrection) is itself drawn from the seed, so a
-    sweep covers all configurations. [trace_capacity] attaches an event sink of that
+    workload fault-free. [steps] caps the workload (default 300). The
+    VM shape (heap size, generational mode, disk baseline,
+    resurrection) is itself drawn from the seed, so a sweep covers all
+    configurations. [trace_capacity] attaches an event sink of that
     capacity before the first step; the log lands in {!report.trace}.
     Tracing never changes a run's behaviour — only its observation.
     [pause_slo_p99_ns] arms the pause-SLO autopilot
-    ({!Lp_core.Config.pause_slo_p99_ns}): the slice budget is then
-    retuned from wall-clock feedback between collections — which keeps
-    every scalar report field bit-identical run to run all the same,
-    because budgets are outcome-neutral.
+    ({!Lp_core.Config.pause_slo_p99_ns}): the collector then runs in
+    slices whose budget is retuned from wall-clock feedback between
+    collections. Without it each collection is one pause. The engine
+    reproduces the same decisions, counters, heap state, clock and
+    trace at every budget, so every report field (the trace filtered
+    by {!Lp_obs.Event.deterministic}) must equal the unsliced run's,
+    which is what the differential determinism test asserts.
     [liveness] (default [Liveness_off]) installs the static liveness
     oracle over a bytecode model of the chaos program before the first
     step; off mode leaves every report byte-identical to builds without
@@ -108,7 +105,6 @@ val run_one :
 
 val shrink :
   ?faults:bool ->
-  ?gc_slice_budget:int ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->
@@ -116,13 +112,12 @@ val shrink :
   unit ->
   int option
 (** The smallest step cap at which [seed] still fails ([Violation] or
-    [Crash]) under the given slice budget; [None] if it does not
+    [Crash]) under the given settings; [None] if it does not
     fail at [steps]. Binary search is sound because a capped run is a
     prefix of the full run, so failure at cap [m] is monotone in [m]. *)
 
 val run_seeds :
   ?faults:bool ->
-  ?gc_slice_budget:int ->
   ?pause_slo_p99_ns:int ->
   ?liveness:Lp_core.Config.liveness_mode ->
   ?steps:int ->

@@ -42,11 +42,6 @@ let pop_frame thread =
   | [] | [ _ ] -> invalid_arg "Roots.pop_frame: cannot pop the initial frame"
   | _ :: rest -> thread.frames <- rest
 
-let top_frame thread =
-  match thread.frames with
-  | frame :: _ -> frame
-  | [] -> invalid_arg "Roots.top_frame: dead thread"
-
 let set_slot frame i id = frame.slots.(i) <- id
 
 let get_slot frame i = frame.slots.(i)

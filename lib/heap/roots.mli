@@ -39,8 +39,6 @@ val push_frame : thread -> n_slots:int -> frame
 val pop_frame : thread -> unit
 (** @raise Invalid_argument when only the initial frame remains. *)
 
-val top_frame : thread -> frame
-
 val set_slot : frame -> int -> int -> unit
 (** [set_slot f i id] stores object identifier [id] (or 0 for null) in
     slot [i]. *)

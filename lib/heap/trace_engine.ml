@@ -4,8 +4,3 @@
    that stops the world for the whole collection reports nothing, and
    the VM accounts the entire collection as one [Monolithic] sample. *)
 type pause_phase = Mark_slice | Sweep_slice | Monolithic
-
-let pause_phase_name = function
-  | Mark_slice -> "mark_slice"
-  | Sweep_slice -> "sweep_slice"
-  | Monolithic -> "monolithic"

@@ -7,9 +7,7 @@
 type pause_phase = Mark_slice | Sweep_slice | Monolithic
 (** What kind of mutator-visible pause a sample measures: a bounded
     mark (or stale-closure) slice, a bounded sweep segment, or a whole
-    stop-the-world collection. Benches and the pause-SLO autopilot
-    dispatch on the tag; before it existed the monolithic sweep
-    remainder was indistinguishable from a slice sample. *)
-
-val pause_phase_name : pause_phase -> string
-(** ["mark_slice"], ["sweep_slice"], ["monolithic"]. *)
+    stop-the-world collection. The pause-SLO autopilot and the
+    benchmark in [perfbench/] dispatch on the tag; before it existed
+    the monolithic sweep remainder was indistinguishable from a slice
+    sample. *)

@@ -40,26 +40,6 @@ let build (m : Bytecode.methd) =
   Array.iteri (fun i ps -> preds.(i) <- List.sort compare ps) preds;
   { methd = m; succs; preds }
 
-let leaders (m : Bytecode.methd) =
-  (* basic-block leaders: entry, branch targets, branch successors *)
-  let n = Array.length m.Bytecode.code in
-  let mark = Array.make (max n 1) false in
-  if n > 0 then mark.(0) <- true;
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Bytecode.Jump l | Bytecode.Jump_if_zero l ->
-        if l >= 0 && l < n then mark.(l) <- true;
-        if pc + 1 < n then mark.(pc + 1) <- true
-      | Bytecode.Return -> if pc + 1 < n then mark.(pc + 1) <- true
-      | _ -> ())
-    m.Bytecode.code;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    if mark.(i) then acc := i :: !acc
-  done;
-  !acc
-
 let reachable t =
   let n = Array.length t.methd.Bytecode.code in
   let seen = Array.make (max n 1) false in

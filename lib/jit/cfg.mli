@@ -16,10 +16,6 @@ val successors : Bytecode.methd -> int -> int list
 
 val build : Bytecode.methd -> t
 
-val leaders : Bytecode.methd -> int list
-(** Basic-block leader pcs, ascending: the entry, every branch target
-    and every instruction following a branch or return. *)
-
 val reachable : t -> bool array
 (** Per-pc reachability from the entry (dead code never constrains the
     analysis). *)

@@ -25,17 +25,6 @@ val dead_code_elimination : n_locals:int -> Ir.instr list -> result
     variables, whose stores may be observed by other regions, so they
     are always considered live. *)
 
-val peephole : Ir.instr list -> result
-(** Removes self-moves and jumps to an immediately following label. *)
-
-val linear_scan_cost : Ir.instr list -> int
-(** Work performed by a linear-scan register allocator over the final
-    IR: one visit per instruction plus one per live interval active at
-    it. Barriers lengthen the live ranges of loaded references (the
-    guarded call uses the register), so allocation work grows faster
-    than instruction count — part of why the paper's compile-time
-    overhead (17%) exceeds its code-size overhead (10%). *)
-
 val run_pipeline : ?rounds:int -> n_locals:int -> Ir.instr list -> Ir.instr list * int
 (** Runs the full pass pipeline [rounds] times (default 3) followed by
     the register-allocation costing, returning the optimized

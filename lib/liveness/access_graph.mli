@@ -30,7 +30,6 @@ val bot : aval
 val of_class : string -> aval
 val join : aval -> aval -> aval
 val aval_equal : aval -> aval -> bool
-val is_bot : aval -> bool
 
 type t = {
   content : aval Map.t;
@@ -55,5 +54,4 @@ val has_wild_reads : t -> bool
 val universe : t -> Key.t list
 (** Every slot the program mentions, sorted. *)
 
-val pp_aval : Format.formatter -> aval -> unit
 val pp : Format.formatter -> t -> unit

@@ -70,9 +70,11 @@ type t = {
   mutable walk_len : int;
 }
 
-(* The budget an armed pause SLO starts from when the config sets
-   none: the autopilot needs slices to measure and retune. *)
+(* The budget an armed pause SLO starts from (the autopilot needs
+   slices to measure and retune), and the object-count floor it never
+   tunes below, so a slice stays meaningful however slow the host. *)
 let slo_initial_slice_budget = 256
+let slo_min_slice_budget = 32
 
 let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     ?(charge_barriers = true) ?disk ?swap_backend ?swap_store
@@ -150,23 +152,20 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
              image
              (Lp_fault.Fault_plan.check plan Lp_fault.Fault_plan.Swap)))
   | None -> ());
-  let slice_budget, autopilot =
-    match config.Lp_core.Config.pause_slo_p99_ns with
-    | Some target_p99_ns ->
-      let budget =
-        Option.value config.Lp_core.Config.gc_slice_budget
-          ~default:slo_initial_slice_budget
-      in
-      ( Some budget,
-        Some
-          (Lp_slo.Autopilot.create ~target_p99_ns
-             ~floor:config.Lp_core.Config.slo_budget_floor
-             ~init_budget:budget) )
-    | None -> (config.Lp_core.Config.gc_slice_budget, None)
+  let autopilot =
+    Option.map
+      (fun target_p99_ns ->
+        Lp_slo.Autopilot.create ~target_p99_ns ~floor:slo_min_slice_budget
+          ~init_budget:slo_initial_slice_budget)
+      config.Lp_core.Config.pause_slo_p99_ns
   in
-  (* The collector behind every full collection, built from
-     Config.gc_slice_budget; the controller owns it, and the autopilot
-     retunes its budget through [Controller.engine]. *)
+  (* The collector behind every full collection: one pause per
+     collection, or slices when the pause SLO is armed. The controller
+     owns it, and the autopilot retunes its budget through
+     [Controller.engine]. *)
+  let slice_budget =
+    Option.map (fun _ -> slo_initial_slice_budget) autopilot
+  in
   let controller =
     Lp_core.Controller.create ~metrics
       ~engine:(Collector.create ?slice_budget ())
@@ -298,16 +297,6 @@ let pause_samples t =
 let pause_samples_ns t =
   List.init t.pause_len (fun i -> pause_ns t.pause_buf.(i))
 
-let max_pause_ns t =
-  let m = ref 0 in
-  for i = 0 to t.pause_len - 1 do
-    m := max !m (pause_ns t.pause_buf.(i))
-  done;
-  !m
-
-let max_slice_work t =
-  Collector.max_slice_work (Lp_core.Controller.engine t.controller)
-
 (* The engine holds nothing to release; kept because the benchmark in
    perfbench/ calls it. *)
 let shutdown (_ : t) = ()
@@ -317,8 +306,6 @@ let fault_plan t = t.fault
 let corruptions_injected t = t.corruptions_injected
 
 let register_class t name = Class_registry.register t.registry name
-
-let main_thread t = t.main_thread
 
 let spawn_thread t = Roots.spawn_thread t.roots
 

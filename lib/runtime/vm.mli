@@ -111,23 +111,24 @@ val fault_plan : t -> Lp_fault.Fault_plan.t option
     at {!create} and owned by the controller
     ({!Lp_core.Controller.engine}), the VM's only handle on it:
 
-    - [Config.gc_slice_budget = None] (default, named [seq]): each
-      collection is one pause, recorded as one [Monolithic] sample;
-    - [Config.gc_slice_budget = Some b] (named [inc<b>]): the closures
-      run in slices of at most [b] objects and the sweep in [b]-slot
-      segments, one tagged pause sample each.
+    - without a pause SLO (the default): each collection is one
+      pause, recorded as one [Monolithic] sample;
+    - with [Config.pause_slo_p99_ns] set: the closures run in slices
+      of at most the autopilot's current budget in objects, and the
+      sweep in segments of that many slots, one tagged pause sample
+      each.
 
     The engine is deterministic by construction: heap state, counters,
     prune decisions, reclaimed bytes, the simulated clock and the trace
-    are identical with and without a budget. Only the wall-clock pause
-    profile differs. *)
+    (filtered by {!Lp_obs.Event.deterministic}) are identical with and
+    without a budget. Only the wall-clock pause profile differs. *)
 
 val autopilot : t -> Lp_slo.Autopilot.t option
 (** The pause-SLO autopilot, present iff [Config.pause_slo_p99_ns] was
     set. After every full collection the VM feeds it the collection's
     phase-tagged pause samples, then applies the returned slice budget
-    to the engine. Under the autopilot the engine is always sliced:
-    with no [Config.gc_slice_budget] it starts from 256 objects. *)
+    to the engine. The budget starts at 256 objects and never drops
+    below 32. *)
 
 val gc_pause_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent inside full-heap collections
@@ -149,17 +150,7 @@ val pause_samples : t -> (Trace_engine.pause_phase * int) list
     history as one int per sample and builds the list on each call. *)
 
 val pause_samples_ns : t -> int list
-(** {!pause_samples} without the tags — the max over this list is the
-    quantity the pause-time benchmark gates on. *)
-
-val max_pause_ns : t -> int
-(** [List.fold_left max 0 (pause_samples_ns t)], without building the
-    list. *)
-
-val max_slice_work : t -> int
-(** The largest number of objects any single mark slice has scanned
-    (0 without a slice budget) — the deterministic counterpart of
-    {!max_pause_ns}, bounded by the largest slice budget in effect. *)
+(** {!pause_samples} without the tags. *)
 
 val shutdown : t -> unit
 (** Does nothing: the engine holds no resource. Kept only because the
@@ -205,8 +196,6 @@ val statics : t -> class_name:string -> n_fields:int -> Heap_obj.t
     requests return the same object; [n_fields] must then match. *)
 
 (** {1 Threads and frames} *)
-
-val main_thread : t -> Roots.thread
 
 val spawn_thread : t -> Roots.thread
 

@@ -5,9 +5,9 @@
    The budget is wall-clock-fed and therefore non-deterministic run to
    run. It is denominated in nanoseconds and converted to an object
    count through an EWMA estimate of per-object scan cost; a
-   deterministic object-count floor ([slo_budget_floor]) bounds it from
-   below so count-based invariants survive arbitrarily slow hosts. A
-   wrong budget can only move slice boundaries — the engine's
+   deterministic object-count floor (32 objects, [Vm.slo_min_slice_budget])
+   bounds it from below so count-based invariants survive arbitrarily
+   slow hosts. A wrong budget can only move slice boundaries — the engine's
    reclamation outcome is budget-independent by the determinism
    contract — so feeding wall time here is safe. *)
 

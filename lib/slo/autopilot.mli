@@ -9,7 +9,7 @@
     The budget is wall-clock-fed, which is safe because it is
     outcome-neutral: budgets only move slice boundaries, never what
     gets reclaimed. The object-count budget never drops below the
-    configured floor, keeping count-based invariants meaningful on
+    given floor, keeping count-based invariants meaningful on
     arbitrarily slow hosts. *)
 
 type t
@@ -21,9 +21,9 @@ type decision = {
 }
 
 val create : target_p99_ns:int -> floor:int -> init_budget:int -> t
-(** [floor] is the deterministic object-count floor
-    ([Config.slo_budget_floor]); [init_budget] the object budget in
-    effect before any feedback.
+(** [floor] is the deterministic object-count floor (the VM passes
+    32); [init_budget] the object budget in effect before any feedback
+    (the VM passes 256).
     @raise Invalid_argument on a non-positive target, floor or
     budget. *)
 

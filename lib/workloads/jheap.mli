@@ -11,7 +11,6 @@ open Lp_heap
 open Lp_runtime
 
 val string_class : string
-val char_array_class : string
 
 val alloc_string : Vm.t -> chars:int -> Heap_obj.t
 (** A [java.lang.String] whose field 0 references a [char[]] of

@@ -32,22 +32,19 @@ for cmd in list run trace chaos serve experiment; do help "$cmd"; done
 
 err run NoSuchWorkload
 err run ListLeak --policy bogus
-err run ListLeak --gc-slice-budget 0
 err run ListLeak --pause-slo-p99 0
-err run ListLeak --pause-slo-floor 0
 err run ListLeak --heap=0
 err run ListLeak --cap=-5
 
 err trace
 err trace -w NoSuchWorkload
-err trace -w ListLeak --gc-slice-budget 0
-err trace -w ListLeak --pause-slo-floor 0
+err trace -w ListLeak --pause-slo-p99 0
 err trace -w ListLeak --heap=0
 err trace -w ListLeak --buffer=0
 
 err chaos --seeds=-1
 err chaos --steps=-1
-err chaos --gc-slice-budget 0
+err chaos --pause-slo-p99 0
 err chaos --liveness bogus
 
 err serve --tenants 0

@@ -120,29 +120,24 @@ let test_oversized_request_fast_fail () =
       (Vm.gc_count vm <= 1)
 
 let test_config_validation () =
-  (* the collector's slice budget: the range message every subcommand
-     reports *)
+  (* the pause SLO's range message, which Vm.create reports too *)
   Alcotest.(check (result unit string))
-    "gc_slice_budget must be >= 1" (Error "gc_slice_budget must be >= 1")
+    "pause_slo_p99_ns must be >= 1" (Error "pause_slo_p99_ns must be >= 1")
     (Result.map ignore
-       (Lp_core.Config.validate (Lp_core.Config.make ~gc_slice_budget:0 ())));
-  (* every slice budget is valid, with or without a pause SLO *)
+       (Lp_core.Config.validate (Lp_core.Config.make ~pause_slo_p99_ns:0 ())));
+  (* every positive target is valid, and so is no pause SLO *)
   List.iter
-    (fun gc_slice_budget ->
-      List.iter
-        (fun pause_slo_p99_ns ->
-          match
-            Lp_core.Config.validate
-              (Lp_core.Config.make ?gc_slice_budget ?pause_slo_p99_ns ())
-          with
-          | Ok _ -> ()
-          | Error msg -> Alcotest.failf "valid engine choice rejected: %s" msg)
-        [ None; Some 100_000 ])
-    [ None; Some 1; Some 32 ];
-  Alcotest.check_raises "Vm.create rejects a zero slice budget"
-    (Invalid_argument "Vm.create: gc_slice_budget must be >= 1") (fun () ->
+    (fun pause_slo_p99_ns ->
+      match
+        Lp_core.Config.validate (Lp_core.Config.make ?pause_slo_p99_ns ())
+      with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "valid engine choice rejected: %s" msg)
+    [ None; Some 1; Some 100_000 ];
+  Alcotest.check_raises "Vm.create rejects a zero pause SLO"
+    (Invalid_argument "Vm.create: pause_slo_p99_ns must be >= 1") (fun () ->
       ignore
-        (Vm.create ~config:(Lp_core.Config.make ~gc_slice_budget:0 ())
+        (Vm.create ~config:(Lp_core.Config.make ~pause_slo_p99_ns:0 ())
            ~heap_bytes:1_000 ()))
 
 let disk_vm plan =
