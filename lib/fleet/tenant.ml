@@ -258,67 +258,55 @@ let retired t = t.retired
 
 let export_brain t = Lp_core.Controller.export_brain (Vm.controller t.vm)
 
-let boot_cold t =
+(* The recovery pass every VM incarnation ends with: audit the swap
+   store's images, counting the audit, and release the whole store. *)
+let recover_swap t =
+  let recovery = Diskswap.recover (Vm.swap t.vm) in
+  t.images_valid <- t.images_valid + recovery.Diskswap.images_valid;
+  t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt;
+  recovery
+
+let boot t =
   t.vm <- new_vm t.spec t.backend;
   install t;
   set_baselines t
 
 (* A restart is the tenant's whole error-containment story: harvest the
-   dying VM's counters, put the swap store through a recovery pass,
-   boot a replacement VM over the same quota.
-
-   Cold: [Diskswap.recover] drops every image and releases the backend;
-   the fresh VM starts with an empty brain. Warm: [recover_warm] audits
-   image checksums but *retains* the valid ones, the fresh VM adopts the
-   surviving store and a non-colliding id space, and the checkpointed
-   controller brain is restored — falling back to a cold boot (with a
-   reason) if the import fails, so a bad checkpoint can never leave a
-   half-restored tenant. *)
+   dying VM's counters, put its swap store through [Diskswap.recover]
+   (audit every image, release everything back to the backend), and
+   boot a fresh VM over the same quota. Warm and cold differ only in
+   what the fresh controller starts from: a warm restart imports the
+   checkpointed brain and counts as cold, with the reason, if the
+   import fails (which leaves the controller untouched), so a bad
+   checkpoint can never leave a half-restored tenant. *)
 let restart t ~killed ~mode =
   harvest t;
   t.restarts <- t.restarts + 1;
   if killed then t.kills <- t.kills + 1;
-  let count (recovery : Diskswap.recovery) =
-    t.images_valid <- t.images_valid + recovery.Diskswap.images_valid;
-    t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt;
-    recovery
+  let recovery = recover_swap t in
+  boot t;
+  let warm, fallback =
+    match mode with
+    | Cold -> (false, None)
+    | Warm brain -> (
+      match Lp_core.Controller.import_brain (Vm.controller t.vm) brain with
+      | Ok () ->
+        set_baselines t;
+        (true, None)
+      | Error msg -> (false, Some msg))
   in
-  match mode with
-  | Cold ->
-    let recovery = count (Diskswap.recover (Vm.swap t.vm)) in
-    t.cold_restarts <- t.cold_restarts + 1;
-    boot_cold t;
-    { recovery; warm = false; fallback = None }
-  | Warm brain -> (
-    let swap = Vm.swap t.vm in
-    let recovery = count (Diskswap.recover_warm swap) in
-    let first_object_id = Lp_heap.Store.next_fresh_id (Vm.store t.vm) in
-    t.vm <- new_vm ~swap_store:swap ~first_object_id t.spec t.backend;
-    install t;
-    match Lp_core.Controller.import_brain (Vm.controller t.vm) brain with
-    | Ok () ->
-      set_baselines t;
-      t.warm_restarts <- t.warm_restarts + 1;
-      { recovery; warm = true; fallback = None }
-    | Error msg ->
-      (* the adopted store still holds retained images; release them
-         before abandoning the warm incarnation *)
-      ignore (Diskswap.recover swap : Diskswap.recovery);
-      t.cold_restarts <- t.cold_restarts + 1;
-      boot_cold t;
-      { recovery; warm = false; fallback = Some msg })
+  if warm then t.warm_restarts <- t.warm_restarts + 1
+  else t.cold_restarts <- t.cold_restarts + 1;
+  { recovery; warm; fallback }
 
 (* Permanent removal at the top of the escalation ladder: harvest,
-   release every byte back to the shared backend. The swap recovery
-   counts its image audit like any restart would. *)
+   release every byte back to the shared backend. *)
 let retire_tenant t =
   if not t.retired then begin
     t.retired <- true;
     t.finished <- true;
     harvest t;
-    let recovery = Diskswap.recover (Vm.swap t.vm) in
-    t.images_valid <- t.images_valid + recovery.Diskswap.images_valid;
-    t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt
+    ignore (recover_swap t : Diskswap.recovery)
   end
 
 let finish t =

@@ -116,15 +116,14 @@ val serve_one : t -> [ `Ok | `Recovered | `Fatal of string ]
     tag, or ["verifier"] / ["crash"]. *)
 
 val restart : t -> killed:bool -> mode:restart_mode -> restart_outcome
-(** Error containment: harvest the dying VM, shut it down, recover its
-    swap store, boot a replacement. [killed] marks an injected
-    [Kill_tenant] (counted separately from organic restarts). [Cold]
-    runs {!Lp_runtime.Diskswap.recover} (every image dropped, backend
-    released); [Warm] runs {!Lp_runtime.Diskswap.recover_warm} (valid
-    images retained), adopts the surviving store into the new VM and
-    imports the brain — on import failure the tenant is re-booted cold
-    and [fallback] carries the reason, so a bad checkpoint can never
-    leave a half-restored tenant. *)
+(** Error containment: harvest the dying VM, recover its swap store
+    with {!Lp_runtime.Diskswap.recover} (every image audited and
+    dropped, the backend released), boot a fresh VM. [killed] marks an
+    injected [Kill_tenant] (counted separately from organic restarts).
+    [Cold] and [Warm] boot the same fresh VM; [Warm] then imports the
+    brain, and if the import fails the restart counts as cold and
+    [fallback] carries the reason, so a bad checkpoint can never leave a
+    half-restored tenant. *)
 
 val probe : t -> [ `Ready | `Fatal of string ]
 (** Readiness probe gating re-admission after a restart: one strict

@@ -123,9 +123,10 @@ let heap_check ?(strict = false) vm =
   if
     Lp_core.Controller.pruned_edge_types controller <> []
     && stats.Gc_stats.references_poisoned = 0
-    (* a warm-booted VM's restored brain remembers prunes a previous
-       incarnation performed; this incarnation's stats start at zero *)
-    && not (Vm.warm_boot vm)
+    (* the two collection counts move together, and only an imported
+       brain sets the controller's: a restored brain remembers prunes
+       that a previous incarnation performed *)
+    && Lp_core.Controller.gc_count controller = stats.Gc_stats.collections
   then fail "pruned edge types recorded but no reference was ever poisoned";
   if
     stats.Gc_stats.references_poisoned > 0

@@ -122,6 +122,57 @@ let test_backend_accounting_closes () =
     report.Fleet.backend_used_bytes;
   Alcotest.(check bool) "fleet survived chaos" false (Fleet.failed report)
 
+(* Every admission denial is counted once: the per-tenant counts sum to
+   the backend's, across warm and cold restarts. The run is the CLI's
+   fleet-settings run at retry cap 1 (a 2,000-byte backend, scripted
+   kills, one warm restart per supervisor window). *)
+let test_denials_sum_to_backend () =
+  let kills =
+    [ (4, 0); (11, 0); (18, 0); (25, 0); (32, 0); (40, 1); (45, 2); (9, 3);
+      (12, 3); (15, 3); (18, 3); (21, 3); (24, 3) ]
+  in
+  let d = Fleet.default_options ~seed:3 ~rounds:80 () in
+  let report =
+    Fleet.run
+      { d with
+        Fleet.requests_per_round = 4;
+        capacity_bytes = 2_000;
+        kills;
+        admission_retry_cap = 1;
+        admission_backoff_base = 1;
+        admission_backoff_ceiling = 2;
+        offload_deadline = 20;
+        quarantine_rounds = 2;
+        extended_quarantine_rounds = 5;
+        checkpoint_rounds = 4;
+        supervisor =
+          { d.Fleet.supervisor with
+            Lp_super.Supervisor.warm_limit = 1;
+            cold_limit = 2;
+            retire_limit = 3
+          };
+        breaker =
+          { Lp_super.Breaker.window_rounds = 10;
+            trip_permille = 300;
+            cooldown_rounds = 3
+          }
+      }
+      (List.init 4 (fun id ->
+           { (spec ~id ()) with Tenant.rate_per_mille = 4_000 }))
+  in
+  let sum f =
+    List.fold_left
+      (fun acc (t : Fleet.tenant_report) -> acc + f t)
+      0 report.Fleet.tenant_reports
+  in
+  Alcotest.(check bool) "some restart was warm" true
+    (sum (fun t -> t.Fleet.warm_restarts) > 0);
+  Alcotest.(check bool) "admission was denied" true
+    (report.Fleet.backend_denials > 0);
+  Alcotest.(check int) "tenant denials sum to the backend's"
+    report.Fleet.backend_denials
+    (sum (fun t -> t.Fleet.admission_denials))
+
 (* Tenant restart events carry the typed reason and cumulative count. *)
 let test_restart_events () =
   let killed =
@@ -217,6 +268,8 @@ let suite =
         test_safe_tenant_contained;
       Alcotest.test_case "backend accounting closes under chaos" `Quick
         test_backend_accounting_closes;
+      Alcotest.test_case "denials sum to the backend's across restarts"
+        `Quick test_denials_sum_to_backend;
       Alcotest.test_case "restart events carry typed reasons" `Quick
         test_restart_events;
       Alcotest.test_case "teardown on unanticipated error" `Quick
