@@ -481,9 +481,9 @@ let export_brain t =
             max_stale_use )
           :: !edges);
   {
-    (* the full id-ordered class table: warm-retained swap images embed
-       raw class ids, so the next incarnation must reproduce this exact
-       name -> id mapping before any of them can resurrect correctly *)
+    (* the full id-ordered class table: the importing VM registers it
+       first, so every edge class resolves and classes the workload
+       registers on first use keep the ids they had *)
     brain_classes =
       List.init (Class_registry.count t.registry)
         (Class_registry.name t.registry);
@@ -503,10 +503,10 @@ let export_brain t =
   }
 
 (* All-or-nothing: the brain's class table must re-register at the
-   exact ids it was exported with (swap images reference classes by raw
-   id), and every edge class name must then resolve, before anything is
-   written — so a failed import leaves the controller exactly as it
-   was. Classes the new incarnation has already registered (VM
+   exact ids it was exported with, and every edge class name must then
+   resolve, before anything is written — so a failed import leaves the
+   controller exactly as it was (the registry keeps the names it
+   gained). Classes the new incarnation has already registered (VM
    built-ins, workload [prepare]) were registered in the same order by
    the previous incarnation, so their ids line up; any divergence is a
    checkpoint/incarnation mismatch reported as an error. *)

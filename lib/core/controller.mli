@@ -191,9 +191,9 @@ val safe_exits_forced : t -> int
 
 type brain = {
   brain_classes : string list;
-      (** the full class table in id order: warm-retained swap images
-          embed raw {!Lp_heap.Class_registry.id}s, so the importing
-          incarnation must reproduce this exact name → id mapping *)
+      (** the full class table in id order; the importing incarnation
+          registers it first and must reproduce this exact name → id
+          mapping *)
   brain_gc_count : int;
   brain_mispredictions : int;
   brain_epoch_mispredictions : int;
@@ -208,8 +208,8 @@ type brain = {
 (** Everything the controller has {e learned} — the state a supervision
     checkpoint persists so a warm-restarted tenant keeps its pruning
     knowledge. Edge classes travel by name; [brain_classes] pins the
-    name → id mapping so retained swap images (which reference classes
-    by raw id) stay meaningful across the restart. Byte attribution
+    name → id mapping, so classes the new incarnation registers later
+    keep their ids. Byte attribution
     ([bytesused]) is per-epoch scratch and deliberately absent. *)
 
 val export_brain : t -> brain

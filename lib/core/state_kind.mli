@@ -16,6 +16,13 @@ val of_string : string -> t option
 
 val pp : Format.formatter -> t -> unit
 
+val to_int : t -> int
+(** The state's code, 0 to 4 in constructor order. Checkpoints and the
+    VM's collection history store it, so a code never changes. *)
+
+val of_int : int -> t option
+(** The inverse of {!to_int}; [None] for any other int. *)
+
 val tracking : t -> bool
 (** Whether staleness tracking is active: true for every state except
     [Inactive] — including [Safe], which keeps the edge table warm while

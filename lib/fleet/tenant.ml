@@ -90,7 +90,7 @@ type t = {
 
 let spec t = t.spec
 
-let new_vm ?swap_store ?first_object_id (s : spec) backend =
+let new_vm (s : spec) backend =
   let config =
     Lp_core.Config.make ~policy:s.policy
       ?pause_slo_p99_ns:s.pause_slo_p99_ns
@@ -99,8 +99,8 @@ let new_vm ?swap_store ?first_object_id (s : spec) backend =
   in
   Vm.create ~config
     ~disk:(Diskswap.default_config ~disk_limit_bytes:s.quota_bytes)
-    ~swap_backend:backend ?swap_store ~resurrection:s.resurrection
-    ?first_object_id ~heap_bytes:s.heap_bytes ()
+    ~swap_backend:backend ~resurrection:s.resurrection
+    ~heap_bytes:s.heap_bytes ()
 
 (* The strict verifier runs after every collection of every tenant; a
    failure is fatal for the tenant (never for the fleet). The listener
@@ -266,11 +266,6 @@ let recover_swap t =
   t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt;
   recovery
 
-let boot t =
-  t.vm <- new_vm t.spec t.backend;
-  install t;
-  set_baselines t
-
 (* A restart is the tenant's whole error-containment story: harvest the
    dying VM's counters, put its swap store through [Diskswap.recover]
    (audit every image, release everything back to the backend), and
@@ -284,7 +279,9 @@ let restart t ~killed ~mode =
   t.restarts <- t.restarts + 1;
   if killed then t.kills <- t.kills + 1;
   let recovery = recover_swap t in
-  boot t;
+  t.vm <- new_vm t.spec t.backend;
+  install t;
+  set_baselines t;
   let warm, fallback =
     match mode with
     | Cold -> (false, None)

@@ -9,14 +9,13 @@
     restarts; per-VM counters are folded into the accumulators each
     time an incarnation dies.
 
-    Restarts come in two temperatures. A {e cold} restart drops every
-    swap image and boots an empty brain. A {e warm} restart retains the
-    CRC-valid swap images, starts the fresh VM's identifier space past
-    the dead store's high-water mark so retained ids can never collide,
-    and restores a checkpointed controller brain ({!restart_mode}) — so
-    the learned pruning decisions (protected edge types, SELECT epoch,
-    SAFE counters) survive the crash instead of being re-learned through
-    another round of mispredictions. *)
+    Restarts come in two temperatures, and both drop every swap image
+    and boot the same fresh VM. A {e cold} restart leaves it with an
+    empty brain. A {e warm} restart restores a checkpointed controller
+    brain ({!restart_mode}) — so the learned pruning decisions
+    (protected edge types, SELECT epoch, SAFE counters) survive the
+    crash instead of being re-learned through another round of
+    mispredictions. *)
 
 type spec = {
   id : int;  (** stable identity: orders scheduling, seeds traffic *)

@@ -46,7 +46,6 @@ let set_slot frame i id = frame.slots.(i) <- id
 
 let get_slot frame i = frame.slots.(i)
 
-let clear_slot frame i = frame.slots.(i) <- 0
 
 let iter t f =
   List.iter f t.statics;

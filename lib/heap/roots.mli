@@ -45,8 +45,6 @@ val set_slot : frame -> int -> int -> unit
 
 val get_slot : frame -> int -> int
 
-val clear_slot : frame -> int -> unit
-
 val iter : t -> (int -> unit) -> unit
 (** [iter t f] applies [f] to every root object identifier: each static
     root and each non-null stack slot of each live thread. *)

@@ -79,12 +79,9 @@ let max_slots = 1 lsl 16
 
 let words_per_slot = 2
 
-let create_at ~first_id ~limit_bytes =
+let create ~limit_bytes =
   if limit_bytes <= 0 then invalid_arg "Store.create";
-  if first_id < 1 then invalid_arg "Store.create_at: first_id must be >= 1";
-  let cap =
-    max first_id (min max_slots (max min_slots (limit_bytes / bytes_per_slot)))
-  in
+  let cap = min max_slots (max min_slots (limit_bytes / bytes_per_slot)) in
   {
     slots = Array.make cap sentinel;
     headers = Array.make cap Header.free;
@@ -95,7 +92,7 @@ let create_at ~first_id ~limit_bytes =
     top = 0;
     free_ranges = Array.make 8 [||];
     free_lens = Array.make 8 0;
-    next_id = first_id;
+    next_id = 1;
     free_ids = Array.make 64 0;
     free_head = 0;
     free_len = 0;
@@ -107,8 +104,6 @@ let create_at ~first_id ~limit_bytes =
     nursery = 0;
     alloc_fault = None;
   }
-
-let create ~limit_bytes = create_at ~first_id:1 ~limit_bytes
 
 let set_alloc_fault t f = t.alloc_fault <- f
 

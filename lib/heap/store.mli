@@ -53,12 +53,6 @@ exception Dangling_reference of int
 
 val create : limit_bytes:int -> t
 
-val create_at : first_id:int -> limit_bytes:int -> t
-(** Like {!create}, but the identifier space starts at [first_id]
-    (must be [>= 1]). A warm-restarted VM passes the dead store's
-    {!next_fresh_id} so fresh allocations can never collide with object
-    ids persisted in retained swap images. *)
-
 val limit_bytes : t -> int
 val set_limit_bytes : t -> int -> unit
 

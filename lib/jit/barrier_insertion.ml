@@ -1,5 +1,3 @@
-let barrier_ir_overhead = 2
-
 let insert instrs =
   let count = ref 0 in
   let rec go = function

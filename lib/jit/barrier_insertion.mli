@@ -11,6 +11,3 @@ val insert : Ir.instr list -> Ir.instr list * int
 (** [insert instrs] is the instrumented IR and the number of barriers
     inserted (one per reference load: [Iload_ref], [Iload_static],
     [Iarray_load]). *)
-
-val barrier_ir_overhead : int
-(** IR instructions added per barrier: 2 (test + guarded call). *)

@@ -36,5 +36,3 @@ type methd = {
   code : instr array;
 }
 
-val reference_loads : methd -> int
-(** How many instructions the barrier pass will instrument. *)

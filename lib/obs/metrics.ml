@@ -121,10 +121,6 @@ let snapshot (t : t) =
 
 let find_counter snap name = List.assoc_opt name snap.counters
 
-let find_gauge snap name = List.assoc_opt name snap.gauges
-
-let find_series snap name = List.assoc_opt name snap.series
-
 let to_text snap =
   let buf = Buffer.create 1024 in
   List.iter

@@ -85,10 +85,6 @@ val snapshot : t -> snapshot
 
 val find_counter : snapshot -> string -> int option
 
-val find_gauge : snapshot -> string -> int option
-
-val find_series : snapshot -> string -> int array list option
-
 val to_text : snapshot -> string
 (** One line per metric: [counter <name> <value>], [gauge <name> <value>],
     [histogram <name> observations=... sum=... ...], [series <name>[i] ...]. *)

@@ -23,6 +23,4 @@ let capacity t = Ring.capacity t.ring
 
 let dropped t = Ring.dropped t.ring
 
-let emitted t = t.seq
-
 let clear t = Ring.clear t.ring

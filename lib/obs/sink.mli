@@ -29,8 +29,4 @@ val capacity : t -> int
 val dropped : t -> int
 (** Events evicted because the ring was full. *)
 
-val emitted : t -> int
-(** Events ever emitted ([length + dropped]); also the next sequence
-    number. *)
-
 val clear : t -> unit

@@ -67,16 +67,14 @@ type t = {
   backend : backend option;
   mutable denied : int;  (* this store's admission denials *)
   (* The disk.* totals live in the metrics registry; the accessors below
-     read them back, so the registry is the single source of truth.
-     Mutable so a warm restart can rebind a surviving store into the
-     fresh incarnation's registry ([rebind_metrics]). *)
-  mutable c_swap_outs : Lp_obs.Metrics.counter;
-  mutable c_swap_ins : Lp_obs.Metrics.counter;
-  mutable c_image_writes : Lp_obs.Metrics.counter;
-  mutable c_image_drops : Lp_obs.Metrics.counter;
-  mutable c_admission_denied : Lp_obs.Metrics.counter;
-  mutable g_resident_bytes : Lp_obs.Metrics.gauge;
-  mutable g_image_bytes : Lp_obs.Metrics.gauge;
+     read them back, so the registry is the single source of truth. *)
+  c_swap_outs : Lp_obs.Metrics.counter;
+  c_swap_ins : Lp_obs.Metrics.counter;
+  c_image_writes : Lp_obs.Metrics.counter;
+  c_image_drops : Lp_obs.Metrics.counter;
+  c_admission_denied : Lp_obs.Metrics.counter;
+  g_resident_bytes : Lp_obs.Metrics.gauge;
+  g_image_bytes : Lp_obs.Metrics.gauge;
   mutable sink : Lp_obs.Sink.t option;
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
@@ -150,8 +148,6 @@ let set_image_total t total =
 let resident_bytes t = t.resident_total
 
 let resident_count t = Hashtbl.length t.resident
-
-let is_resident t id = Hashtbl.mem t.resident id
 
 let iter_resident t f =
   Hashtbl.iter (fun id { bytes; _ } -> f ~id ~bytes) t.resident
@@ -400,9 +396,9 @@ type recovery = {
 
 (* Crash-consistent recovery pass for a tenant restart: audit every
    prune image against its CRC (distinguishing clean images from at-rest
-   corruption), then release the whole store — a fresh VM has no
-   poisoned words referencing the old images and no swapped-out credit,
-   so keeping any of it would leak shared-disk bytes forever. Releasing
+   corruption), then release the whole store — the next VM boots with a
+   store of its own, so keeping any of it would leak shared-disk bytes
+   forever. Releasing
    through the total setters credits the backend, closing the byte
    accounting across the restart. *)
 let recover t =
@@ -427,59 +423,6 @@ let recover t =
     payloads_dropped;
     bytes_released;
   }
-
-(* Warm-restart recovery: the audit runs as in [recover], but CRC-valid
-   prune images (and the forwarding table) survive into the next
-   incarnation — only corrupt images and the offload payloads are
-   released. Offload payloads back live heap objects, and those died
-   with the VM: keeping them would leave swapped-out credit for a heap
-   that no longer exists. Retained images whose poisoned referents are
-   never re-created simply age out through the normal post-sweep
-   retention pass. *)
-let recover_warm t =
-  let images_valid = ref 0 and images_corrupt = ref 0 in
-  let corrupt = ref [] and valid = ref [] in
-  Hashtbl.iter
-    (fun id image ->
-      let data = image_data image in
-      match Swap_image.validate data with
-      | Ok _ ->
-        incr images_valid;
-        valid := (id, Valid (data, Swap_image.stored_refs data)) :: !valid
-      | Error _ ->
-        incr images_corrupt;
-        corrupt := id :: !corrupt)
-    t.images;
-  (* the survivors' memoised references are re-read from the bytes the
-     audit validated, so the memo stays exactly what their bytes say *)
-  List.iter (fun (id, image) -> Hashtbl.replace t.images id image) !valid;
-  bump t;
-  let before = disk_bytes t in
-  List.iter (drop_image t) !corrupt;
-  let payloads_dropped = Hashtbl.length t.resident in
-  Hashtbl.reset t.resident;
-  set_resident_total t 0;
-  {
-    images_valid = !images_valid;
-    images_corrupt = !images_corrupt;
-    payloads_dropped;
-    bytes_released = before - disk_bytes t;
-  }
-
-(* Re-intern the disk.* instruments in a fresh incarnation's registry.
-   Counters restart at zero (the old incarnation's totals were harvested
-   with its registry snapshot); the gauges are re-seeded from the
-   surviving byte totals. *)
-let rebind_metrics t metrics =
-  t.c_swap_outs <- Lp_obs.Metrics.counter metrics "disk.swap_outs";
-  t.c_swap_ins <- Lp_obs.Metrics.counter metrics "disk.swap_ins";
-  t.c_image_writes <- Lp_obs.Metrics.counter metrics "disk.image_writes";
-  t.c_image_drops <- Lp_obs.Metrics.counter metrics "disk.image_drops";
-  t.c_admission_denied <- Lp_obs.Metrics.counter metrics "disk.admission_denied";
-  t.g_resident_bytes <- Lp_obs.Metrics.gauge metrics "disk.resident_bytes";
-  t.g_image_bytes <- Lp_obs.Metrics.gauge metrics "disk.image_bytes";
-  Lp_obs.Metrics.set_gauge t.g_resident_bytes t.resident_total;
-  Lp_obs.Metrics.set_gauge t.g_image_bytes t.image_total
 
 let retrieve t store (obj : Heap_obj.t) =
   match Hashtbl.find_opt t.resident obj.Heap_obj.id with

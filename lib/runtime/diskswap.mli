@@ -110,9 +110,6 @@ val resident_bytes : t -> int
 
 val resident_count : t -> int
 
-val is_resident : t -> int -> bool
-(** Whether the object with this identifier currently lives on disk. *)
-
 val iter_resident : t -> (id:int -> bytes:int -> unit) -> unit
 (** Iterates over every disk-resident entry (unspecified order); the
     heap verifier uses this to cross-check residency against the store. *)
@@ -162,31 +159,12 @@ type recovery = {
 }
 
 val recover : t -> recovery
-(** Crash-consistent recovery pass, run when a tenant VM is restarted
-    over this store: audits every prune image against its checksum
+(** Crash-consistent recovery pass, run on a tenant VM's store when the
+    VM is restarted or retired: audits every prune image against its checksum
     (reporting valid vs. corrupt), then releases {e all} disk state —
     payloads, images and the forwarding table — crediting any attached
-    backend. A fresh VM holds no references into the old store, so
-    anything kept would be a permanent shared-disk leak. *)
-
-val recover_warm : t -> recovery
-(** The warm-restart variant: the same CRC audit, but CRC-valid prune
-    images and the forwarding table {e survive} into the next
-    incarnation (only corrupt images are dropped, through the normal
-    drop path, so [image_drops] and events stay honest). Offload
-    payloads are always released — they back heap objects that died
-    with the VM. [bytes_released] counts what was actually credited
-    back. Retained images that the new incarnation never references are
-    released later by the normal post-sweep retention pass, so nothing
-    leaks either way. *)
-
-val rebind_metrics : t -> Lp_obs.Metrics.t -> unit
-(** Re-interns the store's [disk.*] counters and gauges in a fresh
-    incarnation's registry (counters restart at zero — the old
-    incarnation's totals were harvested with its own registry snapshot)
-    and re-seeds the byte gauges from the surviving totals. Called by
-    the VM when it adopts an existing store via [Vm.create
-    ~swap_store]. *)
+    backend. The next VM boots with a store of its own, so anything kept
+    would be a permanent shared-disk leak. *)
 
 val retrieve :
   t ->
@@ -258,7 +236,7 @@ val resolve_forward : t -> int -> int option
 val generation : t -> int
 (** A counter that moves whenever the stored images or the forwarding
     table change: {!store_image}, a {!drop_image} that drops something,
-    {!forward}, {!recover} and {!recover_warm} bump it; reads never do.
+    {!forward} and {!recover} bump it; reads never do.
     Equal generations mean the images (with their memoised references)
     and the forwards are the same, which is what lets the VM skip a
     retention pass whose inputs did not change. *)

@@ -184,10 +184,6 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
         if tgt != Store.sentinel then Vm.remember_write vm ~src:dst ~field:i ~tgt
     done
 
-let field_is_poisoned vm (src : Heap_obj.t) i =
-  Vm.assert_live vm src;
-  Word.poisoned (Store.field (Vm.store vm) src.Heap_obj.id i)
-
 let field_word vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
   Store.field (Vm.store vm) src.Heap_obj.id i

@@ -47,9 +47,7 @@ val arraycopy :
     without touching target staleness, as Jikes RVM's internal memory
     copy does. *)
 
-val field_is_poisoned : Vm.t -> Heap_obj.t -> int -> bool
-(** Non-barrier inspection (no staleness effects, no exception); for
-    tests and diagnostics only — a real program cannot observe this. *)
-
 val field_word : Vm.t -> Heap_obj.t -> int -> Word.t
-(** Raw tagged word; diagnostics only. *)
+(** The raw tagged word, read without a barrier (no staleness effects,
+    no exception); for tests and diagnostics only — a real program
+    cannot observe the poison bit. *)

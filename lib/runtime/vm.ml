@@ -16,7 +16,6 @@ type t = {
   charge_barriers : bool;
   swap : Diskswap.t;
   offload : bool;  (* user configured the disk-offload baseline *)
-  warm_boot : bool;  (* adopted a previous incarnation's swap store *)
   resurrection : bool;
   finalizers : (int, Heap_obj.t -> unit) Hashtbl.t;
   statics_objects : (string, Heap_obj.t) Hashtbl.t;
@@ -77,9 +76,8 @@ let slo_initial_slice_budget = 256
 let slo_min_slice_budget = 32
 
 let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
-    ?(charge_barriers = true) ?disk ?swap_backend ?swap_store
-    ?(resurrection = false) ?nursery_bytes ?fault ?first_object_id ~heap_bytes
-    () =
+    ?(charge_barriers = true) ?disk ?swap_backend ?(resurrection = false)
+    ?nursery_bytes ?fault ~heap_bytes () =
   (match nursery_bytes with
   | Some n when n <= 0 || n >= heap_bytes ->
     invalid_arg "Vm.create: nursery_bytes must be in (0, heap_bytes)"
@@ -89,30 +87,18 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
   | Ok _ -> ());
   let registry = Class_registry.create () in
   let roots = Roots.create () in
-  let store =
-    match first_object_id with
-    | Some first_id -> Store.create_at ~first_id ~limit_bytes:heap_bytes
-    | None -> Store.create ~limit_bytes:heap_bytes
-  in
+  let store = Store.create ~limit_bytes:heap_bytes in
   let metrics = Lp_obs.Metrics.create () in
   (* The VM always owns a swap store: the resurrection subsystem keeps
      prune images there even when the disk-offload baseline is off (in
      which case the "disk" is unbounded — image retention, not a byte
-     limit, bounds it). A warm restart hands the previous incarnation's
-     store in via [swap_store]; it arrives already recovered
-     ([Diskswap.recover_warm]) and keeps its own config and backend, so
-     [disk]/[swap_backend] only shape the offload flag in that case. *)
+     limit, bounds it). *)
   let offload = disk <> None in
   let swap =
-    match swap_store with
-    | Some s ->
-      Diskswap.rebind_metrics s metrics;
-      s
-    | None ->
-      Diskswap.create ~metrics ?backend:swap_backend
-        (match disk with
-        | Some config -> config
-        | None -> Diskswap.default_config ~disk_limit_bytes:max_int)
+    Diskswap.create ~metrics ?backend:swap_backend
+      (match disk with
+      | Some config -> config
+      | None -> Diskswap.default_config ~disk_limit_bytes:max_int)
   in
   (* Thread the fault plan's trigger points through the layers that own
      them: the store consults the Alloc site, the disk the Disk site,
@@ -181,7 +167,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     charge_barriers;
     swap;
     offload;
-    warm_boot = swap_store <> None;
     resurrection;
     finalizers = Hashtbl.create 64;
     statics_objects = Hashtbl.create 16;
@@ -224,8 +209,6 @@ let swap t = t.swap
 
 let[@inline] offloading t = t.offload
 
-let metrics t = t.metrics
-
 (* Publishing the collector's counters on demand keeps the hot mutable
    record as the collector's working representation while every snapshot
    still sees up-to-date gc.* values. *)
@@ -248,7 +231,6 @@ let trace_events t =
   match t.sink with Some s -> Lp_obs.Sink.events s | None -> []
 
 let resurrection_enabled t = t.resurrection
-let warm_boot t = t.warm_boot
 let charge_barriers t = t.charge_barriers
 
 let autopilot t = t.autopilot
@@ -356,28 +338,14 @@ let run_minor_gc t =
 let set_gc_listener t listener = t.gc_listener <- listener
 
 (* A collection's history entry is two ints: its number, then
-   [live lsl 3 lor state] with the state's constructor index in the low
-   three bits; an arithmetic shift gives the bytes back. *)
-let state_code = function
-  | Lp_core.State_kind.Inactive -> 0
-  | Lp_core.State_kind.Observe -> 1
-  | Lp_core.State_kind.Select -> 2
-  | Lp_core.State_kind.Prune -> 3
-  | Lp_core.State_kind.Safe -> 4
-
-let state_of_code = function
-  | 0 -> Lp_core.State_kind.Inactive
-  | 1 -> Lp_core.State_kind.Observe
-  | 2 -> Lp_core.State_kind.Select
-  | 3 -> Lp_core.State_kind.Prune
-  | _ -> Lp_core.State_kind.Safe
-
+   [live lsl 3 lor state] with the state's code ([State_kind.to_int]) in
+   the low three bits; an arithmetic shift gives the bytes back. *)
 (* The buffer's length stays even, so room for one int is room for
    the pair. *)
 let push_history t ~gc_number ~live ~state =
   t.history_buf <- with_room t.history_buf t.history_len;
   t.history_buf.(t.history_len) <- gc_number;
-  t.history_buf.(t.history_len + 1) <- (live lsl 3) lor state_code state;
+  t.history_buf.(t.history_len + 1) <- (live lsl 3) lor Lp_core.State_kind.to_int state;
   t.history_len <- t.history_len + 2
 
 let gc_history t =
@@ -386,7 +354,7 @@ let gc_history t =
       {
         gc_number = t.history_buf.(2 * i);
         live_bytes_after = code asr 3;
-        state = state_of_code (code land 7);
+        state = Option.get (Lp_core.State_kind.of_int (code land 7));
       })
 
 let live_bytes t =

@@ -29,11 +29,9 @@ val create :
   ?charge_barriers:bool ->
   ?disk:Diskswap.config ->
   ?swap_backend:Diskswap.backend ->
-  ?swap_store:Diskswap.t ->
   ?resurrection:bool ->
   ?nursery_bytes:int ->
   ?fault:Lp_fault.Fault_plan.t ->
-  ?first_object_id:int ->
   heap_bytes:int ->
   unit ->
   t
@@ -59,15 +57,9 @@ val create :
     default costs, barriers charged, no disk baseline, no shared
     backend, no resurrection, non-generational, no faults.
 
-    [swap_store] (warm restart) adopts an {e existing} swap store —
-    already passed through {!Diskswap.recover_warm} — instead of
-    creating one; its config and backend attachment are kept as-is
-    ([disk] then only sets the offload flag, [swap_backend] is ignored)
-    and its metrics are re-interned in this VM's registry.
-    [first_object_id] starts the object-identifier space there instead
-    of 1, so fresh allocations cannot collide with ids persisted in the
-    adopted store's retained images — warm restarts pass the dead
-    store's [next_fresh_id].
+    Every VM starts with a store of its own and object ids from 1; a
+    fleet's warm restart boots one like any other and then imports the
+    controller brain.
 
     @raise Invalid_argument when [config] fails
     {!Lp_core.Config.validate}. *)
@@ -92,14 +84,6 @@ val offloading : t -> bool
     barrier. *)
 
 val resurrection_enabled : t -> bool
-
-val warm_boot : t -> bool
-(** True when this VM adopted a previous incarnation's swap store
-    ([swap_store] was passed to {!create}) — i.e. it was warm-restarted.
-    Diagnostics invariants that tie controller history to this
-    incarnation's GC statistics (e.g. "pruned edge types imply poisoned
-    references") are relaxed for such VMs: the restored brain
-    legitimately remembers prunes an earlier incarnation performed. *)
 
 val charge_barriers : t -> bool
 val remset : t -> Remset.t
@@ -166,8 +150,6 @@ val shutdown : t -> unit
     in the VM, the mutator barriers, the controller and the collector
     costs exactly one branch on a [None], and the {!Mutator.read} fast
     path (null or clean reference) has no instrumentation at all. *)
-
-val metrics : t -> Lp_obs.Metrics.t
 
 val metrics_snapshot : t -> Lp_obs.Metrics.snapshot
 (** Publishes the collector's {!Gc_stats} counters into the registry,

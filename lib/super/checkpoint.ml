@@ -26,21 +26,6 @@ let error_to_string = function
   | Version_unsupported v -> Printf.sprintf "version-unsupported (%d)" v
   | Malformed what -> Printf.sprintf "malformed (%s)" what
 
-let state_tag = function
-  | State_kind.Inactive -> 0
-  | State_kind.Observe -> 1
-  | State_kind.Select -> 2
-  | State_kind.Prune -> 3
-  | State_kind.Safe -> 4
-
-let state_of_tag = function
-  | 0 -> Some State_kind.Inactive
-  | 1 -> Some State_kind.Observe
-  | 2 -> Some State_kind.Select
-  | 3 -> Some State_kind.Prune
-  | 4 -> Some State_kind.Safe
-  | _ -> None
-
 (* Payload: eleven fixed int32s (round, four controller counters, six
    machine words), then the length-prefixed class-table, edge and
    pruned-type sections. Strings are a length int32 followed by raw
@@ -87,7 +72,7 @@ let encode ~round (brain : Controller.brain) =
   put_i32 brain.Controller.brain_epoch_mispredictions;
   put_i32 brain.Controller.brain_unproductive_cycles;
   let m = brain.Controller.brain_machine in
-  put_i32 (state_tag m.State_machine.snap_state);
+  put_i32 (State_kind.to_int m.State_machine.snap_state);
   put_i32 (if m.State_machine.snap_pruned_once then 1 else 0);
   put_i32 m.State_machine.snap_gc_seen;
   put_i32 m.State_machine.snap_safe_remaining;
@@ -164,7 +149,7 @@ let decode buf =
           let safe_remaining = get_i32 () in
           let safe_entries = get_i32 () in
           let safe_exits_forced = get_i32 () in
-          match state_of_tag state_tag with
+          match State_kind.of_int state_tag with
           | None -> Error (Malformed (Printf.sprintf "state tag %d" state_tag))
           | Some snap_state ->
             let machine =

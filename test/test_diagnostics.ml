@@ -125,8 +125,8 @@ let check_retained_histograms vm ~drive =
          if Array.exists (fun n -> n > 0) (Array.sub expected 1 Header.max_stale)
          then stale_seen := true;
          match
-           Lp_obs.Metrics.find_series (Vm.metrics_snapshot vm)
-             "gc.staleness_histogram"
+           List.assoc_opt "gc.staleness_histogram"
+             (Vm.metrics_snapshot vm).Lp_obs.Metrics.series
          with
          | Some (_ :: _ as retained) ->
            Alcotest.(check (array int))

@@ -11,6 +11,13 @@ let make_vm ?(disk_limit = 10_000) ?(heap = 2_000) () =
     ~disk:(Diskswap.default_config ~disk_limit_bytes:disk_limit)
     ~heap_bytes:heap ()
 
+(* Whether the object with this identifier is among the disk-resident
+   ones. *)
+let is_resident d id =
+  let found = ref false in
+  Diskswap.iter_resident d (fun ~id:r ~bytes:_ -> if r = id then found := true);
+  !found
+
 let grow vm statics ~nodes =
   for _i = 1 to nodes do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
@@ -71,7 +78,7 @@ let test_on_disk_bit_tracks_residency () =
   Store.iter_live (Vm.store vm) (fun obj ->
       Alcotest.(check bool)
         (Printf.sprintf "object %d: bit iff resident" obj.Heap_obj.id)
-        (Diskswap.is_resident d obj.Heap_obj.id)
+        (is_resident d obj.Heap_obj.id)
         (Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id));
       if Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id) then resident := obj :: !resident);
   Alcotest.(check bool) "something is on disk" true (!resident <> []);
@@ -200,7 +207,7 @@ let offloaded_fixture ?image_fault () =
 
 let test_double_retrieve_is_not_resident () =
   let store, d, objs = offloaded_fixture () in
-  let obj = List.find (fun o -> Diskswap.is_resident d o.Heap_obj.id) objs in
+  let obj = List.find (fun o -> is_resident d o.Heap_obj.id) objs in
   (match Diskswap.retrieve d store obj with
   | `Swapped_in -> ()
   | `Not_resident | `Corrupt _ -> Alcotest.fail "first retrieve must swap in");
@@ -220,7 +227,7 @@ let test_reconcile_after_retrieve () =
      entries must not be released a second time *)
   List.iteri
     (fun i o ->
-      if i mod 2 = 0 && Diskswap.is_resident d o.Heap_obj.id then
+      if i mod 2 = 0 && is_resident d o.Heap_obj.id then
         ignore (Diskswap.retrieve d store o))
     objs;
   let after_retrieves = Diskswap.resident_bytes d in
@@ -239,7 +246,7 @@ let test_residency_non_negative_under_faults () =
   in
   List.iter
     (fun o ->
-      if Diskswap.is_resident d o.Heap_obj.id then begin
+      if is_resident d o.Heap_obj.id then begin
         (match Diskswap.retrieve d store o with
         | `Corrupt _ -> ()
         | `Swapped_in -> Alcotest.fail "corrupted payload must not swap in"
@@ -323,7 +330,7 @@ let test_quota_freed_by_retrieve_readmits () =
      the previously denied candidate *)
   let resident = ref None in
   Store.iter_live store (fun o ->
-      if !resident = None && Diskswap.is_resident d o.Heap_obj.id then
+      if !resident = None && is_resident d o.Heap_obj.id then
         resident := Some o);
   (match Diskswap.retrieve d store (Option.get !resident) with
   | `Swapped_in -> ()

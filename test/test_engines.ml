@@ -564,9 +564,9 @@ let prop_generated_heaps =
 (* Differential determinism oracle: chaos seeds with each collection
    as one pause (seq) and under the pause-SLO autopilot at a 1 ns
    target. The autopilot starts at 256 objects and retunes the budget
-   from wall-clock feedback after every collection, walking it down
-   toward its 32-object floor, so the slice boundaries differ from run
-   to run. The whole report must match seq's: every scalar, the
+   from wall-clock feedback after every collection (budgets stay
+   between its 32-object floor and about 330), so the slice boundaries
+   differ from run to run. The whole report must match seq's: every scalar, the
    outcome and the event trace, in order, once the autopilot's
    wall-clock Slo_adjust events (and the sequence numbers they took)
    are left out. The fixed 1- and 8-object budgets are checked against

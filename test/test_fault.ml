@@ -115,7 +115,7 @@ let test_corruption_read_quarantine () =
   | exception Lp_core.Errors.Heap_corruption { field; _ } ->
     Alcotest.(check int) "corrupt field reported" 0 field);
   Alcotest.(check bool) "slot quarantined (poisoned)" true
-    (Mutator.field_is_poisoned vm statics 0);
+    (Lp_heap.Word.poisoned (Mutator.field_word vm statics 0));
   Alcotest.(check int) "quarantine counted" 1
     (Vm.stats vm).Lp_heap.Gc_stats.words_quarantined;
   (* the quarantined slot now takes the ordinary poisoned path *)
@@ -134,7 +134,7 @@ let test_corruption_gc_quarantine () =
   (* never read: the next collection's scan must find and quarantine it *)
   Vm.run_gc vm;
   Alcotest.(check bool) "collector quarantined the dangle" true
-    (Mutator.field_is_poisoned vm obj 1);
+    (Lp_heap.Word.poisoned (Mutator.field_word vm obj 1));
   Alcotest.(check bool) "quarantine counted" true
     ((Vm.stats vm).Lp_heap.Gc_stats.words_quarantined >= 1);
   Alcotest.(check (result unit string)) "heap verifies after collection" (Ok ())

@@ -60,7 +60,7 @@ let test_metrics_counters_gauges () =
   Alcotest.(check (option int)) "snapshot counter" (Some 42)
     (Metrics.find_counter snap "a.count");
   Alcotest.(check (option int)) "snapshot gauge keeps last" (Some 3)
-    (Metrics.find_gauge snap "b.gauge");
+    (List.assoc_opt "b.gauge" snap.Metrics.gauges);
   Alcotest.(check (option int)) "absent name" None
     (Metrics.find_counter snap "no.such")
 
@@ -100,7 +100,7 @@ let test_series_retention () =
     Metrics.record s [| i; i; i |]
   done;
   let snap = Metrics.snapshot m in
-  match Metrics.find_series snap "stale.hist" with
+  match List.assoc_opt "stale.hist" snap.Metrics.series with
   | None -> Alcotest.fail "series missing from snapshot"
   | Some entries ->
     Alcotest.(check int) "only the last 3 retained" 3 (List.length entries);
@@ -122,7 +122,6 @@ let test_sink_stamping_and_drops () =
   Sink.emit s (Event.Gc_end { gc = 1; state = "OBSERVE"; live_bytes = 10; reclaimed_bytes = 0 });
   Alcotest.(check int) "capacity bounds retention" 3 (Sink.length s);
   Alcotest.(check int) "dropped" 1 (Sink.dropped s);
-  Alcotest.(check int) "emitted = length + dropped" 4 (Sink.emitted s);
   match Sink.events s with
   | [ a; b; c ] ->
     Alcotest.(check (list int)) "sequence numbers survive the drop"
@@ -222,7 +221,7 @@ let test_vm_staleness_series_retention () =
     Lp_runtime.Vm.run_gc vm
   done;
   let snap = Lp_runtime.Vm.metrics_snapshot vm in
-  match Lp_obs.Metrics.find_series snap "gc.staleness_histogram" with
+  match List.assoc_opt "gc.staleness_histogram" snap.Lp_obs.Metrics.series with
   | None -> Alcotest.fail "staleness series missing"
   | Some entries ->
     Alcotest.(check int) "last 16 collections retained" 16

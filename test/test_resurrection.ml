@@ -164,7 +164,7 @@ let test_resurrect_restores_object () =
   Alcotest.(check int) "image space released" 0
     (Diskswap.image_count (Vm.swap vm));
   Alcotest.(check bool) "word un-poisoned" false
-    (Mutator.field_is_poisoned vm src 0);
+    (Word.poisoned (Mutator.field_word vm src 0));
   Alcotest.(check int) "misprediction fed back" 1
     (Lp_core.Controller.mispredictions (Vm.controller vm));
   match Lp_runtime.Diagnostics.heap_check ~strict:true vm with
@@ -200,7 +200,7 @@ let test_surviving_target_is_rewired () =
   | Some back -> Alcotest.(check bool) "same live object" true (back == tgt)
   | None -> Alcotest.fail "expected the surviving target");
   Alcotest.(check bool) "word un-poisoned" false
-    (Mutator.field_is_poisoned vm src 0);
+    (Word.poisoned (Mutator.field_word vm src 0));
   Alcotest.(check int) "no resurrection needed" 0
     (Vm.stats vm).Gc_stats.resurrections;
   Alcotest.(check int) "but the misprediction is recorded" 1
@@ -276,7 +276,7 @@ let test_repoisoned_dead_referent () =
   Store.free (Vm.store vm) inner;
   let restored = Option.get (Mutator.read vm src 0) in
   Alcotest.(check bool) "inner edge re-poisoned" true
-    (Mutator.field_is_poisoned vm restored 0);
+    (Word.poisoned (Mutator.field_word vm restored 0));
   Alcotest.(check int) "repoisoning counted" 1
     (Vm.stats vm).Gc_stats.words_repoisoned
 
@@ -329,7 +329,7 @@ let test_end_to_end_prune_then_resurrect () =
       | Some tgt ->
         incr hops;
         if Store.n_fields (Vm.store vm) tgt.Heap_obj.id > 0
-           && Mutator.field_is_poisoned vm tgt 0
+           && Word.poisoned (Mutator.field_word vm tgt 0)
         then walk tgt 0
       | None -> ()
   in

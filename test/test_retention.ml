@@ -375,17 +375,13 @@ let test_memo_follows_drop_and_recovery () =
   Alcotest.(check (option (array int))) "dropped image has no memo" None
     (image_refs swap 2);
   (* at-rest rot after the write: the stored bytes change under the memo,
-     and the warm-recovery audit drops the image the bytes condemn *)
+     and the recovery audit reads the bytes, not the memo *)
   let rotten = Option.get (Diskswap.load_image swap 1) in
   Bytes.set rotten 20 (Char.chr (Char.code (Bytes.get rotten 20) lxor 0x40));
-  let r = Diskswap.recover_warm swap in
+  let r = Diskswap.recover swap in
   Alcotest.(check int) "one corrupt image found" 1 r.Diskswap.images_corrupt;
-  Alcotest.(check int) "one valid image kept" 1 r.Diskswap.images_valid;
-  Alcotest.(check bool) "rotten image dropped" false (Diskswap.has_image swap 1);
-  Alcotest.(check (option (array int))) "survivor memo intact" (Some [||])
-    (image_refs swap 3);
-  ignore (Diskswap.recover swap : Diskswap.recovery);
-  Alcotest.(check (option (array int))) "cold recovery clears the memo" None
+  Alcotest.(check int) "one valid image found" 1 r.Diskswap.images_valid;
+  Alcotest.(check (option (array int))) "recovery clears the memo" None
     (image_refs swap 3)
 
 (* The strict verifier decodes every image itself: rot that changes an
@@ -696,23 +692,6 @@ let test_memo_sees_forward () =
   Vm.run_gc vm;
   check_images vm [ pinned ]
 
-(* A warm-booted VM starts with no memo: its first collection runs
-   retention, and with no poisoned word of its own it drops the images
-   it inherited. *)
-let test_memo_warm_boot () =
-  let first = poisoned_vm () in
-  let swap = Vm.swap first in
-  store_blank swap pinned;
-  Vm.run_gc first;
-  check_images first [ pinned ];
-  ignore (Diskswap.recover_warm swap : Diskswap.recovery);
-  let vm =
-    Vm.create ~swap_store:swap ~resurrection:true ~heap_bytes:10_000 ()
-  in
-  check_images vm [ pinned ];
-  Vm.run_gc vm;
-  check_images vm []
-
 (* Every write to the images or the forwards moves the generation; reads
    and a drop of an absent image do not. *)
 let test_generation_moves_on_writes () =
@@ -735,8 +714,6 @@ let test_generation_moves_on_writes () =
       ignore (Diskswap.resolve_forward swap 1));
   moves "drop_image" true (fun () -> Diskswap.drop_image swap 1);
   moves "drop_image (absent)" false (fun () -> Diskswap.drop_image swap 1);
-  moves "recover_warm" true (fun () ->
-      ignore (Diskswap.recover_warm swap : Diskswap.recovery));
   moves "recover" true (fun () ->
       ignore (Diskswap.recover swap : Diskswap.recovery))
 
@@ -875,8 +852,6 @@ let suite =
         test_memo_sees_stored_image;
       Alcotest.test_case "memo: a forward re-pointed between collections"
         `Quick test_memo_sees_forward;
-      Alcotest.test_case "memo: a warm boot's first collection" `Quick
-        test_memo_warm_boot;
       Alcotest.test_case "diskswap: generation moves on writes only" `Quick
         test_generation_moves_on_writes;
       Alcotest.test_case "image writes and drops keep their order" `Quick

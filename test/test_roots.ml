@@ -21,7 +21,7 @@ let test_thread_frames () =
   Roots.set_slot frame 2 12;
   Alcotest.(check (list int)) "non-null slots are roots" [ 11; 12 ]
     (collect_roots roots);
-  Roots.clear_slot frame 0;
+  Roots.set_slot frame 0 0;
   Alcotest.(check (list int)) "cleared slot dropped" [ 12 ] (collect_roots roots);
   Roots.pop_frame thread;
   Alcotest.(check (list int)) "popped frame dropped" [] (collect_roots roots)

@@ -91,6 +91,23 @@ let test_transition_history () =
     [ "INACTIVE"; "OBSERVE"; "SELECT"; "PRUNE" ]
     (List.map (fun (_, s) -> State_kind.to_string s) history)
 
+(* The codes checkpoints and the VM history store: fixed, and each one
+   decodes back to its state. *)
+let test_state_codes () =
+  Alcotest.(check (list int)) "codes in constructor order" [ 0; 1; 2; 3; 4 ]
+    (List.map State_kind.to_int
+       State_kind.[ Inactive; Observe; Select; Prune; Safe ]);
+  for code = 0 to 4 do
+    match State_kind.of_int code with
+    | Some s -> Alcotest.(check int) "round trip" code (State_kind.to_int s)
+    | None -> Alcotest.failf "code %d decodes to nothing" code
+  done;
+  List.iter
+    (fun code ->
+      Alcotest.(check bool) (Printf.sprintf "code %d is no state" code) true
+        (State_kind.of_int code = None))
+    [ -1; 5; 7 ]
+
 let prop_monotone_engagement =
   (* Under random occupancy sequences, the machine never returns to
      INACTIVE once it has left it. *)
@@ -121,5 +138,6 @@ let suite =
       Alcotest.test_case "forced state" `Quick test_forced_state_never_moves;
       Alcotest.test_case "disabled policy" `Quick test_none_policy_never_moves;
       Alcotest.test_case "history" `Quick test_transition_history;
+      Alcotest.test_case "state codes" `Quick test_state_codes;
       QCheck_alcotest.to_alcotest prop_monotone_engagement;
     ] )

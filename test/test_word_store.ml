@@ -194,7 +194,7 @@ let run ~reference ops =
             Store.set_field store s i w;
             words.(i) <- w
           end)
-      | Drop slot -> Roots.clear_slot frame slot
+      | Drop slot -> Roots.set_slot frame slot 0
       | Collect -> collect ()
       | Resurrect { dead = k; slot } -> (
         match !dead with
