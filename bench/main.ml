@@ -790,7 +790,7 @@ let run_fleet_bench () =
 (* Restart scenario: warm (checkpoint-restoring) versus cold restarts,
    25 seeds.  One PhasedCache tenant is killed at mid-run; the warm
    fleet restores the controller brain from its last checkpoint, the
-   cold baseline (supervisor warm_limit = 0) relearns from scratch.  The
+   cold baseline (warm_limit = 0) relearns from scratch.  The
    oracle: both runs clean, the warm restart actually takes the warm
    path and reaches readiness, and the warm run ends with *strictly*
    fewer mispredictions than the cold one — the learning burst is paid
@@ -818,13 +818,12 @@ let run_restart_bench () =
      trip on a 1-tenant fleet, so time-to-ready measures quarantine plus
      the readiness probe, not a storm cooldown *)
   let run ~warm seed =
-    let ladder = Lp_super.Supervisor.default in
+    let d = Lp_fleet.Fleet.default_options ~seed ~rounds () in
     let options =
-      { (Lp_fleet.Fleet.default_options ~seed ~rounds ()) with
+      { d with
         Lp_fleet.Fleet.requests_per_round = 2;
-        supervisor =
-          (if warm then ladder else { ladder with warm_limit = 0 });
-        breaker = { Lp_super.Breaker.default with trip_permille = 1000 };
+        warm_limit = (if warm then d.warm_limit else 0);
+        storm_trip_permille = 1000;
         kills = [ (kill_round, 0) ]
       }
     in

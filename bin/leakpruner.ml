@@ -179,14 +179,12 @@ let rate_arg =
                  (2000 = 2 requests/round).")
 
 (* serve's fleet options: the run's seed, length, arrival rate, backend
-   and fault schedule, then the admission, quarantine and checkpoint
-   settings of [Fleet.options], the restart ladder
-   ([Supervisor.config]) and the crash-storm breaker ([Breaker.config]).
-   Each setting defaults to its field's default; the whole is checked by
+   and fault schedule, then the admission settings, the warm-restart
+   limit and the crash-storm trip bar of [Fleet.options]. Each setting
+   defaults to its field's default; the whole is checked by
    [Fleet.validate]. *)
 let fleet_options =
   let d = Lp_fleet.Fleet.default_options ~seed:1 ~rounds:60 () in
-  let sup = d.supervisor and brk = d.breaker in
   let setting c default name docv doc =
     Arg.(value & opt c default & info [ name ] ~docv ~doc)
   in
@@ -242,8 +240,7 @@ let fleet_options =
   in
   let make seed rounds rate capacity chaos storm kills admission_retry_cap
       admission_backoff_base admission_backoff_ceiling offload_deadline
-      quarantine_rounds extended_quarantine_rounds checkpoint_rounds warm_limit
-      cold_limit retire_limit window_rounds trip_permille cooldown_rounds =
+      warm_limit storm_trip_permille =
     validated Lp_fleet.Fleet.validate
       {
         d with
@@ -258,11 +255,8 @@ let fleet_options =
         admission_backoff_base;
         admission_backoff_ceiling;
         offload_deadline;
-        quarantine_rounds;
-        extended_quarantine_rounds;
-        checkpoint_rounds;
-        supervisor = { sup with warm_limit; cold_limit; retire_limit };
-        breaker = { window_rounds; trip_permille; cooldown_rounds };
+        warm_limit;
+        storm_trip_permille;
       }
   in
   Term.(
@@ -279,32 +273,14 @@ let fleet_options =
     $ setting positive d.offload_deadline "offload-deadline" "ROUNDS"
         "Queued requests older than this many rounds time out and are \
          shed."
-    $ setting positive d.quarantine_rounds "quarantine-rounds" "ROUNDS"
-        "Rounds a restarted tenant sits out before its readiness probe \
-         runs."
-    $ setting positive d.extended_quarantine_rounds "extended-quarantine"
-        "ROUNDS"
-        "Quarantine applied by the supervisor's extended rung (must be >= \
-         --quarantine-rounds)."
-    $ setting positive d.checkpoint_rounds "checkpoint-rounds" "ROUNDS"
-        "Cadence of controller-brain checkpoints per tenant."
-    $ setting non_negative sup.warm_limit "warm-limit" "N"
-        "Restarts within the supervisor window that still take the warm \
-         (checkpoint-restoring) path; 0 disables warm restarts."
-    $ setting non_negative sup.cold_limit "cold-limit" "N"
-        "Restarts within the window that still get a plain cold boot \
-         before the ladder escalates to extended quarantine."
-    $ setting non_negative sup.retire_limit "retire-limit" "N"
-        "Restarts within the window beyond which the tenant is \
-         permanently retired."
-    $ setting positive brk.window_rounds "storm-window" "ROUNDS"
-        "Sliding window of the fleet crash-storm breaker."
-    $ setting positive brk.trip_permille "storm-trip-permille" "PERMILLE"
+    $ setting non_negative d.warm_limit "warm-limit" "N"
+        "Restarts within the 16-round supervisor window that still take \
+         the warm (checkpoint-restoring) path, at most 4; 0 disables warm \
+         restarts."
+    $ setting positive d.storm_trip_permille "storm-trip-permille" "PERMILLE"
         "The breaker trips when the share of distinct restarted tenants \
-         strictly exceeds this, in per-mille of the fleet."
-    $ setting positive brk.cooldown_rounds "storm-cooldown" "ROUNDS"
-        "Minimum rounds the tripped breaker pauses serving before health \
-         probes may close it.")
+         within its 8-round window strictly exceeds this, in per-mille of \
+         the fleet.")
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands *)

@@ -7,16 +7,20 @@
     and Figure 11: pruning waits until the heap is still 100% full after a
     collection and the VM is about to throw an out-of-memory error.
 
-    [Config] holds only the settings of one VM, 14 fields: the paper's
-    thresholds and trigger, the SAFE-mode threshold, the liveness boost
-    and the pause SLO. Whether a run installs the liveness oracle at
-    all is not among them (see {!liveness_mode}). Fleet settings live
-    with the code that reads them: admission, quarantine and checkpoint
-    cadence in [Lp_fleet.Fleet.options], the restart ladder in
-    [Lp_super.Supervisor.config], the crash-storm breaker in
-    [Lp_super.Breaker.config]. The slow paths' retry bounds and the
-    autopilot's starting budget and floor are constants in
-    [Lp_runtime.Vm]. *)
+    [Config] holds only the settings of one VM, 10 fields: the policy,
+    the observe threshold and trigger, the candidate bounds, the report
+    sink, the forced state, the decay period, the liveness boost and
+    the pause SLO. Settings no program varies are constants
+    of the module that reads them: {!nearly_full_threshold} here, the
+    SAFE-mode threshold (4 mispredictions per prune epoch) and the
+    unproductive-cycle bound (8) in [Controller]; finalizers always
+    keep running once pruning starts (the paper's implementation
+    choice). Whether a run installs the liveness oracle at all is not
+    among them (see {!liveness_mode}). Fleet settings live with the
+    code that reads them: admission, the warm-restart limit and the
+    crash-storm trip bar in [Lp_fleet.Fleet.options]. The slow paths'
+    retry bounds and the autopilot's starting budget and floor are
+    constants in [Lp_runtime.Vm]. *)
 
 type prune_trigger = On_select_gc | On_exhaustion
 
@@ -37,8 +41,8 @@ type liveness_mode =
 
 type t = {
   policy : Policy.t;
-  observe_threshold : float;  (** default 0.5 *)
-  nearly_full_threshold : float;  (** default 0.9 *)
+  observe_threshold : float;
+      (** default 0.5; below {!nearly_full_threshold} *)
   prune_trigger : prune_trigger;  (** default [On_select_gc] *)
   min_candidate_stale : int;
       (** minimum target staleness for a candidate reference; default 2 *)
@@ -47,12 +51,6 @@ type t = {
           [maxstaleuse]; default 2 ("we conservatively use two greater,
           instead of one, since the stale counters only approximate the
           logarithm of staleness") *)
-  max_unproductive_cycles : int;
-      (** consecutive select/prune cycles that free no memory before the
-          deferred out-of-memory error is finally thrown; default 8 *)
-  finalizers_after_prune : bool;
-      (** keep running finalizers once pruning starts (the paper's
-          implementation choice); [false] gives the "strict" variant *)
   report : (string -> unit) option;
       (** optional sink for the out-of-memory warning and the pruned
           data-structure reports of Section 3.2 *)
@@ -64,10 +62,6 @@ type t = {
           full-heap collections — the paper's proposed future-work
           policy for phased behaviour (JbbMod); default [None] (the
           paper's implementation) *)
-  safe_mode_threshold : int option;
-      (** resurrections (recovered mispredictions) within one prune
-          epoch that push the controller into the SAFE state, suspending
-          pruning; [None] disables safe mode; default [Some 4] *)
   liveness_boost : int;
       (** how many staleness levels a [Dead_beyond 0] (never-read)
           verdict lowers the [min_candidate_stale] floor for that edge
@@ -83,21 +77,21 @@ type t = {
           [None] (autopilot off: each collection is one pause) *)
 }
 
+val nearly_full_threshold : float
+(** 0.9: the SELECT state is entered when occupancy after a full
+    collection exceeds this share of the heap ("nearly full"). *)
+
 val default : t
 
 val make :
   ?policy:Policy.t ->
   ?observe_threshold:float ->
-  ?nearly_full_threshold:float ->
   ?prune_trigger:prune_trigger ->
   ?min_candidate_stale:int ->
   ?stale_slack:int ->
-  ?max_unproductive_cycles:int ->
-  ?finalizers_after_prune:bool ->
   ?report:(string -> unit) ->
   ?force_state:State_kind.t ->
   ?maxstaleuse_decay_period:int ->
-  ?safe_mode_threshold:int option ->
   ?liveness_boost:int ->
   ?pause_slo_p99_ns:int ->
   unit ->

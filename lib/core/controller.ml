@@ -33,6 +33,14 @@ type t = {
   c_prune_bytes : Lp_obs.Metrics.counter;
 }
 
+(* Recovered mispredictions within one prune epoch that push the
+   controller into the SAFE moratorium. *)
+let safe_mode_threshold = 4
+
+(* Consecutive select/prune cycles that free no memory before the
+   deferred out-of-memory error is finally thrown. *)
+let max_unproductive_cycles = 8
+
 let create ?metrics ?engine config registry =
   match Config.validate config with
   | Error msg -> invalid_arg ("Controller.create: " ^ msg)
@@ -215,18 +223,19 @@ let on_stale_use t store ~src ~tgt =
 (* Misprediction feedback from the resurrection subsystem: a program
    access to a pruned reference proves the selection was wrong. The edge
    type is protected (its maxstaleuse raised past the qualifying bar, so
-   confidence in pruning it decays to nothing) and, past the configured
-   per-epoch threshold, the controller enters the SAFE moratorium. *)
+   confidence in pruning it decays to nothing) and, at
+   [safe_mode_threshold] in one epoch, the controller enters the SAFE
+   moratorium. *)
 let note_misprediction t ~src_class ~tgt_class ~stale =
   t.mispredictions <- t.mispredictions + 1;
   t.epoch_mispredictions <- t.epoch_mispredictions + 1;
   Lp_obs.Metrics.incr t.c_mispredictions;
   Edge_table.protect t.table ~src:src_class ~tgt:tgt_class
     ~min_stale_use:(stale + t.config.Config.stale_slack);
-  match t.config.Config.safe_mode_threshold with
-  | Some threshold
-    when t.epoch_mispredictions >= threshold
-         && not (State_machine.in_safe_mode t.machine) ->
+  if
+    t.epoch_mispredictions >= safe_mode_threshold
+    && not (State_machine.in_safe_mode t.machine)
+  then begin
     report t
       (Printf.sprintf
          "leak pruning: %d mispredictions this epoch; entering SAFE for %d \
@@ -238,7 +247,7 @@ let note_misprediction t ~src_class ~tgt_class ~stale =
       Lp_obs.Sink.emit s
         (Lp_obs.Event.Safe_enter { mispredictions = t.epoch_mispredictions })
     | None -> ())
-  | Some _ | None -> ()
+  end
 
 let poisoned_access_error t store ~src ~tgt_class =
   let cause =
@@ -397,16 +406,13 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
     t.mark_wall_ns + int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
   phase_end t "mark" (stats.Gc_stats.fields_scanned - scanned_before);
   after_mark deferred;
-  let run_finalizers =
-    t.config.Config.finalizers_after_prune || not (State_machine.has_pruned t.machine)
-  in
   (match on_finalize with
-  | Some f when run_finalizers ->
+  | Some f ->
     phase_begin t "finalizers";
     let enq_before = stats.Gc_stats.finalizers_enqueued in
     Collector.resurrect_finalizables store ~stats ~on_finalize:f;
     phase_end t "finalizers" (stats.Gc_stats.finalizers_enqueued - enq_before)
-  | Some _ | None -> ());
+  | None -> ());
   (* Last chance to read doomed objects: everything unmarked is still
      intact here, which is when swap images of pruned closures are
      captured. *)
@@ -586,7 +592,7 @@ let on_allocation_failure t store ~requested =
   match t.config.Config.policy with
   | Policy.None_ -> `Out_of_memory (oom ())
   | Policy.Default | Policy.Most_stale | Policy.Individual_refs ->
-    if t.unproductive_cycles >= t.config.Config.max_unproductive_cycles then
+    if t.unproductive_cycles >= max_unproductive_cycles then
       `Out_of_memory (oom ())
     else begin
       match state t with

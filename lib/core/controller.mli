@@ -85,9 +85,8 @@ val collect :
 (** Performs one full-heap collection in the current state's mode, then
     applies the Figure 2 state transition. [on_finalize] is invoked for
     each newly unreachable finalizable object (which is kept alive for
-    this collection, Java-style); finalizers stop running after the first
-    prune when the strict [finalizers_after_prune = false] option is
-    set.
+    this collection, Java-style), before and after pruning starts (the
+    paper's implementation choice).
 
     [on_poison] is invoked for every reference a PRUNE collection
     poisons, before the word is overwritten — the doomed target subtree
@@ -145,8 +144,8 @@ val note_misprediction :
     the pruned staleness plus [stale_slack], so the same references no
     longer qualify for selection) and counts the misprediction. When the
     count within the current prune epoch (since the last PRUNE
-    collection) reaches [Config.safe_mode_threshold], the state machine
-    enters the SAFE moratorium. *)
+    collection) reaches 4, the state machine enters the SAFE
+    moratorium. *)
 
 val mispredictions : t -> int
 (** Total recovered mispredictions reported via {!note_misprediction}. *)

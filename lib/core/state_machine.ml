@@ -36,8 +36,6 @@ let create (config : Config.t) =
 
 let state t = t.state
 
-let has_pruned t = t.pruned_once
-
 let note_prune_performed t = t.pruned_once <- true
 
 let safe_entries t = t.safe_entries
@@ -97,7 +95,7 @@ let after_gc t ~occupancy =
   | Some _, _ -> ()
   | None, Policy.None_ -> ()
   | None, (Policy.Default | Policy.Most_stale | Policy.Individual_refs) ->
-    let nearly_full = occupancy > t.config.Config.nearly_full_threshold in
+    let nearly_full = occupancy > Config.nearly_full_threshold in
     (match t.state with
     | State_kind.Inactive ->
       if nearly_full then goto t State_kind.Select

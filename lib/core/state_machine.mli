@@ -8,7 +8,7 @@
       permanently considers the application to be in an unexpected
       state").
     - [Observe] tracks staleness and the edge table; moves to [Select]
-      when occupancy exceeds [nearly_full_threshold].
+      when occupancy exceeds {!Config.nearly_full_threshold} (0.9).
     - A collection in [Select] chooses what to prune. With trigger
       [On_select_gc] (the paper's default, option 2) the machine then
       advances to [Prune]; with [On_exhaustion] (option 1) it waits for
@@ -35,8 +35,6 @@ val safe_mode_collections : int
 val create : Config.t -> t
 
 val state : t -> State_kind.t
-
-val has_pruned : t -> bool
 
 val note_prune_performed : t -> unit
 

@@ -3,9 +3,9 @@
    backend. A scheduler *round* is the fleet's logical time unit — every
    admission setting in [options] (retry cap, backoff base and ceiling,
    offload deadline) is denominated in rounds, and so is every
-   supervision setting (checkpoint cadence, quarantine lengths, and the
-   windows and cooldown of [Lp_super.Supervisor.config] and
-   [Lp_super.Breaker.config]). *)
+   supervision constant (checkpoint cadence, quarantine lengths, and the
+   windows and cooldown of [Lp_super.Supervisor] and
+   [Lp_super.Breaker]). *)
 
 type tenant_report = {
   tenant : int;
@@ -71,11 +71,8 @@ type options = {
   admission_backoff_base : int;
   admission_backoff_ceiling : int;
   offload_deadline : int;
-  quarantine_rounds : int;
-  extended_quarantine_rounds : int;
-  checkpoint_rounds : int;
-  supervisor : Lp_super.Supervisor.config;
-  breaker : Lp_super.Breaker.config;
+  warm_limit : int;
+  storm_trip_permille : int;
   capacity_bytes : int;
   chaos : bool;
   chaos_events : int;
@@ -92,6 +89,15 @@ let pressure_rounds = 8
 (* Capacity of the fleet event sink. *)
 let trace_capacity = 4096
 
+(* Rounds a restarted tenant sits out before its readiness probe runs;
+   the ladder's extended rung sits out [extended_quarantine_rounds]. *)
+let quarantine_rounds = 1
+
+let extended_quarantine_rounds = 4
+
+(* Rounds between controller-brain checkpoints of each tenant. *)
+let checkpoint_rounds = 8
+
 let default_options ~seed ~rounds () =
   {
     seed;
@@ -101,11 +107,8 @@ let default_options ~seed ~rounds () =
     admission_backoff_base = 1;
     admission_backoff_ceiling = 16;
     offload_deadline = 64;
-    quarantine_rounds = 1;
-    extended_quarantine_rounds = 4;
-    checkpoint_rounds = 8;
-    supervisor = Lp_super.Supervisor.default;
-    breaker = Lp_super.Breaker.default;
+    warm_limit = 2;
+    storm_trip_permille = 500;
     capacity_bytes = max_int / 2;
     chaos = false;
     chaos_events = 3;
@@ -114,7 +117,6 @@ let default_options ~seed ~rounds () =
   }
 
 let validate (o : options) =
-  let s = o.supervisor and b = o.breaker in
   let checks =
     [
       (o.admission_retry_cap >= 0, "admission_retry_cap must be >= 0");
@@ -122,19 +124,11 @@ let validate (o : options) =
       ( o.admission_backoff_ceiling >= o.admission_backoff_base,
         "admission_backoff_ceiling must be >= admission_backoff_base" );
       (o.offload_deadline >= 1, "offload_deadline must be >= 1");
-      (o.quarantine_rounds >= 1, "quarantine_rounds must be >= 1");
-      ( o.extended_quarantine_rounds >= o.quarantine_rounds,
-        "extended_quarantine_rounds must be >= quarantine_rounds" );
-      (o.checkpoint_rounds >= 1, "checkpoint_rounds must be >= 1");
-      (s.warm_limit >= 0, "warm_restart_limit must be >= 0");
-      ( s.cold_limit >= s.warm_limit,
-        "cold_restart_limit must be >= warm_restart_limit" );
-      ( s.retire_limit >= s.cold_limit,
-        "retire_limit must be >= cold_restart_limit" );
-      (b.window_rounds >= 1, "storm_window_rounds must be >= 1");
-      ( b.trip_permille >= 1 && b.trip_permille <= 1000,
+      ( o.warm_limit >= 0 && o.warm_limit <= Lp_super.Supervisor.cold_limit,
+        Printf.sprintf "warm_limit must be in [0, %d] (the ladder's cold limit)"
+          Lp_super.Supervisor.cold_limit );
+      ( o.storm_trip_permille >= 1 && o.storm_trip_permille <= 1000,
         "storm_trip_permille must be in [1, 1000]" );
-      (b.cooldown_rounds >= 1, "storm_cooldown_rounds must be >= 1");
     ]
   in
   match List.find_opt (fun (ok, _) -> not ok) checks with
@@ -218,7 +212,7 @@ let run opts specs =
              traffic =
                Traffic.create ~seed:opts.seed ~tenant:s.Tenant.id
                  ~rate_per_mille:s.Tenant.rate_per_mille;
-             super = Lp_super.Supervisor.create opts.supervisor;
+             super = Lp_super.Supervisor.create ~warm_limit:opts.warm_limit;
              queue = Queue.create ();
              arrived = 0;
              shed_queue = 0;
@@ -236,7 +230,9 @@ let run opts specs =
          specs)
   in
   let n = Array.length slots in
-  let breaker = Lp_super.Breaker.create opts.breaker ~tenants:n in
+  let breaker =
+    Lp_super.Breaker.create ~trip_permille:opts.storm_trip_permille ~tenants:n
+  in
   let tenant_id slot = (Tenant.spec slot.tenant).Tenant.id in
   let shed slot reason =
     (match reason with
@@ -329,8 +325,8 @@ let run opts specs =
            });
       let q =
         match action with
-        | Lp_super.Supervisor.Cold_extended -> opts.extended_quarantine_rounds
-        | _ -> opts.quarantine_rounds
+        | Lp_super.Supervisor.Cold_extended -> extended_quarantine_rounds
+        | _ -> quarantine_rounds
       in
       slot.quarantined_until <- !round + q;
       slot.ready <- false;
@@ -528,7 +524,7 @@ let run opts specs =
        supervisor. A pending [Torn_checkpoint] fault damages the next
        frame(s) written — torn short or bit-flipped, alternating
        deterministically — which the next warm restart must detect. *)
-    if (not (Lp_super.Breaker.is_open breaker)) && r mod opts.checkpoint_rounds = 0
+    if (not (Lp_super.Breaker.is_open breaker)) && r mod checkpoint_rounds = 0
     then
       Array.iteri
         (fun i slot ->

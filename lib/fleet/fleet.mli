@@ -22,21 +22,21 @@
     {b Containment and supervision.} Any [`Fatal] serve outcome (typed
     error, verifier failure, crash) restarts only that tenant. Each
     tenant has a supervisor ({!Lp_super.Supervisor}) that counts its
-    restarts in a sliding window and climbs an escalation ladder
-    ([supervisor]): warm (checkpoint-restoring) restarts first, then
-    cold boots, then cold with extended quarantine, then permanent
-    retirement. Every [checkpoint_rounds] rounds each ready tenant's
-    controller brain is framed ({!Lp_super.Checkpoint}) and stored; a
-    warm restart restores it (falling back cold — with a
+    restarts in a 16-round sliding window and climbs an escalation
+    ladder: warm (checkpoint-restoring) restarts up to [warm_limit],
+    then cold boots, then cold with a 4-round (instead of 1-round)
+    quarantine, then permanent retirement. Every 8 rounds each ready
+    tenant's controller brain is framed ({!Lp_super.Checkpoint}) and
+    stored; a warm restart restores it (falling back cold — with a
     [Checkpoint_fallback] event — on any torn/corrupt/unimportable
     frame). A restarted tenant only re-admits traffic after passing a
     readiness probe (verifier pass + one unbilled request), recorded as
     [Tenant_ready].
 
     {b Crash storms.} A fleet-level breaker ({!Lp_super.Breaker}) counts
-    distinct restarted tenants per window; past [breaker]'s
-    [trip_permille] it trips ([Breaker_tripped]) and pauses all serving
-    (and checkpointing) for at least its [cooldown_rounds], re-opening
+    distinct restarted tenants per 8-round window; past
+    [storm_trip_permille] it trips ([Breaker_tripped]) and pauses all
+    serving (and checkpointing) for at least 4 rounds, re-opening
     only after every live tenant passes a verifier health probe
     ([Breaker_reset]). Fleet chaos ([Fault_plan.Fleet] site) injects
     [Kill_tenant] / [Disk_pressure] ([chaos]) and [Kill_storm] /
@@ -125,18 +125,14 @@ type options = {
   offload_deadline : int;
       (** rounds a queued request may wait (across backoffs) before the
           deadline timeout sheds it; default 64 *)
-  quarantine_rounds : int;
-      (** rounds a restarted tenant sits out before the readiness probe
-          may re-admit it; default 1 *)
-  extended_quarantine_rounds : int;
-      (** quarantine of the ladder's extended rung; at least
-          [quarantine_rounds]; default 4 *)
-  checkpoint_rounds : int;
-      (** rounds between controller-brain checkpoints of each tenant;
-          default 8 *)
-  supervisor : Lp_super.Supervisor.config;
-      (** every tenant's restart ladder *)
-  breaker : Lp_super.Breaker.config;  (** the fleet crash-storm breaker *)
+  warm_limit : int;
+      (** restarts within a tenant's supervisor window that still take
+          the warm path, in [[0, Lp_super.Supervisor.cold_limit]]; 0
+          disables warm restarts; default 2 *)
+  storm_trip_permille : int;
+      (** the crash-storm breaker trips when strictly more than this
+          share of the fleet, in per-mille, restarted within its window;
+          range [[1, 1000]]; default 500 *)
   capacity_bytes : int;  (** shared backend size *)
   chaos : bool;  (** schedule a [Fault_plan.random_fleet] plan *)
   chaos_events : int;
@@ -149,18 +145,18 @@ type options = {
 }
 
 val default_options : seed:int -> rounds:int -> unit -> options
-(** 2 requests/round, the admission and quarantine defaults above,
-    {!Lp_super.Supervisor.default} and {!Lp_super.Breaker.default},
-    effectively-unbounded backend, no chaos, no storm, no kills. *)
+(** 2 requests/round, the defaults above, an effectively-unbounded
+    backend, no chaos, no storm, no kills. *)
 
 val validate : options -> (options, string) result
-(** Checks the ranges and orderings of the admission, quarantine,
-    checkpoint, ladder and breaker settings; the [Error] message names
-    the offending setting. *)
+(** Checks the ranges and orderings of the admission, warm-limit and
+    trip-bar settings; the [Error] message names the offending
+    setting. *)
 
 val run : options -> Tenant.spec list -> report
-(** Every run uses a 16-request queue, 8-round [Disk_pressure] windows
-    and a 4096-event sink.
+(** Every run uses a 16-request queue, 8-round [Disk_pressure] windows,
+    a 4096-event sink, 1-round quarantines (4 on the ladder's extended
+    rung) and a checkpoint every 8 rounds.
     @raise Invalid_argument on an empty fleet, duplicate tenant ids, a
     spec with [gc_packet_size = Some _], or options that fail
     {!validate}. *)

@@ -88,12 +88,12 @@ type t =
       (** the post-restart readiness probe (verifier pass + one
           successful serve) re-admitted the tenant to the scheduler *)
   | Tenant_retired of { tenant : int; round : int; restarts : int }
-      (** the ladder's terminal rung: the tenant crossed
-          the supervisor's [retire_limit] restarts within its window
-          and is permanently removed from the fleet *)
+      (** the ladder's terminal rung: the tenant restarted more than 6
+          times within the supervisor's 16-round window and is
+          permanently removed from the fleet *)
   | Breaker_tripped of { round : int; restarted : int; tenants : int }
       (** the crash-storm breaker saw [restarted] distinct tenants (of
-          [tenants]) restart within its [window_rounds] and paused
+          [tenants]) restart within its 8-round window and paused
           fleet-wide serving *)
   | Breaker_reset of { round : int }
       (** the cooldown elapsed and every surviving tenant passed its

@@ -10,10 +10,8 @@
 
 type t
 
-val default_capacity : int
-(** 65536 events. *)
-
 val create : ?capacity:int -> clock:(unit -> int) -> unit -> t
+(** [capacity] defaults to 65,536 events. *)
 
 val emit : t -> Event.t -> unit
 

@@ -1,13 +1,16 @@
 open Lp_heap
 
-type config = {
-  disk_limit_bytes : int;
-  offload_stale_threshold : int;
-  offload_occupancy : float;
-}
+type config = { disk_limit_bytes : int }
 
-let default_config ~disk_limit_bytes =
-  { disk_limit_bytes; offload_stale_threshold = 2; offload_occupancy = 0.9 }
+let default_config ~disk_limit_bytes = { disk_limit_bytes }
+
+(* An object is "highly stale", an offload candidate, once its stale
+   counter reaches this. *)
+let offload_stale_threshold = 2
+
+(* Offloading runs after a collection that leaves more than this share
+   of the heap in memory. *)
+let offload_occupancy = 0.9
 
 (* An offloaded object's disk residency: its heap size (what the store's
    swapped-out credit refunds) and the serialized payload a swap-in must
@@ -331,7 +334,7 @@ let after_gc ?(allow_offload = true) t store =
   let in_memory () = Store.live_bytes store - t.resident_total in
   if
     allow_offload
-    && float_of_int (in_memory ()) /. float_of_int limit > t.config.offload_occupancy
+    && float_of_int (in_memory ()) /. float_of_int limit > offload_occupancy
   then begin
     (* Candidates are offloaded most-stale first (ties broken by lowest
        id) so the payload write order — and therefore which write an
@@ -346,7 +349,7 @@ let after_gc ?(allow_offload = true) t store =
       (* statics containers model immortal space: never offloaded *)
       if
         (not (Header.is_free h))
-        && Header.stale_counter h >= t.config.offload_stale_threshold
+        && Header.stale_counter h >= offload_stale_threshold
         && (not (Header.statics_container h))
         && not (Hashtbl.mem t.resident id)
       then begin

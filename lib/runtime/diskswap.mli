@@ -10,11 +10,11 @@
     program ever accesses them. Mispredictions are therefore cheap (a
     disk fault) rather than fatal — but disk is finite, so "all will
     eventually exhaust disk space and crash". After a collection that
-    leaves the heap nearly full, every live object whose stale counter
-    has reached the offload threshold is serialized and moved to the
-    bounded simulated disk, most-stale first with ties broken by lowest
-    identifier — a deterministic order, so injected swap faults land on
-    the same write in every run. Offloaded bytes stop counting against
+    leaves more than 90% of the heap in memory, every live object whose
+    stale counter has reached 2 ("highly stale") is serialized and
+    moved to the bounded simulated disk, most-stale first with ties
+    broken by lowest identifier — a deterministic order, so injected
+    swap faults land on the same write in every run. Offloaded bytes stop counting against
     the heap limit; a read-barrier access faults the payload back in
     (validating it — a corrupt payload means the disk copy is lost).
     An offloaded object carries the {!Lp_heap.Header.on_disk} bit from
@@ -40,11 +40,10 @@ type config = {
       (** standalone: hard limit. With a {!backend} attached: this
           store's {e quota} — offloads that would exceed it are denied
           admission rather than written *)
-  offload_stale_threshold : int;  (** default 2: "highly stale" *)
-  offload_occupancy : float;  (** offload when live/limit exceeds this; default 0.9 *)
 }
 
 val default_config : disk_limit_bytes:int -> config
+(** [{ disk_limit_bytes }]. *)
 
 type t
 

@@ -47,9 +47,7 @@ type t = {
      branch on [sink]. *)
   metrics : Lp_obs.Metrics.t;
   staleness_series : Lp_obs.Metrics.series;
-  (* interned by the first full collection, so a snapshot taken before
-     one holds no heap.live_bytes gauge *)
-  mutable live_bytes_gauge : Lp_obs.Metrics.gauge option;
+  live_bytes_gauge : Lp_obs.Metrics.gauge;
   mutable sink : Lp_obs.Sink.t option;
   (* The inputs of the last retention pass: its poisoned-target list and
      the swap store's generation once its drops were done. A pass with
@@ -189,7 +187,7 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     metrics;
     staleness_series =
       Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
-    live_bytes_gauge = None;
+    live_bytes_gauge = Lp_obs.Metrics.gauge metrics "heap.live_bytes";
     sink = None;
     retained_poisoned = [];
     retained_generation = -1;
@@ -648,15 +646,7 @@ let run_gc t =
   t.gc_cycles <- t.gc_cycles + gc_cost;
   record_staleness_histogram t;
   let live = live_bytes t in
-  let live_gauge =
-    match t.live_bytes_gauge with
-    | Some g -> g
-    | None ->
-      let g = Lp_obs.Metrics.gauge t.metrics "heap.live_bytes" in
-      t.live_bytes_gauge <- Some g;
-      g
-  in
-  Lp_obs.Metrics.set_gauge live_gauge live;
+  Lp_obs.Metrics.set_gauge t.live_bytes_gauge live;
   let gc_number = t.stats.Gc_stats.collections in
   let state = Lp_core.Controller.state t.controller in
   (match t.sink with

@@ -159,7 +159,7 @@ val metrics_snapshot : t -> Lp_obs.Metrics.snapshot
 
 val enable_trace : ?capacity:int -> t -> Lp_obs.Sink.t
 (** Attaches a fresh event sink (drop-oldest ring, default capacity
-    {!Lp_obs.Sink.default_capacity}) clocked by the VM's simulated
+    65,536 events) clocked by the VM's simulated
     cycles, and wires it into the controller and the swap store. Traces
     are deterministic: no wall time is ever recorded. *)
 

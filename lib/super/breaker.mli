@@ -3,32 +3,20 @@
     Correlated failures (one host event killing many tenants) look, to
     each per-tenant supervisor, like ordinary isolated crashes — so
     containment needs a fleet-wide view. The breaker counts {e distinct}
-    tenants that restarted within a sliding window of scheduler rounds
+    tenants that restarted within a sliding window of 8 scheduler rounds
     and {e trips} when their share of the fleet strictly exceeds
-    [trip_permille]: serving pauses fleet-wide for at least
-    [cooldown_rounds], after which the scheduler runs health probes and
-    either {!reset}s the breaker (which also clears the window, so the
-    same restarts cannot re-trip it) or {!extend}s the pause. *)
-
-type config = {
-  window_rounds : int;
-      (** sliding window, in scheduler rounds, over which distinct
-          restarted tenants are counted *)
-  trip_permille : int;
-      (** trip when strictly more than this share of the fleet, in
-          per-mille, restarted within the window; range [1, 1000] *)
-  cooldown_rounds : int;
-      (** rounds the tripped breaker pauses serving before health probes
-          may close it *)
-}
-
-val default : config
-(** An 8-round window, a 500 per-mille trip bar and a 4-round cooldown. *)
+    [trip_permille]: serving pauses fleet-wide for at least 4 rounds,
+    after which the scheduler runs health probes and either {!reset}s
+    the breaker (which also clears the window, so the same restarts
+    cannot re-trip it) or {!extend}s the pause by another 4 rounds. *)
 
 type t
 
-val create : config -> tenants:int -> t
-(** @raise Invalid_argument when [window_rounds < 1] or [tenants < 1]. *)
+val create : trip_permille:int -> tenants:int -> t
+(** [trip_permille] is the trip bar, in per-mille of the fleet, in
+    [[1, 1000]]; the caller checks the range
+    ([Lp_fleet.Fleet.validate]).
+    @raise Invalid_argument when [tenants < 1]. *)
 
 val note_restart : t -> round:int -> tenant:int -> unit
 

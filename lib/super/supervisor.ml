@@ -10,28 +10,26 @@ let action_to_string = function
   | Cold_extended -> "cold-extended"
   | Retire -> "retire"
 
-type config = {
-  window_rounds : int;
-  warm_limit : int;
-  cold_limit : int;
-  retire_limit : int;
-}
+(* The ladder: restarts are counted over the last [window_rounds]
+   rounds; past [warm_limit] they boot cold, past [cold_limit] cold with
+   extended quarantine, past [retire_limit] the tenant is retired. *)
+let window_rounds = 16
 
-let default =
-  { window_rounds = 16; warm_limit = 2; cold_limit = 4; retire_limit = 6 }
+let cold_limit = 4
+
+let retire_limit = 6
 
 type t = {
-  config : config;
+  warm_limit : int;
   mutable restart_rounds : int list;  (* reverse chronological *)
   mutable total_restarts : int;
   mutable retired : bool;
   mutable checkpoint : (int * bytes) option;  (* (round, frame) *)
 }
 
-let create config =
-  if config.window_rounds < 1 then invalid_arg "Supervisor.create";
+let create ~warm_limit =
   {
-    config;
+    warm_limit;
     restart_rounds = [];
     total_restarts = 0;
     retired = false;
@@ -40,7 +38,7 @@ let create config =
 
 let prune_window t ~round =
   t.restart_rounds <-
-    List.filter (fun r -> r > round - t.config.window_rounds) t.restart_rounds
+    List.filter (fun r -> r > round - window_rounds) t.restart_rounds
 
 let restarts_in_window t ~round =
   prune_window t ~round;
@@ -51,9 +49,9 @@ let on_restart t ~round =
   t.restart_rounds <- round :: t.restart_rounds;
   t.total_restarts <- t.total_restarts + 1;
   let n = List.length t.restart_rounds in
-  if n <= t.config.warm_limit then Warm
-  else if n <= t.config.cold_limit then Cold
-  else if n <= t.config.retire_limit then Cold_extended
+  if n <= t.warm_limit then Warm
+  else if n <= cold_limit then Cold
+  else if n <= retire_limit then Cold_extended
   else begin
     t.retired <- true;
     Retire

@@ -1,15 +1,14 @@
 (** Per-tenant restart supervision.
 
     The supervisor counts a tenant's restarts within a sliding window of
-    scheduler rounds and climbs a deterministic escalation ladder: the
-    [n]-th restart in the window gets
+    16 scheduler rounds and climbs a deterministic escalation ladder:
+    the [n]-th restart in the window gets
 
     - a {b warm} restart while [n <= warm_limit] (the checkpoint-restoring
       path; the caller falls back to cold when no usable checkpoint
       exists),
-    - a {b cold} restart while [n <= cold_limit],
-    - a cold restart with {b extended quarantine} while
-      [n <= retire_limit],
+    - a {b cold} restart while [n <= 4] ({!cold_limit}),
+    - a cold restart with {b extended quarantine} while [n <= 6],
     - {b retirement} — permanent removal from the fleet — beyond that.
 
     It also stores the tenant's most recent controller checkpoint frame
@@ -22,29 +21,16 @@ type action = Warm | Cold | Cold_extended | Retire
 val action_to_string : action -> string
 (** ["warm"], ["cold"], ["cold-extended"], ["retire"]. *)
 
-type config = {
-  window_rounds : int;
-      (** sliding window, in scheduler rounds, over which restarts are
-          counted *)
-  warm_limit : int;
-      (** restarts within the window that still take the warm path; 0
-          disables warm restarts *)
-  cold_limit : int;
-      (** restarts within the window that still get a plain cold boot;
-          at least [warm_limit] *)
-  retire_limit : int;
-      (** restarts within the window beyond which the tenant is retired;
-          at least [cold_limit] *)
-}
-
-val default : config
-(** A 16-round window, warm up to 2 restarts, cold up to 4, extended
-    quarantine up to 6, retirement beyond. *)
+val cold_limit : int
+(** 4: restarts within the window that still get a plain cold boot; a
+    [warm_limit] above it would never be reached. *)
 
 type t
 
-val create : config -> t
-(** @raise Invalid_argument when [window_rounds < 1]. *)
+val create : warm_limit:int -> t
+(** [warm_limit] is how many restarts within the window still take the
+    warm path, in [[0, cold_limit]]; 0 disables warm restarts. The
+    caller checks the range ([Lp_fleet.Fleet.validate]). *)
 
 val on_restart : t -> round:int -> action
 (** Record a restart at [round] and return the ladder's decision for

@@ -65,16 +65,10 @@ err serve --admission-retry-cap=-1
 err serve --backoff-base 0
 err serve --backoff-base 4 --backoff-ceiling 2
 err serve --offload-deadline 0
-err serve --quarantine-rounds 0
-err serve --quarantine-rounds 3 --extended-quarantine 2
-err serve --checkpoint-rounds 0
 err serve --warm-limit=-1
-err serve --warm-limit 3 --cold-limit 2
-err serve --cold-limit 5 --retire-limit 4
-err serve --storm-window 0
+err serve --warm-limit 5
 err serve --storm-trip-permille 0
 err serve --storm-trip-permille 1001
-err serve --storm-cooldown 0
 
 err experiment NoSuchExperiment
 

@@ -197,10 +197,11 @@ let test_maxstaleuse_decay_weakens_protection () =
 
 let test_invalid_config_rejected () =
   let registry = Class_registry.create () in
-  let bad = Lp_core.Config.make ~observe_threshold:0.99 ~nearly_full_threshold:0.5 () in
+  let bad = Lp_core.Config.make ~observe_threshold:0.95 () in
   Alcotest.check_raises "threshold ordering"
     (Invalid_argument
-       "Controller.create: nearly_full_threshold must exceed observe_threshold")
+       "Controller.create: observe_threshold must be in (0, \
+        nearly_full_threshold = 0.9)")
     (fun () -> ignore (Lp_core.Controller.create bad registry))
 
 let suite =

@@ -40,12 +40,12 @@ let test_slow_path_exhaustion_bound () =
 
 let test_forced_prune_throws_averted () =
   (* a forced PRUNE state with nothing selected never poisons and never
-     frees; after max_unproductive_cycles such collections the deferred
+     frees; after the controller's 8 unproductive cycles the deferred
      error surfaces — and the exception thrown must be the very
      exception the controller recorded when pruning engaged *)
   let config =
     Lp_core.Config.make ~policy:Lp_core.Policy.Default
-      ~force_state:Lp_core.State_kind.Prune ~max_unproductive_cycles:2 ()
+      ~force_state:Lp_core.State_kind.Prune ()
   in
   let vm = Vm.create ~config ~heap_bytes:2_000 () in
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
@@ -56,6 +56,9 @@ let test_forced_prune_throws_averted () =
   with
   | () -> Alcotest.fail "expected Out_of_memory"
   | exception (Lp_core.Errors.Out_of_memory _ as e) -> (
+    Alcotest.(check int) "thrown at the eighth unproductive cycle" 8
+      (Lp_core.Controller.export_brain (Vm.controller vm))
+        .Lp_core.Controller.brain_unproductive_cycles;
     match Lp_core.Controller.averted_error (Vm.controller vm) with
     | Some averted ->
       Alcotest.(check bool) "thrown error is the recorded averted error" true
@@ -99,6 +102,9 @@ let test_pruned_access_cause_chain () =
         (averted == cause)
     | None -> Alcotest.fail "no averted error recorded")
   | exception (Lp_core.Errors.Out_of_memory _ as e) -> (
+    Alcotest.(check int) "thrown at the eighth unproductive cycle" 8
+      (Lp_core.Controller.export_brain (Vm.controller vm))
+        .Lp_core.Controller.brain_unproductive_cycles;
     match Lp_core.Controller.averted_error (Vm.controller vm) with
     | Some averted ->
       Alcotest.(check bool) "thrown error is the recorded averted error" true

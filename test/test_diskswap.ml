@@ -148,7 +148,7 @@ let test_direct_out_of_disk_payload () =
   let store, _ = stale_full_store () in
   let d =
     Diskswap.create
-      { Diskswap.disk_limit_bytes = 300; offload_stale_threshold = 2; offload_occupancy = 0.5 }
+      (Diskswap.default_config ~disk_limit_bytes:300)
   in
   match Diskswap.after_gc d store with
   | () -> Alcotest.fail "expected Out_of_disk"
@@ -162,7 +162,7 @@ let test_reconcile_releases_swept () =
   let store, objs = stale_full_store () in
   let d =
     Diskswap.create
-      { Diskswap.disk_limit_bytes = 100_000; offload_stale_threshold = 2; offload_occupancy = 0.5 }
+      (Diskswap.default_config ~disk_limit_bytes:100_000)
   in
   Diskswap.after_gc d store;
   let before = Diskswap.resident_bytes d in
@@ -197,7 +197,7 @@ let offloaded_fixture ?image_fault () =
   let store, objs = stale_full_store () in
   let d =
     Diskswap.create
-      { Diskswap.disk_limit_bytes = 100_000; offload_stale_threshold = 2; offload_occupancy = 0.5 }
+      (Diskswap.default_config ~disk_limit_bytes:100_000)
   in
   Diskswap.set_image_fault_hook d image_fault;
   Diskswap.after_gc d store;
@@ -282,7 +282,10 @@ let test_combined_pruning_and_disk () =
 (* ---- Shared-backend quota accounting (fleet mode) ---- *)
 
 (* A bare store of [objs] equally-sized, maximally-stale objects, so
-   every one is an offload candidate and the admission math is exact. *)
+   every one is an offload candidate and the admission math is exact.
+   The heap holds one object fewer than it has live, so every pass sees
+   it past the 0.9 offload occupancy while at most one object is on
+   disk. *)
 let direct_store ~objs =
   let reg = Class_registry.create () in
   let cid = Class_registry.register reg "Q" in
@@ -298,19 +301,16 @@ let direct_store ~objs =
   done;
   (* the occupancy test reads live bytes, which only a sweep records *)
   Store.set_live_bytes store (Store.used_bytes store);
+  Store.set_limit_bytes store ((objs - 1) * !size);
   (store, !size)
-
-let eager_config ~quota =
-  { (Diskswap.default_config ~disk_limit_bytes:quota) with
-    Diskswap.offload_occupancy = 0.0;
-    offload_stale_threshold = 1
-  }
 
 let test_quota_exactly_exhausted () =
   let store, size = direct_store ~objs:4 in
   let backend = Diskswap.create_backend ~capacity_bytes:max_int in
   (* quota holds exactly two objects: <= admits the boundary write *)
-  let d = Diskswap.create ~backend (eager_config ~quota:(2 * size)) in
+  let d =
+    Diskswap.create ~backend (Diskswap.default_config ~disk_limit_bytes:(2 * size))
+  in
   Diskswap.after_gc d store;
   Alcotest.(check int) "quota filled to the byte" (2 * size)
     (Diskswap.disk_bytes d);
@@ -322,7 +322,9 @@ let test_quota_exactly_exhausted () =
 let test_quota_freed_by_retrieve_readmits () =
   let store, size = direct_store ~objs:3 in
   let backend = Diskswap.create_backend ~capacity_bytes:max_int in
-  let d = Diskswap.create ~backend (eager_config ~quota:(2 * size)) in
+  let d =
+    Diskswap.create ~backend (Diskswap.default_config ~disk_limit_bytes:(2 * size))
+  in
   Diskswap.after_gc d store;
   Alcotest.(check int) "one denial at full quota" 1
     (Diskswap.admission_denials d);
@@ -342,7 +344,9 @@ let test_quota_freed_by_retrieve_readmits () =
 
 let test_quota_freed_by_retain_images () =
   let backend = Diskswap.create_backend ~capacity_bytes:max_int in
-  let d = Diskswap.create ~backend (eager_config ~quota:10_000) in
+  let d =
+    Diskswap.create ~backend (Diskswap.default_config ~disk_limit_bytes:10_000)
+  in
   Diskswap.store_image d ~id:1 (Bytes.create 400);
   Diskswap.store_image d ~id:2 (Bytes.create 300);
   Alcotest.(check int) "backend charged for images" 700
@@ -362,8 +366,12 @@ let test_two_tenants_race_last_bytes () =
   let store_a, size = direct_store ~objs:2 in
   let store_b, _ = direct_store ~objs:2 in
   let backend = Diskswap.create_backend ~capacity_bytes:(3 * size) in
-  let a = Diskswap.create ~backend (eager_config ~quota:(2 * size)) in
-  let b = Diskswap.create ~backend (eager_config ~quota:(2 * size)) in
+  let a =
+    Diskswap.create ~backend (Diskswap.default_config ~disk_limit_bytes:(2 * size))
+  in
+  let b =
+    Diskswap.create ~backend (Diskswap.default_config ~disk_limit_bytes:(2 * size))
+  in
   Diskswap.after_gc a store_a;
   Diskswap.after_gc b store_b;
   Alcotest.(check int) "first tenant offloads its whole quota" (2 * size)

@@ -129,12 +129,11 @@ let test_backend_accounting_closes () =
 let test_denials_sum_to_backend () =
   let kills =
     [ (4, 0); (11, 0); (18, 0); (25, 0); (32, 0); (40, 1); (45, 2); (9, 3);
-      (12, 3); (15, 3); (18, 3); (21, 3); (24, 3) ]
+      (12, 3); (15, 3); (18, 3); (21, 3); (24, 3); (26, 3); (27, 3) ]
   in
-  let d = Fleet.default_options ~seed:3 ~rounds:80 () in
   let report =
     Fleet.run
-      { d with
+      { (Fleet.default_options ~seed:3 ~rounds:80 ()) with
         Fleet.requests_per_round = 4;
         capacity_bytes = 2_000;
         kills;
@@ -142,20 +141,8 @@ let test_denials_sum_to_backend () =
         admission_backoff_base = 1;
         admission_backoff_ceiling = 2;
         offload_deadline = 20;
-        quarantine_rounds = 2;
-        extended_quarantine_rounds = 5;
-        checkpoint_rounds = 4;
-        supervisor =
-          { d.Fleet.supervisor with
-            Lp_super.Supervisor.warm_limit = 1;
-            cold_limit = 2;
-            retire_limit = 3
-          };
-        breaker =
-          { Lp_super.Breaker.window_rounds = 10;
-            trip_permille = 300;
-            cooldown_rounds = 3
-          }
+        warm_limit = 1;
+        storm_trip_permille = 300
       }
       (List.init 4 (fun id ->
            { (spec ~id ()) with Tenant.rate_per_mille = 4_000 }))
@@ -167,6 +154,8 @@ let test_denials_sum_to_backend () =
   in
   Alcotest.(check bool) "some restart was warm" true
     (sum (fun t -> t.Fleet.warm_restarts) > 0);
+  Alcotest.(check bool) "some restart was cold" true
+    (sum (fun t -> t.Fleet.cold_restarts) > 0);
   Alcotest.(check bool) "admission was denied" true
     (report.Fleet.backend_denials > 0);
   Alcotest.(check int) "tenant denials sum to the backend's"

@@ -381,22 +381,23 @@ let test_end_to_end_corruption_fault () =
 
 (* ---- SAFE mode ---- *)
 
+(* The controller enters SAFE at this many mispredictions in one prune
+   epoch. *)
+let safe_mode_threshold = 4
+
 let test_safe_mode_entry_and_expiry () =
   let vm = make_vm () in
   let c = Vm.controller vm in
-  let threshold =
-    Option.get (Lp_core.Controller.config c).Lp_core.Config.safe_mode_threshold
-  in
-  for i = 1 to threshold do
+  for i = 1 to safe_mode_threshold do
     let src, _, _ = prune_by_hand vm in
     ignore (Mutator.read vm src 0);
     Alcotest.(check bool)
       (Printf.sprintf "safe only at threshold (%d)" i)
-      (i >= threshold)
+      (i >= safe_mode_threshold)
       (Lp_core.Controller.in_safe_mode c)
   done;
   Alcotest.(check int) "one SAFE entry" 1 (Lp_core.Controller.safe_entries c);
-  Alcotest.(check int) "mispredictions counted" threshold
+  Alcotest.(check int) "mispredictions counted" safe_mode_threshold
     (Lp_core.Controller.mispredictions c);
   (* the moratorium expires after safe_mode_collections collections *)
   let budget = Lp_core.State_machine.safe_mode_collections in
@@ -411,10 +412,7 @@ let test_safe_mode_entry_and_expiry () =
 let test_safe_mode_forced_exit_on_exhaustion () =
   let vm = make_vm () in
   let c = Vm.controller vm in
-  let threshold =
-    Option.get (Lp_core.Controller.config c).Lp_core.Config.safe_mode_threshold
-  in
-  for _i = 1 to threshold do
+  for _i = 1 to safe_mode_threshold do
     let src, _, _ = prune_by_hand vm in
     ignore (Mutator.read vm src 0)
   done;
@@ -430,24 +428,6 @@ let test_safe_mode_forced_exit_on_exhaustion () =
     (Lp_core.Controller.in_safe_mode c);
   Alcotest.(check int) "forced exit counted" 1
     (Lp_core.Controller.safe_exits_forced c)
-
-let test_safe_mode_threshold_disabled () =
-  let vm =
-    make_vm
-      ~config:
-        (Lp_core.Config.make ~policy:Lp_core.Policy.Default
-           ~safe_mode_threshold:None ())
-      ()
-  in
-  let c = Vm.controller vm in
-  for _i = 1 to 10 do
-    let src, _, _ = prune_by_hand vm in
-    ignore (Mutator.read vm src 0)
-  done;
-  Alcotest.(check bool) "threshold None never enters SAFE" false
-    (Lp_core.Controller.in_safe_mode c);
-  Alcotest.(check int) "mispredictions still tracked" 10
-    (Lp_core.Controller.mispredictions c)
 
 let test_misprediction_protects_edge_type () =
   let vm = make_vm () in
@@ -490,8 +470,6 @@ let suite =
         test_safe_mode_entry_and_expiry;
       Alcotest.test_case "SAFE forced exit on exhaustion" `Quick
         test_safe_mode_forced_exit_on_exhaustion;
-      Alcotest.test_case "SAFE threshold disabled" `Quick
-        test_safe_mode_threshold_disabled;
       Alcotest.test_case "misprediction protects the edge type" `Quick
         test_misprediction_protects_edge_type;
     ] )

@@ -97,12 +97,11 @@ let test_checkpoint_malformed () =
 
 (* ------------------------- escalation ladder ---------------------- *)
 
-let ladder_config =
-  { Supervisor.window_rounds = 16; warm_limit = 2; cold_limit = 4;
-    retire_limit = 6 }
-
+(* The ladder's constants: a 16-round window, warm up to 2 restarts (the
+   fleet default), cold up to 4, extended quarantine up to 6, retirement
+   beyond. *)
 let test_ladder_climbs () =
-  let s = Supervisor.create ladder_config in
+  let s = Supervisor.create ~warm_limit:2 in
   let actions = List.init 7 (fun _ -> Supervisor.on_restart s ~round:10) in
   Alcotest.(check bool) "warm, warm, cold, cold, ext, ext, retire" true
     (actions
@@ -112,19 +111,22 @@ let test_ladder_climbs () =
   Alcotest.(check int) "all restarts counted" 7 (Supervisor.total_restarts s)
 
 let test_ladder_window_slides () =
-  let s = Supervisor.create { ladder_config with Supervisor.window_rounds = 4 } in
-  (* restarts spaced wider than the window never escalate *)
+  let s = Supervisor.create ~warm_limit:1 in
+  (* restarts spaced wider than the 16-round window never escalate *)
   List.iter
     (fun round ->
       Alcotest.(check string) "isolated restarts stay warm" "warm"
         (Supervisor.action_to_string (Supervisor.on_restart s ~round)))
-    [ 0; 10; 20; 30 ];
+    [ 0; 16; 32; 48 ];
   Alcotest.(check int) "only the last restart is in window" 1
-    (Supervisor.restarts_in_window s ~round:30);
-  Alcotest.(check int) "but all are remembered" 4 (Supervisor.total_restarts s)
+    (Supervisor.restarts_in_window s ~round:48);
+  Alcotest.(check string) "a restart 15 rounds on is the window's second"
+    "cold"
+    (Supervisor.action_to_string (Supervisor.on_restart s ~round:63));
+  Alcotest.(check int) "but all are remembered" 5 (Supervisor.total_restarts s)
 
 let test_latest_checkpoint_wins () =
-  let s = Supervisor.create ladder_config in
+  let s = Supervisor.create ~warm_limit:2 in
   Alcotest.(check bool) "no frame at boot" true (Supervisor.checkpoint s = None);
   Supervisor.store_checkpoint s ~round:8 (Bytes.of_string "old");
   Supervisor.store_checkpoint s ~round:16 (Bytes.of_string "new");
@@ -139,11 +141,12 @@ let test_latest_checkpoint_wins () =
 
 (* ----------------------------- breaker ---------------------------- *)
 
-let breaker_config =
-  { Breaker.window_rounds = 8; trip_permille = 500; cooldown_rounds = 4 }
+(* The breaker's constants: an 8-round window and a 4-round cooldown;
+   the trip bar is the fleet default, 500 permille. *)
+let breaker () = Breaker.create ~trip_permille:500 ~tenants:4
 
 let test_breaker_strict_inequality () =
-  let b = Breaker.create breaker_config ~tenants:4 in
+  let b = breaker () in
   Breaker.note_restart b ~round:1 ~tenant:0;
   Breaker.note_restart b ~round:1 ~tenant:1;
   (* a tenant restarting twice is still one distinct tenant *)
@@ -156,7 +159,7 @@ let test_breaker_strict_inequality () =
     (Breaker.should_trip b ~round:2)
 
 let test_breaker_trip_cooldown_reset () =
-  let b = Breaker.create breaker_config ~tenants:4 in
+  let b = breaker () in
   List.iter (fun tenant -> Breaker.note_restart b ~round:3 ~tenant) [ 0; 1; 2 ];
   Breaker.trip b ~round:3;
   Alcotest.(check bool) "open after trip" true (Breaker.is_open b);
@@ -176,12 +179,14 @@ let test_breaker_trip_cooldown_reset () =
   Alcotest.(check int) "the trip was counted" 1 (Breaker.trips b)
 
 let test_breaker_window_slides () =
-  let b = Breaker.create breaker_config ~tenants:4 in
+  let b = breaker () in
   List.iter (fun tenant -> Breaker.note_restart b ~round:1 ~tenant) [ 0; 1; 2 ];
   Alcotest.(check bool) "trips inside the window" true
     (Breaker.should_trip b ~round:2);
-  Alcotest.(check int) "old restarts age out" 0
-    (Breaker.distinct_restarted b ~round:20);
+  Alcotest.(check int) "still in the window at round 8" 3
+    (Breaker.distinct_restarted b ~round:8);
+  Alcotest.(check int) "aged out of the 8-round window at round 9" 0
+    (Breaker.distinct_restarted b ~round:9);
   Alcotest.(check bool) "no trip once the window slid" false
     (Breaker.should_trip b ~round:20)
 
@@ -189,32 +194,22 @@ let test_breaker_window_slides () =
 
 let test_supervision_config_validation () =
   let base = Lp_fleet.Fleet.default_options ~seed:1 ~rounds:1 () in
-  let ladder = Supervisor.default and breaker = Breaker.default in
   let rejects label opts =
     match Lp_fleet.Fleet.validate opts with
     | Ok _ -> Alcotest.failf "%s must not validate" label
     | Error _ -> ()
+  and accepts label opts =
+    match Lp_fleet.Fleet.validate opts with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "%s rejected: %s" label msg
   in
-  rejects "quarantine_rounds 0" { base with quarantine_rounds = 0 };
-  rejects "extended quarantine below quarantine"
-    { base with quarantine_rounds = 3; extended_quarantine_rounds = 2 };
-  rejects "checkpoint_rounds 0" { base with checkpoint_rounds = 0 };
-  let with_ladder supervisor = { base with Lp_fleet.Fleet.supervisor } in
-  rejects "negative warm limit" (with_ladder { ladder with warm_limit = -1 });
-  rejects "cold limit below warm limit"
-    (with_ladder { ladder with warm_limit = 3; cold_limit = 2 });
-  rejects "retire limit below cold limit"
-    (with_ladder { ladder with cold_limit = 4; retire_limit = 3 });
-  let with_breaker breaker = { base with Lp_fleet.Fleet.breaker } in
-  rejects "storm window 0" (with_breaker { breaker with window_rounds = 0 });
-  rejects "storm trip 0 permille"
-    (with_breaker { breaker with trip_permille = 0 });
+  rejects "negative warm limit" { base with warm_limit = -1 };
+  rejects "warm limit above the cold limit" { base with warm_limit = 5 };
+  accepts "warm limit at the cold limit" { base with warm_limit = 4 };
+  rejects "storm trip 0 permille" { base with storm_trip_permille = 0 };
   rejects "storm trip over 1000 permille"
-    (with_breaker { breaker with trip_permille = 1001 });
-  rejects "storm cooldown 0" (with_breaker { breaker with cooldown_rounds = 0 });
-  match Lp_fleet.Fleet.validate base with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "default options rejected: %s" msg
+    { base with storm_trip_permille = 1001 };
+  accepts "default options" base
 
 (* --------------------- restart-reason taxonomy -------------------- *)
 
@@ -267,8 +262,8 @@ let run_solo ?(rounds = 60) ?(warm_limit = 2) ~kills seed =
   Lp_fleet.Fleet.run
     { (Lp_fleet.Fleet.default_options ~seed ~rounds ()) with
       Lp_fleet.Fleet.requests_per_round = 2;
-      supervisor = { Supervisor.default with warm_limit };
-      breaker = { Breaker.default with trip_permille = 1000 };
+      warm_limit;
+      storm_trip_permille = 1000;
       kills
     }
     [ spec ~id:0 () ]

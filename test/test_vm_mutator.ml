@@ -147,37 +147,6 @@ let test_finalizer_runs_once () =
   Vm.run_gc vm;
   Alcotest.(check int) "never re-runs" 1 !count
 
-let test_strict_finalizers_stop_after_prune () =
-  let config =
-    Lp_core.Config.make ~policy:Lp_core.Policy.Default
-      ~finalizers_after_prune:false ()
-  in
-  let vm = Vm.create ~config ~heap_bytes:10_000 () in
-  let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
-  let count = ref 0 in
-  (* leak until pruning engages *)
-  (try
-     for _i = 1 to 2_000 do
-       Vm.with_frame vm ~n_slots:1 (fun frame ->
-           let node = Vm.alloc vm ~class_name:"N" ~scalar_bytes:40 ~n_fields:1 () in
-           Roots.set_slot frame 0 node.Heap_obj.id;
-           (match Mutator.read vm statics 0 with
-           | Some head -> Mutator.write_obj vm node 0 head
-           | None -> ());
-           Mutator.write_obj vm statics 0 node)
-     done
-   with Lp_core.Errors.Out_of_memory _ -> ());
-  Alcotest.(check bool) "pruning engaged" true
-    (Lp_core.Controller.averted_error (Vm.controller vm) <> None);
-  (* allocate a finalizable object and drop it: strict mode must not run
-     its finalizer anymore *)
-  ignore
-    (Vm.alloc vm ~class_name:"Closeable" ~scalar_bytes:16
-       ~finalizer:(fun _ -> incr count)
-       ~n_fields:0 ());
-  Vm.run_gc vm;
-  Alcotest.(check int) "finalizers disabled after pruning" 0 !count
-
 let test_work_rejects_negative () =
   let vm = make_vm () in
   Alcotest.check_raises "negative work" (Invalid_argument "Vm.work") (fun () ->
@@ -242,8 +211,6 @@ let suite =
       Alcotest.test_case "OOM when heap is live" `Quick test_out_of_memory_when_live;
       Alcotest.test_case "statics semantics" `Quick test_statics_are_roots_and_stable;
       Alcotest.test_case "finalizer runs once" `Quick test_finalizer_runs_once;
-      Alcotest.test_case "strict finalizer mode" `Quick
-        test_strict_finalizers_stop_after_prune;
       Alcotest.test_case "work validation" `Quick test_work_rejects_negative;
       Alcotest.test_case "no slice budget: one Monolithic pause per collection"
         `Quick test_unbudgeted_collection_is_one_pause;
