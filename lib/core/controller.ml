@@ -81,13 +81,9 @@ let create ?metrics ?engine config registry =
 
 let set_sink t sink = t.sink <- sink
 
-let sink t = t.sink
-
 let engine t = t.engine
 
 let mark_wall_ns t = t.mark_wall_ns
-
-let metrics t = t.metrics
 
 (* Observability helpers. Events are constructed inside the [Some]
    branch so a disabled sink costs exactly the branch. *)
@@ -467,7 +463,6 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
    meaningful within one VM. *)
 
 type brain = {
-  brain_classes : string list;
   brain_gc_count : int;
   brain_mispredictions : int;
   brain_epoch_mispredictions : int;
@@ -478,21 +473,12 @@ type brain = {
 }
 
 let export_brain t =
+  let name = Class_registry.name t.registry in
   let edges = ref [] in
   Edge_table.iter t.table (fun ~src ~tgt ~max_stale_use ~bytes_used:_ ->
       if max_stale_use > 0 then
-        edges :=
-          ( Class_registry.name t.registry src,
-            Class_registry.name t.registry tgt,
-            max_stale_use )
-          :: !edges);
+        edges := (name src, name tgt, max_stale_use) :: !edges);
   {
-    (* the full id-ordered class table: the importing VM registers it
-       first, so every edge class resolves and classes the workload
-       registers on first use keep the ids they had *)
-    brain_classes =
-      List.init (Class_registry.count t.registry)
-        (Class_registry.name t.registry);
     brain_gc_count = t.gc_count;
     brain_mispredictions = t.mispredictions;
     brain_epoch_mispredictions = t.epoch_mispredictions;
@@ -502,72 +488,31 @@ let export_brain t =
        always exports the same byte stream *)
     brain_edges = List.sort compare !edges;
     brain_pruned_types =
-      List.map
-        (fun (src, tgt) ->
-          (Class_registry.name t.registry src, Class_registry.name t.registry tgt))
-        (pruned_edge_types t);
+      List.map (fun (src, tgt) -> (name src, name tgt)) (pruned_edge_types t);
   }
 
-(* All-or-nothing: the brain's class table must re-register at the
-   exact ids it was exported with, and every edge class name must then
-   resolve, before anything is written — so a failed import leaves the
-   controller exactly as it was (the registry keeps the names it
-   gained). Classes the new incarnation has already registered (VM
-   built-ins, workload [prepare]) were registered in the same order by
-   the previous incarnation, so their ids line up; any divergence is a
-   checkpoint/incarnation mismatch reported as an error. *)
+(* Each name resolves by registering it: a class the fresh VM has not
+   registered yet (one its workload registers on first use) takes the
+   next id, and the workload's own registration later returns that same
+   id. The lets fix the registration order, source before target. *)
 let import_brain t brain =
-  let rec check_classes i = function
-    | [] -> Ok ()
-    | name :: rest ->
-      let id = Class_registry.register t.registry name in
-      if id = i then check_classes (i + 1) rest
-      else
-        Error
-          (Printf.sprintf "class %S maps to id %d, checkpoint expects %d" name
-             id i)
+  let pair src tgt =
+    let src = Class_registry.register t.registry src in
+    let tgt = Class_registry.register t.registry tgt in
+    (src, tgt)
   in
-  let resolve name =
-    match Class_registry.find t.registry name with
-    | Some id -> Ok id
-    | None -> Error (Printf.sprintf "unknown class %S in checkpoint" name)
-  in
-  let rec resolve_edges acc = function
-    | [] -> Ok (List.rev acc)
-    | (src, tgt, max_stale_use) :: rest -> (
-      match (resolve src, resolve tgt) with
-      | Ok src, Ok tgt -> resolve_edges ((src, tgt, max_stale_use) :: acc) rest
-      | (Error _ as e), _ | _, (Error _ as e) ->
-        (match e with Error msg -> Error msg | Ok _ -> assert false))
-  in
-  let rec resolve_pairs acc = function
-    | [] -> Ok (List.rev acc)
-    | (src, tgt) :: rest -> (
-      match (resolve src, resolve tgt) with
-      | Ok src, Ok tgt -> resolve_pairs ((src, tgt) :: acc) rest
-      | (Error _ as e), _ | _, (Error _ as e) ->
-        (match e with Error msg -> Error msg | Ok _ -> assert false))
-  in
-  (* classes must be (re-)registered before edges can resolve *)
-  match check_classes 0 brain.brain_classes with
-  | Error msg -> Error msg
-  | Ok () ->
-  match
-    (resolve_edges [] brain.brain_edges, resolve_pairs [] brain.brain_pruned_types)
-  with
-  | Error msg, _ | _, Error msg -> Error msg
-  | Ok edges, Ok pruned ->
-    t.gc_count <- brain.brain_gc_count;
-    t.mispredictions <- brain.brain_mispredictions;
-    t.epoch_mispredictions <- brain.brain_epoch_mispredictions;
-    t.unproductive_cycles <- brain.brain_unproductive_cycles;
-    List.iter
-      (fun (src, tgt, max_stale_use) ->
-        Edge_table.load_entry t.table ~src ~tgt ~max_stale_use ~bytes_used:0)
-      edges;
-    t.pruned_types <- List.rev pruned;
-    State_machine.restore t.machine brain.brain_machine;
-    Ok ()
+  t.gc_count <- brain.brain_gc_count;
+  t.mispredictions <- brain.brain_mispredictions;
+  t.epoch_mispredictions <- brain.brain_epoch_mispredictions;
+  t.unproductive_cycles <- brain.brain_unproductive_cycles;
+  List.iter
+    (fun (src, tgt, max_stale_use) ->
+      let src, tgt = pair src tgt in
+      Edge_table.load_entry t.table ~src ~tgt ~max_stale_use ~bytes_used:0)
+    brain.brain_edges;
+  t.pruned_types <-
+    List.rev_map (fun (src, tgt) -> pair src tgt) brain.brain_pruned_types;
+  State_machine.restore t.machine brain.brain_machine
 
 let on_allocation_failure t store ~requested =
   let oom () =

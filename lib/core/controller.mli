@@ -49,8 +49,6 @@ val set_sink : t -> Lp_obs.Sink.t option -> unit
     accumulates, and [Safe_enter]/[Safe_exit] transitions. With no sink
     (the default), every site costs one branch. *)
 
-val sink : t -> Lp_obs.Sink.t option
-
 val engine : t -> Collector.t
 (** The collector this controller runs every full-heap collection on:
     the VM retunes its slice budget and drains its pause samples
@@ -59,8 +57,6 @@ val engine : t -> Collector.t
 val mark_wall_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent in mark phases — the
     numerator of the bench's mark-phase throughput. *)
-
-val metrics : t -> Lp_obs.Metrics.t
 
 val config : t -> Config.t
 
@@ -189,10 +185,6 @@ val safe_exits_forced : t -> int
     override). *)
 
 type brain = {
-  brain_classes : string list;
-      (** the full class table in id order; the importing incarnation
-          registers it first and must reproduce this exact name → id
-          mapping *)
   brain_gc_count : int;
   brain_mispredictions : int;
   brain_epoch_mispredictions : int;
@@ -206,23 +198,20 @@ type brain = {
 }
 (** Everything the controller has {e learned} — the state a supervision
     checkpoint persists so a warm-restarted tenant keeps its pruning
-    knowledge. Edge classes travel by name; [brain_classes] pins the
-    name → id mapping, so classes the new incarnation registers later
-    keep their ids. Byte attribution
-    ([bytesused]) is per-epoch scratch and deliberately absent. *)
+    knowledge. Classes travel by name only: a class id means something
+    only inside one VM. Byte attribution ([bytesused]) is per-epoch
+    scratch and deliberately absent. *)
 
 val export_brain : t -> brain
 (** Deterministic: the same controller state always exports the same
     value (edge entries are sorted, not in hash-slot order). *)
 
-val import_brain : t -> brain -> (unit, string) result
-(** Restores an exported brain into a freshly created controller.
-    First re-registers [brain_classes] in id order — names the new
-    incarnation already registered (VM built-ins, workload setup) must
-    land on the same ids, or the import fails. All-or-nothing for
-    controller state: any [Error] (id mismatch or unresolvable edge
-    class) leaves the controller untouched and the caller falls back to
-    a cold boot. On [Ok] restores counters, the edge table's
-    [maxstaleuse] entries, the pruned-type list and the state machine
-    ({!State_machine.restore}); the metrics registry is not touched —
-    counters are per-incarnation. *)
+val import_brain : t -> brain -> unit
+(** Restores an exported brain into a freshly created controller:
+    counters, the edge table's [maxstaleuse] entries, the pruned-type
+    list and the state machine ({!State_machine.restore}). Each class
+    name resolves through {!Lp_heap.Class_registry.register}, so the
+    import cannot fail whatever order the new incarnation registered
+    its classes in, and the registry gains only names the brain holds.
+    The metrics registry is not touched — counters are
+    per-incarnation. *)

@@ -124,10 +124,10 @@ let bytes_used t ~src ~tgt =
 
 (* Ties break on the lexicographically least (src, tgt) class pair —
    NOT on slot index, which depends on insertion order under hash
-   collisions. Entry insertion order is the one thing the parallel
-   engine does not reproduce exactly (byte totals and the entry SET are
-   identical; table placement is not), so the winner must be a function
-   of the entries alone. *)
+   collisions. A warm-restarted table loads its imported entries in
+   class-name order before any collection adds one, so the same entries
+   can sit in other slots than in a table that learned them itself;
+   the winner must be a function of the entries alone. *)
 let select_max_bytes t =
   let best = ref (-1) in
   for k = 0 to t.entries - 1 do

@@ -51,9 +51,6 @@ let disk_exhausted ~resident_bytes ~limit_bytes ~retries ~gc_count =
 let heap_corruption ~src_class ~field ~target ~gc_count =
   Heap_corruption { src_class; field; target; gc_count }
 
-let out_of_disk ~resident_bytes ~limit_bytes =
-  Out_of_disk { resident_bytes; limit_bytes }
-
 let resurrection_failed ~target ~reason ~gc_count =
   Resurrection_failed { target; reason; gc_count }
 

@@ -95,8 +95,6 @@ val disk_exhausted :
 val heap_corruption :
   src_class:string -> field:int -> target:int -> gc_count:int -> exn
 
-val out_of_disk : resident_bytes:int -> limit_bytes:int -> exn
-
 val resurrection_failed :
   target:int -> reason:resurrection_failure -> gc_count:int -> exn
 

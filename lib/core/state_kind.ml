@@ -7,14 +7,6 @@ let to_string = function
   | Prune -> "PRUNE"
   | Safe -> "SAFE"
 
-let of_string = function
-  | "INACTIVE" | "inactive" -> Some Inactive
-  | "OBSERVE" | "observe" -> Some Observe
-  | "SELECT" | "select" -> Some Select
-  | "PRUNE" | "prune" -> Some Prune
-  | "SAFE" | "safe" -> Some Safe
-  | _ -> None
-
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let to_int = function

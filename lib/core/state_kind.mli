@@ -12,8 +12,6 @@ type t = Inactive | Observe | Select | Prune | Safe
 
 val to_string : t -> string
 
-val of_string : string -> t option
-
 val pp : Format.formatter -> t -> unit
 
 val to_int : t -> int

@@ -255,9 +255,8 @@ let run opts specs =
      decision, then either retire the tenant for good or restart it at
      the chosen temperature. A Warm decision is demoted to cold — with a
      [Checkpoint_fallback] event carrying the typed reason — when no
-     checkpoint exists, the frame fails {!Lp_super.Checkpoint.decode},
-     or the brain import fails; the tenant always comes back in a
-     defined state. *)
+     checkpoint exists or the frame fails {!Lp_super.Checkpoint.decode};
+     the tenant always comes back in a defined state. *)
   let handle_failure slot ~reason ~killed =
     let tid = tenant_id slot in
     Lp_super.Breaker.note_restart breaker ~round:!round ~tenant:tid;
@@ -281,32 +280,27 @@ let run opts specs =
              restarts = Tenant.restarts slot.tenant;
            })
     | (Lp_super.Supervisor.Warm | Cold | Cold_extended) as action ->
-      let mode, decode_fallback =
-        match action with
-        | Lp_super.Supervisor.Warm -> (
-          match Lp_super.Supervisor.checkpoint slot.super with
-          | None -> (Tenant.Cold, Some "no-checkpoint")
-          | Some (_saved_round, frame) -> (
-            match Lp_super.Checkpoint.decode frame with
-            | Ok (_saved_round, brain) -> (Tenant.Warm brain, None)
-            | Error e -> (Tenant.Cold, Some (Lp_super.Checkpoint.error_to_string e))))
-        | _ -> (Tenant.Cold, None)
-      in
-      let outcome = Tenant.restart slot.tenant ~killed ~mode in
-      let fallback =
-        match decode_fallback with
-        | Some _ as f -> f
-        | None -> outcome.Tenant.fallback
-      in
-      (match fallback with
-      | Some why ->
+      let fallback why =
         slot.checkpoint_fallbacks <- slot.checkpoint_fallbacks + 1;
         Lp_obs.Sink.emit sink
           (Lp_obs.Event.Checkpoint_fallback
-             { tenant = tid; round = !round; reason = why })
-      | None -> ());
-      (match (outcome.Tenant.warm, mode) with
-      | true, Tenant.Warm brain ->
+             { tenant = tid; round = !round; reason = why });
+        Tenant.Cold
+      in
+      let mode =
+        match action with
+        | Lp_super.Supervisor.Warm -> (
+          match Lp_super.Supervisor.checkpoint slot.super with
+          | None -> fallback "no-checkpoint"
+          | Some frame -> (
+            match Lp_super.Checkpoint.decode frame with
+            | Ok brain -> Tenant.Warm brain
+            | Error e -> fallback (Lp_super.Checkpoint.error_to_string e)))
+        | _ -> Tenant.Cold
+      in
+      Tenant.restart slot.tenant ~killed ~mode;
+      (match mode with
+      | Tenant.Warm brain ->
         Lp_obs.Sink.emit sink
           (Lp_obs.Event.Checkpoint_restored
              {
@@ -314,7 +308,7 @@ let run opts specs =
                round = !round;
                edges = List.length brain.Lp_core.Controller.brain_edges;
              })
-      | _ -> ());
+      | Tenant.Cold -> ());
       Lp_obs.Sink.emit sink
         (Lp_obs.Event.Tenant_restarted
            {
@@ -530,8 +524,7 @@ let run opts specs =
         (fun i slot ->
           if (not (Tenant.retired slot.tenant)) && slot.ready then begin
             let frame =
-              Lp_super.Checkpoint.encode ~round:r
-                (Tenant.export_brain slot.tenant)
+              Lp_super.Checkpoint.encode (Tenant.export_brain slot.tenant)
             in
             let frame =
               if !torn_pending > 0 then begin
@@ -543,7 +536,7 @@ let run opts specs =
               end
               else frame
             in
-            Lp_super.Supervisor.store_checkpoint slot.super ~round:r frame;
+            Lp_super.Supervisor.store_checkpoint slot.super frame;
             Lp_obs.Sink.emit sink
               (Lp_obs.Event.Checkpoint_saved
                  {

@@ -28,8 +28,8 @@
     quarantine, then permanent retirement. Every 8 rounds each ready
     tenant's controller brain is framed ({!Lp_super.Checkpoint}) and
     stored; a warm restart restores it (falling back cold — with a
-    [Checkpoint_fallback] event — on any torn/corrupt/unimportable
-    frame). A restarted tenant only re-admits traffic after passing a
+    [Checkpoint_fallback] event — when no frame is stored or the frame
+    is torn, corrupt or of another version). A restarted tenant only re-admits traffic after passing a
     readiness probe (verifier pass + one unbilled request), recorded as
     [Tenant_ready].
 

@@ -19,12 +19,6 @@ exception Verifier_failed of string
 
 type restart_mode = Cold | Warm of Lp_core.Controller.brain
 
-type restart_outcome = {
-  recovery : Diskswap.recovery;
-  warm : bool;
-  fallback : string option;
-}
-
 type stats = {
   served : int;
   recovered : int;
@@ -253,7 +247,6 @@ let healthy t =
 let admission_denials t = Diskswap.admission_denials (Vm.swap t.vm)
 
 let restarts t = t.restarts
-let warm_restarts t = t.warm_restarts
 let retired t = t.retired
 
 let export_brain t = Lp_core.Controller.export_brain (Vm.controller t.vm)
@@ -261,40 +254,29 @@ let export_brain t = Lp_core.Controller.export_brain (Vm.controller t.vm)
 (* The recovery pass every VM incarnation ends with: audit the swap
    store's images, counting the audit, and release the whole store. *)
 let recover_swap t =
-  let recovery = Diskswap.recover (Vm.swap t.vm) in
-  t.images_valid <- t.images_valid + recovery.Diskswap.images_valid;
-  t.images_corrupt <- t.images_corrupt + recovery.Diskswap.images_corrupt;
-  recovery
+  let audit = Diskswap.recover (Vm.swap t.vm) in
+  t.images_valid <- t.images_valid + audit.Diskswap.images_valid;
+  t.images_corrupt <- t.images_corrupt + audit.Diskswap.images_corrupt
 
 (* A restart is the tenant's whole error-containment story: harvest the
    dying VM's counters, put its swap store through [Diskswap.recover]
    (audit every image, release everything back to the backend), and
    boot a fresh VM over the same quota. Warm and cold differ only in
    what the fresh controller starts from: a warm restart imports the
-   checkpointed brain and counts as cold, with the reason, if the
-   import fails (which leaves the controller untouched), so a bad
-   checkpoint can never leave a half-restored tenant. *)
+   checkpointed brain after the workload's [prepare] has run. *)
 let restart t ~killed ~mode =
   harvest t;
   t.restarts <- t.restarts + 1;
   if killed then t.kills <- t.kills + 1;
-  let recovery = recover_swap t in
+  recover_swap t;
   t.vm <- new_vm t.spec t.backend;
   install t;
-  set_baselines t;
-  let warm, fallback =
-    match mode with
-    | Cold -> (false, None)
-    | Warm brain -> (
-      match Lp_core.Controller.import_brain (Vm.controller t.vm) brain with
-      | Ok () ->
-        set_baselines t;
-        (true, None)
-      | Error msg -> (false, Some msg))
-  in
-  if warm then t.warm_restarts <- t.warm_restarts + 1
-  else t.cold_restarts <- t.cold_restarts + 1;
-  { recovery; warm; fallback }
+  (match mode with
+  | Cold -> t.cold_restarts <- t.cold_restarts + 1
+  | Warm brain ->
+    Lp_core.Controller.import_brain (Vm.controller t.vm) brain;
+    t.warm_restarts <- t.warm_restarts + 1);
+  set_baselines t
 
 (* Permanent removal at the top of the escalation ladder: harvest,
    release every byte back to the shared backend. *)
@@ -303,7 +285,7 @@ let retire_tenant t =
     t.retired <- true;
     t.finished <- true;
     harvest t;
-    ignore (recover_swap t : Diskswap.recovery)
+    recover_swap t
   end
 
 let finish t =

@@ -53,26 +53,16 @@ exception Verifier_failed of string
     for the tenant (reason ["verifier"]), never for the fleet. *)
 
 type restart_mode =
-  | Cold  (** drop everything, boot an empty brain *)
+  | Cold  (** boot an empty brain *)
   | Warm of Lp_core.Controller.brain
-      (** retain CRC-valid images and restore this (already decoded and
-          CRC-verified) checkpointed brain *)
-
-type restart_outcome = {
-  recovery : Lp_runtime.Diskswap.recovery;
-  warm : bool;
-      (** the warm path actually completed — [false] under [Warm] means
-          the brain import failed and the tenant fell back cold *)
-  fallback : string option;
-      (** the import failure reason when a requested warm restart was
-          demoted to cold; [None] otherwise *)
-}
+      (** restore this (already decoded and CRC-verified) checkpointed
+          brain into the fresh controller *)
 
 type stats = {
   served : int;
   recovered : int;  (** requests that hit a recoverable error *)
   restarts : int;
-  warm_restarts : int;  (** restarts that completed the warm path *)
+  warm_restarts : int;  (** restarts that restored a checkpointed brain *)
   cold_restarts : int;  (** cold boots, including warm-path fallbacks *)
   kills : int;  (** restarts caused by an injected [Kill_tenant] *)
   crashes : int;  (** restarts caused by a non-taxonomy exception *)
@@ -114,15 +104,14 @@ val serve_one : t -> [ `Ok | `Recovered | `Fatal of string ]
     {!restart}; [reason] is {!Lp_core.Errors.tenant_restart_reason}'s
     tag, or ["verifier"] / ["crash"]. *)
 
-val restart : t -> killed:bool -> mode:restart_mode -> restart_outcome
+val restart : t -> killed:bool -> mode:restart_mode -> unit
 (** Error containment: harvest the dying VM, recover its swap store
     with {!Lp_runtime.Diskswap.recover} (every image audited and
     dropped, the backend released), boot a fresh VM. [killed] marks an
     injected [Kill_tenant] (counted separately from organic restarts).
     [Cold] and [Warm] boot the same fresh VM; [Warm] then imports the
-    brain, and if the import fails the restart counts as cold and
-    [fallback] carries the reason, so a bad checkpoint can never leave a
-    half-restored tenant. *)
+    brain ({!Lp_core.Controller.import_brain}, which cannot fail) and
+    counts as a warm restart, [Cold] as a cold one. *)
 
 val probe : t -> [ `Ready | `Fatal of string ]
 (** Readiness probe gating re-admission after a restart: one strict
@@ -145,8 +134,6 @@ val retire_tenant : t -> unit
     backend. Idempotent; {!finish} afterwards only reads the stats. *)
 
 val restarts : t -> int
-
-val warm_restarts : t -> int
 
 val retired : t -> bool
 

@@ -12,8 +12,6 @@ let create ~seed ~tenant ~rate_per_mille =
     invalid_arg "Traffic.create: rate_per_mille must be >= 0";
   { rng = Random.State.make [| 0x7AF1C; seed; tenant |]; rate_per_mille }
 
-let rate_per_mille t = t.rate_per_mille
-
 (* Deterministic thinning: the integer part arrives every round, the
    fractional part (in per-mille) arrives as a Bernoulli draw. Exactly
    one draw per round regardless of outcome, so streams stay aligned

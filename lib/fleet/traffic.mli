@@ -12,8 +12,6 @@ val create : seed:int -> tenant:int -> rate_per_mille:int -> t
     rounds: [1500] means 1.5 requests per round on average.
     @raise Invalid_argument when negative. *)
 
-val rate_per_mille : t -> int
-
 val arrivals : t -> int
 (** The number of requests arriving this round. Draws from the stream
     exactly once per call, so calling it once per round keeps the stream

@@ -22,10 +22,6 @@ let table ~columns ~rows =
   print_row (List.map (fun w -> String.make w '-') (Array.to_list widths));
   List.iter print_row rows
 
-let series ~title ~x_label ~y_label points =
-  Printf.printf "%s\n%12s  %12s\n" title x_label y_label;
-  List.iter (fun (x, y) -> Printf.printf "%12d  %12d\n" x y) points
-
 let downsample_linear ~every points =
   let rec go last acc = function
     | [] -> List.rev acc

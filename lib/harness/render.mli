@@ -9,10 +9,6 @@ val note : string -> unit
 val table : columns:string list -> rows:string list list -> unit
 (** Fixed-width table with a rule under the column names. *)
 
-val series :
-  title:string -> x_label:string -> y_label:string -> (int * int) list -> unit
-(** Prints a figure's data series as aligned (x, y) rows. *)
-
 val downsample_linear : every:int -> (int * int) list -> (int * int) list
 (** Keeps one point per [every] x-units (plus the last). *)
 

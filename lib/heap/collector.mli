@@ -160,5 +160,5 @@ val take_pauses : t -> (Trace_engine.pause_phase * int) list
 
 val max_slice_work : t -> int
 (** Largest number of objects scanned in a single mark slice so far (0
-    without a budget) — the deterministic quantity the pause-bench
-    budget gate checks. *)
+    without a budget) — deterministic, so the engine tests check it
+    against the slice budget. *)

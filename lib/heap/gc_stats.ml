@@ -60,25 +60,6 @@ let copy t =
     words_repoisoned = t.words_repoisoned;
   }
 
-let reset t =
-  t.collections <- 0;
-  t.objects_marked <- 0;
-  t.fields_scanned <- 0;
-  t.untouched_bits_set <- 0;
-  t.stale_ticks <- 0;
-  t.stale_tick_scans <- 0;
-  t.candidates_enqueued <- 0;
-  t.stale_closure_objects <- 0;
-  t.references_poisoned <- 0;
-  t.selection_scans <- 0;
-  t.objects_swept <- 0;
-  t.bytes_reclaimed <- 0;
-  t.finalizers_enqueued <- 0;
-  t.words_quarantined <- 0;
-  t.resurrections <- 0;
-  t.resurrection_failures <- 0;
-  t.words_repoisoned <- 0
-
 (* One (name, getter) row per field keeps publish and the record in
    sync by construction — adding a counter means adding a row here. *)
 let fields : (string * (t -> int)) list =

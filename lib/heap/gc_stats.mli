@@ -38,8 +38,6 @@ val create : unit -> t
 
 val copy : t -> t
 
-val reset : t -> unit
-
 val publish : t -> Lp_obs.Metrics.t -> unit
 (** Publishes every field into the metrics registry as a cumulative
     [gc.*] counter (absolute set, so publishing is idempotent). The

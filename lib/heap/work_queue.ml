@@ -25,8 +25,6 @@ let[@inline] pop t =
 
 let[@inline] is_empty t = t.len = 0
 
-let length t = t.len
-
 let iter t f =
   for i = 0 to t.len - 1 do
     f t.items.(i)

@@ -26,8 +26,6 @@ val pop : t -> int
 
 val is_empty : t -> bool
 
-val length : t -> int
-
 val iter : t -> (int -> unit) -> unit
 (** [iter t f] applies [f] to the ids held, oldest first, without
     removing them. *)

@@ -79,8 +79,8 @@ type t =
           protected edge-table entries) into the fresh VM's controller *)
   | Checkpoint_fallback of { tenant : int; round : int; reason : string }
       (** the warm path was abandoned for a cold boot: no checkpoint
-          stored, a torn/corrupt/unsupported frame, or a failed import
-          ([reason] carries the typed decode/import error tag) *)
+          stored, or a torn/corrupt/unsupported frame ([reason] carries
+          the typed decode error tag) *)
   | Restart_escalated of { tenant : int; round : int; level : string }
       (** the per-tenant supervisor's ladder decision for this restart:
           ["warm"], ["cold"], ["cold-extended"] or ["retire"] *)

@@ -24,5 +24,3 @@ val check_spans :
     at the head, which is only nonzero when [allow_truncated_head] is
     set (for rings that dropped their oldest events). *)
 
-val escape : string -> string
-(** JSON string-body escaping (exposed for the CLI's ad-hoc output). *)

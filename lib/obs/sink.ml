@@ -19,8 +19,6 @@ let iter t f = Ring.iter t.ring f
 
 let length t = Ring.length t.ring
 
-let capacity t = Ring.capacity t.ring
-
 let dropped t = Ring.dropped t.ring
 
 let clear t = Ring.clear t.ring

@@ -22,8 +22,6 @@ val iter : t -> (Event.stamped -> unit) -> unit
 
 val length : t -> int
 
-val capacity : t -> int
-
 val dropped : t -> int
 (** Events evicted because the ring was full. *)
 

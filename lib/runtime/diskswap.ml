@@ -388,14 +388,7 @@ let after_gc ?(allow_offload = true) t store =
 
 let admission_denials t = t.denied
 
-let quota_bytes t = t.config.disk_limit_bytes
-
-type recovery = {
-  images_valid : int;
-  images_corrupt : int;
-  payloads_dropped : int;
-  bytes_released : int;
-}
+type recovery = { images_valid : int; images_corrupt : int }
 
 (* Crash-consistent recovery pass for a tenant restart: audit every
    prune image against its CRC (distinguishing clean images from at-rest
@@ -412,20 +405,13 @@ let recover t =
       | Ok _ -> incr images_valid
       | Error _ -> incr images_corrupt)
     t.images;
-  let payloads_dropped = Hashtbl.length t.resident in
-  let bytes_released = disk_bytes t in
   Hashtbl.reset t.resident;
   Hashtbl.reset t.images;
   Hashtbl.reset t.forwards;
   bump t;
   set_resident_total t 0;
   set_image_total t 0;
-  {
-    images_valid = !images_valid;
-    images_corrupt = !images_corrupt;
-    payloads_dropped;
-    bytes_released;
-  }
+  { images_valid = !images_valid; images_corrupt = !images_corrupt }
 
 let retrieve t store (obj : Heap_obj.t) =
   match Hashtbl.find_opt t.resident obj.Heap_obj.id with

@@ -147,22 +147,17 @@ val admission_denials : t -> int
 (** This store's cumulative admission denials (always [0] without a
     backend). *)
 
-val quota_bytes : t -> int
-(** The configured [disk_limit_bytes] (the tenant quota in fleet mode). *)
-
 type recovery = {
   images_valid : int;  (** prune images whose CRC check passed *)
   images_corrupt : int;  (** images that failed decode (at-rest rot) *)
-  payloads_dropped : int;  (** offload payloads released *)
-  bytes_released : int;  (** total disk bytes credited back *)
 }
 
 val recover : t -> recovery
 (** Crash-consistent recovery pass, run on a tenant VM's store when the
-    VM is restarted or retired: audits every prune image against its checksum
-    (reporting valid vs. corrupt), then releases {e all} disk state —
-    payloads, images and the forwarding table — crediting any attached
-    backend. The next VM boots with a store of its own, so anything kept
+    VM is restarted or retired: audits every prune image against its
+    checksum (returning the valid and corrupt counts), then releases
+    {e all} disk state — payloads, images and the forwarding table —
+    crediting any attached backend. The next VM boots with a store of its own, so anything kept
     would be a permanent shared-disk leak. *)
 
 val retrieve :

@@ -23,7 +23,6 @@ type t = {
   mutable integral : float;
   mutable last_err : float;
   mutable adjustments : int;
-  mutable samples_seen : int;
 }
 
 type decision = {
@@ -59,14 +58,12 @@ let create ~target_p99_ns ~floor ~init_budget =
     integral = 0.0;
     last_err = 0.0;
     adjustments = 0;
-    samples_seen = 0;
   }
 
 let push_sample t ns =
   t.window.(t.window_pos) <- ns;
   t.window_pos <- (t.window_pos + 1) mod window_cap;
-  if t.window_len < window_cap then t.window_len <- t.window_len + 1;
-  t.samples_seen <- t.samples_seen + 1
+  if t.window_len < window_cap then t.window_len <- t.window_len + 1
 
 let p99_ns t =
   if t.window_len = 0 then 0
@@ -80,19 +77,22 @@ let p99_ns t =
 
 let clamp lo hi v = if v < lo then lo else if v > hi then hi else v
 
-(* One PID step on the ns-denominated budget. Positive error (p99 over
-   target) shrinks the budget multiplicatively; the per-step factor is
-   clamped to [0.5, 2.0] so one outlier collection cannot slam the
-   budget across its whole range. *)
-let retune t =
-  let p99 = float_of_int (p99_ns t) in
+(* One PID step on the ns-denominated budget, given the window's p99.
+   Positive error (p99 over target) shrinks the budget multiplicatively;
+   the per-step factor is clamped to [0.5, 2.0] so one outlier
+   collection cannot slam the budget across its whole range. The budget
+   stays within [1 µs, 100 × target]; below a 10 ns target the upper
+   bound is the lower one too. *)
+let retune t ~p99 =
+  let p99 = float_of_int p99 in
   let target = float_of_int t.target_p99_ns in
   let err = (p99 -. target) /. target in
   t.integral <- clamp (-5.0) 5.0 (t.integral +. err);
   let control = (kp *. err) +. (ki *. t.integral) +. (kd *. (err -. t.last_err)) in
   t.last_err <- err;
   let factor = clamp 0.5 2.0 (exp (-.control)) in
-  let min_ns = 1_000.0 and max_ns = 100.0 *. target in
+  let max_ns = 100.0 *. target in
+  let min_ns = Float.min 1_000.0 max_ns in
   t.budget_ns <- clamp min_ns max_ns (t.budget_ns *. factor)
 
 let budget_objects t =
@@ -120,8 +120,8 @@ let note_collection t ~samples =
              else (ewma_alpha *. cost) +. ((1.0 -. ewma_alpha) *. t.ns_per_obj))
       | _ -> ())
     samples;
-  retune t;
   let p99 = p99_ns t in
+  retune t ~p99;
   let new_budget = budget_objects t in
   let budget_changed = new_budget <> t.budget in
   if budget_changed then t.adjustments <- t.adjustments + 1;
@@ -132,8 +132,6 @@ let note_collection t ~samples =
     d_budget_changed = budget_changed;
   }
 
-let target t = t.target_p99_ns
 let budget t = t.budget
 let adjustments t = t.adjustments
 let escalations (_ : t) = 0
-let samples_seen t = t.samples_seen

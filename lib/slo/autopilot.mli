@@ -39,10 +39,8 @@ val p99_ns : t -> int
 (** Current p99 over the sample window (up to the last 256 samples);
     0 before any sample. *)
 
-val target : t -> int
 val budget : t -> int
 (** The object-count slice budget currently in effect. *)
-
 
 val adjustments : t -> int
 (** Collections after which the object budget actually changed. *)
@@ -50,5 +48,3 @@ val adjustments : t -> int
 val escalations : t -> int
 (** Always 0. The benchmark in [perfbench/] still reads this counter,
     so it stays until the next change to that benchmark. *)
-
-val samples_seen : t -> int

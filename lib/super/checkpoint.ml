@@ -5,7 +5,7 @@
 
 open Lp_core
 
-let version = 1
+let version = 2
 
 let header_bytes = 12
 
@@ -26,19 +26,16 @@ let error_to_string = function
   | Version_unsupported v -> Printf.sprintf "version-unsupported (%d)" v
   | Malformed what -> Printf.sprintf "malformed (%s)" what
 
-(* Payload: eleven fixed int32s (round, four controller counters, six
-   machine words), then the length-prefixed class-table, edge and
-   pruned-type sections. Strings are a length int32 followed by raw
-   bytes. *)
+(* Payload: ten fixed int32s (four controller counters, six machine
+   words), then the length-prefixed edge and pruned-type sections.
+   Strings are a length int32 followed by raw bytes. *)
+
+let fixed_words = 10
 
 let string_bytes s = 4 + String.length s
 
 let payload_bytes ~(brain : Controller.brain) =
-  (11 * 4)
-  + 4
-  + List.fold_left
-      (fun acc name -> acc + string_bytes name)
-      0 brain.Controller.brain_classes
+  (fixed_words * 4)
   + 4
   + List.fold_left
       (fun acc (src, tgt, _) -> acc + string_bytes src + string_bytes tgt + 4)
@@ -48,7 +45,7 @@ let payload_bytes ~(brain : Controller.brain) =
       (fun acc (src, tgt) -> acc + string_bytes src + string_bytes tgt)
       0 brain.Controller.brain_pruned_types
 
-let encode ~round (brain : Controller.brain) =
+let encode (brain : Controller.brain) =
   let payload_len = payload_bytes ~brain in
   let buf = Bytes.create (header_bytes + payload_len) in
   let off = ref header_bytes in
@@ -66,7 +63,6 @@ let encode ~round (brain : Controller.brain) =
   Bytes.set buf 2 (Char.chr version);
   Bytes.set buf 3 '\000';
   Bytes.set_int32_le buf 4 (Int32.of_int payload_len);
-  put_i32 round;
   put_i32 brain.Controller.brain_gc_count;
   put_i32 brain.Controller.brain_mispredictions;
   put_i32 brain.Controller.brain_epoch_mispredictions;
@@ -78,8 +74,6 @@ let encode ~round (brain : Controller.brain) =
   put_i32 m.State_machine.snap_safe_remaining;
   put_i32 m.State_machine.snap_safe_entries;
   put_i32 m.State_machine.snap_safe_exits_forced;
-  put_i32 (List.length brain.Controller.brain_classes);
-  List.iter put_str brain.Controller.brain_classes;
   put_i32 (List.length brain.Controller.brain_edges);
   List.iter
     (fun (src, tgt, max_stale_use) ->
@@ -114,7 +108,7 @@ let decode buf =
     else
       let payload_len = Int32.to_int (Bytes.get_int32_le buf 4) in
       let expected = header_bytes + payload_len in
-      if payload_len < 11 * 4 || len <> expected then
+      if payload_len < fixed_words * 4 || len <> expected then
         Error (Torn { expected_bytes = expected; actual_bytes = len })
       else if
         Int32.to_int (Bytes.get_int32_le buf 8) land 0xFFFFFFFF
@@ -138,7 +132,6 @@ let decode buf =
           s
         in
         match
-          let round = get_i32 () in
           let brain_gc_count = get_i32 () in
           let brain_mispredictions = get_i32 () in
           let brain_epoch_mispredictions = get_i32 () in
@@ -162,13 +155,9 @@ let decode buf =
                 snap_safe_exits_forced = safe_exits_forced;
               }
             in
-            let n_classes = get_i32 () in
-            if n_classes < 0 then Error (Malformed "class count")
+            let n_edges = get_i32 () in
+            if n_edges < 0 then Error (Malformed "edge count")
             else
-              let classes = List.init n_classes (fun _ -> get_str ()) in
-              let n_edges = get_i32 () in
-              if n_edges < 0 then Error (Malformed "edge count")
-              else
               let edges =
                 List.init n_edges (fun _ ->
                     let src = get_str () in
@@ -188,17 +177,15 @@ let decode buf =
                 if !off <> len then Error (Malformed "trailing bytes")
                 else
                   Ok
-                    ( round,
-                      {
-                        Controller.brain_classes = classes;
-                        brain_gc_count;
-                        brain_mispredictions;
-                        brain_epoch_mispredictions;
-                        brain_unproductive_cycles;
-                        brain_machine = machine;
-                        brain_edges = edges;
-                        brain_pruned_types = pruned;
-                      } )
+                    {
+                      Controller.brain_gc_count;
+                      brain_mispredictions;
+                      brain_epoch_mispredictions;
+                      brain_unproductive_cycles;
+                      brain_machine = machine;
+                      brain_edges = edges;
+                      brain_pruned_types = pruned;
+                    }
         with
         | result -> result
         | exception Truncated -> Error (Malformed "section overruns payload")

@@ -8,17 +8,18 @@
     {v
     offset  size  field
     0       2     magic "LC"
-    2       1     format version (1)
+    2       1     format version (2)
     3       1     reserved (zero)
     4       4     payload length, little-endian int32
     8       4     CRC-32 of the payload (IEEE 802.3), little-endian
     12      n     payload
     v}
 
-    The payload is eleven little-endian int32s (checkpoint round, four
-    controller counters, six state-machine words), then the edge section
-    and the pruned-type section, each a count followed by entries whose
-    class names are length-prefixed strings.
+    The payload is ten little-endian int32s (four controller counters,
+    six state-machine words), then the edge section and the pruned-type
+    section, each a count followed by entries whose class names are
+    length-prefixed strings. No class id is stored: the importing VM
+    resolves every name itself ({!Lp_core.Controller.import_brain}).
 
     {!decode} is total: torn frames, bit rot, foreign version bytes and
     structurally impossible payloads all come back as typed errors —
@@ -40,11 +41,11 @@ type error =
 val error_to_string : error -> string
 (** Short tag for events and reports, e.g. ["crc-mismatch"]. *)
 
-val encode : round:int -> Lp_core.Controller.brain -> bytes
-(** Deterministic: equal brains and rounds encode to equal bytes. *)
+val encode : Lp_core.Controller.brain -> bytes
+(** Deterministic: equal brains encode to equal bytes. *)
 
-val decode : bytes -> (int * Lp_core.Controller.brain, error) result
-(** Returns the checkpoint round and the brain. Never raises. *)
+val decode : bytes -> (Lp_core.Controller.brain, error) result
+(** Never raises. *)
 
 val tear : bytes -> keep:int -> bytes
 (** Fault injection: the first [keep] bytes, as if the process died

@@ -22,19 +22,11 @@ let retire_limit = 6
 type t = {
   warm_limit : int;
   mutable restart_rounds : int list;  (* reverse chronological *)
-  mutable total_restarts : int;
-  mutable retired : bool;
-  mutable checkpoint : (int * bytes) option;  (* (round, frame) *)
+  mutable checkpoint : bytes option;
 }
 
 let create ~warm_limit =
-  {
-    warm_limit;
-    restart_rounds = [];
-    total_restarts = 0;
-    retired = false;
-    checkpoint = None;
-  }
+  { warm_limit; restart_rounds = []; checkpoint = None }
 
 let prune_window t ~round =
   t.restart_rounds <-
@@ -47,20 +39,12 @@ let restarts_in_window t ~round =
 let on_restart t ~round =
   prune_window t ~round;
   t.restart_rounds <- round :: t.restart_rounds;
-  t.total_restarts <- t.total_restarts + 1;
   let n = List.length t.restart_rounds in
   if n <= t.warm_limit then Warm
   else if n <= cold_limit then Cold
   else if n <= retire_limit then Cold_extended
-  else begin
-    t.retired <- true;
-    Retire
-  end
+  else Retire
 
-let total_restarts t = t.total_restarts
-
-let retired t = t.retired
-
-let store_checkpoint t ~round frame = t.checkpoint <- Some (round, frame)
+let store_checkpoint t frame = t.checkpoint <- Some frame
 
 let checkpoint t = t.checkpoint

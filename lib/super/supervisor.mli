@@ -34,16 +34,12 @@ val create : warm_limit:int -> t
 
 val on_restart : t -> round:int -> action
 (** Record a restart at [round] and return the ladder's decision for
-    it. [Retire] marks the supervisor {!retired} permanently. *)
+    it. *)
 
 val restarts_in_window : t -> round:int -> int
 
-val total_restarts : t -> int
-
-val retired : t -> bool
-
-val store_checkpoint : t -> round:int -> bytes -> unit
+val store_checkpoint : t -> bytes -> unit
 (** Replace the stored checkpoint frame (only the latest is kept). *)
 
-val checkpoint : t -> (int * bytes) option
-(** The stored [(round, frame)], if any. *)
+val checkpoint : t -> bytes option
+(** The stored frame, if any. *)

@@ -136,4 +136,3 @@ let suite =
     spec ~name:"raytrace" ~reads_per_iteration:1_700 ~work_per_iteration:96_000 ~seed:220 ();
   ]
 
-let find name = List.find_opt (fun s -> s.name = name) suite

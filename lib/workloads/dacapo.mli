@@ -31,4 +31,3 @@ val suite : spec list
 (** One spec per benchmark of Figure 6: the eleven DaCapo benchmarks,
     pseudojbb, and the eight SPECjvm98 programs. *)
 
-val find : string -> spec option

@@ -4,6 +4,11 @@ open Lp_runtime
 let orders_per_iteration = 5
 let id_chars = 1_000  (* the order line's String payload: the prunable bytes *)
 let churn_bytes = 20_000
+(* Every [touch_period] iterations a maintenance phase walks all existing
+   (by then very stale) orders once, teaching the edge table the high
+   maxstaleuse that protects Object[] -> Order (and Order -> Date) from
+   pruning: the paper's diagnosis of why leak pruning tolerates JbbMod
+   for only 21x rather than indefinitely. *)
 let touch_period = 24
 
 (* statics: field 0 = order vector.

@@ -13,10 +13,3 @@
     paper). *)
 
 val workload : Workload.t
-
-val touch_period : int
-(** Every [touch_period] iterations a maintenance phase walks all
-    existing (by then very stale) orders once, teaching the edge table
-    the high [maxstaleuse] that protects [Object\[\] -> Order] (and
-    [Order -> Date]) from pruning — the paper's diagnosis of why leak
-    pruning tolerates JbbMod for only 21× rather than indefinitely. *)

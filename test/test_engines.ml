@@ -564,9 +564,12 @@ let prop_generated_heaps =
 (* Differential determinism oracle: chaos seeds with each collection
    as one pause (seq) and under the pause-SLO autopilot at a 1 ns
    target. The autopilot starts at 256 objects and retunes the budget
-   from wall-clock feedback after every collection (budgets stay
-   between its 32-object floor and about 330), so the slice boundaries
-   differ from run to run. The whole report must match seq's: every scalar, the
+   from wall-clock feedback after every collection, so the slice
+   boundaries differ from run to run. At 1 ns its nanosecond budget is
+   pinned at 100 × target, and the per-object cost it divides by is at
+   least 1 ns, so once a mark slice has been timed every budget lies
+   between its 32-object floor and 100 objects: each Slo_adjust event
+   must say so. The whole report must match seq's: every scalar, the
    outcome and the event trace, in order, once the autopilot's
    wall-clock Slo_adjust events (and the sequence numbers they took)
    are left out. The fixed 1- and 8-object budgets are checked against
@@ -586,7 +589,7 @@ let test_differential_oracle () =
           r.Lp_harness.Chaos.trace;
     }
   in
-  let mismatches = ref [] and retuned = ref 0 in
+  let mismatches = ref [] and retuned = ref 0 and off_cap = ref [] in
   for seed = 1 to differential_seeds do
     let run ?pause_slo_p99_ns () =
       Lp_harness.Chaos.run_one ?pause_slo_p99_ns ~trace_capacity:65_536 ~seed
@@ -597,12 +600,18 @@ let test_differential_oracle () =
       (Printf.sprintf "seed %d: ring complete" seed)
       0 seq.Lp_harness.Chaos.trace_dropped;
     let auto = run ~pause_slo_p99_ns:1 () in
-    if
-      List.exists
+    let budgets =
+      List.filter_map
         (fun (e : Lp_obs.Event.stamped) ->
-          not (Lp_obs.Event.deterministic e.Lp_obs.Event.ev))
+          match e.Lp_obs.Event.ev with
+          | Lp_obs.Event.Slo_adjust { budget; _ } -> Some budget
+          | _ -> None)
         auto.Lp_harness.Chaos.trace
-    then incr retuned;
+    in
+    if budgets <> [] then incr retuned;
+    List.iter
+      (fun b -> if b < 32 || b > 100 then off_cap := (seed, b) :: !off_cap)
+      budgets;
     if deterministic auto <> deterministic seq then
       mismatches := seed :: !mismatches
   done;
@@ -611,7 +620,10 @@ let test_differential_oracle () =
        differential_seeds)
     [] (List.rev !mismatches);
   (* the autopilot arm sliced at all: some seed emitted Slo_adjust *)
-  Alcotest.(check bool) "the autopilot retuned the budget" true (!retuned > 0)
+  Alcotest.(check bool) "the autopilot retuned the budget" true (!retuned > 0);
+  Alcotest.(check (list (pair int int)))
+    "every retuned budget within [32, 100] objects at a 1 ns target" []
+    (List.rev !off_cap)
 
 let suite =
   ( "engines",

@@ -247,6 +247,47 @@ let test_packet_size_rejected () =
              { (spec ~id:1 ()) with Tenant.gc_packet_size = Some 8 };
            ]))
 
+(* The deadline shed fires: at four arrivals per round, requests held
+   back by admission backoff, restart quarantine or an open breaker
+   wait longer than a one-round deadline and are shed. Each tenant's
+   shed_deadline counts exactly its [Request_shed "deadline"] events,
+   and a rerun reproduces the report. *)
+let test_deadline_shed () =
+  let opts =
+    { (Fleet.default_options ~seed:1 ~rounds:40 ()) with
+      Fleet.requests_per_round = 4;
+      offload_deadline = 1
+    }
+  in
+  let specs () =
+    List.init 2 (fun id ->
+        { (spec ~id ()) with Tenant.rate_per_mille = 4_000 })
+  in
+  let report = Fleet.run opts (specs ()) in
+  Alcotest.(check int) "event log complete" 0 report.Fleet.events_dropped;
+  List.iter
+    (fun (t : Fleet.tenant_report) ->
+      let events =
+        List.length
+          (List.filter
+             (fun (s : Lp_obs.Event.stamped) ->
+               match s.Lp_obs.Event.ev with
+               | Lp_obs.Event.Request_shed { tenant; reason = "deadline"; _ } ->
+                 tenant = t.Fleet.tenant
+               | _ -> false)
+             report.Fleet.events)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "tenant %d shed past the deadline" t.Fleet.tenant)
+        true (t.Fleet.shed_deadline > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "tenant %d: one event per deadline shed" t.Fleet.tenant)
+        t.Fleet.shed_deadline events)
+    report.Fleet.tenant_reports;
+  Alcotest.(check string) "a rerun reproduces the report"
+    (Fleet.deterministic_view report)
+    (Fleet.deterministic_view (Fleet.run opts (specs ())))
+
 let suite =
   ( "fleet",
     [
@@ -267,4 +308,6 @@ let suite =
         test_admission_config_validation;
       Alcotest.test_case "a tenant spec may not set gc_packet_size" `Quick
         test_packet_size_rejected;
+      Alcotest.test_case "the offload deadline sheds late requests" `Quick
+        test_deadline_shed;
     ] )
