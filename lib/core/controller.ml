@@ -406,7 +406,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
   | Some f ->
     phase_begin t "finalizers";
     let enq_before = stats.Gc_stats.finalizers_enqueued in
-    Collector.resurrect_finalizables store ~stats ~on_finalize:f;
+    Collector.resurrect_finalizables t.engine store ~stats ~on_finalize:f;
     phase_end t "finalizers" (stats.Gc_stats.finalizers_enqueued - enq_before)
   | None -> ());
   (* Last chance to read doomed objects: everything unmarked is still

@@ -20,12 +20,14 @@
     4.5).
 
     The host representation costs what the table holds, not its
-    capacity: the four slot arrays are allocated at the first insert
-    ({!create} allocates none), and an ascending index of the occupied
-    slots lets {!select_max_bytes}, {!reset_bytes},
-    {!decay_max_stale_use} and {!iter} walk only the entries. Slot
-    placement, probing and {!Table_full} are exactly those of the
-    fixed-array table. Lookups allocate nothing. *)
+    capacity: the slots live in 32 pages of 512 slots, each page (its
+    slots' four words side by side, 16 KB) allocated at the first insert
+    into one of its slots ({!create} allocates only the index of the 32
+    pages), and an ascending index of the occupied slots lets
+    {!select_max_bytes}, {!reset_bytes}, {!decay_max_stale_use} and
+    {!iter} walk only the entries. Slot placement, probing and
+    {!Table_full} are exactly those of the fixed-array table. Lookups
+    allocate nothing. *)
 
 type t
 
@@ -40,7 +42,8 @@ val size_bytes : int
 (** Total footprint: [slots] × 4 words × 4 bytes = 262,144. *)
 
 val create : unit -> t
-(** An empty table; the slot arrays are allocated by the first insert. *)
+(** An empty table; each page is allocated by the first insert into
+    it. *)
 
 val record_stale_use :
   t -> src:Lp_heap.Class_registry.id -> tgt:Lp_heap.Class_registry.id -> stale:int -> unit

@@ -2,19 +2,23 @@
 
    Every closure is [scan] over the engine-owned mark stack. Without a
    slice budget each phase is one call with no limit: the mark and
-   stale closures scan until the stack is empty, the sweep is one
-   segment, and no pause sample is recorded (the VM accounts the
-   collection as one Monolithic pause).
+   stale closures scan until the stack is empty, and no pause sample is
+   recorded (the VM accounts the collection as one Monolithic pause).
+
+   The sweep is not part of the pause. Every site that sets a mark bit
+   (a closure's claims, the finalizer pass) counts the object and its
+   bytes, so [sweep] only settles the store's totals from those counts,
+   in O(1), and the store frees the dead slots as allocation reaches
+   them (see [Store.settle]).
 
    With a budget the same DFS over the same stack merely stops every
-   [budget] scanned objects, and the sweep runs in [budget]-slot
-   segments whose descending order reproduces the one-segment free
-   order exactly. Traversal order, the deferred-candidate order, the
-   ticks and every Gc_stats counter are therefore bit-identical with
-   and without a budget — the differential oracle enforces this at
-   several budgets. Only the pause profile changes: each mark slice and
-   each sweep segment is recorded as its own tagged pause sample, so
-   max pause is bounded by the budget instead of by heap size.
+   [budget] scanned objects. Traversal order, the deferred-candidate
+   order, the ticks and every Gc_stats counter are therefore
+   bit-identical with and without a budget — the differential oracle
+   enforces this at several budgets. Only the pause profile changes:
+   each mark slice is recorded as its own tagged pause sample, so max
+   pause is bounded by the budget instead of by heap size, and the
+   settle step ends the collection with one Sweep_slice sample.
 
    The budget is mutable between collections ([set_slice_budget]): the
    pause-SLO autopilot retunes it from wall-clock feedback, which is
@@ -74,6 +78,8 @@ type t = {
   stack : Work_queue.t;  (* the mark stack *)
   ticks : Work_queue.t;  (* ids a filtered closure marked *)
   mutable claimed_bytes : int;  (* bytes the stale closure claimed *)
+  mutable marked_objects : int;  (* objects this collection marked *)
+  mutable marked_bytes : int;  (* their bytes *)
   mutable budget : int option;  (* None: every phase is one pause *)
   mutable pauses : (Trace_engine.pause_phase * int) list;
       (* reverse order; drained by take_pauses *)
@@ -89,6 +95,8 @@ let create ?slice_budget () =
     stack = Work_queue.create ();
     ticks = Work_queue.create ();
     claimed_bytes = 0;
+    marked_objects = 0;
+    marked_bytes = 0;
     budget = slice_budget;
     pauses = [];
     max_slice = 0;
@@ -166,6 +174,11 @@ let[@inline] claim_obj t store ~kind ~tick_now ~tick_batched ~gc id h =
   Work_queue.push t.stack id;
   if bump then 1 else 0
 
+(* Counts one object the collection marked, whose header is [h]. *)
+let[@inline] count_marked t h =
+  t.marked_objects <- t.marked_objects + 1;
+  t.marked_bytes <- t.marked_bytes + Header.size h
+
 (* Claims the live, unmarked object [id] the way [scan] claims a traced
    target, for a closure's entry points (the roots, a stale closure's
    candidate target). *)
@@ -174,10 +187,11 @@ let claim t store stats ~(config : mark_config) kind id =
   let ticking = config.stale_tick_gc <> None in
   let filtered = Option.is_some config.edge_filter in
   let tick_now = ticking && not filtered in
+  let h = Store.raw_header store id in
   let ticked =
-    claim_obj t store ~kind ~tick_now ~tick_batched:(ticking && filtered) ~gc id
-      (Store.header store id)
+    claim_obj t store ~kind ~tick_now ~tick_batched:(ticking && filtered) ~gc id h
   in
+  count_marked t h;
   stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
   if tick_now then begin
     stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
@@ -188,7 +202,7 @@ let claim t store stats ~(config : mark_config) kind id =
   | Stale ->
     stats.Gc_stats.stale_closure_objects <-
       stats.Gc_stats.stale_closure_objects + 1;
-    t.claimed_bytes <- t.claimed_bytes + Store.size_bytes store id
+    t.claimed_bytes <- t.claimed_bytes + Header.size h
 
 (* One live edge of a filtered closure: builds the edge once, runs the
    filter on it and applies [Defer] and [Poison]. Returns whether the
@@ -228,8 +242,9 @@ let[@inline never] filtered_edge store stats (config : mark_config) filter
    scans each object's fields in index order, as one run of the store's
    word array. Per field it maintains the untouched bit, quarantines
    corrupt words, runs the filter when there is one, and claims
-   unmarked traced targets in place. A target is judged by its word in
-   the store's header array alone: free means a corrupt reference,
+   unmarked traced targets in place, counting their bytes. A target is
+   judged by its word in the store's header array alone, read raw, as
+   the mark has finished the sweep: free means a corrupt reference,
    marked means already claimed. The config is read into locals once
    and the counters are kept in locals, added to [stats] when the loop
    returns. Nothing the loop calls allocates in the store, so the word
@@ -263,7 +278,7 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
             else w
           in
           let tgt = Word.target w in
-          let h = Store.header store tgt in
+          let h = Store.raw_header store tgt in
           if Header.is_free h then quarantine ~events store stats id (j - off)
           else if
             (match filter with
@@ -276,9 +291,7 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
             ticked :=
               !ticked
               + claim_obj t store ~kind ~tick_now ~tick_batched ~gc tgt h;
-            match kind with
-            | In_use -> ()
-            | Stale -> bytes := !bytes + Store.size_bytes store tgt
+            bytes := !bytes + Header.size h
           end
         end
       end
@@ -289,6 +302,8 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
   stats.Gc_stats.untouched_bits_set <-
     stats.Gc_stats.untouched_bits_set + !untouched_set;
   stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + !marked;
+  t.marked_objects <- t.marked_objects + !marked;
+  t.marked_bytes <- t.marked_bytes + !bytes;
   if tick_now then begin
     stats.Gc_stats.stale_tick_scans <-
       stats.Gc_stats.stale_tick_scans + !marked;
@@ -347,8 +362,13 @@ let run_closure t store stats ~config ~kind ~deferred =
       more := not (Work_queue.is_empty t.stack)
     done
 
+(* A collection starts here: the store finishes the last one's sweep,
+   so every live object is unmarked, and the counts start at zero. *)
 let mark t store roots ~stats ~(config : mark_config) =
+  Store.finish_sweep store;
   reset t;
+  t.marked_objects <- 0;
+  t.marked_bytes <- 0;
   let deferred = ref [] in
   Roots.iter roots (fun id ->
       let h = Store.header store id in
@@ -381,7 +401,7 @@ let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     t.claimed_bytes
   end
 
-let resurrect_finalizables store ~stats ~on_finalize =
+let resurrect_finalizables t store ~stats ~on_finalize =
   (* Collect first, in one loop over the header array: marking referents
      while iterating would otherwise make the visit order matter. *)
   let pending = Work_queue.create () in
@@ -399,6 +419,7 @@ let resurrect_finalizables store ~stats ~on_finalize =
     let h = Store.header store id in
     if not (Header.marked h) then begin
       Store.set_header store id (Header.set_marked h);
+      count_marked t h;
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
       Work_queue.push queue id
     end
@@ -421,30 +442,18 @@ let resurrect_finalizables store ~stats ~on_finalize =
     done
   done
 
-(* The one sweep: [Store.sweep_range] walks slots in DESCENDING order
-   and frees each dead object as it is reached. Sweeping the segments
-   from the top down keeps the overall free order strictly descending,
-   so [Store] free-id recycling is identical however the walk is cut.
-   Header writes and byte totals are per-object and order-independent,
-   so every other outcome matches too. Without a budget the sweep is
-   one segment covering every slot; with one it runs in segments of
-   [budget] slots, one [Sweep_slice] pause sample per segment. *)
+(* The end of a collection, in O(1): the store takes the marked totals
+   and frees the dead slots later, in descending slot order, as
+   allocation reaches them, so free-id recycling is that of an eager
+   sweep from the top slot down. With a budget this is the
+   collection's one [Sweep_slice] pause sample. *)
 let sweep t store ~stats =
-  let n_slots = Store.slot_count store in
-  let seg, on_segment =
-    match t.budget with
-    | None -> (max 1 n_slots, ignore)
-    | Some budget ->
-      let slice_start = ref (now_ns ()) in
-      (budget, fun () -> record_pause t Trace_engine.Sweep_slice slice_start)
+  let settle () =
+    Store.settle store stats ~objects:t.marked_objects ~bytes:t.marked_bytes
   in
-  let n_segs = (n_slots + seg - 1) / seg in
-  let live = ref 0 in
-  for i = n_segs - 1 downto 0 do
-    live :=
-      !live
-      + Store.sweep_range store stats ~lo:(i * seg)
-          ~hi:(min n_slots ((i + 1) * seg));
-    on_segment ()
-  done;
-  Store.set_live_bytes store !live
+  match t.budget with
+  | None -> settle ()
+  | Some _ ->
+    let slice_start = ref (now_ns ()) in
+    settle ();
+    record_pause t Trace_engine.Sweep_slice slice_start

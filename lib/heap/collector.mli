@@ -17,15 +17,20 @@
     - PRUNE collection: {!mark} with a filter poisoning selected
       references, then finalizers and sweep.
 
+    The sweep is lazy: every phase that sets a mark bit counts the
+    object and its bytes, {!sweep} hands those totals to
+    {!Store.settle} in O(1), and the store frees the dead slots as
+    allocation reaches them, in the order an eager sweep would. A
+    collection's pause ends when its mark does.
+
     With no slice budget every phase runs to completion as one pause:
     {!take_pauses} returns [[]], so the VM accounts each collection as
     one [Monolithic] sample. With a budget the closures yield every
-    [slice_budget] scanned objects and the sweep runs in segments of
-    [slice_budget] slots, so no phase pauses for longer than one
-    budgeted slice. Marked set, deferred candidate order, staleness
-    ticks, free order and every {!Gc_stats} counter are bit-identical
-    with and without a budget by construction; only the pause profile
-    changes. The test suite's reference collector
+    [slice_budget] scanned objects, so no phase pauses for longer than
+    one budgeted slice, and {!sweep} records one [Sweep_slice] sample.
+    Marked set, deferred candidate order, staleness ticks, free order
+    and every {!Gc_stats} counter are bit-identical with and without a
+    budget by construction; only the pause profile changes. The test suite's reference collector
     ([test/reference_collector.ml]) is a second, plainly written
     implementation that every budget is compared with. *)
 
@@ -91,8 +96,8 @@ type t
 
 val create : ?slice_budget:int -> unit -> t
 (** [slice_budget] is the maximum number of objects one mark slice may
-    scan, and the sweep segment size in slots ([>= 1];
-    [Invalid_argument] otherwise). Without it each phase is one pause. *)
+    scan ([>= 1]; [Invalid_argument] otherwise). Without it each phase
+    is one pause. *)
 
 val set_slice_budget : t -> int -> unit
 (** Retunes the budget between collections (the pause-SLO autopilot's
@@ -111,7 +116,9 @@ val mark :
   stats:Gc_stats.t ->
   config:mark_config ->
   edge list
-(** The in-use closure from the roots. Marks every object reached
+(** Starts a collection: finishes the store's sweep of the last one
+    ({!Store.finish_sweep}) and zeroes the engine's marked totals. Then
+    runs the in-use closure from the roots. Marks every object reached
     through [Trace] edges, applies [Poison] in place, and returns the
     [Defer]red edges in discovery order (the candidate queue). Poisoned
     references found in the heap are never traced. A non-null,
@@ -138,7 +145,7 @@ val stale_closure :
     Claimed objects carry the stale-mark diagnostic bit. *)
 
 val resurrect_finalizables :
-  Store.t -> stats:Gc_stats.t -> on_finalize:(Heap_obj.t -> unit) -> unit
+  t -> Store.t -> stats:Gc_stats.t -> on_finalize:(Heap_obj.t -> unit) -> unit
 (** Runs between mark and sweep: finds unreachable objects whose
     finalizer has not run, invokes [on_finalize], marks them and their
     referents live for this collection (the finalizer may access them),
@@ -146,15 +153,17 @@ val resurrect_finalizables :
     reclaimed by the next collection. *)
 
 val sweep : t -> Store.t -> stats:Gc_stats.t -> unit
-(** Frees every unmarked object, clears the GC bits of survivors, and
-    records the surviving bytes in the store as its new live size.
-    Slots are freed in strictly descending order, whatever the budget,
-    so the store's free-id recycling does not depend on it. *)
+(** Ends the collection {!mark} started, in O(1): {!Store.settle} with
+    the objects and bytes this engine marked since. The
+    store counts every unmarked object as freed at once, and frees its
+    slot when allocation reaches it, in strictly descending slot order,
+    so free-id recycling does not depend on the budget. Only marks set
+    by this engine's phases are counted. *)
 
 val take_pauses : t -> (Trace_engine.pause_phase * int) list
 (** Drains the recorded pause slices (phase tag and wall nanoseconds,
     oldest first) since the last call: one [Mark_slice] per mark or
-    stale-closure slice and one [Sweep_slice] per sweep segment. An
+    stale-closure slice and one [Sweep_slice] per {!sweep}. An
     engine without a budget returns [[]]; the VM then accounts the
     whole collection as one [Monolithic] pause. *)
 

@@ -10,7 +10,13 @@ let statics_container_bit = 0b10000000
 let nursery_bit = 0b100000000
 let on_disk_bit = 0b1000000000
 
+let size_shift = 10
+
 let empty = 0
+
+let[@inline] of_size size = size lsl size_shift
+
+let[@inline] size h = h lsr size_shift
 
 let free = -1
 

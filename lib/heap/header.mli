@@ -26,6 +26,10 @@
       bit instead of looking the object up in the residency table. While
       the VM is between collections, the live objects carrying it are
       exactly the disk-resident ones.
+    - bits 10 and up: the object's size in bytes, as charged to the
+      heap; set when the object is placed and never changed. A
+      collector that reads a header to mark an object has its size
+      with no second load.
 
     A slot with no live object holds {!free} instead of a header: a
     negative word, which no combination of the bits above can form. *)
@@ -33,6 +37,12 @@
 type t = int
 
 val empty : t
+
+val of_size : int -> t
+(** A fresh object's header: no bit set, [size] bytes ([>= 0]). *)
+
+val size : t -> int
+(** The size in bytes; meaningless for {!free}. *)
 
 val free : t
 (** The word a free slot holds in the store's header array. *)

@@ -8,11 +8,14 @@ type result = {
 
 (* Marks (with the ordinary mark bit, cleared before returning) every
    nursery object reachable from roots and remembered slots, scanning
-   only nursery objects' fields plus the remembered mature slots. *)
+   only nursery objects' fields plus the remembered mature slots. The
+   last full collection's sweep is finished first: its marks would
+   read as this one's. *)
 let collect ?events ?(number = 0) store roots ~remset =
   (match events with
   | Some sink -> Lp_obs.Sink.emit sink (Lp_obs.Event.Minor_begin { n = number })
   | None -> ());
+  Store.finish_sweep store;
   let queue = Work_queue.create () in
   let slots_scanned = ref 0 in
   let consider id =

@@ -7,12 +7,12 @@ exception Dangling_reference of int
    ever get it as [find]'s miss, to compare against with [==]. *)
 let sentinel = { Heap_obj.id = 0 }
 
-(* The object state lives in five parallel arrays indexed by [id - 1],
+(* The object state lives in four parallel arrays indexed by [id - 1],
    all of one length. [headers] decides liveness: a free slot holds
    [Header.free] there, and its [slots] entry keeps the handle of its
    last occupant (or [sentinel]) until [place] reuses the id, so
-   freeing stores no pointer. [classes], [sizes] and [extents] hold the
-   last occupant's values.
+   freeing stores no pointer. A live object's header also holds its
+   size. [classes] and [extents] hold the last occupant's values.
 
    Every object's reference fields are consecutive words of the one
    [words] array. Its extent packs where they start and how many there
@@ -24,12 +24,18 @@ let sentinel = { Heap_obj.id = 0 }
    field count, the range goes with it; otherwise the range is pushed
    on the stack of free ranges of its count ([free_ranges.(n)],
    [free_lens.(n)] deep), and the new object takes the top range of its
-   own count's stack, or words from [top]. *)
+   own count's stack, or words from [top].
+
+   A collection ends at the mark: [settle] writes the byte and object
+   totals the mark counted and leaves the slots below [unswept] as the
+   mark left them, a marked header for a survivor and an unmarked one
+   for a dead object. [sweep_range] frees the dead ones from the top
+   down, a few slots per allocation ([fresh_id]). Until then every reader
+   presents such a slot as the sweep will leave it (see [view]). *)
 type t = {
   mutable slots : Heap_obj.t array;
   mutable headers : int array;
   mutable classes : int array;
-  mutable sizes : int array;
   mutable extents : int array;
   mutable words : Word.t array;
   mutable top : int;
@@ -43,6 +49,8 @@ type t = {
          [free_head], wrapping; grown by doubling, never shrunk *)
   mutable free_head : int;
   mutable free_len : int;
+  mutable unswept : int;
+      (* slots [0, unswept) still hold the last collection's marks *)
   mutable limit : int;
   mutable used : int;
   mutable live : int;
@@ -65,7 +73,7 @@ let[@inline] extent_offset e = e lsr count_bits
 
 (* The slot arrays start at one slot per [bytes_per_slot] bytes of heap
    limit, the size of a small object, within [min_slots, max_slots].
-   Growing means copying all five arrays and leaving the old ones to
+   Growing means copying all four arrays and leaving the old ones to
    OCaml's GC, so a store that fills its heap with small objects should
    grow them once or not at all. The word array starts at
    [words_per_slot] words per slot, small enough that creating a store
@@ -86,7 +94,6 @@ let create ~limit_bytes =
     slots = Array.make cap sentinel;
     headers = Array.make cap Header.free;
     classes = Array.make cap 0;
-    sizes = Array.make cap 0;
     extents = Array.make cap 0;
     words = Array.make (words_per_slot * cap) Word.null;
     top = 0;
@@ -96,6 +103,7 @@ let create ~limit_bytes =
     free_ids = Array.make 64 0;
     free_head = 0;
     free_len = 0;
+    unswept = 0;
     limit = limit_bytes;
     used = 0;
     live = 0;
@@ -130,9 +138,9 @@ let set_swapped_out_bytes t n =
 let would_overflow t n = t.used - t.swapped_out + n > t.limit
 
 (* Growth stays out of line so the capacity check inlines into
-   [fresh_id]. The five arrays grow together, by half: a heap whose
+   [fresh_id]. The four arrays grow together, by half: a heap whose
    slot count settles just past a power of two would otherwise carry
-   nearly twice the slots it uses, in five arrays. *)
+   nearly twice the slots it uses, in four arrays. *)
 let[@inline never] grow_slots t id =
   let n = Array.length t.slots in
   let cap = max (n + (n / 2)) id in
@@ -144,7 +152,6 @@ let[@inline never] grow_slots t id =
   t.slots <- grow t.slots sentinel;
   t.headers <- grow t.headers Header.free;
   t.classes <- grow t.classes 0;
-  t.sizes <- grow t.sizes 0;
   t.extents <- grow t.extents 0
 
 let[@inline] ensure_capacity t id =
@@ -166,7 +173,49 @@ let[@inline] push_free_id t id =
   t.free_ids.(if tail >= cap then tail - cap else tail) <- id;
   t.free_len <- t.free_len + 1
 
+(* The sweep: one loop over the header array, from the top of the
+   unswept range down, touching no handle. A marked survivor gets its
+   GC bits cleared; a dead object is freed as it is reached, so its id
+   joins the free queue in descending slot order, the order [free]
+   would give; the header already shows the object is live, so
+   [free]'s liveness check is not repeated. A freed slot gets the free
+   marker and keeps its handle and its range, so the loop makes no
+   pointer store. It sweeps [slots] slots, and on until it has queued
+   an id if the queue is empty, or down to slot 0. The byte and object
+   totals were settled when the collection ended, so it writes none.
+   Out of line: [fresh_id] only tests for it. *)
+let[@inline never] sweep_range t ~slots =
+  let headers = t.headers in
+  let stop = t.unswept - slots in
+  let i = ref (t.unswept - 1) in
+  while !i >= 0 && (!i >= stop || t.free_len = 0) do
+    let h = Array.unsafe_get headers !i in
+    if not (Header.is_free h) then
+      if Header.marked h then Array.unsafe_set headers !i (Header.clear_gc_bits h)
+      else begin
+        Array.unsafe_set headers !i Header.free;
+        push_free_id t (!i + 1)
+      end;
+    decr i
+  done;
+  t.unswept <- !i + 1
+
+let[@inline] finish_sweep t = if t.unswept > 0 then sweep_range t ~slots:max_int
+
+(* The slots each allocation sweeps while a range is unswept. An
+   allocation takes one id, and a sweep step visits this many slots,
+   so the sweep runs far ahead of allocation: it leaves little for the
+   next collection's mark to finish inside the pause, even in a heap
+   whose queue never empties, and the readers' unswept view is needed
+   for only a short stretch after each collection. A step costs a
+   bounded few dozen header loads. *)
+let sweep_step = 32
+
+(* Recycled ids first, else a never-used id, after a sweep step when a
+   range is unswept; the ids the step frees join the queue behind the
+   others. *)
 let[@inline] fresh_id t =
+  if t.unswept > 0 then sweep_range t ~slots:sweep_step;
   if t.free_len > 0 then begin
     let id = t.free_ids.(t.free_head) in
     let head = t.free_head + 1 in
@@ -192,8 +241,9 @@ let[@inline] fresh_id t =
    (their extents become 0) and every stack is emptied. So the array
    holds at most the largest of its starting size, [limit / 16] words
    and a quarter more than the words live objects own with the
-   request, which are fewer than [limit / Heap_obj.word_size]. Out of
-   line: the allocation fast path only tests for it. *)
+   request, which are fewer than [limit / Heap_obj.word_size]. A
+   repacking first finishes the sweep, so dead objects' words are not
+   copied. Out of line: the allocation fast path only tests for it. *)
 let[@inline never] refill t n =
   let lens = t.free_lens in
   if n >= Array.length lens then begin
@@ -205,6 +255,7 @@ let[@inline never] refill t n =
     t.free_lens <- lens'
   end;
   if t.top + n > Array.length t.words then begin
+    finish_sweep t;
     let live = ref n in
     for i = 0 to t.next_id - 2 do
       if not (Header.is_free t.headers.(i)) then
@@ -288,23 +339,41 @@ let[@inline] take_range t e n =
     (off lsl count_bits) lor n
   end
 
+(* Slot [i]'s header [h] as the sweep leaves it: below [unswept] a
+   marked header loses its GC bits and an unmarked one is free (a free
+   one stays free). *)
+let[@inline] view t i h =
+  if i >= t.unswept || Header.is_free h then h
+  else if Header.marked h then Header.clear_gc_bits h
+  else Header.free
+
+(* Whether the slot [i] (in bounds) holds a live object: its header is
+   not free, and it is marked or the slot is swept. *)
+let[@inline] live_at t i =
+  let h = Array.unsafe_get t.headers i in
+  (not (Header.is_free h)) && (i >= t.unswept || Header.marked h)
+
 let[@inline] fits t size = t.alloc_fault == None && not (would_overflow t size)
 
 (* The placement step every allocation ends in: an id, a handle in its
    slot, a range of null words, the header, class, size and extent, and
    the byte accounting. [fresh_id] makes sure the id's slot
-   exists, so the stores into it are unchecked. *)
+   exists, so the stores into it are unchecked. An id queued before the
+   last collection may lie in the unswept range, where the object must
+   carry a mark to read as live; that is decided after [take_range],
+   whose repacking may finish the sweep. *)
 let[@inline] place t ~nursery ~class_id ~n_fields ~finalizable ~size =
   let id = fresh_id t in
   let i = id - 1 in
-  let header = if finalizable then Header.set_finalizable Header.empty else Header.empty in
-  let header = if nursery then Header.set_in_nursery header else header in
   let extent = take_range t (Array.unsafe_get t.extents i) n_fields in
+  let header = Header.of_size size in
+  let header = if finalizable then Header.set_finalizable header else header in
+  let header = if nursery then Header.set_in_nursery header else header in
+  let header = if i < t.unswept then Header.set_marked header else header in
   let obj = { Heap_obj.id } in
   Array.unsafe_set t.slots i obj;
   Array.unsafe_set t.headers i header;
   Array.unsafe_set t.classes i class_id;
-  Array.unsafe_set t.sizes i size;
   Array.unsafe_set t.extents i extent;
   t.used <- t.used + size;
   t.count <- t.count + 1;
@@ -330,21 +399,23 @@ let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
    parallel [slots], without a second check. *)
 let[@inline] in_bounds a i = i lor (Array.length a - 1 - i) >= 0
 
-let[@inline] header t id =
+let[@inline] raw_header t id =
   let i = id - 1 in
   if in_bounds t.headers i then Array.unsafe_get t.headers i else Header.free
 
+let[@inline] header t id =
+  let i = id - 1 in
+  if in_bounds t.headers i then view t i (Array.unsafe_get t.headers i)
+  else Header.free
+
 let[@inline] find t id =
   let i = id - 1 in
-  if in_bounds t.headers i && not (Header.is_free (Array.unsafe_get t.headers i))
-  then Array.unsafe_get t.slots i
+  if in_bounds t.headers i && live_at t i then Array.unsafe_get t.slots i
   else sentinel
 
 let[@inline] is_live t (obj : Heap_obj.t) =
   let i = obj.Heap_obj.id - 1 in
-  in_bounds t.headers i
-  && (not (Header.is_free (Array.unsafe_get t.headers i)))
-  && Array.unsafe_get t.slots i == obj
+  in_bounds t.headers i && live_at t i && Array.unsafe_get t.slots i == obj
 
 let[@inline never] dangling id = raise (Dangling_reference id)
 
@@ -354,11 +425,16 @@ let[@inline] get t id =
 
 let mem t id = not (Header.is_free (header t id))
 
-let[@inline] set_header t id h = t.headers.(id - 1) <- h
+(* An unswept survivor keeps its mark, so it still reads as live. *)
+let[@inline] set_header t id h =
+  let i = id - 1 in
+  t.headers.(i) <- (if i < t.unswept then Header.set_marked h else h)
+
+let unswept t = t.unswept
 
 let[@inline] class_of t id = t.classes.(id - 1)
 
-let[@inline] size_bytes t id = t.sizes.(id - 1)
+let[@inline] size_bytes t id = Header.size t.headers.(id - 1)
 
 let[@inline] n_fields t id = extent_count t.extents.(id - 1)
 
@@ -406,11 +482,15 @@ let[@inline] extent t id = t.extents.(id - 1)
 
 let word_capacity t = Array.length t.words
 
+(* Finishes the sweep first, so the freed id queues behind every id
+   the sweep frees, as it would after an eager sweep. *)
 let free t (obj : Heap_obj.t) =
+  finish_sweep t;
   if not (is_live t obj) then
     invalid_arg "Store.free: object is not live in this store";
   let i = obj.Heap_obj.id - 1 in
-  let h = t.headers.(i) and size = t.sizes.(i) in
+  let h = t.headers.(i) in
+  let size = Header.size h in
   t.headers.(i) <- Header.free;
   push_free_id t obj.Heap_obj.id;
   t.used <- t.used - size;
@@ -427,13 +507,13 @@ let promote t id =
   end
 
 let promote_all t =
-  let headers = t.headers and sizes = t.sizes in
+  let headers = t.headers in
   let promoted = ref 0 in
   for i = 0 to t.next_id - 2 do
     let h = Array.unsafe_get headers i in
-    if (not (Header.is_free h)) && Header.in_nursery h then begin
+    if live_at t i && Header.in_nursery h then begin
       Array.unsafe_set headers i (Header.clear_in_nursery h);
-      promoted := !promoted + Array.unsafe_get sizes i
+      promoted := !promoted + Header.size h
     end
   done;
   t.nursery <- t.nursery - !promoted
@@ -444,56 +524,49 @@ let slot_count t = t.next_id - 1
 
 let iter_live t f =
   for i = 0 to slot_count t - 1 do
-    if not (Header.is_free t.headers.(i)) then f t.slots.(i)
+    if live_at t i then f t.slots.(i)
   done
 
-(* The collector's sweep over one slot range: one loop over the header
-   and size arrays, touching no handle. Each dead object is freed as it
-   is reached, in descending slot order, so its id joins the free queue
-   in the same order [free] would give; the header already shows the
-   object is live, so [free]'s liveness check is not repeated. A freed
-   slot gets the free marker and keeps its handle and its range, so the
-   loop makes no pointer store. The byte and object totals are written
-   back once, at the end of the range. *)
-let sweep_range t stats ~lo ~hi =
-  if lo < 0 || hi > slot_count t then invalid_arg "Store.sweep_range";
-  let headers = t.headers and sizes = t.sizes in
-  let live = ref 0 and freed = ref 0 and freed_bytes = ref 0 in
-  let nursery_freed = ref 0 in
-  for i = hi - 1 downto lo do
-    let h = Array.unsafe_get headers i in
-    if not (Header.is_free h) then begin
-      let size = Array.unsafe_get sizes i in
-      if Header.marked h then begin
-        Array.unsafe_set headers i (Header.clear_gc_bits h);
-        live := !live + size
-      end
-      else begin
-        Array.unsafe_set headers i Header.free;
-        push_free_id t (i + 1);
-        incr freed;
-        freed_bytes := !freed_bytes + size;
-        if Header.in_nursery h then nursery_freed := !nursery_freed + size
-      end
-    end
+(* The end of a collection. Every live object the mark left unmarked is
+   dead, so the objects and bytes it frees are the store's totals less
+   the marked ones; the totals become the marked ones, and the whole
+   slot range is left for [sweep_range]. A sweep an earlier collection
+   left is finished first, so no mark of that one is taken for this
+   one's. The marks are not counted by generation: a store holding
+   nursery objects (a generational VM, which promotes every survivor
+   right after a full collection anyway) sums its marked nursery bytes
+   here, in one loop over the header array; counting them as the mark
+   claims objects slowed every mark. *)
+let settle t stats ~objects ~bytes =
+  finish_sweep t;
+  (* room in the queue for every id the sweep will free, so that no
+     allocation grows it *)
+  while Array.length t.free_ids < t.free_len + t.count - objects do
+    grow_free_ids t
   done;
-  t.used <- t.used - !freed_bytes;
-  t.nursery <- t.nursery - !nursery_freed;
-  t.count <- t.count - !freed;
-  stats.Gc_stats.objects_swept <- stats.Gc_stats.objects_swept + !freed;
-  stats.Gc_stats.bytes_reclaimed <-
-    stats.Gc_stats.bytes_reclaimed + !freed_bytes;
-  !live
+  stats.Gc_stats.objects_swept <- stats.Gc_stats.objects_swept + t.count - objects;
+  stats.Gc_stats.bytes_reclaimed <- stats.Gc_stats.bytes_reclaimed + t.used - bytes;
+  t.used <- bytes;
+  t.live <- bytes;
+  t.count <- objects;
+  if t.nursery > 0 then begin
+    let headers = t.headers and nursery = ref 0 in
+    for i = 0 to slot_count t - 1 do
+      let h = Array.unsafe_get headers i in
+      if h >= 0 && Header.marked h && Header.in_nursery h then
+        nursery := !nursery + Header.size h
+    done;
+    t.nursery <- !nursery
+  end;
+  t.unswept <- slot_count t
 
 (* One pass over the header array, counting live objects by the stale
    counter in their headers. *)
 let staleness_histogram t =
   let hist = Array.make (Header.max_stale + 1) 0 in
-  let headers = t.headers in
-  for i = 0 to t.next_id - 2 do
-    let h = Array.unsafe_get headers i in
-    if not (Header.is_free h) then begin
-      let s = Header.stale_counter h in
+  for i = 0 to slot_count t - 1 do
+    if live_at t i then begin
+      let s = Header.stale_counter (Array.unsafe_get t.headers i) in
       hist.(s) <- hist.(s) + 1
     end
   done;

@@ -10,12 +10,12 @@
 
     Each object's header, class, size and reference fields are held
     here, as the Jikes RVM object model keeps a header word at a fixed
-    place per object. Header, class, size and extent are four
-    [int array]s indexed by [id - 1]; the fields of every object are
-    consecutive words of one more [int array], and the extent packs
-    where they start and how many there are into one int. A
-    {!Heap_obj.t} is only the handle (the identity), kept in a sixth,
-    parallel array. A slot with no live object holds {!Header.free} in
+    place per object. Header (whose high bits hold the size), class
+    and extent are three [int array]s indexed by [id - 1]; the fields
+    of every object are consecutive words of one more [int array], and
+    the extent packs where they start and how many there are into one
+    int. A {!Heap_obj.t} is only the handle (the identity), kept in a
+    fifth, parallel array. A slot with no live object holds {!Header.free} in
     the header array, and liveness is read there first: a freed slot
     keeps its old handle until the identifier is reused, so the sweep
     frees an object with one integer store and no pointer store.
@@ -36,7 +36,19 @@
     Identifiers of reclaimed objects are recycled (as addresses are in a
     real heap), first freed first reused; the queue of free identifiers
     is a ring buffer, so freeing and reusing allocate nothing once it
-    has grown to the heap's working size. Dereferencing an identifier
+    has grown to the heap's working size.
+
+    The sweep is lazy. A collection ends with {!settle}, which takes
+    the totals the mark counted and leaves every slot as the mark left
+    it. Each allocation then sweeps a few more slots down from where
+    the sweep stopped (and on until it frees one, when the free queue
+    is empty), queueing the identifiers of the dead ones, so
+    identifiers are handed out in the order an eager sweep from the
+    top slot down would give. Until a slot is swept,
+    {!header}, {!find}, {!is_live}, {!mem} and the store's own walks
+    present it as the sweep will leave it: free when unmarked, with
+    its GC bits clear when marked. {!free}, a repacking of the word
+    array and {!finish_sweep} sweep whatever is left first. Dereferencing an identifier
     that is not currently live raises {!Dangling_reference}; with a
     correct leak-pruning implementation this can only indicate a bug in
     the collector itself, because every program access to pruned memory
@@ -57,13 +69,15 @@ val limit_bytes : t -> int
 val set_limit_bytes : t -> int -> unit
 
 val used_bytes : t -> int
-(** Live bytes at the last sweep plus bytes allocated since. *)
+(** Live bytes at the end of the last collection plus bytes allocated
+    since, less bytes freed since. *)
 
 val live_bytes : t -> int
-(** Bytes retained by the most recent sweep (0 before the first one). *)
+(** Bytes retained by the most recent collection (0 before the first
+    one). *)
 
 val set_live_bytes : t -> int -> unit
-(** Recorded by the collector at the end of each sweep. *)
+(** Overwrites {!live_bytes}; {!settle} sets it too. *)
 
 val object_count : t -> int
 
@@ -175,11 +189,26 @@ val is_live : t -> Heap_obj.t -> bool
 
 val header : t -> int -> Header.t
 (** [header t id] is the header word of the live object [id], or
-    {!Header.free} when there is none (freed, never allocated or out of
-    range). One bounds check and one load. *)
+    {!Header.free} when there is none (freed, dead and not yet swept,
+    never allocated or out of range). One bounds check, one load and a
+    comparison with the sweep's position. *)
 
 val set_header : t -> int -> Header.t -> unit
-(** Overwrites a live object's header word. *)
+(** Overwrites a live object's header word. An object not yet swept
+    keeps the mark bit the last collection gave it, so it stays live. *)
+
+val raw_header : t -> int -> Header.t
+(** The header word as stored, or {!Header.free} out of range. Unlike
+    {!header} it shows a slot not yet swept as the mark left it, and
+    it costs only the bounds check and the load. While no slot is
+    unswept, as throughout a collection, it is {!header}: the
+    collector's scan reads targets with it, the heap verifier reads
+    the unswept slots with it. *)
+
+val unswept : t -> int
+(** The slots [1 .. unswept t] not yet swept since the last
+    collection (0 when the sweep is done): there a marked object is
+    live and an unmarked one dead. *)
 
 val class_of : t -> int -> Class_registry.id
 
@@ -244,28 +273,30 @@ val get : t -> int -> Heap_obj.t
 val mem : t -> int -> bool
 
 val free : t -> Heap_obj.t -> unit
-(** Reclaims the object: marks its slot free and queues its identifier.
-    Freed bytes are subtracted from [used_bytes].
+(** Reclaims the object: finishes the sweep, marks the object's slot
+    free and queues its identifier. Freed bytes are subtracted from
+    [used_bytes].
     @raise Invalid_argument unless the object is live. *)
 
 val iter_live : t -> (Heap_obj.t -> unit) -> unit
 (** Iterates over every live object in allocation-slot order. *)
 
 val slot_count : t -> int
-(** Number of allocation slots ever used, [next_fresh_id t - 1]; the
-    exclusive upper bound of the slot-index ranges accepted by
-    {!sweep_range}. *)
+(** Number of allocation slots ever used, [next_fresh_id t - 1]. *)
 
-val sweep_range : t -> Gc_stats.t -> lo:int -> hi:int -> int
-(** [sweep_range t stats ~lo ~hi] sweeps the slots [lo <= i < hi] in
-    descending order: it frees every unmarked object as it is reached,
-    exactly as {!free} would, and clears the GC bits of marked ones.
-    It reads only the header and size arrays, and a freed slot costs
-    one header store and the queueing of its identifier: its handle and
-    its words stay with the slot until the identifier is reused. It
-    adds the freed objects and bytes to [stats.objects_swept] and
-    [stats.bytes_reclaimed] and returns the bytes of the survivors.
-    [Invalid_argument] unless [0 <= lo] and [hi <= slot_count t]. *)
+val settle : t -> Gc_stats.t -> objects:int -> bytes:int -> unit
+(** Ends a collection whose mark left [objects] live objects of [bytes]
+    bytes carrying the mark bit, and every other object unmarked. It
+    first finishes a sweep an earlier collection left, then adds the
+    objects and bytes the unmarked ones hold to [stats.objects_swept]
+    and [stats.bytes_reclaimed], makes the marked totals the store's
+    object count, used and live bytes, and leaves every slot to the
+    lazy sweep. O(1), except in a store holding nursery objects, whose
+    marked nursery bytes it sums in one loop over the header array. *)
+
+val finish_sweep : t -> unit
+(** Sweeps every slot not yet swept, freeing the dead ones in
+    descending slot order; a collection's mark starts with it. *)
 
 val staleness_histogram : t -> int array
 (** The live objects counted by stale counter: element [k] is the number

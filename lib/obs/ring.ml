@@ -10,8 +10,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { capacity; buf = Array.make capacity None; start = 0; len = 0; dropped = 0 }
 
-let capacity t = t.capacity
-
 let length t = t.len
 
 let dropped t = t.dropped

@@ -11,8 +11,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** [capacity] must be positive. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Entries currently retained (<= capacity). *)
 

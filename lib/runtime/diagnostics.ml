@@ -7,7 +7,22 @@ let heap_check ?(strict = false) vm =
   let bytes = ref 0 in
   let poisoned_words = ref 0 in
   let on_disk = ref 0 in
+  (* Strict mode also reads the raw words of the lazy sweep's range:
+     at or above its cursor the sweep is done, so no mark is left; below
+     it an unmarked slot is dead, so nothing live may name it. *)
+  let unswept = Store.unswept store in
+  let unswept_dead id =
+    let r = Store.raw_header store id in
+    id <= unswept && (not (Header.is_free r)) && not (Header.marked r)
+  in
   for id = 1 to Store.slot_count store do
+    (if strict && id > unswept then
+       let r = Store.raw_header store id in
+       if (not (Header.is_free r)) && Header.marked r then
+         fail
+           (Printf.sprintf
+              "object %d carries a raw mark bit above the sweep cursor (%d)" id
+              unswept));
     let h = Store.header store id in
     if not (Header.is_free h) then begin
       bytes := !bytes + Store.size_bytes store id;
@@ -20,6 +35,12 @@ let heap_check ?(strict = false) vm =
         let w = Store.field store id i in
         if not (Word.is_null w) then
           if Word.poisoned w then incr poisoned_words
+          else if strict && unswept_dead (Word.target w) then
+            fail
+              (Printf.sprintf
+                 "object %d field %d names slot %d, unmarked below the sweep \
+                  cursor"
+                 id i (Word.target w))
           else if not (Store.mem store (Word.target w)) then
             fail
               (Printf.sprintf
@@ -28,6 +49,12 @@ let heap_check ?(strict = false) vm =
       done
     end
   done;
+  if strict then
+    Roots.iter (Vm.roots vm) (fun id ->
+        if unswept_dead id then
+          fail
+            (Printf.sprintf "a root names slot %d, unmarked below the sweep cursor"
+               id));
   if !bytes <> Store.used_bytes store then
     fail
       (Printf.sprintf "byte accounting: traversal found %d, store reports %d"

@@ -31,4 +31,8 @@ val heap_check : ?strict:bool -> Vm.t -> (unit, string) result
     [strict] additionally requires the poisoned-word {e count} not to
     exceed the sum of the recorded causes — valid only when the program
     never {!Mutator.arraycopy}s poisoned words (copies duplicate poison
-    without a counter increment). Default [false]. *)
+    without a counter increment). It also reads the raw header words of
+    the lazy sweep ({!Lp_heap.Store.raw_header}): no slot at or above
+    the sweep's cursor may carry a mark bit, and no live reference word
+    or root may name a slot below it that the last mark left unmarked.
+    Default [false]. *)

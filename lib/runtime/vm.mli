@@ -98,9 +98,12 @@ val fault_plan : t -> Lp_fault.Fault_plan.t option
     - without a pause SLO (the default): each collection is one
       pause, recorded as one [Monolithic] sample;
     - with [Config.pause_slo_p99_ns] set: the closures run in slices
-      of at most the autopilot's current budget in objects, and the
-      sweep in segments of that many slots, one tagged pause sample
-      each.
+      of at most the autopilot's current budget in objects, one tagged
+      pause sample each, and the collection ends with one
+      [Sweep_slice] sample when it settles.
+
+    Either way the sweep is no part of the pause: the store frees dead
+    slots as allocation reaches them ({!Lp_heap.Store.settle}).
 
     The engine is deterministic by construction: heap state, counters,
     prune decisions, reclaimed bytes, the simulated clock and the trace
@@ -116,7 +119,7 @@ val autopilot : t -> Lp_slo.Autopilot.t option
 
 val gc_pause_ns : t -> int
 (** Cumulative wall-clock nanoseconds spent inside full-heap collections
-    (mark through sweep, plus the disk phase). Wall time, not simulated
+    (mark through settling, plus the disk phase). Wall time, not simulated
     cycles — used by the GC benchmarks only; traces never record it. *)
 
 val pause_samples : t -> (Trace_engine.pause_phase * int) list
@@ -125,7 +128,7 @@ val pause_samples : t -> (Trace_engine.pause_phase * int) list
     [Monolithic]
     sample per full collection. A sliced engine contributes one
     [Mark_slice] sample per mark/closure slice and one [Sweep_slice]
-    sample per sweep segment; whatever the collection spent outside
+    sample when the collection settles; whatever the collection spent outside
     the slices (finalizer scan, phase glue, disk) is folded into the
     collection's last slice, so [Monolithic] appears {e only} for
     engines without a budget — "no [Monolithic] sample" is exactly the

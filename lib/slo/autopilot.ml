@@ -35,7 +35,7 @@ let window_cap = 256
 
 (* PID gains on the normalized error (p99 - target) / target. Modest
    proportional action with a slow integral keeps the loop stable under
-   the heavy-tailed pause distributions sliced sweeps produce. *)
+   the heavy-tailed pause distributions sliced collections produce. *)
 let kp = 0.5
 let ki = 0.1
 let kd = 0.2

@@ -32,10 +32,6 @@ let prune_window t ~round =
   t.restart_rounds <-
     List.filter (fun r -> r > round - window_rounds) t.restart_rounds
 
-let restarts_in_window t ~round =
-  prune_window t ~round;
-  List.length t.restart_rounds
-
 let on_restart t ~round =
   prune_window t ~round;
   t.restart_rounds <- round :: t.restart_rounds;

@@ -36,8 +36,6 @@ val on_restart : t -> round:int -> action
 (** Record a restart at [round] and return the ladder's decision for
     it. *)
 
-val restarts_in_window : t -> round:int -> int
-
 val store_checkpoint : t -> bytes -> unit
 (** Replace the stored checkpoint frame (only the latest is kept). *)
 

@@ -63,6 +63,33 @@ let test_constant_words_prune () =
   constant_words_per_collection ~force_state:Lp_core.State_kind.Prune
     ~state:"PRUNE" ~bound:256. ()
 
+(* The edge table takes its slots in 16 KB pages as edge types arrive,
+   so the SELECT collection that records a fresh VM's first edge type
+   allocates a page or two, not the whole 512 KB table. In a VM held in
+   SELECT with a chain the program never reads, only a collection can
+   record an edge type: the first whose stale closures claim bytes.
+   [Gc.allocated_bytes] counts what goes straight to OCaml's major heap
+   too, as a table or a page does. *)
+let test_first_select_collection_bytes () =
+  let vm = chain_vm ~force_state:Lp_core.State_kind.Select 200 in
+  let table = Lp_core.Controller.edge_table (Vm.controller vm) in
+  let rec first_recording n =
+    if n = 0 then Alcotest.fail "no edge type recorded in 64 collections";
+    let before = Gc.allocated_bytes () in
+    Vm.run_gc vm;
+    let bytes = Gc.allocated_bytes () -. before in
+    if Lp_core.Edge_table.entry_count table = 0 then first_recording (n - 1)
+    else bytes
+  in
+  let bytes = first_recording 64 in
+  Alcotest.(check string) "a SELECT collection" "SELECT"
+    (Lp_core.State_kind.to_string (Lp_core.Controller.state (Vm.controller vm)));
+  if bytes >= 65_536. then
+    Alcotest.failf
+      "the collection that recorded the first edge type allocated %.0f bytes \
+       (limit 65,536)"
+      bytes
+
 (* A resurrection VM over a chain of 1,000 live objects, with one
    poisoned statics word whose target's image starts a chain of
    [images] stored images, each referring to the next: all of them are
@@ -350,4 +377,6 @@ let suite =
         test_constant_words_prune;
       Alcotest.test_case "PRUNE capture: only the images' own words"
         `Quick test_capture_words_per_image;
+      Alcotest.test_case "first SELECT collection: edge table pages" `Quick
+        test_first_select_collection_bytes;
     ] )

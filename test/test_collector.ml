@@ -175,7 +175,7 @@ let test_finalizer_resurrection () =
   (* both unreachable; a has a finalizer which may access b *)
   let stats = Gc_stats.create () in
   ignore (mark store roots ~stats ~config:Collector.base_config);
-  Collector.resurrect_finalizables store ~stats ~on_finalize:(fun o ->
+  Collector.resurrect_finalizables seq store ~stats ~on_finalize:(fun o ->
       finalized := o.Heap_obj.id :: !finalized);
   sweep store ~stats;
   Alcotest.(check (list int)) "finalizer ran" [ a.Heap_obj.id ] !finalized;
@@ -185,7 +185,7 @@ let test_finalizer_resurrection () =
     (Store.mem store b.Heap_obj.id);
   (* next collection reclaims both, without running the finalizer again *)
   ignore (collect_base store roots);
-  Collector.resurrect_finalizables store ~stats ~on_finalize:(fun o ->
+  Collector.resurrect_finalizables seq store ~stats ~on_finalize:(fun o ->
       finalized := o.Heap_obj.id :: !finalized);
   sweep store ~stats;
   Alcotest.(check int) "finalizer ran once" 1 (List.length !finalized);

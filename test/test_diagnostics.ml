@@ -87,6 +87,63 @@ let test_heap_check_mark_bit () =
     (Printf.sprintf "object %d carries a mark bit outside a collection"
        obj.Heap_obj.id)
 
+(* A VM whose last collection left its slots unswept: one live object
+   [live] kept by a statics container, then garbage, collected once and
+   nothing allocated since. [dead] is a garbage slot below the sweep
+   cursor, unmarked as the mark left it. *)
+let unswept_vm () =
+  let vm = Vm.create ~heap_bytes:100_000 () in
+  let keep = Vm.statics vm ~class_name:"K" ~n_fields:1 in
+  let live = Vm.alloc vm ~class_name:"K$Live" ~n_fields:1 () in
+  Mutator.write_obj vm keep 0 live;
+  let garbage =
+    List.init 100 (fun _ -> Vm.alloc vm ~class_name:"K$Garbage" ~n_fields:0 ())
+  in
+  Vm.run_gc vm;
+  let store = Vm.store vm in
+  let dead = (List.hd garbage).Heap_obj.id in
+  Alcotest.(check bool) "the garbage is below the sweep cursor" true
+    (dead <= Store.unswept store);
+  Alcotest.(check bool) "left unmarked" false
+    (Header.marked (Store.raw_header store dead));
+  Alcotest.(check bool) "and reads as free" false (Store.mem store dead);
+  (vm, live, dead)
+
+let test_heap_check_unswept_ok () =
+  let vm, _, _ = unswept_vm () in
+  match Diagnostics.heap_check ~strict:true vm with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+(* Strict mode reads the raw words: a mark above the cursor, and a live
+   word or a root naming an unmarked slot below it. *)
+let test_heap_check_unswept_raw () =
+  let vm, live, dead = unswept_vm () in
+  let store = Vm.store vm in
+  let fresh = Vm.alloc vm ~class_name:"K$Fresh" ~n_fields:0 () in
+  let id = fresh.Heap_obj.id in
+  Alcotest.(check bool) "a fresh object lies above the cursor" true
+    (id > Store.unswept store);
+  Store.set_header store id (Header.set_marked (Store.header store id));
+  check_fails_with ~strict:true vm
+    (Printf.sprintf "object %d carries a raw mark bit above the sweep cursor"
+       id);
+  Store.set_header store id (Header.clear_gc_bits (Store.header store id));
+  Alcotest.(check bool) "the dead slot is still unswept" true
+    (dead <= Store.unswept store);
+  Store.set_field store live.Heap_obj.id 0 (Word.of_id dead);
+  check_fails_with ~strict:true vm
+    (Printf.sprintf "object %d field 0 names slot %d, unmarked below the sweep \
+                     cursor"
+       live.Heap_obj.id dead);
+  check_fails_with vm "references reclaimed object";
+  Store.set_field store live.Heap_obj.id 0 Word.null;
+  Vm.with_frame vm ~n_slots:1 (fun frame ->
+      Roots.set_slot frame 0 dead;
+      check_fails_with ~strict:true vm
+        (Printf.sprintf "a root names slot %d, unmarked below the sweep cursor"
+           dead))
+
 let test_heap_check_image_object_id () =
   let vm = Vm.create ~resurrection:true ~heap_bytes:10_000 () in
   Diskswap.store_image (Vm.swap vm) ~id:7 (image_bytes ~object_id:8);
@@ -197,6 +254,10 @@ let suite =
       Alcotest.test_case "heap check detects corruption" `Quick
         test_heap_check_detects_corruption;
       Alcotest.test_case "heap check: mark bit" `Quick test_heap_check_mark_bit;
+      Alcotest.test_case "heap check: unswept slots pass strict mode" `Quick
+        test_heap_check_unswept_ok;
+      Alcotest.test_case "heap check: strict mode reads the unswept words"
+        `Quick test_heap_check_unswept_raw;
       Alcotest.test_case "heap check: image object id" `Quick
         test_heap_check_image_object_id;
       Alcotest.test_case "heap check: corrupt image" `Quick

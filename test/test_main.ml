@@ -12,6 +12,7 @@ let () =
       Test_word_store.suite;
       Test_roots.suite;
       Test_collector.suite;
+      Test_lazy_sweep.suite;
       Test_edge_table.suite;
       Test_state_machine.suite;
       Test_selection.suite;

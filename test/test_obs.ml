@@ -19,7 +19,6 @@ let test_ring_wraparound () =
   for i = 1 to 10 do
     Ring.push r i
   done;
-  Alcotest.(check int) "capacity" 4 (Ring.capacity r);
   Alcotest.(check int) "length capped" 4 (Ring.length r);
   Alcotest.(check int) "drop-oldest accounting" 6 (Ring.dropped r);
   Alcotest.(check (list int)) "newest window, oldest first" [ 7; 8; 9; 10 ]

@@ -235,8 +235,11 @@ let prop_find_iff_live =
       List.for_all live_ok !live && List.for_all dead_ok !dead && misses_ok)
 
 (* The flat store against a list model. Random sequences of
-   allocations (either generation), marks, frees and segmented sweeps
-   run on a store and on a model of it: the live objects with their
+   allocations (either generation), marks, frees and collection ends
+   run on a store and on a model of it. A mark finishes the sweep
+   first, as a collection's mark does; a collection end settles the
+   store with the marked totals the model counts, and the store then
+   sweeps lazily. The model holds the live objects with their
    handle, size, class, generation and mark, the handles freed so far,
    and the FIFO of free identifiers. After every step the store must
    agree with the model: every live handle is found and live with its
@@ -248,7 +251,7 @@ type store_op =
   | Alloc of { n_fields : int; scalar : int; nursery : bool }
   | Mark of int
   | Free of int
-  | Sweep of int
+  | Sweep
 
 type model_obj = {
   handle : Heap_obj.t;
@@ -269,7 +272,7 @@ let prop_flat_store_model =
               (int_bound 5) (int_bound 40) bool );
           (3, map (fun k -> Mark k) nat);
           (1, map (fun k -> Free k) nat);
-          (1, map (fun seg -> Sweep (1 + seg)) (int_bound 12));
+          (1, return Sweep);
         ])
   in
   QCheck.Test.make ~name:"store: flat arrays agree with a list model"
@@ -343,6 +346,7 @@ let prop_flat_store_model =
             | Mark k when !live <> [] ->
               let m = nth k in
               let id = m.handle.Heap_obj.id in
+              Store.finish_sweep store;
               Store.set_header store id (Header.set_marked (Store.header store id));
               m.marked <- true;
               true
@@ -351,14 +355,16 @@ let prop_flat_store_model =
               Store.free store m.handle;
               release m;
               true
-            | Sweep seg ->
+            | Sweep ->
               let doomed =
                 List.filter (fun m -> not m.marked) !live
                 |> List.sort (fun a b ->
                        compare b.handle.Heap_obj.id a.handle.Heap_obj.id)
               in
-              Collector.sweep (Collector.create ~slice_budget:seg ()) store
-                ~stats;
+              let marked = List.filter (fun m -> m.marked) !live in
+              let total f = List.fold_left (fun acc m -> acc + f m) 0 marked in
+              Store.settle store stats ~objects:(List.length marked)
+                ~bytes:(total (fun m -> m.size));
               List.iter release doomed;
               List.iter (fun m -> m.marked <- false) !live;
               swept_live := sum (fun m -> m.size);

@@ -195,8 +195,6 @@ let test_ladder_window_slides () =
       Alcotest.(check string) "isolated restarts stay warm" "warm"
         (Supervisor.action_to_string (Supervisor.on_restart s ~round)))
     [ 0; 16; 32; 48 ];
-  Alcotest.(check int) "only the last restart is in window" 1
-    (Supervisor.restarts_in_window s ~round:48);
   Alcotest.(check string) "a restart 15 rounds on is the window's second"
     "cold"
     (Supervisor.action_to_string (Supervisor.on_restart s ~round:63))
