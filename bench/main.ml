@@ -58,7 +58,7 @@ let test_barrier_fast =
 (* Sets the untouched bit of [obj]'s field 0 again, as a collection
    would, so the next read of it takes the barrier's cold path. *)
 let rearm store (obj : Lp_heap.Heap_obj.t) =
-  let id = obj.Lp_heap.Heap_obj.id in
+  let id = Lp_heap.Heap_obj.index obj in
   Lp_heap.Store.set_field store id 0
     (Lp_heap.Word.set_untouched (Lp_heap.Store.field store id 0))
 
@@ -109,7 +109,7 @@ let list_vm ?config () =
           Lp_runtime.Vm.alloc vm ~class_name:"GcMicro$Node" ~scalar_bytes:16
             ~n_fields:2 ()
         in
-        Lp_heap.Roots.set_slot frame 0 node.Lp_heap.Heap_obj.id;
+        Lp_heap.Roots.set_slot frame 0 (Lp_heap.Heap_obj.index node);
         (match Lp_runtime.Mutator.read vm statics 0 with
         | Some head -> Lp_runtime.Mutator.write_obj vm node 0 head
         | None -> ());
@@ -237,7 +237,7 @@ let run_resurrection_round () =
           Lp_runtime.Vm.alloc vm ~class_name:"Bench$Node" ~scalar_bytes:40
             ~n_fields:1 ()
         in
-        Lp_heap.Roots.set_slot frame 0 node.Lp_heap.Heap_obj.id;
+        Lp_heap.Roots.set_slot frame 0 (Lp_heap.Heap_obj.index node);
         (match Lp_runtime.Mutator.read vm statics 0 with
         | Some head -> Lp_runtime.Mutator.write_obj vm node 0 head
         | None -> ());
@@ -257,7 +257,7 @@ let run_resurrection_round () =
       let found = ref None in
       let store = Lp_runtime.Vm.store vm in
       Lp_heap.Store.iter_live store (fun obj ->
-          let id = obj.Lp_heap.Heap_obj.id in
+          let id = Lp_heap.Heap_obj.index obj in
           for i = 0 to Lp_heap.Store.n_fields store id - 1 do
             let w = Lp_heap.Store.field store id i in
             if
@@ -273,7 +273,7 @@ let run_resurrection_round () =
         (try ignore (Lp_runtime.Mutator.read vm src field)
          with Lp_core.Errors.Internal_error _ ->
            incr lost;
-           Hashtbl.add dead_ends (src.Lp_heap.Heap_obj.id, field) ());
+           Hashtbl.add dead_ends (Lp_heap.Heap_obj.index src, field) ());
         drain (budget - 1)
     end
   in
@@ -390,7 +390,7 @@ let[@inline never] baseline_swap_in vm (src : Lp_heap.Heap_obj.t)
   let cost = Vm.cost vm in
   let store = Vm.store vm in
   let class_name (obj : Heap_obj.t) =
-    Class_registry.name (Vm.registry vm) (Store.class_of store obj.Heap_obj.id)
+    Class_registry.name (Vm.registry vm) (Store.class_of store (Heap_obj.index obj))
   in
   match Diskswap.retrieve (Vm.swap vm) store tgt with
   | `Not_resident -> ()
@@ -400,7 +400,7 @@ let[@inline never] baseline_swap_in vm (src : Lp_heap.Heap_obj.t)
     raise
       (Lp_core.Errors.internal_error
          ~cause:
-           (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
+           (Lp_core.Errors.resurrection_failed ~target:(Heap_obj.index tgt) ~reason
               ~gc_count:(Vm.gc_count vm))
          ~src_class:(class_name src) ~tgt_class:(class_name tgt))
 
@@ -414,7 +414,7 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.read_ref;
   baseline_charge_barrier vm cost.Cost.barrier_fast;
-  let w = Store.field (Vm.store vm) src.Heap_obj.id i in
+  let w = Store.field (Vm.store vm) (Heap_obj.index src) i in
   if Word.is_null w then None
   else if Word.poisoned w then begin
     baseline_charge_barrier vm
@@ -433,7 +433,7 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     else begin
       match Vm.try_resurrect vm src ~field:i with
       | Ok tgt ->
-        Store.set_stale store tgt.Heap_obj.id 0;
+        Store.set_stale store (Heap_obj.index tgt) 0;
         Some tgt
       | Error reason ->
         let stats = Vm.stats vm in
@@ -446,7 +446,7 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
                   ~reason ~gc_count:(Vm.gc_count vm))
              ~src_class:
                (Class_registry.name (Vm.registry vm)
-                  (Store.class_of store src.Heap_obj.id))
+                  (Store.class_of store (Heap_obj.index src)))
              ~tgt_class:(tgt_class ()))
     end
   end
@@ -454,25 +454,25 @@ let baseline_read vm (src : Lp_heap.Heap_obj.t) i =
     let store = Vm.store vm in
     let tgt = Store.find store (Word.target w) in
     if tgt == Store.sentinel then begin
-      Store.set_field store src.Heap_obj.id i (Word.poison w);
+      Store.set_field store (Heap_obj.index src) i (Word.poison w);
       let stats = Vm.stats vm in
       stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
       raise
         (Lp_core.Errors.heap_corruption
            ~src_class:
              (Class_registry.name (Vm.registry vm)
-                (Store.class_of store src.Heap_obj.id))
+                (Store.class_of store (Heap_obj.index src)))
            ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
     end;
     if Word.untouched w then begin
       baseline_charge_barrier vm cost.Cost.barrier_cold;
-      Store.set_field store src.Heap_obj.id i (Word.clear_untouched w);
+      Store.set_field store (Heap_obj.index src) i (Word.clear_untouched w);
       Lp_core.Controller.on_stale_use (Vm.controller vm) store ~src ~tgt;
       Lp_core.Controller.note_field_read (Vm.controller vm) store ~src
         ~field:i;
-      Store.set_stale store tgt.Heap_obj.id 0
+      Store.set_stale store (Heap_obj.index tgt) 0
     end;
-    if Vm.offloading vm && Header.on_disk (Store.header store tgt.Heap_obj.id)
+    if Vm.offloading vm && Header.on_disk (Store.header store (Heap_obj.index tgt))
     then baseline_swap_in vm src tgt;
     Some tgt
   end

@@ -16,7 +16,7 @@ let prepare vm =
   let statics = Vm.statics vm ~class_name:"CacheServer" ~n_fields:2 in
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       let table = Vm.alloc vm ~class_name:"Object[]" ~n_fields:cache_slots () in
-      Roots.set_slot frame 0 table.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index table);
       Mutator.write_obj vm statics 0 (Vm.deref vm (Roots.get_slot frame 0)));
   let rand = Lp_workloads.Rand.create 2024 in
   fun () ->
@@ -26,9 +26,9 @@ let prepare vm =
           let value =
             Vm.alloc vm ~class_name:"CachedValue" ~scalar_bytes:180 ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 value.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index value);
           let entry = Vm.alloc vm ~class_name:"CacheEntry" ~n_fields:2 () in
-          Roots.set_slot frame 1 entry.Heap_obj.id;
+          Roots.set_slot frame 1 (Heap_obj.index entry);
           Mutator.write_obj vm entry 1 (Vm.deref vm (Roots.get_slot frame 0));
           let table = Mutator.read_exn vm statics 0 in
           (* evict: the old entry goes onto the audit trail (the leak) *)

@@ -14,7 +14,7 @@ let leak_one vm statics =
          allocation may trigger a collection, and unrooted objects are
          collected — exactly as in a real VM. *)
       let payload = Vm.alloc vm ~class_name:"Session" ~scalar_bytes:200 ~n_fields:0 () in
-      Roots.set_slot frame 0 payload.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index payload);
       let node = Vm.alloc vm ~class_name:"ListNode" ~n_fields:2 () in
       Mutator.write_obj vm node 1 (Vm.deref vm (Roots.get_slot frame 0));
       (* link in front of the list head (a static field read through the

@@ -159,7 +159,7 @@ let liveness_dead_reads t = liveness_counter_value (fun (_, _, d) -> d) t
 let note_field_read t store ~src ~field =
   match (t.prior, t.c_liveness) with
   | Some prior, Some (_, _, d) ->
-    if prior (Store.class_of store src.Heap_obj.id) field = Selection.Boost then
+    if prior (Store.class_of store (Heap_obj.index src)) field = Selection.Boost then
       Lp_obs.Metrics.incr d
   | Some _, None | None, _ -> ()
 
@@ -209,11 +209,11 @@ let record_averted t store =
 
 let on_stale_use t store ~src ~tgt =
   if tracking t then begin
-    let stale = Store.stale store tgt.Heap_obj.id in
+    let stale = Store.stale store (Heap_obj.index tgt) in
     if stale >= 2 then
       Edge_table.record_stale_use t.table
-        ~src:(Store.class_of store src.Heap_obj.id)
-        ~tgt:(Store.class_of store tgt.Heap_obj.id) ~stale
+        ~src:(Store.class_of store (Heap_obj.index src))
+        ~tgt:(Store.class_of store (Heap_obj.index tgt)) ~stale
   end
 
 (* Misprediction feedback from the resurrection subsystem: a program
@@ -257,7 +257,7 @@ let poisoned_access_error t store ~src ~tgt_class =
   in
   Errors.internal_error ~cause
     ~src_class:
-      (Class_registry.name t.registry (Store.class_of store src.Heap_obj.id))
+      (Class_registry.name t.registry (Store.class_of store (Heap_obj.index src)))
     ~tgt_class
 
 (* One full-heap collection. The phases composed here are the paper's

@@ -137,7 +137,7 @@ let run_one ?(faults = true) ?pause_slo_p99_ns
            in
            let leaks = ref 0 in
            Store.iter_live store (fun o ->
-               if Some (Store.class_of store o.Heap_obj.id) = leak_cls then
+               if Some (Store.class_of store (Heap_obj.index o)) = leak_cls then
                  incr leaks);
            Printf.eprintf
              "seed %d gc %d: live=%d/%d leaks=%d state=%s res=%b images=%d\n"
@@ -186,7 +186,7 @@ let run_one ?(faults = true) ?pause_slo_p99_ns
      deterministic, so so is the sample). *)
   let random_live () =
     let eligible (obj : Heap_obj.t) =
-      Store.class_of store obj.Heap_obj.id <> leak_class
+      Store.class_of store (Heap_obj.index obj) <> leak_class
     in
     let n = ref 0 in
     Store.iter_live store (fun obj -> if eligible obj then incr n);
@@ -202,7 +202,7 @@ let run_one ?(faults = true) ?pause_slo_p99_ns
       !found
     end
   in
-  let field_count (obj : Heap_obj.t) = Store.n_fields store obj.Heap_obj.id in
+  let field_count (obj : Heap_obj.t) = Store.n_fields store (Heap_obj.index obj) in
   let random_field (obj : Heap_obj.t) =
     (* never the reserved leak-chain slot of the statics container *)
     let n = field_count obj in
@@ -214,7 +214,7 @@ let run_one ?(faults = true) ?pause_slo_p99_ns
       Lp_runtime.Mutator.write_obj vm statics (Random.State.int rng 15) obj
     else begin
       let _, fr = List.nth !threads (Random.State.int rng (List.length !threads)) in
-      Roots.set_slot fr (Random.State.int rng 8) obj.Heap_obj.id
+      Roots.set_slot fr (Random.State.int rng 8) (Heap_obj.index obj)
     end
   in
   let step_alloc () =
@@ -273,7 +273,7 @@ let run_one ?(faults = true) ?pause_slo_p99_ns
     let found = ref None in
     Store.iter_live store (fun obj ->
         for i = 0 to field_count obj - 1 do
-          if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+          if !found = None && Word.poisoned (Store.field store (Heap_obj.index obj) i)
           then found := Some (obj, i)
         done);
     match !found with

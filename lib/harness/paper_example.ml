@@ -20,14 +20,14 @@ let run ?(verbose = false) () =
   let names = Hashtbl.create 20 in
   let mk class_name name ~n_fields ~scalar =
     let obj = Vm.alloc vm ~class_name ~scalar_bytes:scalar ~n_fields () in
-    Hashtbl.replace names obj.Heap_obj.id name;
+    Hashtbl.replace names (Heap_obj.index obj) name;
     obj
   in
   (* No collection can trigger during construction: the whole heap fits. *)
   let a1 = mk "A" "a1" ~n_fields:4 ~scalar:0 in
-  Roots.add_static_root (Vm.roots vm) a1.Heap_obj.id;
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index a1);
   let e1 = mk "E" "e1" ~n_fields:1 ~scalar:8 in
-  Roots.add_static_root (Vm.roots vm) e1.Heap_obj.id;
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index e1);
   let bs = Array.init 4 (fun i -> mk "B" (Printf.sprintf "b%d" (i + 1)) ~n_fields:1 ~scalar:8) in
   let cs = Array.init 4 (fun i -> mk "C" (Printf.sprintf "c%d" (i + 1)) ~n_fields:2 ~scalar:4) in
   let ds = Array.init 8 (fun i -> mk "D" (Printf.sprintf "d%d" (i + 1)) ~n_fields:0 ~scalar:12) in
@@ -47,7 +47,7 @@ let run ?(verbose = false) () =
      1), so set pre-tick values whose post-tick values are the figure's:
      c1 = 3, c2 = 1, c3 = 3, c4 = 2. *)
   List.iteri
-    (fun i k -> Store.set_stale (Vm.store vm) cs.(i).Heap_obj.id k)
+    (fun i k -> Store.set_stale (Vm.store vm) (Heap_obj.index cs.(i)) k)
     [ 3; 0; 3; 2 ];
   (* The D instances stay below staleness 2 (they tick to 1 in the
      SELECT collection), so no C -> D reference is a candidate; the
@@ -73,7 +73,7 @@ let run ?(verbose = false) () =
   let reclaimed_bytes = stats.Gc_stats.bytes_reclaimed - reclaimed_before in
   let survivors = ref [] in
   Store.iter_live (Vm.store vm) (fun obj ->
-      match Hashtbl.find_opt names obj.Heap_obj.id with
+      match Hashtbl.find_opt names (Heap_obj.index obj) with
       | Some name -> survivors := name :: !survivors
       | None -> ());
   let poisoned_access_raises =

@@ -68,12 +68,9 @@ let canonical_candidates deferred =
    filter has no reader of staleness while it runs, so [scan] ticks
    each object at its claim instead. Both give the same counters,
    because a tick depends only on the object's own counter and the
-   collection number. Both buffers hold object ids and
-   keep their capacity when cleared, so they allocate nothing once
-   grown. They hold ids, not handles: the engine lives in OCaml's major
-   heap, so storing a recently allocated handle into a buffer would add
-   an entry to OCaml's remembered set, and a full set forces an OCaml
-   minor collection inside the pause. *)
+   collection number. Both buffers hold object ids, as the words and
+   roots the mark reads do, and keep their capacity when cleared, so
+   they allocate nothing once grown. *)
 type t = {
   stack : Work_queue.t;  (* the mark stack *)
   ticks : Work_queue.t;  (* ids a filtered closure marked *)

@@ -127,7 +127,7 @@ val mark :
     [Gc_stats.words_quarantined] — rather than crashing the
     collection; the other phases apply the same rule. A target
     is checked and claimed through its header word alone; no target
-    handle is loaded. [Store.Dangling_reference] if a root names a
+    generation is loaded. [Store.Dangling_reference] if a root names a
     free slot. *)
 
 val stale_closure :

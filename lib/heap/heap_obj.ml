@@ -1,4 +1,18 @@
-type t = { id : int }
+type t = { id : int } [@@unboxed]
+
+let index_bits = 32
+
+let max_index = (1 lsl index_bits) - 1
+
+let max_generation = (1 lsl 30) - 1
+
+let[@inline] index t = t.id land max_index
+
+let[@inline] generation t = t.id lsr index_bits
+
+let[@inline] pack ~index ~generation = { id = (generation lsl index_bits) lor index }
+
+let[@inline] next_generation g = (g + 1) land max_generation
 
 let word_size = 4
 

@@ -12,9 +12,11 @@ type t = {
 
 let create () = { statics = []; threads = [] }
 
+(* Both take a handle's packed bits as well as an identifier, and keep
+   the identifier: [Heap_obj.index] of the bits. *)
 let add_static_root t id =
   if id < 1 then invalid_arg "Roots.add_static_root";
-  t.statics <- id :: t.statics
+  t.statics <- (id land Heap_obj.max_index) :: t.statics
 
 let spawn_thread t =
   let thread = { frames = [ { slots = [||] } ]; alive = true } in
@@ -42,7 +44,7 @@ let pop_frame thread =
   | [] | [ _ ] -> invalid_arg "Roots.pop_frame: cannot pop the initial frame"
   | _ :: rest -> thread.frames <- rest
 
-let set_slot frame i id = frame.slots.(i) <- id
+let set_slot frame i id = frame.slots.(i) <- id land Heap_obj.max_index
 
 let get_slot frame i = frame.slots.(i)
 

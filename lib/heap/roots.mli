@@ -22,7 +22,9 @@ type frame
 val create : unit -> t
 
 val add_static_root : t -> int -> unit
-(** Permanently registers the object with this identifier as a root. *)
+(** Permanently registers the object with this identifier as a root.
+    Given a handle's packed bits ({!Heap_obj.t}'s [id]), it registers
+    the handle's index. *)
 
 val spawn_thread : t -> thread
 (** Creates a thread with one (empty) initial frame and adds it to the
@@ -41,7 +43,7 @@ val pop_frame : thread -> unit
 
 val set_slot : frame -> int -> int -> unit
 (** [set_slot f i id] stores object identifier [id] (or 0 for null) in
-    slot [i]. *)
+    slot [i]; given a handle's packed bits, it stores their index. *)
 
 val get_slot : frame -> int -> int
 

@@ -2,27 +2,29 @@ exception Heap_full of { requested : int; used : int; limit : int }
 
 exception Dangling_reference of int
 
-(* The handle of a slot never used. Id 0 is never allocated, so no
-   slot index maps to it and [is_live sentinel] is false. Callers only
-   ever get it as [find]'s miss, to compare against with [==]. *)
-let sentinel = { Heap_obj.id = 0 }
+(* The handle of id 0 at generation 0, the int 0. Id 0 is never
+   allocated, so no slot index maps to it and [is_live sentinel] is
+   false. Callers only ever get it as [find]'s miss. *)
+let sentinel = Heap_obj.pack ~index:0 ~generation:0
 
-(* The object state lives in four parallel arrays indexed by [id - 1],
-   all of one length. [headers] decides liveness: a free slot holds
-   [Header.free] there, and its [slots] entry keeps the handle of its
-   last occupant (or [sentinel]) until [place] reuses the id, so
-   freeing stores no pointer. A live object's header also holds its
-   size. [classes] and [extents] hold the last occupant's values.
+(* The object state lives in four parallel int arrays indexed by
+   [id - 1], all of one length. [headers] decides liveness: a free slot
+   holds [Header.free] there. A live object's header also holds its
+   size. [gens] holds the generation of the slot's last occupant (-1 for
+   a slot never used), which [place] bumps when it reuses the id, so a
+   live object's handle is its id packed with [gens.(id - 1)] and
+   freeing writes only the header. [classes] and [extents] hold the
+   last occupant's values.
 
    Every object's reference fields are consecutive words of the one
    [words] array. Its extent packs where they start and how many there
    are into one int, [offset lsl count_bits lor count], so a reader
    finds both with one load. Words below [top] have been handed out;
    those at or above it are all [Word.null]. A freed slot keeps its
-   range, as it keeps its handle, so freeing touches neither the words
-   nor the extent. When [place] reuses the id for an object of the same
-   field count, the range goes with it; otherwise the range is pushed
-   on the stack of free ranges of its count ([free_ranges.(n)],
+   range, as it keeps its generation, so freeing touches neither the
+   words nor the extent. When [place] reuses the id for an object of
+   the same field count, the range goes with it; otherwise the range is
+   pushed on the stack of free ranges of its count ([free_ranges.(n)],
    [free_lens.(n)] deep), and the new object takes the top range of its
    own count's stack, or words from [top].
 
@@ -33,7 +35,7 @@ let sentinel = { Heap_obj.id = 0 }
    down, a few slots per allocation ([fresh_id]). Until then every reader
    presents such a slot as the sweep will leave it (see [view]). *)
 type t = {
-  mutable slots : Heap_obj.t array;
+  mutable gens : int array;
   mutable headers : int array;
   mutable classes : int array;
   mutable extents : int array;
@@ -91,7 +93,7 @@ let create ~limit_bytes =
   if limit_bytes <= 0 then invalid_arg "Store.create";
   let cap = min max_slots (max min_slots (limit_bytes / bytes_per_slot)) in
   {
-    slots = Array.make cap sentinel;
+    gens = Array.make cap (-1);
     headers = Array.make cap Header.free;
     classes = Array.make cap 0;
     extents = Array.make cap 0;
@@ -140,22 +142,24 @@ let would_overflow t n = t.used - t.swapped_out + n > t.limit
 (* Growth stays out of line so the capacity check inlines into
    [fresh_id]. The four arrays grow together, by half: a heap whose
    slot count settles just past a power of two would otherwise carry
-   nearly twice the slots it uses, in four arrays. *)
+   nearly twice the slots it uses, in four arrays. An id must fit a
+   handle's index bits. *)
 let[@inline never] grow_slots t id =
-  let n = Array.length t.slots in
+  if id > Heap_obj.max_index then invalid_arg "Store: identifiers exhausted";
+  let n = Array.length t.gens in
   let cap = max (n + (n / 2)) id in
   let grow a fill =
     let a' = Array.make cap fill in
     Array.blit a 0 a' 0 n;
     a'
   in
-  t.slots <- grow t.slots sentinel;
+  t.gens <- grow t.gens (-1);
   t.headers <- grow t.headers Header.free;
   t.classes <- grow t.classes 0;
   t.extents <- grow t.extents 0
 
 let[@inline] ensure_capacity t id =
-  if id > Array.length t.slots then grow_slots t id
+  if id > Array.length t.gens then grow_slots t id
 
 let[@inline never] grow_free_ids t =
   let cap = Array.length t.free_ids in
@@ -174,16 +178,17 @@ let[@inline] push_free_id t id =
   t.free_len <- t.free_len + 1
 
 (* The sweep: one loop over the header array, from the top of the
-   unswept range down, touching no handle. A marked survivor gets its
-   GC bits cleared; a dead object is freed as it is reached, so its id
-   joins the free queue in descending slot order, the order [free]
+   unswept range down, touching no generation. A marked survivor gets
+   its GC bits cleared; a dead object is freed as it is reached, so its
+   id joins the free queue in descending slot order, the order [free]
    would give; the header already shows the object is live, so
    [free]'s liveness check is not repeated. A freed slot gets the free
-   marker and keeps its handle and its range, so the loop makes no
-   pointer store. It sweeps [slots] slots, and on until it has queued
-   an id if the queue is empty, or down to slot 0. The byte and object
-   totals were settled when the collection ended, so it writes none.
-   Out of line: [fresh_id] only tests for it. *)
+   marker and keeps its generation and its range, so the loop stores
+   only into the header array and the queue. It sweeps [slots] slots,
+   and on until it has queued an id if the queue is empty, or down to
+   slot 0. The byte and object totals were settled when the collection
+   ended, so it writes none. Out of line: [fresh_id] only tests for
+   it. *)
 let[@inline never] sweep_range t ~slots =
   let headers = t.headers in
   let stop = t.unswept - slots in
@@ -355,9 +360,9 @@ let[@inline] live_at t i =
 
 let[@inline] fits t size = t.alloc_fault == None && not (would_overflow t size)
 
-(* The placement step every allocation ends in: an id, a handle in its
-   slot, a range of null words, the header, class, size and extent, and
-   the byte accounting. [fresh_id] makes sure the id's slot
+(* The placement step every allocation ends in: an id, the slot's next
+   generation, a range of null words, the header, class, size and
+   extent, and the byte accounting. [fresh_id] makes sure the id's slot
    exists, so the stores into it are unchecked. An id queued before the
    last collection may lie in the unswept range, where the object must
    carry a mark to read as live; that is decided after [take_range],
@@ -370,15 +375,15 @@ let[@inline] place t ~nursery ~class_id ~n_fields ~finalizable ~size =
   let header = if finalizable then Header.set_finalizable header else header in
   let header = if nursery then Header.set_in_nursery header else header in
   let header = if i < t.unswept then Header.set_marked header else header in
-  let obj = { Heap_obj.id } in
-  Array.unsafe_set t.slots i obj;
+  let generation = Heap_obj.next_generation (Array.unsafe_get t.gens i) in
+  Array.unsafe_set t.gens i generation;
   Array.unsafe_set t.headers i header;
   Array.unsafe_set t.classes i class_id;
   Array.unsafe_set t.extents i extent;
   t.used <- t.used + size;
   t.count <- t.count + 1;
   if nursery then t.nursery <- t.nursery + size;
-  obj
+  Heap_obj.pack ~index:id ~generation
 
 let alloc_generation t ~nursery ~class_id ~n_fields ~scalar_bytes ~finalizable =
   let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
@@ -396,7 +401,7 @@ let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
 (* [0 <= i < len] as one sign test: [i lor (len - 1 - i)] is negative
    exactly when one of the two differences is. The lookups below check
    the bound on [headers] this way and then load from it, and from the
-   parallel [slots], without a second check. *)
+   parallel [gens], without a second check. *)
 let[@inline] in_bounds a i = i lor (Array.length a - 1 - i) >= 0
 
 let[@inline] raw_header t id =
@@ -410,12 +415,14 @@ let[@inline] header t id =
 
 let[@inline] find t id =
   let i = id - 1 in
-  if in_bounds t.headers i && live_at t i then Array.unsafe_get t.slots i
+  if in_bounds t.headers i && live_at t i then
+    Heap_obj.pack ~index:id ~generation:(Array.unsafe_get t.gens i)
   else sentinel
 
-let[@inline] is_live t (obj : Heap_obj.t) =
-  let i = obj.Heap_obj.id - 1 in
-  in_bounds t.headers i && live_at t i && Array.unsafe_get t.slots i == obj
+let[@inline] is_live t obj =
+  let i = Heap_obj.index obj - 1 in
+  in_bounds t.headers i && live_at t i
+  && Array.unsafe_get t.gens i = Heap_obj.generation obj
 
 let[@inline never] dangling id = raise (Dangling_reference id)
 
@@ -438,8 +445,8 @@ let[@inline] size_bytes t id = Header.size t.headers.(id - 1)
 
 let[@inline] n_fields t id = extent_count t.extents.(id - 1)
 
-let scalar_bytes t (obj : Heap_obj.t) =
-  let id = obj.Heap_obj.id in
+let scalar_bytes t obj =
+  let id = Heap_obj.index obj in
   size_bytes t id - Heap_obj.header_bytes - (Heap_obj.word_size * n_fields t id)
 
 let[@inline] stale t id = Header.stale_counter (header t id)
@@ -484,15 +491,16 @@ let word_capacity t = Array.length t.words
 
 (* Finishes the sweep first, so the freed id queues behind every id
    the sweep frees, as it would after an eager sweep. *)
-let free t (obj : Heap_obj.t) =
+let free t obj =
   finish_sweep t;
   if not (is_live t obj) then
     invalid_arg "Store.free: object is not live in this store";
-  let i = obj.Heap_obj.id - 1 in
+  let id = Heap_obj.index obj in
+  let i = id - 1 in
   let h = t.headers.(i) in
   let size = Header.size h in
   t.headers.(i) <- Header.free;
-  push_free_id t obj.Heap_obj.id;
+  push_free_id t id;
   t.used <- t.used - size;
   if Header.in_nursery h then t.nursery <- t.nursery - size;
   t.count <- t.count - 1
@@ -524,7 +532,8 @@ let slot_count t = t.next_id - 1
 
 let iter_live t f =
   for i = 0 to slot_count t - 1 do
-    if live_at t i then f t.slots.(i)
+    if live_at t i then
+      f (Heap_obj.pack ~index:(i + 1) ~generation:(Array.unsafe_get t.gens i))
   done
 
 (* The end of a collection. Every live object the mark left unmarked is

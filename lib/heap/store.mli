@@ -14,14 +14,17 @@
     and extent are three [int array]s indexed by [id - 1]; the fields
     of every object are consecutive words of one more [int array], and
     the extent packs where they start and how many there are into one
-    int. A {!Heap_obj.t} is only the handle (the identity), kept in a
-    fifth, parallel array. A slot with no live object holds {!Header.free} in
-    the header array, and liveness is read there first: a freed slot
-    keeps its old handle until the identifier is reused, so the sweep
-    frees an object with one integer store and no pointer store.
+    int. A fourth [int array] holds each slot's generation, which
+    {!place} bumps each time it reuses the identifier. A {!Heap_obj.t}
+    is an immediate int packing the identifier with the generation it
+    was handed out at, so allocating one allocates nothing and the
+    store keeps no pointer per object. A slot with no live object holds
+    {!Header.free} in the header array, and liveness is read there
+    first: a freed slot keeps its generation until the identifier is
+    reused, so the sweep frees an object with one integer store.
 
     The word array grows on demand. A freed object's words stay with
-    its slot, as its handle does. When the identifier is reused for an
+    its slot, as its generation does. When the identifier is reused for an
     object of the same field count, the new object takes them;
     otherwise they go on a stack of free ranges for their count, and
     the new object takes a range from its own count's stack or words
@@ -142,14 +145,17 @@ val place :
   size:int ->
   Heap_obj.t
 (** The placement step every allocation ends in, {!alloc_generation}'s
-    included: takes an identifier and [n_fields] null words, puts a
-    fresh handle in the identifier's slot, writes the header, class,
+    included: takes an identifier and [n_fields] null words, bumps the
+    identifier's generation, writes the header, class,
     size and extent, and charges [size] (which must be
     [Heap_obj.size_of ~n_fields ~scalar_bytes]) to the byte totals. It
     checks nothing; the caller has established {!fits}. The words are
     the identifier's last occupant's when it had [n_fields] of them,
     else a range from the free stack of [n_fields], else the top of the
-    word array; only a full word array leaves the inlined path. *)
+    word array; only a full word array leaves the inlined path. The
+    handle it returns packs the identifier with the new generation.
+    @raise Invalid_argument when every identifier below
+    {!Heap_obj.max_index} is in use. *)
 
 val nursery_bytes : t -> int
 (** Bytes currently occupied by nursery objects. *)
@@ -164,22 +170,25 @@ val promote_all : t -> unit
     array. *)
 
 val sentinel : Heap_obj.t
-(** The handle of a slot never used, and what {!find} returns on a
-    miss. It has id 0 (never allocated) and no fields; it is never
-    live, never yielded by the iterators, and {!free} rejects it.
-    Compare against it with [==] only. *)
+(** What {!find} returns on a miss: the handle of identifier 0 at
+    generation 0, the int 0. Identifier 0 is never allocated and has no
+    fields, so the sentinel is never live, never yielded by the
+    iterators, and {!free} rejects it. *)
 
 val find : t -> int -> Heap_obj.t
 (** [find t id] is the live object with identifier [id], or {!sentinel}
-    when there is none (id 0, negative, never allocated, or freed).
-    Allocates nothing. *)
+    when there is none (id 0, negative, never allocated, or freed): the
+    identifier packed with the generation of its slot. Allocates
+    nothing. *)
 
 val is_live : t -> Heap_obj.t -> bool
 (** [is_live t obj] is true when [obj] itself is the live object with
     its identifier: false for a freed object, including one whose
-    identifier has since been recycled, and for {!sentinel}. One bounds
-    check, a header load and a physical equality with the slot's
-    handle. *)
+    identifier has since been recycled (its generation no longer
+    matches the slot's), and for {!sentinel}. One bounds check, a
+    header load, a generation load and an integer comparison. A handle
+    kept across [Heap_obj.max_generation + 1] reuses of its identifier
+    would match again; see {!Heap_obj.max_generation}. *)
 
 (** {2 Object state}
 
@@ -279,7 +288,8 @@ val free : t -> Heap_obj.t -> unit
     @raise Invalid_argument unless the object is live. *)
 
 val iter_live : t -> (Heap_obj.t -> unit) -> unit
-(** Iterates over every live object in allocation-slot order. *)
+(** Iterates over every live object in allocation-slot order.
+    Allocates nothing of its own. *)
 
 val slot_count : t -> int
 (** Number of allocation slots ever used, [next_fresh_id t - 1]. *)

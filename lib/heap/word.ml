@@ -7,8 +7,14 @@ let null = 0
 
 let is_null w = w = 0
 
+let[@inline never] bad_id id =
+  invalid_arg
+    (if id < 1 then "Word.of_id: object identifiers start at 1"
+     else "Word.of_id: not an identifier (above Heap_obj.max_index)")
+
+(* [1 <= id <= max_index] as one sign test, as [Store]'s bounds checks *)
 let of_id id =
-  if id < 1 then invalid_arg "Word.of_id: object identifiers start at 1";
+  if (id - 1) lor (Heap_obj.max_index - id) < 0 then bad_id id;
   id lsl 2
 
 let target w = w lsr 2

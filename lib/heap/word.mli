@@ -25,7 +25,8 @@ val is_null : t -> bool
 
 val of_id : int -> t
 (** [of_id id] is a clean (untagged) reference to object [id].
-    @raise Invalid_argument if [id < 1]. *)
+    @raise Invalid_argument unless [1 <= id <= Heap_obj.max_index]: a
+    handle's packed bits are not an identifier. *)
 
 val target : t -> int
 (** [target w] is the identifier of the object [w] refers to, ignoring tag

@@ -40,7 +40,7 @@ let program_reachable t (obj : Heap_obj.t) =
   let store = Vm.store t.vm in
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.src = t.ring_holder.Heap_obj.id then Collector.Defer else Collector.Trace
+    if e.Collector.src = Heap_obj.index t.ring_holder then Collector.Defer else Collector.Trace
   in
   ignore
     (Collector.mark t.engine store (Vm.roots t.vm) ~stats
@@ -52,7 +52,7 @@ let program_reachable t (obj : Heap_obj.t) =
            on_poison = None;
            events = None;
          });
-  let reachable = Header.marked (Store.header store obj.Heap_obj.id) in
+  let reachable = Header.marked (Store.header store (Heap_obj.index obj)) in
   for id = 1 to Store.slot_count store do
     let h = Store.header store id in
     if not (Header.is_free h) then Store.set_header store id (Header.clear_gc_bits h)
@@ -77,7 +77,7 @@ let alloc t =
       t.recycled_while_reachable <- t.recycled_while_reachable + 1;
     (* in-place reuse: the allocator clears the object; any surviving
        program reference now silently sees a "different" object *)
-    Store.clear_fields (Vm.store t.vm) obj.Heap_obj.id;
+    Store.clear_fields (Vm.store t.vm) (Heap_obj.index obj);
     obj
   end
 

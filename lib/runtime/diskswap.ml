@@ -414,23 +414,23 @@ let recover t =
   { images_valid = !images_valid; images_corrupt = !images_corrupt }
 
 let retrieve t store (obj : Heap_obj.t) =
-  match Hashtbl.find_opt t.resident obj.Heap_obj.id with
+  match Hashtbl.find_opt t.resident (Heap_obj.index obj) with
   | None -> `Not_resident
   | Some { bytes; payload } -> (
     (* The entry is released either way: a successful swap-in moves the
        object back to memory; a corrupt payload means the disk copy is
        lost. Removing before decoding keeps resident_total consistent
        even when the decode reports a fault. *)
-    Hashtbl.remove t.resident obj.Heap_obj.id;
-    Store.set_header store obj.Heap_obj.id
-      (Header.clear_on_disk (Store.header store obj.Heap_obj.id));
+    Hashtbl.remove t.resident (Heap_obj.index obj);
+    Store.set_header store (Heap_obj.index obj)
+      (Header.clear_on_disk (Store.header store (Heap_obj.index obj)));
     set_resident_total t (t.resident_total - bytes);
     Store.set_swapped_out_bytes store t.resident_total;
     let emit_restore ok =
       match t.sink with
       | Some s ->
         Lp_obs.Sink.emit s
-          (Lp_obs.Event.Disk_restore { id = obj.Heap_obj.id; ok })
+          (Lp_obs.Event.Disk_restore { id = Heap_obj.index obj; ok })
       | None -> ()
     in
     match Swap_image.validate payload with

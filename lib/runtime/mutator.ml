@@ -10,14 +10,14 @@ let charge_barrier vm n = if Vm.charge_barriers vm then Vm.charge vm n
 let[@inline never] emit_poison_trap s store (src : Heap_obj.t) i target =
   Lp_obs.Sink.emit s
     (Lp_obs.Event.Poison_trap
-       { src_class = Store.class_of store src.Heap_obj.id; field = i; target })
+       { src_class = Store.class_of store (Heap_obj.index src); field = i; target })
 
 let[@inline never] emit_resurrection_attempt s target =
   Lp_obs.Sink.emit s (Lp_obs.Event.Resurrection_attempt { target })
 
 let[@inline never] emit_resurrection_ok s target (tgt : Heap_obj.t) =
   Lp_obs.Sink.emit s
-    (Lp_obs.Event.Resurrection_ok { target; new_id = tgt.Heap_obj.id })
+    (Lp_obs.Event.Resurrection_ok { target; new_id = Heap_obj.index tgt })
 
 let[@inline never] emit_resurrection_failed s target reason =
   Lp_obs.Sink.emit s
@@ -27,7 +27,7 @@ let[@inline never] emit_resurrection_failed s target reason =
 let[@inline never] emit_barrier_cold s store (src : Heap_obj.t) i =
   Lp_obs.Sink.emit s
     (Lp_obs.Event.Barrier_cold
-       { src_class = Store.class_of store src.Heap_obj.id; field = i })
+       { src_class = Store.class_of store (Heap_obj.index src); field = i })
 
 (* Out-of-line disk fault: the target's on-disk header bit is set, so
    its payload is read back (and validated) before the load returns. *)
@@ -35,7 +35,7 @@ let[@inline never] swap_in vm (src : Heap_obj.t) (tgt : Heap_obj.t) =
   let cost = Vm.cost vm in
   let store = Vm.store vm in
   let class_name (obj : Heap_obj.t) =
-    Class_registry.name (Vm.registry vm) (Store.class_of store obj.Heap_obj.id)
+    Class_registry.name (Vm.registry vm) (Store.class_of store (Heap_obj.index obj))
   in
   match Diskswap.retrieve (Vm.swap vm) store tgt with
   | `Not_resident -> ()
@@ -48,7 +48,7 @@ let[@inline never] swap_in vm (src : Heap_obj.t) (tgt : Heap_obj.t) =
     raise
       (Lp_core.Errors.internal_error
          ~cause:
-           (Lp_core.Errors.resurrection_failed ~target:tgt.Heap_obj.id ~reason
+           (Lp_core.Errors.resurrection_failed ~target:(Heap_obj.index tgt) ~reason
               ~gc_count:(Vm.gc_count vm))
          ~src_class:(class_name src) ~tgt_class:(class_name tgt))
 
@@ -57,7 +57,7 @@ let read vm (src : Heap_obj.t) i =
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.read_ref;
   charge_barrier vm cost.Cost.barrier_fast;
-  let w = Store.field (Vm.store vm) src.Heap_obj.id i in
+  let w = Store.field (Vm.store vm) (Heap_obj.index src) i in
   if Word.is_null w then None
   else if Word.poisoned w then begin
     charge_barrier vm (cost.Cost.barrier_cold + cost.Cost.barrier_poison_check);
@@ -87,7 +87,7 @@ let read vm (src : Heap_obj.t) i =
         | None -> ()
         | Some s -> emit_resurrection_ok s (Word.target w) tgt);
         (* the program just used the resurrected reference *)
-        Store.set_stale store tgt.Heap_obj.id 0;
+        Store.set_stale store (Heap_obj.index tgt) 0;
         Some tgt
       | Error reason ->
         (match Vm.sink vm with
@@ -103,7 +103,7 @@ let read vm (src : Heap_obj.t) i =
                   ~reason ~gc_count:(Vm.gc_count vm))
              ~src_class:
                (Class_registry.name (Vm.registry vm)
-                  (Store.class_of store src.Heap_obj.id))
+                  (Store.class_of store (Heap_obj.index src)))
              ~tgt_class:(tgt_class ()))
     end
   end
@@ -114,14 +114,14 @@ let read vm (src : Heap_obj.t) i =
       (* Corrupt (dangling) reference word: quarantine it — poison the
          slot so later loads take the deterministic poisoned-access
          path — and surface a structured error instead of crashing. *)
-      Store.set_field store src.Heap_obj.id i (Word.poison w);
+      Store.set_field store (Heap_obj.index src) i (Word.poison w);
       let stats = Vm.stats vm in
       stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1;
       raise
         (Lp_core.Errors.heap_corruption
            ~src_class:
              (Class_registry.name (Vm.registry vm)
-                (Store.class_of store src.Heap_obj.id))
+                (Store.class_of store (Heap_obj.index src)))
            ~field:i ~target:(Word.target w) ~gc_count:(Vm.gc_count vm))
     end;
     if Word.untouched w then begin
@@ -131,17 +131,17 @@ let read vm (src : Heap_obj.t) i =
       (match Vm.sink vm with
       | None -> ()
       | Some s -> emit_barrier_cold s store src i);
-      Store.set_field store src.Heap_obj.id i (Word.clear_untouched w);
+      Store.set_field store (Heap_obj.index src) i (Word.clear_untouched w);
       Lp_core.Controller.on_stale_use (Vm.controller vm) store ~src ~tgt;
       (* liveness-oracle conformance probe; a no-op unless an oracle is
          installed, keeping the 3%-budget fast path untouched *)
       Lp_core.Controller.note_field_read (Vm.controller vm) store ~src
         ~field:i;
-      Store.set_stale store tgt.Heap_obj.id 0
+      Store.set_stale store (Heap_obj.index tgt) 0
     end;
     (* the VM's offload flag first, so a VM without the disk baseline
        never loads the target's header here *)
-    if Vm.offloading vm && Header.on_disk (Store.header store tgt.Heap_obj.id)
+    if Vm.offloading vm && Header.on_disk (Store.header store (Heap_obj.index tgt))
     then
       swap_in vm src tgt;
     Some tgt
@@ -157,11 +157,11 @@ let write vm (src : Heap_obj.t) i tgt =
   let cost = Vm.cost vm in
   Vm.charge vm cost.Cost.write_ref;
   match tgt with
-  | None -> Store.set_field (Vm.store vm) src.Heap_obj.id i Word.null
+  | None -> Store.set_field (Vm.store vm) (Heap_obj.index src) i Word.null
   | Some (obj : Heap_obj.t) ->
     Vm.assert_live vm obj;
     Vm.remember_write vm ~src ~field:i ~tgt:obj;
-    Store.set_field (Vm.store vm) src.Heap_obj.id i (Word.of_id obj.Heap_obj.id)
+    Store.set_field (Vm.store vm) (Heap_obj.index src) i (Word.of_id (Heap_obj.index obj))
 
 let write_obj vm src i obj = write vm src i (Some obj)
 
@@ -173,12 +173,12 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
   let cost = Vm.cost vm in
   Vm.charge vm (len * (cost.Cost.read_ref + cost.Cost.write_ref));
   let store = Vm.store vm in
-  Store.blit_fields store ~src:src.Heap_obj.id ~src_pos ~dst:dst.Heap_obj.id
+  Store.blit_fields store ~src:(Heap_obj.index src) ~src_pos ~dst:(Heap_obj.index dst)
     ~dst_pos ~len;
   if Vm.generational vm then
     (* the intrinsic still honours the generational write barrier *)
     for i = dst_pos to dst_pos + len - 1 do
-      let w = Store.field store dst.Heap_obj.id i in
+      let w = Store.field store (Heap_obj.index dst) i in
       if (not (Word.is_null w)) && not (Word.poisoned w) then
         let tgt = Store.find store (Word.target w) in
         if tgt != Store.sentinel then Vm.remember_write vm ~src:dst ~field:i ~tgt
@@ -186,4 +186,4 @@ let arraycopy vm ~src ~src_pos ~dst ~dst_pos ~len =
 
 let field_word vm (src : Heap_obj.t) i =
   Vm.assert_live vm src;
-  Store.field (Vm.store vm) src.Heap_obj.id i
+  Store.field (Vm.store vm) (Heap_obj.index src) i

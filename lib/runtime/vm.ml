@@ -312,11 +312,11 @@ let generational t = t.nursery_limit <> None
 let remember_write t ~src ~field ~tgt =
   if
     t.nursery_limit <> None
-    && (not (Header.in_nursery (Store.header t.store src.Heap_obj.id)))
-    && Header.in_nursery (Store.header t.store tgt.Heap_obj.id)
+    && (not (Header.in_nursery (Store.header t.store (Heap_obj.index src))))
+    && Header.in_nursery (Store.header t.store (Heap_obj.index tgt))
   then begin
     charge t t.cost.Cost.write_barrier;
-    Remset.add t.remset ~src_id:src.Heap_obj.id ~field
+    Remset.add t.remset ~src_id:(Heap_obj.index src) ~field
   end
 
 let run_minor_gc t =
@@ -362,18 +362,18 @@ let live_bytes t =
 let used_bytes t = Store.used_bytes t.store
 
 (* The raise lives out of line so the check itself inlines into the
-   barriers: a bounds test, a header load, a slot load and a physical
-   equality. *)
+   barriers: a bounds test, a header load, a generation load and an
+   integer comparison with the handle's generation. *)
 let[@inline never] dangling (obj : Heap_obj.t) =
-  raise (Store.Dangling_reference obj.Heap_obj.id)
+  raise (Store.Dangling_reference (Heap_obj.index obj))
 
 let[@inline] assert_live t (obj : Heap_obj.t) =
   if not (Store.is_live t.store obj) then dangling obj
 
 let run_finalizer t (obj : Heap_obj.t) =
-  match Hashtbl.find_opt t.finalizers obj.Heap_obj.id with
+  match Hashtbl.find_opt t.finalizers (Heap_obj.index obj) with
   | Some f ->
-    Hashtbl.remove t.finalizers obj.Heap_obj.id;
+    Hashtbl.remove t.finalizers (Heap_obj.index obj);
     f obj
   | None -> ()
 
@@ -765,7 +765,7 @@ let alloc_class t ~class_id ?(scalar_bytes = 0) ?finalizer ~n_fields () =
       alloc_class_slow t ~class_id ~scalar_bytes ~finalizable ~n_fields size
   in
   (match finalizer with
-  | Some f -> Hashtbl.replace t.finalizers obj.Heap_obj.id f
+  | Some f -> Hashtbl.replace t.finalizers (Heap_obj.index obj) f
   | None -> ());
   obj
 
@@ -776,7 +776,7 @@ let alloc t ~class_name ?scalar_bytes ?finalizer ~n_fields () =
 let statics t ~class_name ~n_fields =
   match Hashtbl.find_opt t.statics_objects class_name with
   | Some obj ->
-    let registered = Store.n_fields t.store obj.Heap_obj.id in
+    let registered = Store.n_fields t.store (Heap_obj.index obj) in
     if registered <> n_fields then
       invalid_arg
         (Printf.sprintf "Vm.statics: %s registered with %d fields, requested %d"
@@ -784,9 +784,9 @@ let statics t ~class_name ~n_fields =
     obj
   | None ->
     let obj = alloc t ~class_name:(class_name ^ "$Statics") ~n_fields () in
-    Store.set_header t.store obj.Heap_obj.id
-      (Header.set_statics_container (Store.header t.store obj.Heap_obj.id));
-    Roots.add_static_root t.roots obj.Heap_obj.id;
+    Store.set_header t.store (Heap_obj.index obj)
+      (Header.set_statics_container (Store.header t.store (Heap_obj.index obj)));
+    Roots.add_static_root t.roots (Heap_obj.index obj);
     Hashtbl.replace t.statics_objects class_name obj;
     obj
 
@@ -795,7 +795,7 @@ let statics t ~class_name ~n_fields =
    accounting closed — every poisoned or dangling word in the heap must
    be explained by pruning, quarantine, or an injection. *)
 let inject_word_corruption t (obj : Heap_obj.t) ~field mode =
-  let id = obj.Heap_obj.id in
+  let id = Heap_obj.index obj in
   if field < 0 || field >= Store.n_fields t.store id then
     invalid_arg "Vm.inject_word_corruption: field out of range";
   t.corruptions_injected <- t.corruptions_injected + 1;
@@ -820,7 +820,7 @@ let resurrection_alloc_attempts = 4
    object may run at most [resurrection_alloc_attempts] collections
    before the recovery fails with [Reallocation_exhausted]. *)
 let try_resurrect t (src : Heap_obj.t) ~field =
-  let src_id = src.Heap_obj.id in
+  let src_id = Heap_obj.index src in
   let target = Word.target (Store.field t.store src_id field) in
   charge t t.cost.Cost.resurrect;
   match Diskswap.resolve_forward t.swap target with
@@ -894,7 +894,7 @@ let try_resurrect t (src : Heap_obj.t) ~field =
                   t.stats.Gc_stats.words_repoisoned + 1;
                 Word.poison (Word.of_id tid)
               in
-              Store.set_field t.store obj.Heap_obj.id i
+              Store.set_field t.store (Heap_obj.index obj) i
                 (if Word.is_null word then Word.null
                  else if Word.poisoned word then word
                  else begin
@@ -912,13 +912,13 @@ let try_resurrect t (src : Heap_obj.t) ~field =
                      else repoison tid
                  end))
             image.Swap_image.fields;
-          Store.set_stale t.store obj.Heap_obj.id image.Swap_image.stale;
-          Diskswap.forward t.swap ~old_id:target ~new_id:obj.Heap_obj.id;
+          Store.set_stale t.store (Heap_obj.index obj) image.Swap_image.stale;
+          Diskswap.forward t.swap ~old_id:target ~new_id:(Heap_obj.index obj);
           Diskswap.drop_image t.swap target;
           (* the collections [obtain] ran may have freed the source, and
              its words may belong to another object now *)
           if Store.is_live t.store src then
-            Store.set_field t.store src_id field (Word.of_id obj.Heap_obj.id);
+            Store.set_field t.store src_id field (Word.of_id (Heap_obj.index obj));
           t.stats.Gc_stats.resurrections <- t.stats.Gc_stats.resurrections + 1;
           (* misprediction feedback: protect the edge type and maybe
              enter the SAFE moratorium *)

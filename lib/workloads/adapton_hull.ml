@@ -42,9 +42,9 @@ let prepare vm =
           Vm.alloc vm ~class_name:"AdaptonHull$Point" ~scalar_bytes:point_bytes
             ~n_fields:0 ()
         in
-        Roots.set_slot frame 0 point.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index point);
         let memo = Vm.alloc vm ~class_name:"AdaptonHull$Memo" ~n_fields:2 () in
-        Roots.set_slot frame 1 memo.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index memo);
         (match Mutator.read vm statics 0 with
         | Some head -> Mutator.write_obj vm memo 0 head
         | None -> ());
@@ -68,12 +68,12 @@ let prepare vm =
     | None -> ()
     | Some head ->
       Vm.with_frame vm ~n_slots:2 (fun frame ->
-          Roots.set_slot frame 0 head.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index head);
           let point =
             Vm.alloc vm ~class_name:"AdaptonHull$Point"
               ~scalar_bytes:point_bytes ~n_fields:0 ()
           in
-          Roots.set_slot frame 1 point.Heap_obj.id;
+          Roots.set_slot frame 1 (Heap_obj.index point);
           let memo =
             Vm.alloc vm ~class_name:"AdaptonHull$Memo" ~n_fields:2 ()
           in
@@ -102,7 +102,7 @@ let prepare vm =
              Vm.alloc vm ~class_name:"AdaptonHull$TraceBuf" ~scalar_bytes:n
                ~n_fields:0 ()
            in
-           Roots.set_slot frame 0 buf.Heap_obj.id;
+           Roots.set_slot frame 0 (Heap_obj.index buf);
            ignore
              (Jheap.List_field.push vm ~node_class:"AdaptonHull$Trace"
                 ~holder:statics ~field:1

@@ -33,7 +33,7 @@ let prepare spec vm =
      so the heap has real edges for the collector and barrier. *)
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       let pool = Jheap.alloc_array vm ~len:spec.pool_objects () in
-      Roots.set_slot frame 0 pool.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index pool);
       Mutator.write_obj vm statics 0 pool;
       for i = 0 to spec.pool_objects - 1 do
         let node = alloc_node () in
@@ -49,7 +49,7 @@ let prepare spec vm =
     let pool = Mutator.read_exn vm statics 0 in
     for _i = 1 to spec.allocations_per_iteration do
       Vm.with_frame vm ~n_slots:1 (fun frame ->
-          Roots.set_slot frame 0 pool.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index pool);
           let node = alloc_node () in
           let pool = Vm.deref vm (Roots.get_slot frame 0) in
           let slot = Rand.below rand spec.pool_objects in

@@ -19,10 +19,10 @@ let prepare vm =
             Vm.alloc vm ~class_name:"delaunay.Point" ~scalar_bytes:point_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 point.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index point);
           let tri = Vm.alloc vm ~class_name:"delaunay.Triangle" ~n_fields:3 () in
           Mutator.write_obj vm tri 1 (Vm.deref vm (Roots.get_slot frame 0));
-          Roots.set_slot frame 0 tri.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index tri);
           (match Mutator.read vm statics 0 with
           | Some head -> Mutator.write_obj vm (Vm.deref vm (Roots.get_slot frame 0)) 0 head
           | None -> ());

@@ -16,7 +16,7 @@ let prepare vm =
             Vm.alloc vm ~class_name:"DualLeak$Record" ~scalar_bytes:live_payload_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 payload.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index payload);
           ignore
             (Jheap.List_field.push vm ~node_class:"DualLeak$LiveNode" ~holder:statics
                ~field:0
@@ -28,7 +28,7 @@ let prepare vm =
             Vm.alloc vm ~class_name:"DualLeak$Scratch" ~scalar_bytes:dead_payload_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 payload.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index payload);
           ignore
             (Jheap.List_field.push vm ~node_class:"DualLeak$DeadNode" ~holder:statics
                ~field:1

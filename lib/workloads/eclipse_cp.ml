@@ -30,14 +30,14 @@ let prepare vm =
   let statics = Vm.statics vm ~class_name:"EclipseCP" ~n_fields:4 in
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       let caches = Jheap.alloc_array vm ~len:cache_classes () in
-      Roots.set_slot frame 0 caches.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index caches);
       Mutator.write_obj vm statics 2 (Vm.deref vm (Roots.get_slot frame 0)));
   Vm.with_frame vm ~n_slots:2 (fun frame ->
       let labels = Jheap.alloc_array vm ~len:label_count () in
-      Roots.set_slot frame 0 labels.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index labels);
       for i = 0 to label_count - 1 do
         let label = Jheap.alloc_string vm ~chars:label_chars in
-        Roots.set_slot frame 1 label.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index label);
         let labels = Vm.deref vm (Roots.get_slot frame 0) in
         Mutator.write_obj vm labels i (Vm.deref vm (Roots.get_slot frame 1))
       done;
@@ -46,7 +46,7 @@ let prepare vm =
   let push_command node_class field =
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let text = Jheap.alloc_string vm ~chars:text_chars in
-        Roots.set_slot frame 0 text.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index text);
         ignore
           (Jheap.List_field.push vm ~node_class ~holder:statics ~field
              ~payload:(Some (Vm.deref vm (Roots.get_slot frame 0)))))
@@ -92,13 +92,13 @@ let prepare vm =
     let caches = Mutator.read_exn vm statics 2 in
     let slot = !iteration mod cache_classes in
     Vm.with_frame vm ~n_slots:2 (fun frame ->
-        Roots.set_slot frame 0 caches.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index caches);
         let entry =
           Vm.alloc vm
             ~class_name:(Printf.sprintf "CacheEntry%03d" slot)
             ~scalar_bytes:cache_entry_bytes ~n_fields:1 ()
         in
-        Roots.set_slot frame 1 entry.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index entry);
         let caches = Vm.deref vm (Roots.get_slot frame 0) in
         (match Mutator.read vm caches slot with
         | Some head -> Mutator.write_obj vm entry 0 head

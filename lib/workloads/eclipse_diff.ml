@@ -24,25 +24,25 @@ let alloc_diff_tree vm =
   Vm.with_frame vm ~n_slots:2 (fun frame ->
       for _i = 1 to diff_nodes do
         let name = Jheap.alloc_string vm ~chars:name_chars in
-        Roots.set_slot frame 1 name.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index name);
         let node = Vm.alloc vm ~class_name:"DiffNode" ~n_fields:3 () in
         Mutator.write_obj vm node 2 (Vm.deref vm (Roots.get_slot frame 1));
         (match Roots.get_slot frame 0 with
         | 0 -> ()
         | prev -> Mutator.write_obj vm node 0 (Vm.deref vm prev));
-        Roots.set_slot frame 0 node.Heap_obj.id
+        Roots.set_slot frame 0 (Heap_obj.index node)
       done;
       Vm.deref vm (Roots.get_slot frame 0))
 
 let alloc_compare_input vm =
   Vm.with_frame vm ~n_slots:2 (fun frame ->
       let tree = alloc_diff_tree vm in
-      Roots.set_slot frame 0 tree.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index tree);
       let buffer =
         Vm.alloc vm ~class_name:"DiffResultBuffer" ~scalar_bytes:result_buffer_bytes
           ~n_fields:0 ()
       in
-      Roots.set_slot frame 1 buffer.Heap_obj.id;
+      Roots.set_slot frame 1 (Heap_obj.index buffer);
       let input = Vm.alloc vm ~class_name:"ResourceCompareInput" ~n_fields:3 () in
       Mutator.write_obj vm input 0 (Vm.deref vm (Roots.get_slot frame 0));
       Mutator.write_obj vm input 1 (Vm.deref vm (Roots.get_slot frame 1));
@@ -51,9 +51,9 @@ let alloc_compare_input vm =
 let append_history vm statics ~fixed =
   Vm.with_frame vm ~n_slots:2 (fun frame ->
       let input = alloc_compare_input vm in
-      Roots.set_slot frame 0 input.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index input);
       let entry = Vm.alloc vm ~class_name:"NavigationHistoryEntry" ~n_fields:1 () in
-      Roots.set_slot frame 1 entry.Heap_obj.id;
+      Roots.set_slot frame 1 (Heap_obj.index entry);
       let input = Vm.deref vm (Roots.get_slot frame 0) in
       if fixed then begin
         (* The manual fix clears the references to the diff results when

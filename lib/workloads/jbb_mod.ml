@@ -32,14 +32,14 @@ let prepare vm =
     for _i = 1 to orders_per_iteration do
       Vm.with_frame vm ~n_slots:2 (fun frame ->
           let id = Jheap.alloc_string vm ~chars:id_chars in
-          Roots.set_slot frame 0 id.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index id);
           let line = Vm.alloc vm ~class_name:"spec.jbb.OrderLine" ~n_fields:1 () in
           Mutator.write_obj vm line 0 (Vm.deref vm (Roots.get_slot frame 0));
-          Roots.set_slot frame 0 line.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index line);
           let date =
             Vm.alloc vm ~class_name:"java.util.Date" ~scalar_bytes:16 ~n_fields:0 ()
           in
-          Roots.set_slot frame 1 date.Heap_obj.id;
+          Roots.set_slot frame 1 (Heap_obj.index date);
           let order = Vm.alloc vm ~class_name:"spec.jbb.Order" ~n_fields:2 () in
           Mutator.write_obj vm order 0 (Vm.deref vm (Roots.get_slot frame 0));
           Mutator.write_obj vm order 1 (Vm.deref vm (Roots.get_slot frame 1));

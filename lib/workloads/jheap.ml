@@ -7,7 +7,7 @@ let char_array_class = "char[]"
 let alloc_string vm ~chars =
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       let arr = Vm.alloc vm ~class_name:char_array_class ~scalar_bytes:chars ~n_fields:0 () in
-      Roots.set_slot frame 0 arr.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index arr);
       let str = Vm.alloc vm ~class_name:string_class ~n_fields:1 () in
       Mutator.write_obj vm str 0 (Vm.deref vm (Roots.get_slot frame 0));
       str)
@@ -23,10 +23,10 @@ module List_field = struct
   let push vm ~node_class ~holder ~field ~payload =
     Vm.with_frame vm ~n_slots:2 (fun frame ->
         (match payload with
-        | Some p -> Roots.set_slot frame 0 p.Heap_obj.id
+        | Some p -> Roots.set_slot frame 0 (Heap_obj.index p)
         | None -> ());
         let node = Vm.alloc vm ~class_name:node_class ~n_fields:2 () in
-        Roots.set_slot frame 1 node.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index node);
         (match Mutator.read vm holder field with
         | Some head -> Mutator.write_obj vm node 0 head
         | None -> ());
@@ -66,7 +66,7 @@ module Vector = struct
   let create vm ~holder ~field ~initial_capacity =
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let vec = Vm.alloc vm ~class_name:vector_class ~n_fields:1 () in
-        Roots.set_slot frame 0 vec.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index vec);
         let backing = alloc_array vm ~len:initial_capacity () in
         let vec = Vm.deref vm (Roots.get_slot frame 0) in
         Mutator.write_obj vm vec 0 backing;
@@ -81,7 +81,7 @@ module Vector = struct
     let vm = t.vm in
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let vec = vector t in
-        Roots.set_slot frame 0 vec.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index vec);
         let bigger = alloc_array vm ~len:(2 * t.capacity) () in
         let vec = Vm.deref vm (Roots.get_slot frame 0) in
         let old = Mutator.read_exn vm vec 0 in
@@ -93,7 +93,7 @@ module Vector = struct
   let add t payload =
     let vm = t.vm in
     Vm.with_frame vm ~n_slots:1 (fun frame ->
-        Roots.set_slot frame 0 payload.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index payload);
         if t.size = t.capacity then grow t;
         let backing = Mutator.read_exn vm (vector t) 0 in
         Mutator.write_obj vm backing t.size (Vm.deref vm (Roots.get_slot frame 0)));
@@ -161,7 +161,7 @@ module Hash_table = struct
     let new_buckets = 2 * t.buckets in
     Vm.with_frame vm ~n_slots:2 (fun frame ->
         let fresh = alloc_array vm ~len:new_buckets () in
-        Roots.set_slot frame 0 fresh.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index fresh);
         let old = Mutator.read_exn vm t.holder t.field in
         for b = 0 to t.buckets - 1 do
           let rec move entry_opt =
@@ -173,7 +173,7 @@ module Hash_table = struct
                  codes from the stored objects. *)
               ignore (Mutator.read vm entry 1);
               let key =
-                Option.value ~default:0 (Hashtbl.find_opt t.keys entry.Heap_obj.id)
+                Option.value ~default:0 (Hashtbl.find_opt t.keys (Heap_obj.index entry))
               in
               let fresh = Vm.deref vm (Roots.get_slot frame 0) in
               let nb = bucket_of key new_buckets in
@@ -219,11 +219,11 @@ module Hash_table = struct
     let vm = t.vm in
     Vm.with_frame vm ~n_slots:2 (fun frame ->
         (* Root the payload before any rehash/allocation can collect. *)
-        Roots.set_slot frame 0 payload.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index payload);
         if t.count + 1 > t.buckets * 3 / 4 then rehash t;
         let entry = Vm.alloc vm ~class_name:entry_class ~n_fields:2 () in
-        Roots.set_slot frame 1 entry.Heap_obj.id;
-        Hashtbl.replace t.keys entry.Heap_obj.id key;
+        Roots.set_slot frame 1 (Heap_obj.index entry);
+        Hashtbl.replace t.keys (Heap_obj.index entry) key;
         let backing = Mutator.read_exn vm t.holder t.field in
         let b = bucket_of key t.buckets in
         (* Walk the bucket chain as a real HashMap's key-equality scan

@@ -13,7 +13,7 @@ let prepare vm =
             Vm.alloc vm ~class_name:"ListLeak$Payload" ~scalar_bytes:payload_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 payload.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index payload);
           ignore
             (Jheap.List_field.push vm ~node_class:"ListLeak$Node" ~holder:statics
                ~field:0

@@ -22,19 +22,19 @@ let prepare vm =
           Vm.alloc vm ~class_name:"VM_ThreadStack" ~scalar_bytes:stack_bytes
             ~n_fields:0 ()
         in
-        Roots.set_slot scratch 0 stack.Heap_obj.id;
+        Roots.set_slot scratch 0 (Heap_obj.index stack);
         let buffer =
           Vm.alloc vm ~class_name:"mckoi.RowBuffer" ~scalar_bytes:buffer_bytes
             ~n_fields:0 ()
         in
-        Roots.set_slot scratch 1 buffer.Heap_obj.id;
+        Roots.set_slot scratch 1 (Heap_obj.index buffer);
         let connection = Vm.alloc vm ~class_name:"mckoi.Connection" ~n_fields:1 () in
         Mutator.write_obj vm connection 0 (Vm.deref vm (Roots.get_slot scratch 1));
-        Roots.set_slot scratch 1 connection.Heap_obj.id;
+        Roots.set_slot scratch 1 (Heap_obj.index connection);
         let worker = Vm.alloc vm ~class_name:"mckoi.WorkerThread" ~n_fields:2 () in
         Mutator.write_obj vm worker 0 (Vm.deref vm (Roots.get_slot scratch 0));
         Mutator.write_obj vm worker 1 (Vm.deref vm (Roots.get_slot scratch 1));
-        Roots.set_slot frame 0 worker.Heap_obj.id);
+        Roots.set_slot frame 0 (Heap_obj.index worker));
     workers := frame :: !workers
   in
   fun () ->

@@ -16,7 +16,7 @@ let prepare vm =
   let connection =
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let conn = Vm.alloc vm ~class_name:"jdbc.Connection" ~n_fields:1 () in
-        Roots.set_slot frame 0 conn.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index conn);
         Mutator.write_obj vm statics 0 conn;
         Vm.deref vm (Roots.get_slot frame 0))
   in
@@ -39,14 +39,14 @@ let prepare vm =
             Vm.alloc vm ~class_name:"jdbc.ResultSetMetadata"
               ~scalar_bytes:metadata_bytes ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 metadata.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index metadata);
           let buffer =
             Vm.alloc vm ~class_name:"jdbc.ResultBuffer"
               ~scalar_bytes:result_buffer_bytes ~n_fields:0 ()
           in
-          Roots.set_slot frame 1 buffer.Heap_obj.id;
+          Roots.set_slot frame 1 (Heap_obj.index buffer);
           let query = Jheap.alloc_string vm ~chars:query_chars in
-          Roots.set_slot frame 2 query.Heap_obj.id;
+          Roots.set_slot frame 2 (Heap_obj.index query);
           let stmt = Vm.alloc vm ~class_name:"jdbc.Statement" ~n_fields:3 () in
           Mutator.write_obj vm stmt 0 (Vm.deref vm (Roots.get_slot frame 0));
           Mutator.write_obj vm stmt 1 (Vm.deref vm (Roots.get_slot frame 1));

@@ -34,11 +34,11 @@ let prepare vm =
       let table =
         Vm.alloc vm ~class_name:"PhasedCache$Table" ~n_fields:cache_entries ()
       in
-      Roots.set_slot frame 0 table.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index table);
       Mutator.write_obj vm statics 0 table;
       for i = 0 to cache_entries - 1 do
         let payload = Jheap.alloc_string vm ~chars:payload_bytes in
-        Roots.set_slot frame 1 payload.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index payload);
         let entry =
           Vm.alloc vm ~class_name:"PhasedCache$Entry" ~n_fields:1 ()
         in
@@ -78,7 +78,7 @@ let prepare vm =
              Vm.alloc vm ~class_name:"PhasedCache$LeakBuf" ~scalar_bytes:n
                ~n_fields:0 ()
            in
-           Roots.set_slot frame 0 buf.Heap_obj.id;
+           Roots.set_slot frame 0 (Heap_obj.index buf);
            ignore
              (Jheap.List_field.push vm ~node_class:"PhasedCache$LeakNode"
                 ~holder:statics ~field:1

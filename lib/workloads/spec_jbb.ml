@@ -16,7 +16,7 @@ let prepare vm =
   let orders = Jheap.Vector.create vm ~holder:statics ~field:0 ~initial_capacity:64 in
   Vm.with_frame vm ~n_slots:2 (fun frame ->
       let library = Jheap.alloc_array vm ~len:library_classes () in
-      Roots.set_slot frame 0 library.Heap_obj.id;
+      Roots.set_slot frame 0 (Heap_obj.index library);
       for i = 0 to library_classes - 1 do
         let singleton =
           Vm.alloc vm
@@ -24,7 +24,7 @@ let prepare vm =
             ~scalar_bytes:(20 + (i mod 7 * 8))
             ~n_fields:0 ()
         in
-        Roots.set_slot frame 1 singleton.Heap_obj.id;
+        Roots.set_slot frame 1 (Heap_obj.index singleton);
         let library = Vm.deref vm (Roots.get_slot frame 0) in
         Mutator.write_obj vm library i (Vm.deref vm (Roots.get_slot frame 1))
       done;
@@ -43,9 +43,9 @@ let prepare vm =
             Vm.alloc vm ~class_name:"spec.jbb.Receipt" ~scalar_bytes:receipt_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 receipt.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index receipt);
           let customer = Jheap.alloc_string vm ~chars:24 in
-          Roots.set_slot frame 1 customer.Heap_obj.id;
+          Roots.set_slot frame 1 (Heap_obj.index customer);
           let order =
             Vm.alloc vm ~class_name:"spec.jbb.Order" ~scalar_bytes:order_scalar
               ~n_fields:2 ()

@@ -22,7 +22,7 @@ let prepare vm =
             Vm.alloc vm ~class_name:"SwapLeak$Buffer" ~scalar_bytes:buffer_bytes
               ~n_fields:0 ()
           in
-          Roots.set_slot frame 0 buffer.Heap_obj.id;
+          Roots.set_slot frame 0 (Heap_obj.index buffer);
           ignore
             (Jheap.List_field.push vm ~node_class:"SwapLeak$Session" ~holder:statics
                ~field:0

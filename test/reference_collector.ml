@@ -16,7 +16,7 @@ let tick store stats gc (obj : Heap_obj.t) =
   | None -> ()
   | Some gc_number ->
     stats.Gc_stats.stale_tick_scans <- stats.Gc_stats.stale_tick_scans + 1;
-    if Stale_counter.tick_object store ~gc_number obj.Heap_obj.id then
+    if Stale_counter.tick_object store ~gc_number (Heap_obj.index obj) then
       stats.Gc_stats.stale_ticks <- stats.Gc_stats.stale_ticks + 1
 
 let quarantine (config : Collector.mark_config) store stats id i =
@@ -30,7 +30,7 @@ let quarantine (config : Collector.mark_config) store stats id i =
 
 let scan_field store stats ~(config : Collector.mark_config) ~on_trace
     ~deferred (obj : Heap_obj.t) i =
-  let id = obj.Heap_obj.id in
+  let id = Heap_obj.index obj in
   let w = Store.field store id i in
   if not (Word.is_null w) then begin
     stats.Gc_stats.fields_scanned <- stats.Gc_stats.fields_scanned + 1;
@@ -51,7 +51,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
       else begin
         let tgt = Store.get store (Word.target w) in
         let edge =
-          { Collector.src = id; field = i; tgt = tgt.Heap_obj.id }
+          { Collector.src = id; field = i; tgt = Heap_obj.index tgt }
         in
         let action =
           match config.Collector.edge_filter with
@@ -60,7 +60,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
         in
         match action with
         | Collector.Trace ->
-          if not (Header.marked (Store.header store tgt.Heap_obj.id)) then
+          if not (Header.marked (Store.header store (Heap_obj.index tgt))) then
             on_trace tgt
         | Collector.Defer ->
           stats.Gc_stats.candidates_enqueued <-
@@ -77,7 +77,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
                  {
                    src_class = Store.class_of store id;
                    field = i;
-                   target = tgt.Heap_obj.id;
+                   target = Heap_obj.index tgt;
                  })
           | None -> ());
           Store.set_field store id i (Word.poison w);
@@ -88,7 +88,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
   end
 
 let scan_object store stats ~config ~on_trace ~deferred (obj : Heap_obj.t) =
-  for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
+  for i = 0 to Store.n_fields store (Heap_obj.index obj) - 1 do
     scan_field store stats ~config ~on_trace ~deferred obj i
   done
 
@@ -102,7 +102,7 @@ let mark store roots ~stats ~(config : Collector.mark_config) =
   let marked = Queue.create () in
   let deferred = ref [] in
   let on_trace (obj : Heap_obj.t) =
-    let id = obj.Heap_obj.id in
+    let id = Heap_obj.index obj in
     Store.set_header store id (Header.set_marked (Store.header store id));
     stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
     Queue.push obj marked;
@@ -118,7 +118,7 @@ let mark store roots ~stats ~(config : Collector.mark_config) =
 let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : Collector.edge) =
   let tgt = Store.get store e.Collector.tgt in
-  if Header.marked (Store.header store tgt.Heap_obj.id) then 0
+  if Header.marked (Store.header store (Heap_obj.index tgt)) then 0
   else begin
     let config =
       {
@@ -133,7 +133,7 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     let claimed = Queue.create () in
     let bytes = ref 0 in
     let claim (obj : Heap_obj.t) =
-      let id = obj.Heap_obj.id in
+      let id = Heap_obj.index obj in
       Store.set_header store id
         (Header.set_stale_marked (Header.set_marked (Store.header store id)));
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;

@@ -100,7 +100,7 @@ let retained_images_vm images =
   let vm = chain_vm ~resurrection:true 1_000 in
   let first = 1_000_000 in
   let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
-  Store.set_field (Vm.store vm) pin.Heap_obj.id 0 (Word.poison (Word.of_id first));
+  Store.set_field (Vm.store vm) (Heap_obj.index pin) 0 (Word.poison (Word.of_id first));
   for id = first to first + images - 1 do
     let next = if id + 1 < first + images then [| id + 1 |] else [||] in
     Diskswap.store_image (Vm.swap vm) ~id
@@ -149,7 +149,7 @@ let capturing_vm n =
   in
   let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
   let class_id = Vm.register_class vm "Node" in
-  let set w = Store.set_field (Vm.store vm) pin.Heap_obj.id 0 w in
+  let set w = Store.set_field (Vm.store vm) (Heap_obj.index pin) 0 w in
   let poison () =
     if n > 0 then begin
       let head =
@@ -160,7 +160,7 @@ let capturing_vm n =
         Mutator.write_obj vm o 0 !head;
         head := o
       done;
-      set (Word.poison (Word.of_id !head.Heap_obj.id))
+      set (Word.poison (Word.of_id (Heap_obj.index !head)))
     end
   in
   (vm, poison, fun () -> set Word.null)
@@ -236,7 +236,8 @@ let words_per_call ~n f =
   (after -. before) /. float_of_int n
 
 (* The mutator's fast paths allocate nothing of their own: the liveness
-   check and a reference store allocate no words, and a read of a clean
+   check, a reference store, the store's lookup of a live object and its
+   walk over every live object allocate no words, and a read of a clean
    reference allocates only the [Some] it returns (two words). *)
 let test_fast_paths_allocation_free () =
   let vm = chain_vm 100 in
@@ -254,18 +255,26 @@ let test_fast_paths_allocation_free () =
   check "Mutator.write" 0.
     (words_per_call ~n (fun () -> Mutator.write vm src 0 some_tgt));
   check "Mutator.read (fast path)" 2.
-    (words_per_call ~n (fun () -> ignore (Mutator.read vm src 0)))
+    (words_per_call ~n (fun () -> ignore (Mutator.read vm src 0)));
+  let store = Vm.store vm and id = Heap_obj.index tgt in
+  check "Store.find" 0. (words_per_call ~n (fun () -> ignore (Store.find store id)));
+  let visited = ref 0 in
+  let visit (_ : Heap_obj.t) = incr visited in
+  check "Store.iter_live" 0.
+    (words_per_call ~n:100 (fun () -> Store.iter_live store visit));
+  Alcotest.(check int) "iter_live visits every live object"
+    (100 * Store.object_count store) !visited
 
 (* An allocation that fits, on a VM with no nursery and no fault plan,
-   takes the fast path: it allocates the object's handle (one field and
-   a header word) and nothing else; the header, class, size, field
-   count, field offset and the fields themselves go into the store's
-   int arrays. Here each allocation reuses the identifier of a dead
+   takes the fast path: it allocates no OCaml words at all. The handle
+   it returns is an immediate int, and the generation, header, class,
+   size, field count, field offset and the fields themselves go into the
+   store's int arrays. Here each allocation reuses the identifier of a dead
    object of the same field count, which a collection freed, and with
    it that object's words. Neither the number of objects already live
    nor the field count changes the figure. *)
 let test_alloc_fast_path_words () =
-  let handle_words = 2. in
+  let handle_words = 0. in
   List.iter
     (fun live ->
       List.iter

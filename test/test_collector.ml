@@ -23,7 +23,7 @@ let alloc store ~n_fields =
   Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
 
 let link store (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  Store.set_field store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
+  Store.set_field store (Heap_obj.index src) i (Word.of_id (Heap_obj.index tgt))
 
 let collect_base store roots =
   let stats = Gc_stats.create () in
@@ -37,13 +37,13 @@ let test_unreachable_reclaimed () =
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   (* c unreachable *)
   ignore (collect_base store roots);
-  Alcotest.(check bool) "a live" true (Store.mem store a.Heap_obj.id);
-  Alcotest.(check bool) "b live" true (Store.mem store b.Heap_obj.id);
-  Alcotest.(check bool) "c reclaimed" false (Store.mem store c.Heap_obj.id)
+  Alcotest.(check bool) "a live" true (Store.mem store (Heap_obj.index a));
+  Alcotest.(check bool) "b live" true (Store.mem store (Heap_obj.index b));
+  Alcotest.(check bool) "c reclaimed" false (Store.mem store (Heap_obj.index c))
 
 let test_cycle_reclaimed () =
   let store = build_store () in
@@ -60,10 +60,10 @@ let test_live_bytes_recorded () =
   let roots = Roots.create () in
   let a = alloc store ~n_fields:0 in
   ignore (alloc store ~n_fields:0);
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   ignore (collect_base store roots);
-  Alcotest.(check int) "live bytes" (Store.size_bytes store a.Heap_obj.id) (Store.live_bytes store);
-  Alcotest.(check int) "used equals live after sweep" (Store.size_bytes store a.Heap_obj.id)
+  Alcotest.(check int) "live bytes" (Store.size_bytes store (Heap_obj.index a)) (Store.live_bytes store);
+  Alcotest.(check int) "used equals live after sweep" (Store.size_bytes store (Heap_obj.index a))
     (Store.used_bytes store)
 
 let test_untouched_bits_set () =
@@ -71,7 +71,7 @@ let test_untouched_bits_set () =
   let roots = Roots.create () in
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:0 in
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   let stats = Gc_stats.create () in
   ignore
@@ -79,7 +79,7 @@ let test_untouched_bits_set () =
        ~config:{ Collector.set_untouched_bits = true; stale_tick_gc = None; edge_filter = None; on_poison = None; events = None });
   sweep store ~stats;
   Alcotest.(check bool) "bit set on scanned reference" true
-    (Word.untouched (Store.field store a.Heap_obj.id 0));
+    (Word.untouched (Store.field store (Heap_obj.index a) 0));
   Alcotest.(check int) "one bit recorded" 1 stats.Gc_stats.untouched_bits_set
 
 let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
@@ -88,12 +88,12 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   link store b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.tgt = b.Heap_obj.id then Collector.Defer
+    if e.Collector.tgt = Heap_obj.index b then Collector.Defer
     else Collector.Trace
   in
   let deferred =
@@ -102,15 +102,15 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   in
   Alcotest.(check int) "one candidate" 1 (List.length deferred);
   Alcotest.(check bool) "b not marked by in-use closure" false
-    (Header.marked (Store.header store b.Heap_obj.id));
+    (Header.marked (Store.header store (Heap_obj.index b)));
   (* the stale closure claims b and c (two objects, 12 + 8... = their sizes) *)
   let bytes =
     stale_closure store ~stats (List.hd deferred)
   in
   Alcotest.(check int) "claimed bytes"
-    (Store.size_bytes store b.Heap_obj.id + Store.size_bytes store c.Heap_obj.id)
+    (Store.size_bytes store (Heap_obj.index b) + Store.size_bytes store (Heap_obj.index c))
     bytes;
-  Alcotest.(check bool) "b stale-marked" true (Header.stale_marked (Store.header store b.Heap_obj.id));
+  Alcotest.(check bool) "b stale-marked" true (Header.stale_marked (Store.header store (Heap_obj.index b)));
   sweep store ~stats;
   Alcotest.(check int) "nothing reclaimed in SELECT" 3 (Store.object_count store)
 
@@ -119,7 +119,7 @@ let test_stale_closure_zero_for_marked_target () =
   let roots = Roots.create () in
   let a = alloc store ~n_fields:2 in
   let b = alloc store ~n_fields:0 in
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   link store a 1 b;
   let stats = Gc_stats.create () in
@@ -143,25 +143,25 @@ let test_poison_reclaims_subtree () =
   let a = alloc store ~n_fields:1 in
   let b = alloc store ~n_fields:1 in
   let c = alloc store ~n_fields:0 in
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   link store b 0 c;
   let stats = Gc_stats.create () in
   let filter (e : Collector.edge) =
-    if e.Collector.tgt = b.Heap_obj.id then Collector.Poison
+    if e.Collector.tgt = Heap_obj.index b then Collector.Poison
     else Collector.Trace
   in
   ignore
     (mark store roots ~stats
        ~config:{ Collector.set_untouched_bits = false; stale_tick_gc = None; edge_filter = Some filter; on_poison = None; events = None });
   sweep store ~stats;
-  Alcotest.(check bool) "reference poisoned" true (Word.poisoned (Store.field store a.Heap_obj.id 0));
-  Alcotest.(check bool) "b reclaimed" false (Store.mem store b.Heap_obj.id);
-  Alcotest.(check bool) "c reclaimed" false (Store.mem store c.Heap_obj.id);
+  Alcotest.(check bool) "reference poisoned" true (Word.poisoned (Store.field store (Heap_obj.index a) 0));
+  Alcotest.(check bool) "b reclaimed" false (Store.mem store (Heap_obj.index b));
+  Alcotest.(check bool) "c reclaimed" false (Store.mem store (Heap_obj.index c));
   Alcotest.(check int) "poison count" 1 stats.Gc_stats.references_poisoned;
   (* a later collection must not trace (or crash on) the poisoned ref *)
   ignore (collect_base store roots);
-  Alcotest.(check bool) "a still live" true (Store.mem store a.Heap_obj.id)
+  Alcotest.(check bool) "a still live" true (Store.mem store (Heap_obj.index a))
 
 let test_finalizer_resurrection () =
   let store = build_store () in
@@ -176,17 +176,17 @@ let test_finalizer_resurrection () =
   let stats = Gc_stats.create () in
   ignore (mark store roots ~stats ~config:Collector.base_config);
   Collector.resurrect_finalizables seq store ~stats ~on_finalize:(fun o ->
-      finalized := o.Heap_obj.id :: !finalized);
+      finalized := Heap_obj.index o :: !finalized);
   sweep store ~stats;
-  Alcotest.(check (list int)) "finalizer ran" [ a.Heap_obj.id ] !finalized;
+  Alcotest.(check (list int)) "finalizer ran" [ Heap_obj.index a ] !finalized;
   Alcotest.(check bool) "a resurrected for this collection" true
-    (Store.mem store a.Heap_obj.id);
+    (Store.mem store (Heap_obj.index a));
   Alcotest.(check bool) "referent kept for the finalizer" true
-    (Store.mem store b.Heap_obj.id);
+    (Store.mem store (Heap_obj.index b));
   (* next collection reclaims both, without running the finalizer again *)
   ignore (collect_base store roots);
   Collector.resurrect_finalizables seq store ~stats ~on_finalize:(fun o ->
-      finalized := o.Heap_obj.id :: !finalized);
+      finalized := Heap_obj.index o :: !finalized);
   sweep store ~stats;
   Alcotest.(check int) "finalizer ran once" 1 (List.length !finalized);
   Alcotest.(check int) "both reclaimed" 0 (Store.object_count store)
@@ -215,7 +215,7 @@ let prop_reachability =
             fields.(src) <- fields.(src) + 1
           end)
         edges;
-      List.iter (fun i -> Roots.add_static_root roots objs.(i).Heap_obj.id) root_ids;
+      List.iter (fun i -> Roots.add_static_root roots (Heap_obj.index objs.(i))) root_ids;
       (* reference reachability via OCaml-side BFS *)
       let reachable = Array.make n false in
       let rec visit i =
@@ -228,9 +228,9 @@ let prop_reachability =
       and visit_edge src tgt =
         (* only edges that were actually installed *)
         let installed = ref false in
-        for i = 0 to Store.n_fields store objs.(src).Heap_obj.id - 1 do
-          let w = Store.field store objs.(src).Heap_obj.id i in
-          if (not (Word.is_null w)) && Word.target w = objs.(tgt).Heap_obj.id then
+        for i = 0 to Store.n_fields store (Heap_obj.index objs.(src)) - 1 do
+          let w = Store.field store (Heap_obj.index objs.(src)) i in
+          if (not (Word.is_null w)) && Word.target w = (Heap_obj.index objs.(tgt)) then
             installed := true
         done;
         if !installed then visit tgt
@@ -240,7 +240,7 @@ let prop_reachability =
       let ok = ref true in
       Array.iteri
         (fun i obj ->
-          let live = Store.mem store obj.Heap_obj.id && Store.get store obj.Heap_obj.id == obj in
+          let live = Store.mem store (Heap_obj.index obj) && Store.get store (Heap_obj.index obj) == obj in
           if live <> reachable.(i) then ok := false)
         objs;
       !ok)

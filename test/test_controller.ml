@@ -29,13 +29,13 @@ let alloc f ~class_name ~n_fields ~scalar =
 let gc f = Lp_core.Controller.collect f.controller f.store f.roots ~stats:f.stats
 
 let link f (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  Store.set_field f.store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
+  Store.set_field f.store (Heap_obj.index src) i (Word.of_id (Heap_obj.index tgt))
 
 (* Build: root -> holder -> chain of [n] leaked nodes with payloads; the
    holder is re-read by the "program" (staleness 0), the chain is not. *)
 let build_leak f ~nodes =
   let holder = alloc f ~class_name:"Holder" ~n_fields:1 ~scalar:0 in
-  Roots.add_static_root f.roots holder.Heap_obj.id;
+  Roots.add_static_root f.roots (Heap_obj.index holder);
   let prev = ref None in
   for _i = 1 to nodes do
     let node = alloc f ~class_name:"Leaked" ~n_fields:2 ~scalar:20 in
@@ -56,7 +56,7 @@ let test_full_cycle_reclaims_stale_chain () =
   (* keep the holder fresh, as the program re-reads it *)
   let rec age n =
     if n > 0 then begin
-      Store.set_stale f.store holder.Heap_obj.id 0;
+      Store.set_stale f.store (Heap_obj.index holder) 0;
       gc f;
       age (n - 1)
     end
@@ -67,7 +67,7 @@ let test_full_cycle_reclaims_stale_chain () =
   Alcotest.(check bool) "heap mostly reclaimed" true
     (Store.live_bytes f.store < 1_000);
   Alcotest.(check bool) "holder survives" true
-    (Store.mem f.store holder.Heap_obj.id);
+    (Store.mem f.store (Heap_obj.index holder));
   Alcotest.(check bool) "averted error recorded" true
     (Lp_core.Controller.averted_error f.controller <> None);
   Alcotest.(check int) "one pruned type" 1
@@ -76,16 +76,16 @@ let test_full_cycle_reclaims_stale_chain () =
 let test_selection_prefers_bigger_structure () =
   let f = fixture ~heap:10_000 () in
   let holder = alloc f ~class_name:"Holder" ~n_fields:2 ~scalar:0 in
-  Roots.add_static_root f.roots holder.Heap_obj.id;
+  Roots.add_static_root f.roots (Heap_obj.index holder);
   (* small structure of class Small, big structure of class Big *)
   let small = alloc f ~class_name:"Small" ~n_fields:0 ~scalar:50 in
   let big = alloc f ~class_name:"Big" ~n_fields:0 ~scalar:5_000 in
   link f holder 0 small;
   link f holder 1 big;
   gc f;
-  Store.set_stale f.store small.Heap_obj.id 4;
-  Store.set_stale f.store big.Heap_obj.id 4;
-  Store.set_stale f.store holder.Heap_obj.id 0;
+  Store.set_stale f.store (Heap_obj.index small) 4;
+  Store.set_stale f.store (Heap_obj.index big) 4;
+  Store.set_stale f.store (Heap_obj.index holder) 0;
   gc f;
   (* force SELECT by occupancy: the heap is 10_000 with ~5_100 live, so
      we must drive the state machine by hand via config thresholds
@@ -103,23 +103,23 @@ let test_individual_refs_attributes_direct_bytes () =
   in
   let f = fixture ~config ~heap:10_000 () in
   let holder = alloc f ~class_name:"Holder" ~n_fields:1 ~scalar:0 in
-  Roots.add_static_root f.roots holder.Heap_obj.id;
+  Roots.add_static_root f.roots (Heap_obj.index holder);
   let big = alloc f ~class_name:"Big" ~n_fields:1 ~scalar:64 in
   let small = alloc f ~class_name:"Small" ~n_fields:0 ~scalar:8 in
   link f holder 0 big;
   link f big 0 small;
-  Store.set_stale f.store big.Heap_obj.id 3;
-  Store.set_stale f.store small.Heap_obj.id 3;
+  Store.set_stale f.store (Heap_obj.index big) 3;
+  Store.set_stale f.store (Heap_obj.index small) 3;
   gc f;
   let id = Class_registry.register f.registry in
   Alcotest.(check (option (triple int int int)))
     "Holder -> Big wins with Big's own bytes"
-    (Some (id "Holder", id "Big", Store.size_bytes f.store big.Heap_obj.id))
+    (Some (id "Holder", id "Big", Store.size_bytes f.store (Heap_obj.index big)))
     (Lp_core.Controller.last_selection f.controller);
   Alcotest.(check int) "nothing deferred" 0
     f.stats.Gc_stats.candidates_enqueued;
   Alcotest.(check bool) "every object traced" true
-    (Store.mem f.store big.Heap_obj.id && Store.mem f.store small.Heap_obj.id)
+    (Store.mem f.store (Heap_obj.index big) && Store.mem f.store (Heap_obj.index small))
 
 let test_unproductive_cycles_end_in_oom () =
   (* Everything is live and fresh: pruning can never help; the failure
@@ -168,7 +168,7 @@ let test_report_hook_fires () =
   let f = fixture ~config ~heap:3_100 () in
   let holder = build_leak f ~nodes:80 in
   for _i = 1 to 11 do
-    Store.set_stale f.store holder.Heap_obj.id 0;
+    Store.set_stale f.store (Heap_obj.index holder) 0;
     gc f
   done;
   Alcotest.(check bool) "pruning reported" true
@@ -189,7 +189,7 @@ let test_maxstaleuse_decay_weakens_protection () =
     (Lp_core.Controller.edge_table f.controller)
     ~src:leaked ~tgt:leaked ~stale:7;
   for _i = 1 to 14 do
-    Store.set_stale f.store holder.Heap_obj.id 0;
+    Store.set_stale f.store (Heap_obj.index holder) 0;
     gc f
   done;
   Alcotest.(check bool) "decay let pruning through" true

@@ -7,7 +7,7 @@ let test_fresh_until_full () =
   let vm = Vm.create ~heap_bytes:100_000 () in
   let site = Cyclic_alloc.site vm ~class_name:"C" ~m:4 ~n_fields:1 ~scalar_bytes:16 in
   let objs = List.init 4 (fun _ -> Cyclic_alloc.alloc site) in
-  let ids = List.map (fun (o : Heap_obj.t) -> o.Heap_obj.id) objs in
+  let ids = List.map (fun (o : Heap_obj.t) -> Heap_obj.index o) objs in
   Alcotest.(check int) "all distinct" 4 (List.length (List.sort_uniq compare ids));
   Alcotest.(check int) "no recycling yet" 0 (Cyclic_alloc.recycled site)
 

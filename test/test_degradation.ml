@@ -6,7 +6,7 @@ open Lp_runtime
 let leak_one vm statics =
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:40 ~n_fields:1 () in
-      Lp_heap.Roots.set_slot frame 0 node.Lp_heap.Heap_obj.id;
+      Lp_heap.Roots.set_slot frame 0 (Lp_heap.Heap_obj.index node);
       (match Mutator.read vm statics 0 with
       | Some head -> Mutator.write_obj vm node 0 head
       | None -> ());

@@ -9,7 +9,7 @@ let vm_with_leak () =
   for _i = 1 to 20 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node = Vm.alloc vm ~class_name:"D$Node" ~scalar_bytes:40 ~n_fields:1 () in
-        Roots.set_slot frame 0 node.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index node);
         (match Mutator.read vm statics 0 with
         | Some head -> Mutator.write_obj vm node 0 head
         | None -> ());
@@ -53,7 +53,7 @@ let test_heap_check_detects_corruption () =
   let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
   Mutator.write_obj vm statics 0 a;
   (* forge a dangling, unpoisoned reference *)
-  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.of_id 9_999);
+  Store.set_field (Vm.store vm) (Heap_obj.index a) 0 (Word.of_id 9_999);
   match Diagnostics.heap_check vm with
   | Ok () -> Alcotest.fail "corruption not detected"
   | Error _ -> ()
@@ -82,10 +82,10 @@ let image_bytes ~object_id =
 let test_heap_check_mark_bit () =
   let vm = vm_with_leak () in
   let obj = Vm.alloc vm ~class_name:"Marked" ~n_fields:0 () in
-  Store.set_header (Vm.store vm) obj.Heap_obj.id (Header.set_marked (Store.header (Vm.store vm) obj.Heap_obj.id));
+  Store.set_header (Vm.store vm) (Heap_obj.index obj) (Header.set_marked (Store.header (Vm.store vm) (Heap_obj.index obj)));
   check_fails_with vm
     (Printf.sprintf "object %d carries a mark bit outside a collection"
-       obj.Heap_obj.id)
+       (Heap_obj.index obj))
 
 (* A VM whose last collection left its slots unswept: one live object
    [live] kept by a statics container, then garbage, collected once and
@@ -101,7 +101,7 @@ let unswept_vm () =
   in
   Vm.run_gc vm;
   let store = Vm.store vm in
-  let dead = (List.hd garbage).Heap_obj.id in
+  let dead = Heap_obj.index (List.hd garbage) in
   Alcotest.(check bool) "the garbage is below the sweep cursor" true
     (dead <= Store.unswept store);
   Alcotest.(check bool) "left unmarked" false
@@ -121,7 +121,7 @@ let test_heap_check_unswept_raw () =
   let vm, live, dead = unswept_vm () in
   let store = Vm.store vm in
   let fresh = Vm.alloc vm ~class_name:"K$Fresh" ~n_fields:0 () in
-  let id = fresh.Heap_obj.id in
+  let id = Heap_obj.index fresh in
   Alcotest.(check bool) "a fresh object lies above the cursor" true
     (id > Store.unswept store);
   Store.set_header store id (Header.set_marked (Store.header store id));
@@ -131,13 +131,13 @@ let test_heap_check_unswept_raw () =
   Store.set_header store id (Header.clear_gc_bits (Store.header store id));
   Alcotest.(check bool) "the dead slot is still unswept" true
     (dead <= Store.unswept store);
-  Store.set_field store live.Heap_obj.id 0 (Word.of_id dead);
+  Store.set_field store (Heap_obj.index live) 0 (Word.of_id dead);
   check_fails_with ~strict:true vm
     (Printf.sprintf "object %d field 0 names slot %d, unmarked below the sweep \
                      cursor"
-       live.Heap_obj.id dead);
+       (Heap_obj.index live) dead);
   check_fails_with vm "references reclaimed object";
-  Store.set_field store live.Heap_obj.id 0 Word.null;
+  Store.set_field store (Heap_obj.index live) 0 Word.null;
   Vm.with_frame vm ~n_slots:1 (fun frame ->
       Roots.set_slot frame 0 dead;
       check_fails_with ~strict:true vm
@@ -163,7 +163,7 @@ let test_heap_check_corrupt_image () =
 let iter_live_histogram vm =
   let hist = Array.make (Header.max_stale + 1) 0 in
   Store.iter_live (Vm.store vm) (fun obj ->
-      let k = Store.stale (Vm.store vm) obj.Heap_obj.id in
+      let k = Store.stale (Vm.store vm) (Heap_obj.index obj) in
       hist.(k) <- hist.(k) + 1);
   hist
 
@@ -206,7 +206,7 @@ let leak vm statics ~nodes ~garbage_bytes =
   for _i = 1 to nodes do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node = Vm.alloc vm ~class_name:"L$Node" ~scalar_bytes:40 ~n_fields:1 () in
-        Roots.set_slot frame 0 node.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index node);
         (match Mutator.read vm statics 0 with
         | Some head -> Mutator.write_obj vm node 0 head
         | None -> ());

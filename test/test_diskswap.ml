@@ -22,7 +22,7 @@ let grow vm statics ~nodes =
   for _i = 1 to nodes do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:40 ~n_fields:1 () in
-        Roots.set_slot frame 0 node.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index node);
         (match Mutator.read vm statics 0 with
         | Some head -> Mutator.write_obj vm node 0 head
         | None -> ());
@@ -77,10 +77,10 @@ let test_on_disk_bit_tracks_residency () =
   let resident = ref [] in
   Store.iter_live (Vm.store vm) (fun obj ->
       Alcotest.(check bool)
-        (Printf.sprintf "object %d: bit iff resident" obj.Heap_obj.id)
-        (is_resident d obj.Heap_obj.id)
-        (Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id));
-      if Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id) then resident := obj :: !resident);
+        (Printf.sprintf "object %d: bit iff resident" (Heap_obj.index obj))
+        (is_resident d (Heap_obj.index obj))
+        (Header.on_disk (Store.header (Vm.store vm) (Heap_obj.index obj)));
+      if Header.on_disk (Store.header (Vm.store vm) (Heap_obj.index obj)) then resident := obj :: !resident);
   Alcotest.(check bool) "something is on disk" true (!resident <> []);
   Alcotest.(check bool) "strict verifier passes" true
     (Diagnostics.heap_check ~strict:true vm = Ok ());
@@ -89,12 +89,12 @@ let test_on_disk_bit_tracks_residency () =
   | `Swapped_in -> ()
   | `Not_resident | `Corrupt _ -> Alcotest.fail "resident object must swap in");
   Alcotest.(check bool) "swap-in clears the bit" false
-    (Header.on_disk (Store.header (Vm.store vm) obj.Heap_obj.id));
+    (Header.on_disk (Store.header (Vm.store vm) (Heap_obj.index obj)));
   Alcotest.(check bool) "still consistent" true
     (Diagnostics.heap_check ~strict:true vm = Ok ());
   (* a resident object whose bit went missing is reported *)
   let other = List.nth !resident 1 in
-  Store.set_header (Vm.store vm) other.Heap_obj.id (Header.clear_on_disk (Store.header (Vm.store vm) other.Heap_obj.id));
+  Store.set_header (Vm.store vm) (Heap_obj.index other) (Header.clear_on_disk (Store.header (Vm.store vm) (Heap_obj.index other)));
   Alcotest.(check bool) "missing bit reported" true
     (Result.is_error (Diagnostics.heap_check ~strict:true vm))
 
@@ -136,7 +136,7 @@ let stale_full_store () =
          Store.alloc store ~class_id:cls ~n_fields:1 ~scalar_bytes:100
            ~finalizable:false
        in
-       Store.set_stale store o.Heap_obj.id 3;
+       Store.set_stale store (Heap_obj.index o) 3;
        objs := o :: !objs
      done
    with Store.Heap_full _ -> ());
@@ -207,7 +207,7 @@ let offloaded_fixture ?image_fault () =
 
 let test_double_retrieve_is_not_resident () =
   let store, d, objs = offloaded_fixture () in
-  let obj = List.find (fun o -> is_resident d o.Heap_obj.id) objs in
+  let obj = List.find (fun o -> is_resident d (Heap_obj.index o)) objs in
   (match Diskswap.retrieve d store obj with
   | `Swapped_in -> ()
   | `Not_resident | `Corrupt _ -> Alcotest.fail "first retrieve must swap in");
@@ -227,7 +227,7 @@ let test_reconcile_after_retrieve () =
      entries must not be released a second time *)
   List.iteri
     (fun i o ->
-      if i mod 2 = 0 && is_resident d o.Heap_obj.id then
+      if i mod 2 = 0 && is_resident d (Heap_obj.index o) then
         ignore (Diskswap.retrieve d store o))
     objs;
   let after_retrieves = Diskswap.resident_bytes d in
@@ -246,7 +246,7 @@ let test_residency_non_negative_under_faults () =
   in
   List.iter
     (fun o ->
-      if is_resident d o.Heap_obj.id then begin
+      if is_resident d (Heap_obj.index o) then begin
         (match Diskswap.retrieve d store o with
         | `Corrupt _ -> ()
         | `Swapped_in -> Alcotest.fail "corrupted payload must not swap in"
@@ -296,8 +296,8 @@ let direct_store ~objs =
       Store.alloc store ~class_id:cid ~n_fields:0 ~scalar_bytes:64
         ~finalizable:false
     in
-    Store.set_stale store o.Heap_obj.id Lp_heap.Header.max_stale;
-    size := Store.size_bytes store o.Heap_obj.id
+    Store.set_stale store (Heap_obj.index o) Lp_heap.Header.max_stale;
+    size := Store.size_bytes store (Heap_obj.index o)
   done;
   (* the occupancy test reads live bytes, which only a sweep records *)
   Store.set_live_bytes store (Store.used_bytes store);
@@ -332,7 +332,7 @@ let test_quota_freed_by_retrieve_readmits () =
      the previously denied candidate *)
   let resident = ref None in
   Store.iter_live store (fun o ->
-      if !resident = None && is_resident d o.Heap_obj.id then
+      if !resident = None && is_resident d (Heap_obj.index o) then
         resident := Some o);
   (match Diskswap.retrieve d store (Option.get !resident) with
   | `Swapped_in -> ()

@@ -62,11 +62,11 @@ let alloc store ~n_fields =
   Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
 
 let link store (src : Heap_obj.t) i (tgt : Heap_obj.t) =
-  Store.set_field store src.Heap_obj.id i (Word.of_id tgt.Heap_obj.id)
+  Store.set_field store (Heap_obj.index src) i (Word.of_id (Heap_obj.index tgt))
 
 let live_ids store =
   let ids = ref [] in
-  Store.iter_live store (fun o -> ids := o.Heap_obj.id :: !ids);
+  Store.iter_live store (fun o -> ids := Heap_obj.index o :: !ids);
   List.rev !ids
 
 (* One full engine workout. Graph: root a -> b -> c is the doomed
@@ -85,12 +85,12 @@ let run_scenario make =
   let c = alloc store ~n_fields:0 in
   let d = alloc store ~n_fields:0 in
   ignore (alloc store ~n_fields:0);
-  Roots.add_static_root roots a.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index a);
   link store a 0 b;
   link store b 0 c;
   link store a 1 d;
   let defer_b (edge : Collector.edge) =
-    if edge.Collector.tgt = b.Heap_obj.id then Collector.Defer
+    if edge.Collector.tgt = Heap_obj.index b then Collector.Defer
     else Collector.Trace
   in
   let deferred =
@@ -117,7 +117,7 @@ let run_scenario make =
   let live_after_select = live_ids store in
   let poisoned = ref [] in
   let poison_b (edge : Collector.edge) =
-    if edge.Collector.tgt = b.Heap_obj.id then Collector.Poison
+    if edge.Collector.tgt = Heap_obj.index b then Collector.Poison
     else Collector.Trace
   in
   ignore
@@ -137,12 +137,12 @@ let run_scenario make =
          });
   e.sweep store ~stats;
   let live_after_prune = live_ids store in
-  let word_poisoned = Word.poisoned (Store.field store a.Heap_obj.id 0) in
+  let word_poisoned = Word.poisoned (Store.field store (Heap_obj.index a) 0) in
   let n1 = alloc store ~n_fields:0 in
   let n2 = alloc store ~n_fields:0 in
   ( (List.length candidates, claimed, live_after_select),
     (!poisoned, word_poisoned, live_after_prune),
-    (n1.Heap_obj.id, n2.Heap_obj.id),
+    (Heap_obj.index n1, Heap_obj.index n2),
     Gc_stats.copy stats )
 
 let test_conformance () =
@@ -182,7 +182,7 @@ let test_inc_slicing_respects_budget () =
   let roots = Roots.create () in
   let stats = Gc_stats.create () in
   let root = alloc store ~n_fields:10 in
-  Roots.add_static_root roots root.Heap_obj.id;
+  Roots.add_static_root roots (Heap_obj.index root);
   for i = 0 to 9 do
     link store root i (alloc store ~n_fields:0)
   done;
@@ -228,12 +228,12 @@ let run_switch_scenario ~seed schedule =
   in
   Array.iter
     (fun (o : Heap_obj.t) ->
-      for i = 0 to Store.n_fields store o.Heap_obj.id - 1 do
+      for i = 0 to Store.n_fields store (Heap_obj.index o) - 1 do
         if Random.State.bool rng then link store o i arr.(Random.State.int rng n)
       done)
     arr;
   for _ = 1 to 1 + Random.State.int rng 3 do
-    Roots.add_static_root roots arr.(Random.State.int rng n).Heap_obj.id
+    Roots.add_static_root roots (Heap_obj.index arr.(Random.State.int rng n))
   done;
   let mutate () =
     let live = ref [] in
@@ -243,7 +243,7 @@ let run_switch_scenario ~seed schedule =
     if nl > 0 then begin
       for _ = 1 to 5 do
         let src = live.(Random.State.int rng nl) in
-        let nf = Store.n_fields store src.Heap_obj.id in
+        let nf = Store.n_fields store (Heap_obj.index src) in
         if nf > 0 then
           link store src (Random.State.int rng nf) live.(Random.State.int rng nl)
       done;
@@ -251,7 +251,7 @@ let run_switch_scenario ~seed schedule =
         let o = alloc store ~n_fields:(Random.State.int rng 3) in
         let keep = Random.State.bool rng in
         let dst = live.(Random.State.int rng nl) in
-        let nf = Store.n_fields store dst.Heap_obj.id in
+        let nf = Store.n_fields store (Heap_obj.index dst) in
         if keep && nf > 0 then link store dst (Random.State.int rng nf) o
       done
     end
@@ -443,26 +443,26 @@ let build_heap h =
   List.iteri
     (fun i o ->
       let obj = objs.(i) in
-      Store.set_stale store obj.Heap_obj.id o.stale;
+      Store.set_stale store (Heap_obj.index obj) o.stale;
       (* a freed object's words are on a free list: only live objects
          get theirs *)
       if o.live then
         List.iteri
           (fun f w ->
-            Store.set_field store obj.Heap_obj.id f
+            Store.set_field store (Heap_obj.index obj) f
               (match w with
               | Null -> Word.null
               | Ref (j, u) ->
-                let w = Word.of_id objs.(j).Heap_obj.id in
+                let w = Word.of_id (Heap_obj.index objs.(j)) in
                 if u then Word.set_untouched w else w
-              | Poisoned j -> Word.poison (Word.of_id objs.(j).Heap_obj.id)
+              | Poisoned j -> Word.poison (Word.of_id (Heap_obj.index objs.(j)))
               | Past k -> Word.of_id (past + k)))
           o.words)
     h.objs;
   List.iter
     (fun i ->
       if (List.nth h.objs i).live then
-        Roots.add_static_root roots objs.(i).Heap_obj.id)
+        Roots.add_static_root roots (Heap_obj.index objs.(i)))
     h.roots;
   (store, roots)
 
@@ -472,8 +472,8 @@ let snapshot store =
       if o == Store.sentinel then None
       else
         Some
-          ( Store.header store o.Heap_obj.id,
-            List.init (Store.n_fields store o.Heap_obj.id) (Store.field store o.Heap_obj.id) ))
+          ( Store.header store (Heap_obj.index o),
+            List.init (Store.n_fields store (Heap_obj.index o)) (Store.field store (Heap_obj.index o)) ))
 
 let run_generated h make =
   let e = make () in
@@ -545,7 +545,7 @@ let run_generated h make =
   let marked = snapshot store in
   e.sweep store ~stats;
   let swept = snapshot store in
-  let reused = List.init 4 (fun _ -> (alloc store ~n_fields:0).Heap_obj.id) in
+  let reused = List.init 4 (fun _ -> (Heap_obj.index (alloc store ~n_fields:0))) in
   ( (edges, bytes, List.rev !poisoned, List.rev !notes),
     (marked, swept, reused, Store.live_bytes store),
     Gc_stats.copy stats )

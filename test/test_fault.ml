@@ -100,7 +100,7 @@ let test_alloc_refusal_recovery () =
   let vm = Vm.create ~fault:plan ~heap_bytes:10_000 () in
   let obj = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   Alcotest.(check bool) "allocation survived the refusal" true
-    (obj.Lp_heap.Heap_obj.id > 0);
+    (Lp_heap.Heap_obj.index obj > 0);
   Alcotest.(check int) "the refusal fired" 1 (Fault_plan.fired_count plan);
   Alcotest.(check bool) "a recovery collection ran" true (Vm.gc_count vm >= 1)
 
@@ -147,7 +147,7 @@ let test_heap_check_detects_unaccounted_poison () =
   Mutator.write_obj vm statics 0 obj;
   (* poison behind the runtime's back: no prune, quarantine or injection
      recorded, so the verifier must flag it *)
-  let store = Vm.store vm and id = statics.Lp_heap.Heap_obj.id in
+  let store = Vm.store vm and id = Lp_heap.Heap_obj.index statics in
   Lp_heap.Store.set_field store id 0
     (Lp_heap.Word.poison (Lp_heap.Store.field store id 0));
   match Diagnostics.heap_check vm with

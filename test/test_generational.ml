@@ -12,9 +12,9 @@ let test_nursery_allocation () =
   let vm = make_vm () in
   let obj = Vm.alloc vm ~class_name:"N" ~scalar_bytes:16 ~n_fields:0 () in
   Alcotest.(check bool) "allocated in nursery" true
-    (Header.in_nursery (Store.header (Vm.store vm) obj.Heap_obj.id));
+    (Header.in_nursery (Store.header (Vm.store vm) (Heap_obj.index obj)));
   Alcotest.(check bool) "nursery bytes tracked" true
-    (Store.nursery_bytes (Vm.store vm) >= Store.size_bytes (Vm.store vm) obj.Heap_obj.id)
+    (Store.nursery_bytes (Vm.store vm) >= Store.size_bytes (Vm.store vm) (Heap_obj.index obj))
 
 let test_minor_gc_reclaims_dead_nursery () =
   let vm = make_vm ~nursery:1_000 () in
@@ -38,9 +38,9 @@ let test_rooted_nursery_objects_promote () =
     ignore (Vm.alloc vm ~class_name:"Garbage" ~scalar_bytes:80 ~n_fields:0 ())
   done;
   Alcotest.(check bool) "survivor still live" true
-    (Store.mem (Vm.store vm) keep.Heap_obj.id);
+    (Store.mem (Vm.store vm) (Heap_obj.index keep));
   Alcotest.(check bool) "survivor promoted to mature" false
-    (Header.in_nursery (Store.header (Vm.store vm) keep.Heap_obj.id))
+    (Header.in_nursery (Store.header (Vm.store vm) (Heap_obj.index keep)))
 
 let test_remembered_set_keeps_nursery_target_alive () =
   let vm = make_vm ~nursery:1_000 () in
@@ -50,7 +50,7 @@ let test_remembered_set_keeps_nursery_target_alive () =
   Mutator.write_obj vm statics 0 holder;
   Vm.run_gc vm;  (* promotes everything: holder is now mature *)
   Alcotest.(check bool) "holder mature" false
-    (Header.in_nursery (Store.header (Vm.store vm) holder.Heap_obj.id));
+    (Header.in_nursery (Store.header (Vm.store vm) (Heap_obj.index holder)));
   (* a fresh nursery object referenced ONLY from the mature holder *)
   let young = Vm.alloc vm ~class_name:"Young" ~scalar_bytes:16 ~n_fields:0 () in
   Mutator.write_obj vm holder 0 young;  (* write barrier records the slot *)
@@ -58,7 +58,7 @@ let test_remembered_set_keeps_nursery_target_alive () =
     ignore (Vm.alloc vm ~class_name:"Garbage" ~scalar_bytes:80 ~n_fields:0 ())
   done;
   Alcotest.(check bool) "mature->nursery target survived the minor GC" true
-    (Store.mem (Vm.store vm) young.Heap_obj.id);
+    (Store.mem (Vm.store vm) (Heap_obj.index young));
   match Mutator.read vm holder 0 with
   | Some got -> Alcotest.(check bool) "same object" true (got == young)
   | None -> Alcotest.fail "reference lost"
@@ -81,7 +81,7 @@ let test_arraycopy_honours_write_barrier () =
     ignore (Vm.alloc vm ~class_name:"Garbage" ~scalar_bytes:80 ~n_fields:0 ())
   done;
   Alcotest.(check bool) "copied reference kept the target alive" true
-    (Store.mem (Vm.store vm) young.Heap_obj.id)
+    (Store.mem (Vm.store vm) (Heap_obj.index young))
 
 let test_full_gc_empties_nursery () =
   let vm = make_vm () in
@@ -92,7 +92,7 @@ let test_full_gc_empties_nursery () =
   Alcotest.(check int) "nursery empty after full collection" 0
     (Store.nursery_bytes (Vm.store vm));
   Alcotest.(check bool) "survivor mature" false
-    (Header.in_nursery (Store.header (Vm.store vm) keep.Heap_obj.id))
+    (Header.in_nursery (Store.header (Vm.store vm) (Heap_obj.index keep)))
 
 let test_pruning_still_works_generationally () =
   (* a leak whose churn dies in the nursery; pruning must still reclaim
@@ -105,7 +105,7 @@ let test_pruning_still_works_generationally () =
        ignore (Vm.alloc vm ~class_name:"Scratch" ~scalar_bytes:120 ~n_fields:0 ());
        Vm.with_frame vm ~n_slots:1 (fun frame ->
            let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:40 ~n_fields:1 () in
-           Roots.set_slot frame 0 node.Heap_obj.id;
+           Roots.set_slot frame 0 (Heap_obj.index node);
            (match Mutator.read vm statics 0 with
            | Some head -> Mutator.write_obj vm node 0 head
            | None -> ());

@@ -11,7 +11,7 @@ let test_string () =
   let s = Jheap.alloc_string vm ~chars:37 in
   Alcotest.(check int) "length via backing array" 37 (Jheap.string_length vm s);
   Alcotest.(check string) "string class" Jheap.string_class
-    (Class_registry.name (Vm.registry vm) (Store.class_of (Vm.store vm) s.Heap_obj.id))
+    (Class_registry.name (Vm.registry vm) (Store.class_of (Vm.store vm) (Heap_obj.index s)))
 
 let test_list_push_iter () =
   let vm = make_vm () in
@@ -29,14 +29,14 @@ let test_list_traversal_clears_staleness () =
   let statics = Vm.statics vm ~class_name:"T" ~n_fields:1 in
   let n1 = Jheap.List_field.push vm ~node_class:"T$Node" ~holder:statics ~field:0 ~payload:None in
   let n2 = Jheap.List_field.push vm ~node_class:"T$Node" ~holder:statics ~field:0 ~payload:None in
-  Store.set_stale (Vm.store vm) n1.Heap_obj.id 5;
-  Store.set_stale (Vm.store vm) n2.Heap_obj.id 5;
+  Store.set_stale (Vm.store vm) (Heap_obj.index n1) 5;
+  Store.set_stale (Vm.store vm) (Heap_obj.index n2) 5;
   (* arm the untouched bits as a collection would *)
-  Store.set_field (Vm.store vm) statics.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) statics.Heap_obj.id 0));
-  Store.set_field (Vm.store vm) n2.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) n2.Heap_obj.id 0));
+  Store.set_field (Vm.store vm) (Heap_obj.index statics) 0 (Word.set_untouched (Store.field (Vm.store vm) (Heap_obj.index statics) 0));
+  Store.set_field (Vm.store vm) (Heap_obj.index n2) 0 (Word.set_untouched (Store.field (Vm.store vm) (Heap_obj.index n2) 0));
   Jheap.List_field.iter vm ~holder:statics ~field:0 (fun _ -> ());
-  Alcotest.(check int) "head cleared" 0 (Store.stale (Vm.store vm) n2.Heap_obj.id);
-  Alcotest.(check int) "tail cleared" 0 (Store.stale (Vm.store vm) n1.Heap_obj.id)
+  Alcotest.(check int) "head cleared" 0 (Store.stale (Vm.store vm) (Heap_obj.index n2));
+  Alcotest.(check int) "tail cleared" 0 (Store.stale (Vm.store vm) (Heap_obj.index n1))
 
 let test_vector_growth_via_arraycopy () =
   let vm = make_vm () in
@@ -62,14 +62,14 @@ let test_vector_growth_preserves_staleness () =
   let v = Jheap.Vector.create vm ~holder:statics ~field:0 ~initial_capacity:2 in
   let o = Vm.alloc vm ~class_name:"Elem" ~n_fields:0 () in
   Jheap.Vector.add v o;
-  Store.set_stale (Vm.store vm) o.Heap_obj.id 6;
+  Store.set_stale (Vm.store vm) (Heap_obj.index o) 6;
   for _i = 1 to 6 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let e = Vm.alloc vm ~class_name:"Elem" ~n_fields:0 () in
-        Roots.set_slot frame 0 e.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index e);
         Jheap.Vector.add v (Vm.deref vm (Roots.get_slot frame 0)))
   done;
-  Alcotest.(check int) "stale survived two growths" 6 (Store.stale (Vm.store vm) o.Heap_obj.id)
+  Alcotest.(check int) "stale survived two growths" 6 (Store.stale (Vm.store vm) (Heap_obj.index o))
 
 let test_vector_exchange () =
   let vm = make_vm () in
@@ -97,7 +97,7 @@ let test_hash_table_insert_and_rehash () =
   for k = 1 to 40 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let payload = Vm.alloc vm ~class_name:"Payload" ~scalar_bytes:16 ~n_fields:0 () in
-        Roots.set_slot frame 0 payload.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index payload);
         Jheap.Hash_table.insert t ~key:k ~payload:(Vm.deref vm (Roots.get_slot frame 0)))
   done;
   Alcotest.(check int) "count" 40 (Jheap.Hash_table.entry_count t);
@@ -113,29 +113,29 @@ let test_rehash_touches_payloads () =
   for k = 1 to 2 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let payload = Vm.alloc vm ~class_name:"Payload" ~scalar_bytes:16 ~n_fields:0 () in
-        Roots.set_slot frame 0 payload.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index payload);
         payloads := Vm.deref vm (Roots.get_slot frame 0) :: !payloads;
         Jheap.Hash_table.insert t ~key:k ~payload:(Vm.deref vm (Roots.get_slot frame 0)))
   done;
-  List.iter (fun p -> Store.set_stale (Vm.store vm) p.Heap_obj.id 5) !payloads;
+  List.iter (fun p -> Store.set_stale (Vm.store vm) (Heap_obj.index p) 5) !payloads;
   (* arm bits so the rehash's reads clear staleness through cold paths *)
   let store = Vm.store vm in
   Store.iter_live store (fun o ->
-      for i = 0 to Store.n_fields store o.Heap_obj.id - 1 do
-        let w = Store.field store o.Heap_obj.id i in
+      for i = 0 to Store.n_fields store (Heap_obj.index o) - 1 do
+        let w = Store.field store (Heap_obj.index o) i in
         if not (Word.is_null w) then
-          Store.set_field store o.Heap_obj.id i (Word.set_untouched w)
+          Store.set_field store (Heap_obj.index o) i (Word.set_untouched w)
       done);
   (* force a rehash by crossing the load factor *)
   for k = 3 to 8 do
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let payload = Vm.alloc vm ~class_name:"Payload" ~scalar_bytes:16 ~n_fields:0 () in
-        Roots.set_slot frame 0 payload.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index payload);
         Jheap.Hash_table.insert t ~key:k ~payload:(Vm.deref vm (Roots.get_slot frame 0)))
   done;
   Alcotest.(check bool) "rehash happened" true (Jheap.Hash_table.rehash_count t >= 1);
   List.iter
-    (fun p -> Alcotest.(check int) "payload staleness cleared by rehash" 0 (Store.stale (Vm.store vm) p.Heap_obj.id))
+    (fun p -> Alcotest.(check int) "payload staleness cleared by rehash" 0 (Store.stale (Vm.store vm) (Heap_obj.index p)))
     !payloads
 
 let suite =

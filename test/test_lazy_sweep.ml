@@ -105,7 +105,7 @@ let collect s =
 
 let live_ids s =
   let ids = ref [] in
-  Store.iter_live s.store (fun o -> ids := o.Heap_obj.id :: !ids);
+  Store.iter_live s.store (fun o -> ids := Heap_obj.index o :: !ids);
   Array.of_list (List.rev !ids)
 
 (* Allocates like a VM: a collection first when the object does not fit,
@@ -119,8 +119,8 @@ let alloc s ~nursery ~n_fields ~scalar slot =
       Store.alloc_generation s.store ~nursery ~class_id:n_fields ~n_fields
         ~scalar_bytes:scalar ~finalizable:false
     in
-    Roots.set_slot s.frame slot obj.Heap_obj.id;
-    obj.Heap_obj.id
+    Roots.set_slot s.frame slot (Heap_obj.index obj);
+    Heap_obj.index obj
   end
 
 let step s op =

@@ -130,14 +130,14 @@ let obj ~class_id ~stale () =
     Lp_heap.Store.alloc store ~class_id ~n_fields:1 ~scalar_bytes:0
       ~finalizable:false
   in
-  Lp_heap.Store.set_stale store o.Lp_heap.Heap_obj.id stale;
+  Lp_heap.Store.set_stale store (Lp_heap.Heap_obj.index o) stale;
   o
 
 let edge (src : Lp_heap.Heap_obj.t) (tgt : Lp_heap.Heap_obj.t) =
   {
-    Lp_heap.Collector.src = src.Lp_heap.Heap_obj.id;
+    Lp_heap.Collector.src = Lp_heap.Heap_obj.index src;
     field = 0;
-    tgt = tgt.Lp_heap.Heap_obj.id;
+    tgt = Lp_heap.Heap_obj.index tgt;
   }
 let config = Lp_core.Config.default
 
@@ -304,9 +304,9 @@ let test_dead_read_probe () =
       ~n_fields:0 ()
   in
   Lp_runtime.Vm.with_frame vm ~n_slots:3 (fun frame ->
-      Lp_heap.Roots.set_slot frame 0 src.Lp_heap.Heap_obj.id;
-      Lp_heap.Roots.set_slot frame 1 tgt.Lp_heap.Heap_obj.id;
-      Lp_heap.Roots.set_slot frame 2 filler.Lp_heap.Heap_obj.id;
+      Lp_heap.Roots.set_slot frame 0 (Lp_heap.Heap_obj.index src);
+      Lp_heap.Roots.set_slot frame 1 (Lp_heap.Heap_obj.index tgt);
+      Lp_heap.Roots.set_slot frame 2 (Lp_heap.Heap_obj.index filler);
       Lp_runtime.Mutator.write_obj vm src 0 tgt;
       (* first collection moves Inactive -> Observe; the second runs in
          Observe and sets the untouched bit, arming the cold read path *)

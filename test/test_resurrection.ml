@@ -16,12 +16,12 @@ let sample_image () =
   let obj =
     Store.alloc store ~class_id:cls ~n_fields:3 ~scalar_bytes:24 ~finalizable:false
   in
-  Store.set_field store obj.Heap_obj.id 0 (Word.of_id tgt.Heap_obj.id);
-  Store.set_field store obj.Heap_obj.id 1 (Word.poison (Word.of_id tgt.Heap_obj.id));
+  Store.set_field store (Heap_obj.index obj) 0 (Word.of_id (Heap_obj.index tgt));
+  Store.set_field store (Heap_obj.index obj) 1 (Word.poison (Word.of_id (Heap_obj.index tgt)));
   (* fields.(2) stays null *)
-  Store.set_stale store obj.Heap_obj.id 3;
+  Store.set_stale store (Heap_obj.index obj) 3;
   let img =
-    Result.get_ok (Swap_image.decode (Swap_image.capture store obj.Heap_obj.id))
+    Result.get_ok (Swap_image.decode (Swap_image.capture store (Heap_obj.index obj)))
   in
   (store, obj, img)
 
@@ -30,8 +30,8 @@ let test_image_roundtrip () =
   match Swap_image.decode (Swap_image.encode img) with
   | Error _ -> Alcotest.fail "roundtrip must decode"
   | Ok d ->
-    Alcotest.(check int) "object id" obj.Heap_obj.id d.Swap_image.object_id;
-    Alcotest.(check int) "class id" (Store.class_of store obj.Heap_obj.id) d.Swap_image.class_id;
+    Alcotest.(check int) "object id" (Heap_obj.index obj) d.Swap_image.object_id;
+    Alcotest.(check int) "class id" (Store.class_of store (Heap_obj.index obj)) d.Swap_image.class_id;
     Alcotest.(check int) "stale" 3 d.Swap_image.stale;
     Alcotest.(check int) "scalar bytes" 24 d.Swap_image.scalar_bytes;
     Alcotest.(check int) "field count" 3 (Array.length d.Swap_image.fields);
@@ -60,7 +60,7 @@ let test_image_high_bit_crc_roundtrips () =
       Store.alloc store ~class_id:cls ~n_fields:0 ~scalar_bytes:scalar
         ~finalizable:false
     in
-    let buf = Swap_image.capture store obj.Heap_obj.id in
+    let buf = Swap_image.capture store (Heap_obj.index obj) in
     let crc =
       Swap_image.crc32 buf ~pos:Swap_image.header_bytes
         ~len:(Bytes.length buf - Swap_image.header_bytes)
@@ -130,14 +130,14 @@ let make_vm ?config ?(heap = 100_000) () =
    kill the victim. Returns (src, victim id, victim class id). *)
 let prune_by_hand vm =
   let src = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
-  Roots.add_static_root (Vm.roots vm) src.Heap_obj.id;
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index src);
   let victim = Vm.alloc vm ~class_name:"Victim" ~scalar_bytes:32 ~n_fields:1 () in
   Mutator.write_obj vm src 0 victim;
-  Store.set_stale (Vm.store vm) victim.Heap_obj.id 5;
-  Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
-    (Swap_image.capture (Vm.store vm) victim.Heap_obj.id);
+  Store.set_stale (Vm.store vm) (Heap_obj.index victim) 5;
+  Diskswap.store_image (Vm.swap vm) ~id:(Heap_obj.index victim)
+    (Swap_image.capture (Vm.store vm) (Heap_obj.index victim));
   Vm.inject_word_corruption vm src ~field:0 `Poison;
-  let id = victim.Heap_obj.id and cls = Store.class_of (Vm.store vm) victim.Heap_obj.id in
+  let id = Heap_obj.index victim and cls = Store.class_of (Vm.store vm) (Heap_obj.index victim) in
   Store.free (Vm.store vm) victim;
   (src, id, cls)
 
@@ -147,18 +147,18 @@ let test_resurrect_restores_object () =
   (match Mutator.read vm src 0 with
   | None -> Alcotest.fail "expected the restored object"
   | Some tgt ->
-    Alcotest.(check int) "class restored" victim_cls (Store.class_of (Vm.store vm) tgt.Heap_obj.id);
+    Alcotest.(check int) "class restored" victim_cls (Store.class_of (Vm.store vm) (Heap_obj.index tgt));
     Alcotest.(check int) "scalar size restored" 32 (Store.scalar_bytes (Vm.store vm) tgt);
-    Alcotest.(check int) "staleness cleared by the use" 0 (Store.stale (Vm.store vm) tgt.Heap_obj.id);
+    Alcotest.(check int) "staleness cleared by the use" 0 (Store.stale (Vm.store vm) (Heap_obj.index tgt));
     Alcotest.(check bool) "restored object is live" true
-      (Store.mem (Vm.store vm) tgt.Heap_obj.id);
+      (Store.mem (Vm.store vm) (Heap_obj.index tgt));
     (* the forwarding table resolves the pruned id to the restored copy;
        when the store recycled the very same id the self-forward
        collapses to None, which resolves identically *)
     Alcotest.(check bool) "forwarding recorded" true
       (match Diskswap.resolve_forward (Vm.swap vm) victim_id with
-      | Some final -> final = tgt.Heap_obj.id
-      | None -> victim_id = tgt.Heap_obj.id));
+      | Some final -> final = Heap_obj.index tgt
+      | None -> victim_id = Heap_obj.index tgt));
   Alcotest.(check int) "one resurrection counted" 1
     (Vm.stats vm).Gc_stats.resurrections;
   Alcotest.(check int) "image space released" 0
@@ -176,8 +176,8 @@ let test_sibling_reference_forwards () =
   let src, victim_id, _ = prune_by_hand vm in
   (* a second holder still pointing at the pruned identifier *)
   let other = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
-  Roots.add_static_root (Vm.roots vm) other.Heap_obj.id;
-  Store.set_field (Vm.store vm) other.Heap_obj.id 0 (Word.poison (Word.of_id victim_id));
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index other);
+  Store.set_field (Vm.store vm) (Heap_obj.index other) 0 (Word.poison (Word.of_id victim_id));
   Vm.inject_word_corruption vm other ~field:0 `Poison;
   let first = Option.get (Mutator.read vm src 0) in
   let second = Option.get (Mutator.read vm other 0) in
@@ -192,7 +192,7 @@ let test_surviving_target_is_rewired () =
      repaired in place, not fail with Image_missing *)
   let vm = make_vm () in
   let src = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
-  Roots.add_static_root (Vm.roots vm) src.Heap_obj.id;
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index src);
   let tgt = Vm.alloc vm ~class_name:"Alive" ~n_fields:0 () in
   Mutator.write_obj vm src 0 tgt;
   Vm.inject_word_corruption vm src ~field:0 `Poison;
@@ -264,13 +264,13 @@ let test_repoisoned_dead_referent () =
      image: restoration must re-poison that edge, not resurrect garbage *)
   let vm = make_vm () in
   let src = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
-  Roots.add_static_root (Vm.roots vm) src.Heap_obj.id;
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index src);
   let victim = Vm.alloc vm ~class_name:"Victim" ~n_fields:1 () in
   let inner = Vm.alloc vm ~class_name:"Inner" ~n_fields:0 () in
   Mutator.write_obj vm src 0 victim;
   Mutator.write_obj vm victim 0 inner;
-  Diskswap.store_image (Vm.swap vm) ~id:victim.Heap_obj.id
-    (Swap_image.capture (Vm.store vm) victim.Heap_obj.id);
+  Diskswap.store_image (Vm.swap vm) ~id:(Heap_obj.index victim)
+    (Swap_image.capture (Vm.store vm) (Heap_obj.index victim));
   Vm.inject_word_corruption vm src ~field:0 `Poison;
   Store.free (Vm.store vm) victim;
   Store.free (Vm.store vm) inner;
@@ -288,7 +288,7 @@ let leak_until_pruned vm statics =
     incr guard;
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node = Vm.alloc vm ~class_name:"N" ~scalar_bytes:40 ~n_fields:1 () in
-        Roots.set_slot frame 0 node.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index node);
         (match Mutator.read vm statics 0 with
         | Some head -> Mutator.write_obj vm node 0 head
         | None -> ());
@@ -302,8 +302,8 @@ let find_poisoned vm =
   let found = ref None in
   let store = Vm.store vm in
   Store.iter_live store (fun obj ->
-      for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
-        let w = Store.field store obj.Heap_obj.id i in
+      for i = 0 to Store.n_fields store (Heap_obj.index obj) - 1 do
+        let w = Store.field store (Heap_obj.index obj) i in
         if !found = None && (not (Word.is_null w)) && Word.poisoned w then
           found := Some (obj, i)
       done);
@@ -328,7 +328,7 @@ let test_end_to_end_prune_then_resurrect () =
       match Mutator.read vm src field with
       | Some tgt ->
         incr hops;
-        if Store.n_fields (Vm.store vm) tgt.Heap_obj.id > 0
+        if Store.n_fields (Vm.store vm) (Heap_obj.index tgt) > 0
            && Word.poisoned (Mutator.field_word vm tgt 0)
         then walk tgt 0
       | None -> ()
@@ -436,7 +436,7 @@ let test_misprediction_protects_edge_type () =
   let table = Lp_core.Controller.edge_table (Vm.controller vm) in
   let slack = (Lp_core.Controller.config (Vm.controller vm)).Lp_core.Config.stale_slack in
   Alcotest.(check bool) "edge type protected past the observed staleness" true
-    (Lp_core.Edge_table.max_stale_use table ~src:(Store.class_of (Vm.store vm) src.Heap_obj.id)
+    (Lp_core.Edge_table.max_stale_use table ~src:(Store.class_of (Vm.store vm) (Heap_obj.index src))
        ~tgt:victim_cls
     >= 5 + slack)
 

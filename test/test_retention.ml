@@ -288,17 +288,17 @@ let build_store plan =
              Store.alloc store ~class_id ~n_fields ~scalar_bytes
                ~finalizable:false
            in
-           Store.set_stale store o.Heap_obj.id stale;
+           Store.set_stale store (Heap_obj.index o) stale;
            o)
          plan.objects)
   in
   let n = Array.length objs in
   List.iter
     (fun (s, f, tgt, poisoned) ->
-      let src = objs.(s mod n).Heap_obj.id in
+      let src = Heap_obj.index objs.(s mod n) in
       let n_fields = Store.n_fields store src in
       if n_fields > 0 then begin
-        let w = Word.of_id objs.(tgt mod n).Heap_obj.id in
+        let w = Word.of_id (Heap_obj.index objs.(tgt mod n)) in
         Store.set_field store src (f mod n_fields)
           (if poisoned then Word.poison w else w)
       end)
@@ -338,7 +338,7 @@ let prop_capture_matches_record =
              damage bytes d));
       let ok = ref true in
       Store.iter_live store (fun obj ->
-          let id = obj.Heap_obj.id in
+          let id = Heap_obj.index obj in
           let record = record_of_store store id in
           let bytes = Swap_image.capture store id in
           if not (Bytes.equal bytes (Swap_image.encode record)) then ok := false;
@@ -431,8 +431,8 @@ let reference_reach vm =
   in
   let store = Vm.store vm in
   Store.iter_live store (fun obj ->
-      for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
-        let w = Store.field store obj.Heap_obj.id i in
+      for i = 0 to Store.n_fields store (Heap_obj.index obj) - 1 do
+        let w = Store.field store (Heap_obj.index obj) i in
         if (not (Word.is_null w)) && Word.poisoned w then enqueue (Word.target w)
       done);
   while not (Queue.is_empty queue) do
@@ -538,9 +538,9 @@ let run_seed cov seed =
      or its staleness would never grow enough to be pruned *)
   let random_live () =
     let eligible (obj : Heap_obj.t) =
-      Store.class_of (Vm.store vm) obj.Heap_obj.id <> leak_class
+      Store.class_of (Vm.store vm) (Heap_obj.index obj) <> leak_class
       && obj != statics
-      && Store.n_fields (Vm.store vm) obj.Heap_obj.id > 0
+      && Store.n_fields (Vm.store vm) (Heap_obj.index obj) > 0
     in
     let n = ref 0 in
     Store.iter_live (Vm.store vm) (fun obj -> if eligible obj then incr n);
@@ -566,7 +566,7 @@ let run_seed cov seed =
       (match random_live () with
       | Some src ->
         Mutator.write_obj vm src
-          (Random.State.int rng (Store.n_fields (Vm.store vm) src.Heap_obj.id))
+          (Random.State.int rng (Store.n_fields (Vm.store vm) (Heap_obj.index src)))
           obj
       | None -> ())
     | n when n < 55 ->
@@ -581,15 +581,15 @@ let run_seed cov seed =
       | Some src ->
         ignore
           (Mutator.read vm src
-             (Random.State.int rng (Store.n_fields (Vm.store vm) src.Heap_obj.id)))
+             (Random.State.int rng (Store.n_fields (Vm.store vm) (Heap_obj.index src))))
       | None -> ())
     | n when n < 92 ->
       (* load a pruned reference: resurrection *)
       let found = ref None in
       let store = Vm.store vm in
       Store.iter_live store (fun obj ->
-          for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
-            if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+          for i = 0 to Store.n_fields store (Heap_obj.index obj) - 1 do
+            if !found = None && Word.poisoned (Store.field store (Heap_obj.index obj) i)
             then found := Some (obj, i)
           done);
       (match !found with
@@ -652,7 +652,7 @@ let pinned = 800_001
 let poisoned_vm () =
   let vm = Vm.create ~resurrection:true ~heap_bytes:10_000 () in
   let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
-  Store.set_field (Vm.store vm) pin.Heap_obj.id 0 (Word.poison (Word.of_id pinned));
+  Store.set_field (Vm.store vm) (Heap_obj.index pin) 0 (Word.poison (Word.of_id pinned));
   vm
 
 let store_blank swap id =
@@ -776,7 +776,7 @@ let tree_leak_events buf =
   let step k =
     Vm.with_frame vm ~n_slots:5 @@ fun frame ->
     let rooted slot obj =
-      Roots.set_slot frame slot obj.Heap_obj.id;
+      Roots.set_slot frame slot (Heap_obj.index obj);
       obj
     in
     let head = rooted 0 (node ()) in
@@ -798,8 +798,8 @@ let tree_leak_events buf =
     if k mod 5 = 0 then begin
       let store = Vm.store vm and found = ref None in
       Store.iter_live store (fun obj ->
-          for i = 0 to Store.n_fields store obj.Heap_obj.id - 1 do
-            if !found = None && Word.poisoned (Store.field store obj.Heap_obj.id i)
+          for i = 0 to Store.n_fields store (Heap_obj.index obj) - 1 do
+            if !found = None && Word.poisoned (Store.field store (Heap_obj.index obj) i)
             then found := Some (obj, i)
           done);
       match !found with

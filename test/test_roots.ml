@@ -26,6 +26,18 @@ let test_thread_frames () =
   Roots.pop_frame thread;
   Alcotest.(check (list int)) "popped frame dropped" [] (collect_roots roots)
 
+(* A handle's packed bits (generation 3 over index 11 here) are rooted
+   as the handle's index. *)
+let test_handle_bits_rooted_by_index () =
+  let roots = Roots.create () in
+  let bits = (3 lsl 32) lor 11 in
+  Roots.add_static_root roots bits;
+  let thread = Roots.spawn_thread roots in
+  let frame = Roots.push_frame thread ~n_slots:1 in
+  Roots.set_slot frame 0 bits;
+  Alcotest.(check int) "slot holds the index" 11 (Roots.get_slot frame 0);
+  Alcotest.(check (list int)) "roots are indices" [ 11; 11 ] (collect_roots roots)
+
 let test_cannot_pop_initial_frame () =
   let roots = Roots.create () in
   let thread = Roots.spawn_thread roots in
@@ -68,6 +80,8 @@ let suite =
     [
       Alcotest.test_case "static roots" `Quick test_add_static_root;
       Alcotest.test_case "thread frames" `Quick test_thread_frames;
+      Alcotest.test_case "handle bits rooted by index" `Quick
+        test_handle_bits_rooted_by_index;
       Alcotest.test_case "initial frame protected" `Quick test_cannot_pop_initial_frame;
       Alcotest.test_case "kill thread" `Quick test_kill_thread;
       Alcotest.test_case "independent threads" `Quick test_multiple_threads_pin_independently;

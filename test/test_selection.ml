@@ -7,12 +7,12 @@ let store = Store.create ~limit_bytes:1_000_000
 
 let obj ?(statics = false) ~class_id ~stale () =
   let o = Store.alloc store ~class_id ~n_fields:1 ~scalar_bytes:0 ~finalizable:false in
-  Store.set_stale store o.Heap_obj.id stale;
-  if statics then Store.set_header store o.Heap_obj.id (Header.set_statics_container (Store.header store o.Heap_obj.id));
+  Store.set_stale store (Heap_obj.index o) stale;
+  if statics then Store.set_header store (Heap_obj.index o) (Header.set_statics_container (Store.header store (Heap_obj.index o)));
   o
 
 let edge (src : Heap_obj.t) (tgt : Heap_obj.t) =
-  { Collector.src = src.Heap_obj.id; field = 0; tgt = tgt.Heap_obj.id }
+  { Collector.src = Heap_obj.index src; field = 0; tgt = Heap_obj.index tgt }
 
 let config = Config.default
 
@@ -87,11 +87,11 @@ let test_most_stale_filter () =
 let test_max_live_staleness_ignores_statics () =
   let fresh_store = Store.create ~limit_bytes:10_000 in
   let o1 = Store.alloc fresh_store ~class_id:0 ~n_fields:0 ~scalar_bytes:0 ~finalizable:false in
-  Store.set_stale fresh_store o1.Heap_obj.id 3;
+  Store.set_stale fresh_store (Heap_obj.index o1) 3;
   let s = Store.alloc fresh_store ~class_id:1 ~n_fields:0 ~scalar_bytes:0 ~finalizable:false in
-  Store.set_header fresh_store s.Heap_obj.id
-    (Header.set_statics_container (Store.header fresh_store s.Heap_obj.id));
-  Store.set_stale fresh_store s.Heap_obj.id 7;
+  Store.set_header fresh_store (Heap_obj.index s)
+    (Header.set_statics_container (Store.header fresh_store (Heap_obj.index s)));
+  Store.set_stale fresh_store (Heap_obj.index s) 7;
   Alcotest.(check int) "statics container excluded" 3
     (Selection.max_live_staleness fresh_store ~marked_only:false)
 

@@ -6,8 +6,8 @@ let test_alloc_accounting () =
   let store = Store.create ~limit_bytes:1_000 in
   let obj = Store.alloc store ~class_id:0 ~n_fields:2 ~scalar_bytes:12 ~finalizable:false in
   Alcotest.(check int) "size = header + fields + scalar" (8 + 8 + 12)
-    (Store.size_bytes store obj.Heap_obj.id);
-  Alcotest.(check int) "used" (Store.size_bytes store obj.Heap_obj.id) (Store.used_bytes store);
+    (Store.size_bytes store (Heap_obj.index obj));
+  Alcotest.(check int) "used" (Store.size_bytes store (Heap_obj.index obj)) (Store.used_bytes store);
   Alcotest.(check int) "count" 1 (Store.object_count store)
 
 let test_heap_full () =
@@ -23,14 +23,14 @@ let test_heap_full () =
 let test_free_and_reuse () =
   let store = Store.create ~limit_bytes:1_000 in
   let obj = Store.alloc store ~class_id:0 ~n_fields:0 ~scalar_bytes:8 ~finalizable:false in
-  let id = obj.Heap_obj.id in
+  let id = Heap_obj.index obj in
   Store.free store obj;
   Alcotest.(check int) "used back to zero" 0 (Store.used_bytes store);
   Alcotest.(check bool) "not live" false (Store.mem store id);
   Alcotest.check_raises "dangling get" (Store.Dangling_reference id) (fun () ->
       ignore (Store.get store id));
   let obj2 = Store.alloc store ~class_id:0 ~n_fields:0 ~scalar_bytes:8 ~finalizable:false in
-  Alcotest.(check int) "identifier recycled" id obj2.Heap_obj.id
+  Alcotest.(check int) "identifier recycled" id (Heap_obj.index obj2)
 
 let test_double_free_rejected () =
   let store = Store.create ~limit_bytes:1_000 in
@@ -55,7 +55,7 @@ let test_iter_live_order () =
   in
   Store.free store (List.nth objs 2);
   let seen = ref [] in
-  Store.iter_live store (fun o -> seen := Store.class_of store o.Heap_obj.id :: !seen);
+  Store.iter_live store (fun o -> seen := Store.class_of store (Heap_obj.index o) :: !seen);
   Alcotest.(check (list int)) "slot order, skipping freed" [ 0; 1; 3; 4 ]
     (List.rev !seen)
 
@@ -83,7 +83,7 @@ let prop_accounting_invariant =
           end)
         ops;
       let expected =
-        List.fold_left (fun acc (o : Heap_obj.t) -> acc + Store.size_bytes store o.Heap_obj.id) 0 !live
+        List.fold_left (fun acc (o : Heap_obj.t) -> acc + Store.size_bytes store (Heap_obj.index o)) 0 !live
       in
       Store.used_bytes store = expected
       && Store.object_count store = List.length !live)
@@ -114,17 +114,17 @@ let prop_free_ids_fifo =
             !next_ref - 1
         in
         live := o :: !live;
-        o.Heap_obj.id = expected
+        Heap_obj.index o = expected
       in
       (* frees every [k]-th live object, [k] drawn from the op *)
       let free_some k =
         let keep, doomed =
-          List.partition (fun (o : Heap_obj.t) -> o.Heap_obj.id mod (k + 2) <> 0) !live
+          List.partition (fun (o : Heap_obj.t) -> Heap_obj.index o mod (k + 2) <> 0) !live
         in
         List.iter
           (fun (o : Heap_obj.t) ->
             Store.free store o;
-            Queue.add o.Heap_obj.id free_ref)
+            Queue.add (Heap_obj.index o) free_ref)
           doomed;
         live := keep
       in
@@ -155,12 +155,12 @@ let test_find_misses () =
       (Store.find store id == Store.sentinel)
   in
   List.iter miss
-    [ 0; -1; -5; min_int; b.Heap_obj.id; Store.slot_count store + 1;
+    [ 0; -1; -5; min_int; Heap_obj.index b; Store.slot_count store + 1;
       Store.slot_count store + 5_000; max_int ];
   Alcotest.(check bool) "find hits a live id" true
-    (Store.find store a.Heap_obj.id == a);
+    (Store.find store (Heap_obj.index a) == a);
   Alcotest.(check bool) "mem agrees on a miss" false
-    (Store.mem store b.Heap_obj.id);
+    (Store.mem store (Heap_obj.index b));
   Alcotest.check_raises "get raises on a miss" (Store.Dangling_reference 0)
     (fun () -> ignore (Store.get store 0))
 
@@ -194,10 +194,97 @@ let test_is_live_recycled () =
   Alcotest.(check bool) "live while allocated" true (Store.is_live store old);
   Store.free store old;
   let fresh = alloc8 store in
-  Alcotest.(check int) "identifier recycled" old.Heap_obj.id fresh.Heap_obj.id;
+  Alcotest.(check int) "identifier recycled" (Heap_obj.index old) (Heap_obj.index fresh);
   Alcotest.(check bool) "stale record is not live" false
     (Store.is_live store old);
   Alcotest.(check bool) "new occupant is live" true (Store.is_live store fresh)
+
+(* A handle packs its identifier with the generation of its slot: a
+   slot's first handle is the plain identifier, and each reuse bumps
+   the generation by one. The bits bound both parts: an index fills 32
+   bits and a generation 30, wrapping to 0. *)
+let test_generations () =
+  let store = Store.create ~limit_bytes:1_000 in
+  let first = alloc8 store in
+  Alcotest.(check int) "first handle: generation 0" 0 (Heap_obj.generation first);
+  let id = Heap_obj.index first in
+  let prev = ref first in
+  for g = 1 to 5 do
+    Store.free store !prev;
+    let h = alloc8 store in
+    Alcotest.(check int) "identifier recycled" id (Heap_obj.index h);
+    Alcotest.(check int) "generation bumped" g (Heap_obj.generation h);
+    Alcotest.(check bool) "found under its identifier" true (Store.find store id = h);
+    Alcotest.(check bool) "the old handle is not live" false (Store.is_live store !prev);
+    prev := h
+  done;
+  let top = Heap_obj.pack ~index:Heap_obj.max_index ~generation:Heap_obj.max_generation in
+  Alcotest.(check int) "largest index" Heap_obj.max_index (Heap_obj.index top);
+  Alcotest.(check int) "largest generation" Heap_obj.max_generation (Heap_obj.generation top);
+  (* the sentinel is the int 0, so this compares the packed bits with 0 *)
+  Alcotest.(check bool) "packed bits stay non-negative" true (compare top Store.sentinel > 0);
+  Alcotest.(check int) "the generation wraps to 0" 0
+    (Heap_obj.next_generation Heap_obj.max_generation);
+  Alcotest.(check bool) "a handle is never live in a store too small for it" false
+    (Store.is_live store top)
+
+(* Programs of allocations, frees and collections on a store whose live
+   set stays small, so identifiers recycle often. After every step,
+   every handle the store ever returned is live exactly when [find]
+   returns it, a handle freed or collected is never live again, and the
+   live ones are. A collection marks a subset of the live objects, as a
+   mark would, and settles; the store then sweeps lazily. *)
+type handle_op = H_alloc | H_free of int | H_collect of int
+
+let prop_handles_never_revive =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, return H_alloc);
+          (3, map (fun k -> H_free k) nat);
+          (1, map (fun k -> H_collect k) nat);
+        ])
+  in
+  QCheck.Test.make ~name:"store: a handle is live iff find returns it, and never revives"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 200) gen_op))
+    (fun ops ->
+      let store = Store.create ~limit_bytes:1_000_000 in
+      let stats = Gc_stats.create () in
+      let live = ref [] and dead = ref [] in
+      let kill h = live := List.filter (fun l -> l <> h) !live; dead := h :: !dead in
+      let agrees () =
+        List.for_all
+          (fun h -> Store.is_live store h = (Store.find store (Heap_obj.index h) = h))
+          (!live @ !dead)
+        && List.for_all (Store.is_live store) !live
+        && not (List.exists (Store.is_live store) !dead)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | H_alloc -> live := alloc8 store :: !live
+          | H_free k when !live <> [] ->
+            let h = List.nth !live (k mod List.length !live) in
+            Store.free store h;
+            kill h
+          | H_collect k ->
+            Store.finish_sweep store;
+            let kept, doomed =
+              List.partition (fun h -> (Heap_obj.index h + k) mod 3 <> 0) !live
+            in
+            List.iter
+              (fun h ->
+                let id = Heap_obj.index h in
+                Store.set_header store id (Header.set_marked (Store.header store id)))
+              kept;
+            Store.settle store stats ~objects:(List.length kept)
+              ~bytes:(List.fold_left (fun acc h -> acc + Store.size_bytes store (Heap_obj.index h)) 0 kept);
+            List.iter kill doomed
+          | H_free _ -> ());
+          agrees ())
+        ops)
 
 let prop_find_iff_live =
   (* Random alloc/free sequences: [find t o.id == o] exactly for the
@@ -220,10 +307,10 @@ let prop_find_iff_live =
           end)
         ops;
       let live_ok (o : Heap_obj.t) =
-        Store.find store o.Heap_obj.id == o && Store.is_live store o
+        Store.find store (Heap_obj.index o) == o && Store.is_live store o
       in
       let dead_ok (o : Heap_obj.t) =
-        Store.find store o.Heap_obj.id != o && not (Store.is_live store o)
+        Store.find store (Heap_obj.index o) != o && not (Store.is_live store o)
       in
       let misses_ok =
         List.for_all
@@ -288,12 +375,12 @@ let prop_flat_store_model =
       let release (m : model_obj) =
         live := List.filter (fun l -> l != m) !live;
         dead := m.handle :: !dead;
-        Queue.push m.handle.Heap_obj.id fifo
+        Queue.push (Heap_obj.index m.handle) fifo
       in
       let sum f = List.fold_left (fun acc m -> acc + f m) 0 !live in
       let agrees () =
         let live_ok m =
-          let id = m.handle.Heap_obj.id in
+          let id = Heap_obj.index m.handle in
           let h = Store.header store id in
           Store.find store id == m.handle
           && Store.is_live store m.handle
@@ -342,10 +429,10 @@ let prop_flat_store_model =
                   marked = false;
                 }
                 :: !live;
-              handle.Heap_obj.id = expected
+              Heap_obj.index handle = expected
             | Mark k when !live <> [] ->
               let m = nth k in
-              let id = m.handle.Heap_obj.id in
+              let id = Heap_obj.index m.handle in
               Store.finish_sweep store;
               Store.set_header store id (Header.set_marked (Store.header store id));
               m.marked <- true;
@@ -359,7 +446,7 @@ let prop_flat_store_model =
               let doomed =
                 List.filter (fun m -> not m.marked) !live
                 |> List.sort (fun a b ->
-                       compare b.handle.Heap_obj.id a.handle.Heap_obj.id)
+                       compare (Heap_obj.index b.handle) (Heap_obj.index a.handle))
               in
               let marked = List.filter (fun m -> m.marked) !live in
               let total f = List.fold_left (fun acc m -> acc + f m) 0 marked in
@@ -393,5 +480,8 @@ let suite =
       Alcotest.test_case "is_live false after id recycling" `Quick
         test_is_live_recycled;
       QCheck_alcotest.to_alcotest prop_find_iff_live;
+      Alcotest.test_case "generations: reuse bumps, the bits wrap" `Quick
+        test_generations;
+      QCheck_alcotest.to_alcotest prop_handles_never_revive;
       QCheck_alcotest.to_alcotest prop_flat_store_model;
     ] )

@@ -22,23 +22,23 @@ let test_barrier_cold_path_clears_staleness () =
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  Store.set_stale (Vm.store vm) b.Heap_obj.id 4;
-  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) a.Heap_obj.id 0));
+  Store.set_stale (Vm.store vm) (Heap_obj.index b) 4;
+  Store.set_field (Vm.store vm) (Heap_obj.index a) 0 (Word.set_untouched (Store.field (Vm.store vm) (Heap_obj.index a) 0));
   ignore (Mutator.read vm a 0);
-  Alcotest.(check int) "stale counter cleared on use" 0 (Store.stale (Vm.store vm) b.Heap_obj.id);
+  Alcotest.(check int) "stale counter cleared on use" 0 (Store.stale (Vm.store vm) (Heap_obj.index b));
   Alcotest.(check bool) "untouched bit cleared" false
-    (Word.untouched (Store.field (Vm.store vm) a.Heap_obj.id 0))
+    (Word.untouched (Store.field (Vm.store vm) (Heap_obj.index a) 0))
 
 let test_barrier_fast_path_leaves_staleness () =
   let vm = make_vm () in
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  Store.set_stale (Vm.store vm) b.Heap_obj.id 4;
+  Store.set_stale (Vm.store vm) (Heap_obj.index b) 4;
   (* low bit clear: fast path does not touch the counter (the paper's
      barrier takes no action when the bit is clear) *)
   ignore (Mutator.read vm a 0);
-  Alcotest.(check int) "fast path leaves counter" 4 (Store.stale (Vm.store vm) b.Heap_obj.id)
+  Alcotest.(check int) "fast path leaves counter" 4 (Store.stale (Vm.store vm) (Heap_obj.index b))
 
 let test_stale_use_updates_edge_table () =
   let vm = make_vm () in
@@ -54,8 +54,8 @@ let test_stale_use_updates_edge_table () =
   Vm.run_gc vm;
   Alcotest.(check bool) "tracking active" true
     (Lp_core.Controller.tracking (Vm.controller vm));
-  Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
-  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) a.Heap_obj.id 0));
+  Store.set_stale (Vm.store vm) (Heap_obj.index b) 5;
+  Store.set_field (Vm.store vm) (Heap_obj.index a) 0 (Word.set_untouched (Store.field (Vm.store vm) (Heap_obj.index a) 0));
   ignore (Mutator.read vm a 0);
   let table = Lp_core.Controller.edge_table (Vm.controller vm) in
   let registry = Vm.registry vm in
@@ -69,7 +69,7 @@ let test_poisoned_access_raises_internal_error () =
   let a = Vm.alloc vm ~class_name:"A" ~n_fields:1 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm a 0 b;
-  Store.set_field (Vm.store vm) a.Heap_obj.id 0 (Word.poison (Store.field (Vm.store vm) a.Heap_obj.id 0));
+  Store.set_field (Vm.store vm) (Heap_obj.index a) 0 (Word.poison (Store.field (Vm.store vm) (Heap_obj.index a) 0));
   (match Mutator.read vm a 0 with
   | _ -> Alcotest.fail "expected InternalError"
   | exception Lp_core.Errors.Internal_error { cause; src_class; tgt_class } ->
@@ -85,13 +85,13 @@ let test_arraycopy_preserves_tags_without_barrier () =
   let dst = Vm.alloc vm ~class_name:"Object[]" ~n_fields:3 () in
   let b = Vm.alloc vm ~class_name:"B" ~n_fields:0 () in
   Mutator.write_obj vm src 0 b;
-  Store.set_stale (Vm.store vm) b.Heap_obj.id 5;
-  Store.set_field (Vm.store vm) src.Heap_obj.id 0 (Word.set_untouched (Store.field (Vm.store vm) src.Heap_obj.id 0));
-  Store.set_field (Vm.store vm) src.Heap_obj.id 1 (Word.poison (Word.of_id b.Heap_obj.id));
+  Store.set_stale (Vm.store vm) (Heap_obj.index b) 5;
+  Store.set_field (Vm.store vm) (Heap_obj.index src) 0 (Word.set_untouched (Store.field (Vm.store vm) (Heap_obj.index src) 0));
+  Store.set_field (Vm.store vm) (Heap_obj.index src) 1 (Word.poison (Word.of_id (Heap_obj.index b)));
   Mutator.arraycopy vm ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:3;
-  Alcotest.(check bool) "untouched bit copied" true (Word.untouched (Store.field (Vm.store vm) dst.Heap_obj.id 0));
-  Alcotest.(check bool) "poison copied" true (Word.poisoned (Store.field (Vm.store vm) dst.Heap_obj.id 1));
-  Alcotest.(check int) "no staleness effect" 5 (Store.stale (Vm.store vm) b.Heap_obj.id)
+  Alcotest.(check bool) "untouched bit copied" true (Word.untouched (Store.field (Vm.store vm) (Heap_obj.index dst) 0));
+  Alcotest.(check bool) "poison copied" true (Word.poisoned (Store.field (Vm.store vm) (Heap_obj.index dst) 1));
+  Alcotest.(check int) "no staleness effect" 5 (Store.stale (Vm.store vm) (Heap_obj.index b))
 
 let test_alloc_triggers_collection () =
   let vm = make_vm ~policy:Lp_core.Policy.None_ ~heap:1_000 () in
@@ -109,7 +109,7 @@ let test_out_of_memory_when_live () =
      let rec fill () =
        Vm.with_frame vm ~n_slots:1 (fun frame ->
            let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:60 ~n_fields:1 () in
-           Roots.set_slot frame 0 node.Heap_obj.id;
+           Roots.set_slot frame 0 (Heap_obj.index node);
            (match Mutator.read vm statics 0 with
            | Some head -> Mutator.write_obj vm node 0 head
            | None -> ());
@@ -129,10 +129,10 @@ let test_statics_are_roots_and_stable () =
   let s2 = Vm.statics vm ~class_name:"K" ~n_fields:2 in
   Alcotest.(check bool) "same object" true (s1 == s2);
   Alcotest.(check bool) "flagged as statics container" true
-    (Header.statics_container (Store.header (Vm.store vm) s1.Heap_obj.id));
+    (Header.statics_container (Store.header (Vm.store vm) (Heap_obj.index s1)));
   Vm.run_gc vm;
   Alcotest.(check bool) "survives collection" true
-    (Store.mem (Vm.store vm) s1.Heap_obj.id)
+    (Store.mem (Vm.store vm) (Heap_obj.index s1))
 
 let test_finalizer_runs_once () =
   let vm = make_vm ~policy:Lp_core.Policy.None_ () in
@@ -179,7 +179,7 @@ let test_frame_slot_survives_collections () =
   let node =
     Vm.with_frame vm ~n_slots:1 (fun frame ->
         let node = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:16 ~n_fields:1 () in
-        Roots.set_slot frame 0 node.Heap_obj.id;
+        Roots.set_slot frame 0 (Heap_obj.index node);
         let before = Vm.gc_count vm in
         for _ = 1 to 40 do
           ignore (Vm.alloc vm ~class_name:"Buffer" ~scalar_bytes:256 ~n_fields:0 ())

@@ -26,7 +26,18 @@ let test_poison () =
 
 let test_bad_id () =
   Alcotest.check_raises "id 0 rejected" (Invalid_argument "Word.of_id: object identifiers start at 1")
-    (fun () -> ignore (Lp_heap.Word.of_id 0))
+    (fun () -> ignore (Lp_heap.Word.of_id 0));
+  let max = Lp_heap.Heap_obj.max_index in
+  Alcotest.(check int) "the largest index round-trips" max
+    (Lp_heap.Word.target (Lp_heap.Word.of_id max));
+  (* a handle's packed bits, generation 1 over index 5, name no object *)
+  List.iter
+    (fun id ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d rejected" id)
+        (Invalid_argument "Word.of_id: not an identifier (above Heap_obj.max_index)")
+        (fun () -> ignore (Lp_heap.Word.of_id id)))
+    [ max + 1; (1 lsl 32) lor 5; max_int ]
 
 let prop_tags_never_change_target =
   QCheck.Test.make ~name:"word: tag operations never change the target"

@@ -125,7 +125,7 @@ let run ~reference ops =
       let obj =
         Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
       in
-      let id = obj.Heap_obj.id in
+      let id = Heap_obj.index obj in
       Hashtbl.replace model id (Array.make n_fields Word.null);
       Roots.set_slot frame slot id;
       let grown = Store.word_capacity store in
