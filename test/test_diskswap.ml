@@ -396,6 +396,144 @@ let test_two_tenants_race_last_bytes () =
   Alcotest.(check int) "loser's denied candidate now admitted" (2 * size)
     (Diskswap.disk_bytes b)
 
+(* ---- Offload order against an independent reference ---- *)
+
+type kind = Plain | Statics | Resident | Dead
+
+(* One generated object: its kind, its stale level for the measured
+   pass, and its scalar bytes. *)
+let gen_obj =
+  QCheck.Gen.(
+    let* kind =
+      frequency
+        [ (6, return Plain); (1, return Statics); (2, return Resident);
+          (1, return Dead) ]
+    in
+    let* stale = int_range 0 Header.max_stale in
+    let* scalar = int_range 0 12 in
+    return (kind, stale, 8 * scalar))
+
+let show_obj (kind, stale, scalar) =
+  Printf.sprintf "%s/%d/%d"
+    (match kind with
+    | Plain -> "plain"
+    | Statics -> "statics"
+    | Resident -> "resident"
+    | Dead -> "dead")
+    stale scalar
+
+(* A generated store meets a pass in two steps. The first offloads the
+   [Resident] objects alone (the only stale ones then, with room for
+   all). The second gives every object its stale level and lets the
+   store's quota and the backend's capacity, each [budget] bytes past
+   what is on disk, deny part of the pass. The [Disk_offload] events of
+   the second pass must come in the order of a plain sort of the
+   candidates by staleness descending, then id ascending, less the
+   ones the two budgets turn away. *)
+let prop_offload_order =
+  QCheck.Test.make ~name:"diskswap: offload order is the sorted candidates"
+    ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           triple (list show_obj) int int)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 60) gen_obj)
+           (int_range 0 3_000) (int_range 0 3_000)))
+    (fun (objs, quota_budget, backend_budget) ->
+      let reg = Class_registry.create () in
+      let cid = Class_registry.register reg "Q" in
+      let store = Store.create ~limit_bytes:1_000_000 in
+      let alloc scalar_bytes =
+        Store.alloc store ~class_id:cid ~n_fields:0 ~scalar_bytes
+          ~finalizable:false
+      in
+      (* never a candidate: keeps the in-memory bytes above zero *)
+      ignore (alloc 0 : Heap_obj.t);
+      let placed =
+        List.map (fun (kind, stale, scalar) -> (kind, stale, alloc scalar)) objs
+      in
+      let size o = Store.size_bytes store (Heap_obj.index o) in
+      List.iter
+        (fun (kind, _, o) ->
+          let id = Heap_obj.index o in
+          match kind with
+          | Dead -> Store.free store o
+          | Statics ->
+            Store.set_header store id
+              (Header.set_statics_container (Store.header store id))
+          | Resident -> Store.set_stale store id Header.max_stale
+          | Plain -> ())
+        placed;
+      let resident_bytes =
+        List.fold_left
+          (fun acc (kind, _, o) -> if kind = Resident then acc + size o else acc)
+          0 placed
+      in
+      let backend = Diskswap.create_backend ~capacity_bytes:max_int in
+      let d =
+        Diskswap.create ~backend
+          (Diskswap.default_config
+             ~disk_limit_bytes:(resident_bytes + quota_budget))
+      in
+      let fill_heap () =
+        Store.set_live_bytes store (Store.used_bytes store);
+        Store.set_limit_bytes store
+          (Store.live_bytes store - Diskswap.resident_bytes d)
+      in
+      fill_heap ();
+      Diskswap.after_gc d store;
+      if Diskswap.resident_bytes d <> resident_bytes then
+        QCheck.Test.fail_report "the first pass left some Resident in memory";
+      List.iter
+        (fun (kind, stale, o) ->
+          if kind <> Dead then Store.set_stale store (Heap_obj.index o) stale)
+        placed;
+      fill_heap ();
+      Diskswap.set_backend_capacity backend
+        (Diskswap.backend_used_bytes backend + backend_budget);
+      let sink = Lp_obs.Sink.create ~clock:(fun () -> 0) () in
+      Diskswap.set_sink d (Some sink);
+      Diskswap.after_gc d store;
+      let seen =
+        List.filter_map
+          (fun (st : Lp_obs.Event.stamped) ->
+            match st.Lp_obs.Event.ev with
+            | Lp_obs.Event.Disk_offload { id; bytes } -> Some (id, bytes)
+            | _ -> None)
+          (Lp_obs.Sink.events sink)
+      in
+      let candidates =
+        List.filter_map
+          (fun (kind, stale, o) ->
+            if kind = Plain && stale >= 2 then
+              Some (stale, Heap_obj.index o, size o)
+            else None)
+          placed
+      in
+      let sorted =
+        List.sort
+          (fun (s1, id1, _) (s2, id2, _) ->
+            if s1 <> s2 then compare s2 s1 else compare id1 id2)
+          candidates
+      in
+      let quota = ref quota_budget and capacity = ref backend_budget in
+      let expected =
+        List.filter_map
+          (fun (_, id, bytes) ->
+            if bytes <= !quota && bytes <= !capacity then begin
+              quota := !quota - bytes;
+              capacity := !capacity - bytes;
+              Some (id, bytes)
+            end
+            else None)
+          sorted
+      in
+      seen = expected
+      && Diskswap.admission_denials d
+         = List.length candidates - List.length expected)
+
 let suite =
   ( "diskswap",
     [
@@ -420,4 +558,5 @@ let suite =
         test_quota_freed_by_retain_images;
       Alcotest.test_case "two tenants race the last bytes" `Quick
         test_two_tenants_race_last_bytes;
+      QCheck_alcotest.to_alcotest prop_offload_order;
     ] )
