@@ -12,11 +12,6 @@ let offload_stale_threshold = 2
    of the heap in memory. *)
 let offload_occupancy = 0.9
 
-(* An offloaded object's disk residency: its heap size (what the store's
-   swapped-out credit refunds) and the serialized payload a swap-in must
-   read back. *)
-type entry = { bytes : int; payload : bytes }
-
 (* A stored prune image: the bytes a later load will see, with the
    targets of their non-null reference words read once when the image
    is stored ([Swap_image.stored_refs]), so retention follows memoised
@@ -59,7 +54,14 @@ let set_backend_capacity b capacity = b.capacity_bytes <- capacity
 
 type t = {
   config : config;
-  resident : (int, entry) Hashtbl.t;  (* object id -> offloaded payload *)
+  (* Offload residency, indexed by slot (id - 1) like the store's
+     arrays: an offloaded object's heap size (what the store's
+     swapped-out credit refunds; 0 when the slot is not resident) and
+     the serialized payload a swap-in must read back. Grown on demand;
+     [resident_n] counts the resident slots. *)
+  mutable resident_sizes : int array;
+  mutable payloads : bytes array;
+  mutable resident_n : int;
   images : (int, image) Hashtbl.t;  (* pruned object id -> swap image *)
   forwards : (int, int) Hashtbl.t;  (* pruned id -> resurrected id *)
   (* Bumped by every write to [images] or [forwards], so a reader can
@@ -82,8 +84,8 @@ type t = {
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
   mutable scratch : int array;
-      (* the offload pass's sort keys, and the ids a retention pass
-         drops; reused, grown by doubling *)
+      (* the offload pass's candidate ids, and the ids a retention
+         pass drops; reused, grown by doubling *)
 }
 
 exception Out_of_disk = Lp_core.Errors.Out_of_disk
@@ -94,11 +96,11 @@ let create ?metrics ?backend config =
   in
   {
     config;
-    (* [resident] starts small and grows with residency, so [reconcile]
-       and [iter_resident] walk about as many buckets as entries.
-       [images] keeps 1,024 buckets: its iteration order fixes the order
-       of a retention pass's [Image_drop] events. *)
-    resident = Hashtbl.create 16;
+    (* [images] keeps 1,024 buckets: its iteration order fixes the
+       order of a retention pass's [Image_drop] events. *)
+    resident_sizes = [||];
+    payloads = [||];
+    resident_n = 0;
     images = Hashtbl.create 1024;
     forwards = Hashtbl.create 64;
     generation = 0;
@@ -150,10 +152,41 @@ let set_image_total t total =
 
 let resident_bytes t = t.resident_total
 
-let resident_count t = Hashtbl.length t.resident
+let resident_count t = t.resident_n
 
+(* Visits the resident slots in ascending id order, stopping after the
+   last one; [f] may release the slot it is given. *)
 let iter_resident t f =
-  Hashtbl.iter (fun id { bytes; _ } -> f ~id ~bytes) t.resident
+  let sizes = t.resident_sizes in
+  let left = ref t.resident_n and i = ref 0 in
+  while !left > 0 && !i < Array.length sizes do
+    let bytes = sizes.(!i) in
+    if bytes > 0 then begin
+      decr left;
+      f ~id:(!i + 1) ~bytes
+    end;
+    incr i
+  done
+
+let[@inline never] grow_resident t id =
+  let n = Array.length t.resident_sizes in
+  let cap = max (max 64 (n + (n / 2))) id in
+  let sizes = Array.make cap 0 and payloads = Array.make cap Bytes.empty in
+  Array.blit t.resident_sizes 0 sizes 0 n;
+  Array.blit t.payloads 0 payloads 0 n;
+  t.resident_sizes <- sizes;
+  t.payloads <- payloads
+
+(* The heap bytes of [id]'s offloaded payload; 0 when it has none. *)
+let resident_size t id =
+  if id > 0 && id <= Array.length t.resident_sizes then
+    t.resident_sizes.(id - 1)
+  else 0
+
+let release t id =
+  t.resident_sizes.(id - 1) <- 0;
+  t.payloads.(id - 1) <- Bytes.empty;
+  t.resident_n <- t.resident_n - 1
 
 let total_swap_outs t = Lp_obs.Metrics.counter_value t.c_swap_outs
 
@@ -268,29 +301,30 @@ let resolve_forward t id =
 
 (* ---- Offload baseline ---- *)
 
-(* Objects reclaimed by the sweep release their disk space. Runs before
-   any allocation can recycle an identifier, so a live id here is still
-   the same object. With nothing resident there is nothing to release,
-   and the walk over the table's buckets is skipped. *)
+(* Objects reclaimed by the sweep release their disk space, in one
+   walk over the resident slots and one total update. Runs before any
+   allocation can recycle an identifier, so a live id here is still the
+   same object. With nothing resident there is nothing to release, and
+   the walk is skipped. *)
 let reconcile t store =
-  if Hashtbl.length t.resident > 0 then begin
-    let dead = ref [] in
-    Hashtbl.iter
-      (fun id { bytes; _ } ->
-        if not (Store.mem store id) then dead := (id, bytes) :: !dead)
-      t.resident;
-    List.iter
-      (fun (id, bytes) ->
-        Hashtbl.remove t.resident id;
-        set_resident_total t (t.resident_total - bytes))
-      !dead
+  if t.resident_n > 0 then begin
+    let released = ref 0 in
+    iter_resident t (fun ~id ~bytes ->
+        if not (Store.mem store id) then begin
+          release t id;
+          released := !released + bytes
+        end);
+    if !released > 0 then set_resident_total t (t.resident_total - !released)
   end
 
 let offload_one t store id =
   let payload = Swap_image.capture store id in
   let payload = match t.image_fault with Some f -> f payload | None -> payload in
   let bytes = Store.size_bytes store id in
-  Hashtbl.replace t.resident id { bytes; payload };
+  if id > Array.length t.resident_sizes then grow_resident t id;
+  t.resident_sizes.(id - 1) <- bytes;
+  t.payloads.(id - 1) <- payload;
+  t.resident_n <- t.resident_n + 1;
   Store.set_header store id (Header.set_on_disk (Store.header store id));
   set_resident_total t (t.resident_total + bytes);
   Lp_obs.Metrics.incr t.c_swap_outs;
@@ -298,29 +332,16 @@ let offload_one t store id =
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
 
-(* Sorts [a.(0)] to [a.(n - 1)] ascending, in place: a heapsort. *)
-let sort_prefix a n =
-  let rec sift i n =
-    let l = (2 * i) + 1 in
-    if l < n then begin
-      let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        let x = a.(i) in
-        a.(i) <- a.(c);
-        a.(c) <- x;
-        sift c n
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for last = n - 1 downto 1 do
-    let x = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- x;
-    sift 0 last
-  done
+(* Whether the object with header [h] is to be offloaded: live, highly
+   stale, not a statics container (they model immortal space) and not
+   already resident. [after_gc] asks right after [reconcile] has
+   released the dead objects' entries, so a live object is resident
+   exactly when it carries the on-disk bit. *)
+let offload_candidate h =
+  (not (Header.is_free h))
+  && Header.stale_counter h >= offload_stale_threshold
+  && (not (Header.statics_container h))
+  && not (Header.on_disk h)
 
 let after_gc ?(allow_offload = true) t store =
   (match t.fault with
@@ -339,30 +360,41 @@ let after_gc ?(allow_offload = true) t store =
     (* Candidates are offloaded most-stale first (ties broken by lowest
        id) so the payload write order — and therefore which write an
        injected swap fault lands on — is a deterministic function of the
-       heap, not of hash-table iteration order. Each candidate is one
-       int key, staleness descending then id ascending, sorted in place
-       in this swap store's reused scratch array. *)
-    let stride = Store.slot_count store + 1 in
-    let n = ref 0 in
-    for id = 1 to Store.slot_count store do
+       heap. A counting pass over the header array sizes each stale
+       level; a placement pass puts each candidate's id into this swap
+       store's reused scratch array after every more-stale one, in
+       ascending id order within its level. [next.(s)] is first a
+       level's count, then the scratch position of its next id. *)
+    let slots = Store.slot_count store in
+    let next = Array.make (Header.max_stale + 1) 0 in
+    for id = 1 to slots do
       let h = Store.header store id in
-      (* statics containers model immortal space: never offloaded *)
-      if
-        (not (Header.is_free h))
-        && Header.stale_counter h >= offload_stale_threshold
-        && (not (Header.statics_container h))
-        && not (Hashtbl.mem t.resident id)
-      then begin
-        if !n = Array.length t.scratch then
-          t.scratch <- grow_scratch t.scratch;
-        t.scratch.(!n) <-
-          ((Header.max_stale - Header.stale_counter h) * stride) + id;
-        incr n
+      if offload_candidate h then begin
+        let s = Header.stale_counter h in
+        next.(s) <- next.(s) + 1
       end
     done;
-    sort_prefix t.scratch !n;
+    let n = ref 0 in
+    for s = Header.max_stale downto offload_stale_threshold do
+      let count = next.(s) in
+      next.(s) <- !n;
+      n := !n + count
+    done;
+    if !n > 0 then begin
+      while Array.length t.scratch < !n do
+        t.scratch <- grow_scratch t.scratch
+      done;
+      for id = 1 to slots do
+        let h = Store.header store id in
+        if offload_candidate h then begin
+          let s = Header.stale_counter h in
+          t.scratch.(next.(s)) <- id;
+          next.(s) <- next.(s) + 1
+        end
+      done
+    end;
     for k = 0 to !n - 1 do
-      let id = t.scratch.(k) mod stride in
+      let id = t.scratch.(k) in
       match t.backend with
       | None -> offload_one t store id
       | Some b ->
@@ -405,7 +437,9 @@ let recover t =
       | Ok _ -> incr images_valid
       | Error _ -> incr images_corrupt)
     t.images;
-  Hashtbl.reset t.resident;
+  t.resident_sizes <- [||];
+  t.payloads <- [||];
+  t.resident_n <- 0;
   Hashtbl.reset t.images;
   Hashtbl.reset t.forwards;
   bump t;
@@ -414,23 +448,22 @@ let recover t =
   { images_valid = !images_valid; images_corrupt = !images_corrupt }
 
 let retrieve t store (obj : Heap_obj.t) =
-  match Hashtbl.find_opt t.resident (Heap_obj.index obj) with
-  | None -> `Not_resident
-  | Some { bytes; payload } -> (
+  let id = Heap_obj.index obj in
+  match resident_size t id with
+  | 0 -> `Not_resident
+  | bytes -> (
     (* The entry is released either way: a successful swap-in moves the
        object back to memory; a corrupt payload means the disk copy is
-       lost. Removing before decoding keeps resident_total consistent
+       lost. Releasing before decoding keeps resident_total consistent
        even when the decode reports a fault. *)
-    Hashtbl.remove t.resident (Heap_obj.index obj);
-    Store.set_header store (Heap_obj.index obj)
-      (Header.clear_on_disk (Store.header store (Heap_obj.index obj)));
+    let payload = t.payloads.(id - 1) in
+    release t id;
+    Store.set_header store id (Header.clear_on_disk (Store.header store id));
     set_resident_total t (t.resident_total - bytes);
     Store.set_swapped_out_bytes store t.resident_total;
     let emit_restore ok =
       match t.sink with
-      | Some s ->
-        Lp_obs.Sink.emit s
-          (Lp_obs.Event.Disk_restore { id = Heap_obj.index obj; ok })
+      | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_restore { id; ok })
       | None -> ()
     in
     match Swap_image.validate payload with

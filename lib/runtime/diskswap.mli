@@ -110,7 +110,7 @@ val resident_bytes : t -> int
 val resident_count : t -> int
 
 val iter_resident : t -> (id:int -> bytes:int -> unit) -> unit
-(** Iterates over every disk-resident entry (unspecified order); the
+(** Iterates over every disk-resident entry in ascending id order; the
     heap verifier uses this to cross-check residency against the store. *)
 
 val set_fault_hook : t -> (unit -> bool) option -> unit
@@ -137,7 +137,8 @@ val after_gc : ?allow_offload:bool -> t -> Lp_heap.Store.t -> unit
 (** Post-sweep hook: reconciles entries for objects that died, then
     serializes and offloads stale objects (most-stale first, lowest id
     on ties) if the heap is still too full, updating the store's
-    swapped-out credit. [allow_offload:false] runs the hook in degraded
+    swapped-out credit. A live object carrying the on-disk bit counts
+    as already resident and is not a candidate. [allow_offload:false] runs the hook in degraded
     mode — reconcile and re-check only, no new offloads — which is how
     the VM retries after an [Out_of_disk].
     @raise Out_of_disk when the disk limit is exceeded (or an injected
@@ -158,7 +159,8 @@ val recover : t -> recovery
     checksum (returning the valid and corrupt counts), then releases
     {e all} disk state — payloads, images and the forwarding table —
     crediting any attached backend. The next VM boots with a store of its own, so anything kept
-    would be a permanent shared-disk leak. *)
+    would be a permanent shared-disk leak. The old heap's objects keep
+    their on-disk bits: that heap is discarded with its VM. *)
 
 val retrieve :
   t ->

@@ -396,6 +396,14 @@ let test_two_tenants_race_last_bytes () =
   Alcotest.(check int) "loser's denied candidate now admitted" (2 * size)
     (Diskswap.disk_bytes b)
 
+(* Records the store's live bytes as a sweep would and sets its limit
+   to the bytes [d] leaves in memory, so the next pass sees the heap
+   full. *)
+let fill_heap store d =
+  Store.set_live_bytes store (Store.used_bytes store);
+  Store.set_limit_bytes store
+    (Store.live_bytes store - Diskswap.resident_bytes d)
+
 (* ---- Offload order against an independent reference ---- *)
 
 type kind = Plain | Statics | Resident | Dead
@@ -477,12 +485,7 @@ let prop_offload_order =
           (Diskswap.default_config
              ~disk_limit_bytes:(resident_bytes + quota_budget))
       in
-      let fill_heap () =
-        Store.set_live_bytes store (Store.used_bytes store);
-        Store.set_limit_bytes store
-          (Store.live_bytes store - Diskswap.resident_bytes d)
-      in
-      fill_heap ();
+      fill_heap store d;
       Diskswap.after_gc d store;
       if Diskswap.resident_bytes d <> resident_bytes then
         QCheck.Test.fail_report "the first pass left some Resident in memory";
@@ -490,7 +493,7 @@ let prop_offload_order =
         (fun (kind, stale, o) ->
           if kind <> Dead then Store.set_stale store (Heap_obj.index o) stale)
         placed;
-      fill_heap ();
+      fill_heap store d;
       Diskswap.set_backend_capacity backend
         (Diskswap.backend_used_bytes backend + backend_budget);
       let sink = Lp_obs.Sink.create ~clock:(fun () -> 0) () in
@@ -534,6 +537,130 @@ let prop_offload_order =
       && Diskswap.admission_denials d
          = List.length candidates - List.length expected)
 
+(* ---- The residency table's lifecycle ---- *)
+
+(* [n] objects of mixed sizes, none stale, and a swap store with room
+   for all of them. *)
+let lifecycle_store n =
+  let reg = Class_registry.create () in
+  let cid = Class_registry.register reg "L" in
+  let store = Store.create ~limit_bytes:1_000_000 in
+  let objs =
+    Array.init n (fun i ->
+        Store.alloc store ~class_id:cid ~n_fields:(i mod 3)
+          ~scalar_bytes:(8 * (i mod 5)) ~finalizable:false)
+  in
+  let d = Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int) in
+  (store, objs, d)
+
+(* One offload pass in which exactly [objs] are new candidates, at the
+   given stale levels. *)
+let offload store d objs =
+  List.iter (fun (o, stale) -> Store.set_stale store (Heap_obj.index o) stale) objs;
+  fill_heap store d;
+  Diskswap.after_gc d store
+
+let resident_list d =
+  let acc = ref [] in
+  Diskswap.iter_resident d (fun ~id ~bytes -> acc := (id, bytes) :: !acc);
+  List.rev !acc
+
+let size store o = Store.size_bytes store (Heap_obj.index o)
+
+let test_offload_beyond_first_capacity () =
+  let store, objs, d = lifecycle_store 300 in
+  offload store d [ (objs.(2), 2) ];
+  offload store d [ (objs.(149), 2); (objs.(299), 7) ];
+  Alcotest.(check (list (pair int int)))
+    "all three resident, ascending"
+    [ (3, size store objs.(2)); (150, size store objs.(149));
+      (300, size store objs.(299)) ]
+    (resident_list d);
+  Alcotest.(check int) "count" 3 (Diskswap.resident_count d);
+  List.iter
+    (fun i ->
+      match Diskswap.retrieve d store objs.(i) with
+      | `Swapped_in -> ()
+      | `Not_resident | `Corrupt _ ->
+        Alcotest.failf "object %d must swap in" (i + 1))
+    [ 2; 149; 299 ];
+  Alcotest.(check int) "all swapped in" 0 (Diskswap.resident_count d);
+  Alcotest.(check int) "no bytes left" 0 (Diskswap.resident_bytes d)
+
+let test_retrieve_twice () =
+  let store, objs, d = lifecycle_store 10 in
+  offload store d [ (objs.(4), 3); (objs.(7), 3) ];
+  let o = objs.(4) in
+  (match Diskswap.retrieve d store o with
+  | `Swapped_in -> ()
+  | `Not_resident | `Corrupt _ -> Alcotest.fail "first retrieve must swap in");
+  (match Diskswap.retrieve d store o with
+  | `Not_resident -> ()
+  | `Swapped_in | `Corrupt _ -> Alcotest.fail "second retrieve must find nothing");
+  Alcotest.(check (list (pair int int))) "the other stays"
+    [ (8, size store objs.(7)) ] (resident_list d);
+  Alcotest.(check int) "its bytes alone" (size store objs.(7))
+    (Diskswap.resident_bytes d);
+  Alcotest.(check bool) "bit cleared" false
+    (Header.on_disk (Store.header store (Heap_obj.index o)))
+
+let test_reconcile_then_recycled_id () =
+  let store, objs, d = lifecycle_store 10 in
+  offload store d [ (objs.(5), 4); (objs.(8), 2) ];
+  let dead = objs.(5) in
+  Store.free store dead;
+  Diskswap.after_gc ~allow_offload:false d store;
+  Alcotest.(check (list (pair int int))) "the dead object's entry is released"
+    [ (9, size store objs.(8)) ] (resident_list d);
+  Alcotest.(check int) "and its bytes" (size store objs.(8))
+    (Diskswap.resident_bytes d);
+  Alcotest.(check int) "the store's credit follows" (size store objs.(8))
+    (Store.swapped_out_bytes store);
+  let fresh =
+    Store.alloc store ~class_id:0 ~n_fields:1 ~scalar_bytes:0
+      ~finalizable:false
+  in
+  Alcotest.(check int) "the fresh object takes the dead one's id"
+    (Heap_obj.index dead) (Heap_obj.index fresh);
+  Alcotest.(check bool) "no on-disk bit" false
+    (Header.on_disk (Store.header store (Heap_obj.index fresh)));
+  match Diskswap.retrieve d store fresh with
+  | `Not_resident -> ()
+  | `Swapped_in | `Corrupt _ -> Alcotest.fail "the fresh object is not resident"
+
+let test_recover_empties_table () =
+  let store, objs, d = lifecycle_store 100 in
+  offload store d [ (objs.(10), 2); (objs.(70), 5); (objs.(99), 3) ];
+  Alcotest.(check int) "three resident" 3 (Diskswap.resident_count d);
+  ignore (Diskswap.recover d : Diskswap.recovery);
+  Alcotest.(check int) "count" 0 (Diskswap.resident_count d);
+  Alcotest.(check int) "bytes" 0 (Diskswap.resident_bytes d);
+  Alcotest.(check (list (pair int int))) "nothing to visit" [] (resident_list d);
+  match Diskswap.retrieve d store objs.(70) with
+  | `Not_resident -> ()
+  | `Swapped_in | `Corrupt _ -> Alcotest.fail "recovery released every payload"
+
+let test_residency_agrees_with_bits () =
+  let store, objs, d = lifecycle_store 200 in
+  (* offloaded most-stale first, so out of id order *)
+  offload store d
+    (List.init 40 (fun k -> (objs.((k * 37) mod 200), 2 + (k mod 6))));
+  offload store d [ (objs.(199), 7); (objs.(0), 2) ];
+  let with_bit = ref [] in
+  Store.iter_live store (fun o ->
+      let id = Heap_obj.index o in
+      if Header.on_disk (Store.header store id) then
+        with_bit := (id, Store.size_bytes store id) :: !with_bit);
+  let with_bit = List.rev !with_bit in
+  Alcotest.(check (list (pair int int)))
+    "iter_resident visits the objects with the bit, in ascending id order"
+    with_bit (resident_list d);
+  Alcotest.(check int) "resident_count counts them" (List.length with_bit)
+    (Diskswap.resident_count d);
+  Alcotest.(check int) "their bytes are the resident bytes"
+    (List.fold_left (fun acc (_, b) -> acc + b) 0 with_bit)
+    (Diskswap.resident_bytes d)
+
 let suite =
   ( "diskswap",
     [
@@ -559,4 +686,13 @@ let suite =
       Alcotest.test_case "two tenants race the last bytes" `Quick
         test_two_tenants_race_last_bytes;
       QCheck_alcotest.to_alcotest prop_offload_order;
+      Alcotest.test_case "table: offload beyond its first capacity" `Quick
+        test_offload_beyond_first_capacity;
+      Alcotest.test_case "table: retrieve twice" `Quick test_retrieve_twice;
+      Alcotest.test_case "table: reconcile, then a recycled id" `Quick
+        test_reconcile_then_recycled_id;
+      Alcotest.test_case "table: recover empties it" `Quick
+        test_recover_empties_table;
+      Alcotest.test_case "table: agrees with the on-disk bits" `Quick
+        test_residency_agrees_with_bits;
     ] )
