@@ -212,12 +212,17 @@ let test_double_retrieve_is_not_resident () =
   | `Swapped_in -> ()
   | `Not_resident | `Corrupt _ -> Alcotest.fail "first retrieve must swap in");
   let resident_after = Diskswap.resident_bytes d in
+  let count_after = Diskswap.resident_count d in
+  Alcotest.(check bool) "bit cleared" false
+    (Header.on_disk (Store.header store (Heap_obj.index obj)));
   (match Diskswap.retrieve d store obj with
   | `Not_resident -> ()
   | `Swapped_in | `Corrupt _ ->
     Alcotest.fail "second retrieve of the same object must be a no-op");
   Alcotest.(check int) "no double release" resident_after
     (Diskswap.resident_bytes d);
+  Alcotest.(check int) "no double count" count_after
+    (Diskswap.resident_count d);
   Alcotest.(check bool) "residency non-negative" true
     (Diskswap.resident_bytes d >= 0)
 
@@ -587,23 +592,6 @@ let test_offload_beyond_first_capacity () =
   Alcotest.(check int) "all swapped in" 0 (Diskswap.resident_count d);
   Alcotest.(check int) "no bytes left" 0 (Diskswap.resident_bytes d)
 
-let test_retrieve_twice () =
-  let store, objs, d = lifecycle_store 10 in
-  offload store d [ (objs.(4), 3); (objs.(7), 3) ];
-  let o = objs.(4) in
-  (match Diskswap.retrieve d store o with
-  | `Swapped_in -> ()
-  | `Not_resident | `Corrupt _ -> Alcotest.fail "first retrieve must swap in");
-  (match Diskswap.retrieve d store o with
-  | `Not_resident -> ()
-  | `Swapped_in | `Corrupt _ -> Alcotest.fail "second retrieve must find nothing");
-  Alcotest.(check (list (pair int int))) "the other stays"
-    [ (8, size store objs.(7)) ] (resident_list d);
-  Alcotest.(check int) "its bytes alone" (size store objs.(7))
-    (Diskswap.resident_bytes d);
-  Alcotest.(check bool) "bit cleared" false
-    (Header.on_disk (Store.header store (Heap_obj.index o)))
-
 let test_reconcile_then_recycled_id () =
   let store, objs, d = lifecycle_store 10 in
   offload store d [ (objs.(5), 4); (objs.(8), 2) ];
@@ -688,7 +676,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_offload_order;
       Alcotest.test_case "table: offload beyond its first capacity" `Quick
         test_offload_beyond_first_capacity;
-      Alcotest.test_case "table: retrieve twice" `Quick test_retrieve_twice;
       Alcotest.test_case "table: reconcile, then a recycled id" `Quick
         test_reconcile_then_recycled_id;
       Alcotest.test_case "table: recover empties it" `Quick
