@@ -63,6 +63,28 @@ let test_constant_words_prune () =
   constant_words_per_collection ~force_state:Lp_core.State_kind.Prune
     ~state:"PRUNE" ~bound:256. ()
 
+(* A resurrection VM finds the poisoned words of its marked objects
+   after every collection, for image capture and retention. Here one
+   live statics word is poisoned, towards an identifier never
+   allocated, so each collection finds one target, captures nothing
+   and repeats the last retention pass's inputs. Finding that one word
+   costs the same whatever the number of live objects. *)
+let test_constant_words_resurrection () =
+  let vm n =
+    let vm = chain_vm ~resurrection:true n in
+    let pin = Vm.statics vm ~class_name:"Pin" ~n_fields:1 in
+    Store.set_field (Vm.store vm) (Heap_obj.index pin) 0
+      (Word.poison (Word.of_id 1_000_000));
+    vm
+  in
+  let ws = words_per_gc (vm 100) ~collections:200 in
+  let wl = words_per_gc (vm 3_000) ~collections:200 in
+  if Float.abs (ws -. wl) > 16. || ws > 256. || wl > 256. then
+    Alcotest.failf
+      "resurrection words per collection: %.1f with 100 live objects, %.1f \
+       with 3,000 (must agree within 16 and stay <= 256)"
+      ws wl
+
 (* The edge table takes its slots in 16 KB pages as edge types arrive,
    so the SELECT collection that records a fresh VM's first edge type
    allocates a page or two, not the whole 512 KB table. In a VM held in
@@ -384,6 +406,8 @@ let suite =
         test_constant_words_select;
       Alcotest.test_case "constant words per PRUNE collection" `Quick
         test_constant_words_prune;
+      Alcotest.test_case "constant words per resurrection collection" `Quick
+        test_constant_words_resurrection;
       Alcotest.test_case "PRUNE capture: only the images' own words"
         `Quick test_capture_words_per_image;
       Alcotest.test_case "first SELECT collection: edge table pages" `Quick
