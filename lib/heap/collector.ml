@@ -23,7 +23,15 @@
    The budget is mutable between collections ([set_slice_budget]): the
    pause-SLO autopilot retunes it from wall-clock feedback, which is
    safe exactly because the budget can never change an outcome, only
-   where the slice boundaries fall. *)
+   where the slice boundaries fall.
+
+   Every scan also records its object as a poison holder when one of
+   its words is poisoned once the scan is done, whether the scan found
+   it so or poisoned it. Each marked object is scanned exactly once per
+   collection, so the record names every marked object that holds a
+   poisoned word, each once: a resurrection VM reads the poisoned words
+   of the surviving heap from it, between the mark and the sweep,
+   instead of walking every slot again. *)
 
 type edge = { src : int; field : int; tgt : int }
 
@@ -70,10 +78,17 @@ let canonical_candidates deferred =
    because a tick depends only on the object's own counter and the
    collection number. Both buffers hold object ids, as the words and
    roots the mark reads do, and keep their capacity when cleared, so
-   they allocate nothing once grown. *)
+   they allocate nothing once grown.
+
+   The poison holders (see the header) also hold ids. Every phase of
+   one collection adds to them, so [mark] clears them and [reset],
+   which starts every stale closure, leaves them. The queue starts with
+   no capacity, so an engine whose scans find no poisoned word never
+   allocates its array. *)
 type t = {
   stack : Work_queue.t;  (* the mark stack *)
   ticks : Work_queue.t;  (* ids a filtered closure marked *)
+  holders : Work_queue.t;  (* ids of the poison holders, in scan order *)
   mutable claimed_bytes : int;  (* bytes the stale closure claimed *)
   mutable marked_objects : int;  (* objects this collection marked *)
   mutable marked_bytes : int;  (* their bytes *)
@@ -91,6 +106,7 @@ let create ?slice_budget () =
   {
     stack = Work_queue.create ();
     ticks = Work_queue.create ();
+    holders = Work_queue.create ~capacity:0 ();
     claimed_bytes = 0;
     marked_objects = 0;
     marked_bytes = 0;
@@ -109,6 +125,8 @@ let set_slice_budget t budget =
 
 let slices t = t.slices
 
+let poison_holders t = t.holders
+
 let max_slice_work t = t.max_slice
 
 let take_pauses t =
@@ -116,8 +134,11 @@ let take_pauses t =
   t.pauses <- [];
   p
 
-(* Empties both buffers and zeroes the byte count at the start of each
-   closure, so one aborted by an exception leaves nothing behind. *)
+(* Empties the mark stack and the tick batch and zeroes the byte count
+   at the start of each closure, so one aborted by an exception leaves
+   nothing behind. The poison holders stay: a SELECT collection runs a
+   stale closure per candidate, and what each one records belongs to
+   the collection. *)
 let reset t =
   Work_queue.clear t.stack;
   Work_queue.clear t.ticks;
@@ -202,19 +223,18 @@ let claim t store stats ~(config : mark_config) kind id =
     t.claimed_bytes <- t.claimed_bytes + Header.size h
 
 (* One live edge of a filtered closure: builds the edge once, runs the
-   filter on it and applies [Defer] and [Poison]. Returns whether the
-   edge is traced. Out of line: a closure without a filter never comes
-   here. *)
+   filter on it, applies [Defer] and [Poison], and returns the action.
+   Out of line: a closure without a filter never comes here. *)
 let[@inline never] filtered_edge store stats (config : mark_config) filter
     deferred src i tgt w =
   let e = { src; field = i; tgt } in
   match filter e with
-  | Trace -> true
+  | Trace -> Trace
   | Defer ->
     stats.Gc_stats.candidates_enqueued <-
       stats.Gc_stats.candidates_enqueued + 1;
     deferred := e :: !deferred;
-    false
+    Defer
   | Poison ->
     (* the hook sees the edge while the target's subtree is still
        intact, so it can capture a swap image before the sweep *)
@@ -232,14 +252,16 @@ let[@inline never] filtered_edge store stats (config : mark_config) filter
     Store.set_field store src i (Word.poison w);
     stats.Gc_stats.references_poisoned <-
       stats.Gc_stats.references_poisoned + 1;
-    false
+    Poison
 
 (* The one scan loop, for the in-use closure, the stale closures and
    every budgeted slice. Pops up to [limit] ids off the mark stack and
    scans each object's fields in index order, as one run of the store's
    word array. Per field it maintains the untouched bit, quarantines
    corrupt words, runs the filter when there is one, and claims
-   unmarked traced targets in place, counting their bytes. A target is
+   unmarked traced targets in place, counting their bytes. An object
+   with a poisoned word, found or made, is pushed on the poison holders
+   once its fields are done. A target is
    judged by its word in the store's header array alone, read raw, as
    the mark has finished the sweep: free means a corrupt reference,
    marked means already claimed. The config is read into locals once
@@ -260,6 +282,7 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
     let id = Work_queue.pop stack in
     let e = Store.extent store id in
     let off = Store.extent_offset e in
+    let holder = ref false in
     for j = off to off + Store.extent_count e - 1 do
       let w = Array.unsafe_get words j in
       if not (Word.is_null w) then begin
@@ -276,12 +299,22 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
           in
           let tgt = Word.target w in
           let h = Store.raw_header store tgt in
-          if Header.is_free h then quarantine ~events store stats id (j - off)
+          if Header.is_free h then begin
+            quarantine ~events store stats id (j - off);
+            holder := true
+          end
           else if
             (match filter with
             | None -> true
-            | Some f ->
-              filtered_edge store stats config f deferred id (j - off) tgt w)
+            | Some f -> (
+              match
+                filtered_edge store stats config f deferred id (j - off) tgt w
+              with
+              | Trace -> true
+              | Defer -> false
+              | Poison ->
+                holder := true;
+                false))
             && not (Header.marked h)
           then begin
             incr marked;
@@ -291,8 +324,10 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
             bytes := !bytes + Header.size h
           end
         end
+        else holder := true
       end
-    done
+    done;
+    if !holder then Work_queue.push t.holders id
   done;
   stats.Gc_stats.fields_scanned <-
     stats.Gc_stats.fields_scanned + !fields_scanned;
@@ -364,6 +399,7 @@ let run_closure t store stats ~config ~kind ~deferred =
 let mark t store roots ~stats ~(config : mark_config) =
   Store.finish_sweep store;
   reset t;
+  Work_queue.clear t.holders;
   t.marked_objects <- 0;
   t.marked_bytes <- 0;
   let deferred = ref [] in
@@ -430,13 +466,21 @@ let resurrect_finalizables t store ~stats ~on_finalize =
       on_finalize (Store.get store id));
   while not (Work_queue.is_empty queue) do
     let id = Work_queue.pop queue in
+    let holder = ref false in
     for i = 0 to Store.n_fields store id - 1 do
       let w = Store.field store id i in
-      if (not (Word.is_null w)) && not (Word.poisoned w) then
-        let tgt = Word.target w in
-        if Store.mem store tgt then mark_live tgt
-        else quarantine store stats id i
-    done
+      if not (Word.is_null w) then
+        if Word.poisoned w then holder := true
+        else begin
+          let tgt = Word.target w in
+          if Store.mem store tgt then mark_live tgt
+          else begin
+            quarantine store stats id i;
+            holder := true
+          end
+        end
+    done;
+    if !holder then Work_queue.push t.holders id
   done
 
 (* The end of a collection, in O(1): the store takes the marked totals

@@ -30,7 +30,14 @@
     one budgeted slice, and {!sweep} records one [Sweep_slice] sample.
     Marked set, deferred candidate order, staleness ticks, free order
     and every {!Gc_stats} counter are bit-identical with and without a
-    budget by construction; only the pause profile changes. The test suite's reference collector
+    budget by construction; only the pause profile changes.
+
+    Every phase records its {e poison holders}: each object it scans
+    that holds a poisoned word once the scan is done, whether the word
+    was poisoned before or the scan poisoned it (the filter's [Poison],
+    a quarantine). {!poison_holders} hands the record to a resurrection
+    VM, which reads the surviving heap's poisoned words from it instead
+    of walking every slot. The test suite's reference collector
     ([test/reference_collector.ml]) is a second, plainly written
     implementation that every budget is compared with. *)
 
@@ -166,6 +173,22 @@ val take_pauses : t -> (Trace_engine.pause_phase * int) list
     stale-closure slice and one [Sweep_slice] per {!sweep}. An
     engine without a budget returns [[]]; the VM then accounts the
     whole collection as one [Monolithic] pause. *)
+
+val poison_holders : t -> Work_queue.t
+(** The ids of the poison holders of the collection the last {!mark}
+    started, in scan order: every object its phases ({!mark}, each
+    {!stale_closure}, {!resurrect_finalizables}) scanned that holds a
+    non-null poisoned word once its scan is done — one found poisoned,
+    or one the scan poisoned ([Poison], a quarantine). Each marked object
+    is scanned once per collection, so each holder appears once, and
+    between the mark and the sweep the holders are exactly the marked
+    objects holding a poisoned word, as long as nothing else writes a
+    poisoned word into a marked object. {!mark} clears the record; the
+    per-closure reset a stale closure starts with does not, as the
+    record belongs to the whole collection. The queue is the engine's
+    own: the caller may reorder it ({!Work_queue.sort}) but must not
+    push or clear. It starts with no capacity, so an engine that never
+    finds a poisoned word never allocates it. *)
 
 val max_slice_work : t -> int
 (** Largest number of objects scanned in a single mark slice so far (0

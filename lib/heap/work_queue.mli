@@ -14,7 +14,10 @@
 
 type t
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default 256) is the backing array's initial length; a
+    queue created with capacity 0 allocates its array at the first
+    {!push}. *)
 
 val push : t -> int -> unit
 
@@ -26,9 +29,21 @@ val pop : t -> int
 
 val is_empty : t -> bool
 
+val length : t -> int
+(** The number of ids held. *)
+
+val get : t -> int -> int
+(** [get t i] is the id at position [i]: in push order, the oldest
+    at 0, until {!sort} reorders them.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
 val iter : t -> (int -> unit) -> unit
 (** [iter t f] applies [f] to the ids held, oldest first, without
     removing them. *)
 
 val clear : t -> unit
 (** Empties the queue, keeping its capacity. *)
+
+val sort : t -> unit
+(** Sorts the ids held into ascending order, in place, with int
+    comparisons; allocates nothing. *)

@@ -410,24 +410,29 @@ let enqueue_ref t id =
   | None -> ()
 
 (* The targets of every poisoned word in a marked object, in slot
-   order. Taken between marking and the sweep: the marked set is exactly
-   the heap the sweep leaves, and neither image capture nor the sweep
-   writes a survivor's fields, so one scan serves both the capture
-   before the sweep and the retention after it. The loops run over the
-   slots and each object's fields from the top down, consing onto the
+   and field order. Taken between marking and the sweep: the marked set
+   is exactly the heap the sweep leaves, and neither image capture nor
+   the sweep writes a survivor's fields, so one list serves both the
+   capture before the sweep and the retention after it. The objects
+   come from the collector's poison holders, the marked objects whose
+   scan found or made a poisoned word, so no loop visits the slots: the
+   holders are sorted into slot order in place, and the loops run over
+   them and each holder's fields from the top down, consing onto the
    front, so the list comes out in slot and field order with no
    reversal and no per-object closure. *)
 let poisoned_targets t =
+  let holders =
+    Collector.poison_holders (Lp_core.Controller.engine t.controller)
+  in
+  Work_queue.sort holders;
   let acc = ref [] in
-  for id = Store.slot_count t.store downto 1 do
-    let h = Store.header t.store id in
-    if (not (Header.is_free h)) && Header.marked h then begin
-      for i = Store.n_fields t.store id - 1 downto 0 do
-        let w = Store.field t.store id i in
-        if (not (Word.is_null w)) && Word.poisoned w then
-          acc := Word.target w :: !acc
-      done
-    end
+  for k = Work_queue.length holders - 1 downto 0 do
+    let id = Work_queue.get holders k in
+    for i = Store.n_fields t.store id - 1 downto 0 do
+      let w = Store.field t.store id i in
+      if (not (Word.is_null w)) && Word.poisoned w then
+        acc := Word.target w :: !acc
+    done
   done;
   !acc
 

@@ -85,6 +85,16 @@ val offloading : t -> bool
 
 val resurrection_enabled : t -> bool
 
+val poisoned_targets : t -> int list
+(** The targets of the non-null poisoned words held by the objects the
+    last collection marked, in (object id, field) order: what a walk
+    over every marked object's fields would find. A resurrection VM
+    takes this list between the mark and the sweep, for image capture
+    and retention. It is built from the collector's poison holders
+    ({!Lp_heap.Collector.poison_holders}) and reads their current
+    words, so after a collection it is exact until the program writes
+    a word or allocates. *)
+
 val charge_barriers : t -> bool
 val remset : t -> Remset.t
 val fault_plan : t -> Lp_fault.Fault_plan.t option

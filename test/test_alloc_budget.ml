@@ -406,10 +406,10 @@ let suite =
         test_constant_words_select;
       Alcotest.test_case "constant words per PRUNE collection" `Quick
         test_constant_words_prune;
-      Alcotest.test_case "constant words per resurrection collection" `Quick
-        test_constant_words_resurrection;
       Alcotest.test_case "PRUNE capture: only the images' own words"
         `Quick test_capture_words_per_image;
       Alcotest.test_case "first SELECT collection: edge table pages" `Quick
         test_first_select_collection_bytes;
+      Alcotest.test_case "constant words per resurrection collection" `Quick
+        test_constant_words_resurrection;
     ] )

@@ -21,6 +21,7 @@ let () =
       Test_diskswap.suite;
       Test_resurrection.suite;
       Test_retention.suite;
+      Test_poisoned_targets.suite;
       Test_fault.suite;
       Test_engines.suite;
       Test_degradation.suite;
