@@ -362,7 +362,13 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
              (t.selected, stats.Gc_stats.references_poisoned - poisoned_before)
            with
           | Some selected, n when n > 0 ->
-            if not (List.mem selected t.pruned_types) then
+            let src, tgt = selected in
+            if
+              not
+                (List.exists
+                   (fun (a, b) -> Int.equal a src && Int.equal b tgt)
+                   t.pruned_types)
+            then
               t.pruned_types <- selected :: t.pruned_types;
             report t
               (Printf.sprintf "leak pruning: pruned %d reference(s) of type %s"
@@ -486,7 +492,14 @@ let export_brain t =
     brain_machine = State_machine.snapshot t.machine;
     (* slot order depends on hash placement; sort so the same table
        always exports the same byte stream *)
-    brain_edges = List.sort compare !edges;
+    brain_edges =
+      List.sort
+        (fun (s1, t1, u1) (s2, t2, u2) ->
+          match String.compare s1 s2 with
+          | 0 -> (
+            match String.compare t1 t2 with 0 -> Int.compare u1 u2 | c -> c)
+          | c -> c)
+        !edges;
     brain_pruned_types =
       List.map (fun (src, tgt) -> (name src, name tgt)) (pruned_edge_types t);
   }
