@@ -298,7 +298,7 @@ let test_holders_match_walk () =
     ]
 
 let suite =
-  ( "poisoned_targets",
+  ( "poison_holder",
     [
       Alcotest.test_case "holder record equals the slot walk" `Quick
         test_holders_match_walk;
