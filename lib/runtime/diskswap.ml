@@ -17,10 +17,13 @@ let offload_occupancy = 0.9
    is stored ([Swap_image.stored_refs]), so retention follows memoised
    references instead of re-parsing every image at every collection.
    [Corrupt] marks bytes that did not validate: retention keeps such an
-   image when it is referenced but follows nothing through it. *)
-type image = Valid of bytes * int array | Corrupt of bytes
+   image when it is referenced but follows nothing through it.
+   [No_image] fills the slots of the image array that hold none. *)
+type image = No_image | Valid of bytes * int array | Corrupt of bytes
 
-let image_data = function Valid (data, _) | Corrupt data -> data
+let image_data = function
+  | Valid (data, _) | Corrupt data -> data
+  | No_image -> Bytes.empty
 
 (* The bytes are validated again here, whoever wrote them: the
    image-fault hook may have changed them on their way to disk. *)
@@ -62,8 +65,15 @@ type t = {
   mutable resident_sizes : int array;
   mutable payloads : bytes array;
   mutable resident_n : int;
-  images : (int, image) Hashtbl.t;  (* pruned object id -> swap image *)
-  forwards : (int, int) Hashtbl.t;  (* pruned id -> resurrected id *)
+  (* Prune images and forwards, indexed by slot like the residency
+     arrays and grown on demand to the highest id written: a pruned
+     object's swap image ([No_image] for none), and the id it was
+     resurrected as (0 for none). [image_n] and [forward_n] count the
+     slots in use. *)
+  mutable images : image array;
+  mutable image_n : int;
+  mutable forwards : int array;
+  mutable forward_n : int;
   (* Bumped by every write to [images] or [forwards], so a reader can
      tell in one comparison that neither changed since it last looked. *)
   mutable generation : int;
@@ -84,8 +94,7 @@ type t = {
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
   mutable scratch : int array;
-      (* the offload pass's candidate ids, and the ids a retention
-         pass drops; reused, grown by doubling *)
+      (* the offload pass's candidate ids; reused, grown by doubling *)
 }
 
 exception Out_of_disk = Lp_core.Errors.Out_of_disk
@@ -96,13 +105,13 @@ let create ?metrics ?backend config =
   in
   {
     config;
-    (* [images] keeps 1,024 buckets: its iteration order fixes the
-       order of a retention pass's [Image_drop] events. *)
     resident_sizes = [||];
     payloads = [||];
     resident_n = 0;
-    images = Hashtbl.create 1024;
-    forwards = Hashtbl.create 64;
+    images = [||];
+    image_n = 0;
+    forwards = [||];
+    forward_n = 0;
     generation = 0;
     resident_total = 0;
     image_total = 0;
@@ -200,14 +209,27 @@ let out_of_disk t =
 
 (* ---- Swap images of pruned objects ---- *)
 
+(* The image stored under [id]; [No_image] when it has none. *)
+let image_at t id =
+  if id > 0 && id <= Array.length t.images then t.images.(id - 1)
+  else No_image
+
+let[@inline never] grow_images t id =
+  let n = Array.length t.images in
+  let images = Array.make (max (max 64 (n + (n / 2))) id) No_image in
+  Array.blit t.images 0 images 0 n;
+  t.images <- images
+
 (* The write-time fault hook models the storage layer: whatever bytes it
    returns are what a later load will see (bit rot, torn write). *)
 let store_image t ~id image =
+  if id < 1 then invalid_arg "Diskswap.store_image: id must be >= 1";
   let image = match t.image_fault with Some f -> f image | None -> image in
-  (match Hashtbl.find_opt t.images id with
-  | Some old -> set_image_total t (t.image_total - Bytes.length (image_data old))
-  | None -> ());
-  Hashtbl.replace t.images id (memoise image);
+  if id > Array.length t.images then grow_images t id;
+  (match t.images.(id - 1) with
+  | No_image -> t.image_n <- t.image_n + 1
+  | old -> set_image_total t (t.image_total - Bytes.length (image_data old)));
+  t.images.(id - 1) <- memoise image;
   bump t;
   set_image_total t (t.image_total + Bytes.length image);
   Lp_obs.Metrics.incr t.c_image_writes;
@@ -218,23 +240,24 @@ let store_image t ~id image =
   | None -> ()
 
 let load_image t id =
-  match Hashtbl.find_opt t.images id with
-  | Some image -> Some (image_data image)
-  | None -> None
+  match image_at t id with
+  | No_image -> None
+  | image -> Some (image_data image)
 
 let iter_image_refs t id f =
-  match Hashtbl.find t.images id with
+  match image_at t id with
   | Valid (_, refs) -> Array.iter f refs
-  | Corrupt _ -> ()
-  | exception Not_found -> ()
+  | Corrupt _ | No_image -> ()
 
-let has_image t id = Hashtbl.mem t.images id
+let has_image t id =
+  match image_at t id with No_image -> false | Valid _ | Corrupt _ -> true
 
 let drop_image t id =
-  match Hashtbl.find t.images id with
-  | exception Not_found -> ()
+  match image_at t id with
+  | No_image -> ()
   | image ->
-    Hashtbl.remove t.images id;
+    t.images.(id - 1) <- No_image;
+    t.image_n <- t.image_n - 1;
     bump t;
     set_image_total t (t.image_total - Bytes.length (image_data image));
     Lp_obs.Metrics.incr t.c_image_drops;
@@ -242,37 +265,32 @@ let drop_image t id =
     | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Image_drop { id })
     | None -> ())
 
-let grow_scratch a =
-  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
-
-(* Drops the images [keep] rejects in the reverse of the table's order,
-   which is the order of their [Image_drop] events; their ids are
-   gathered in the reused scratch array first. *)
-let retain_images t ~keep =
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun id _ ->
-      if not (keep id) then begin
-        if !n = Array.length t.scratch then t.scratch <- grow_scratch t.scratch;
-        t.scratch.(!n) <- id;
-        incr n
-      end)
-    t.images;
-  for k = !n - 1 downto 0 do
-    drop_image t t.scratch.(k)
+(* Visits the stored images in ascending id order, stopping after the
+   last one; [f] may drop the image it is given. *)
+let iter_slots t f =
+  let left = ref t.image_n and i = ref 0 in
+  while !left > 0 && !i < Array.length t.images do
+    (match t.images.(!i) with
+    | No_image -> ()
+    | image ->
+      decr left;
+      f (!i + 1) image);
+    incr i
   done
 
+(* Drops the images [keep] rejects as it meets them, so their
+   [Image_drop] events come in ascending id order. *)
+let retain_images t ~keep =
+  iter_slots t (fun id _ -> if not (keep id) then drop_image t id)
+
 let iter_images t f =
-  Hashtbl.iter
-    (fun id image ->
+  iter_slots t (fun id image ->
       match image with
       | Valid (data, refs) -> f ~id ~image:data ~refs:(Some refs)
-      | Corrupt data -> f ~id ~image:data ~refs:None)
-    t.images
+      | Corrupt data -> f ~id ~image:data ~refs:None
+      | No_image -> ())
 
-let image_count t = Hashtbl.length t.images
+let image_count t = t.image_n
 
 let image_bytes t = t.image_total
 
@@ -280,21 +298,34 @@ let image_writes t = Lp_obs.Metrics.counter_value t.c_image_writes
 
 let image_drops t = Lp_obs.Metrics.counter_value t.c_image_drops
 
+let[@inline never] grow_forwards t id =
+  let n = Array.length t.forwards in
+  let forwards = Array.make (max (max 64 (n + (n / 2))) id) 0 in
+  Array.blit t.forwards 0 forwards 0 n;
+  t.forwards <- forwards
+
 let forward t ~old_id ~new_id =
-  Hashtbl.replace t.forwards old_id new_id;
+  if old_id < 1 || new_id < 1 then
+    invalid_arg "Diskswap.forward: ids must be >= 1";
+  if old_id > Array.length t.forwards then grow_forwards t old_id;
+  if t.forwards.(old_id - 1) = 0 then t.forward_n <- t.forward_n + 1;
+  t.forwards.(old_id - 1) <- new_id;
   bump t
+
+(* The id [id] was resurrected as; 0 when it was not. *)
+let forwarded t id =
+  if id > 0 && id <= Array.length t.forwards then t.forwards.(id - 1) else 0
 
 (* Transitive: a resurrected object can itself be pruned and resurrected
    again, chaining entries. The visit bound makes a (buggy) cycle
    terminate at the last id seen rather than hanging the barrier. *)
 let rec follow t id steps =
-  match Hashtbl.find_opt t.forwards id with
-  | Some next when steps < Hashtbl.length t.forwards + 1 ->
-    follow t next (steps + 1)
-  | Some _ | None -> id
+  let next = forwarded t id in
+  if next <> 0 && steps < t.forward_n + 1 then follow t next (steps + 1)
+  else id
 
 let resolve_forward t id =
-  if Hashtbl.length t.forwards = 0 then None
+  if t.forward_n = 0 then None
   else
     let final = follow t id 0 in
     if final = id then None else Some final
@@ -331,6 +362,11 @@ let offload_one t store id =
   match t.sink with
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
+
+let grow_scratch a =
+  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 (* Whether the object with header [h] is to be offloaded: live, highly
    stale, not a statics container (they model immortal space) and not
@@ -431,17 +467,17 @@ type recovery = { images_valid : int; images_corrupt : int }
    accounting across the restart. *)
 let recover t =
   let images_valid = ref 0 and images_corrupt = ref 0 in
-  Hashtbl.iter
-    (fun _ image ->
+  iter_slots t (fun _ image ->
       match Swap_image.validate (image_data image) with
       | Ok _ -> incr images_valid
-      | Error _ -> incr images_corrupt)
-    t.images;
+      | Error _ -> incr images_corrupt);
   t.resident_sizes <- [||];
   t.payloads <- [||];
   t.resident_n <- 0;
-  Hashtbl.reset t.images;
-  Hashtbl.reset t.forwards;
+  t.images <- [||];
+  t.image_n <- 0;
+  t.forwards <- [||];
+  t.forward_n <- 0;
   bump t;
   set_resident_total t 0;
   set_image_total t 0;

@@ -184,7 +184,11 @@ val store_image : t -> id:int -> bytes -> unit
     image-fault hook (see {!set_image_fault_hook}); replaces any
     previous image for the same identifier. The stored bytes are
     validated once, here, and the targets of their reference words,
-    read in place, are kept with them (see {!iter_image_refs}). *)
+    read in place, are kept with them (see {!iter_image_refs}).
+    Images are kept in an array indexed by identifier, like the
+    offload residency, grown on demand to the highest identifier
+    stored; a store, load or drop is an array access.
+    @raise Invalid_argument when [id < 1]. *)
 
 val load_image : t -> int -> bytes option
 
@@ -202,15 +206,18 @@ val drop_image : t -> int -> unit
 (** Releases an image's disk space; no-op when absent. *)
 
 val retain_images : t -> keep:(int -> bool) -> unit
-(** Retention sweep: drops every image whose identifier fails [keep].
-    The VM keeps exactly the images still referenced by live poisoned
-    words (directly or through another retained image). *)
+(** Retention sweep: drops every image whose identifier fails [keep],
+    in ascending identifier order, which is the order of the
+    [Image_drop] events. [keep] is asked once per stored image, in the
+    same order, and must not change the store. The VM keeps exactly the
+    images still referenced by live poisoned words (directly or through
+    another retained image). *)
 
 val iter_images :
   t -> (id:int -> image:bytes -> refs:int array option -> unit) -> unit
 (** Calls [f] on every stored image with its bytes and its memoised
     references ({!iter_image_refs}' targets; [None] when the bytes did
-    not validate), in the table's iteration order. *)
+    not validate), in ascending identifier order. *)
 
 val image_count : t -> int
 
@@ -223,7 +230,9 @@ val image_drops : t -> int
 val forward : t -> old_id:int -> new_id:int -> unit
 (** Records that the pruned object [old_id] was resurrected as
     [new_id], so sibling poisoned references resolve to the restored
-    copy instead of resurrecting a duplicate. *)
+    copy instead of resurrecting a duplicate; replaces any earlier
+    forward of [old_id].
+    @raise Invalid_argument when either identifier is below 1. *)
 
 val resolve_forward : t -> int -> int option
 (** Follows the forwarding chain transitively; [None] when the

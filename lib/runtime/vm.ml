@@ -490,7 +490,9 @@ let capture_images t ~doomed ~poisoned =
    when it was stored; a corrupt image that is still referenced is
    retained without being followed, so the eventual access reports the
    real failure instead of Image_missing. Everything else is released
-   disk space.
+   disk space: the swap store walks its image slots once, in ascending
+   id order, dropping each image outside the keep set as it meets it,
+   so a pass's [Image_drop] events come in ascending id order.
 
    The keep set is a function of the poisoned targets, the forwarding
    table and the stored images with their memoised references; the

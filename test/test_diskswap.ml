@@ -649,6 +649,247 @@ let test_residency_agrees_with_bits () =
     (List.fold_left (fun acc (_, b) -> acc + b) 0 with_bit)
     (Diskswap.resident_bytes d)
 
+(* ---- Prune images and forwards against a map model ----
+
+   Random sequences of image and forward operations run on a swap store
+   and on a model built from [Map]s. The ids reach past the image
+   array's first capacity; [Store] may replace an image and may have its
+   bytes torn by the image-fault hook; [Cycle] forwards two ids to each
+   other. After every operation, every id up to past the largest one
+   generated answers [has_image], [load_image], [iter_image_refs] and
+   [resolve_forward] as the model does, [iter_images] visits the model's
+   images in ascending id order, the count and byte total agree, and the
+   generation has moved exactly as often as the model counts writes: on
+   every store, on a drop that drops something, on every forward and on
+   a recovery. A retention pass's [Image_drop] events name the ids it
+   rejects in ascending order. *)
+
+module Int_map = Map.Make (Int)
+
+type image_op =
+  | Store_image of { id : int; targets : int list; tear : int option }
+  | Drop of int
+  | Retain of int list
+  | Forward of int * int
+  | Cycle of int * int
+  | Recover
+
+let show_image_op = function
+  | Store_image { id; targets; tear } ->
+    Printf.sprintf "store %d [%s]%s" id
+      (String.concat ";" (List.map string_of_int targets))
+      (match tear with Some k -> Printf.sprintf " torn@%d" k | None -> "")
+  | Drop id -> Printf.sprintf "drop %d" id
+  | Retain keep ->
+    Printf.sprintf "retain {%s}" (String.concat ";" (List.map string_of_int keep))
+  | Forward (a, b) -> Printf.sprintf "forward %d->%d" a b
+  | Cycle (a, b) -> Printf.sprintf "cycle %d<->%d" a b
+  | Recover -> "recover"
+
+let max_image_id = 300
+
+let gen_image_op =
+  QCheck.Gen.(
+    let image_id =
+      frequency [ (6, int_range 1 40); (1, int_range 41 max_image_id) ]
+    and forward_id = int_range 1 10 in
+    frequency
+      [
+        ( 6,
+          let* id = image_id in
+          let* targets = list_size (int_range 0 3) (int_range 1 50) in
+          let* tear = opt ~ratio:0.2 (int_range 0 30) in
+          return (Store_image { id; targets; tear }) );
+        (2, map (fun id -> Drop id) image_id);
+        (1, map (fun keep -> Retain keep) (list_size (int_range 0 20) image_id));
+        (2, map2 (fun a b -> Forward (a, b)) forward_id forward_id);
+        (1, map2 (fun a b -> Cycle (a, b)) forward_id forward_id);
+        (1, return Recover);
+      ])
+
+type image_model = {
+  images : (bytes * int list) Int_map.t;  (* stored bytes, targets *)
+  forwards : int Int_map.t;
+  writes : int;  (* what the generation should read *)
+}
+
+let image_refs_of data targets =
+  match Swap_image.validate data with
+  | Ok _ -> Some (Array.of_list targets)
+  | Error _ -> None
+
+let model_resolve m id =
+  let n = Int_map.cardinal m.forwards in
+  let rec follow id steps =
+    match Int_map.find_opt id m.forwards with
+    | Some next when steps < n + 1 -> follow next (steps + 1)
+    | Some _ | None -> id
+  in
+  if n = 0 then None
+  else
+    let final = follow id 0 in
+    if final = id then None else Some final
+
+let drop_events d f =
+  let sink = Lp_obs.Sink.create ~capacity:1_024 ~clock:(fun () -> 0) () in
+  Diskswap.set_sink d (Some sink);
+  f ();
+  Diskswap.set_sink d None;
+  let ids = ref [] in
+  Lp_obs.Sink.iter sink (fun st ->
+      match st.Lp_obs.Event.ev with
+      | Lp_obs.Event.Image_drop { id } -> ids := id :: !ids
+      | _ -> ());
+  List.rev !ids
+
+let apply_image_op d m op =
+  match op with
+  | Store_image { id; targets; tear } ->
+    let bytes =
+      Swap_image.encode
+        {
+          Swap_image.object_id = id;
+          class_id = 1;
+          stale = 2;
+          scalar_bytes = 8;
+          fields =
+            Array.of_list
+              (List.map
+                 (fun t -> { Swap_image.word = Word.of_id t; referent_class = 1 })
+                 targets);
+        }
+    in
+    let stored =
+      match tear with Some keep -> Swap_image.tear bytes ~keep | None -> bytes
+    in
+    Diskswap.set_image_fault_hook d
+      (Option.map (fun keep b -> Swap_image.tear b ~keep) tear);
+    Diskswap.store_image d ~id bytes;
+    Diskswap.set_image_fault_hook d None;
+    { m with images = Int_map.add id (stored, targets) m.images; writes = m.writes + 1 }
+  | Drop id ->
+    Diskswap.drop_image d id;
+    if Int_map.mem id m.images then
+      { m with images = Int_map.remove id m.images; writes = m.writes + 1 }
+    else m
+  | Retain keep ->
+    let kept id = List.mem id keep in
+    let dropped = drop_events d (fun () -> Diskswap.retain_images d ~keep:kept) in
+    let rejected =
+      List.filter (fun id -> not (kept id)) (List.map fst (Int_map.bindings m.images))
+    in
+    if dropped <> rejected then
+      QCheck.Test.fail_reportf "retain dropped [%s], the model [%s]"
+        (String.concat ";" (List.map string_of_int dropped))
+        (String.concat ";" (List.map string_of_int rejected));
+    {
+      m with
+      images = Int_map.filter (fun id _ -> kept id) m.images;
+      writes = m.writes + List.length rejected;
+    }
+  | Forward (old_id, new_id) ->
+    Diskswap.forward d ~old_id ~new_id;
+    { m with forwards = Int_map.add old_id new_id m.forwards; writes = m.writes + 1 }
+  | Cycle (a, b) ->
+    Diskswap.forward d ~old_id:a ~new_id:b;
+    Diskswap.forward d ~old_id:b ~new_id:a;
+    {
+      m with
+      forwards = Int_map.add b a (Int_map.add a b m.forwards);
+      writes = m.writes + 2;
+    }
+  | Recover ->
+    let r = Diskswap.recover d in
+    let valid, corrupt =
+      Int_map.fold
+        (fun _ (data, _) (v, c) ->
+          match Swap_image.validate data with
+          | Ok _ -> (v + 1, c)
+          | Error _ -> (v, c + 1))
+        m.images (0, 0)
+    in
+    if (r.Diskswap.images_valid, r.Diskswap.images_corrupt) <> (valid, corrupt) then
+      QCheck.Test.fail_reportf "recover: %d valid, %d corrupt; the model %d, %d"
+        r.Diskswap.images_valid r.Diskswap.images_corrupt valid corrupt;
+    { images = Int_map.empty; forwards = Int_map.empty; writes = m.writes + 1 }
+
+let check_image_model d m =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  for id = 0 to max_image_id + 5 do
+    let entry = Int_map.find_opt id m.images in
+    if Diskswap.has_image d id <> (entry <> None) then fail "has_image %d" id;
+    (match (Diskswap.load_image d id, entry) with
+    | None, None -> ()
+    | Some got, Some (data, _) when Bytes.equal got data -> ()
+    | _ -> fail "load_image %d" id);
+    let refs = ref [] in
+    Diskswap.iter_image_refs d id (fun r -> refs := r :: !refs);
+    let expected =
+      match entry with
+      | Some (data, targets) -> (
+        match image_refs_of data targets with Some _ -> targets | None -> [])
+      | None -> []
+    in
+    if List.rev !refs <> expected then fail "iter_image_refs %d" id;
+    if Diskswap.resolve_forward d id <> model_resolve m id then
+      fail "resolve_forward %d" id
+  done;
+  let visited = ref [] in
+  Diskswap.iter_images d (fun ~id ~image ~refs ->
+      visited := (id, Bytes.to_string image, refs) :: !visited);
+  let expected =
+    List.map
+      (fun (id, (data, targets)) ->
+        (id, Bytes.to_string data, image_refs_of data targets))
+      (Int_map.bindings m.images)
+  in
+  if List.rev !visited <> expected then fail "iter_images";
+  if Diskswap.image_count d <> Int_map.cardinal m.images then fail "image_count";
+  let bytes = Int_map.fold (fun _ (data, _) acc -> acc + Bytes.length data) m.images 0 in
+  if Diskswap.image_bytes d <> bytes then
+    fail "image_bytes %d, the model %d" (Diskswap.image_bytes d) bytes;
+  if Diskswap.generation d <> m.writes then
+    fail "generation %d, the model %d" (Diskswap.generation d) m.writes
+
+let prop_images_match_model =
+  QCheck.Test.make ~name:"diskswap: images and forwards match a map model"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_image_op)
+       QCheck.Gen.(list_size (int_range 0 60) gen_image_op))
+    (fun ops ->
+      let d = Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int) in
+      let m = { images = Int_map.empty; forwards = Int_map.empty; writes = 0 } in
+      check_image_model d m;
+      ignore
+        (List.fold_left
+           (fun m op ->
+             let m = apply_image_op d m op in
+             check_image_model d m;
+             m)
+           m ops
+          : image_model);
+      true)
+
+(* Images and forwards are indexed by identifier, and identifiers start
+   at 1: a store or forward naming a lower one is refused, and the
+   store is left as it was. *)
+let test_ids_below_one_rejected () =
+  let d = Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int) in
+  let rejected name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "store_image ~id:0" (fun () ->
+      Diskswap.store_image d ~id:0 (Bytes.create 16));
+  rejected "forward ~old_id:0" (fun () -> Diskswap.forward d ~old_id:0 ~new_id:3);
+  rejected "forward ~new_id:0" (fun () -> Diskswap.forward d ~old_id:3 ~new_id:0);
+  Alcotest.(check int) "no image" 0 (Diskswap.image_count d);
+  Alcotest.(check int) "no bytes" 0 (Diskswap.image_bytes d);
+  Alcotest.(check (option int)) "no forward" None (Diskswap.resolve_forward d 3);
+  Alcotest.(check int) "no write" 0 (Diskswap.generation d)
+
 let suite =
   ( "diskswap",
     [
@@ -682,4 +923,7 @@ let suite =
         test_recover_empties_table;
       Alcotest.test_case "table: agrees with the on-disk bits" `Quick
         test_residency_agrees_with_bits;
+      QCheck_alcotest.to_alcotest prop_images_match_model;
+      Alcotest.test_case "images: ids below 1 are rejected" `Quick
+        test_ids_below_one_rejected;
     ] )

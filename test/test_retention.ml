@@ -722,26 +722,27 @@ let test_generation_moves_on_writes () =
    Image capture walks the dying objects breadth first from the freshly
    pruned targets and the live poisoned words; the order it stores
    images in fixes the order of [Image_capture] events and which write
-   an injected swap fault lands on, and retention's drops come out in
-   the image table's order. Both sequences are pinned here as one MD5,
-   taken over the traces of the 50 chaos seeds and of a leak whose
+   an injected swap fault lands on. Retention drops the images it does
+   not keep in ascending id order. The two sequences are pinned as two
+   MD5s, taken over the traces of the 50 chaos seeds and of a leak whose
    pruned nodes each hold a small shared tree (where a walk in any other
-   order stores the same images in another order), together with the
-   bytes of every image stored after each of the leak's collections. *)
+   order stores the same images in another order); the capture pin also
+   covers the bytes of every image stored after each of the leak's
+   collections. *)
 
-let image_event buf (st : Lp_obs.Event.stamped) =
+let image_event ~captures ~drops (st : Lp_obs.Event.stamped) =
   match st.Lp_obs.Event.ev with
   | Lp_obs.Event.Image_capture { id; bytes } ->
-    Buffer.add_string buf (Printf.sprintf "c%d:%d;" id bytes)
+    Buffer.add_string captures (Printf.sprintf "c%d:%d;" id bytes)
   | Lp_obs.Event.Image_drop { id } ->
-    Buffer.add_string buf (Printf.sprintf "d%d;" id)
+    Buffer.add_string drops (Printf.sprintf "d%d;" id)
   | _ -> ()
 
 (* A leak of nodes the program never reads back, each holding a tree of
    three levels whose leaves are shared between siblings; every fifth
    step reads the first poisoned word it finds (a resurrection), and the
    Swap site tears or corrupts a few image writes. *)
-let tree_leak_events buf =
+let tree_leak_events ~captures ~drops =
   let plan =
     Fault_plan.make
       (List.map
@@ -767,9 +768,10 @@ let tree_leak_events buf =
          Diskswap.iter_images swap (fun ~id ~image ~refs:_ ->
              images := (id, Digest.to_hex (Digest.bytes image)) :: !images);
          List.iter
-           (fun (id, d) -> Buffer.add_string buf (Printf.sprintf "i%d:%s;" id d))
+           (fun (id, d) ->
+             Buffer.add_string captures (Printf.sprintf "i%d:%s;" id d))
            (List.sort compare !images);
-         Buffer.add_char buf '|'));
+         Buffer.add_char captures '|'));
   let statics = Vm.statics vm ~class_name:"Roots" ~n_fields:1 in
   let node () = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:24 ~n_fields:3 () in
   let leaf () = Vm.alloc vm ~class_name:"Leaf" ~scalar_bytes:8 ~n_fields:1 () in
@@ -813,24 +815,54 @@ let tree_leak_events buf =
      done
    with e when Lp_core.Errors.is_structured e -> ());
   Alcotest.(check int) "complete trace" 0 (Lp_obs.Sink.dropped sink);
-  Lp_obs.Sink.iter sink (image_event buf);
+  Lp_obs.Sink.iter sink (image_event ~captures ~drops);
   (Vm.stats vm).Gc_stats.references_poisoned
 
-let image_events_md5 = "d320cd85bf67ffb07702f300a7776b00"
+let capture_events_md5 = "3d8b46609ec237d0c207c39e57f570f4"
+
+let drop_events_md5 = "d8b0594066401762fa22e17622264b82"
+
+(* A retention pass emits nothing but its drops, and every other drop (a
+   resurrection's) sits between other events of the trace, so each run
+   of consecutive [Image_drop] events holds one pass's drops, or one
+   resurrection's. Their ids must be strictly ascending. Returns the
+   number of runs of two drops or more. *)
+let check_drop_runs ~seed trace =
+  let runs = ref 0 in
+  ignore
+    (List.fold_left
+       (fun (prev, len) (st : Lp_obs.Event.stamped) ->
+         match st.Lp_obs.Event.ev with
+         | Lp_obs.Event.Image_drop { id } ->
+           if id <= prev then
+             Alcotest.failf "seed %d: image %d dropped after image %d" seed id
+               prev;
+           if len = 1 then incr runs;
+           (id, len + 1)
+         | _ -> (0, 0))
+       (0, 0) trace
+      : int * int);
+  !runs
 
 let test_image_event_order () =
-  let buf = Buffer.create 65_536 in
+  let captures = Buffer.create 65_536 and drops = Buffer.create 65_536 in
+  let runs = ref 0 in
   for seed = 1 to 50 do
     let r = Lp_harness.Chaos.run_one ~trace_capacity:1_000_000 ~seed () in
     if r.Lp_harness.Chaos.trace_dropped > 0 then
       Alcotest.failf "seed %d: the chaos trace dropped events" seed;
-    List.iter (image_event buf) r.Lp_harness.Chaos.trace;
-    Buffer.add_char buf '#'
+    runs := !runs + check_drop_runs ~seed r.Lp_harness.Chaos.trace;
+    List.iter (image_event ~captures ~drops) r.Lp_harness.Chaos.trace;
+    Buffer.add_char captures '#';
+    Buffer.add_char drops '#'
   done;
-  let poisoned = tree_leak_events buf in
+  Alcotest.(check bool) "some pass dropped several images" true (!runs > 0);
+  let poisoned = tree_leak_events ~captures ~drops in
   Alcotest.(check bool) "the leak was pruned" true (poisoned > 0);
-  Alcotest.(check string) "image writes and drops" image_events_md5
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  Alcotest.(check string) "image writes" capture_events_md5
+    (Digest.to_hex (Digest.string (Buffer.contents captures)));
+  Alcotest.(check string) "image drops" drop_events_md5
+    (Digest.to_hex (Digest.string (Buffer.contents drops)))
 
 let suite =
   ( "retention",
