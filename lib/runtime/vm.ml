@@ -16,7 +16,7 @@ type t = {
   charge_barriers : bool;
   swap : Diskswap.t;
   offload : bool;  (* user configured the disk-offload baseline *)
-  resurrection : bool;
+  resurrection : Resurrection.t option;
   finalizers : (int, Heap_obj.t -> unit) Hashtbl.t;
   statics_objects : (string, Heap_obj.t) Hashtbl.t;
   main_thread : Roots.thread;
@@ -49,22 +49,6 @@ type t = {
   staleness_series : Lp_obs.Metrics.series;
   live_bytes_gauge : Lp_obs.Metrics.gauge;
   mutable sink : Lp_obs.Sink.t option;
-  (* The inputs of the last retention pass: its poisoned-target list and
-     the swap store's generation once its drops were done. A pass with
-     the same two inputs would keep every image and drop none, so it is
-     skipped. Generation -1 is no memo: the first pass always runs. *)
-  mutable retained_poisoned : int list;
-  mutable retained_generation : int;
-  (* The breadth-first walks of image capture and retention, one at a
-     time: an id is seen in the current walk when its [walk_stamps]
-     entry is [walk_epoch], and the walk's FIFO is the first
-     [walk_len] ids of [walk_fifo]. Both arrays are reused and grow on
-     demand: image references and forwards can name ids beyond the
-     store's slots. *)
-  mutable walk_stamps : int array;
-  mutable walk_epoch : int;
-  mutable walk_fifo : int array;
-  mutable walk_len : int;
 }
 
 (* The budget an armed pause SLO starts from (the autopilot needs
@@ -155,17 +139,21 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
       ~engine:(Collector.create ?slice_budget ())
       config registry
   in
+  let stats = Gc_stats.create () in
   {
     registry;
     store;
     roots;
-    stats = Gc_stats.create ();
+    stats;
     controller;
     cost;
     charge_barriers;
     swap;
     offload;
-    resurrection;
+    resurrection =
+      (if resurrection then
+         Some (Resurrection.create ~store ~swap ~controller ~stats)
+       else None);
     finalizers = Hashtbl.create 64;
     statics_objects = Hashtbl.create 16;
     main_thread = Roots.spawn_thread roots;
@@ -189,12 +177,6 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
       Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
     live_bytes_gauge = Lp_obs.Metrics.gauge metrics "heap.live_bytes";
     sink = None;
-    retained_poisoned = [];
-    retained_generation = -1;
-    walk_stamps = [||];
-    walk_epoch = 0;
-    walk_fifo = [||];
-    walk_len = 0;
   }
 
 let store t = t.store
@@ -228,7 +210,7 @@ let enable_trace ?capacity t =
 let trace_events t =
   match t.sink with Some s -> Lp_obs.Sink.events s | None -> []
 
-let resurrection_enabled t = t.resurrection
+let resurrection_enabled t = Option.is_some t.resurrection
 let charge_barriers t = t.charge_barriers
 
 let autopilot t = t.autopilot
@@ -377,161 +359,13 @@ let run_finalizer t (obj : Heap_obj.t) =
     f obj
   | None -> ()
 
-let grown a ~past =
-  let a' = Array.make (max (past + 1) (max 64 (2 * Array.length a))) 0 in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
-
-(* A new walk: nothing seen, nothing queued. *)
-let start_walk t =
-  t.walk_epoch <- t.walk_epoch + 1;
-  t.walk_len <- 0
-
-let walked t id =
-  id < Array.length t.walk_stamps && t.walk_stamps.(id) = t.walk_epoch
-
-let push t id =
-  if id >= Array.length t.walk_stamps then
-    t.walk_stamps <- grown t.walk_stamps ~past:id;
-  if t.walk_stamps.(id) <> t.walk_epoch then begin
-    t.walk_stamps.(id) <- t.walk_epoch;
-    if t.walk_len = Array.length t.walk_fifo then
-      t.walk_fifo <- grown t.walk_fifo ~past:t.walk_len;
-    t.walk_fifo.(t.walk_len) <- id;
-    t.walk_len <- t.walk_len + 1
-  end
-
-(* enqueue an identifier and, if it was forwarded (pruned then
-   resurrected), the identifier it forwards to *)
-let enqueue_ref t id =
-  push t id;
-  match Diskswap.resolve_forward t.swap id with
-  | Some final -> push t final
-  | None -> ()
-
-(* The targets of every poisoned word in a marked object, in slot
-   and field order. Taken between marking and the sweep: the marked set
-   is exactly the heap the sweep leaves, and neither image capture nor
-   the sweep writes a survivor's fields, so one list serves both the
-   capture before the sweep and the retention after it. The objects
-   come from the collector's poison holders, the marked objects whose
-   scan found or made a poisoned word, so no loop visits the slots: the
-   holders are sorted into slot order in place, and the loops run over
-   them and each holder's fields from the top down, consing onto the
-   front, so the list comes out in slot and field order with no
-   reversal and no per-object closure. *)
-let poisoned_targets t =
-  let holders =
-    Collector.poison_holders (Lp_core.Controller.engine t.controller)
-  in
-  Work_queue.sort holders;
-  let acc = ref [] in
-  for k = Work_queue.length holders - 1 downto 0 do
-    let id = Work_queue.get holders k in
-    for i = Store.n_fields t.store id - 1 downto 0 do
-      let w = Store.field t.store id i in
-      if (not (Word.is_null w)) && Word.poisoned w then
-        acc := Word.target w :: !acc
-    done
-  done;
-  !acc
-
-(* An object this collection frees: live, but left unmarked. *)
-let dying t id =
-  let h = Store.header t.store id in
-  (not (Header.is_free h)) && not (Header.marked h)
-
-(* Whether [capture_images] would store nothing: its drain stores and
-   follows dying objects only, so with no doomed id and no poisoned
-   target (nor what it forwards to) dying, it ends where it starts. *)
-let nothing_to_capture t ~doomed ~poisoned =
-  doomed = []
-  && List.for_all
-       (fun id ->
-         (not (dying t id))
-         &&
-         match Diskswap.resolve_forward t.swap id with
-         | Some final -> not (dying t final)
-         | None -> true)
-       poisoned
-
-(* Runs between marking and the sweep, when liveness is decided but the
-   doomed objects are still intact: serialize a swap image of every
-   dying object reachable from a freshly pruned edge or from a live
-   poisoned word, so a later misprediction can be recovered. The walk
-   is breadth first and takes ids in the order they were pushed, each
-   once: that order fixes the order of the [Image_capture] events and
-   which image write an injected Swap fault lands on. *)
-let capture_images t ~doomed ~poisoned =
-  if not (nothing_to_capture t ~doomed ~poisoned) then begin
-    start_walk t;
-    let follow = enqueue_ref t in
-    List.iter follow doomed;
-    List.iter follow poisoned;
-    let next = ref 0 in
-    while !next < t.walk_len do
-      let id = t.walk_fifo.(!next) in
-      incr next;
-      if dying t id then begin
-        if not (Diskswap.has_image t.swap id) then
-          Diskswap.store_image t.swap ~id (Swap_image.capture t.store id);
-        (* the whole unmarked subtree dies with it *)
-        for i = 0 to Store.n_fields t.store id - 1 do
-          let w = Store.field t.store id i in
-          if not (Word.is_null w) then enqueue_ref t (Word.target w)
-        done
-      end
-    done
-  end
-
-(* Post-sweep retention: keep exactly the images still reachable from a
-   live poisoned word, directly or through reference words recorded in
-   another retained image. Each image's references were decoded once
-   when it was stored; a corrupt image that is still referenced is
-   retained without being followed, so the eventual access reports the
-   real failure instead of Image_missing. Everything else is released
-   disk space: the swap store walks its image slots once, in ascending
-   id order, dropping each image outside the keep set as it meets it,
-   so a pass's [Image_drop] events come in ascending id order.
-
-   The keep set is a function of the poisoned targets, the forwarding
-   table and the stored images with their memoised references; the
-   last two change only where the swap store's generation moves. After
-   a pass every stored image is in the keep set, and dropping images
-   outside it does not change it, so a pass over the same poisoned list
-   at the same generation would drop nothing: it is skipped. *)
-let retain_images t ~poisoned =
-  if
-    Diskswap.generation t.swap <> t.retained_generation
-    || not (List.equal Int.equal poisoned t.retained_poisoned)
-  then begin
-    start_walk t;
-    let follow = enqueue_ref t in
-    List.iter follow poisoned;
-    let next = ref 0 in
-    while !next < t.walk_len do
-      let id = t.walk_fifo.(!next) in
-      incr next;
-      Diskswap.iter_image_refs t.swap id follow
-    done;
-    Diskswap.retain_images t.swap ~keep:(walked t);
-    t.retained_poisoned <- poisoned;
-    t.retained_generation <- Diskswap.generation t.swap
-  end
-
 let collect_once t =
-  let doomed = ref [] in
-  let poisoned = ref [] in
   let on_poison, before_sweep =
-    if t.resurrection then
-      ( Some
-          (fun (e : Collector.edge) ->
-            doomed := e.Collector.tgt :: !doomed),
-        Some
-          (fun () ->
-            poisoned := poisoned_targets t;
-            capture_images t ~doomed:!doomed ~poisoned:!poisoned) )
-    else (None, None)
+    match t.resurrection with
+    | Some r ->
+      let on_poison, before_sweep = Resurrection.capture_hooks r in
+      (Some on_poison, Some before_sweep)
+    | None -> (None, None)
   in
   (* Only an object allocated with a finalizer can be pending
      finalization, and it keeps its table entry until the finalizer
@@ -542,7 +376,7 @@ let collect_once t =
   in
   Lp_core.Controller.collect ?on_finalize ?on_poison ?before_sweep
     t.controller t.store t.roots ~stats:t.stats;
-  if t.resurrection then retain_images t ~poisoned:!poisoned;
+  Option.iter Resurrection.retain t.resurrection;
   if t.nursery_limit <> None then begin
     (* a full-heap collection empties the nursery: every survivor is
        mature afterwards *)
@@ -817,122 +651,12 @@ let inject_word_corruption t (obj : Heap_obj.t) ~field mode =
          it stays dead until thousands of fresh allocations pass it. *)
       Word.of_id (Store.next_fresh_id t.store + 4096))
 
-let resurrection_alloc_attempts = 4
-
-(* Barrier-level recovery (the resurrection subsystem). Called by the
-   read barrier when the program loads a poisoned reference and
-   [resurrection] is enabled. On success the poisoned word in
-   field [field] of [src] has been replaced by a clean reference to the
-   restored object and the load can be retried. Re-allocating the
-   object may run at most [resurrection_alloc_attempts] collections
-   before the recovery fails with [Reallocation_exhausted]. *)
-let try_resurrect t (src : Heap_obj.t) ~field =
-  let src_id = Heap_obj.index src in
-  let target = Word.target (Store.field t.store src_id field) in
+(* Charged before the recovery runs, so the collections its
+   re-allocation retries run are stamped after the charge. *)
+let try_resurrect t src ~field =
   charge t t.cost.Cost.resurrect;
-  match Diskswap.resolve_forward t.swap target with
-  | Some final when Store.mem t.store final ->
-    (* a sibling reference already resurrected the object: rewire *)
-    Store.set_field t.store src_id field (Word.of_id final);
-    Ok (Store.get t.store final)
-  | Some _ | None -> (
-    match Diskswap.load_image t.swap target with
-    | None when Store.mem t.store target ->
-      (* The pruned edge's target survived through another live path, so
-         no image was ever captured (capture only images dying objects)
-         and the identifier cannot have been recycled: un-poison the
-         word. Still a misprediction — the program used a pruned
-         reference — so the edge type is protected all the same. *)
-      let tgt = Store.get t.store target in
-      Store.set_field t.store src_id field (Word.of_id target);
-      Lp_core.Controller.note_misprediction t.controller
-        ~src_class:(Store.class_of t.store src_id)
-        ~tgt_class:(Store.class_of t.store target)
-        ~stale:(Store.stale t.store target);
-      Ok tgt
-    | None -> Error Lp_core.Errors.Image_missing
-    | Some bytes -> (
-      match Swap_image.decode bytes with
-      | Error reason -> Error reason
-      | Ok image ->
-        let n_fields = Array.length image.Swap_image.fields in
-        let scalar_bytes = image.Swap_image.scalar_bytes in
-        let size = Heap_obj.size_of ~n_fields ~scalar_bytes in
-        (* bounded re-allocation through the collector: each retry runs a
-           full collection, letting pruning (or plain reclamation) make
-           room for the object coming back *)
-        let rec obtain n =
-          if Store.would_overflow t.store size then retry n
-          else
-            match
-              Store.alloc_generation t.store ~nursery:false
-                ~class_id:image.Swap_image.class_id ~n_fields ~scalar_bytes
-                ~finalizable:false
-            with
-            | obj -> Ok obj
-            | exception Store.Heap_full _ -> retry n
-        and retry n =
-          if n >= resurrection_alloc_attempts then
-            Error
-              (Lp_core.Errors.Reallocation_exhausted
-                 { attempts = n; size_bytes = size })
-          else begin
-            run_gc t;
-            obtain (n + 1)
-          end
-        in
-        (match obtain 0 with
-        | Error _ as e -> e
-        | Ok obj ->
-          (* Restore fields. A reference whose target still has a swap
-             image is re-poisoned: the original is dead awaiting its own
-             resurrection, and whatever live object occupies the
-             (possibly recycled) identifier now is not it. Otherwise a
-             plain reference is rewired only when its (forward-resolved)
-             target is live with the class recorded at capture time —
-             identifier recycling cannot splice in an unrelated object.
-             Everything else is re-poisoned: the edge stays pruned and a
-             later access recovers it in turn. *)
-          Array.iteri
-            (fun i (f : Swap_image.field) ->
-              let word = f.Swap_image.word in
-              let repoison tid =
-                t.stats.Gc_stats.words_repoisoned <-
-                  t.stats.Gc_stats.words_repoisoned + 1;
-                Word.poison (Word.of_id tid)
-              in
-              Store.set_field t.store (Heap_obj.index obj) i
-                (if Word.is_null word then Word.null
-                 else if Word.poisoned word then word
-                 else begin
-                   let tid = Word.target word in
-                   match Diskswap.resolve_forward t.swap tid with
-                   | Some final when Store.mem t.store final -> Word.of_id final
-                   | Some final -> repoison final
-                   | None ->
-                     if Diskswap.has_image t.swap tid then repoison tid
-                     else if
-                       Store.mem t.store tid
-                       && Store.class_of t.store tid
-                          = f.Swap_image.referent_class
-                     then Word.of_id tid
-                     else repoison tid
-                 end))
-            image.Swap_image.fields;
-          Store.set_stale t.store (Heap_obj.index obj) image.Swap_image.stale;
-          Diskswap.forward t.swap ~old_id:target ~new_id:(Heap_obj.index obj);
-          Diskswap.drop_image t.swap target;
-          (* the collections [obtain] ran may have freed the source, and
-             its words may belong to another object now *)
-          if Store.is_live t.store src then
-            Store.set_field t.store src_id field (Word.of_id (Heap_obj.index obj));
-          t.stats.Gc_stats.resurrections <- t.stats.Gc_stats.resurrections + 1;
-          (* misprediction feedback: protect the edge type and maybe
-             enter the SAFE moratorium *)
-          Lp_core.Controller.note_misprediction t.controller
-            ~src_class:(Store.class_of t.store src_id)
-            ~tgt_class:image.Swap_image.class_id ~stale:image.Swap_image.stale;
-          Ok obj)))
+  Resurrection.restore (Option.get t.resurrection)
+    ~collect:(fun () -> run_gc t) src ~field
 
 let with_frame t ?thread ~n_slots f =
   let thread = match thread with Some th -> th | None -> t.main_thread in

@@ -50,7 +50,8 @@ val create :
     resurrection subsystem: PRUNE collections serialize doomed objects
     into checksummed swap images, and the read barrier restores a
     pruned target from its image on access instead of raising — see
-    {!try_resurrect}. [swap_backend] attaches the VM's swap store to a
+    {!Resurrection}, which the VM's collections and {!try_resurrect}
+    call. [swap_backend] attaches the VM's swap store to a
     shared disk backend (fleet mode): [disk.disk_limit_bytes] becomes
     the tenant's quota and offloads are admission-gated — see
     {!Diskswap.create_backend}. Defaults: paper-default pruning config,
@@ -84,16 +85,6 @@ val offloading : t -> bool
     barrier. *)
 
 val resurrection_enabled : t -> bool
-
-val poisoned_targets : t -> int list
-(** The targets of the non-null poisoned words held by the objects the
-    last collection marked, in (object id, field) order: what a walk
-    over every marked object's fields would find. A resurrection VM
-    takes this list between the mark and the sweep, for image capture
-    and retention. It is built from the collector's poison holders
-    ({!Lp_heap.Collector.poison_holders}) and reads their current
-    words, so after a collection it is exact until the program writes
-    a word or allocates. *)
 
 val charge_barriers : t -> bool
 val remset : t -> Remset.t
@@ -321,19 +312,8 @@ val try_resurrect :
   Lp_heap.Heap_obj.t ->
   field:int ->
   (Heap_obj.t, Lp_core.Errors.resurrection_failure) result
-(** Barrier-level recovery of a poisoned reference in
-    field [field] of [src] (called by {!Mutator.read}; exposed for tests).
-    If the pruned target was already resurrected through a sibling
-    reference, the word is rewired to the forwarded copy; if it never
-    died at all (it survived through another live path, so no image was
-    captured), the word is simply un-poisoned. Otherwise its
-    swap image is loaded and validated (torn or corrupt images yield the
-    corresponding {!Lp_core.Errors.resurrection_failure}), the object is
-    re-allocated through a bounded collect-and-retry loop
-    (at most 4 collections, then [Reallocation_exhausted]), its fields are restored — a plain
-    reference only when its target is live with the class recorded at
-    capture time, everything else re-poisoned (counted in
-    [Gc_stats.words_repoisoned]) — and the forwarding table and
-    misprediction feedback ({!Lp_core.Controller.note_misprediction})
-    are updated. On [Ok] the triggering word is already rewired and the
-    load can be retried. *)
+(** Barrier-level recovery of a poisoned reference in field [field] of
+    [src], called by {!Mutator.read}: charges [Cost.resurrect], then
+    {!Resurrection.restore}s the target with {!run_gc} as its
+    re-allocation retry.
+    @raise Invalid_argument on a VM created without resurrection. *)

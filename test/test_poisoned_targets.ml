@@ -1,6 +1,6 @@
 (* The poisoned-target list a resurrection VM takes between the mark and
-   the sweep, for image capture and retention. The VM builds it from the
-   collector's poison holders; the reference here is the walk over every
+   the sweep, for image capture and retention. [Resurrection] builds it
+   from the collector's poison holders; the reference here is the walk over every
    slot that the holder record replaced. The two must agree after every
    collection of generated programs that poison words in every way the
    runtime knows: injected before a collection, poisoned by the PRUNE
@@ -138,7 +138,10 @@ let run case =
   Vm.set_gc_listener vm
     (Some
        (fun _ ->
-         let got = Vm.poisoned_targets vm in
+         let got =
+           Resurrection.poisoned_targets store
+             (Lp_core.Controller.engine (Vm.controller vm))
+         in
          let want, holders = reference_walk store in
          if got <> want then
            raise

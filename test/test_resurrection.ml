@@ -440,6 +440,72 @@ let test_misprediction_protects_edge_type () =
        ~tgt:victim_cls
     >= 5 + slack)
 
+(* ---- Re-allocation that cannot succeed ----
+
+   No pruning policy, so collections free nothing, and a live chain
+   fills the heap until the pruned object's image no longer fits the
+   headroom: the restore runs its 4 collections and gives up, and the
+   read barrier surfaces that as a structured failure. *)
+
+let test_reallocation_exhausted () =
+  let vm =
+    make_vm ~config:(Lp_core.Config.make ~policy:Lp_core.Policy.None_ ())
+      ~heap:20_000 ()
+  in
+  let store = Vm.store vm in
+  let fill = Vm.statics vm ~class_name:"Fill" ~n_fields:1 in
+  let src = Vm.alloc vm ~class_name:"Holder" ~n_fields:1 () in
+  Roots.add_static_root (Vm.roots vm) (Heap_obj.index src);
+  let victim =
+    Vm.alloc vm ~class_name:"Victim" ~scalar_bytes:2_000 ~n_fields:1 ()
+  in
+  Mutator.write_obj vm src 0 victim;
+  let victim_id = Heap_obj.index victim in
+  let size = Store.size_bytes store victim_id in
+  Diskswap.store_image (Vm.swap vm) ~id:victim_id
+    (Swap_image.capture store victim_id);
+  Vm.inject_word_corruption vm src ~field:0 `Poison;
+  Store.free store victim;
+  let prev = ref fill in
+  while not (Store.would_overflow store size) do
+    let o = Vm.alloc vm ~class_name:"Node" ~scalar_bytes:16 ~n_fields:1 () in
+    Mutator.write_obj vm !prev 0 o;
+    prev := o
+  done;
+  let gcs = Vm.gc_count vm and used = Store.used_bytes store in
+  let r =
+    Resurrection.create ~store ~swap:(Vm.swap vm) ~controller:(Vm.controller vm)
+      ~stats:(Vm.stats vm)
+  in
+  (match
+     Resurrection.restore r ~collect:(fun () -> Vm.run_gc vm) src ~field:0
+   with
+  | Error (Lp_core.Errors.Reallocation_exhausted { attempts; size_bytes }) ->
+    Alcotest.(check int) "attempts" 4 attempts;
+    Alcotest.(check int) "size of the pruned object" size size_bytes
+  | Ok _ -> Alcotest.fail "the object cannot fit"
+  | Error _ -> Alcotest.fail "reason must be Reallocation_exhausted");
+  Alcotest.(check int) "one collection per attempt" (gcs + 4) (Vm.gc_count vm);
+  Alcotest.(check int) "the collections freed nothing" used
+    (Store.used_bytes store);
+  Alcotest.(check bool) "word still poisoned" true
+    (Word.poisoned (Mutator.field_word vm src 0));
+  Alcotest.(check int) "image kept" 1 (Diskswap.image_count (Vm.swap vm));
+  (match Mutator.read vm src 0 with
+  | _ -> Alcotest.fail "expected InternalError"
+  | exception
+      Lp_core.Errors.Internal_error
+        { cause = Lp_core.Errors.Resurrection_failed { target; reason; _ }; _ }
+    -> (
+      Alcotest.(check int) "target carried" victim_id target;
+      match reason with
+      | Lp_core.Errors.Reallocation_exhausted { attempts = 4; _ } -> ()
+      | _ -> Alcotest.fail "reason must be Reallocation_exhausted after 4")
+  | exception _ -> Alcotest.fail "wrong exception");
+  Alcotest.(check int) "failure counted" 1
+    (Vm.stats vm).Gc_stats.resurrection_failures;
+  Alcotest.(check int) "no resurrection" 0 (Vm.stats vm).Gc_stats.resurrections
+
 let suite =
   ( "resurrection",
     [
@@ -472,4 +538,6 @@ let suite =
         test_safe_mode_forced_exit_on_exhaustion;
       Alcotest.test_case "misprediction protects the edge type" `Quick
         test_misprediction_protects_edge_type;
+      Alcotest.test_case "re-allocation exhausted raises" `Quick
+        test_reallocation_exhausted;
     ] )
