@@ -1,5 +1,16 @@
 open Lp_heap
 
+(* Read only when an image fails validation: [Fault_plan.fired] builds
+   its log afresh. *)
+let swap_faults_fired vm =
+  match Vm.fault_plan vm with
+  | None -> 0
+  | Some plan ->
+    List.length
+      (List.filter
+         (fun (site, _, _) -> site = Lp_fault.Fault_plan.Swap)
+         (Lp_fault.Fault_plan.fired plan))
+
 let heap_check ?(strict = false) vm =
   let store = Vm.store vm in
   let error = ref None in
@@ -91,15 +102,6 @@ let heap_check ?(strict = false) vm =
   let swap = Vm.swap vm in
   let image_sum = ref 0 in
   let image_count = ref 0 in
-  let swap_faults_fired =
-    match Vm.fault_plan vm with
-    | None -> 0
-    | Some plan ->
-      List.length
-        (List.filter
-           (fun (site, _, _) -> site = Lp_fault.Fault_plan.Swap)
-           (Lp_fault.Fault_plan.fired plan))
-  in
   Diskswap.iter_images swap (fun ~id ~image ~refs ->
       incr image_count;
       image_sum := !image_sum + Bytes.length image;
@@ -130,7 +132,7 @@ let heap_check ?(strict = false) vm =
            object, which is exactly why images record referent classes *)
       | Error reason ->
         (* only an injected storage fault may leave a corrupt image *)
-        if swap_faults_fired = 0 then
+        if swap_faults_fired vm = 0 then
           fail
             (Printf.sprintf "swap image %d is corrupt (%s) with no swap fault \
                              ever injected"

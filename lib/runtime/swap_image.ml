@@ -18,31 +18,6 @@ let magic0 = 'L'
 
 let magic1 = 'P'
 
-(* CRC-32, IEEE 802.3 polynomial (reflected 0xEDB88320) — the same
-   checksum a real swap file format would use, table-driven. *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-(* The range is checked once, so the byte loop reads unchecked: every
-   [i] lies in [pos, pos + len) and every table index is masked into
-   [0, 255]. *)
-let crc32 buf ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
-    invalid_arg "Swap_image.crc32: range out of bounds";
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c :=
-      Array.unsafe_get crc_table
-        ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
-
 (* Payload: five fixed int32s, then two int32s per field. *)
 let[@inline] field_offset i = header_bytes + 20 + (8 * i)
 
@@ -72,7 +47,7 @@ let write ~object_id ~class_id ~stale ~scalar_bytes ~n_fields src ~first
   for i = 0 to n_fields - 1 do
     put_field src (first + i) buf (field_offset i)
   done;
-  put buf 8 (crc32 buf ~pos:header_bytes ~len:payload_len);
+  put buf 8 (Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len);
   buf
 
 let put_record_field fields i buf off =
@@ -126,7 +101,8 @@ let validate buf =
              { expected_bytes = expected; actual_bytes = len })
       else if
         (* the stored int32 reads back sign-extended; compare unsigned *)
-        get buf 8 land 0xFFFFFFFF <> crc32 buf ~pos:header_bytes ~len:payload_len
+        get buf 8 land 0xFFFFFFFF
+        <> Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len
       then
         Error Lp_core.Errors.Image_crc_mismatch
       else

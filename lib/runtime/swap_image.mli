@@ -14,7 +14,7 @@
     offset 2   format version (1 byte)
     offset 3   reserved (1 byte, zero)
     offset 4   payload length in bytes (LE int32)
-    offset 8   CRC-32 of the payload (LE int32)
+    offset 8   CRC-32 of the payload (Crc32, LE int32)
     offset 12  payload
     v}
 
@@ -92,8 +92,3 @@ val tear : bytes -> keep:int -> bytes
 val corrupt : bytes -> pos:int -> bytes
 (** [corrupt img ~pos] flips the low bit of the byte at [pos] (clamped
     into the payload region), modelling at-rest bit rot. *)
-
-val crc32 : bytes -> pos:int -> len:int -> int
-(** CRC-32 (IEEE 802.3 polynomial) of a byte range, exposed for tests.
-    @raise Invalid_argument when the range does not lie inside the
-    buffer. *)

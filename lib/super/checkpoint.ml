@@ -90,7 +90,7 @@ let encode (brain : Controller.brain) =
   assert (!off = header_bytes + payload_len);
   Bytes.set_int32_le buf 8
     (Int32.of_int
-       (Lp_runtime.Swap_image.crc32 buf ~pos:header_bytes ~len:payload_len));
+       (Lp_runtime.Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len));
   buf
 
 exception Truncated
@@ -112,7 +112,7 @@ let decode buf =
         Error (Torn { expected_bytes = expected; actual_bytes = len })
       else if
         Int32.to_int (Bytes.get_int32_le buf 8) land 0xFFFFFFFF
-        <> Lp_runtime.Swap_image.crc32 buf ~pos:header_bytes ~len:payload_len
+        <> Lp_runtime.Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len
       then Error Crc_mismatch
       else begin
         (* CRC holds; structural errors past this point are still

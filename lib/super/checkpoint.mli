@@ -11,7 +11,7 @@
     2       1     format version (2)
     3       1     reserved (zero)
     4       4     payload length, little-endian int32
-    8       4     CRC-32 of the payload (IEEE 802.3), little-endian
+    8       4     CRC-32 of the payload (Lp_runtime.Crc32), little-endian
     12      n     payload
     v}
 

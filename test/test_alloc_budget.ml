@@ -406,6 +406,18 @@ let test_empty_remset_walk () =
       incr visited);
   Alcotest.(check int) "a set of one slot visits it" 1 !visited
 
+(* Once its table exists, a checksum allocates nothing: the word loop
+   reads each int32 unboxed, so no boxed [Int32] is left in it. *)
+let test_crc32_allocation_free () =
+  let buf = Bytes.init 1_000 (fun i -> Char.chr (i land 0xFF)) in
+  ignore (Crc32.of_bytes buf ~pos:0 ~len:1);
+  let words =
+    words_per_call ~n:10_000 (fun () ->
+        ignore (Sys.opaque_identity (Crc32.of_bytes buf ~pos:3 ~len:990)))
+  in
+  if words > 0. then
+    Alcotest.failf "a checksum of 990 bytes: %.3f words per call" words
+
 let suite =
   ( "alloc_budget",
     [
@@ -433,4 +445,6 @@ let suite =
         test_constant_words_resurrection;
       Alcotest.test_case "an empty remembered set's walk allocates nothing"
         `Quick test_empty_remset_walk;
+      Alcotest.test_case "a checksum allocates nothing" `Quick
+        test_crc32_allocation_free;
     ] )

@@ -62,7 +62,7 @@ let test_image_high_bit_crc_roundtrips () =
     in
     let buf = Swap_image.capture store (Heap_obj.index obj) in
     let crc =
-      Swap_image.crc32 buf ~pos:Swap_image.header_bytes
+      Crc32.of_bytes buf ~pos:Swap_image.header_bytes
         ~len:(Bytes.length buf - Swap_image.header_bytes)
     in
     if crc land 0x80000000 <> 0 then begin

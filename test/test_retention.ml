@@ -25,14 +25,14 @@ let crc32_bitwise buf ~pos ~len =
 let test_crc32_check_value () =
   let buf = Bytes.of_string "123456789" in
   Alcotest.(check int) "standard check value" 0xCBF43926
-    (Swap_image.crc32 buf ~pos:0 ~len:9);
-  Alcotest.(check int) "empty range" 0 (Swap_image.crc32 buf ~pos:4 ~len:0)
+    (Crc32.of_bytes buf ~pos:0 ~len:9);
+  Alcotest.(check int) "empty range" 0 (Crc32.of_bytes buf ~pos:4 ~len:0)
 
 let test_crc32_rejects_bad_ranges () =
   let buf = Bytes.make 8 'x' in
   List.iter
     (fun (pos, len) ->
-      match Swap_image.crc32 buf ~pos ~len with
+      match Crc32.of_bytes buf ~pos ~len with
       | _ -> Alcotest.failf "range pos=%d len=%d must be rejected" pos len
       | exception Invalid_argument _ -> ())
     [ (-1, 2); (0, 9); (7, 2); (9, 0); (2, -1); (max_int, 1) ]
@@ -46,7 +46,28 @@ let prop_crc32_matches_bitwise =
       let n = Bytes.length buf in
       let pos = if n = 0 then 0 else a mod (n + 1) in
       let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
-      Swap_image.crc32 buf ~pos ~len = crc32_bitwise buf ~pos ~len)
+      Crc32.of_bytes buf ~pos ~len = crc32_bitwise buf ~pos ~len)
+
+(* Every start offset 0-7 and every length 0-40: each alignment of the
+   word loop's unaligned int32 read, and each 0-3-byte tail. *)
+let test_crc32_every_alignment () =
+  let buf = Bytes.init 48 (fun i -> Char.chr (((i * 151) + 17) land 0xFF)) in
+  for pos = 0 to 7 do
+    for len = 0 to 40 do
+      let got = Crc32.of_bytes buf ~pos ~len
+      and want = crc32_bitwise buf ~pos ~len in
+      if got <> want then
+        Alcotest.failf "pos=%d len=%d: %08x, the bitwise reference %08x" pos
+          len got want
+    done
+  done
+
+let test_crc32_large_buffer () =
+  let rand = Random.State.make [| 1 |] in
+  let buf = Bytes.init 65_536 (fun _ -> Char.chr (Random.State.int rand 256)) in
+  Alcotest.(check int) "64 KiB of random bytes"
+    (crc32_bitwise buf ~pos:0 ~len:65_536)
+    (Crc32.of_bytes buf ~pos:0 ~len:65_536)
 
 (* ---- Memoised references ---- *)
 
@@ -889,4 +910,8 @@ let suite =
       Alcotest.test_case "image writes and drops keep their order" `Quick
         test_image_event_order;
       QCheck_alcotest.to_alcotest prop_capture_matches_record;
+      Alcotest.test_case "crc32: every alignment and tail" `Quick
+        test_crc32_every_alignment;
+      Alcotest.test_case "crc32: a 64 KiB random buffer" `Quick
+        test_crc32_large_buffer;
     ] )

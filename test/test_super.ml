@@ -87,7 +87,7 @@ let test_checkpoint_malformed () =
   Bytes.set_int32_le evil (12 + (4 * 4)) 9l;
   let payload_len = Bytes.length evil - 12 in
   Bytes.set_int32_le evil 8
-    (Int32.of_int (Lp_runtime.Swap_image.crc32 evil ~pos:12 ~len:payload_len));
+    (Int32.of_int (Lp_runtime.Crc32.of_bytes evil ~pos:12 ~len:payload_len));
   match Checkpoint.decode evil with
   | Error (Checkpoint.Malformed _) -> ()
   | other -> Alcotest.failf "expected Malformed, got %s" (error_to_str other)
