@@ -18,8 +18,15 @@ let offload_occupancy = 0.9
    references instead of re-parsing every image at every collection.
    [Corrupt] marks bytes that did not validate: retention keeps such an
    image when it is referenced but follows nothing through it.
-   [No_image] fills the slots of the image array that hold none. *)
+   [No_image] fills the slots of the image table that hold none. *)
 type image = No_image | Valid of bytes * int array | Corrupt of bytes
+
+(* An offloaded object's residency: its heap size (what the store's
+   swapped-out credit refunds) and the serialized payload a swap-in
+   must read back. [not_resident] fills the slots that hold none. *)
+type resident = { size : int; payload : bytes }
+
+let not_resident = { size = 0; payload = Bytes.empty }
 
 let image_data = function
   | Valid (data, _) | Corrupt data -> data
@@ -57,23 +64,12 @@ let set_backend_capacity b capacity = b.capacity_bytes <- capacity
 
 type t = {
   config : config;
-  (* Offload residency, indexed by slot (id - 1) like the store's
-     arrays: an offloaded object's heap size (what the store's
-     swapped-out credit refunds; 0 when the slot is not resident) and
-     the serialized payload a swap-in must read back. Grown on demand;
-     [resident_n] counts the resident slots. *)
-  mutable resident_sizes : int array;
-  mutable payloads : bytes array;
-  mutable resident_n : int;
-  (* Prune images and forwards, indexed by slot like the residency
-     arrays and grown on demand to the highest id written: a pruned
-     object's swap image ([No_image] for none), and the id it was
-     resurrected as (0 for none). [image_n] and [forward_n] count the
-     slots in use. *)
-  mutable images : image array;
-  mutable image_n : int;
-  mutable forwards : int array;
-  mutable forward_n : int;
+  (* Offload residency, prune images and forwards, each indexed by
+     object id: an offloaded object's residency, a pruned object's swap
+     image, and the id it was resurrected as (0 for none). *)
+  resident : resident Slot_table.t;
+  images : image Slot_table.t;
+  forwards : int Slot_table.t;
   (* Bumped by every write to [images] or [forwards], so a reader can
      tell in one comparison that neither changed since it last looked. *)
   mutable generation : int;
@@ -105,13 +101,9 @@ let create ?metrics ?backend config =
   in
   {
     config;
-    resident_sizes = [||];
-    payloads = [||];
-    resident_n = 0;
-    images = [||];
-    image_n = 0;
-    forwards = [||];
-    forward_n = 0;
+    resident = Slot_table.create not_resident;
+    images = Slot_table.create No_image;
+    forwards = Slot_table.create 0;
     generation = 0;
     resident_total = 0;
     image_total = 0;
@@ -161,41 +153,10 @@ let set_image_total t total =
 
 let resident_bytes t = t.resident_total
 
-let resident_count t = t.resident_n
+let resident_count t = Slot_table.count t.resident
 
-(* Visits the resident slots in ascending id order, stopping after the
-   last one; [f] may release the slot it is given. *)
 let iter_resident t f =
-  let sizes = t.resident_sizes in
-  let left = ref t.resident_n and i = ref 0 in
-  while !left > 0 && !i < Array.length sizes do
-    let bytes = sizes.(!i) in
-    if bytes > 0 then begin
-      decr left;
-      f ~id:(!i + 1) ~bytes
-    end;
-    incr i
-  done
-
-let[@inline never] grow_resident t id =
-  let n = Array.length t.resident_sizes in
-  let cap = max (max 64 (n + (n / 2))) id in
-  let sizes = Array.make cap 0 and payloads = Array.make cap Bytes.empty in
-  Array.blit t.resident_sizes 0 sizes 0 n;
-  Array.blit t.payloads 0 payloads 0 n;
-  t.resident_sizes <- sizes;
-  t.payloads <- payloads
-
-(* The heap bytes of [id]'s offloaded payload; 0 when it has none. *)
-let resident_size t id =
-  if id > 0 && id <= Array.length t.resident_sizes then
-    t.resident_sizes.(id - 1)
-  else 0
-
-let release t id =
-  t.resident_sizes.(id - 1) <- 0;
-  t.payloads.(id - 1) <- Bytes.empty;
-  t.resident_n <- t.resident_n - 1
+  Slot_table.iter t.resident (fun id r -> f ~id ~bytes:r.size)
 
 let total_swap_outs t = Lp_obs.Metrics.counter_value t.c_swap_outs
 
@@ -209,29 +170,19 @@ let out_of_disk t =
 
 (* ---- Swap images of pruned objects ---- *)
 
-(* The image stored under [id]; [No_image] when it has none. *)
-let image_at t id =
-  if id > 0 && id <= Array.length t.images then t.images.(id - 1)
-  else No_image
-
-let[@inline never] grow_images t id =
-  let n = Array.length t.images in
-  let images = Array.make (max (max 64 (n + (n / 2))) id) No_image in
-  Array.blit t.images 0 images 0 n;
-  t.images <- images
+let image_at t id = Slot_table.get t.images id
 
 (* The write-time fault hook models the storage layer: whatever bytes it
-   returns are what a later load will see (bit rot, torn write). *)
+   returns are what a later load will see (bit rot, torn write). It
+   advances a fault plan, so a bad id is refused before it runs. *)
 let store_image t ~id image =
   if id < 1 then invalid_arg "Diskswap.store_image: id must be >= 1";
   let image = match t.image_fault with Some f -> f image | None -> image in
-  if id > Array.length t.images then grow_images t id;
-  (match t.images.(id - 1) with
-  | No_image -> t.image_n <- t.image_n + 1
-  | old -> set_image_total t (t.image_total - Bytes.length (image_data old)));
-  t.images.(id - 1) <- memoise image;
+  let old = image_at t id in
+  Slot_table.set t.images id (memoise image);
   bump t;
-  set_image_total t (t.image_total + Bytes.length image);
+  set_image_total t
+    (t.image_total - Bytes.length (image_data old) + Bytes.length image);
   Lp_obs.Metrics.incr t.c_image_writes;
   match t.sink with
   | Some s ->
@@ -256,8 +207,7 @@ let drop_image t id =
   match image_at t id with
   | No_image -> ()
   | image ->
-    t.images.(id - 1) <- No_image;
-    t.image_n <- t.image_n - 1;
+    Slot_table.set t.images id No_image;
     bump t;
     set_image_total t (t.image_total - Bytes.length (image_data image));
     Lp_obs.Metrics.incr t.c_image_drops;
@@ -265,32 +215,19 @@ let drop_image t id =
     | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Image_drop { id })
     | None -> ())
 
-(* Visits the stored images in ascending id order, stopping after the
-   last one; [f] may drop the image it is given. *)
-let iter_slots t f =
-  let left = ref t.image_n and i = ref 0 in
-  while !left > 0 && !i < Array.length t.images do
-    (match t.images.(!i) with
-    | No_image -> ()
-    | image ->
-      decr left;
-      f (!i + 1) image);
-    incr i
-  done
-
 (* Drops the images [keep] rejects as it meets them, so their
    [Image_drop] events come in ascending id order. *)
 let retain_images t ~keep =
-  iter_slots t (fun id _ -> if not (keep id) then drop_image t id)
+  Slot_table.iter t.images (fun id _ -> if not (keep id) then drop_image t id)
 
 let iter_images t f =
-  iter_slots t (fun id image ->
+  Slot_table.iter t.images (fun id image ->
       match image with
       | Valid (data, refs) -> f ~id ~image:data ~refs:(Some refs)
       | Corrupt data -> f ~id ~image:data ~refs:None
       | No_image -> ())
 
-let image_count t = t.image_n
+let image_count t = Slot_table.count t.images
 
 let image_bytes t = t.image_total
 
@@ -298,34 +235,25 @@ let image_writes t = Lp_obs.Metrics.counter_value t.c_image_writes
 
 let image_drops t = Lp_obs.Metrics.counter_value t.c_image_drops
 
-let[@inline never] grow_forwards t id =
-  let n = Array.length t.forwards in
-  let forwards = Array.make (max (max 64 (n + (n / 2))) id) 0 in
-  Array.blit t.forwards 0 forwards 0 n;
-  t.forwards <- forwards
-
 let forward t ~old_id ~new_id =
-  if old_id < 1 || new_id < 1 then
-    invalid_arg "Diskswap.forward: ids must be >= 1";
-  if old_id > Array.length t.forwards then grow_forwards t old_id;
-  if t.forwards.(old_id - 1) = 0 then t.forward_n <- t.forward_n + 1;
-  t.forwards.(old_id - 1) <- new_id;
+  if new_id < 1 then invalid_arg "Diskswap.forward: new_id must be >= 1";
+  Slot_table.set t.forwards old_id new_id;
   bump t
 
 (* The id [id] was resurrected as; 0 when it was not. *)
-let forwarded t id =
-  if id > 0 && id <= Array.length t.forwards then t.forwards.(id - 1) else 0
+let forwarded t id = Slot_table.get t.forwards id
 
 (* Transitive: a resurrected object can itself be pruned and resurrected
    again, chaining entries. The visit bound makes a (buggy) cycle
    terminate at the last id seen rather than hanging the barrier. *)
 let rec follow t id steps =
   let next = forwarded t id in
-  if next <> 0 && steps < t.forward_n + 1 then follow t next (steps + 1)
+  if next <> 0 && steps < Slot_table.count t.forwards + 1 then
+    follow t next (steps + 1)
   else id
 
 let resolve_forward t id =
-  if t.forward_n = 0 then None
+  if Slot_table.count t.forwards = 0 then None
   else
     let final = follow t id 0 in
     if final = id then None else Some final
@@ -338,12 +266,12 @@ let resolve_forward t id =
    same object. With nothing resident there is nothing to release, and
    the walk is skipped. *)
 let reconcile t store =
-  if t.resident_n > 0 then begin
+  if Slot_table.count t.resident > 0 then begin
     let released = ref 0 in
-    iter_resident t (fun ~id ~bytes ->
+    Slot_table.iter t.resident (fun id r ->
         if not (Store.mem store id) then begin
-          release t id;
-          released := !released + bytes
+          Slot_table.set t.resident id not_resident;
+          released := !released + r.size
         end);
     if !released > 0 then set_resident_total t (t.resident_total - !released)
   end
@@ -352,10 +280,7 @@ let offload_one t store id =
   let payload = Swap_image.capture store id in
   let payload = match t.image_fault with Some f -> f payload | None -> payload in
   let bytes = Store.size_bytes store id in
-  if id > Array.length t.resident_sizes then grow_resident t id;
-  t.resident_sizes.(id - 1) <- bytes;
-  t.payloads.(id - 1) <- payload;
-  t.resident_n <- t.resident_n + 1;
+  Slot_table.set t.resident id { size = bytes; payload };
   Store.set_header store id (Header.set_on_disk (Store.header store id));
   set_resident_total t (t.resident_total + bytes);
   Lp_obs.Metrics.incr t.c_swap_outs;
@@ -467,17 +392,13 @@ type recovery = { images_valid : int; images_corrupt : int }
    accounting across the restart. *)
 let recover t =
   let images_valid = ref 0 and images_corrupt = ref 0 in
-  iter_slots t (fun _ image ->
+  Slot_table.iter t.images (fun _ image ->
       match Swap_image.validate (image_data image) with
       | Ok _ -> incr images_valid
       | Error _ -> incr images_corrupt);
-  t.resident_sizes <- [||];
-  t.payloads <- [||];
-  t.resident_n <- 0;
-  t.images <- [||];
-  t.image_n <- 0;
-  t.forwards <- [||];
-  t.forward_n <- 0;
+  Slot_table.clear t.resident;
+  Slot_table.clear t.images;
+  Slot_table.clear t.forwards;
   bump t;
   set_resident_total t 0;
   set_image_total t 0;
@@ -485,15 +406,14 @@ let recover t =
 
 let retrieve t store (obj : Heap_obj.t) =
   let id = Heap_obj.index obj in
-  match resident_size t id with
-  | 0 -> `Not_resident
-  | bytes -> (
+  match Slot_table.get t.resident id with
+  | r when r == not_resident -> `Not_resident
+  | { size = bytes; payload } -> (
     (* The entry is released either way: a successful swap-in moves the
        object back to memory; a corrupt payload means the disk copy is
        lost. Releasing before decoding keeps resident_total consistent
        even when the decode reports a fault. *)
-    let payload = t.payloads.(id - 1) in
-    release t id;
+    Slot_table.set t.resident id not_resident;
     Store.set_header store id (Header.clear_on_disk (Store.header store id));
     set_resident_total t (t.resident_total - bytes);
     Store.set_swapped_out_bytes store t.resident_total;

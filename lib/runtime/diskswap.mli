@@ -185,9 +185,8 @@ val store_image : t -> id:int -> bytes -> unit
     previous image for the same identifier. The stored bytes are
     validated once, here, and the targets of their reference words,
     read in place, are kept with them (see {!iter_image_refs}).
-    Images are kept in an array indexed by identifier, like the
-    offload residency, grown on demand to the highest identifier
-    stored; a store, load or drop is an array access.
+    Images, like payloads and forwards, are kept in a {!Slot_table}
+    indexed by identifier; a store, load or drop is an array access.
     @raise Invalid_argument when [id < 1]. *)
 
 val load_image : t -> int -> bytes option

@@ -12,11 +12,9 @@ type t = {
 
 let version = 1
 
-let header_bytes = 12
-
-let magic0 = 'L'
-
 let magic1 = 'P'
+
+let header_bytes = Frame.header_bytes
 
 (* Payload: five fixed int32s, then two int32s per field. *)
 let[@inline] field_offset i = header_bytes + 20 + (8 * i)
@@ -26,19 +24,15 @@ let[@inline] get buf off = Int32.to_int (Bytes.get_int32_le buf off)
 
 let[@inline] put buf off v = Bytes.set_int32_le buf off (Int32.of_int v)
 
-(* The one writer of the byte layout, for both sources of an image: the
-   prelude, the five fixed int32s, then field [i]'s word and referent
-   class, which [put_field src (first + i) buf off] puts at [off], then
-   the CRC of the payload. It allocates the image and nothing else. *)
+(* The one writer of the payload layout, for both sources of an image:
+   the five fixed int32s, then field [i]'s word and referent class,
+   which [put_field src (first + i) buf off] puts at [off]. It allocates
+   the image and nothing else. *)
 let write ~object_id ~class_id ~stale ~scalar_bytes ~n_fields src ~first
     put_field =
-  let payload_len = 20 + (8 * n_fields) in
-  let buf = Bytes.create (header_bytes + payload_len) in
-  Bytes.set buf 0 magic0;
-  Bytes.set buf 1 magic1;
-  Bytes.set buf 2 (Char.chr version);
-  Bytes.set buf 3 '\000';
-  put buf 4 payload_len;
+  let buf =
+    Frame.create ~magic1 ~version ~payload_len:(20 + (8 * n_fields))
+  in
   put buf header_bytes object_id;
   put buf (header_bytes + 4) class_id;
   put buf (header_bytes + 8) stale;
@@ -47,7 +41,7 @@ let write ~object_id ~class_id ~stale ~scalar_bytes ~n_fields src ~first
   for i = 0 to n_fields - 1 do
     put_field src (first + i) buf (field_offset i)
   done;
-  put buf 8 (Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len);
+  Frame.seal buf;
   buf
 
 let put_record_field fields i buf off =
@@ -80,38 +74,19 @@ let capture store id =
     put_store_field
 
 let validate buf =
-  let len = Bytes.length buf in
-  if len < header_bytes then
-    Error
-      (Lp_core.Errors.Image_torn
-         { expected_bytes = header_bytes; actual_bytes = len })
-  else if Bytes.get buf 0 <> magic0 || Bytes.get buf 1 <> magic1 then
-    (* the prelude itself is rotten; there is no checksum to compare so
-       this reports as a checksum-class failure *)
-    Error Lp_core.Errors.Image_crc_mismatch
-  else
-    let v = Char.code (Bytes.get buf 2) in
-    if v <> version then Error (Lp_core.Errors.Image_version_unsupported v)
-    else
-      let payload_len = get buf 4 in
-      let expected = header_bytes + payload_len in
-      if payload_len < 20 || len <> expected then
-        Error
-          (Lp_core.Errors.Image_torn
-             { expected_bytes = expected; actual_bytes = len })
-      else if
-        (* the stored int32 reads back sign-extended; compare unsigned *)
-        get buf 8 land 0xFFFFFFFF
-        <> Crc32.of_bytes buf ~pos:header_bytes ~len:payload_len
-      then
-        Error Lp_core.Errors.Image_crc_mismatch
-      else
-        let n_fields = get buf (header_bytes + 16) in
-        if n_fields < 0 || payload_len <> 20 + (8 * n_fields) then
-          (* structurally impossible given a valid CRC, but decoding stays
-             total rather than trusting arithmetic on attacker bytes *)
-          Error Lp_core.Errors.Image_crc_mismatch
-        else Ok n_fields
+  match Frame.check buf ~magic1 ~version ~min_payload:20 with
+  | Error (Frame.Torn { expected_bytes; actual_bytes }) ->
+    Error (Lp_core.Errors.Image_torn { expected_bytes; actual_bytes })
+  | Error Frame.Crc_mismatch -> Error Lp_core.Errors.Image_crc_mismatch
+  | Error (Frame.Version_unsupported v) ->
+    Error (Lp_core.Errors.Image_version_unsupported v)
+  | Ok () ->
+    let n_fields = get buf (header_bytes + 16) in
+    if n_fields < 0 || Bytes.length buf <> field_offset n_fields then
+      (* structurally impossible given a valid CRC, but decoding stays
+         total rather than trusting arithmetic on attacker bytes *)
+      Error Lp_core.Errors.Image_crc_mismatch
+    else Ok n_fields
 
 let decode buf =
   match validate buf with

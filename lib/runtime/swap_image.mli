@@ -7,29 +7,20 @@
     so a later program access to the poisoned reference (a misprediction)
     can be recovered instead of killing the session.
 
-    An image is a standalone byte string:
-
-    {v
-    offset 0   magic "LP" (2 bytes)
-    offset 2   format version (1 byte)
-    offset 3   reserved (1 byte, zero)
-    offset 4   payload length in bytes (LE int32)
-    offset 8   CRC-32 of the payload (Crc32, LE int32)
-    offset 12  payload
-    v}
-
-    The payload records the object identifier, class, staleness, scalar
-    size and every field word, plus — for each non-null reference — the
-    class of the referent at capture time. Storing referent classes makes
+    An image is a standalone byte string: a {!Frame} with magic ["LP"]
+    (see {!Frame} for the prelude's layout). The payload records the
+    object identifier, class, staleness, scalar size and every field
+    word, plus — for each non-null reference — the class of the
+    referent at capture time. Storing referent classes makes
     restoration safe against identifier recycling: a reference is only
     rewired to a live object whose class still matches; otherwise it is
     re-poisoned.
 
-    The length prefix and trailing-payload CRC make the two injected
-    storage faults distinguishable on load: a {e torn write} (the image
-    was cut short) fails the length check, and {e bit rot} (bytes
-    flipped in place) fails the CRC. Decoding never throws — every
-    corruption mode maps onto {!Lp_core.Errors.resurrection_failure}. *)
+    The frame's length prefix and CRC make the two injected storage
+    faults distinguishable on load: a {e torn write} (the image was cut
+    short) fails the length check, and {e bit rot} (bytes flipped in
+    place) fails the CRC. Decoding never throws — every corruption mode
+    maps onto {!Lp_core.Errors.resurrection_failure}. *)
 
 type field = {
   word : Lp_heap.Word.t;  (** the raw field word, tag bits included *)
@@ -49,9 +40,6 @@ type t = {
 val version : int
 (** Current format version (1). *)
 
-val header_bytes : int
-(** Size of the fixed prelude before the payload (12). *)
-
 val capture : Lp_heap.Store.t -> int -> bytes
 (** [capture store id] is the image of the live object [id], written
     straight from the store: no {!t} is built. Referent classes are read
@@ -63,9 +51,10 @@ val encode : t -> bytes
 (** The image of a record, written by the same writer as {!capture}. *)
 
 val validate : bytes -> (int, Lp_core.Errors.resurrection_failure) result
-(** Checks magic, version, length and CRC, in that order, and returns
-    the image's field count. Total: any byte string yields [Ok] or a
-    structured failure, never an exception. *)
+(** Checks the frame ({!Frame.check}; a bad magic or reserved byte is
+    [Image_crc_mismatch]), then that the payload holds exactly its
+    field count's fields, and returns that count. Total: any byte
+    string yields [Ok] or a structured failure, never an exception. *)
 
 val decode : bytes -> (t, Lp_core.Errors.resurrection_failure) result
 (** {!validate}, then deserializes: fails exactly when {!validate} does,

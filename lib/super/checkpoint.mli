@@ -2,18 +2,9 @@
 
     A checkpoint persists what a tenant's controller has {e learned}
     ({!Lp_core.Controller.brain}) so a supervised warm restart can
-    restore it into a fresh VM. The byte format follows the
-    crash-consistent framing of {!Lp_runtime.Swap_image}:
-
-    {v
-    offset  size  field
-    0       2     magic "LC"
-    2       1     format version (2)
-    3       1     reserved (zero)
-    4       4     payload length, little-endian int32
-    8       4     CRC-32 of the payload (Lp_runtime.Crc32), little-endian
-    12      n     payload
-    v}
+    restore it into a fresh VM. A checkpoint is a {!Lp_runtime.Frame}
+    with magic ["LC"] and version 2, as swap images are frames with
+    magic ["LP"] (see {!Lp_runtime.Frame} for the prelude's layout).
 
     The payload is ten little-endian int32s (four controller counters,
     six state-machine words), then the edge section and the pruned-type
@@ -25,14 +16,12 @@
     structurally impossible payloads all come back as typed errors —
     the caller falls back to a cold boot, never undefined behaviour. *)
 
-val version : int
-
-val header_bytes : int
-
 type error =
   | Torn of { expected_bytes : int; actual_bytes : int }
       (** frame shorter (or longer) than its declared length *)
-  | Crc_mismatch  (** payload bytes do not match the stored CRC *)
+  | Crc_mismatch
+      (** payload bytes do not match the stored CRC, or the magic or
+          reserved byte is wrong *)
   | Version_unsupported of int
   | Malformed of string
       (** CRC-valid but structurally impossible (unknown state tag,

@@ -871,11 +871,102 @@ let prop_images_match_model =
           : image_model);
       true)
 
+(* ---- Slot_table against a map model ----
+
+   Random writes, walks and clears run on an int table (empty value 0)
+   and on a [Map] of its used slots. Ids reach past the first capacity,
+   and some lie below 1: such a write is refused and leaves the table
+   as it was. A walk empties some of the slots it visits as it meets
+   them. After every operation, every id from below 1 to past the
+   largest one generated reads as in the model, the count agrees, and a
+   walk visits exactly the model's bindings in ascending id order. *)
+
+type slot_op = Set of int * int | Walk of int list | Clear
+
+let show_slot_op = function
+  | Set (id, v) -> Printf.sprintf "set %d %d" id v
+  | Walk empty ->
+    Printf.sprintf "walk, emptying {%s}"
+      (String.concat ";" (List.map string_of_int empty))
+  | Clear -> "clear"
+
+let max_slot_id = 300
+
+let gen_slot_op =
+  QCheck.Gen.(
+    let id =
+      frequency
+        [ (1, int_range (-2) 0); (6, int_range 1 40); (2, int_range 41 max_slot_id) ]
+    in
+    frequency
+      [
+        (10, map2 (fun id v -> Set (id, v)) id (frequency [ (1, return 0); (4, int_range 1 9) ]));
+        (2, map (fun ids -> Walk ids) (list_size (int_range 0 10) id));
+        (1, return Clear);
+      ])
+
+let walk t =
+  let seen = ref [] in
+  Slot_table.iter t (fun id v -> seen := (id, v) :: !seen);
+  List.rev !seen
+
+let apply_slot_op t m = function
+  | Set (id, v) -> (
+    match Slot_table.set t id v with
+    | () when id < 1 -> QCheck.Test.fail_reportf "set %d accepted" id
+    | () -> if v = 0 then Int_map.remove id m else Int_map.add id v m
+    | exception Invalid_argument _ when id < 1 -> m)
+  | Walk empty ->
+    let seen = ref [] in
+    Slot_table.iter t (fun id v ->
+        seen := (id, v) :: !seen;
+        if List.mem id empty then Slot_table.set t id 0);
+    if List.rev !seen <> Int_map.bindings m then
+      QCheck.Test.fail_report "a walk that empties slots visited others";
+    Int_map.filter (fun id _ -> not (List.mem id empty)) m
+  | Clear ->
+    Slot_table.clear t;
+    Int_map.empty
+
+let check_slot_model t m =
+  for id = -2 to max_slot_id + 5 do
+    let want = Option.value (Int_map.find_opt id m) ~default:0 in
+    if Slot_table.get t id <> want then
+      QCheck.Test.fail_reportf "get %d: %d, the model %d" id (Slot_table.get t id) want
+  done;
+  if Slot_table.count t <> Int_map.cardinal m then
+    QCheck.Test.fail_reportf "count %d, the model %d" (Slot_table.count t)
+      (Int_map.cardinal m);
+  if walk t <> Int_map.bindings m then QCheck.Test.fail_report "iter"
+
+let prop_slot_table_matches_model =
+  QCheck.Test.make ~name:"slot table: matches a map model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_slot_op)
+       QCheck.Gen.(list_size (int_range 0 80) gen_slot_op))
+    (fun ops ->
+      let t = Slot_table.create 0 in
+      ignore
+        (List.fold_left
+           (fun m op ->
+             let m = apply_slot_op t m op in
+             check_slot_model t m;
+             m)
+           Int_map.empty ops
+          : int Int_map.t);
+      true)
+
 (* Images and forwards are indexed by identifier, and identifiers start
    at 1: a store or forward naming a lower one is refused, and the
    store is left as it was. *)
 let test_ids_below_one_rejected () =
   let d = Diskswap.create (Diskswap.default_config ~disk_limit_bytes:max_int) in
+  let hook_runs = ref 0 in
+  Diskswap.set_image_fault_hook d
+    (Some
+       (fun image ->
+         incr hook_runs;
+         image));
   let rejected name f =
     match f () with
     | () -> Alcotest.failf "%s accepted" name
@@ -883,6 +974,7 @@ let test_ids_below_one_rejected () =
   in
   rejected "store_image ~id:0" (fun () ->
       Diskswap.store_image d ~id:0 (Bytes.create 16));
+  Alcotest.(check int) "the image-fault hook never ran" 0 !hook_runs;
   rejected "forward ~old_id:0" (fun () -> Diskswap.forward d ~old_id:0 ~new_id:3);
   rejected "forward ~new_id:0" (fun () -> Diskswap.forward d ~old_id:3 ~new_id:0);
   Alcotest.(check int) "no image" 0 (Diskswap.image_count d);
@@ -926,4 +1018,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_images_match_model;
       Alcotest.test_case "images: ids below 1 are rejected" `Quick
         test_ids_below_one_rejected;
+      QCheck_alcotest.to_alcotest prop_slot_table_matches_model;
     ] )

@@ -40,34 +40,93 @@ let test_checkpoint_roundtrip () =
       (decoded = brain)
   | Error e -> Alcotest.failf "decode failed: %s" (Checkpoint.error_to_string e)
 
-let test_checkpoint_torn () =
-  let frame = Checkpoint.encode brain in
-  (* every possible tear point: a torn write is Torn (or, below the
-     header, indistinguishable from garbage but still typed) *)
-  for keep = 0 to Bytes.length frame - 1 do
-    match Checkpoint.decode (Checkpoint.tear frame ~keep) with
-    | Error (Checkpoint.Torn _) -> ()
-    | Error e ->
-      Alcotest.failf "tear at %d: expected Torn, got %s" keep
-        (Checkpoint.error_to_string e)
-    | Ok _ -> Alcotest.failf "tear at %d decoded successfully" keep
+(* Swap images and checkpoints are both [Lp_runtime.Frame]s, so each
+   answers a damaged frame the same way, in its own error type, and the
+   same two sweeps run over both. A tear at every length is torn. A bit
+   flipped at every offset is a checksum error in the magic (bytes 0-1)
+   and the reserved byte (3), a version error in byte 2, torn in the
+   length (4-7), and a checksum error in the CRC (8-11) and anywhere in
+   the payload. *)
+type frame_outcome = Torn | Checksum | Version | Other of string
+
+let show_outcome = function
+  | Torn -> "torn"
+  | Checksum -> "checksum"
+  | Version -> "version"
+  | Other what -> what
+
+let check_intact name frame decode =
+  Alcotest.(check string) (name ^ " intact") "intact"
+    (show_outcome (decode frame))
+
+let sweep_tears name frame ~tear decode =
+  check_intact name frame decode;
+  let len = Bytes.length frame in
+  for keep = 0 to len - 1 do
+    let got = decode (tear frame ~keep) in
+    if got <> Torn then
+      Alcotest.failf "%s torn at %d of %d bytes: %s" name keep len
+        (show_outcome got)
   done
 
+let sweep_flips name frame decode =
+  check_intact name frame decode;
+  for pos = 0 to Bytes.length frame - 1 do
+    let expected =
+      if pos = 2 then Version else if pos >= 4 && pos <= 7 then Torn
+      else Checksum
+    in
+    for bit = 0 to 7 do
+      let flipped = Bytes.copy frame in
+      Bytes.set flipped pos
+        (Char.chr (Char.code (Bytes.get frame pos) lxor (1 lsl bit)));
+      let got = decode flipped in
+      if got <> expected then
+        Alcotest.failf "%s, bit %d of byte %d flipped: %s, expected %s" name
+          bit pos (show_outcome got) (show_outcome expected)
+    done
+  done
+
+let decode_checkpoint b =
+  match Checkpoint.decode b with
+  | Ok _ -> Other "intact"
+  | Error (Checkpoint.Torn _) -> Torn
+  | Error Checkpoint.Crc_mismatch -> Checksum
+  | Error (Checkpoint.Version_unsupported _) -> Version
+  | Error (Checkpoint.Malformed _ as e) -> Other (Checkpoint.error_to_string e)
+
+let test_checkpoint_torn () =
+  sweep_tears "checkpoint" (Checkpoint.encode brain) ~tear:Checkpoint.tear
+    decode_checkpoint
+
 let test_checkpoint_corrupt () =
-  let frame = Checkpoint.encode brain in
-  (* flip one bit in every payload byte: the CRC must catch each one *)
-  for pos = 12 to Bytes.length frame - 1 do
-    match Checkpoint.decode (Checkpoint.corrupt frame ~pos) with
-    | Error Checkpoint.Crc_mismatch -> ()
-    | Error e ->
-      Alcotest.failf "corrupt at %d: expected Crc_mismatch, got %s" pos
-        (Checkpoint.error_to_string e)
-    | Ok _ -> Alcotest.failf "corrupt at %d decoded successfully" pos
-  done;
-  (* damaged magic: no trustworthy checksum at all *)
-  (match Checkpoint.decode (Checkpoint.corrupt frame ~pos:0) with
-  | Error Checkpoint.Crc_mismatch -> ()
-  | other -> Alcotest.failf "bad magic: %s" (error_to_str other))
+  sweep_flips "checkpoint" (Checkpoint.encode brain) decode_checkpoint
+
+let test_swap_image_every_offset () =
+  let image =
+    Lp_runtime.Swap_image.encode
+      {
+        Lp_runtime.Swap_image.object_id = 7;
+        class_id = 3;
+        stale = 2;
+        scalar_bytes = 16;
+        fields =
+          [|
+            { word = Lp_heap.Word.of_id 9; referent_class = 3 };
+            { word = Lp_heap.Word.null; referent_class = -1 };
+          |];
+      }
+  in
+  let decode b =
+    match Lp_runtime.Swap_image.validate b with
+    | Ok _ -> Other "intact"
+    | Error (Lp_core.Errors.Image_torn _) -> Torn
+    | Error Lp_core.Errors.Image_crc_mismatch -> Checksum
+    | Error (Lp_core.Errors.Image_version_unsupported _) -> Version
+    | Error e -> Other (Lp_core.Errors.resurrection_failure_to_string e)
+  in
+  sweep_tears "swap image" image ~tear:Lp_runtime.Swap_image.tear decode;
+  sweep_flips "swap image" image decode
 
 let test_checkpoint_version () =
   let frame = Checkpoint.encode brain in
@@ -476,6 +535,8 @@ let suite =
         test_checkpoint_torn;
       Alcotest.test_case "corrupt checkpoints are typed" `Quick
         test_checkpoint_corrupt;
+      Alcotest.test_case "torn and flipped swap images, every offset" `Quick
+        test_swap_image_every_offset;
       Alcotest.test_case "future versions are typed" `Quick
         test_checkpoint_version;
       Alcotest.test_case "malformed payloads are typed" `Quick
