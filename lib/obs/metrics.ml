@@ -12,13 +12,10 @@ type histogram = {
   mutable sum : int;
 }
 
-type series = { ring : int array Ring.t }
-
 type t = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
-  series_tbl : (string, series) Hashtbl.t;
 }
 
 let create () =
@@ -26,7 +23,6 @@ let create () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 32;
     histograms = Hashtbl.create 8;
-    series_tbl = Hashtbl.create 4;
   }
 
 let counter t name =
@@ -76,16 +72,6 @@ let observe h v =
   h.observations <- h.observations + 1;
   h.sum <- h.sum + v
 
-let series t ~retain name =
-  match Hashtbl.find_opt t.series_tbl name with
-  | Some s -> s
-  | None ->
-    let s = { ring = Ring.create ~capacity:retain } in
-    Hashtbl.add t.series_tbl name s;
-    s
-
-let record s values = Ring.push s.ring (Array.copy values)
-
 type histogram_view = {
   observations : int;
   sum : int;
@@ -96,7 +82,6 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * int) list;
   histograms : (string * histogram_view) list;
-  series : (string * int array list) list;  (* retained snapshots, oldest first *)
 }
 
 let sorted_bindings tbl value =
@@ -114,9 +99,6 @@ let snapshot (t : t) =
             if h.buckets.(i) > 0 then buckets := (i, h.buckets.(i)) :: !buckets
           done;
           { observations = h.observations; sum = h.sum; buckets = !buckets });
-    series =
-      sorted_bindings t.series_tbl (fun s ->
-          List.map Array.copy (Ring.to_list s.ring));
   }
 
 let find_counter snap name = List.assoc_opt name snap.counters
@@ -142,13 +124,4 @@ let to_text snap =
         h.buckets;
       Buffer.add_char buf '\n')
     snap.histograms;
-  List.iter
-    (fun (name, snaps) ->
-      List.iteri
-        (fun i values ->
-          Buffer.add_string buf (Printf.sprintf "series %s[%d]" name i);
-          Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v)) values;
-          Buffer.add_char buf '\n')
-        snaps)
-    snap.series;
   Buffer.contents buf

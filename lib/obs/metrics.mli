@@ -1,5 +1,5 @@
-(** Metrics registry: named counters, gauges, log-scale histograms and
-    retained series, with a deterministic snapshot API.
+(** Metrics registry: named counters, gauges and log-scale histograms,
+    with a deterministic snapshot API.
 
     One registry per VM replaces the ad-hoc stat records the runtime's
     subsystems used to carry: [Gc_stats], the controller and the disk
@@ -16,8 +16,6 @@ type counter
 type gauge
 
 type histogram
-
-type series
 
 val create : unit -> t
 
@@ -50,19 +48,6 @@ val observe : histogram -> int -> unit
 val bucket_of : int -> int
 (** The bucket index {!observe} files a value under (exposed for tests). *)
 
-(** {2 Retained series}
-
-    A series keeps the last [retain] recorded snapshots of an int-array
-    sample (per-collection staleness histograms, for example) in a
-    drop-oldest ring, so per-collection data is no longer lost between
-    full collections. *)
-
-val series : t -> retain:int -> string -> series
-(** Find-or-create; [retain] is only consulted on creation. *)
-
-val record : series -> int array -> unit
-(** Records a copy of the sample. *)
-
 (** {2 Snapshots} *)
 
 type histogram_view = {
@@ -75,8 +60,6 @@ type snapshot = {
   counters : (string * int) list;
   gauges : (string * int) list;
   histograms : (string * histogram_view) list;
-  series : (string * int array list) list;
-      (** retained snapshots, oldest first *)
 }
 (** All association lists are sorted by name, so a snapshot is a
     deterministic function of the registry's contents. *)
@@ -87,4 +70,4 @@ val find_counter : snapshot -> string -> int option
 
 val to_text : snapshot -> string
 (** One line per metric: [counter <name> <value>], [gauge <name> <value>],
-    [histogram <name> observations=... sum=... ...], [series <name>[i] ...]. *)
+    [histogram <name> observations=... sum=... ...]. *)

@@ -90,7 +90,7 @@ type t = {
   mutable fault : (unit -> bool) option;
   mutable image_fault : (bytes -> bytes) option;
   mutable scratch : int array;
-      (* the offload pass's candidate ids; reused, grown by doubling *)
+      (* the offload pass's candidate ids; reused, grown when short *)
 }
 
 exception Out_of_disk = Lp_core.Errors.Out_of_disk
@@ -288,11 +288,6 @@ let offload_one t store id =
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
 
-let grow_scratch a =
-  let a' = Array.make (max 64 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
-
 (* Whether the object with header [h] is to be offloaded: live, highly
    stale, not a statics container (they model immortal space) and not
    already resident. [after_gc] asks right after [reconcile] has
@@ -342,9 +337,10 @@ let after_gc ?(allow_offload = true) t store =
       n := !n + count
     done;
     if !n > 0 then begin
-      while Array.length t.scratch < !n do
-        t.scratch <- grow_scratch t.scratch
-      done;
+      (* the placement pass writes every position below [n] before any
+         is read, so a grown array needs no copy *)
+      if Array.length t.scratch < !n then
+        t.scratch <- Array.make (max !n (2 * Array.length t.scratch)) 0;
       for id = 1 to slots do
         let h = Store.header store id in
         if offload_candidate h then begin

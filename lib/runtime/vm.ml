@@ -26,10 +26,8 @@ type t = {
   autopilot : Lp_slo.Autopilot.t option;
   mutable gc_pause_ns : int;  (* wall time inside full collections *)
   (* phase-tagged wall-clock pause samples, oldest first: one int per
-     sample ([pause_code]) in the first [pause_len] slots, the buffer
-     doubling when full *)
-  mutable pause_buf : int array;
-  mutable pause_len : int;
+     sample ([pause_code]) *)
+  pauses : Work_queue.t;
   pause_hist : Lp_obs.Metrics.histogram;
   mutable corruptions_injected : int;
   mutable minor_collections : int;
@@ -37,16 +35,13 @@ type t = {
   mutable gc_cycles : int;
   mutable gc_listener : (gc_record -> unit) option;
   (* the collection history, oldest first: two ints per collection
-     ([push_history]) in the first [history_len] slots, the buffer
-     doubling when full *)
-  mutable history_buf : int array;
-  mutable history_len : int;
+     ([push_history]) *)
+  history : Work_queue.t;
   (* Observability plane: the metrics registry is always on (counter and
      gauge updates are field writes); the event sink is attached on
      demand by [enable_trace] and every emission site is guarded by one
      branch on [sink]. *)
   metrics : Lp_obs.Metrics.t;
-  staleness_series : Lp_obs.Metrics.series;
   live_bytes_gauge : Lp_obs.Metrics.gauge;
   mutable sink : Lp_obs.Sink.t option;
 }
@@ -162,19 +157,15 @@ let create ?(config = Lp_core.Config.default) ?(cost = Cost.default)
     fault;
     autopilot;
     gc_pause_ns = 0;
-    pause_buf = Array.make 16 0;
-    pause_len = 0;
+    pauses = Work_queue.create ~capacity:16 ();
     pause_hist = Lp_obs.Metrics.histogram metrics "gc.pause_ns";
     corruptions_injected = 0;
     minor_collections = 0;
     cycles = 0;
     gc_cycles = 0;
     gc_listener = None;
-    history_buf = Array.make 16 0;
-    history_len = 0;
+    history = Work_queue.create ~capacity:16 ();
     metrics;
-    staleness_series =
-      Lp_obs.Metrics.series metrics ~retain:16 "gc.staleness_histogram";
     live_bytes_gauge = Lp_obs.Metrics.gauge metrics "heap.live_bytes";
     sink = None;
   }
@@ -191,9 +182,18 @@ let[@inline] offloading t = t.offload
 
 (* Publishing the collector's counters on demand keeps the hot mutable
    record as the collector's working representation while every snapshot
-   still sees up-to-date gc.* values. *)
+   still sees up-to-date gc.* values. The staleness histogram is read
+   from the headers here too, so no collection pays for a walk that
+   only a snapshot reads. *)
 let metrics_snapshot t =
   Gc_stats.publish t.stats t.metrics;
+  Array.iteri
+    (fun k n ->
+      Lp_obs.Metrics.set_gauge
+        (Lp_obs.Metrics.gauge t.metrics
+           (Printf.sprintf "gc.staleness_histogram.%d" k))
+        n)
+    (Store.staleness_histogram t.store);
   Lp_obs.Metrics.snapshot t.metrics
 
 (* annotated so the barrier's disabled-sink guard compiles to a field
@@ -236,28 +236,16 @@ let pause_phase code =
   | 1 -> Trace_engine.Sweep_slice
   | _ -> Trace_engine.Monolithic
 
-(* [buf], whose first [len] ints are in use, when it has room for
-   another; else a copy of them in a buffer of twice the size. *)
-let with_room buf len =
-  if len < Array.length buf then buf
-  else begin
-    let grown = Array.make (2 * len) 0 in
-    Array.blit buf 0 grown 0 len;
-    grown
-  end
-
-let push_pause t sample =
-  t.pause_buf <- with_room t.pause_buf t.pause_len;
-  t.pause_buf.(t.pause_len) <- pause_code sample;
-  t.pause_len <- t.pause_len + 1
+let push_pause t sample = Work_queue.push t.pauses (pause_code sample)
 
 let pause_samples t =
-  List.init t.pause_len (fun i ->
-      let c = t.pause_buf.(i) in
+  List.init (Work_queue.length t.pauses) (fun i ->
+      let c = Work_queue.get t.pauses i in
       (pause_phase c, pause_ns c))
 
 let pause_samples_ns t =
-  List.init t.pause_len (fun i -> pause_ns t.pause_buf.(i))
+  List.init (Work_queue.length t.pauses) (fun i ->
+      pause_ns (Work_queue.get t.pauses i))
 
 (* The engine holds nothing to release; kept because the benchmark in
    perfbench/ calls it. *)
@@ -320,19 +308,15 @@ let set_gc_listener t listener = t.gc_listener <- listener
 (* A collection's history entry is two ints: its number, then
    [live lsl 3 lor state] with the state's code ([State_kind.to_int]) in
    the low three bits; an arithmetic shift gives the bytes back. *)
-(* The buffer's length stays even, so room for one int is room for
-   the pair. *)
 let push_history t ~gc_number ~live ~state =
-  t.history_buf <- with_room t.history_buf t.history_len;
-  t.history_buf.(t.history_len) <- gc_number;
-  t.history_buf.(t.history_len + 1) <- (live lsl 3) lor Lp_core.State_kind.to_int state;
-  t.history_len <- t.history_len + 2
+  Work_queue.push t.history gc_number;
+  Work_queue.push t.history ((live lsl 3) lor Lp_core.State_kind.to_int state)
 
 let gc_history t =
-  List.init (t.history_len / 2) (fun i ->
-      let code = t.history_buf.((2 * i) + 1) in
+  List.init (Work_queue.length t.history / 2) (fun i ->
+      let code = Work_queue.get t.history ((2 * i) + 1) in
       {
-        gc_number = t.history_buf.(2 * i);
+        gc_number = Work_queue.get t.history (2 * i);
         live_bytes_after = code asr 3;
         state = Option.get (Lp_core.State_kind.of_int (code land 7));
       })
@@ -431,14 +415,6 @@ let run_disk_phase t d =
   in
   attempt 0
 
-(* The per-collection staleness distribution, retained in the metrics
-   registry so the last N collections' histograms survive (they used to
-   be lost between collections). Counters saturate at
-   [Header.max_stale], so the array has a bucket per level. Taken after
-   the pause is timed, so it is no part of any pause sample. *)
-let record_staleness_histogram t =
-  Lp_obs.Metrics.record t.staleness_series (Store.staleness_histogram t.store)
-
 let run_gc t =
   let before = Gc_stats.copy t.stats in
   let gc_n = t.stats.Gc_stats.collections + 1 in
@@ -485,7 +461,6 @@ let run_gc t =
   in
   t.cycles <- t.cycles + gc_cost;
   t.gc_cycles <- t.gc_cycles + gc_cost;
-  record_staleness_histogram t;
   let live = live_bytes t in
   Lp_obs.Metrics.set_gauge t.live_bytes_gauge live;
   let gc_number = t.stats.Gc_stats.collections in

@@ -157,9 +157,9 @@ val shutdown : t -> unit
 
 val metrics_snapshot : t -> Lp_obs.Metrics.snapshot
 (** Publishes the collector's {!Gc_stats} counters into the registry,
-    then snapshots it. Includes the retained [gc.staleness_histogram]
-    series: one per-staleness-level live-object count array per
-    full-heap collection, last 16 collections. *)
+    counts the live objects by stale counter ({!Lp_heap.Store.staleness_histogram})
+    into the gauges [gc.staleness_histogram.<k>], [k] from 0 to
+    {!Lp_heap.Header.max_stale}, then snapshots the registry. *)
 
 val enable_trace : ?capacity:int -> t -> Lp_obs.Sink.t
 (** Attaches a fresh event sink (drop-oldest ring, default capacity

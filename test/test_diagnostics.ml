@@ -1,4 +1,5 @@
-(* The heap verifier and the staleness histograms the VM retains. *)
+(* The heap verifier and the staleness histogram a metrics snapshot
+   takes. *)
 
 open Lp_heap
 open Lp_runtime
@@ -167,32 +168,42 @@ let iter_live_histogram vm =
       hist.(k) <- hist.(k) + 1);
   hist
 
-(* After every collection [drive] runs, the histogram the VM retained
-   for it equals a count over the live objects taken right then, and
-   some collection saw a stale object. The VM's history holds exactly
-   the records its listener was handed. *)
-let check_retained_histograms vm ~drive =
+(* A snapshot's [gc.staleness_histogram.<k>] gauges, exactly one per
+   level, equal a count over the live objects and the diagnostics'
+   header walk. Returns the count. *)
+let check_snapshot_histogram vm label =
+  let expected = iter_live_histogram vm in
+  let prefix = "gc.staleness_histogram." in
+  (* gauges are sorted by name, so level order *)
+  Alcotest.(check (list (pair string int)))
+    label
+    (List.mapi (fun k n -> (prefix ^ string_of_int k, n)) (Array.to_list expected))
+    (List.filter
+       (fun (name, _) -> String.starts_with ~prefix name)
+       (Vm.metrics_snapshot vm).Lp_obs.Metrics.gauges);
+  Alcotest.(check (array int)) (label ^ ": diagnostics agree") expected
+    (Store.staleness_histogram (Vm.store vm));
+  expected
+
+(* Before the first collection and after every collection [drive] runs,
+   a snapshot's histogram equals a count over the live objects taken
+   right then, and some collection saw a stale object. The VM's history
+   holds exactly the records its listener was handed. *)
+let check_snapshot_histograms vm ~drive =
+  Alcotest.(check int) "no collection yet" 0 (Vm.gc_count vm);
+  ignore (check_snapshot_histogram vm "before the first collection");
   let collections = ref 0 and stale_seen = ref false and seen = ref [] in
   Vm.set_gc_listener vm
     (Some
        (fun record ->
          incr collections;
          seen := record :: !seen;
-         let expected = iter_live_histogram vm in
-         if Array.exists (fun n -> n > 0) (Array.sub expected 1 Header.max_stale)
-         then stale_seen := true;
-         match
-           List.assoc_opt "gc.staleness_histogram"
-             (Vm.metrics_snapshot vm).Lp_obs.Metrics.series
-         with
-         | Some (_ :: _ as retained) ->
-           Alcotest.(check (array int))
+         let expected =
+           check_snapshot_histogram vm
              (Printf.sprintf "collection %d" (Vm.gc_count vm))
-             expected
-             (List.nth retained (List.length retained - 1));
-           Alcotest.(check (array int)) "diagnostics agree" expected
-             (Store.staleness_histogram (Vm.store vm))
-         | Some [] | None -> Alcotest.fail "no retained histogram"));
+         in
+         if Array.exists (fun n -> n > 0) (Array.sub expected 1 Header.max_stale)
+         then stale_seen := true));
   drive ();
   Alcotest.(check bool)
     (Printf.sprintf "collections ran (%d)" !collections)
@@ -224,7 +235,7 @@ let test_histogram_generational () =
       ~nursery_bytes:2_000 ~heap_bytes:20_000 ()
   in
   let statics = Vm.statics vm ~class_name:"L" ~n_fields:1 in
-  check_retained_histograms vm ~drive:(fun () ->
+  check_snapshot_histograms vm ~drive:(fun () ->
       leak vm statics ~nodes:2_000 ~garbage_bytes:80);
   Alcotest.(check bool) "minor collections ran" true (Vm.minor_gc_count vm > 0)
 
@@ -238,7 +249,7 @@ let test_histogram_disk_baseline () =
       ~heap_bytes:2_000 ()
   in
   let statics = Vm.statics vm ~class_name:"L" ~n_fields:1 in
-  check_retained_histograms vm ~drive:(fun () ->
+  check_snapshot_histograms vm ~drive:(fun () ->
       for _round = 1 to 12 do
         leak vm statics ~nodes:5 ~garbage_bytes:0;
         Vm.run_gc vm
@@ -262,8 +273,8 @@ let suite =
         test_heap_check_image_object_id;
       Alcotest.test_case "heap check: corrupt image" `Quick
         test_heap_check_corrupt_image;
-      Alcotest.test_case "retained histograms: generational" `Quick
+      Alcotest.test_case "snapshot histograms: generational" `Quick
         test_histogram_generational;
-      Alcotest.test_case "retained histograms: disk baseline" `Quick
+      Alcotest.test_case "snapshot histograms: disk baseline" `Quick
         test_histogram_disk_baseline;
     ] )

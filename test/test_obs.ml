@@ -88,26 +88,6 @@ let test_metrics_histogram () =
       [ (0, 1); (1, 1); (2, 2); (4, 1) ]
       v.Metrics.buckets
 
-let test_series_retention () =
-  let m = Metrics.create () in
-  let s = Metrics.series m ~retain:3 "stale.hist" in
-  let sample = [| 1; 2; 3 |] in
-  Metrics.record s sample;
-  (* recorded snapshots are copies: later mutation must not leak in *)
-  sample.(0) <- 99;
-  for i = 2 to 5 do
-    Metrics.record s [| i; i; i |]
-  done;
-  let snap = Metrics.snapshot m in
-  match List.assoc_opt "stale.hist" snap.Metrics.series with
-  | None -> Alcotest.fail "series missing from snapshot"
-  | Some entries ->
-    Alcotest.(check int) "only the last 3 retained" 3 (List.length entries);
-    Alcotest.(check (list (array int)))
-      "newest window, oldest first"
-      [ [| 3; 3; 3 |]; [| 4; 4; 4 |]; [| 5; 5; 5 |] ]
-      entries
-
 (* ------------------------------------------------------------------ *)
 (* Sink *)
 
@@ -209,30 +189,24 @@ let test_check_spans_rejects_misnesting () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* VM integration: staleness series, prune audit, chaos traces *)
+(* VM integration: staleness gauges, prune audit, chaos traces *)
 
-let test_vm_staleness_series_retention () =
-  let vm = Lp_runtime.Vm.create ~heap_bytes:100_000 () in
-  let statics = Lp_runtime.Vm.statics vm ~class_name:"Obs" ~n_fields:1 in
-  let obj = Lp_runtime.Vm.alloc vm ~class_name:"Obs$Node" ~n_fields:1 () in
-  Lp_runtime.Mutator.write_obj vm statics 0 obj;
-  for _ = 1 to 20 do
-    Lp_runtime.Vm.run_gc vm
-  done;
-  let snap = Lp_runtime.Vm.metrics_snapshot vm in
-  match List.assoc_opt "gc.staleness_histogram" snap.Lp_obs.Metrics.series with
-  | None -> Alcotest.fail "staleness series missing"
-  | Some entries ->
-    Alcotest.(check int) "last 16 collections retained" 16
-      (List.length entries);
-    List.iter
-      (fun h ->
-        Alcotest.(check int) "one bucket per staleness level"
-          (Lp_heap.Header.max_stale + 1)
-          (Array.length h);
-        Alcotest.(check bool) "histogram counts the live objects" true
-          (Array.fold_left ( + ) 0 h >= 2))
-      entries
+(* A plain VM's snapshot carries one gauge per staleness level, each
+   equal to the number of live objects at that level: before the first
+   collection and after each of twenty. *)
+let test_vm_staleness_gauges () =
+  let module Vm = Lp_runtime.Vm in
+  let vm = Vm.create ~heap_bytes:100_000 () in
+  let statics = Vm.statics vm ~class_name:"Obs" ~n_fields:2 in
+  Lp_runtime.Mutator.write_obj vm statics 0
+    (Vm.alloc vm ~class_name:"Obs$Node" ~n_fields:1 ());
+  (* occupancy past the OBSERVE threshold, so the counters tick *)
+  Lp_runtime.Mutator.write_obj vm statics 1
+    (Vm.alloc vm ~class_name:"Obs$Big" ~scalar_bytes:60_000 ~n_fields:0 ());
+  Test_diagnostics.check_snapshot_histograms vm ~drive:(fun () ->
+      for _ = 1 to 20 do
+        Vm.run_gc vm
+      done)
 
 let test_prune_audit_matches_metrics () =
   (* The acceptance invariant: on ListLeak, the reclaimed-bytes carried
@@ -348,8 +322,6 @@ let suite =
         test_metrics_counters_gauges;
       Alcotest.test_case "metrics: log2 bucketing" `Quick test_metrics_bucket_of;
       Alcotest.test_case "metrics: histogram view" `Quick test_metrics_histogram;
-      Alcotest.test_case "metrics: series retention" `Quick
-        test_series_retention;
       Alcotest.test_case "sink: stamping and drop accounting" `Quick
         test_sink_stamping_and_drops;
       Alcotest.test_case "export: jsonl round-trip" `Quick test_jsonl_roundtrip;
@@ -357,8 +329,8 @@ let suite =
         test_chrome_trace_nesting;
       Alcotest.test_case "export: misnesting rejected" `Quick
         test_check_spans_rejects_misnesting;
-      Alcotest.test_case "vm: staleness series retained" `Quick
-        test_vm_staleness_series_retention;
+      Alcotest.test_case "vm: staleness gauges at snapshot" `Quick
+        test_vm_staleness_gauges;
       Alcotest.test_case "audit: prune events match metrics" `Quick
         test_prune_audit_matches_metrics;
       Alcotest.test_case "chaos: chrome trace round-trip" `Quick
