@@ -1099,11 +1099,12 @@ let run_liveness_bench () =
 (* Mark-cost scenario: the in-use mark alone, on three settled heaps.
    Each heap is a workload run for a fixed number of iterations under
    the default policy and then collected once. The mark is then timed
-   [mark_reps] times through the collector with no filter, each time
-   after clearing every mark bit and writing a 32 MB buffer, so each
-   mark starts with the heap out of the CPU caches, as a collection
-   after a stretch of mutator work does. The objects marked and fields
-   scanned are deterministic; the per-object times are wall clock. *)
+   [mark_reps] times through the collector with no filter, each mark
+   abandoned once timed ([Store.abandon_mark]), and each after writing
+   a 32 MB buffer, so each mark starts with the heap out of the CPU
+   caches, as a collection after a stretch of mutator work does. The
+   objects marked and fields scanned are deterministic; the per-object
+   times are wall clock. *)
 
 let mark_heaps =
   [
@@ -1140,13 +1141,6 @@ let settled_vm (w : Lp_workloads.Workload.t) iterations =
   Lp_runtime.Vm.run_gc vm;
   vm
 
-let clear_marks store =
-  for id = 1 to Lp_heap.Store.slot_count store do
-    let h = Lp_heap.Store.header store id in
-    if not (Lp_heap.Header.is_free h) then
-      Lp_heap.Store.set_header store id (Lp_heap.Header.clear_gc_bits h)
-  done
-
 (* Times [mark_reps] marks of [vm]'s heap; returns the objects marked,
    the fields scanned and the wall time of each mark in seconds. *)
 let time_marks vm =
@@ -1156,17 +1150,16 @@ let time_marks vm =
   let marked = ref 0 and scanned = ref 0 in
   for rep = 0 to mark_reps - 1 do
     Bytes.fill cache_flush 0 (Bytes.length cache_flush) (Char.chr (rep land 0xFF));
-    clear_marks store;
     let stats = Lp_heap.Gc_stats.create () in
     let t0 = Unix.gettimeofday () in
     ignore
       (Lp_heap.Collector.mark engine store roots ~stats
          ~config:Lp_heap.Collector.base_config);
     times.(rep) <- Unix.gettimeofday () -. t0;
+    Lp_heap.Store.abandon_mark store;
     marked := stats.Lp_heap.Gc_stats.objects_marked;
     scanned := stats.Lp_heap.Gc_stats.fields_scanned
   done;
-  clear_marks store;
   (!marked, !scanned, times)
 
 let run_mark_cost_bench () =

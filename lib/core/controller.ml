@@ -342,7 +342,7 @@ let collect ?on_finalize ?on_poison ?before_sweep t store roots ~stats =
         fun _ ->
           phase_begin t "selection";
           stats.Gc_stats.selection_scans <- stats.Gc_stats.selection_scans + 1;
-          let level = Selection.max_live_staleness store ~marked_only:true in
+          let level = Selection.max_live_staleness store in
           t.selected_level <- (if level >= 2 then Some level else None);
           phase_end t "selection" 1 )
     | State_kind.Prune, (Policy.Default | Policy.Individual_refs) ->

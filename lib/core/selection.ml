@@ -88,18 +88,17 @@ let prune_filter_most_stale store ~level (edge : Collector.edge) =
   then Collector.Poison
   else Collector.Trace
 
-(* One loop over the header array. Statics containers model root
-   storage (immortal in Jikes RVM); their counters never clear because
-   no heap reference targets them, so they must not drive the
-   Most-stale level. *)
-let max_live_staleness store ~marked_only =
+(* One loop over the header array, over the objects carrying the mark
+   sense: the ones the open mark reached, or the live ones between
+   collections. Statics containers model root storage (immortal in
+   Jikes RVM); their counters never clear because no heap reference
+   targets them, so they must not drive the Most-stale level. *)
+let max_live_staleness store =
   let best = ref 0 in
   for id = 1 to Store.slot_count store do
-    let h = Store.header store id in
     if
-      (not (Header.is_free h))
-      && (not (Header.statics_container h))
-      && ((not marked_only) || Header.marked h)
-    then best := max !best (Header.stale_counter h)
+      Store.marked store id
+      && not (Header.statics_container (Store.header store id))
+    then best := max !best (Store.stale store id)
   done;
   !best

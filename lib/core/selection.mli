@@ -71,6 +71,7 @@ val prune_filter_most_stale :
     reference whose target's staleness is at least [level], ignoring edge
     types and data structures. *)
 
-val max_live_staleness : Lp_heap.Store.t -> marked_only:bool -> int
-(** Highest stale-counter value over live (optionally: marked) objects;
-    the Most-stale variant's selection. *)
+val max_live_staleness : Lp_heap.Store.t -> int
+(** Highest stale-counter value over the objects the open mark reached,
+    or over the live objects between collections
+    ({!Lp_heap.Store.marked}); the Most-stale variant's selection. *)

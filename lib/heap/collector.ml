@@ -5,11 +5,13 @@
    stale closures scan until the stack is empty, and no pause sample is
    recorded (the VM accounts the collection as one Monolithic pause).
 
-   The sweep is not part of the pause. Every site that sets a mark bit
-   (a closure's claims, the finalizer pass) counts the object and its
-   bytes, so [sweep] only settles the store's totals from those counts,
-   in O(1), and the store frees the dead slots as allocation reaches
-   them (see [Store.settle]).
+   A claim writes the store's mark sense, which [mark] flips
+   ([Store.begin_mark]), into the object's header. The sweep is not
+   part of the pause. Every site that claims an
+   object (a closure's claims, the finalizer pass) counts the object
+   and its bytes, so [sweep] only settles the store's totals from those
+   counts, in O(1), and the store frees the dead slots as allocation
+   reaches them (see [Store.settle]).
 
    With a budget the same DFS over the same stack merely stops every
    [budget] scanned objects. Traversal order, the deferred-candidate
@@ -170,18 +172,16 @@ let quarantine ?(events = None) store stats id i =
   Store.set_field store id i (Word.poison w);
   stats.Gc_stats.words_quarantined <- stats.Gc_stats.words_quarantined + 1
 
-(* The in-use closure sets the mark bit; a stale closure also sets the
-   stale-mark bit and counts the object and its bytes. *)
+(* A stale closure also counts the bytes it claims. *)
 type claim = In_use | Stale
 
 (* Claims object [id], whose header is [h], for the running closure:
-   sets its mark bit (and, for a stale claim, the stale-mark bit),
-   ticks it now ([tick_now]) or queues its tick ([tick_batched]), and
-   pushes it on the mark stack. Returns 1 when the tick raised the
-   counter, else 0. [scan] and [claim] share this one body. *)
-let[@inline] claim_obj t store ~kind ~tick_now ~tick_batched ~gc id h =
-  let h = Header.set_marked h in
-  let h = match kind with In_use -> h | Stale -> Header.set_stale_marked h in
+   writes the mark [sense] into it, ticks it now ([tick_now]) or queues
+   its tick ([tick_batched]), and pushes it on the mark stack. Returns
+   1 when the tick raised the counter, else 0. [scan] and [claim] share
+   this one body. *)
+let[@inline] claim_obj t store ~sense ~tick_now ~tick_batched ~gc id h =
+  let h = Header.with_mark h sense in
   let k = Header.stale_counter h in
   let bump =
     tick_now && Stale_counter.should_increment ~gc_number:gc ~current:k
@@ -205,9 +205,10 @@ let claim t store stats ~(config : mark_config) kind id =
   let ticking = config.stale_tick_gc <> None in
   let filtered = Option.is_some config.edge_filter in
   let tick_now = ticking && not filtered in
-  let h = Store.raw_header store id in
+  let h = Store.header store id in
   let ticked =
-    claim_obj t store ~kind ~tick_now ~tick_batched:(ticking && filtered) ~gc id h
+    claim_obj t store ~sense:(Store.mark_sense store) ~tick_now
+      ~tick_batched:(ticking && filtered) ~gc id h
   in
   count_marked t h;
   stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
@@ -259,12 +260,13 @@ let[@inline never] filtered_edge store stats (config : mark_config) filter
    scans each object's fields in index order, as one run of the store's
    word array. Per field it maintains the untouched bit, quarantines
    corrupt words, runs the filter when there is one, and claims
-   unmarked traced targets in place, counting their bytes. An object
+   unclaimed traced targets in place, counting their bytes. An object
    with a poisoned word, found or made, is pushed on the poison holders
    once its fields are done. A target is
-   judged by its word in the store's header array alone, read raw, as
-   the mark has finished the sweep: free means a corrupt reference,
-   marked means already claimed. The config is read into locals once
+   judged by its word in the store's header array alone, as the mark
+   has finished the sweep: free means a corrupt reference, the mark
+   sense means already claimed. The config and the sense are read into
+   locals once
    and the counters are kept in locals, added to [stats] when the loop
    returns. Nothing the loop calls allocates in the store, so the word
    array it reads stays the store's for the whole loop. Returns the
@@ -274,6 +276,7 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
   let stack = t.stack in
   let words = Store.words store in
   let events = config.events in
+  let sense = Store.mark_sense store in
   let gc = match config.stale_tick_gc with Some g -> g | None -> 0 in
   let scanned = ref 0 and fields_scanned = ref 0 and untouched_set = ref 0 in
   let marked = ref 0 and ticked = ref 0 and bytes = ref 0 in
@@ -298,7 +301,7 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
             else w
           in
           let tgt = Word.target w in
-          let h = Store.raw_header store tgt in
+          let h = Store.header store tgt in
           if Header.is_free h then begin
             quarantine ~events store stats id (j - off);
             holder := true
@@ -315,12 +318,12 @@ let[@inline] scan_loop t store stats ~(config : mark_config) ~set_untouched
               | Poison ->
                 holder := true;
                 false))
-            && not (Header.marked h)
+            && Header.mark h <> sense
           then begin
             incr marked;
             ticked :=
               !ticked
-              + claim_obj t store ~kind ~tick_now ~tick_batched ~gc tgt h;
+              + claim_obj t store ~sense ~tick_now ~tick_batched ~gc tgt h;
             bytes := !bytes + Header.size h
           end
         end
@@ -394,30 +397,29 @@ let run_closure t store stats ~config ~kind ~deferred =
       more := not (Work_queue.is_empty t.stack)
     done
 
-(* A collection starts here: the store finishes the last one's sweep,
-   so every live object is unmarked, and the counts start at zero. *)
+(* A collection starts here: the store finishes the last one's sweep
+   and flips the sense, and the counts start at zero. *)
 let mark t store roots ~stats ~(config : mark_config) =
-  Store.finish_sweep store;
+  Store.begin_mark store;
   reset t;
   Work_queue.clear t.holders;
   t.marked_objects <- 0;
   t.marked_bytes <- 0;
   let deferred = ref [] in
+  let sense = Store.mark_sense store in
   Roots.iter roots (fun id ->
       let h = Store.header store id in
       if Header.is_free h then raise (Store.Dangling_reference id);
-      if not (Header.marked h) then
-        claim t store stats ~config In_use id);
+      if Header.mark h <> sense then claim t store stats ~config In_use id);
   run_closure t store stats ~config ~kind:In_use ~deferred;
   flush_ticks t store stats config.stale_tick_gc;
   List.rev !deferred
 
 (* The stale closure traces everything (no filter), so [scan] ticks
-   each object at its claim; it also sets the stale-mark
-   diagnostic bit and counts the claimed bytes. *)
+   each object at its claim; it also counts the claimed bytes. *)
 let stale_closure t ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : edge) =
-  if Header.marked (Store.header store e.tgt) then 0
+  if Store.marked store e.tgt then 0
   else begin
     let config =
       {
@@ -438,11 +440,12 @@ let resurrect_finalizables t store ~stats ~on_finalize =
   (* Collect first, in one loop over the header array: marking referents
      while iterating would otherwise make the visit order matter. *)
   let pending = Work_queue.create () in
+  let sense = Store.mark_sense store in
   for id = 1 to Store.slot_count store do
     let h = Store.header store id in
     if
       (not (Header.is_free h))
-      && (not (Header.marked h))
+      && Header.mark h <> sense
       && Header.finalizable h
       && not (Header.finalizer_enqueued h)
     then Work_queue.push pending id
@@ -450,8 +453,8 @@ let resurrect_finalizables t store ~stats ~on_finalize =
   let queue = Work_queue.create () in
   let mark_live id =
     let h = Store.header store id in
-    if not (Header.marked h) then begin
-      Store.set_header store id (Header.set_marked h);
+    if Header.mark h <> sense then begin
+      Store.set_header store id (Header.with_mark h sense);
       count_marked t h;
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
       Work_queue.push queue id

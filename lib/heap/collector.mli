@@ -17,8 +17,10 @@
     - PRUNE collection: {!mark} with a filter poisoning selected
       references, then finalizers and sweep.
 
-    The sweep is lazy: every phase that sets a mark bit counts the
-    object and its bytes, {!sweep} hands those totals to
+    Every phase claims an object by writing the store's mark sense,
+    which {!mark} flips, into its header. The sweep is lazy: every
+    phase counts the objects it claims and their bytes, {!sweep} hands
+    those totals to
     {!Store.settle} in O(1), and the store frees the dead slots as
     allocation reaches them, in the order an eager sweep would. A
     collection's pause ends when its mark does.
@@ -123,8 +125,8 @@ val mark :
   stats:Gc_stats.t ->
   config:mark_config ->
   edge list
-(** Starts a collection: finishes the store's sweep of the last one
-    ({!Store.finish_sweep}) and zeroes the engine's marked totals. Then
+(** Starts a collection: {!Store.begin_mark} (which finishes the last
+    sweep) and zeroes the engine's marked totals. Then
     runs the in-use closure from the roots. Marks every object reached
     through [Trace] edges, applies [Poison] in place, and returns the
     [Defer]red edges in discovery order (the candidate queue). Poisoned
@@ -135,7 +137,7 @@ val mark :
     collection; the other phases apply the same rule. A target
     is checked and claimed through its header word alone; no target
     generation is loaded. [Store.Dangling_reference] if a root names a
-    free slot. *)
+    free slot. A trial mark ends with {!Store.abandon_mark}. *)
 
 val stale_closure :
   t ->
@@ -148,8 +150,7 @@ val stale_closure :
   int
 (** Marks live everything reachable from the candidate edge's target
     that no earlier closure claimed, and returns the number of bytes
-    claimed — the size of the stale data structure rooted there.
-    Claimed objects carry the stale-mark diagnostic bit. *)
+    claimed — the size of the stale data structure rooted there. *)
 
 val resurrect_finalizables :
   t -> Store.t -> stats:Gc_stats.t -> on_finalize:(Heap_obj.t -> unit) -> unit
@@ -164,8 +165,8 @@ val sweep : t -> Store.t -> stats:Gc_stats.t -> unit
     the objects and bytes this engine marked since. The
     store counts every unmarked object as freed at once, and frees its
     slot when allocation reaches it, in strictly descending slot order,
-    so free-id recycling does not depend on the budget. Only marks set
-    by this engine's phases are counted. *)
+    so free-id recycling does not depend on the budget. Only the
+    objects this engine's phases claimed are counted. *)
 
 val take_pauses : t -> (Trace_engine.pause_phase * int) list
 (** Drains the recorded pause slices (phase tag and wall nanoseconds,

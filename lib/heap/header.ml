@@ -1,7 +1,7 @@
 type t = int
 
 let mark_bit = 0b1
-let stale_mark_bit = 0b10
+let minor_mark_bit = 0b10
 let stale_shift = 2
 let stale_mask = 0b111 lsl stale_shift
 let finalizable_bit = 0b100000
@@ -24,13 +24,12 @@ let[@inline] is_free h = h < 0
 
 let max_stale = 7
 
-let marked h = h land mark_bit <> 0
-let set_marked h = h lor mark_bit
+let[@inline] mark h = h land mark_bit
+let[@inline] with_mark h m = (h land lnot mark_bit) lor m
 
-let stale_marked h = h land stale_mark_bit <> 0
-let set_stale_marked h = h lor stale_mark_bit
-
-let clear_gc_bits h = h land lnot (mark_bit lor stale_mark_bit)
+let minor_marked h = h land minor_mark_bit <> 0
+let set_minor_marked h = h lor minor_mark_bit
+let clear_minor_marked h = h land lnot minor_mark_bit
 
 let stale_counter h = (h land stale_mask) lsr stale_shift
 
@@ -54,9 +53,3 @@ let clear_in_nursery h = h land lnot nursery_bit
 let on_disk h = h land on_disk_bit <> 0
 let set_on_disk h = h lor on_disk_bit
 let clear_on_disk h = h land lnot on_disk_bit
-
-let pp ppf h =
-  Format.fprintf ppf "{mark=%b; stale_mark=%b; stale=%d%s%s}" (marked h)
-    (stale_marked h) (stale_counter h)
-    (if finalizable h then "; finalizable" else "")
-    (if on_disk h then "; on_disk" else "")

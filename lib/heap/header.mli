@@ -3,11 +3,10 @@
     Every simulated object carries a one-word header analogous to the
     Jikes RVM header the paper modifies. The layout is:
 
-    - bit 0: mark bit (set while the object is reachable in the current
-      collection; cleared by the sweep).
-    - bit 1: stale-mark bit (set when the object was reached by the
-      {e stale} transitive closure of the SELECT state rather than the
-      in-use closure; diagnostic only, cleared with the mark bit).
+    - bit 0: the full collection's mark, read against the store's mark
+      sense, which every collection flips (see {!Store}).
+    - bit 1: the minor collector's mark, clear outside a minor
+      collection.
     - bits 2-4: the three-bit logarithmic stale counter of Section 4.1. A
       value [k] means the program last used the object approximately
       [2^k] full-heap collections ago. The counter saturates at 7.
@@ -50,14 +49,14 @@ val free : t
 val is_free : t -> bool
 (** True for {!free} (any negative word), false for every header. *)
 
-val marked : t -> bool
-val set_marked : t -> t
+val mark : t -> int
+(** The mark, 0 or 1. *)
 
-val stale_marked : t -> bool
-val set_stale_marked : t -> t
+val with_mark : t -> int -> t
 
-val clear_gc_bits : t -> t
-(** Clears both the mark and stale-mark bits. *)
+val minor_marked : t -> bool
+val set_minor_marked : t -> t
+val clear_minor_marked : t -> t
 
 val stale_counter : t -> int
 (** Current value of the stale counter, in [0, 7]. *)
@@ -86,4 +85,3 @@ val on_disk : t -> bool
 val set_on_disk : t -> t
 val clear_on_disk : t -> t
 
-val pp : Format.formatter -> t -> unit

@@ -6,11 +6,11 @@ type result = {
   slots_scanned : int;
 }
 
-(* Marks (with the ordinary mark bit, cleared before returning) every
-   nursery object reachable from roots and remembered slots, scanning
-   only nursery objects' fields plus the remembered mature slots. The
-   last full collection's sweep is finished first: its marks would
-   read as this one's. *)
+(* Marks (with the minor mark, cleared before returning: bit 0 holds
+   the full collector's sense) every nursery object reachable from roots
+   and remembered slots, scanning only nursery objects' fields plus the
+   remembered mature slots. The last full collection's sweep is
+   finished first, so every non-free slot holds a live object. *)
 let collect ?events ?(number = 0) store roots ~remset =
   (match events with
   | Some sink -> Lp_obs.Sink.emit sink (Lp_obs.Event.Minor_begin { n = number })
@@ -21,9 +21,9 @@ let collect ?events ?(number = 0) store roots ~remset =
   let consider id =
     let h = Store.header store id in
     if
-      (not (Header.is_free h)) && Header.in_nursery h && not (Header.marked h)
+      (not (Header.is_free h)) && Header.in_nursery h && not (Header.minor_marked h)
     then begin
-      Store.set_header store id (Header.set_marked h);
+      Store.set_header store id (Header.set_minor_marked h);
       Work_queue.push queue id
     end
   in
@@ -53,8 +53,8 @@ let collect ?events ?(number = 0) store roots ~remset =
     let h = Store.header store id in
     if (not (Header.is_free h)) && Header.in_nursery h then begin
       let size = Store.size_bytes store id in
-      if Header.marked h then begin
-        Store.set_header store id (Header.clear_gc_bits h);
+      if Header.minor_marked h then begin
+        Store.set_header store id (Header.clear_minor_marked h);
         Store.promote store id;
         incr promoted_objects;
         promoted_bytes := !promoted_bytes + size

@@ -28,12 +28,12 @@ let sentinel = Heap_obj.pack ~index:0 ~generation:0
    [free_lens.(n)] deep), and the new object takes the top range of its
    own count's stack, or words from [top].
 
-   A collection ends at the mark: [settle] writes the byte and object
-   totals the mark counted and leaves the slots below [unswept] as the
-   mark left them, a marked header for a survivor and an unmarked one
-   for a dead object. [sweep_range] frees the dead ones from the top
-   down, a few slots per allocation ([fresh_id]). Until then every reader
-   presents such a slot as the sweep will leave it (see [view]). *)
+   Slot [i] is live iff [headers.(i) land live_mask = live_want]: not
+   free (negative) and, between collections, carrying the mark [sense].
+   [begin_mark] flips the sense and narrows the mask to the sign bit
+   until [settle], after which the objects the mark did not reach are
+   dead where they lie. [sweep_range] frees them from the top down, a
+   few slots per allocation ([fresh_id]); [unswept] only paces it. *)
 type t = {
   mutable gens : int array;
   mutable headers : int array;
@@ -52,7 +52,10 @@ type t = {
   mutable free_head : int;
   mutable free_len : int;
   mutable unswept : int;
-      (* slots [0, unswept) still hold the last collection's marks *)
+      (* the sweep has not reached slots [0, unswept) *)
+  mutable sense : int;
+  mutable live_mask : int;
+  mutable live_want : int;
   mutable limit : int;
   mutable used : int;
   mutable live : int;
@@ -89,6 +92,10 @@ let max_slots = 1 lsl 16
 
 let words_per_slot = 2
 
+(* The liveness mask between collections; a mark narrows it to the
+   sign bit, [min_int]. *)
+let settled_mask = Header.with_mark min_int 1
+
 let create ~limit_bytes =
   if limit_bytes <= 0 then invalid_arg "Store.create";
   let cap = min max_slots (max min_slots (limit_bytes / bytes_per_slot)) in
@@ -106,6 +113,9 @@ let create ~limit_bytes =
     free_head = 0;
     free_len = 0;
     unswept = 0;
+    sense = 0;
+    live_mask = settled_mask;
+    live_want = 0;
     limit = limit_bytes;
     used = 0;
     live = 0;
@@ -126,8 +136,6 @@ let set_limit_bytes t n =
 let used_bytes t = t.used
 
 let live_bytes t = t.live
-
-let set_live_bytes t n = t.live <- n
 
 let object_count t = t.count
 
@@ -178,29 +186,25 @@ let[@inline] push_free_id t id =
   t.free_len <- t.free_len + 1
 
 (* The sweep: one loop over the header array, from the top of the
-   unswept range down, touching no generation. A marked survivor gets
-   its GC bits cleared; a dead object is freed as it is reached, so its
-   id joins the free queue in descending slot order, the order [free]
-   would give; the header already shows the object is live, so
-   [free]'s liveness check is not repeated. A freed slot gets the free
-   marker and keeps its generation and its range, so the loop stores
-   only into the header array and the queue. It sweeps [slots] slots,
+   unswept range down, touching no generation and no survivor. A dead
+   object (the other sense) is freed as it is reached, so its id joins
+   the free queue in descending slot order, the order [free] would
+   give. A freed slot gets the free marker and keeps its generation and
+   its range. It sweeps [slots] slots,
    and on until it has queued an id if the queue is empty, or down to
    slot 0. The byte and object totals were settled when the collection
    ended, so it writes none. Out of line: [fresh_id] only tests for
    it. *)
 let[@inline never] sweep_range t ~slots =
-  let headers = t.headers in
+  let headers = t.headers and sense = t.sense in
   let stop = t.unswept - slots in
   let i = ref (t.unswept - 1) in
   while !i >= 0 && (!i >= stop || t.free_len = 0) do
     let h = Array.unsafe_get headers !i in
-    if not (Header.is_free h) then
-      if Header.marked h then Array.unsafe_set headers !i (Header.clear_gc_bits h)
-      else begin
-        Array.unsafe_set headers !i Header.free;
-        push_free_id t (!i + 1)
-      end;
+    if (not (Header.is_free h)) && Header.mark h <> sense then begin
+      Array.unsafe_set headers !i Header.free;
+      push_free_id t (!i + 1)
+    end;
     decr i
   done;
   t.unswept <- !i + 1
@@ -211,9 +215,8 @@ let[@inline] finish_sweep t = if t.unswept > 0 then sweep_range t ~slots:max_int
    allocation takes one id, and a sweep step visits this many slots,
    so the sweep runs far ahead of allocation: it leaves little for the
    next collection's mark to finish inside the pause, even in a heap
-   whose queue never empties, and the readers' unswept view is needed
-   for only a short stretch after each collection. A step costs a
-   bounded few dozen header loads. *)
+   whose queue never empties. A step costs a bounded few dozen header
+   loads. *)
 let sweep_step = 32
 
 (* Recycled ids first, else a never-used id, after a sweep step when a
@@ -344,37 +347,22 @@ let[@inline] take_range t e n =
     (off lsl count_bits) lor n
   end
 
-(* Slot [i]'s header [h] as the sweep leaves it: below [unswept] a
-   marked header loses its GC bits and an unmarked one is free (a free
-   one stays free). *)
-let[@inline] view t i h =
-  if i >= t.unswept || Header.is_free h then h
-  else if Header.marked h then Header.clear_gc_bits h
-  else Header.free
-
-(* Whether the slot [i] (in bounds) holds a live object: its header is
-   not free, and it is marked or the slot is swept. *)
 let[@inline] live_at t i =
-  let h = Array.unsafe_get t.headers i in
-  (not (Header.is_free h)) && (i >= t.unswept || Header.marked h)
+  Array.unsafe_get t.headers i land t.live_mask = t.live_want
 
 let[@inline] fits t size = t.alloc_fault == None && not (would_overflow t size)
 
 (* The placement step every allocation ends in: an id, the slot's next
    generation, a range of null words, the header, class, size and
    extent, and the byte accounting. [fresh_id] makes sure the id's slot
-   exists, so the stores into it are unchecked. An id queued before the
-   last collection may lie in the unswept range, where the object must
-   carry a mark to read as live; that is decided after [take_range],
-   whose repacking may finish the sweep. *)
+   exists, so the stores into it are unchecked. *)
 let[@inline] place t ~nursery ~class_id ~n_fields ~finalizable ~size =
   let id = fresh_id t in
   let i = id - 1 in
   let extent = take_range t (Array.unsafe_get t.extents i) n_fields in
-  let header = Header.of_size size in
+  let header = Header.with_mark (Header.of_size size) t.sense in
   let header = if finalizable then Header.set_finalizable header else header in
   let header = if nursery then Header.set_in_nursery header else header in
-  let header = if i < t.unswept then Header.set_marked header else header in
   let generation = Heap_obj.next_generation (Array.unsafe_get t.gens i) in
   Array.unsafe_set t.gens i generation;
   Array.unsafe_set t.headers i header;
@@ -404,14 +392,9 @@ let alloc t ~class_id ~n_fields ~scalar_bytes ~finalizable =
    parallel [gens], without a second check. *)
 let[@inline] in_bounds a i = i lor (Array.length a - 1 - i) >= 0
 
-let[@inline] raw_header t id =
-  let i = id - 1 in
-  if in_bounds t.headers i then Array.unsafe_get t.headers i else Header.free
-
 let[@inline] header t id =
   let i = id - 1 in
-  if in_bounds t.headers i then view t i (Array.unsafe_get t.headers i)
-  else Header.free
+  if in_bounds t.headers i then Array.unsafe_get t.headers i else Header.free
 
 let[@inline] find t id =
   let i = id - 1 in
@@ -430,14 +413,39 @@ let[@inline] get t id =
   let obj = find t id in
   if obj == sentinel then dangling id else obj
 
-let mem t id = not (Header.is_free (header t id))
-
-(* An unswept survivor keeps its mark, so it still reads as live. *)
-let[@inline] set_header t id h =
+let mem t id =
   let i = id - 1 in
-  t.headers.(i) <- (if i < t.unswept then Header.set_marked h else h)
+  in_bounds t.headers i && live_at t i
+
+let[@inline] set_header t id h = t.headers.(id - 1) <- h
 
 let unswept t = t.unswept
+
+let[@inline] mark_sense t = t.sense
+
+let marked t id = header t id land settled_mask = t.sense
+
+let mark_open t = t.live_mask = min_int
+
+(* A mark begins once the last one's sweep is done: a slot that sweep
+   left would carry the value this mark writes. *)
+let begin_mark t =
+  if mark_open t then invalid_arg "Store.begin_mark: a mark is open";
+  finish_sweep t;
+  t.sense <- 1 - t.sense;
+  t.live_mask <- min_int;
+  t.live_want <- 0
+
+let abandon_mark t =
+  if not (mark_open t) then invalid_arg "Store.abandon_mark: no mark is open";
+  let headers = t.headers and sense = 1 - t.sense in
+  for i = 0 to t.next_id - 2 do
+    let h = Array.unsafe_get headers i in
+    if h >= 0 then Array.unsafe_set headers i (Header.with_mark h sense)
+  done;
+  t.sense <- sense;
+  t.live_mask <- settled_mask;
+  t.live_want <- sense
 
 let[@inline] class_of t id = t.classes.(id - 1)
 
@@ -536,18 +544,17 @@ let iter_live t f =
       f (Heap_obj.pack ~index:(i + 1) ~generation:(Array.unsafe_get t.gens i))
   done
 
-(* The end of a collection. Every live object the mark left unmarked is
+(* The end of a collection. Every object the mark did not reach is
    dead, so the objects and bytes it frees are the store's totals less
    the marked ones; the totals become the marked ones, and the whole
-   slot range is left for [sweep_range]. A sweep an earlier collection
-   left is finished first, so no mark of that one is taken for this
-   one's. The marks are not counted by generation: a store holding
+   slot range is left for [sweep_range]. The marks are not counted by
+   generation: a store holding
    nursery objects (a generational VM, which promotes every survivor
    right after a full collection anyway) sums its marked nursery bytes
    here, in one loop over the header array; counting them as the mark
    claims objects slowed every mark. *)
 let settle t stats ~objects ~bytes =
-  finish_sweep t;
+  if not (mark_open t) then invalid_arg "Store.settle: no mark is open";
   (* room in the queue for every id the sweep will free, so that no
      allocation grows it *)
   while Array.length t.free_ids < t.free_len + t.count - objects do
@@ -562,11 +569,13 @@ let settle t stats ~objects ~bytes =
     let headers = t.headers and nursery = ref 0 in
     for i = 0 to slot_count t - 1 do
       let h = Array.unsafe_get headers i in
-      if h >= 0 && Header.marked h && Header.in_nursery h then
+      if h >= 0 && Header.mark h = t.sense && Header.in_nursery h then
         nursery := !nursery + Header.size h
     done;
     t.nursery <- !nursery
   end;
+  t.live_mask <- settled_mask;
+  t.live_want <- t.sense;
   t.unswept <- slot_count t
 
 (* One pass over the header array, counting live objects by the stale

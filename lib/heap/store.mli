@@ -41,17 +41,17 @@
     is a ring buffer, so freeing and reusing allocate nothing once it
     has grown to the heap's working size.
 
-    The sweep is lazy. A collection ends with {!settle}, which takes
-    the totals the mark counted and leaves every slot as the mark left
-    it. Each allocation then sweeps a few more slots down from where
-    the sweep stopped (and on until it frees one, when the free queue
-    is empty), queueing the identifiers of the dead ones, so
-    identifiers are handed out in the order an eager sweep from the
-    top slot down would give. Until a slot is swept,
-    {!header}, {!find}, {!is_live}, {!mem} and the store's own walks
-    present it as the sweep will leave it: free when unmarked, with
-    its GC bits clear when marked. {!free}, a repacking of the word
-    array and {!finish_sweep} sweep whatever is left first. Dereferencing an identifier
+    Liveness is one masked compare of the header word: between
+    collections a slot is live when it is not free and its mark
+    ({!Header.mark}) is the store's mark sense. A collection's mark
+    flips the sense ({!begin_mark}), and {!settle} leaves the objects
+    it did not reach dead where they lie. The sweep is lazy: each
+    allocation sweeps a few more slots down from where the sweep
+    stopped (and on until it frees one, when the free queue is empty),
+    so identifiers are handed out in the order an eager sweep from the
+    top slot down would give; it stores nothing into a survivor.
+    {!free}, a repacking of the word array, {!finish_sweep} and
+    {!begin_mark} sweep whatever is left first. Dereferencing an identifier
     that is not currently live raises {!Dangling_reference}; with a
     correct leak-pruning implementation this can only indicate a bug in
     the collector itself, because every program access to pruned memory
@@ -78,9 +78,6 @@ val used_bytes : t -> int
 val live_bytes : t -> int
 (** Bytes retained by the most recent collection (0 before the first
     one). *)
-
-val set_live_bytes : t -> int -> unit
-(** Overwrites {!live_bytes}; {!settle} sets it too. *)
 
 val object_count : t -> int
 
@@ -197,27 +194,36 @@ val is_live : t -> Heap_obj.t -> bool
     is live. *)
 
 val header : t -> int -> Header.t
-(** [header t id] is the header word of the live object [id], or
-    {!Header.free} when there is none (freed, dead and not yet swept,
-    never allocated or out of range). One bounds check, one load and a
-    comparison with the sweep's position. *)
+(** [header t id] is the word in slot [id] as stored ({!Header.free}
+    out of range). A dead object not yet swept keeps its header, so
+    liveness is {!mem}'s, not this word's. *)
 
 val set_header : t -> int -> Header.t -> unit
-(** Overwrites a live object's header word. An object not yet swept
-    keeps the mark bit the last collection gave it, so it stays live. *)
-
-val raw_header : t -> int -> Header.t
-(** The header word as stored, or {!Header.free} out of range. Unlike
-    {!header} it shows a slot not yet swept as the mark left it, and
-    it costs only the bounds check and the load. While no slot is
-    unswept, as throughout a collection, it is {!header}: the
-    collector's scan reads targets with it, the heap verifier reads
-    the unswept slots with it. *)
+(** Overwrites a live object's header word, which must keep its mark. *)
 
 val unswept : t -> int
 (** The slots [1 .. unswept t] not yet swept since the last
-    collection (0 when the sweep is done): there a marked object is
-    live and an unmarked one dead. *)
+    collection (0 when the sweep is done). *)
+
+val mark_sense : t -> int
+(** The mark live objects carry (0 or 1); while a mark is open, the
+    one it writes into the objects it reaches. *)
+
+val marked : t -> int -> bool
+(** Whether slot [id] holds an object carrying {!mark_sense}: reached
+    by the open mark, or live between collections. *)
+
+val begin_mark : t -> unit
+(** Finishes the sweep and flips the sense. Until {!settle} or
+    {!abandon_mark} every non-free slot reads as live, and nothing may
+    be allocated. *)
+
+val mark_open : t -> bool
+(** True from {!begin_mark} until {!settle} or {!abandon_mark}. *)
+
+val abandon_mark : t -> unit
+(** Closes a mark that will never be settled (a trial mark): every
+    object gets back its old sense, in one loop over the header array. *)
 
 val class_of : t -> int -> Class_registry.id
 
@@ -295,18 +301,17 @@ val slot_count : t -> int
 (** Number of allocation slots ever used, [next_fresh_id t - 1]. *)
 
 val settle : t -> Gc_stats.t -> objects:int -> bytes:int -> unit
-(** Ends a collection whose mark left [objects] live objects of [bytes]
-    bytes carrying the mark bit, and every other object unmarked. It
-    first finishes a sweep an earlier collection left, then adds the
-    objects and bytes the unmarked ones hold to [stats.objects_swept]
-    and [stats.bytes_reclaimed], makes the marked totals the store's
-    object count, used and live bytes, and leaves every slot to the
+(** Closes the open mark, which left [objects] objects of [bytes]
+    bytes carrying the new sense. It adds the objects and bytes the
+    others hold to [stats.objects_swept] and [stats.bytes_reclaimed],
+    makes the marked totals the store's object count, used and live
+    bytes, makes the others read as dead, and leaves every slot to the
     lazy sweep. O(1), except in a store holding nursery objects, whose
     marked nursery bytes it sums in one loop over the header array. *)
 
 val finish_sweep : t -> unit
 (** Sweeps every slot not yet swept, freeing the dead ones in
-    descending slot order; a collection's mark starts with it. *)
+    descending slot order; {!begin_mark} starts with it. *)
 
 val staleness_histogram : t -> int array
 (** The live objects counted by stale counter: element [k] is the number

@@ -35,7 +35,8 @@ let site vm ~class_name ~m ~n_fields ~scalar_bytes =
 
 (* Trial mark from the roots, treating the ring holder's own references
    as invisible: tells whether the program still reaches [obj] through
-   its own structures. All GC bits are cleared again before returning. *)
+   its own structures. The mark is abandoned before returning, so every
+   object carries the sense it had before. *)
 let program_reachable t (obj : Heap_obj.t) =
   let store = Vm.store t.vm in
   let stats = Gc_stats.create () in
@@ -52,11 +53,8 @@ let program_reachable t (obj : Heap_obj.t) =
            on_poison = None;
            events = None;
          });
-  let reachable = Header.marked (Store.header store (Heap_obj.index obj)) in
-  for id = 1 to Store.slot_count store do
-    let h = Store.header store id in
-    if not (Header.is_free h) then Store.set_header store id (Header.clear_gc_bits h)
-  done;
+  let reachable = Store.marked store (Heap_obj.index obj) in
+  Store.abandon_mark store;
   reachable
 
 let alloc t =

@@ -18,51 +18,46 @@ let heap_check ?(strict = false) vm =
   let bytes = ref 0 in
   let poisoned_words = ref 0 in
   let on_disk = ref 0 in
-  (* Strict mode also reads the raw words of the lazy sweep's range:
-     at or above its cursor the sweep is done, so no mark is left; below
-     it an unmarked slot is dead, so nothing live may name it. *)
+  (* Between collections no mark is open, and every non-free slot the
+     lazy sweep has passed carries the mark sense. Below its cursor a
+     slot that does not is dead but not yet free, which strict mode
+     tells apart from a freed one when a live word or a root names it. *)
   let unswept = Store.unswept store in
   let unswept_dead id =
-    let r = Store.raw_header store id in
-    id <= unswept && (not (Header.is_free r)) && not (Header.marked r)
+    id <= unswept && not (Header.is_free (Store.header store id))
   in
+  if Store.mark_open store then fail "a mark is open outside a collection";
   for id = 1 to Store.slot_count store do
-    (if strict && id > unswept then
-       let r = Store.raw_header store id in
-       if (not (Header.is_free r)) && Header.marked r then
-         fail
-           (Printf.sprintf
-              "object %d carries a raw mark bit above the sweep cursor (%d)" id
-              unswept));
     let h = Store.header store id in
-    if not (Header.is_free h) then begin
+    if Store.mem store id then begin
       bytes := !bytes + Store.size_bytes store id;
       if Header.on_disk h then incr on_disk;
-      if Header.marked h then
-        fail
-          (Printf.sprintf "object %d carries a mark bit outside a collection"
-             id);
       for i = 0 to Store.n_fields store id - 1 do
         let w = Store.field store id i in
         if not (Word.is_null w) then
           if Word.poisoned w then incr poisoned_words
-          else if strict && unswept_dead (Word.target w) then
-            fail
-              (Printf.sprintf
-                 "object %d field %d names slot %d, unmarked below the sweep \
-                  cursor"
-                 id i (Word.target w))
           else if not (Store.mem store (Word.target w)) then
             fail
-              (Printf.sprintf
-                 "object %d field %d references reclaimed object %d without poison"
-                 id i (Word.target w))
+              (if strict && unswept_dead (Word.target w) then
+                 Printf.sprintf
+                   "object %d field %d names slot %d, unmarked below the sweep \
+                    cursor"
+                   id i (Word.target w)
+               else
+                 Printf.sprintf
+                   "object %d field %d references reclaimed object %d without poison"
+                   id i (Word.target w))
       done
     end
+    else if id > unswept && not (Header.is_free h) then
+      fail
+        (Printf.sprintf
+           "object %d carries the other mark sense above the sweep cursor (%d)"
+           id unswept)
   done;
   if strict then
     Roots.iter (Vm.roots vm) (fun id ->
-        if unswept_dead id then
+        if (not (Store.mem store id)) && unswept_dead id then
           fail
             (Printf.sprintf "a root names slot %d, unmarked below the sweep cursor"
                id));
@@ -175,8 +170,7 @@ let heap_check ?(strict = false) vm =
     let disk_total = ref 0 in
     Diskswap.iter_resident swap (fun ~id ~bytes ->
         disk_total := !disk_total + bytes;
-        let h = Store.header store id in
-        if Header.is_free h then
+        if not (Store.mem store id) then
           fail (Printf.sprintf "disk-resident object %d is not live" id)
         else begin
           if Store.size_bytes store id <> bytes then
@@ -184,7 +178,7 @@ let heap_check ?(strict = false) vm =
               (Printf.sprintf
                  "disk-resident object %d recorded as %d bytes but is %d" id
                  bytes (Store.size_bytes store id));
-          if strict && not (Header.on_disk h) then
+          if strict && not (Header.on_disk (Store.header store id)) then
             fail
               (Printf.sprintf
                  "disk-resident object %d lacks the on-disk header bit" id)

@@ -14,7 +14,8 @@ val heap_check : ?strict:bool -> Vm.t -> (unit, string) result
 (** Internal consistency check, for tests and the chaos harness: every
     non-null, non-poisoned reference in the live heap must point to a
     live object; byte accounting must agree with a fresh traversal; no
-    object may carry leftover GC mark bits between collections; any
+    mark may be left open between collections, and every non-free slot
+    the lazy sweep has passed must carry the store's mark sense; any
     poisoned word must be explained by pruning, quarantine, an injected
     corruption or resurrection-time repoisoning; recorded pruned edge
     types imply poisoned references, which imply a recorded averted
@@ -31,8 +32,7 @@ val heap_check : ?strict:bool -> Vm.t -> (unit, string) result
     [strict] additionally requires the poisoned-word {e count} not to
     exceed the sum of the recorded causes — valid only when the program
     never {!Mutator.arraycopy}s poisoned words (copies duplicate poison
-    without a counter increment). It also reads the raw header words of
-    the lazy sweep ({!Lp_heap.Store.raw_header}): no slot at or above
-    the sweep's cursor may carry a mark bit, and no live reference word
-    or root may name a slot below it that the last mark left unmarked.
-    Default [false]. *)
+    without a counter increment). It also tells a reference to an
+    object the last mark left dead below the lazy sweep's cursor
+    ({!Lp_heap.Store.unswept}) from one to a freed slot, and requires no
+    root to name such an object. Default [false]. *)

@@ -288,13 +288,14 @@ let offload_one t store id =
   | Some s -> Lp_obs.Sink.emit s (Lp_obs.Event.Disk_offload { id; bytes })
   | None -> ()
 
-(* Whether the object with header [h] is to be offloaded: live, highly
+(* Whether the object in slot [id] is to be offloaded: live, highly
    stale, not a statics container (they model immortal space) and not
    already resident. [after_gc] asks right after [reconcile] has
    released the dead objects' entries, so a live object is resident
    exactly when it carries the on-disk bit. *)
-let offload_candidate h =
-  (not (Header.is_free h))
+let offload_candidate store id =
+  let h = Store.header store id in
+  Store.mem store id
   && Header.stale_counter h >= offload_stale_threshold
   && (not (Header.statics_container h))
   && not (Header.on_disk h)
@@ -324,9 +325,8 @@ let after_gc ?(allow_offload = true) t store =
     let slots = Store.slot_count store in
     let next = Array.make (Header.max_stale + 1) 0 in
     for id = 1 to slots do
-      let h = Store.header store id in
-      if offload_candidate h then begin
-        let s = Header.stale_counter h in
+      if offload_candidate store id then begin
+        let s = Store.stale store id in
         next.(s) <- next.(s) + 1
       end
     done;
@@ -342,9 +342,8 @@ let after_gc ?(allow_offload = true) t store =
       if Array.length t.scratch < !n then
         t.scratch <- Array.make (max !n (2 * Array.length t.scratch)) 0;
       for id = 1 to slots do
-        let h = Store.header store id in
-        if offload_candidate h then begin
-          let s = Header.stale_counter h in
+        if offload_candidate store id then begin
+          let s = Store.stale store id in
           t.scratch.(next.(s)) <- id;
           next.(s) <- next.(s) + 1
         end

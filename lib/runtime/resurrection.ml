@@ -81,10 +81,9 @@ let poisoned_targets store engine =
   done;
   !acc
 
-(* An object this collection frees: live, but left unmarked. *)
-let dying t id =
-  let h = Store.header t.store id in
-  (not (Header.is_free h)) && not (Header.marked h)
+(* An object this collection frees: present, but not reached by the
+   open mark. *)
+let dying t id = Store.mem t.store id && not (Store.marked t.store id)
 
 (* Whether [capture_images] would store nothing: its drain stores and
    follows dying objects only, so with no doomed id and no poisoned

@@ -5,11 +5,20 @@
    own copy, it claims targets through an [on_trace] closure, and it
    always applies a closure's ticks in one batch at its end, so
    comparing an engine against it also checks the engines' rule of
-   ticking at claim time when no filter reads staleness. The
-   Collector must leave the heap exactly as this one does, at every
-   slice budget. *)
+   ticking at claim time when no filter reads staleness. It keeps
+   its marks in a table of its own rather than in the headers, and
+   its sweep frees every unmarked object at once, so it shares neither
+   the store's mark sense nor its lazy sweep. The Collector must leave
+   the heap exactly as this one does, at every slice budget, but for
+   the header's mark. *)
 
 open Lp_heap
+
+(* The identifiers the running collection has marked: [mark] empties
+   it, [sweep] reads and empties it. One collection runs at a time. *)
+let marks : (int, unit) Hashtbl.t = Hashtbl.create 64
+
+let marked id = Hashtbl.mem marks id
 
 let tick store stats gc (obj : Heap_obj.t) =
   match gc with
@@ -60,8 +69,7 @@ let scan_field store stats ~(config : Collector.mark_config) ~on_trace
         in
         match action with
         | Collector.Trace ->
-          if not (Header.marked (Store.header store (Heap_obj.index tgt))) then
-            on_trace tgt
+          if not (marked (Heap_obj.index tgt)) then on_trace tgt
         | Collector.Defer ->
           stats.Gc_stats.candidates_enqueued <-
             stats.Gc_stats.candidates_enqueued + 1;
@@ -99,26 +107,26 @@ let drain store stats ~config ~on_trace ~deferred stack =
 
 let mark store roots ~stats ~(config : Collector.mark_config) =
   let stack = Stack.create () in
-  let marked = Queue.create () in
+  let reached = Queue.create () in
   let deferred = ref [] in
+  Hashtbl.reset marks;
   let on_trace (obj : Heap_obj.t) =
-    let id = Heap_obj.index obj in
-    Store.set_header store id (Header.set_marked (Store.header store id));
+    Hashtbl.replace marks (Heap_obj.index obj) ();
     stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
-    Queue.push obj marked;
+    Queue.push obj reached;
     Stack.push obj stack
   in
   Roots.iter roots (fun id ->
       let obj = Store.get store id in
-      if not (Header.marked (Store.header store id)) then on_trace obj);
+      if not (marked id) then on_trace obj);
   drain store stats ~config ~on_trace ~deferred stack;
-  Queue.iter (tick store stats config.Collector.stale_tick_gc) marked;
+  Queue.iter (tick store stats config.Collector.stale_tick_gc) reached;
   List.rev !deferred
 
 let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     (e : Collector.edge) =
   let tgt = Store.get store e.Collector.tgt in
-  if Header.marked (Store.header store (Heap_obj.index tgt)) then 0
+  if marked (Heap_obj.index tgt) then 0
   else begin
     let config =
       {
@@ -134,8 +142,7 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
     let bytes = ref 0 in
     let claim (obj : Heap_obj.t) =
       let id = Heap_obj.index obj in
-      Store.set_header store id
-        (Header.set_stale_marked (Header.set_marked (Store.header store id)));
+      Hashtbl.replace marks id ();
       stats.Gc_stats.objects_marked <- stats.Gc_stats.objects_marked + 1;
       Queue.push obj claimed;
       stats.Gc_stats.stale_closure_objects <-
@@ -151,17 +158,15 @@ let stale_closure ?events store ~stats ~set_untouched_bits ~stale_tick_gc
 
 (* Frees in strictly descending slot order, the order the engine must
    reproduce at every slice budget so that identifier recycling
-   matches. *)
+   matches. Returns the bytes the marked objects hold, which the engine
+   makes the store's live bytes. *)
 let sweep store ~stats =
   let live = ref 0 in
   for id = Store.slot_count store downto 1 do
     let obj = Store.find store id in
     if obj != Store.sentinel then begin
-      let h = Store.header store id and size = Store.size_bytes store id in
-      if Header.marked h then begin
-        Store.set_header store id (Header.clear_gc_bits h);
-        live := !live + size
-      end
+      let size = Store.size_bytes store id in
+      if marked id then live := !live + size
       else begin
         stats.Gc_stats.objects_swept <- stats.Gc_stats.objects_swept + 1;
         stats.Gc_stats.bytes_reclaimed <-
@@ -170,4 +175,5 @@ let sweep store ~stats =
       end
     end
   done;
-  Store.set_live_bytes store !live
+  Hashtbl.reset marks;
+  !live

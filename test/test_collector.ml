@@ -102,7 +102,7 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   in
   Alcotest.(check int) "one candidate" 1 (List.length deferred);
   Alcotest.(check bool) "b not marked by in-use closure" false
-    (Header.marked (Store.header store (Heap_obj.index b)));
+    (Store.marked store (Heap_obj.index b));
   (* the stale closure claims b and c (two objects, 12 + 8... = their sizes) *)
   let bytes =
     stale_closure store ~stats (List.hd deferred)
@@ -110,7 +110,8 @@ let test_defer_returns_candidates_and_keeps_subtree_unmarked () =
   Alcotest.(check int) "claimed bytes"
     (Store.size_bytes store (Heap_obj.index b) + Store.size_bytes store (Heap_obj.index c))
     bytes;
-  Alcotest.(check bool) "b stale-marked" true (Header.stale_marked (Store.header store (Heap_obj.index b)));
+  Alcotest.(check bool) "b marked by the stale closure" true
+    (Store.marked store (Heap_obj.index b));
   sweep store ~stats;
   Alcotest.(check int) "nothing reclaimed in SELECT" 3 (Store.object_count store)
 
@@ -184,7 +185,7 @@ let test_finalizer_resurrection () =
   Alcotest.(check bool) "referent kept for the finalizer" true
     (Store.mem store (Heap_obj.index b));
   (* next collection reclaims both, without running the finalizer again *)
-  ignore (collect_base store roots);
+  ignore (mark store roots ~stats ~config:Collector.base_config);
   Collector.resurrect_finalizables seq store ~stats ~on_finalize:(fun o ->
       finalized := Heap_obj.index o :: !finalized);
   sweep store ~stats;

@@ -60,6 +60,43 @@ let test_bounded_memory () =
   done;
   Alcotest.(check bool) "memory bounded by m" true (Vm.used_bytes vm < 2_000)
 
+(* A recycling allocation runs a trial mark, which must leave no trace:
+   after it every slot reads as before, and the next collection counts
+   exactly what it counts in a run without the trial mark. The trial
+   mark comes while the last collection's sweep is part way done. *)
+let test_trial_mark_leaves_no_trace () =
+  let run ~trial =
+    let vm = Vm.create ~heap_bytes:20_000 () in
+    let statics = Vm.statics vm ~class_name:"S" ~n_fields:1 in
+    let site = Cyclic_alloc.site vm ~class_name:"C" ~m:4 ~n_fields:0 ~scalar_bytes:16 in
+    let objs = List.init 4 (fun _ -> Cyclic_alloc.alloc site) in
+    Mutator.write_obj vm statics 0 (List.nth objs 1);
+    for _ = 1 to 60 do
+      ignore (Vm.alloc vm ~class_name:"G" ~n_fields:0 ())
+    done;
+    Vm.run_gc vm;
+    ignore (Vm.alloc vm ~class_name:"G" ~n_fields:0 ());
+    let store = Vm.store vm in
+    Alcotest.(check bool) "the sweep is part way done" true (Store.unswept store > 0);
+    let reads () =
+      List.init (Store.slot_count store) (fun i ->
+          let id = i + 1 in
+          let live = Store.mem store id in
+          (live, Store.find store id, if live then Store.header store id else Header.free))
+    in
+    if trial then begin
+      let before = reads () in
+      ignore (Cyclic_alloc.alloc site);
+      Alcotest.(check int) "one recycle" 1 (Cyclic_alloc.recycled site);
+      Alcotest.(check bool) "every slot reads as before" true (reads () = before)
+    end;
+    Vm.run_gc vm;
+    Gc_stats.copy (Vm.stats vm)
+  in
+  let control = run ~trial:false in
+  Alcotest.(check bool) "the next collection's counters match a run without it" true
+    (run ~trial:true = control)
+
 let suite =
   ( "cyclic_alloc",
     [
@@ -69,4 +106,6 @@ let suite =
       Alcotest.test_case "live-recycle detection" `Quick
         test_corruption_detected_only_when_live;
       Alcotest.test_case "bounded memory" `Quick test_bounded_memory;
+      Alcotest.test_case "a trial mark leaves no trace" `Quick
+        test_trial_mark_leaves_no_trace;
     ] )

@@ -80,13 +80,21 @@ let image_bytes ~object_id =
         |];
     }
 
+(* The header of [id] with the mark that is not the store's sense: the
+   object reads as dead where it lies. *)
+let other_sense store id =
+  Header.with_mark (Store.header store id) (1 - Store.mark_sense store)
+
 let test_heap_check_mark_bit () =
   let vm = vm_with_leak () in
+  let store = Vm.store vm in
   let obj = Vm.alloc vm ~class_name:"Marked" ~n_fields:0 () in
-  Store.set_header (Vm.store vm) (Heap_obj.index obj) (Header.set_marked (Store.header (Vm.store vm) (Heap_obj.index obj)));
+  let id = Heap_obj.index obj in
+  Store.set_header store id (other_sense store id);
   check_fails_with vm
-    (Printf.sprintf "object %d carries a mark bit outside a collection"
-       (Heap_obj.index obj))
+    (Printf.sprintf "object %d carries the other mark sense above the sweep \
+                     cursor"
+       id)
 
 (* A VM whose last collection left its slots unswept: one live object
    [live] kept by a statics container, then garbage, collected once and
@@ -105,9 +113,11 @@ let unswept_vm () =
   let dead = Heap_obj.index (List.hd garbage) in
   Alcotest.(check bool) "the garbage is below the sweep cursor" true
     (dead <= Store.unswept store);
-  Alcotest.(check bool) "left unmarked" false
-    (Header.marked (Store.raw_header store dead));
-  Alcotest.(check bool) "and reads as free" false (Store.mem store dead);
+  Alcotest.(check bool) "left with the old sense" false
+    (Store.marked store dead);
+  Alcotest.(check bool) "not yet free" false
+    (Header.is_free (Store.header store dead));
+  Alcotest.(check bool) "and reads as dead" false (Store.mem store dead);
   (vm, live, dead)
 
 let test_heap_check_unswept_ok () =
@@ -116,8 +126,8 @@ let test_heap_check_unswept_ok () =
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg
 
-(* Strict mode reads the raw words: a mark above the cursor, and a live
-   word or a root naming an unmarked slot below it. *)
+(* A wrong sense above the cursor, and, in strict mode, a live word or
+   a root naming a dead slot below it. *)
 let test_heap_check_unswept_raw () =
   let vm, live, dead = unswept_vm () in
   let store = Vm.store vm in
@@ -125,11 +135,13 @@ let test_heap_check_unswept_raw () =
   let id = Heap_obj.index fresh in
   Alcotest.(check bool) "a fresh object lies above the cursor" true
     (id > Store.unswept store);
-  Store.set_header store id (Header.set_marked (Store.header store id));
+  let h = Store.header store id in
+  Store.set_header store id (other_sense store id);
   check_fails_with ~strict:true vm
-    (Printf.sprintf "object %d carries a raw mark bit above the sweep cursor"
+    (Printf.sprintf "object %d carries the other mark sense above the sweep \
+                     cursor"
        id);
-  Store.set_header store id (Header.clear_gc_bits (Store.header store id));
+  Store.set_header store id h;
   Alcotest.(check bool) "the dead slot is still unswept" true
     (dead <= Store.unswept store);
   Store.set_field store (Heap_obj.index live) 0 (Word.of_id dead);
@@ -257,6 +269,21 @@ let test_histogram_disk_baseline () =
   Alcotest.(check bool) "offloaded something" true
     (Diskswap.resident_bytes (Vm.swap vm) > 0)
 
+(* A mark that is neither settled nor abandoned leaves every object
+   reading as live: the check reports it, and passes once the mark is
+   abandoned. *)
+let test_heap_check_open_mark () =
+  let vm = vm_with_leak () in
+  let store = Vm.store vm in
+  ignore
+    (Collector.mark (Collector.create ()) store (Vm.roots vm)
+       ~stats:(Gc_stats.create ()) ~config:Collector.base_config);
+  check_fails_with vm "a mark is open outside a collection";
+  Store.abandon_mark store;
+  match Diagnostics.heap_check ~strict:true vm with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
 let suite =
   ( "diagnostics",
     [
@@ -277,4 +304,6 @@ let suite =
         test_histogram_generational;
       Alcotest.test_case "snapshot histograms: disk baseline" `Quick
         test_histogram_disk_baseline;
+      Alcotest.test_case "heap check: a mark left open" `Quick
+        test_heap_check_open_mark;
     ] )

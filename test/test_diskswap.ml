@@ -122,6 +122,16 @@ let test_out_of_disk () =
       retries;
     Alcotest.(check bool) "collection count recorded" true (gc_count > 0)
 
+(* A real collection that keeps every object, as if all were rooted:
+   the store's live bytes become its used bytes, which the offload
+   pass's occupancy test reads. *)
+let collect_all store =
+  let roots = Roots.create () in
+  Store.iter_live store (fun o -> Roots.add_static_root roots (Heap_obj.index o));
+  let engine = Collector.create () and stats = Gc_stats.create () in
+  ignore (Collector.mark engine store roots ~stats ~config:Collector.base_config);
+  Collector.sweep engine store ~stats
+
 (* Exercise the Diskswap layer directly, without the VM's retry policy
    in between: build a full heap of stale objects by hand and let the
    post-collection hook offload them past a tiny disk limit. *)
@@ -140,8 +150,7 @@ let stale_full_store () =
        objs := o :: !objs
      done
    with Store.Heap_full _ -> ());
-  (* the occupancy test reads live bytes, which only a sweep records *)
-  Store.set_live_bytes store (Store.used_bytes store);
+  collect_all store;
   (store, !objs)
 
 let test_direct_out_of_disk_payload () =
@@ -304,8 +313,7 @@ let direct_store ~objs =
     Store.set_stale store (Heap_obj.index o) Lp_heap.Header.max_stale;
     size := Store.size_bytes store (Heap_obj.index o)
   done;
-  (* the occupancy test reads live bytes, which only a sweep records *)
-  Store.set_live_bytes store (Store.used_bytes store);
+  collect_all store;
   Store.set_limit_bytes store ((objs - 1) * !size);
   (store, !size)
 
@@ -401,11 +409,10 @@ let test_two_tenants_race_last_bytes () =
   Alcotest.(check int) "loser's denied candidate now admitted" (2 * size)
     (Diskswap.disk_bytes b)
 
-(* Records the store's live bytes as a sweep would and sets its limit
-   to the bytes [d] leaves in memory, so the next pass sees the heap
-   full. *)
+(* Collects the store, keeping every object, and sets its limit to the
+   bytes [d] leaves in memory, so the next pass sees the heap full. *)
 let fill_heap store d =
-  Store.set_live_bytes store (Store.used_bytes store);
+  collect_all store;
   Store.set_limit_bytes store
     (Store.live_bytes store - Diskswap.resident_bytes d)
 

@@ -28,20 +28,26 @@ type engine = {
     stale_tick_gc:int option ->
     Collector.edge ->
     int;
-  sweep : Store.t -> stats:Gc_stats.t -> unit;
+  marked : Store.t -> int -> bool;  (* between the mark and the sweep *)
+  sweep : Store.t -> stats:Gc_stats.t -> int;  (* returns the live bytes *)
 }
 
 let of_collector c =
   {
     mark = Collector.mark c;
     stale_closure = (fun store -> Collector.stale_closure c store);
-    sweep = Collector.sweep c;
+    marked = Store.marked;
+    sweep =
+      (fun store ~stats ->
+        Collector.sweep c store ~stats;
+        Store.live_bytes store);
   }
 
 let reference () =
   {
     mark = Reference_collector.mark;
     stale_closure = (fun store -> Reference_collector.stale_closure store);
+    marked = (fun _ id -> Reference_collector.marked id);
     sweep = Reference_collector.sweep;
   }
 
@@ -113,7 +119,7 @@ let run_scenario make =
             ~stale_tick_gc:(Some 1) edge)
       0 candidates
   in
-  e.sweep store ~stats;
+  ignore (e.sweep store ~stats);
   let live_after_select = live_ids store in
   let poisoned = ref [] in
   let poison_b (edge : Collector.edge) =
@@ -135,7 +141,7 @@ let run_scenario make =
                    :: !poisoned);
            events = None;
          });
-  e.sweep store ~stats;
+  ignore (e.sweep store ~stats);
   let live_after_prune = live_ids store in
   let word_poisoned = Word.poisoned (Store.field store (Heap_obj.index a) 0) in
   let n1 = alloc store ~n_fields:0 in
@@ -187,7 +193,7 @@ let test_inc_slicing_respects_budget () =
     link store root i (alloc store ~n_fields:0)
   done;
   ignore (e.mark store roots ~stats ~config:Collector.base_config);
-  e.sweep store ~stats;
+  ignore (e.sweep store ~stats);
   Alcotest.(check int) "all 11 objects marked" 11 stats.Gc_stats.objects_marked;
   Alcotest.(check int) "max slice work bounded by the budget" 1
     (Collector.max_slice_work inc);
@@ -261,7 +267,7 @@ let run_switch_scenario ~seed schedule =
       let e = make () in
       ignore
         (e.mark store roots ~stats ~config:Collector.base_config);
-      e.sweep store ~stats;
+      ignore (e.sweep store ~stats);
       mutate ();
       (live_ids store, Store.object_count store, Gc_stats.copy stats))
     schedule
@@ -348,8 +354,9 @@ let test_budget_retune_conformance () =
    decisions). The filter may first note the target's staleness, as
    the liveness audit and the Individual-refs byte accounting do; with
    no seed such a filter notes and traces every edge. Compared: every
-   slot's header and field words after the stale closures and after
-   the sweep, the Gc_stats counters, the deferred edges in order, the
+   slot's header but its mark and its field words after the stale
+   closures and after the sweep, the marked objects and the live bytes,
+   the Gc_stats counters, the deferred edges in order, the
    stale closures' bytes, the poisoned edges, the applied notes and the
    ids the next allocations reuse. *)
 type word_spec =
@@ -466,13 +473,16 @@ let build_heap h =
     h.roots;
   (store, roots)
 
+(* Every slot's header and field words. The header's mark is left out:
+   the engines mark in the header, the reference collector in a table
+   of its own; [run_generated] compares the marked sets. *)
 let snapshot store =
   List.init (Store.slot_count store) (fun i ->
       let o = Store.find store (i + 1) in
       if o == Store.sentinel then None
       else
         Some
-          ( Store.header store (Heap_obj.index o),
+          ( Header.with_mark (Store.header store (Heap_obj.index o)) 0,
             List.init (Store.n_fields store (Heap_obj.index o)) (Store.field store (Heap_obj.index o)) ))
 
 let run_generated h make =
@@ -542,12 +552,15 @@ let run_generated h make =
          ~set_untouched_bits:h.untouched ~stale_tick_gc)
       (Collector.canonical_candidates deferred)
   in
-  let marked = snapshot store in
-  e.sweep store ~stats;
+  let marked =
+    ( snapshot store,
+      List.init (Store.slot_count store) (fun i -> e.marked store (i + 1)) )
+  in
+  let live = e.sweep store ~stats in
   let swept = snapshot store in
   let reused = List.init 4 (fun _ -> (Heap_obj.index (alloc store ~n_fields:0))) in
   ( (edges, bytes, List.rev !poisoned, List.rev !notes),
-    (marked, swept, reused, Store.live_bytes store),
+    (marked, swept, reused, live),
     Gc_stats.copy stats )
 
 let prop_generated_heaps =

@@ -4,14 +4,16 @@ open Lp_heap
 
 let test_marks () =
   let h = Header.empty in
-  Alcotest.(check bool) "empty unmarked" false (Header.marked h);
-  let h = Header.set_marked h in
-  Alcotest.(check bool) "marked" true (Header.marked h);
-  let h = Header.set_stale_marked h in
-  Alcotest.(check bool) "stale-marked" true (Header.stale_marked h);
-  let h = Header.clear_gc_bits h in
-  Alcotest.(check bool) "gc bits cleared: mark" false (Header.marked h);
-  Alcotest.(check bool) "gc bits cleared: stale-mark" false (Header.stale_marked h)
+  Alcotest.(check int) "empty: mark 0" 0 (Header.mark h);
+  let h = Header.with_mark h 1 in
+  Alcotest.(check int) "mark 1" 1 (Header.mark h);
+  Alcotest.(check int) "mark 0 again" 0 (Header.mark (Header.with_mark h 0));
+  let h = Header.set_minor_marked h in
+  Alcotest.(check bool) "minor-marked" true (Header.minor_marked h);
+  Alcotest.(check int) "the minor mark leaves the mark" 1 (Header.mark h);
+  let h = Header.clear_minor_marked h in
+  Alcotest.(check bool) "minor mark cleared" false (Header.minor_marked h);
+  Alcotest.(check int) "and the mark kept" 1 (Header.mark h)
 
 let test_stale_counter () =
   let h = Header.empty in
@@ -24,11 +26,11 @@ let test_stale_counter () =
     (fun () -> ignore (Header.with_stale_counter h 8))
 
 let test_counter_independent_of_marks () =
-  let h = Header.with_stale_counter (Header.set_marked Header.empty) 6 in
-  Alcotest.(check bool) "mark preserved" true (Header.marked h);
+  let h = Header.with_stale_counter (Header.with_mark Header.empty 1) 6 in
+  Alcotest.(check int) "mark preserved" 1 (Header.mark h);
   Alcotest.(check int) "counter preserved" 6 (Header.stale_counter h);
-  let h = Header.clear_gc_bits h in
-  Alcotest.(check int) "counter survives gc-bit clear" 6 (Header.stale_counter h)
+  let h = Header.with_mark (Header.set_minor_marked h) 0 in
+  Alcotest.(check int) "counter survives mark changes" 6 (Header.stale_counter h)
 
 let test_finalizer_bits () =
   let h = Header.set_finalizable Header.empty in
@@ -40,17 +42,17 @@ let test_finalizer_bits () =
 let test_statics_bit () =
   let h = Header.set_statics_container Header.empty in
   Alcotest.(check bool) "statics container" true (Header.statics_container h);
-  Alcotest.(check bool) "independent of marks" false (Header.marked h)
+  Alcotest.(check int) "independent of marks" 0 (Header.mark h)
 
 let test_on_disk_bit () =
-  let h = Header.with_stale_counter (Header.set_marked Header.empty) 4 in
+  let h = Header.with_stale_counter (Header.with_mark Header.empty 1) 4 in
   Alcotest.(check bool) "fresh header is in memory" false (Header.on_disk h);
   let h = Header.set_on_disk h in
   Alcotest.(check bool) "on disk" true (Header.on_disk h);
-  Alcotest.(check bool) "mark preserved" true (Header.marked h);
+  Alcotest.(check int) "mark preserved" 1 (Header.mark h);
   Alcotest.(check int) "counter preserved" 4 (Header.stale_counter h);
-  Alcotest.(check bool) "survives gc-bit clear" true
-    (Header.on_disk (Header.clear_gc_bits h));
+  Alcotest.(check bool) "survives a mark change" true
+    (Header.on_disk (Header.with_mark h 0));
   let h = Header.clear_on_disk h in
   Alcotest.(check bool) "back in memory" false (Header.on_disk h);
   Alcotest.(check int) "counter still preserved" 4 (Header.stale_counter h)
@@ -60,11 +62,11 @@ let prop_counter_roundtrip =
     ~count:200
     QCheck.(pair (int_range 0 7) bool)
     (fun (k, marked) ->
-      let h = if marked then Header.set_marked Header.empty else Header.empty in
+      let h = Header.with_mark Header.empty (if marked then 1 else 0) in
       let h = Header.set_statics_container h in
       let h = Header.with_stale_counter h k in
       Header.stale_counter h = k
-      && Header.marked h = marked
+      && Header.mark h = (if marked then 1 else 0)
       && Header.statics_container h)
 
 let suite =

@@ -7,10 +7,14 @@
    generation, reference writes, root drops, collections, frees such as
    a minor collection makes, minor collections themselves, and large
    allocations that repack the word array, often while a range is
-   still unswept. After every step the two stores must agree on the
-   identifiers allocations get, the used, live, nursery and object
-   totals, the word array's capacity, the Gc_stats counters and
-   [Store.header] and [Store.mem] for every slot. *)
+   still unswept. Every program collects at least three times, the last
+   times with a sweep left part way between them. After every step the
+   two stores must agree on the identifiers allocations get, the used,
+   live, nursery and object totals, the word array's capacity, the
+   Gc_stats counters, and [Store.mem], [Store.find] and the header but
+   its mark of every slot. The engine marks in the header and the
+   reference collector in a table of its own, so only the engine's
+   headers carry the mark. *)
 
 open Lp_heap
 
@@ -62,6 +66,19 @@ let gen_op =
         (1, return Minor);
       ])
 
+(* A program: forty small allocations, most of them left unrooted, so
+   the heap has more slots than one sweep step visits; a random body;
+   then three collections with one small allocation between them, each
+   of which sweeps only part of the heap. *)
+let gen_program =
+  let small slot = Alloc { n_fields = 0; scalar = 0; nursery = false; slot } in
+  QCheck.Gen.map
+    (fun body ->
+      List.init 40 (fun i -> small (i mod root_slots))
+      @ body
+      @ [ Collect; small 0; Collect; small 1; Collect ])
+    QCheck.Gen.(list_size (int_range 20 200) gen_op)
+
 (* One store with its roots, counters and collector: [engine] is the
    engine for the lazy side and [None] for the reference side. *)
 type side = {
@@ -71,6 +88,7 @@ type side = {
   stats : Gc_stats.t;
   engine : Collector.t option;
   mutable gc : int;
+  mutable live : int;  (* the reference side's live bytes *)
 }
 
 let side engine =
@@ -82,6 +100,7 @@ let side engine =
     stats = Gc_stats.create ();
     engine;
     gc = 0;
+    live = 0;
   }
 
 (* A collection that ticks staleness and sets untouched bits, so the
@@ -101,7 +120,7 @@ let collect s =
     Collector.sweep e s.store ~stats:s.stats
   | None ->
     ignore (Reference_collector.mark s.store s.roots ~stats:s.stats ~config);
-    Reference_collector.sweep s.store ~stats:s.stats
+    s.live <- Reference_collector.sweep s.store ~stats:s.stats
 
 let live_ids s =
   let ids = ref [] in
@@ -161,17 +180,24 @@ let step s op =
     ignore (Minor_collector.collect s.store s.roots ~remset:(Remset.create ()));
     0
 
+(* A slot as the program sees it: whether it is live, the handle
+   [find] gives, and a live object's header but its mark. *)
+let slot s id =
+  let live = Store.mem s.store id in
+  ( live,
+    Store.find s.store id,
+    if live then Header.with_mark (Store.header s.store id) 0 else Header.free )
+
 let state s =
   let n = Store.slot_count s.store in
   ( ( Store.used_bytes s.store,
-      Store.live_bytes s.store,
+      (match s.engine with Some _ -> Store.live_bytes s.store | None -> s.live),
       Store.object_count s.store,
       Store.nursery_bytes s.store,
       n,
       Store.word_capacity s.store ),
     Gc_stats.copy s.stats,
-    List.init n (fun i -> Store.header s.store (i + 1)),
-    List.init n (fun i -> Store.mem s.store (i + 1)) )
+    List.init n (fun i -> slot s (i + 1)) )
 
 (* Runs [ops] on a lazy and an eager side; [Ok ()] when they agree after
    every step, else the first step where they do not. *)
@@ -194,7 +220,7 @@ let prop_lazy_matches_eager =
     ~count:300
     (QCheck.make
        ~print:(fun ops -> String.concat "\n" (List.map pp_op ops))
-       QCheck.Gen.(list_size (int_range 20 200) gen_op))
+       gen_program)
     (fun ops ->
       match run ops with
       | Ok () -> true
@@ -235,10 +261,57 @@ let test_repack_while_unswept () =
     ops;
   match run ops with Ok () -> () | Error msg -> Alcotest.fail msg
 
+(* With one mark bit, an object collection N left dead and unswept
+   already carries the sense collection N+1 marks with. It must read as
+   dead while N+1's mark is open and after N+1 settles, and the objects
+   N+1 keeps must survive: the next mark finishes N's sweep before it
+   flips the sense. *)
+let test_unswept_dead_through_next_mark () =
+  let store = Store.create ~limit_bytes in
+  let roots = Roots.create () in
+  let alloc n_fields =
+    Store.alloc store ~class_id:0 ~n_fields ~scalar_bytes:0 ~finalizable:false
+  in
+  let keep = alloc 1 in
+  Roots.add_static_root roots (Heap_obj.index keep);
+  let x = alloc 0 in
+  for _ = 1 to 63 do
+    ignore (alloc 0)
+  done;
+  let engine = Collector.create () and stats = Gc_stats.create () in
+  let dead what =
+    Alcotest.(check bool) (what ^ ": not live") false (Store.mem store (Heap_obj.index x));
+    Alcotest.(check bool) (what ^ ": find misses") true
+      (Store.find store (Heap_obj.index x) == Store.sentinel);
+    Alcotest.(check bool) (what ^ ": the handle is dead") false (Store.is_live store x);
+    Alcotest.(check bool) (what ^ ": not marked") false
+      (Store.marked store (Heap_obj.index x))
+  in
+  ignore (Collector.mark engine store roots ~stats ~config:Collector.base_config);
+  Collector.sweep engine store ~stats;
+  dead "after collection N";
+  (* one allocation sweeps part of the heap, from the top *)
+  let y = alloc 0 in
+  Store.set_field store (Heap_obj.index keep) 0 (Word.of_id (Heap_obj.index y));
+  Alcotest.(check bool) "x is still unswept" true
+    (Heap_obj.index x <= Store.unswept store);
+  Alcotest.(check bool) "x's slot is not free yet" false
+    (Header.is_free (Store.header store (Heap_obj.index x)));
+  ignore (Collector.mark engine store roots ~stats ~config:Collector.base_config);
+  dead "while N+1's mark is open";
+  Collector.sweep engine store ~stats;
+  dead "after N+1 settles";
+  Alcotest.(check bool) "keep survives" true (Store.is_live store keep);
+  Alcotest.(check bool) "y survives" true (Store.is_live store y);
+  Alcotest.(check int) "two objects" 2 (Store.object_count store);
+  Alcotest.(check int) "64 swept by N, none by N+1" 64 stats.Gc_stats.objects_swept
+
 let suite =
   ( "lazy_sweep",
     [
       QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
       Alcotest.test_case "a repacking while slots are unswept" `Quick
         test_repack_while_unswept;
+      Alcotest.test_case "an object left unswept reads as dead through the next mark"
+        `Quick test_unswept_dead_through_next_mark;
     ] )

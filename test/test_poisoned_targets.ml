@@ -14,13 +14,12 @@ open Lp_runtime
 (* The walk: every slot from the top down and every marked object's
    fields from the top down, consing each poisoned word's target, so
    the list comes out in slot and field order. Also the ids of the
-   objects holding one, ascending. Right after a collection the lazy
-   sweep has not started, so the raw headers still carry its marks. *)
+   objects holding one, ascending. Right after a collection the live
+   objects are exactly those its mark reached. *)
 let reference_walk store =
   let targets = ref [] and holders = ref [] in
   for id = Store.slot_count store downto 1 do
-    let h = Store.raw_header store id in
-    if (not (Header.is_free h)) && Header.marked h then begin
+    if Store.mem store id then begin
       let held = ref false in
       for i = Store.n_fields store id - 1 downto 0 do
         let w = Store.field store id i in
@@ -93,7 +92,9 @@ type coverage = {
   mutable pruned : int;  (* collections whose filter poisoned a word *)
   mutable quarantined : int;  (* collections whose mark quarantined one *)
   mutable finalizer_holders : int;  (* reached by the finalizer pass only *)
-  mutable stale_holders : int;  (* holders a stale closure claimed *)
+  mutable stale_holders : int;
+      (* leak-chain holders of collections whose stale closures claimed
+         objects *)
   mutable multi_holders : int;  (* holders of several poisoned words *)
   mutable sliced : int;  (* collections checked on sliced engines *)
   mutable extra_slices : int;  (* their mark slices beyond one each *)
@@ -134,7 +135,8 @@ let run case =
     Vm.create ~config ~resurrection:true ~heap_bytes:(case.heap_kb * 1024) ()
   in
   let store = Vm.store vm and stats = Vm.stats vm in
-  let finalized = ref [] and poisoned = ref 0 in
+  let finalized = ref [] and poisoned = ref 0 and claimed = ref 0 in
+  let leak_class = ref (-1) in
   Vm.set_gc_listener vm
     (Some
        (fun _ ->
@@ -156,9 +158,13 @@ let run case =
          if stats.Gc_stats.references_poisoned > !poisoned then
            cov.pruned <- cov.pruned + 1;
          poisoned := stats.Gc_stats.references_poisoned;
+         (* the stale closures claim the leak chain past the deferred
+            edge *)
+         let stale_claims = stats.Gc_stats.stale_closure_objects > !claimed in
+         claimed := stats.Gc_stats.stale_closure_objects;
          List.iter
            (fun id ->
-             if Header.stale_marked (Store.raw_header store id) then
+             if stale_claims && Store.class_of store id = !leak_class then
                cov.stale_holders <- cov.stale_holders + 1;
              if List.mem id !finalized then
                cov.finalizer_holders <- cov.finalizer_holders + 1;
@@ -168,7 +174,8 @@ let run case =
          finalized := []));
   let statics = Vm.statics vm ~class_name:"Roots" ~n_fields:16 in
   let classes = [| ("A", 2, 8); ("B", 3, 16); ("C", 1, 40) |] in
-  let leak_class = Vm.register_class vm "Leak" in
+  leak_class := Vm.register_class vm "Leak";
+  let leak_class = !leak_class in
   (* the [k mod n]th live object that is not a leak node (the program
      never touches the leak chain, or it would never go stale) *)
   let pick k =

@@ -93,7 +93,7 @@ let test_max_live_staleness_ignores_statics () =
     (Header.set_statics_container (Store.header fresh_store (Heap_obj.index s)));
   Store.set_stale fresh_store (Heap_obj.index s) 7;
   Alcotest.(check int) "statics container excluded" 3
-    (Selection.max_live_staleness fresh_store ~marked_only:false)
+    (Selection.max_live_staleness fresh_store)
 
 let suite =
   ( "selection",

@@ -270,14 +270,15 @@ let prop_handles_never_revive =
             Store.free store h;
             kill h
           | H_collect k ->
-            Store.finish_sweep store;
+            Store.begin_mark store;
             let kept, doomed =
               List.partition (fun h -> (Heap_obj.index h + k) mod 3 <> 0) !live
             in
             List.iter
               (fun h ->
                 let id = Heap_obj.index h in
-                Store.set_header store id (Header.set_marked (Store.header store id)))
+                Store.set_header store id
+                  (Header.with_mark (Store.header store id) (Store.mark_sense store)))
               kept;
             Store.settle store stats ~objects:(List.length kept)
               ~bytes:(List.fold_left (fun acc h -> acc + Store.size_bytes store (Heap_obj.index h)) 0 kept);
@@ -378,21 +379,37 @@ let prop_flat_store_model =
         Queue.push (Heap_obj.index m.handle) fifo
       in
       let sum f = List.fold_left (fun acc m -> acc + f m) 0 !live in
+      (* Settles the open mark, opening one first if there is none: the
+         objects the model marked survive, the others are doomed. *)
+      let settle () =
+        if not (Store.mark_open store) then Store.begin_mark store;
+        let doomed =
+          List.filter (fun m -> not m.marked) !live
+          |> List.sort (fun a b ->
+                 compare (Heap_obj.index b.handle) (Heap_obj.index a.handle))
+        in
+        let marked = List.filter (fun m -> m.marked) !live in
+        let total f = List.fold_left (fun acc m -> acc + f m) 0 marked in
+        Store.settle store stats ~objects:(List.length marked)
+          ~bytes:(total (fun m -> m.size));
+        List.iter release doomed;
+        List.iter (fun m -> m.marked <- false) !live;
+        swept_live := sum (fun m -> m.size)
+      in
       let agrees () =
         let live_ok m =
           let id = Heap_obj.index m.handle in
           let h = Store.header store id in
           Store.find store id == m.handle
           && Store.is_live store m.handle
-          && Header.marked h = m.marked
+          && Store.marked store id = (m.marked || not (Store.mark_open store))
           && Header.in_nursery h = m.young
           && Store.size_bytes store id = m.size
           && Store.class_of store id = m.cls
         in
         let free_ok id =
           Store.find store id == Store.sentinel
-          && (not (Store.mem store id))
-          && Header.is_free (Store.header store id)
+          && not (Store.mem store id)
         in
         List.for_all live_ok !live
         && List.for_all (fun h -> not (Store.is_live store h)) !dead
@@ -409,6 +426,8 @@ let prop_flat_store_model =
           let step_ok =
             match op with
             | Alloc { n_fields; scalar; nursery } ->
+              (* nothing is allocated while a mark is open *)
+              if Store.mark_open store then settle ();
               let expected =
                 if Queue.is_empty fifo then begin
                   incr next;
@@ -433,8 +452,9 @@ let prop_flat_store_model =
             | Mark k when !live <> [] ->
               let m = nth k in
               let id = Heap_obj.index m.handle in
-              Store.finish_sweep store;
-              Store.set_header store id (Header.set_marked (Store.header store id));
+              if not (Store.mark_open store) then Store.begin_mark store;
+              Store.set_header store id
+                (Header.with_mark (Store.header store id) (Store.mark_sense store));
               m.marked <- true;
               true
             | Free k when !live <> [] ->
@@ -443,18 +463,7 @@ let prop_flat_store_model =
               release m;
               true
             | Sweep ->
-              let doomed =
-                List.filter (fun m -> not m.marked) !live
-                |> List.sort (fun a b ->
-                       compare (Heap_obj.index b.handle) (Heap_obj.index a.handle))
-              in
-              let marked = List.filter (fun m -> m.marked) !live in
-              let total f = List.fold_left (fun acc m -> acc + f m) 0 marked in
-              Store.settle store stats ~objects:(List.length marked)
-                ~bytes:(total (fun m -> m.size));
-              List.iter release doomed;
-              List.iter (fun m -> m.marked <- false) !live;
-              swept_live := sum (fun m -> m.size);
+              settle ();
               true
             | Mark _ | Free _ -> true
           in

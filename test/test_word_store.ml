@@ -92,7 +92,7 @@ let run ~reference ops =
     let config = Collector.base_config in
     if reference then begin
       ignore (Reference_collector.mark store roots ~stats ~config);
-      Reference_collector.sweep store ~stats
+      ignore (Reference_collector.sweep store ~stats)
     end
     else begin
       ignore (Collector.mark engine store roots ~stats ~config);
